@@ -37,20 +37,24 @@ class DiskStore:
         return os.path.join(self.root, self._digest(k, m) + ".json")
 
     def load(self, k: int, m: int) -> Optional[JacobiBasis]:
+        """The stored basis, or None when the entry is missing, unreadable
+        or not shaped like one that `save` writes."""
         path = self._path(k, m)
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
+            forms = [poly_from_compact("ab", rows) for rows in doc["forms"]]
+            certs = [
+                Certificate(c["n"],
+                            tuple((l, poly_from_compact("S", rows))
+                                  for l, rows in c["s_parts"]),
+                            poly_from_compact("AB", c["remainder"]))
+                for c in doc["certificates"]
+            ]
+        except (FileNotFoundError, KeyError, TypeError, ValueError):
             return None
-        forms = [poly_from_compact("ab", rows) for rows in doc["forms"]]
-        certs = [
-            Certificate(c["n"],
-                        tuple((l, poly_from_compact("S", rows))
-                              for l, rows in c["s_parts"]),
-                        poly_from_compact("AB", c["remainder"]))
-            for c in doc["certificates"]
-        ]
+        if len(certs) != len(forms):
+            return None
         return JacobiBasis(BiDegree(k, m), forms, certs)
 
     def save(self, k: int, m: int, basis: JacobiBasis) -> None:

@@ -29,6 +29,24 @@ ENV_PRECISION = "E8JACOBI_PRECISION"
 ENV_CACHE_DIR = "E8JACOBI_CACHE_DIR"
 
 
+class UsageError(Exception):
+    """Input from outside the program that the command cannot use."""
+
+
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than `lo`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("%r is not an integer" % text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                "must be >= %d, got %d" % (lo, value))
+        return value
+    return parse
+
+
 def _parse_window(text: str) -> Tuple[int, int]:
     lo, _, hi = text.partition(":")
     try:
@@ -57,22 +75,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="weight window LO:HI override for profiles")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    index = _int_at_least(0)
+    positive_index = _int_at_least(1)
+
     p = sub.add_parser("dim", help="dimension of the space of forms")
     p.add_argument("weight", type=int)
-    p.add_argument("index", type=int)
+    p.add_argument("index", type=index)
 
     p = sub.add_parser("basis", help="basis forms with certificates")
     p.add_argument("weight", type=int)
-    p.add_argument("index", type=int)
+    p.add_argument("index", type=index)
 
     p = sub.add_parser("profile", help="generator-count polynomial P^w_m")
-    p.add_argument("index", type=int)
+    p.add_argument("index", type=positive_index)
 
     p = sub.add_parser("module-gens", help="free-module generators")
-    p.add_argument("index", type=int)
+    p.add_argument("index", type=positive_index)
 
     p = sub.add_parser("lb", help="lowest-weight subalgebra report")
-    p.add_argument("max_index", type=int)
+    p.add_argument("max_index", type=positive_index)
 
     p = sub.add_parser("certify", help="membership certificate for a "
                                        "serialized polynomial")
@@ -80,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="numeric axiom checks on a basis")
     p.add_argument("weight", type=int)
-    p.add_argument("index", type=int)
+    p.add_argument("index", type=index)
     p.add_argument("--samples", type=int, default=3)
 
     p = sub.add_parser("tables", help="profiles for all indices up to a "
@@ -192,8 +213,12 @@ def _cmd_lb(args, out) -> dict:
 
 
 def _cmd_certify(args, out) -> dict:
-    with open(args.file) as fh:
-        form = poly_from_json(json.load(fh))
+    try:
+        with open(args.file) as fh:
+            form = poly_from_json(json.load(fh))
+    except (OSError, ValueError) as exc:
+        raise UsageError("cannot read a polynomial from %s: %s"
+                         % (args.file, exc))
     result = certify(form)
     if isinstance(result, Rejection):
         print("rejected: divisibility fails at denominator power %d"
@@ -292,6 +317,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             sys.stdout.write(text.getvalue())
         return 0
+    except UsageError as exc:
+        print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
+        return 2
     except ConsistencyError as exc:
         print("inconsistency: %s" % exc, file=sys.stderr)
         return 1

@@ -111,7 +111,9 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
     ansatz = build_ansatz(AnsatzSpec(ab, target, "c"))
 
     pf = sub_ab_to_AB(ansatz)
-    assert isinstance(pf, ParamFrac)
+    if not isinstance(pf, ParamFrac):
+        raise ConsistencyError("parametric substitution returned %s"
+                               % type(pf).__name__)
     n = pf.delta_pow
     p = pf.e4_pow
     # Delta^n * ansatz = num / E4^p
@@ -185,7 +187,9 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
     """
     form.bidegree()  # raises on inhomogeneous input
     frac = sub_ab_to_AB(form)
-    assert isinstance(frac, Frac)
+    if not isinstance(frac, Frac):
+        raise ConsistencyError("concrete substitution returned %s"
+                               % type(frac).__name__)
     n = frac.delta_pow
     p = frac.e4_pow
     qs, remainder = e4_split(Frac(frac.num, p, 0))
@@ -249,7 +253,8 @@ def index_profile(m: int,
     if m < 1:
         raise ValueError("index must be >= 1")
     # all generator weights are even, so odd weights carry no monomials
-    assert all(d.weight % 2 == 0 for d in ab.degrees)
+    if any(d.weight % 2 for d in ab.degrees):
+        raise ConsistencyError("generator of odd weight in the alphabet")
     lo, hi = window if window is not None else _weight_window(m)
     start = lo + (lo % 2)
     dims = {k: jacobi_dim(k, m) for k in range(start, hi + 1, 2)}

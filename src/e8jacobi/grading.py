@@ -426,12 +426,6 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def unknowns(self) -> list:
-        seen = set()
-        for lf in self.terms.values():
-            seen.update(lf)
-        return sorted(seen)
-
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         if self.alphabet.fingerprint() != other.alphabet.fingerprint():
             raise AlphabetMismatchError(

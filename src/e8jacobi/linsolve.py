@@ -1,34 +1,21 @@
 """Exact rational linear algebra for coefficient matching.
 
-Systems are homogeneous.  Elimination is fraction-free over big integers
-(see the `_rowreduce` kernels) with a final rational reduction pass, and
-all output bases are canonical: reduced echelon form over the unknown
-order, scaled to primitive integer vectors with positive leading entry.
+Systems are homogeneous.  Rows are cleared of denominators and
+row-reduced fraction-free by `kernels.echelon_int_rows`, the only
+elimination routine.  All output bases are canonical: reduced echelon
+form over the unknown order, scaled to primitive integer vectors with
+positive leading entry.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .grading import GradingError, ParamPoly
+from .grading import ParamPoly
 from .kernels import echelon_int_rows
-
-_UNKNOWN_RE = re.compile(r"([A-Za-z]+)|(\d+)")
-
-
-def unknown_sort_key(name: str):
-    """Natural order: alphabetic prefix first, then numeric components."""
-    parts = []
-    for m in _UNKNOWN_RE.finditer(name):
-        if m.group(1):
-            parts.append((0, m.group(1)))
-        else:
-            parts.append((1, int(m.group(2))))
-    return tuple(parts)
 
 
 @dataclass
@@ -60,18 +47,6 @@ class SolutionSpace:
         return len(self.basis)
 
 
-def match_coefficients(lhs: ParamPoly, rhs: ParamPoly) -> LinearSystem:
-    """Equations stating lhs == rhs identically, monomial by monomial."""
-    if not (lhs.is_zero() or rhs.is_zero()):
-        if lhs.bidegree() != rhs.bidegree():
-            raise GradingError("matched sides have different bidegree")
-    unknowns = sorted(set(lhs.unknowns()) | set(rhs.unknowns()),
-                      key=unknown_sort_key)
-    sys = LinearSystem(tuple(unknowns))
-    sys.extend(coefficient_equations(lhs, rhs))
-    return sys
-
-
 def coefficient_equations(lhs: ParamPoly, rhs: ParamPoly) -> List[Dict[str, Fraction]]:
     rows = []
     for mon in sorted(set(lhs.terms) | set(rhs.terms), reverse=True):
@@ -88,15 +63,16 @@ def coefficient_equations(lhs: ParamPoly, rhs: ParamPoly) -> List[Dict[str, Frac
 
 
 def _integer_rows(sys: LinearSystem) -> List[List[int]]:
-    pos = {name: i for i, name in enumerate(sys.unknowns)}
+    """Dense integer rows, columns in reversed unknown order, duplicates
+    dropped."""
     n = len(sys.unknowns)
+    pos = {name: n - 1 - i for i, name in enumerate(sys.unknowns)}
     out = []
     seen = set()
     for row in sys.rows:
         if not row:
             continue
-        denom = lcm(*(c.denominator for c in row.values())) \
-            if len(row) > 1 else next(iter(row.values())).denominator
+        denom = lcm(*(c.denominator for c in row.values()))
         dense = [0] * n
         for name, c in row.items():
             dense[pos[name]] = int(c * denom)
@@ -107,71 +83,43 @@ def _integer_rows(sys: LinearSystem) -> List[List[int]]:
     return out
 
 
-def _back_eliminate(pivots: Dict[int, List[int]]) -> Dict[int, List[int]]:
-    """Full reduction: clear pivot columns from all earlier pivot rows."""
-    from .kernels import normalize_int_row
-    cols = sorted(pivots)
-    for i, c in enumerate(cols):
-        row = pivots[c]
-        for c2 in cols[i + 1:]:
-            a = row[c2]
-            if not a:
-                continue
-            p = pivots[c2]
-            b = p[c2]
-            g = gcd(a if a > 0 else -a, b)
-            fa = b // g
-            fb = a // g
-            row = normalize_int_row([fa * x - fb * y for x, y in zip(row, p)])
-        pivots[c] = row
-    return pivots
-
-
 def nullspace(sys: LinearSystem) -> SolutionSpace:
-    """Exact reduced basis of the solution space, deterministic."""
+    """Exact reduced basis of the solution space, deterministic.
+
+    The rows are reduced in reversed column order, so a pivot row has
+    nonzeros only at its pivot and at columns before it in the unknown
+    order.  The solution vector of each free column therefore leads with
+    a 1 at that column and is zero at every other free column: the free
+    vectors are already the reduced echelon basis over the unknown order.
+    """
     n = len(sys.unknowns)
-    rows = _integer_rows(sys)
-    pivots = echelon_int_rows(rows, n)
-    pivots = _back_eliminate(pivots)
-    rank = len(pivots)
-    free_cols = [c for c in range(n) if c not in pivots]
+    pivots = {n - 1 - c: row[::-1] for c, row in
+              echelon_int_rows(_integer_rows(sys), n).items()}
     basis = []
-    for f in free_cols:
+    for f in range(n):
+        if f in pivots:
+            continue
         vec = [Fraction(0)] * n
         vec[f] = Fraction(1)
         for c, row in pivots.items():
             if row[f]:
                 vec[c] = Fraction(-row[f], row[c])
-        basis.append(vec)
-    basis = [primitive_vector(v) for v in echelonize(basis)]
-    return SolutionSpace(sys.unknowns, basis, rank)
+        basis.append(primitive_vector(vec))
+    return SolutionSpace(sys.unknowns, basis, len(pivots))
 
 
-def echelonize(vectors: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Reduced row echelon form of a small rational matrix; zero rows
-    dropped, rows ordered by leading column."""
-    rows = [list(v) for v in vectors]
+def echelonize(vectors: Sequence[Sequence[Fraction]]) -> List[List[int]]:
+    """Reduced row echelon form of a rational matrix as primitive integer
+    rows with positive leading entry; zero rows dropped, rows ordered by
+    leading column."""
+    rows = []
+    for v in vectors:
+        denom = lcm(*(c.denominator for c in v))
+        rows.append([int(c * denom) for c in v])
     if not rows:
         return []
-    n = len(rows[0])
-    out: List[List[Fraction]] = []
-    for row in rows:
-        for p in out:
-            lead = next(i for i, x in enumerate(p) if x)
-            if row[lead]:
-                c = row[lead] / p[lead]
-                row = [x - c * y for x, y in zip(row, p)]
-        if any(row):
-            out.append(row)
-            out.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
-    # second pass: clear above-pivot entries
-    for i in range(len(out) - 1, -1, -1):
-        lead = next(j for j, x in enumerate(out[i]) if x)
-        for k in range(i):
-            if out[k][lead]:
-                c = out[k][lead] / out[i][lead]
-                out[k] = [x - c * y for x, y in zip(out[k], out[i])]
-    return out
+    pivots = echelon_int_rows(rows, len(rows[0]))
+    return [pivots[c] for c in sorted(pivots)]
 
 
 def primitive_vector(vec: Sequence[Fraction]) -> Tuple[Fraction, ...]:
@@ -189,16 +137,3 @@ def primitive_vector(vec: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     if nz[0] < 0:
         scale = -scale
     return tuple(c * scale for c in vec)
-
-
-def project(space: SolutionSpace, keep: Sequence[str]) -> SolutionSpace:
-    """Image of the coordinate projection onto `keep`, re-echelonized."""
-    keep_set = set(keep)
-    if not keep_set <= set(space.unknowns):
-        raise ValueError("keep must be a subset of the unknowns")
-    cols = [i for i, u in enumerate(space.unknowns) if u in keep_set]
-    kept_unknowns = tuple(space.unknowns[i] for i in cols)
-    vectors = [[v[i] for i in cols] for v in space.basis]
-    basis = [primitive_vector(v) for v in echelonize(vectors)]
-    return SolutionSpace(kept_unknowns, basis,
-                         len(kept_unknowns) - len(basis))

@@ -47,17 +47,23 @@ def poly_to_json(p: Poly) -> dict:
 
 
 def poly_from_json(doc: dict) -> Poly:
-    alphabet = _lookup_alphabet(doc["alphabet"])
-    terms = {}
-    for t in doc["terms"]:
-        exps = [0] * len(alphabet)
-        for sym, e in t["exponents"].items():
-            try:
-                exps[alphabet.position(sym)] = e
-            except KeyError:
-                raise SerializationError(
-                    "symbol %r not in alphabet %s" % (sym, alphabet.name))
-        terms[tuple(exps)] = fraction_from_str(t["coefficient"])
+    """Inverse of `poly_to_json`; raises SerializationError on a document
+    of another shape."""
+    try:
+        alphabet = _lookup_alphabet(doc["alphabet"])
+        terms = {}
+        for t in doc["terms"]:
+            exps = [0] * len(alphabet)
+            for sym, e in t["exponents"].items():
+                try:
+                    exps[alphabet.position(sym)] = e
+                except KeyError:
+                    raise SerializationError(
+                        "symbol %r not in alphabet %s" % (sym, alphabet.name))
+            terms[tuple(exps)] = fraction_from_str(t["coefficient"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise SerializationError("not a polynomial document (%s: %s)"
+                                 % (type(exc).__name__, exc))
     return Poly(alphabet, terms)
 
 

@@ -31,6 +31,16 @@ class TestDiskStore:
             fh.write("{ not json")
         assert store.load(4, 1) is None
 
+    def test_malformed_returns_none(self, tmp_path):
+        store = DiskStore(str(tmp_path))
+        store.save(4, 1, jacobi_basis(4, 1))
+        (path,) = [p for p in os.listdir(tmp_path) if p.endswith(".json")]
+        for doc in ('{"forms": []}', '[]', '{"forms": [], "certificates": 1}',
+                    '{"forms": [[]], "certificates": []}'):
+            with open(os.path.join(tmp_path, path), "w") as fh:
+                fh.write(doc)
+            assert store.load(4, 1) is None, doc
+
     def test_keys_distinguish_targets(self, tmp_path):
         store = DiskStore(str(tmp_path))
         store.save(4, 1, jacobi_basis(4, 1))

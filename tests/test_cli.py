@@ -115,6 +115,32 @@ class TestExitCodes:
             main(["--window", "abc", "profile", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["dim", "4", "-1"], "must be >= 0, got -1"),
+        (["profile", "0"], "must be >= 1, got 0"),
+        (["lb", "0"], "must be >= 1, got 0"),
+    ])
+    def test_out_of_range_index_is_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(message)
+
+    @pytest.mark.parametrize("content", [None, "{ not json",
+                                         '{"alphabet": "zz", "terms": []}',
+                                         '{"alphabet": "ab"}', "[1]"])
+    def test_unreadable_certify_file_is_2(self, capsys, tmp_path, content):
+        path = tmp_path / "form.json"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run_cli(capsys, "certify", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("e8jacobi: error: cannot read a polynomial")
+
 
 class TestCertify:
     def test_certified(self, capsys, tmp_path):

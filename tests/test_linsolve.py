@@ -1,17 +1,18 @@
 """Exact nullspace solving, checked against an independent naive RREF."""
 
-import os
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from e8jacobi.linsolve import (LinearSystem, echelonize, nullspace,
-                               primitive_vector, project, unknown_sort_key)
+from e8jacobi.kernels import echelon_int_rows
+from e8jacobi.linsolve import LinearSystem, echelonize, nullspace
 
 
-def naive_nullspace(rows, n):
-    """Textbook rational Gauss-Jordan nullspace, written independently
-    of the production kernel: returns the canonical reduced basis."""
+def naive_rref(rows, n):
+    """Textbook rational Gauss-Jordan, written independently of the
+    production kernel: nonzero rows of the RREF (leading entries 1) and
+    their pivot columns."""
     mat = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     r = 0
@@ -28,16 +29,37 @@ def naive_nullspace(rows, n):
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
-    free = [c for c in range(n) if c not in pivots]
+    return mat[:r], pivots
+
+
+def naive_primitive(vec):
+    """Coprime integers with positive leading entry, same direction."""
+    denom = 1
+    for x in vec:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]
+
+
+def naive_nullspace(rows, n):
+    """Canonical nullspace basis: the free-column solutions of the naive
+    RREF, re-reduced over the unknown order and primitive scaled."""
+    mat, pivots = naive_rref(rows, n)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
             v[pc] = -mat[i][fc]
         basis.append(v)
-    # canonicalize the same way the production code does
-    return [primitive_vector(v) for v in echelonize(basis)]
+    return [naive_primitive(v) for v in naive_rref(basis, n)[0]]
 
 
 def make_system(rows, n):
@@ -64,12 +86,9 @@ class TestNullspace:
         space = nullspace(make_system([[1, 1, -1], [2, -1, 0]], 3))
         assert space.basis == [(1, 2, 3)]
 
-    def test_unknown_order(self):
-        assert sorted(["c10", "c2", "d1_3", "c1"], key=unknown_sort_key) == \
-            ["c1", "c2", "c10", "d1_3"]
-
 
 _entry = st.integers(min_value=-9, max_value=9)
+_rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 class TestAgainstNaiveOracle:
@@ -79,7 +98,7 @@ class TestAgainstNaiveOracle:
         rows = [[data.draw(_entry) for _ in range(n)] for _ in range(nrows)]
         space = nullspace(make_system(rows, n))
         expected = naive_nullspace(rows, n)
-        assert [list(v) for v in space.basis] == [list(v) for v in expected]
+        assert [list(v) for v in space.basis] == expected
         assert space.rank + space.dimension == n
 
     @given(st.integers(2, 6), st.integers(1, 6), st.data())
@@ -98,52 +117,30 @@ class TestAgainstNaiveOracle:
         assert space.basis == [(1, 2, 2)]
 
 
-class TestBackends:
-    def test_pure_python_backend_agrees(self):
-        import subprocess
-        import sys
-        import textwrap
-        code = textwrap.dedent("""
-            from fractions import Fraction
-            from e8jacobi.kernels import BACKEND
-            from e8jacobi.linsolve import LinearSystem, nullspace
-            names = ("x1", "x2", "x3", "x4")
-            sys_ = LinearSystem(names)
-            sys_.extend([
-                {"x1": Fraction(2), "x2": Fraction(-3), "x4": Fraction(1)},
-                {"x2": Fraction(5), "x3": Fraction(-1)},
-            ])
-            print(BACKEND)
-            print(nullspace(sys_).basis)
-        """)
-        outputs = {}
-        for env_val in ("", "1"):
-            env = dict(os.environ)
-            env.pop("E8JACOBI_PURE_PYTHON", None)
-            if env_val:
-                env["E8JACOBI_PURE_PYTHON"] = env_val
-            proc = subprocess.run([sys.executable, "-c", code], env=env,
-                                  capture_output=True, text=True, check=True)
-            backend, basis = proc.stdout.strip().split("\n", 1)
-            outputs[backend] = basis
-        assert len(outputs) >= 1
-        assert len(set(outputs.values())) == 1
+class TestEchelon:
+    @given(st.integers(1, 6), st.integers(0, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_echelonize_matches_naive_rref(self, n, nrows, data):
+        rows = [[data.draw(_rational) for _ in range(n)]
+                for _ in range(nrows)]
+        if data.draw(st.booleans()):
+            rows.insert(data.draw(st.integers(0, nrows)), [Fraction(0)] * n)
+        expected = [naive_primitive(r) for r in naive_rref(rows, n)[0]]
+        assert echelonize(rows) == expected
 
+    def test_echelonize_empty_and_zero_input(self):
+        assert echelonize([]) == []
+        assert echelonize([[0, 0, 0], [Fraction(0)] * 3]) == []
 
-class TestProject:
-    def test_coordinate_projection(self):
-        space = nullspace(make_system([], 3))
-        # restrict the full space spanned by (1,0,5),(0,1,7) to columns 1,3
-        space.basis = [(Fraction(1), Fraction(0), Fraction(5)),
-                       (Fraction(0), Fraction(1), Fraction(7))]
-        space.rank = 1
-        proj = project(space, ["x1", "x3"])
-        assert proj.unknowns == ("x1", "x3")
-        assert proj.basis == [(1, 0), (0, 1)]
-
-    def test_collapsing_projection(self):
-        space = nullspace(make_system([], 2))
-        space.basis = [(Fraction(1), Fraction(2))]
-        proj = project(space, ["x2"])
-        assert proj.basis == [(1,)]
-        assert proj.rank == 0
+    @given(st.integers(1, 7), st.integers(0, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_echelon_int_rows_reduced_form(self, n, nrows, data):
+        rows = [[data.draw(_entry) for _ in range(n)] for _ in range(nrows)]
+        pivots = echelon_int_rows(rows, n)
+        for c, row in pivots.items():
+            assert len(row) == n
+            assert not any(row[:c]) and row[c] > 0
+            assert gcd(*row) == 1
+            assert all(row[c2] == 0 for c2 in pivots if c2 != c)
+        expected = [naive_primitive(r) for r in naive_rref(rows, n)[0]]
+        assert [pivots[c] for c in sorted(pivots)] == expected
