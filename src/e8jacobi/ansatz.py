@@ -1,5 +1,9 @@
 """Enumeration of all monomials of a given bidegree and ansatz building.
 
+An ansatz has one unknown per monomial, and an unknown is a column
+position, so several ansatze share one system as consecutive blocks of
+columns.
+
 Enumeration is a bounded depth-first search over exponent vectors: the
 exponent of any index-carrying generator is capped by the remaining
 index, and the residual weight left for E4/E6 must be expressible as
@@ -10,18 +14,9 @@ series truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import List
 
 from .grading import Alphabet, BiDegree, ParamPoly
-
-
-@dataclass(frozen=True)
-class AnsatzSpec:
-    alphabet: Alphabet
-    target: BiDegree
-    symbol_prefix: str = "c"
 
 
 def _weight_fillings(weight: int, has_e4: bool) -> List[tuple]:
@@ -82,14 +77,9 @@ def enumerate_monomials(alphabet: Alphabet, target: BiDegree) -> List[tuple]:
     return results
 
 
-def build_ansatz(spec: AnsatzSpec) -> ParamPoly:
-    """One fresh unknown per monomial, numbered in monomial order."""
-    mons = enumerate_monomials(spec.alphabet, spec.target)
-    terms = {m: {unknown_name(spec.symbol_prefix, i): Fraction(1)}
-             for i, m in enumerate(mons)}
-    return ParamPoly(spec.alphabet, terms)
-
-
-def unknown_name(prefix: str, position: int) -> str:
-    """1-based unknown naming: prefix + position in monomial order."""
-    return "%s%d" % (prefix, position + 1)
+def build_ansatz(alphabet: Alphabet, target: BiDegree,
+                 first: int = 0) -> ParamPoly:
+    """One unknown per monomial: the i-th monomial in enumeration order
+    has the coefficient of column first + i."""
+    mons = enumerate_monomials(alphabet, target)
+    return ParamPoly(alphabet, {m: {first + i: 1} for i, m in enumerate(mons)})

@@ -1,9 +1,11 @@
 """Content-addressed on-disk store for computed bases.
 
-The key digests the schema version, all three alphabet definitions and
-the target (weight, index), so any change to the generator tables or the
-result format invalidates stale entries automatically.  Writes are
-atomic: a temporary file in the same directory is renamed into place.
+The key digests the schema version, all three alphabet definitions, the
+generator tables the construction reads (the meromorphic images and
+P_{16,5}) and the target (weight, index), so any change to the generator
+tables or the result format invalidates stale entries automatically.
+Writes are atomic: a temporary file in the same directory is renamed
+into place.
 """
 
 from __future__ import annotations
@@ -12,12 +14,23 @@ import hashlib
 import json
 import os
 import tempfile
+from functools import lru_cache
 from typing import Optional
 
 from .construct import Certificate, JacobiBasis, SCHEMA_VERSION
+from .generators import meromorphic_images, p16_5
 from .grading import AB, BiDegree, Poly, S_ALPHABET, ab
 from .serialize import (fraction_from_str, fraction_to_str, poly_from_compact,
                         poly_to_compact)
+
+
+@lru_cache(maxsize=None)
+def _tables_digest() -> str:
+    """Digest of the meromorphic images and P_{16,5}, once per process."""
+    images = [[name, poly_to_compact(f.num), f.e4_pow, f.delta_pow]
+              for name, f in sorted(meromorphic_images().items())]
+    material = json.dumps([images, poly_to_compact(p16_5())]).encode()
+    return hashlib.sha256(material).hexdigest()
 
 
 class DiskStore:
@@ -29,6 +42,7 @@ class DiskStore:
         material = json.dumps([
             SCHEMA_VERSION,
             [a.fingerprint() for a in (AB, ab, S_ALPHABET)],
+            _tables_digest(),
             k, m,
         ]).encode()
         return hashlib.sha256(material).hexdigest()

@@ -50,10 +50,14 @@ def _int_at_least(lo: int):
 def _parse_window(text: str) -> Tuple[int, int]:
     lo, _, hi = text.partition(":")
     try:
-        return (int(lo), int(hi))
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(
             "window must be LO:HI with integer bounds")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(
+            "window must have LO <= HI, got %d:%d" % (lo, hi))
+    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1,
                         help="parallel workers for independent "
                              "(weight, index) tasks")
-    parser.add_argument("--precision", type=int,
-                        default=int(os.environ.get(ENV_PRECISION, "50")),
+    # a string default goes through `type` like a command-line value
+    parser.add_argument("--precision", type=_int_at_least(1),
+                        default=os.environ.get(ENV_PRECISION, "50"),
                         help="oracle working precision in decimal digits")
     parser.add_argument("--tol", type=float, default=1e-30,
                         help="oracle comparison tolerance")
@@ -102,11 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="numeric axiom checks on a basis")
     p.add_argument("weight", type=int)
     p.add_argument("index", type=index)
-    p.add_argument("--samples", type=int, default=3)
+    p.add_argument("--samples", type=_int_at_least(1), default=3)
 
     p = sub.add_parser("tables", help="profiles for all indices up to a "
                                       "bound")
-    p.add_argument("--max-index", type=int, required=True)
+    p.add_argument("--max-index", type=_int_at_least(1), required=True)
 
     return parser
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .ansatz import AnsatzSpec, build_ansatz, enumerate_monomials, unknown_name
+from .ansatz import build_ansatz, enumerate_monomials
 from .generators import (ParamFrac, e4_split, p16_5, sub_ab_to_AB)
 from .grading import (AB, BiDegree, Frac, ParamPoly, Poly, S_ALPHABET, ab,
                       delta_poly)
@@ -77,10 +78,6 @@ def clear_cache() -> None:
     _BASIS_CACHE.clear()
 
 
-def _sl_prefix(l: int) -> str:
-    return "d%d_" % l
-
-
 def jacobi_basis(k: int, m: int) -> JacobiBasis:
     """All weak Jacobi forms of the given weight and index, with
     certificates; empty basis when none exist."""
@@ -104,11 +101,9 @@ def jacobi_basis(k: int, m: int) -> JacobiBasis:
 
 def _compute_basis(k: int, m: int) -> JacobiBasis:
     target = BiDegree(k, m)
-    mons = enumerate_monomials(ab, target)
-    if not mons:
+    ansatz = build_ansatz(ab, target)
+    if ansatz.is_zero():
         return JacobiBasis(target, [], [])
-    c_names = [unknown_name("c", i) for i in range(len(mons))]
-    ansatz = build_ansatz(AnsatzSpec(ab, target, "c"))
 
     pf = sub_ab_to_AB(ansatz)
     if not isinstance(pf, ParamFrac):
@@ -116,61 +111,54 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
                                % type(pf).__name__)
     n = pf.delta_pow
     p = pf.e4_pow
-    # Delta^n * ansatz = num / E4^p
-    qs, remainder = e4_split(ParamFrac(pf.num, p, 0))
+    # Delta^n * ansatz = num / (L * E4^p).  Clearing the common denominator
+    # L here makes every later linear form integer; the S_l columns absorb L.
+    L = lcm(*(c.denominator for lf in pf.num.terms.values()
+              for c in lf.values()))
+    num = ParamPoly(AB, {mon: {j: c.numerator * (L // c.denominator)
+                               for j, c in lf.items()}
+                         for mon, lf in pf.num.terms.items()})
+    qs, remainder = e4_split(ParamFrac(num, p, 0))
 
-    d_names: List[str] = []
+    # Columns: the c-block of the ansatz, then each nonempty S_l block.
+    n_c = len(ansatz.terms)
+    n_cols = n_c
     rows = []
     sl_ansatze: Dict[int, ParamPoly] = {}
     p165 = p16_5()
     for l in range(1, p + 1):
-        s_target = BiDegree(k + 12 * n - 12 * l, m - 5 * l)
-        s_mons = enumerate_monomials(S_ALPHABET, s_target) \
-            if s_target.index >= 0 else []
+        sl = build_ansatz(S_ALPHABET,
+                          BiDegree(k + 12 * n - 12 * l, m - 5 * l), n_cols)
         q_l = qs[l - 1] if l <= len(qs) else ParamPoly.zero(AB)
-        if s_mons:
-            prefix = _sl_prefix(l)
-            sl = build_ansatz(AnsatzSpec(S_ALPHABET, s_target, prefix))
+        rhs = ParamPoly.zero(AB)
+        if not sl.is_zero():
             sl_ansatze[l] = sl
-            d_names.extend(unknown_name(prefix, i) for i in range(len(s_mons)))
+            n_cols += len(sl.terms)
             rhs = sl.map_alphabet(AB).mul_poly(p165 ** l)
-        else:
-            rhs = ParamPoly.zero(AB)
         rows.extend(coefficient_equations(q_l, rhs))
-
-    system = LinearSystem(tuple(c_names + d_names))
-    system.extend(rows)
-    space = nullspace(system)
-
-    # d is determined by c, so every echelon leading entry must sit in the
-    # c-block; otherwise the projection onto c would lose dimensions.
-    n_c = len(c_names)
-    for vec in space.basis:
-        lead = next(i for i, x in enumerate(vec) if x)
-        if lead >= n_c:
-            raise ConsistencyError(
-                "nullspace vector independent of the ansatz coefficients "
-                "at weight %d index %d" % (k, m))
+    space = nullspace(LinearSystem(n_cols, rows))
 
     forms: List[Poly] = []
     certificates: List[Certificate] = []
     for vec in space.basis:
-        c_part = vec[:n_c]
-        form_vec = primitive_vector(c_part)
-        # rescale the whole solution so the emitted form is primitive
-        scale = next(b / a for a, b in zip(c_part, form_vec) if a)
-        assignment = {name: scale * x
-                      for name, x in zip(system.unknowns, vec) if x}
-        form = Poly(ab, {mon: assignment.get(name, Fraction(0))
-                         for mon, name in zip(mons, c_names)})
+        # d is determined by c, so a solution vanishing on the c-block
+        # means the projection onto c would lose dimensions.
+        g = gcd(*vec[:n_c])
+        if not g:
+            raise ConsistencyError(
+                "nullspace vector independent of the ansatz coefficients "
+                "at weight %d index %d" % (k, m))
+        # vec leads with a positive entry in the c-block, so the form
+        # c / g is primitive with positive leading coefficient.
+        forms.append(ansatz.substitute(vec).scale(Fraction(1, g)))
+        scale = Fraction(1, g * L)
         s_parts = []
-        for l in sorted(sl_ansatze):
-            s_l = sl_ansatze[l].substitute(assignment)
+        for l, sl in sorted(sl_ansatze.items()):
+            s_l = sl.substitute(vec).scale(scale)
             if not s_l.is_zero():
                 s_parts.append((l, s_l))
-        r_poly = remainder.substitute(assignment)
-        forms.append(form)
-        certificates.append(Certificate(n, tuple(s_parts), r_poly))
+        certificates.append(Certificate(n, tuple(s_parts),
+                                        remainder.substitute(vec).scale(scale)))
     return JacobiBasis(target, forms, certificates)
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple, Union
 
-from .grading import (AB, Frac, ParamPoly, Poly, S_ALPHABET, ab, delta_poly,
-                      linform_scale)
+from .grading import AB, Frac, ParamPoly, Poly, ab, delta_poly
 
 F = Fraction
 

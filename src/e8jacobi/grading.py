@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
+                    Sequence, Union)
 
 Rational = Union[int, Fraction]
 
@@ -385,7 +386,8 @@ class Poly:
         return " + ".join(parts)
 
 
-LinForm = Mapping[str, Fraction]
+#: A homogeneous linear form in the unknowns: column position -> coefficient.
+LinForm = Mapping[int, Rational]
 
 
 def linform_add(a: LinForm, b: LinForm) -> dict:
@@ -403,15 +405,21 @@ def linform_add(a: LinForm, b: LinForm) -> dict:
     return out
 
 
-def linform_scale(a: LinForm, c: Fraction) -> dict:
+def linform_scale(a: LinForm, c: Rational) -> dict:
     if not c:
         return {}
     return {k: c * v for k, v in a.items()}
 
 
 class ParamPoly:
-    """Polynomial whose coefficients are homogeneous linear forms in a set
-    of unknown symbols (the undetermined coefficients of an ansatz)."""
+    """Polynomial whose coefficients are homogeneous linear forms in the
+    undetermined coefficients of an ansatz.
+
+    An unknown is a column position (see `ansatz.build_ansatz`).  Linear
+    forms keep the type of their coefficients: integer forms multiplied by
+    a polynomial with integral coefficients stay `int`, which keeps
+    `substitute` an integer dot product per monomial.
+    """
 
     __slots__ = ("alphabet", "terms")
 
@@ -438,25 +446,25 @@ class ParamPoly:
         return ParamPoly(self.alphabet, out)
 
     def mul_poly(self, p: Poly) -> "ParamPoly":
-        """Multiply by a concrete polynomial over the same alphabet."""
+        """Multiply by a concrete polynomial over the same alphabet; its
+        integral coefficients multiply as `int`s."""
+        coeffs = [(m2, c.numerator if c.denominator == 1 else c)
+                  for m2, c in p.terms.items()]
         out: dict = {}
         for m1, lf in self.terms.items():
-            for m2, c in p.terms.items():
+            for m2, c in coeffs:
                 m = tuple(a + b for a, b in zip(m1, m2))
                 out[m] = linform_add(out.get(m, {}), linform_scale(lf, c))
                 if not out[m]:
                     del out[m]
         return ParamPoly(self.alphabet, out)
 
-    def substitute(self, assignment: Mapping[str, Fraction]) -> Poly:
-        """Evaluate every unknown, producing a concrete polynomial."""
-        out: dict = {}
-        for m, lf in self.terms.items():
-            c = sum((assignment.get(u, Fraction(0)) * v for u, v in lf.items()),
-                    Fraction(0))
-            if c:
-                out[m] = c
-        return Poly(self.alphabet, out)
+    def substitute(self, values: Sequence[Rational]) -> Poly:
+        """Evaluate every unknown, column j taking values[j]: one dot
+        product per monomial."""
+        return Poly(self.alphabet,
+                    {m: sum(values[j] * v for j, v in lf.items())
+                     for m, lf in self.terms.items()})
 
     def bidegree(self) -> Optional[BiDegree]:
         deg = None

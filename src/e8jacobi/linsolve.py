@@ -1,18 +1,22 @@
-"""Exact rational linear algebra for coefficient matching.
+"""Exact integer linear algebra for coefficient matching.
 
-Systems are homogeneous.  Rows are cleared of denominators and
-row-reduced fraction-free by `kernels.echelon_int_rows`, the only
-elimination routine.  All output bases are canonical: reduced echelon
-form over the unknown order, scaled to primitive integer vectors with
-positive leading entry.
+Systems are homogeneous, and an unknown is a column position: a row maps
+columns to `int` coefficients.  Rows are row-reduced fraction-free by
+`kernels.echelon_int_rows`, the only elimination routine, and `nullspace`
+builds its basis from the pivot rows in integers.  All output bases are
+canonical: reduced echelon form over the column order, scaled to
+primitive integer vectors with positive leading entry.
+
+`echelonize` and `primitive_vector` take rational vectors; they serve
+the span computations of the module-generator and subalgebra reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .grading import ParamPoly
 from .kernels import echelon_int_rows
@@ -20,26 +24,22 @@ from .kernels import echelon_int_rows
 
 @dataclass
 class LinearSystem:
-    """Homogeneous system: one sparse row (name -> coefficient) per
-    matched monomial coefficient."""
+    """Homogeneous system in the unknowns 0..n-1: one sparse row
+    (column -> int coefficient) per matched monomial coefficient."""
 
-    unknowns: Tuple[str, ...]
-    rows: List[Dict[str, Fraction]] = field(default_factory=list)
-
-    def extend(self, rows: Iterable[Dict[str, Fraction]]):
-        self.rows.extend(rows)
+    n: int
+    rows: List[Dict[int, int]]
 
 
 @dataclass
 class SolutionSpace:
     """Nullspace basis in reduced echelon form, primitive-integer scaled.
 
-    `rank` is the rank of the system matrix, so
-    rank + len(basis) == len(unknowns).
+    `rank` is the rank of the system matrix, so rank + len(basis) is the
+    number of unknowns.
     """
 
-    unknowns: Tuple[str, ...]
-    basis: List[Tuple[Fraction, ...]]
+    basis: List[Tuple[int, ...]]
     rank: int
 
     @property
@@ -47,65 +47,54 @@ class SolutionSpace:
         return len(self.basis)
 
 
-def coefficient_equations(lhs: ParamPoly, rhs: ParamPoly) -> List[Dict[str, Fraction]]:
+def coefficient_equations(lhs: ParamPoly,
+                          rhs: ParamPoly) -> List[Dict[int, int]]:
     rows = []
     for mon in sorted(set(lhs.terms) | set(rhs.terms), reverse=True):
         row = dict(lhs.terms.get(mon, {}))
-        for name, c in rhs.terms.get(mon, {}).items():
-            s = row.get(name, Fraction(0)) - c
+        for j, c in rhs.terms.get(mon, {}).items():
+            s = row.get(j, 0) - c
             if s:
-                row[name] = s
+                row[j] = s
             else:
-                row.pop(name, None)
+                row.pop(j, None)
         if row:
             rows.append(row)
     return rows
 
 
-def _integer_rows(sys: LinearSystem) -> List[List[int]]:
-    """Dense integer rows, columns in reversed unknown order, duplicates
-    dropped."""
-    n = len(sys.unknowns)
-    pos = {name: n - 1 - i for i, name in enumerate(sys.unknowns)}
-    out = []
-    seen = set()
-    for row in sys.rows:
-        if not row:
-            continue
-        denom = lcm(*(c.denominator for c in row.values()))
-        dense = [0] * n
-        for name, c in row.items():
-            dense[pos[name]] = int(c * denom)
-        key = tuple(dense)
-        if key not in seen:
-            seen.add(key)
-            out.append(dense)
-    return out
-
-
 def nullspace(sys: LinearSystem) -> SolutionSpace:
     """Exact reduced basis of the solution space, deterministic.
 
-    The rows are reduced in reversed column order, so a pivot row has
-    nonzeros only at its pivot and at columns before it in the unknown
-    order.  The solution vector of each free column therefore leads with
-    a 1 at that column and is zero at every other free column: the free
-    vectors are already the reduced echelon basis over the unknown order.
+    The rows are reduced in reversed column order (column j at dense
+    position n - 1 - j), so a pivot row has nonzeros only at its pivot and
+    at columns before it in the unknown order.  The solution vector of each free column therefore leads with
+    that column and is zero at every other free column: the free vectors
+    are already the reduced echelon basis over the unknown order.  Each
+    one is built in integers: the free column gets the lcm of the pivots
+    it meets, and the whole vector is divided by its content.
     """
-    n = len(sys.unknowns)
+    n = sys.n
+    dense = []
+    for row in sys.rows:
+        dense.append([0] * n)
+        for j, c in row.items():
+            dense[-1][n - 1 - j] = c
     pivots = {n - 1 - c: row[::-1] for c, row in
-              echelon_int_rows(_integer_rows(sys), n).items()}
+              echelon_int_rows(dense, n).items()}
     basis = []
     for f in range(n):
         if f in pivots:
             continue
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for c, row in pivots.items():
-            if row[f]:
-                vec[c] = Fraction(-row[f], row[c])
-        basis.append(primitive_vector(vec))
-    return SolutionSpace(sys.unknowns, basis, len(pivots))
+        deps = [(c, row) for c, row in pivots.items() if row[f]]
+        scale = lcm(*(row[c] for c, row in deps))
+        vec = [0] * n
+        vec[f] = scale
+        for c, row in deps:
+            vec[c] = -row[f] * (scale // row[c])
+        g = gcd(*vec)
+        basis.append(tuple(x // g for x in vec))
+    return SolutionSpace(basis, len(pivots))
 
 
 def echelonize(vectors: Sequence[Sequence[Fraction]]) -> List[List[int]]:

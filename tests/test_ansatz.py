@@ -2,7 +2,7 @@
 
 import itertools
 
-from e8jacobi.ansatz import AnsatzSpec, build_ansatz, enumerate_monomials, unknown_name
+from e8jacobi.ansatz import build_ansatz, enumerate_monomials
 from e8jacobi.grading import AB, BiDegree, S_ALPHABET, ab
 
 
@@ -58,14 +58,12 @@ class TestEnumeration:
 
 class TestAnsatz:
     def test_unknowns_follow_enumeration(self):
-        spec = AnsatzSpec(ab, BiDegree(-16, 5), "c")
-        ansatz = build_ansatz(spec)
         mons = enumerate_monomials(ab, BiDegree(-16, 5))
-        assert sorted(ansatz.terms) == sorted(mons)
-        names = {name for lin in ansatz.terms.values() for name in lin}
-        assert names == {unknown_name("c", i) for i in range(len(mons))}
-        assert unknown_name("c", 0) == "c1"
+        ansatz = build_ansatz(ab, BiDegree(-16, 5))
+        assert ansatz.terms == {mon: {i: 1} for i, mon in enumerate(mons)}
+        shifted = build_ansatz(ab, BiDegree(-16, 5), first=7)
+        assert shifted.terms == {mon: {7 + i: 1}
+                                 for i, mon in enumerate(mons)}
 
     def test_empty_target(self):
-        ansatz = build_ansatz(AnsatzSpec(ab, BiDegree(3, 1), "c"))
-        assert ansatz.is_zero()
+        assert build_ansatz(ab, BiDegree(3, 1)).is_zero()

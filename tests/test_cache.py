@@ -2,8 +2,20 @@
 
 import os
 
+import pytest
+
+from e8jacobi import cache
 from e8jacobi.cache import DiskStore
 from e8jacobi.construct import jacobi_basis
+from e8jacobi.generators import meromorphic_images
+from e8jacobi.grading import AB, Frac, Poly
+
+
+@pytest.fixture
+def fresh_tables_digest():
+    cache._tables_digest.cache_clear()
+    yield
+    cache._tables_digest.cache_clear()
 
 
 class TestDiskStore:
@@ -40,6 +52,18 @@ class TestDiskStore:
             with open(os.path.join(tmp_path, path), "w") as fh:
                 fh.write(doc)
             assert store.load(4, 1) is None, doc
+
+    def test_altered_image_misses(self, tmp_path, monkeypatch,
+                                  fresh_tables_digest):
+        store = DiskStore(str(tmp_path))
+        store.save(4, 1, jacobi_basis(4, 1))
+        monkeypatch.setitem(meromorphic_images(), "b1",
+                            Frac.normalized(Poly.gen(AB, "A1").scale(-3), 1, 0))
+        cache._tables_digest.cache_clear()
+        assert store.load(4, 1) is None
+        monkeypatch.undo()
+        cache._tables_digest.cache_clear()
+        assert store.load(4, 1) is not None
 
     def test_keys_distinguish_targets(self, tmp_path):
         store = DiskStore(str(tmp_path))

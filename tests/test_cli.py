@@ -25,6 +25,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_usage_error(capsys, argv, message):
+    """argparse's usage line, then one error line ending in `message`."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(message)
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, "--format", "json", *argv)
     return code, json.loads(out), err
@@ -119,14 +129,20 @@ class TestExitCodes:
         (["dim", "4", "-1"], "must be >= 0, got -1"),
         (["profile", "0"], "must be >= 1, got 0"),
         (["lb", "0"], "must be >= 1, got 0"),
+        (["--precision", "-5", "verify", "4", "1"], "must be >= 1, got -5"),
+        (["verify", "4", "1", "--samples", "0"], "must be >= 1, got 0"),
+        (["verify", "4", "1", "--samples", "-2"], "must be >= 1, got -2"),
+        (["tables", "--max-index", "0"], "must be >= 1, got 0"),
+        (["tables", "--max-index", "-3"], "must be >= 1, got -3"),
+        (["--window", "4:-8", "profile", "2"],
+         "window must have LO <= HI, got 4:-8"),
     ])
     def test_out_of_range_index_is_2(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.splitlines()[-1].endswith(message)
+        assert_usage_error(capsys, argv, message)
+
+    def test_bad_precision_environment_is_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("E8JACOBI_PRECISION", "abc")
+        assert_usage_error(capsys, ["dim", "4", "1"], "'abc' is not an integer")
 
     @pytest.mark.parametrize("content", [None, "{ not json",
                                          '{"alphabet": "zz", "terms": []}',

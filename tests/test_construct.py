@@ -1,15 +1,26 @@
 """End-to-end construction: bases, certificates, profiles, subalgebra."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from e8jacobi import construct
+from e8jacobi.ansatz import enumerate_monomials
+from e8jacobi.cli import _profile_targets
 from e8jacobi.construct import (Certificate, ConsistencyError, Rejection,
                                 certificate_identity, certify, clear_cache,
                                 index_profile, jacobi_basis, jacobi_dim,
                                 lb_analysis, module_generators, rank_series)
 from e8jacobi.grading import BiDegree, Poly, ab
+from e8jacobi.linsolve import nullspace
 
 from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
-                     m16_5_pair, m26_7_generator, spans_equal)
+                     m16_5_pair, m26_7_generator, span_basis, spans_equal)
+
+# every target of index 1..5 in its profile weight window (143 forms)
+WINDOW_TARGETS = [t for m in range(1, 6) for t in _profile_targets(m, None)]
+# the ones with at least one monomial, so that one can be added
+AMBIENT_TARGETS = [(k, m) for k, m in WINDOW_TARGETS
+                   if enumerate_monomials(ab, BiDegree(k, m))]
 
 
 class TestWorkedExamples:
@@ -39,13 +50,16 @@ class TestWorkedExamples:
 
 class TestCertificates:
     def test_emitted_forms_certify(self):
-        for k, m in [(-16, 5), (-26, 7), (4, 1), (-4, 2)]:
+        checked = 0
+        for k, m in WINDOW_TARGETS + [(-26, 7)]:
             basis = jacobi_basis(k, m)
             for form, cert in zip(basis.forms, basis.certificates):
                 assert certificate_identity(form, cert)
                 recomputed = certify(form)
                 assert isinstance(recomputed, Certificate)
                 assert certificate_identity(form, recomputed)
+                checked += 1
+        assert checked == 143 + 1
 
     def test_meromorphic_generators_rejected(self):
         for name in ("a2", "a3", "b2"):
@@ -61,6 +75,47 @@ class TestCertificates:
 
     def test_scalar_rejects_nothing(self):
         assert isinstance(certify(Poly.const(ab, 5)), Certificate)
+
+
+class TestIntegerStage:
+    def test_equations_and_solutions_are_ints(self, monkeypatch):
+        seen = []
+
+        def recording(system):
+            space = nullspace(system)
+            seen.append((system, space))
+            return space
+
+        monkeypatch.setattr(construct, "nullspace", recording)
+        construct._compute_basis(-16, 5)
+        ((system, space),) = seen
+        assert system.rows and space.dimension == 2
+        assert all(type(c) is int for row in system.rows for c in row.values())
+        assert all(type(x) is int for vec in space.basis for x in vec)
+
+
+class TestCertifyProperty:
+    @given(st.sampled_from(AMBIENT_TARGETS), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_certifies_exactly_the_span(self, target, data):
+        """certify(x) is a Certificate exactly when x lies in the span of
+        the basis: integer combinations, with and without one added
+        ab-monomial of the same bidegree."""
+        k, m = target
+        basis = jacobi_basis(k, m).forms
+        mons = enumerate_monomials(ab, BiDegree(k, m))
+        x = Poly.zero(ab)
+        for form in basis:
+            x = x + form.scale(data.draw(st.integers(-5, 5)))
+        if data.draw(st.booleans()):
+            x = x + Poly.monomial(ab, data.draw(st.sampled_from(mons)),
+                                  data.draw(st.integers(-3, 3)
+                                            .filter(bool)))
+        in_span = len(span_basis(basis + [x], k, m)) == len(basis)
+        result = certify(x)
+        assert isinstance(result, Certificate) == in_span
+        if in_span:
+            assert certificate_identity(x, result)
 
 
 class TestRankSeries:

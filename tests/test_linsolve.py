@@ -1,7 +1,7 @@
 """Exact nullspace solving, checked against an independent naive RREF."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -63,11 +63,14 @@ def naive_nullspace(rows, n):
 
 
 def make_system(rows, n):
-    names = tuple("x%d" % (i + 1) for i in range(n))
-    sys_ = LinearSystem(names)
-    sys_.extend([{names[j]: Fraction(v) for j, v in enumerate(row) if v}
-                 for row in rows])
-    return sys_
+    """Positional system; each row is scaled to integers, which leaves
+    its solutions unchanged."""
+    int_rows = []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        denom = lcm(*(v.denominator for v in row))
+        int_rows.append({j: int(v * denom) for j, v in enumerate(row) if v})
+    return LinearSystem(n, int_rows)
 
 
 class TestNullspace:
@@ -100,6 +103,8 @@ class TestAgainstNaiveOracle:
         expected = naive_nullspace(rows, n)
         assert [list(v) for v in space.basis] == expected
         assert space.rank + space.dimension == n
+        for v in space.basis:
+            assert all(type(x) is int for x in v) and gcd(*v) == 1
 
     @given(st.integers(2, 6), st.integers(1, 6), st.data())
     @settings(max_examples=40, deadline=None)
