@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -47,6 +48,18 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float greater than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%r is not a number" % text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            "must be a finite number > 0, got %s" % text)
+    return value
+
+
 def _parse_window(text: str) -> Tuple[int, int]:
     lo, _, hi = text.partition(":")
     try:
@@ -74,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--precision", type=_int_at_least(1),
                         default=os.environ.get(ENV_PRECISION, "50"),
                         help="oracle working precision in decimal digits")
-    parser.add_argument("--tol", type=float, default=1e-30,
+    parser.add_argument("--tol", type=_positive_float, default=1e-30,
                         help="oracle comparison tolerance")
     parser.add_argument("--window", type=_parse_window, default=None,
                         help="weight window LO:HI override for profiles")

@@ -144,6 +144,18 @@ class TestExitCodes:
         monkeypatch.setenv("E8JACOBI_PRECISION", "abc")
         assert_usage_error(capsys, ["dim", "4", "1"], "'abc' is not an integer")
 
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "must be a finite number > 0, got nan"),
+        ("inf", "must be a finite number > 0, got inf"),
+        ("0", "must be a finite number > 0, got 0"),
+        ("-1e-30", "must be a finite number > 0, got -1e-30"),
+        ("abc", "'abc' is not a number"),
+    ])
+    def test_bad_tolerance_is_2(self, capsys, value, message):
+        # "--tol=VALUE": argparse reads a bare "-1e-30" as an option
+        assert_usage_error(capsys, ["--tol=" + value, "verify", "4", "1"],
+                           message)
+
     @pytest.mark.parametrize("content", [None, "{ not json",
                                          '{"alphabet": "zz", "terms": []}',
                                          '{"alphabet": "ab"}', "[1]"])

@@ -91,6 +91,26 @@ class TestSpecialFunctions:
             e6 = eisenstein(3, TAU, CTX)
             assert _rel(eta(TAU, CTX) ** 24 * 1728, e4 ** 3 - e6 ** 2) < 1e-55
 
+    @pytest.mark.parametrize("order", [(1, 2, 3, 4), (4, 3, 2, 1)])
+    def test_theta_matches_jtheta(self, order):
+        # the ranges eval_AB reaches: z scaled up to 6x (|Im z| to ~2.7)
+        # and Im tau down to ~0.15; a fresh context per order, so a kind
+        # filled in the cache with its pair is read back, never the pair
+        ctx = EvalContext()
+        points = [(mpc("0.07", "0.02"), TAU),
+                  (mpc("-0.9", "0.9"), mpc("0.3", "0.15")),
+                  (mpc("1.1", "-2.7"), mpc("-0.25", "0.6")),
+                  (mpc("0.4", "2.7"), mpc("0.05", "1.6")),
+                  (mpc("-1.2", "-0.45"), mpc("-0.45", "0.15"))]
+        for z, tau in points:
+            for kind in order:
+                value = theta(kind, z, tau, ctx)
+                with mp.workdps(ctx.work_digits + 20):
+                    ref = mpmath.jtheta(kind, mpmath.pi * z,
+                                        mpmath.expjpi(tau))
+                    err = abs(value - ref) / abs(ref)
+                assert err < 1e-45, (kind, z, tau, err)
+
     def test_dispatcher(self):
         assert special_functions("theta3", (0, TAU), CTX) == \
             theta(3, 0, TAU, CTX)
@@ -213,6 +233,17 @@ class TestOrbitCharacters:
             zr = _reflect_complex(z, SIMPLE_ROOTS[4])
         assert _rel(orbit_character(7, zr, CTX), w) < 1e-40
 
+    @pytest.mark.parametrize("j", [1, 7, 8])
+    def test_matches_naive_sum(self, j):
+        from e8jacobi.e8 import weyl_orbit
+        z = _z_generic(21)
+        value = orbit_character(j, z, CTX)
+        with mp.workdps(CTX.work_digits):
+            ref = mp.mpc(0)
+            for v in weyl_orbit(j):
+                ref += mpmath.expjpi(sum(vk * zk for vk, zk in zip(v, z)))
+            assert abs(value - ref) / abs(ref) < 1e-45
+
 
 class TestProbe:
     def test_b1_leading_coefficient(self):
@@ -220,6 +251,21 @@ class TestProbe:
         coeffs = q_laurent_probe(Poly.gen(ab, "b1"), z, CTX, radius=1 / 20000)
         assert _absdiff(coeffs[0], -4) < 1e-25
         assert probe_is_regular(coeffs)
+
+    def test_b3_leading_coefficient_with_32_points(self):
+        # the 16-point default aliases c_{+-16} r^{+-16} into c_0: at this
+        # point b3's c_0 is off by 1.4e-25 with 16 points, ~1e-53 with 32
+        import random
+        rng = random.Random(5)
+        z = tuple(mpc(rng.uniform(0.05, 0.2), rng.uniform(-0.1, 0.1))
+                  for _ in range(8))
+        coeffs = q_laurent_probe(Poly.gen(ab, "b3"), z, CTX,
+                                 radius=1 / 20000, count=32)
+        with mp.workdps(CTX.work_digits):
+            w = {j: orbit_character(j, z, CTX) for j in (1, 2, 7, 8)}
+            expected = (-w[2] / 6 - 4 * w[7] - 8 * w[1] + 528 * w[8]
+                        - 79680)
+            assert abs(coeffs[0] - expected) < 1e-40
 
     def test_delta_times_regular_starts_at_q(self):
         from e8jacobi.grading import delta_poly
