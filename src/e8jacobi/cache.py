@@ -84,7 +84,8 @@ class DiskStore:
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh)
+                # json.dumps uses the C encoder; json.dump to a file does not
+                fh.write(json.dumps(doc))
             os.replace(tmp, self._path(k, m))
         except BaseException:
             if os.path.exists(tmp):

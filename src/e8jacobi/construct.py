@@ -197,9 +197,20 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
 
 
 def certificate_identity(form: Poly, cert: Certificate) -> bool:
-    """Exact re-check: Delta^n * image(form) == sum_l P^l S_l / E4^l + R."""
+    """Exact re-check: Delta^n * image(form) == sum_l P^l S_l / E4^l + R.
+
+    Delta is prime to the normalized numerator of the image, so Delta^n
+    cancels min(n, q) of the denominator's Delta^q and the left side is
+    already normalized, with no trial division.
+    """
+    if cert.n < 0:
+        raise ValueError("certificate Delta power must be >= 0")
     frac = sub_ab_to_AB(form)
-    lhs = frac * Frac(delta_poly(AB) ** cert.n, 0, 0)
+    if cert.n <= frac.delta_pow:
+        lhs = Frac(frac.num, frac.e4_pow, frac.delta_pow - cert.n)
+    else:
+        lhs = Frac(frac.num * delta_poly(AB) ** (cert.n - frac.delta_pow),
+                   frac.e4_pow, 0)
     rhs = Frac.normalized(cert.remainder, 0, 0)
     p165 = p16_5()
     for l, s_l in cert.s_parts:

@@ -6,6 +6,14 @@ powers of E4 and Delta), and conversely A1..B6 are stored as genuine
 polynomials over the meromorphic alphabet with every Delta occurrence
 expanded via (E4^3 - E6^2)/1728.  The two tables are transcribed
 independently and verified against each other by the roundtrip tests.
+
+The ab->AB substitution (`sub_ab_to_AB`) rests on two facts.  E4 and E6
+map to themselves, and Delta = (E4^3 - E6^2)/1728 is prime and prime to
+E4, to E6 and to every normalized numerator, so a monomial's normalized
+image follows from that of its index part (its a2..b6 exponents) by
+exponent arithmetic alone.  The index-part images are memoised, and so
+is each one's numerator lifted by a power of Delta; a whole polynomial is
+one pass that adds shifted copies of them into one dict of terms.
 """
 
 from __future__ import annotations
@@ -260,12 +268,39 @@ def _image_power(symbol: str, e: int) -> Frac:
     return f
 
 
-def _monomial_image(exps: tuple) -> Frac:
-    result = Frac(Poly.const(AB, 1), 0, 0)
-    for symbol, e in zip(ab.symbols, exps):
-        if e:
-            result = result * _image_power(symbol, e)
-    return result
+# Both alphabets lead with E4, E6; the index part ("rest") of a monomial
+# over ab is its a2..b6 exponents, the tail after those two.
+_INDEX_SYMBOLS = ab.symbols[2:]
+_REST_IMAGE_CACHE: Dict[tuple, Frac] = {}
+
+
+def _rest_image(rest: tuple) -> Frac:
+    """The normalized image of a2^.. b6^.. over AB, built once per rest."""
+    f = _REST_IMAGE_CACHE.get(rest)
+    if f is None:
+        f = Frac(Poly.const(AB, 1), 0, 0)
+        for symbol, e in zip(_INDEX_SYMBOLS, rest):
+            if e:
+                f = f * _image_power(symbol, e)
+        _REST_IMAGE_CACHE[rest] = f
+    return f
+
+
+_LIFTED_CACHE: Dict[Tuple[tuple, int], list] = {}
+
+
+def _lifted_terms(rest: tuple, gap: int) -> list:
+    """(E4 exponent, E6 exponent, tail, coefficient) for each term of the
+    rest's normalized numerator times Delta^gap."""
+    key = (rest, gap)
+    terms = _LIFTED_CACHE.get(key)
+    if terms is None:
+        num = _rest_image(rest).num
+        if gap:
+            num = num * delta_poly(AB) ** gap
+        terms = [(m[0], m[1], m[2:], c) for m, c in num.terms.items()]
+        _LIFTED_CACHE[key] = terms
+    return terms
 
 
 class ParamFrac:
@@ -283,27 +318,58 @@ class ParamFrac:
 def sub_ab_to_AB(p: Union[Poly, ParamPoly]) -> Union[Frac, ParamFrac]:
     """Replace every meromorphic generator by its holomorphic-side image.
 
-    Concrete polynomials give a normalized Frac; parametric polynomials
-    are processed per-unknown and recombined over the common denominator.
-    """
-    if isinstance(p, Poly):
-        result = Frac(Poly.zero(AB), 0, 0)
-        for m, c in p.terms.items():
-            result = result + _monomial_image(m) * c
-        return result
+    A monomial is E4^a E6^b times its index part (its a2..b6 exponents);
+    the normalized image N/(E4^p Delta^q) of the index part is built once
+    per distinct part and memoised.  E4 and E6 map to themselves, and
+    Delta = (E4^3 - E6^2)/1728 is prime and prime to E4, to E6 and to the
+    normalized numerator N, so the monomial's own normalized image is
+    E4^(a - min(a, p)) E6^b N / (E4^(p - min(a, p)) Delta^q): exponent
+    arithmetic, with no product and no trial division.  Over the common
+    denominator E4^e4_pow Delta^delta_pow (the maxima of those powers),
+    each N is lifted once by Delta^(delta_pow - q), shifted by the E4 and
+    E6 exponents and added in place into one dict of output terms.
 
-    images = [(m, lf, _monomial_image(m)) for m, lf in p.terms.items()]
-    if not images:
-        return ParamFrac(ParamPoly.zero(AB), 0, 0)
-    e4 = max(f.e4_pow for _, _, f in images)
-    dl = max(f.delta_pow for _, _, f in images)
-    delta = delta_poly(AB)
-    e4g = Poly.gen(AB, "E4")
-    num = ParamPoly.zero(AB)
-    for _, lf, f in images:
-        lifted = f.num * e4g ** (e4 - f.e4_pow) * delta ** (dl - f.delta_pow)
-        num = num + ParamPoly(AB, {(0,) * len(AB): lf}).mul_poly(lifted)
-    return ParamFrac(num, e4, dl)
+    A concrete polynomial gives the normalized Frac of that sum, one
+    normalization for the whole input.  A parametric polynomial gives a
+    ParamFrac whose terms hold linear forms and whose exponents are those
+    maxima, so Delta^delta_pow times the input has denominator E4^e4_pow.
+    """
+    parametric = isinstance(p, ParamPoly)
+    items = [(m[0], m[1], m[2:], v) for m, v in p.terms.items()]
+    images = {rest: _rest_image(rest) for _, _, rest, _ in items}
+    e4 = max((max(images[rest].e4_pow - a, 0) for a, _, rest, _ in items),
+             default=0)
+    dl = max((f.delta_pow for f in images.values()), default=0)
+    out: dict = {}
+    for a, b, rest, v in items:
+        f = images[rest]
+        shift = a + e4 - f.e4_pow
+        for e4_exp, e6_exp, tail, c in _lifted_terms(rest, dl - f.delta_pow):
+            key = (e4_exp + shift, e6_exp + b) + tail
+            if parametric:
+                # An ansatz column has coefficient 1; skipping the Fraction
+                # product for it is most of this loop's time.
+                lf = out.get(key)
+                if lf is None:
+                    out[key] = {j: c if x == 1 else c * x
+                                for j, x in v.items()}
+                    continue
+                for j, x in v.items():
+                    s = lf.get(j)
+                    if s is None:
+                        lf[j] = c if x == 1 else c * x
+                    else:
+                        s += c * x
+                        if s:
+                            lf[j] = s
+                        else:
+                            del lf[j]
+            else:
+                s = out.get(key)
+                out[key] = c * v if s is None else s + c * v
+    if parametric:
+        return ParamFrac(ParamPoly(AB, out), e4, dl)
+    return Frac.normalized(Poly(AB, out), e4, dl)
 
 
 def sub_AB_to_ab(p: Poly) -> Poly:

@@ -434,17 +434,6 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        if self.alphabet.fingerprint() != other.alphabet.fingerprint():
-            raise AlphabetMismatchError(
-                "%s vs %s" % (self.alphabet.name, other.alphabet.name))
-        out = {m: dict(lf) for m, lf in self.terms.items()}
-        for m, lf in other.terms.items():
-            out[m] = linform_add(out.get(m, {}), lf)
-            if not out[m]:
-                del out[m]
-        return ParamPoly(self.alphabet, out)
-
     def mul_poly(self, p: Poly) -> "ParamPoly":
         """Multiply by a concrete polynomial over the same alphabet; its
         integral coefficients multiply as `int`s."""

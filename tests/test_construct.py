@@ -1,5 +1,7 @@
 """End-to-end construction: bases, certificates, profiles, subalgebra."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,8 @@ from e8jacobi.construct import (Certificate, ConsistencyError, Rejection,
                                 certificate_identity, certify, clear_cache,
                                 index_profile, jacobi_basis, jacobi_dim,
                                 lb_analysis, module_generators, rank_series)
-from e8jacobi.grading import BiDegree, Poly, ab
+from e8jacobi.generators import sub_ab_to_AB
+from e8jacobi.grading import AB, BiDegree, Poly, ab
 from e8jacobi.linsolve import nullspace
 
 from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
@@ -60,6 +63,23 @@ class TestCertificates:
                 assert certificate_identity(form, recomputed)
                 checked += 1
         assert checked == 143 + 1
+
+    def test_tampered_certificates_fail(self):
+        form = jacobi_basis(-26, 7).forms[0]
+        cert = certify(form)
+        assert cert.n == sub_ab_to_AB(form).delta_pow == 5
+        assert certificate_identity(form, cert)
+        # n below the true value leaves a Delta denominator; n above it
+        # multiplies the image by Delta
+        assert not certificate_identity(form, replace(cert, n=cert.n - 1))
+        assert not certificate_identity(form, replace(cert, n=cert.n + 1))
+        terms = dict(cert.remainder.terms)
+        mon = max(terms)
+        terms[mon] += 1
+        assert not certificate_identity(
+            form, replace(cert, remainder=Poly(AB, terms)))
+        with pytest.raises(ValueError):
+            certificate_identity(form, replace(cert, n=-1))
 
     def test_meromorphic_generators_rejected(self):
         for name in ("a2", "a3", "b2"):

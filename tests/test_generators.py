@@ -3,13 +3,38 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from e8jacobi.ansatz import build_ansatz, enumerate_monomials
+from e8jacobi.cli import _profile_targets
+from e8jacobi.construct import jacobi_basis
 from e8jacobi.generators import (ParamFrac, e4_split, holomorphic_images,
                                  meromorphic_images, p12_5_over_ab, p16_5,
                                  sub_AB_to_ab, sub_ab_to_AB)
-from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab, delta_poly
+from e8jacobi.grading import (AB, BiDegree, Frac, ParamPoly, Poly, ab,
+                              delta_poly)
 
 from helpers import build
+
+# every target of index 1..4 in its profile weight window with monomials
+SMALL_TARGETS = [(k, m) for i in range(1, 5)
+                 for k, m in _profile_targets(i, None)
+                 if enumerate_monomials(ab, BiDegree(k, m))]
+
+
+def naive_image(p: Poly) -> Frac:
+    """Reference ab->AB substitution: every monomial is the product of its
+    generator images, normalized after each factor, and the monomials are
+    summed with Frac.__add__, which normalizes every partial sum."""
+    images = meromorphic_images()
+    total = Frac(Poly.zero(AB), 0, 0)
+    for mon, c in p.terms.items():
+        term = Frac(Poly.const(AB, c), 0, 0)
+        for symbol, e in zip(ab.symbols, mon):
+            for _ in range(e):
+                term = term * images[symbol]
+        total = total + term
+    return total
 
 
 class TestTables:
@@ -72,6 +97,79 @@ class TestRoundtrips:
         q = build(ab, [(-5, {"E4": 2, "b3": 1}),
                        (7, {"a2": 1, "b1": 1, "E4": 1})])
         assert sub_ab_to_AB(p + q) == sub_ab_to_AB(p) + sub_ab_to_AB(q)
+
+
+class TestSubstitutionReference:
+    def test_every_window_monomial(self):
+        checked = 0
+        for k, m in SMALL_TARGETS:
+            for mon in enumerate_monomials(ab, BiDegree(k, m)):
+                got = sub_ab_to_AB(Poly.monomial(ab, mon, 1))
+                want = naive_image(Poly.monomial(ab, mon, 1))
+                assert (got.num, got.e4_pow, got.delta_pow) == \
+                    (want.num, want.e4_pow, want.delta_pow), (k, m, mon)
+                checked += 1
+        assert checked == 107
+
+    @pytest.mark.parametrize("target", [(-16, 5), (0, 4), (-20, 4)],
+                             ids=["m16_5", "0_4", "m20_4"])
+    def test_parametric_matches_columns(self, target):
+        """Column i of the substituted ansatz, over the common denominator,
+        is the image of monomial i; the denominator powers are the maxima
+        over the monomials.  J_{-20,4} has monomials but no forms."""
+        ansatz = build_ansatz(ab, BiDegree(*target))
+        images = [naive_image(Poly.monomial(ab, mon, 1))
+                  for mon in ansatz.terms]
+        # the ansatz, and monomial i weighted by -2 - i instead of 1
+        weighted = ParamPoly(ab, {mon: {i: -2 - i}
+                                  for i, mon in enumerate(ansatz.terms)})
+        for p, weight in ((ansatz, lambda i: 1), (weighted, lambda i: -2 - i)):
+            pf = sub_ab_to_AB(p)
+            assert isinstance(pf, ParamFrac)
+            assert pf.e4_pow == max(f.e4_pow for f in images)
+            assert pf.delta_pow == max(f.delta_pow for f in images)
+            assert all(c for lf in pf.num.terms.values() for c in lf.values())
+            for i, image in enumerate(images):
+                column = Poly(AB, {mon: Fraction(lf[i])
+                                   for mon, lf in pf.num.terms.items()
+                                   if i in lf})
+                assert Frac.normalized(column, pf.e4_pow, pf.delta_pow) == \
+                    image * weight(i)
+            assert set().union(*pf.num.terms.values()) == \
+                set(range(len(images)))
+
+    def test_final_normalization_cancels_powers(self):
+        # both J_{-16,5} forms lose three E4 powers in the sum of their
+        # monomial images; Delta * a2 over ab loses the Delta power of a2
+        for form in jacobi_basis(-16, 5).forms:
+            monomials = [sub_ab_to_AB(Poly.monomial(ab, mon, 1))
+                         for mon in form.terms]
+            image = sub_ab_to_AB(form)
+            assert image.e4_pow == max(f.e4_pow for f in monomials) - 3
+            assert image.delta_pow == max(f.delta_pow for f in monomials)
+        A1, A2, E4 = (Poly.gen(AB, s) for s in ("A1", "A2", "E4"))
+        assert sub_ab_to_AB(delta_poly(ab) * Poly.gen(ab, "a2")) == \
+            Frac(6 * (A1 ** 2 - E4 * A2), 1, 0)
+
+    @given(st.one_of(st.just((-16, 5)), st.sampled_from(SMALL_TARGETS)),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_combinations_match_reference(self, target, data):
+        """Integer combinations of the basis forms and of monomials, times
+        Delta over ab or not, against the reference."""
+        k, m = target
+        mons = enumerate_monomials(ab, BiDegree(k, m))
+        x = Poly.zero(ab)
+        for form in jacobi_basis(k, m).forms:
+            x = x + form.scale(data.draw(st.integers(-5, 5)))
+        for mon in data.draw(st.lists(st.sampled_from(mons), max_size=4)):
+            x = x + Poly.monomial(ab, mon, data.draw(st.integers(-9, 9)))
+        if data.draw(st.booleans()):
+            x = x * delta_poly(ab)
+        got = sub_ab_to_AB(x)
+        want = naive_image(x)
+        assert (got.num, got.e4_pow, got.delta_pow) == \
+            (want.num, want.e4_pow, want.delta_pow)
 
 
 class TestP165:
