@@ -252,14 +252,14 @@ def _cmd_certify(args, out) -> dict:
 def _cmd_verify(args, out) -> dict:
     from .oracle import EvalContext, check_axioms
     basis = jacobi_basis(args.weight, args.index)
-    ctx = EvalContext(precision=args.precision, tolerance=args.tol)
+    ctx = EvalContext(precision=args.precision)
     reports = []
     ok = True
     for i, form in enumerate(basis.forms):
         rep = check_axioms(form, args.weight, args.index, args.samples, ctx,
                            seed=i)
         # identity checks carry ~precision-10 digits of headroom; accept
-        # residuals up to the context tolerance relaxed by that margin
+        # residuals up to --tol relaxed by that margin
         threshold = max(args.tol, 10.0 ** (5 - args.precision))
         passed = rep.max_residual < threshold and rep.regular
         ok = ok and passed

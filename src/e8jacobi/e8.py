@@ -53,7 +53,15 @@ def reflect(v: Vec2, alpha: Vec2) -> Vec2:
 
 def weyl_orbit(j: int) -> List[Vec2]:
     """Orbit of the j-th fundamental weight (1-based) under the Weyl
-    group, by breadth-first closure under the simple reflections."""
+    group, sorted, by breadth-first closure under the simple
+    reflections.
+
+    The reflections are written out coordinate-wise, and those that fix
+    v are skipped: alpha1 subtracts s*alpha1 with s = v . alpha1, one
+    signed coordinate sum; alpha2 = e1 + e2 swaps and negates the first
+    two coordinates; alpha_j = e_{j-1} - e_{j-2} (j = 3..8) swaps
+    coordinates j-2 and j-1.
+    """
     if not 1 <= j <= 8:
         raise ValueError("fundamental weight index must be in 1..8")
     start = FUNDAMENTAL_WEIGHTS[j - 1]
@@ -62,8 +70,27 @@ def weyl_orbit(j: int) -> List[Vec2]:
     while frontier:
         nxt = []
         for v in frontier:
-            for alpha in SIMPLE_ROOTS:
-                w = reflect(v, alpha)
+            v0, v1, v2, v3, v4, v5, v6, v7 = v
+            images = []
+            s = (v0 - v1 - v2 - v3 - v4 - v5 - v6 + v7) // 4
+            if s:
+                images.append((v0 - s, v1 + s, v2 + s, v3 + s, v4 + s,
+                               v5 + s, v6 + s, v7 - s))
+            if v0 != -v1:
+                images.append((-v1, -v0, v2, v3, v4, v5, v6, v7))
+            if v0 != v1:
+                images.append((v1, v0, v2, v3, v4, v5, v6, v7))
+            if v1 != v2:
+                images.append((v0, v2, v1, v3, v4, v5, v6, v7))
+            if v2 != v3:
+                images.append((v0, v1, v3, v2, v4, v5, v6, v7))
+            if v3 != v4:
+                images.append((v0, v1, v2, v4, v3, v5, v6, v7))
+            if v4 != v5:
+                images.append((v0, v1, v2, v3, v5, v4, v6, v7))
+            if v5 != v6:
+                images.append((v0, v1, v2, v3, v4, v6, v5, v7))
+            for w in images:
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)

@@ -1,13 +1,21 @@
 """Numeric verification oracle for E8 Jacobi forms.
 
 Everything here is arbitrary-precision complex arithmetic (mpmath),
-fully independent of the symbolic construction.  Theta functions are
-summed with a derived truncation bound: the q^{a^2/2} factors come from
-one table per tau, shared by the theta calls at that tau, the powers of
-y are stepped by multiplication, and one pass gives a pair of kinds
-(theta3 with theta4, theta1 with theta2).  The holomorphic generators
-A_m and B_m are built from theta functions, and the meromorphic
-generators divide by numerically evaluated E4 and Delta.
+fully independent of the symbolic construction.  The two inner sums,
+theta functions and Weyl-orbit characters, run in fixed point, as
+mpmath's own `_jacobi_theta2` does: every quantity is a pair (re, im) of
+Python ints scaled by 2^wp, products are shifted right by wp, and each
+result is rounded to an mpc at the working precision once.  wp is the
+working precision plus guard bits for the largest factor |y^n| a term
+can carry and for the rounding steps, so the absolute error of a result
+stays a few units of 2^-prec.
+
+Theta functions are summed with a derived truncation bound: the
+q^{a^2/2} factors come from one table per tau, shared by the theta
+calls at that tau, the powers of y are stepped by multiplication, and
+one pass gives all four kinds.  The holomorphic generators A_m and B_m
+are built from theta functions, and the meromorphic generators divide
+by numerically evaluated E4 and Delta.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from . import e8
 from .generators import meromorphic_images, p16_5
@@ -43,30 +52,19 @@ _THETA_TERM_CAP = 200_000
 
 @dataclass
 class EvalContext:
-    """Numeric evaluation context.
-
-    `theta_terms` is the derived truncation bound for one-variable theta
-    sums at the context's minimal Im(tau) and maximal |Im z|; per-call
-    bounds are derived from the actual arguments the same way.
-    """
+    """Numeric evaluation context: the working precision in decimal
+    digits, and the caches of theta values, generator values and the
+    Gauss table of the last tau."""
 
     precision: int = 50
-    tolerance: float = 1e-30
-    min_im_tau: float = 0.1
-    max_im_z: float = 1.0
     guard_digits: int = 10
     singular_threshold: float = 1e-12
-    theta_terms: int = field(init=False)
-    _theta_cache: Dict[tuple, mpmath.mpc] = field(default_factory=dict,
-                                                 repr=False)
+    _theta_cache: Dict[tuple, Tuple[mpmath.mpc, ...]] = field(
+        default_factory=dict, repr=False)
     _gen_cache: Dict[tuple, mpmath.mpc] = field(default_factory=dict,
                                                 repr=False)
     _gauss_table: Optional["_GaussTable"] = field(default=None, init=False,
                                                   repr=False)
-
-    def __post_init__(self):
-        self.theta_terms = _theta_bound(self.min_im_tau, self.max_im_z,
-                                        self.work_digits)
 
     @property
     def work_digits(self) -> int:
@@ -74,9 +72,6 @@ class EvalContext:
 
     def boosted(self, extra_digits: int) -> "EvalContext":
         return EvalContext(precision=self.precision + extra_digits,
-                           tolerance=self.tolerance,
-                           min_im_tau=self.min_im_tau,
-                           max_im_z=self.max_im_z,
                            guard_digits=self.guard_digits,
                            singular_threshold=self.singular_threshold)
 
@@ -111,24 +106,67 @@ def _theta_bound(im_tau: float, im_z: float, digits: int) -> int:
     return math.ceil(n_real) + 2
 
 
-class _GaussTable:
-    """g_h = e^{pi i tau h^2 / 4} = q^{a^2/2} at a = h/2, for one tau.
+def _to_fixed(x: mpmath.mpc, wp: int) -> Tuple[int, int]:
+    """(re, im) of x as integers scaled by 2^wp (truncated)."""
+    return x.real.to_fixed(wp), x.imag.to_fixed(wp)
 
-    Built by multiplication from two exponentials, g_{h+1} = g_h u^{2h+1}
-    with u = e^{pi i tau / 4}, and extended on demand.
+
+def _from_fixed(re: int, im: int, wp: int) -> mpmath.mpc:
+    """(re + i im) 2^-wp, rounded to the current working precision."""
+    prec = mp.prec
+    return mp.make_mpc((from_man_exp(re, -wp, prec, round_nearest),
+                        from_man_exp(im, -wp, prec, round_nearest)))
+
+
+def _theta_guard_bits(im_tau: float, im_z: float, n_max: int) -> int:
+    """Bits beyond the working precision for the fixed-point theta sum.
+
+    Every fixed-point quantity carries an absolute error in units of
+    2^-wp: y^{+-h/2} after h rounded steps up to h units (times its own
+    size), and g_h up to h^2 units, because each of its h steps
+    multiplies by a factor u^{2k+1} that carries up to k units.  The
+    error of g_h is multiplied by |y^{+-h/2}|, at most
+    e^{pi |Im z| (2N+1)} for h <= 2N+1, and the h^2 units cost
+    2 bitlen(2N+2) bits.  theta1 and theta2 are of size |q^{1/8}| =
+    e^{-pi Im tau / 4}, which the relative precision must also cover.
+    """
+    nats = math.pi * (abs(im_z) * (2 * n_max + 1) + im_tau / 4)
+    return (math.ceil(nats / math.log(2))
+            + 2 * (2 * n_max + 2).bit_length() + 8)
+
+
+class _GaussTable:
+    """g_h = e^{pi i tau h^2 / 4} = q^{a^2/2} at a = h/2, for one tau, as
+    fixed-point pairs (re, im) scaled by 2^wp.
+
+    Built by integer multiplication from one exponential, g_{h+1} =
+    g_h u^{2h+1} with u = e^{pi i tau / 4}, and extended on demand.  All
+    factors have modulus <= 1, so each step adds at most a few units of
+    2^-wp to the absolute error.  `_theta_values` replaces the table by
+    one at a larger wp when a call needs more bits, and uses the
+    table's wp when it has more.
     """
 
-    def __init__(self, tau):
+    def __init__(self, tau, wp: int):
         self.tau = tau
-        self.values = [mp.mpc(1)]
-        self._step = mpmath.expjpi(tau / 4)       # u^{2h+1} at h = 0
-        self._u2 = mpmath.expjpi(tau / 2)
+        self.wp = wp
+        self.values = [(1 << wp, 0)]
+        with mp.workprec(wp + 10):
+            u = mpmath.expjpi(tau / 4)
+            self._step = _to_fixed(u, wp)         # u^{2h+1} at h = 0
+            self._u2 = _to_fixed(u * u, wp)
 
-    def upto(self, h_max: int) -> List[mpmath.mpc]:
+    def upto(self, h_max: int) -> List[Tuple[int, int]]:
         values = self.values
+        wp = self.wp
+        sr, si = self._step
+        ur, ui = self._u2
         while len(values) <= h_max:
-            values.append(values[-1] * self._step)
-            self._step *= self._u2
+            gr, gi = values[-1]
+            values.append(((gr * sr - gi * si) >> wp,
+                           (gr * si + gi * sr) >> wp))
+            sr, si = (sr * ur - si * ui) >> wp, (sr * ui + si * ur) >> wp
+        self._step = (sr, si)
         return values
 
 
@@ -136,57 +174,89 @@ def theta(kind: int, z, tau, ctx: EvalContext) -> mpmath.mpc:
     """Jacobi theta functions; y = e^{2 pi i z}, q = e^{2 pi i tau}:
     theta3 = sum_n y^n q^{n^2/2} and its three companions.
 
-    The sums run over n = -N..N (a = n - 1/2 for theta1, theta2), N from
-    `_theta_bound`.  The q^{a^2/2} factors come from the context's table
-    for the last tau, and y^{+-a} are stepped by multiplication.  theta3
-    and theta4 differ only in the sign of the odd-n terms, as do theta2
-    and theta1/i, so one pass fills both kinds of a pair in the cache.
+    One evaluation gives all four kinds at (z, tau) and stores them as
+    one cache entry, keyed by the raw mpmath values of z and tau.
     """
     if kind not in (1, 2, 3, 4):
         raise ValueError("theta kind must be 1..4")
     z = mpmath.mpc(z)
     tau = mpmath.mpc(tau)
-    cache = ctx._theta_cache
-    cached = cache.get((kind, z, tau))
-    if cached is not None:
-        return cached
+    key = (z._mpc_, tau._mpc_)
+    values = ctx._theta_cache.get(key)
+    if values is None:
+        values = ctx._theta_cache[key] = _theta_values(z, tau, ctx)
+    return values[kind - 1]
+
+
+def _theta_values(z: mpmath.mpc, tau: mpmath.mpc,
+                  ctx: EvalContext) -> Tuple[mpmath.mpc, ...]:
+    """(theta1, theta2, theta3, theta4) at (z, tau), summed in fixed point.
+
+    The sums run over n = -N..N (a = n - 1/2 for theta1, theta2), N from
+    `_theta_bound`.  Every quantity is a pair (re, im) of Python ints
+    scaled by 2^wp, with wp the working precision plus
+    `_theta_guard_bits`, rounded up to a multiple of 32 so that calls at
+    one tau share the Gauss table.  The g_h = q^{h^2/8} come from the
+    context's table for the last tau, and y^{+-h/2} are stepped from
+    e^{+-pi i z}.  One loop over h = 1..2N+1 sums the products
+    g_h y^{+-h/2} exactly, at scale 2^{2 wp}, into buckets by h mod 4:
+    even h = 2n give theta3 and theta4, which differ in the sign of odd
+    n; odd h give theta2 and theta1/i, which differ in the sign of every
+    other term and of the ups (y^{h/2}) against the downs (y^{-h/2}).
+    The down-term at h = 2N+1 has no up partner.  Each result is rounded
+    to an mpc at the working precision once.
+    """
     with mp.workdps(ctx.work_digits):
-        n_max = _theta_bound(float(mpmath.im(tau)), float(abs(mpmath.im(z))),
-                             ctx.work_digits)
+        im_tau = float(mpmath.im(tau))
+        im_z = float(abs(mpmath.im(z)))
+        n_max = _theta_bound(im_tau, im_z, ctx.work_digits)
+        wp = mp.prec + _theta_guard_bits(im_tau, im_z, n_max)
+        wp += -wp % 32
         table = ctx._gauss_table
-        if table is None or table.tau != tau:
-            table = ctx._gauss_table = _GaussTable(tau)
+        if table is None or table.tau != tau or table.wp < wp:
+            table = ctx._gauss_table = _GaussTable(tau, wp)
+        wp = table.wp
         g = table.upto(2 * n_max + 1)
-        half = mpmath.expjpi(z)                   # y^{1/2}
-        half_inv = 1 / half
-        y, y_inv = half * half, half_inv * half_inv
-        zero = mp.mpc(0)
-        if kind in (3, 4):
-            # q^{n^2/2} (y^n + y^-n) for n = 1..N, summed by parity of n
-            up, down = y, y_inv
-            sums = [zero, zero]
-            for n in range(1, n_max + 1):
-                sums[n % 2] += g[2 * n] * (up + down)
-                up *= y
-                down *= y_inv
-            cache[(3, z, tau)] = 1 + sums[0] + sums[1]
-            cache[(4, z, tau)] = 1 + sums[0] - sums[1]
-        else:
-            # q^{a^2/2} y^a at a = m + 1/2 (n = m + 1) and a = -(m + 1/2)
-            # (n = -m) for m = 0..N-1, then the unpaired a = -(N + 1/2)
-            # (n = -N), summed by sign of a and parity of m
-            up, down = half, half_inv
-            ups, downs = [zero, zero], [zero, zero]
-            for m in range(n_max):
-                ups[m % 2] += g[2 * m + 1] * up
-                downs[m % 2] += g[2 * m + 1] * down
-                up *= y
-                down *= y_inv
-            downs[n_max % 2] += g[2 * n_max + 1] * down
-            cache[(2, z, tau)] = ups[0] + ups[1] + downs[0] + downs[1]
-            cache[(1, z, tau)] = mp.mpc(0, 1) * (downs[0] - downs[1]
-                                                 - ups[0] + ups[1])
-    return cache[(kind, z, tau)]
+        with mp.workprec(wp + 10):
+            half = mpmath.expjpi(z)
+            hr, hi = _to_fixed(half, wp)          # y^{1/2}
+            kr, ki = _to_fixed(1 / half, wp)      # y^{-1/2}
+        ur, ui, dr, di = hr, hi, kr, ki     # y^{h/2}, y^{-h/2} at h = 1
+        # by parity of m, for h = 2m + 1 and h = 2m + 2
+        ups_r, ups_i, downs_r, downs_i = [0, 0], [0, 0], [0, 0], [0, 0]
+        evens_r, evens_i = [0, 0], [0, 0]
+        for m in range(n_max):
+            p = m & 1
+            gr, gi = g[2 * m + 1]
+            ups_r[p] += gr * ur - gi * ui
+            ups_i[p] += gr * ui + gi * ur
+            downs_r[p] += gr * dr - gi * di
+            downs_i[p] += gr * di + gi * dr
+            ur, ui = (ur * hr - ui * hi) >> wp, (ur * hi + ui * hr) >> wp
+            dr, di = (dr * kr - di * ki) >> wp, (dr * ki + di * kr) >> wp
+            gr, gi = g[2 * m + 2]
+            sr, si = ur + dr, ui + di
+            evens_r[p] += gr * sr - gi * si
+            evens_i[p] += gr * si + gi * sr
+            ur, ui = (ur * hr - ui * hi) >> wp, (ur * hi + ui * hr) >> wp
+            dr, di = (dr * kr - di * ki) >> wp, (dr * ki + di * kr) >> wp
+        gr, gi = g[2 * n_max + 1]
+        downs_r[n_max & 1] += gr * dr - gi * di
+        downs_i[n_max & 1] += gr * di + gi * dr
+        # evens[0] holds the odd n = m + 1, evens[1] the even n
+        wp2 = 2 * wp
+        one = 1 << wp2
+        theta1 = _from_fixed(   # i (downs[0] - downs[1] - ups[0] + ups[1])
+            -downs_i[0] + downs_i[1] + ups_i[0] - ups_i[1],
+            downs_r[0] - downs_r[1] - ups_r[0] + ups_r[1], wp2)
+        theta2 = _from_fixed(ups_r[0] + ups_r[1] + downs_r[0] + downs_r[1],
+                             ups_i[0] + ups_i[1] + downs_i[0] + downs_i[1],
+                             wp2)
+        theta3 = _from_fixed(one + evens_r[0] + evens_r[1],
+                             evens_i[0] + evens_i[1], wp2)
+        theta4 = _from_fixed(one - evens_r[0] + evens_r[1],
+                             -evens_i[0] + evens_i[1], wp2)
+    return theta1, theta2, theta3, theta4
 
 
 def theta0(kind: int, tau, ctx: EvalContext) -> mpmath.mpc:
@@ -269,24 +339,6 @@ def h0(tau, ctx: EvalContext) -> mpmath.mpc:
     with mp.workdps(ctx.work_digits):
         return (theta0(3, 2 * tau, ctx) * theta0(3, 6 * tau, ctx)
                 + theta0(2, 2 * tau, ctx) * theta0(2, 6 * tau, ctx))
-
-
-def special_functions(kind: str, args: tuple, ctx: EvalContext) -> mpmath.mpc:
-    """Uniform dispatcher: theta1..theta4(z, tau), eta(tau), E2n(n, tau),
-    e1..e3(tau), h0(tau)."""
-    if kind.startswith("theta"):
-        z, tau = args
-        return theta(int(kind[5]), z, tau, ctx)
-    if kind == "eta":
-        return eta(args[0], ctx)
-    if kind == "E2n":
-        n, tau = args
-        return eisenstein(n, tau, ctx)
-    if kind in ("e1", "e2", "e3"):
-        return e_j(int(kind[1]), args[0], ctx)
-    if kind == "h0":
-        return h0(args[0], ctx)
-    raise ValueError("unknown special function %r" % kind)
 
 
 def theta_E8(sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
@@ -489,32 +541,55 @@ def orbit_character(j: int, z: Sequence[complex],
     consecutive vectors share a prefix: the partial products of the
     previous vector are kept and only those after the first changed
     coordinate are redone.
+
+    The tables and products are fixed-point pairs (re, im) of Python
+    ints scaled by 2^wp, and the sum is rounded to an mpc once.  A term
+    has modulus at most prod_k e^{pi reach |Im z_k|}, with reach the
+    largest |v_k|, and its absolute error is that bound times a few units
+    of 2^-wp per table step and product; wp is the working precision plus
+    the bits of that bound, of the table and product steps and of the
+    orbit size.
     """
     digits = ctx.work_digits if ctx else mp.dps
     orbit = e8.weyl_orbit(j)
-    reach = max(abs(c) for v in orbit for c in v)
+    reach = max(map(max, orbit))     # the orbit is closed under negation
     with mp.workdps(digits):
+        growth = math.pi * reach * sum(abs(float(mpmath.im(zk))) for zk in z)
+        wp = (mp.prec + math.ceil(growth / math.log(2))
+              + (8 * reach + 8).bit_length() + len(orbit).bit_length() + 8)
         powers = []
         for zk in z:
-            x = mpmath.expjpi(zk)
-            x_inv = 1 / x
-            row = [mp.mpc(1)] * (2 * reach + 1)   # row[reach + e] = x^e
+            with mp.workprec(wp + 10):
+                x = mpmath.expjpi(zk)
+                xr, xi = _to_fixed(x, wp)
+                yr, yi = _to_fixed(1 / x, wp)
+            row = [(1 << wp, 0)] * (2 * reach + 1)   # row[reach + e] = x^e
             for e in range(1, reach + 1):
-                row[reach + e] = row[reach + e - 1] * x
-                row[reach - e] = row[reach - e + 1] * x_inv
+                ar, ai = row[reach + e - 1]
+                row[reach + e] = ((ar * xr - ai * xi) >> wp,
+                                  (ar * xi + ai * xr) >> wp)
+                ar, ai = row[reach - e + 1]
+                row[reach - e] = ((ar * yr - ai * yi) >> wp,
+                                  (ar * yi + ai * yr) >> wp)
             powers.append(row)
-        prefix = [mp.mpc(1)] * 9          # prefix[k] = prod_{i<k} x_i^{v_i}
+        # prefix[k] = prod_{i<k} x_i^{v_i}
+        prefix_r = [1 << wp] + [0] * 8
+        prefix_i = [0] * 9
         previous = (None,) * 8
-        total = mp.mpc(0)
+        total_r = total_i = 0
         for v in orbit:
             first = 0
             while v[first] == previous[first]:
                 first += 1
             for k in range(first, 8):
-                prefix[k + 1] = prefix[k] * powers[k][reach + v[k]]
-            total += prefix[8]
+                xr, xi = powers[k][reach + v[k]]
+                ar, ai = prefix_r[k], prefix_i[k]
+                prefix_r[k + 1] = (ar * xr - ai * xi) >> wp
+                prefix_i[k + 1] = (ar * xi + ai * xr) >> wp
+            total_r += prefix_r[8]
+            total_i += prefix_i[8]
             previous = v
-        return total
+        return _from_fixed(total_r, total_i, wp)
 
 
 def q_laurent_probe(form: Poly, z: Sequence[complex], ctx: EvalContext,

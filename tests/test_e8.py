@@ -1,5 +1,7 @@
 """E8 root data and Weyl orbits."""
 
+import pytest
+
 from e8jacobi.e8 import (FUNDAMENTAL_WEIGHTS, SIMPLE_ROOTS,
                          WEYL_GROUP_ORDER, dot2, e8_vectors_of_norm,
                          reflect, weyl_orbit)
@@ -61,3 +63,21 @@ class TestOrbits:
             lam = FUNDAMENTAL_WEIGHTS[j - 1]
             n = dot2(lam, lam)
             assert all(dot2(v, v) == n for v in orbit)
+
+    @pytest.mark.parametrize("j", [1, 2, 7, 8])
+    def test_matches_closure_under_reflect(self, j):
+        # the written-out reflections against breadth-first closure under
+        # `reflect` in all eight simple roots
+        start = FUNDAMENTAL_WEIGHTS[j - 1]
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for alpha in SIMPLE_ROOTS:
+                    w = reflect(v, alpha)
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        assert weyl_orbit(j) == sorted(seen)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc
 
 from e8jacobi.generators import p12_5_over_ab, p16_5
@@ -11,10 +12,10 @@ from e8jacobi.grading import AB, Poly, ab
 from e8jacobi.oracle import (ComplexSample, EvalContext, NearSingularError,
                              PrecisionUnreachableError, bernoulli_number,
                              check_axioms, e_j, eisenstein, eta, eval_AB,
-                             eval_ab, eval_certified, eval_poly, h0,
+                             eval_ab, eval_certified, eval_poly,
                              orbit_character, probe_is_regular,
-                             q_laurent_probe, special_functions, theta,
-                             theta_E8, theta_E8_lattice, _theta_bound)
+                             q_laurent_probe, theta, theta_E8,
+                             theta_E8_lattice, _theta_bound)
 
 CTX = EvalContext()
 TAU = mpc("0.13", "1.07")
@@ -94,8 +95,8 @@ class TestSpecialFunctions:
     @pytest.mark.parametrize("order", [(1, 2, 3, 4), (4, 3, 2, 1)])
     def test_theta_matches_jtheta(self, order):
         # the ranges eval_AB reaches: z scaled up to 6x (|Im z| to ~2.7)
-        # and Im tau down to ~0.15; a fresh context per order, so a kind
-        # filled in the cache with its pair is read back, never the pair
+        # and Im tau down to ~0.15; a fresh context per order, so each
+        # order reads back from the cache the kinds its first one filled
         ctx = EvalContext()
         points = [(mpc("0.07", "0.02"), TAU),
                   (mpc("-0.9", "0.9"), mpc("0.3", "0.15")),
@@ -111,12 +112,28 @@ class TestSpecialFunctions:
                     err = abs(value - ref) / abs(ref)
                 assert err < 1e-45, (kind, z, tau, err)
 
-    def test_dispatcher(self):
-        assert special_functions("theta3", (0, TAU), CTX) == \
-            theta(3, 0, TAU, CTX)
-        assert special_functions("E2n", (2, TAU), CTX) == \
-            eisenstein(2, TAU, CTX)
-        assert special_functions("h0", (TAU,), CTX) == h0(TAU, CTX)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-2.7, 2.7)),
+                    min_size=2, max_size=2),
+           st.floats(-0.5, 0.5), st.floats(0.15, 3.0),
+           st.permutations([1, 2, 3, 4]))
+    def test_theta_matches_jtheta_anywhere(self, zs, re_tau, im_tau, order):
+        # the regime where too few guard bits show: |Im z| up to 2.7 and
+        # Im tau down to 0.15; both points share tau and one context, so
+        # the second reuses or replaces the first one's Gauss table
+        ctx = EvalContext()
+        tau = mpc(re_tau, im_tau)
+        for re_z, im_z in zs:
+            z = mpc(re_z, im_z)
+            for kind in order:
+                value = theta(kind, z, tau, ctx)
+                with mp.workdps(ctx.work_digits + 20):
+                    ref = mpmath.jtheta(kind, mpmath.pi * z,
+                                        mpmath.expjpi(tau))
+                    # at a zero (theta1 at z = 0, theta2 at z = 1/2)
+                    # only the absolute error is meaningful
+                    err = abs(value - ref) / max(abs(ref), 1e-12)
+                assert err < 1e-45, (kind, z, tau, err)
 
 
 class TestThetaE8:
@@ -233,7 +250,7 @@ class TestOrbitCharacters:
             zr = _reflect_complex(z, SIMPLE_ROOTS[4])
         assert _rel(orbit_character(7, zr, CTX), w) < 1e-40
 
-    @pytest.mark.parametrize("j", [1, 7, 8])
+    @pytest.mark.parametrize("j", [1, 2, 7, 8])
     def test_matches_naive_sum(self, j):
         from e8jacobi.e8 import weyl_orbit
         z = _z_generic(21)
