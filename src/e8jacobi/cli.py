@@ -22,7 +22,7 @@ from .construct import (Certificate, ConsistencyError, Rejection,
                         certificate_identity, certify, index_profile,
                         jacobi_basis, lb_analysis, module_generators,
                         rank_series, seed_cache)
-from .grading import BiDegree
+from .grading import AlphabetMismatchError, GradingError
 from .serialize import (basis_to_json, certificate_to_json, poly_from_json,
                         poly_to_json, result_document)
 
@@ -237,7 +237,10 @@ def _cmd_certify(args, out) -> dict:
     except (OSError, ValueError) as exc:
         raise UsageError("cannot read a polynomial from %s: %s"
                          % (args.file, exc))
-    result = certify(form)
+    try:
+        result = certify(form)
+    except (AlphabetMismatchError, GradingError) as exc:
+        raise UsageError("cannot certify %s: %s" % (args.file, exc))
     if isinstance(result, Rejection):
         print("rejected: divisibility fails at denominator power %d"
               % result.failing_l, file=out)
@@ -253,16 +256,14 @@ def _cmd_verify(args, out) -> dict:
     from .oracle import EvalContext, check_axioms
     basis = jacobi_basis(args.weight, args.index)
     ctx = EvalContext(precision=args.precision)
+    # identity checks carry ~precision-10 digits of headroom; accept
+    # residuals up to --tol relaxed by that margin
+    threshold = max(args.tol, 10.0 ** (5 - args.precision))
     reports = []
-    ok = True
     for i, form in enumerate(basis.forms):
         rep = check_axioms(form, args.weight, args.index, args.samples, ctx,
                            seed=i)
-        # identity checks carry ~precision-10 digits of headroom; accept
-        # residuals up to --tol relaxed by that margin
-        threshold = max(args.tol, 10.0 ** (5 - args.precision))
-        passed = rep.max_residual < threshold and rep.regular
-        ok = ok and passed
+        passed = rep.passed(threshold)
         print("form %d: quasi-periodicity %.2e, modular S %.2e, T %.2e, "
               "Weyl %.2e, regular %s -> %s"
               % (i + 1, rep.quasi_periodicity, rep.modular_s, rep.modular_t,
@@ -276,7 +277,7 @@ def _cmd_verify(args, out) -> dict:
                         "passed": passed})
     if not basis.forms:
         print("empty basis; nothing to verify", file=out)
-    if not ok:
+    if not all(r["passed"] for r in reports):
         raise ConsistencyError("oracle residuals exceed tolerance")
     return {"dimension": basis.dimension, "reports": reports}
 

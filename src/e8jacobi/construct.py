@@ -21,8 +21,8 @@ from .ansatz import build_ansatz, enumerate_monomials
 from .generators import (ParamFrac, e4_split, p16_5, sub_ab_to_AB)
 from .grading import (AB, BiDegree, Frac, ParamPoly, Poly, S_ALPHABET, ab,
                       delta_poly)
-from .linsolve import (LinearSystem, coefficient_equations, echelonize,
-                       nullspace, primitive_vector)
+from .kernels import echelon_int_rows
+from .linsolve import LinearSystem, coefficient_equations, nullspace
 
 SCHEMA_VERSION = 1
 
@@ -282,30 +282,38 @@ def index_profile(m: int,
     return IndexProfile(m, d, dims)
 
 
-def _coefficient_vector(form: Poly, mons: Sequence[tuple]) -> List[Fraction]:
-    vec = [Fraction(0)] * len(mons)
+def _coefficient_vector(form: Poly, mons: Sequence[tuple]) -> List[int]:
+    """The coefficients of `form` at `mons`, as ints: basis forms and
+    their products are primitive integer polynomials."""
+    vec = [0] * len(mons)
     pos = {mon: i for i, mon in enumerate(mons)}
     for mon, c in form.terms.items():
-        vec[pos[mon]] = c
+        if c.denominator != 1:
+            raise ConsistencyError("non-integral coefficient %s" % c)
+        vec[pos[mon]] = c.numerator
     return vec
 
 
-def _complement(candidates: List[Poly], span_vectors: List[List[Fraction]],
+def _span(forms: List[Poly], mons: Sequence[tuple]) -> Dict[int, List[int]]:
+    """The span of `forms` as `echelon_int_rows` pivot rows."""
+    return echelon_int_rows([_coefficient_vector(f, mons) for f in forms],
+                            len(mons))
+
+
+def _complement(candidates: List[Poly], span: Dict[int, List[int]],
                 mons: Sequence[tuple]) -> List[Poly]:
-    """Members of `candidates` extending the span, reduced and primitive."""
-    rows = echelonize(span_vectors)
+    """Members of `candidates` extending the span, reduced and primitive:
+    a candidate is new exactly when it adds a pivot to the span's pivot
+    rows, and the new pivot row is the candidate reduced against them."""
     out = []
     for form in candidates:
-        vec = _coefficient_vector(form, mons)
-        for row in rows:
-            lead = next(i for i, x in enumerate(row) if x)
-            if vec[lead]:
-                c = vec[lead] / row[lead]
-                vec = [x - c * y for x, y in zip(vec, row)]
-        if any(vec):
-            rows = echelonize(rows + [vec])
-            vec = primitive_vector(vec)
-            out.append(Poly(ab, {mon: c for mon, c in zip(mons, vec) if c}))
+        grown = echelon_int_rows(
+            [*span.values(), _coefficient_vector(form, mons)], len(mons))
+        if len(grown) > len(span):
+            (lead,) = grown.keys() - span.keys()
+            out.append(Poly(ab, {mon: Fraction(c) for mon, c
+                                 in zip(mons, grown[lead]) if c}))
+            span = grown
     return out
 
 
@@ -325,8 +333,7 @@ def module_generators(m: int, window: Optional[Tuple[int, int]] = None
         mons = enumerate_monomials(ab, BiDegree(k, m))
         old = [e4 * f for f in jacobi_basis(k - 4, m).forms] \
             + [e6 * f for f in jacobi_basis(k - 6, m).forms]
-        span = [_coefficient_vector(f, mons) for f in old]
-        gens = _complement(basis_k.forms, span, mons)
+        gens = _complement(basis_k.forms, _span(old, mons), mons)
         if len(gens) != profile.d.get(k, 0):
             raise ConsistencyError(
                 "complement dimension %d != generator count %d at (%d,%d)"
@@ -388,13 +395,13 @@ def lb_analysis(max_index: int) -> LbReport:
             for gi in multiset:
                 prod = prod * gen_forms[gi]
             products.append(prod)
-        span = echelonize([_coefficient_vector(f, mons) for f in products])
+        span = _span(products, mons)
         span_dim = len(span)
         d_lb = basis.dimension - span_dim
         if d_lb < 0:
             raise ConsistencyError(
                 "product span exceeds the full space at index %d" % m)
-        new_gens = _complement(basis.forms, [list(r) for r in span], mons)
+        new_gens = _complement(basis.forms, span, mons)
         if len(new_gens) != d_lb:
             raise ConsistencyError(
                 "complement dimension mismatch at index %d" % m)

@@ -21,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple, Union
 
-from .grading import AB, Frac, ParamPoly, Poly, ab, delta_poly
+from .grading import (AB, AlphabetMismatchError, Frac, ParamPoly, Poly, ab,
+                      delta_poly)
 
 F = Fraction
 
@@ -205,11 +206,6 @@ def holomorphic_images() -> Dict[str, Poly]:
     return _HOLOMORPHIC_IMAGES
 
 
-def delta_polynomial() -> Poly:
-    """(E4^3 - E6^2)/1728 over AB, bidegree (12, 0)."""
-    return delta_poly(AB)
-
-
 _P16_5: List[Poly] = []
 
 
@@ -333,7 +329,10 @@ def sub_ab_to_AB(p: Union[Poly, ParamPoly]) -> Union[Frac, ParamFrac]:
     normalization for the whole input.  A parametric polynomial gives a
     ParamFrac whose terms hold linear forms and whose exponents are those
     maxima, so Delta^delta_pow times the input has denominator E4^e4_pow.
+    A polynomial over another alphabet raises AlphabetMismatchError.
     """
+    if p.alphabet != ab:
+        raise AlphabetMismatchError("not over ab: %s" % p.alphabet.name)
     parametric = isinstance(p, ParamPoly)
     items = [(m[0], m[1], m[2:], v) for m, v in p.terms.items()]
     images = {rest: _rest_image(rest) for _, _, rest, _ in items}

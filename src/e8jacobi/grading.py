@@ -113,6 +113,28 @@ S_ALPHABET = _alphabet("S", ["E6", "A1", "A2", "A3", "A4", "A5",
                              "B2", "B3", "B4", "B6"])
 
 
+def _rekey(terms: Mapping[tuple, object], source: Alphabet,
+           target: Alphabet) -> dict:
+    """`terms` with each exponent vector over `source` re-expressed over
+    `target`.  Symbols missing from the target must not actually occur
+    (zero exponent everywhere)."""
+    positions = [target.position(s) if s in target.symbols else None
+                 for s in source.symbols]
+    width = len(target)
+    out: dict = {}
+    for m, v in terms.items():
+        exps = [0] * width
+        for e, p in zip(m, positions):
+            if p is None:
+                if e:
+                    raise AlphabetMismatchError(
+                        "symbol not present in target alphabet")
+            else:
+                exps[p] = e
+        out[tuple(exps)] = v
+    return out
+
+
 def _as_fraction(c: Rational) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
@@ -183,9 +205,6 @@ class Poly:
             elif d != deg:
                 raise GradingError("inhomogeneous polynomial: %s vs %s" % (deg, d))
         return deg
-
-    def coefficient(self, exps: tuple) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
 
     def gen_exponent_range(self, symbol: str):
         """(min, max) exponent of one generator across all terms."""
@@ -334,40 +353,8 @@ class Poly:
     # -- conversion ---------------------------------------------------
 
     def map_alphabet(self, target: Alphabet) -> "Poly":
-        """Re-express over another alphabet.  Symbols missing from the
-        target must not actually occur (zero exponent everywhere)."""
-        out: dict = {}
-        positions = [target.position(s) if s in target.symbols else None
-                     for s in self.alphabet.symbols]
-        width = len(target)
-        for m, c in self.terms.items():
-            exps = [0] * width
-            for e, p in zip(m, positions):
-                if p is None:
-                    if e:
-                        raise AlphabetMismatchError(
-                            "symbol not present in target alphabet")
-                else:
-                    exps[p] = e
-            out[tuple(exps)] = c
-        return Poly(target, out)
-
-    def content_primitive(self):
-        """(content, primitive part): primitive has coprime integer
-        coefficients with positive leading (canonical-order) coefficient."""
-        if self.is_zero():
-            return Fraction(0), self
-        from math import gcd
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        content = Fraction(num, den)
-        lead = max(self.terms)
-        if self.terms[lead] < 0:
-            content = -content
-        return content, self.scale(1 / content)
+        """Re-express over another alphabet (see `_rekey`)."""
+        return Poly(target, _rekey(self.terms, self.alphabet, target))
 
     def __repr__(self):
         if self.is_zero():
@@ -455,32 +442,9 @@ class ParamPoly:
                     {m: sum(values[j] * v for j, v in lf.items())
                      for m, lf in self.terms.items()})
 
-    def bidegree(self) -> Optional[BiDegree]:
-        deg = None
-        for m in self.terms:
-            d = self.alphabet.monomial_degree(m)
-            if deg is None:
-                deg = d
-            elif d != deg:
-                raise GradingError("inhomogeneous parametric polynomial")
-        return deg
-
     def map_alphabet(self, target: Alphabet) -> "ParamPoly":
-        positions = [target.position(s) if s in target.symbols else None
-                     for s in self.alphabet.symbols]
-        width = len(target)
-        out: dict = {}
-        for m, lf in self.terms.items():
-            exps = [0] * width
-            for e, p in zip(m, positions):
-                if p is None:
-                    if e:
-                        raise AlphabetMismatchError(
-                            "symbol not present in target alphabet")
-                else:
-                    exps[p] = e
-            out[tuple(exps)] = lf
-        return ParamPoly(target, out)
+        """Re-express over another alphabet (see `_rekey`)."""
+        return ParamPoly(target, _rekey(self.terms, self.alphabet, target))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ builds its basis from the pivot rows in integers.  All output bases are
 canonical: reduced echelon form over the column order, scaled to
 primitive integer vectors with positive leading entry.
 
-`echelonize` and `primitive_vector` take rational vectors; they serve
-the span computations of the module-generator and subalgebra reports.
+`echelonize` and `primitive_vector` take rational vectors; only the test
+helpers and the benchmark's span tracer still use them.
 """
 
 from __future__ import annotations

@@ -48,17 +48,18 @@ class PrecisionUnreachableError(OracleError):
 
 
 _THETA_TERM_CAP = 200_000
+_GUARD_DIGITS = 10              # decimal digits beyond the precision
+_SINGULAR_THRESHOLD = 1e-12     # |E4| or |Delta| below this: near a pole
 
 
 @dataclass
 class EvalContext:
     """Numeric evaluation context: the working precision in decimal
-    digits, and the caches of theta values, generator values and the
-    Gauss table of the last tau."""
+    digits, its only setting (evaluations run at `work_digits`, that plus
+    a fixed guard), and the caches of theta values, generator values and
+    the Gauss table of the last tau."""
 
     precision: int = 50
-    guard_digits: int = 10
-    singular_threshold: float = 1e-12
     _theta_cache: Dict[tuple, Tuple[mpmath.mpc, ...]] = field(
         default_factory=dict, repr=False)
     _gen_cache: Dict[tuple, mpmath.mpc] = field(default_factory=dict,
@@ -68,12 +69,7 @@ class EvalContext:
 
     @property
     def work_digits(self) -> int:
-        return self.precision + self.guard_digits
-
-    def boosted(self, extra_digits: int) -> "EvalContext":
-        return EvalContext(precision=self.precision + extra_digits,
-                           guard_digits=self.guard_digits,
-                           singular_threshold=self.singular_threshold)
+        return self.precision + _GUARD_DIGITS
 
 
 @dataclass(frozen=True)
@@ -354,27 +350,8 @@ def theta_E8(sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
         return total / 2
 
 
-def theta_E8_lattice(sample: ComplexSample, ctx: EvalContext,
-                     max_norm: int = 8) -> mpmath.mpc:
-    """Direct lattice sum over all vectors of norm <= max_norm; a slow
-    cross-check for theta_E8, accurate only when q^{max_norm/2} is
-    negligible."""
-    with mp.workdps(ctx.work_digits):
-        total = mp.mpc(0)
-        for norm in range(0, max_norm + 1):
-            for v in e8.e8_vectors_of_norm(norm):
-                # doubled coordinates: w = v/2, w^2 = norm
-                zw2 = sum(zj * vj for zj, vj in zip(sample.z, v))
-                total += mpmath.expjpi(sample.tau * norm + zw2)
-        return total
-
-
 def _scaled(sample: ComplexSample, tau, z_mult: int) -> ComplexSample:
     return ComplexSample(tau, tuple(z_mult * zj for zj in sample.z))
-
-
-def _a1(sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
-    return theta_E8(sample, ctx)
 
 
 def eval_AB(name: str, sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
@@ -391,51 +368,56 @@ def eval_AB(name: str, sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
         elif name == "E6":
             value = eisenstein(3, tau, ctx)
         elif name == "A1":
-            value = _a1(sample, ctx)
+            value = theta_E8(sample, ctx)
         elif name == "A4":
-            value = _a1(_scaled(sample, tau, 2), ctx)
+            value = theta_E8(_scaled(sample, tau, 2), ctx)
         elif name in ("A2", "A3", "A5"):
             m = int(name[1])
-            value = _a1(_scaled(sample, m * tau, m), ctx)
+            value = theta_E8(_scaled(sample, m * tau, m), ctx)
             for k in range(m):
-                value += _a1(_scaled(sample, (tau + k) / m, 1), ctx) / m ** 4
+                value += (theta_E8(_scaled(sample, (tau + k) / m, 1), ctx)
+                          / m ** 4)
             value *= mp.mpf(m ** 3) / (m ** 3 + 1)
         elif name == "B2":
-            value = (e_j(1, tau, ctx) * _a1(_scaled(sample, 2 * tau, 2), ctx)
+            value = (e_j(1, tau, ctx)
+                     * theta_E8(_scaled(sample, 2 * tau, 2), ctx)
                      + e_j(3, tau, ctx)
-                     * _a1(_scaled(sample, tau / 2, 1), ctx) / 16
+                     * theta_E8(_scaled(sample, tau / 2, 1), ctx) / 16
                      + e_j(2, tau, ctx)
-                     * _a1(_scaled(sample, (tau + 1) / 2, 1), ctx) / 16)
+                     * theta_E8(_scaled(sample, (tau + 1) / 2, 1), ctx) / 16)
             value *= mp.mpf(32) / 5
         elif name == "B3":
-            value = h0(tau, ctx) ** 2 * _a1(_scaled(sample, 3 * tau, 3), ctx)
+            value = (h0(tau, ctx) ** 2
+                     * theta_E8(_scaled(sample, 3 * tau, 3), ctx))
             for k in range(3):
                 value -= (h0((tau + k) / 3, ctx) ** 2
-                          * _a1(_scaled(sample, (tau + k) / 3, 1), ctx) / 243)
+                          * theta_E8(_scaled(sample, (tau + k) / 3, 1), ctx)
+                          / 243)
             value *= mp.mpf(81) / 80
         elif name == "B4":
             t4 = theta0(4, 2 * tau, ctx) ** 4
-            value = (t4 * _a1(_scaled(sample, 4 * tau, 4), ctx)
-                     - t4 * _a1(_scaled(sample, tau + mp.mpf(1) / 2, 2),
-                                ctx) / 16)
+            value = (t4 * theta_E8(_scaled(sample, 4 * tau, 4), ctx)
+                     - t4 * theta_E8(_scaled(sample, tau + mp.mpf(1) / 2, 2),
+                                     ctx) / 16)
             for k in range(4):
                 value -= (theta0(2, (tau + k) / 2, ctx) ** 4
-                          * _a1(_scaled(sample, (tau + k) / 4, 1), ctx)
+                          * theta_E8(_scaled(sample, (tau + k) / 4, 1), ctx)
                           / (4 * 256))
             value *= mp.mpf(16) / 15
         elif name == "B6":
-            value = h0(tau, ctx) ** 2 * _a1(_scaled(sample, 6 * tau, 6), ctx)
+            value = (h0(tau, ctx) ** 2
+                     * theta_E8(_scaled(sample, 6 * tau, 6), ctx))
             for k in range(2):
                 value += (h0(tau + k, ctx) ** 2
-                          * _a1(_scaled(sample, (3 * tau + 3 * k) / 2, 3),
-                                ctx) / 16)
+                          * theta_E8(_scaled(sample, (3 * tau + 3 * k) / 2, 3),
+                                     ctx) / 16)
             for k in range(3):
                 value -= (h0((tau + k) / 3, ctx) ** 2
-                          * _a1(_scaled(sample, (2 * tau + 2 * k) / 3, 2),
-                                ctx) / 243)
+                          * theta_E8(_scaled(sample, (2 * tau + 2 * k) / 3, 2),
+                                     ctx) / 243)
             for k in range(6):
                 value -= (h0((tau + k) / 3, ctx) ** 2
-                          * _a1(_scaled(sample, (tau + k) / 6, 1), ctx)
+                          * theta_E8(_scaled(sample, (tau + k) / 6, 1), ctx)
                           / (3 * 1296))
             value *= mp.mpf(9) / 10
         else:
@@ -449,9 +431,9 @@ def delta_value(tau, ctx: EvalContext) -> mpmath.mpc:
 
 
 def _check_regular_point(tau, ctx: EvalContext) -> None:
-    if abs(eisenstein(2, tau, ctx)) < ctx.singular_threshold:
+    if abs(eisenstein(2, tau, ctx)) < _SINGULAR_THRESHOLD:
         raise NearSingularError("E4 vanishes at this tau")
-    if abs(delta_value(tau, ctx)) < ctx.singular_threshold:
+    if abs(delta_value(tau, ctx)) < _SINGULAR_THRESHOLD:
         raise NearSingularError("Delta too small at this tau")
 
 
@@ -520,7 +502,7 @@ def eval_certified(cert, sample: ComplexSample,
     extra = 0
     if l_max and abs(e4) < 1:
         extra = int(mpmath.ceil(-mpmath.log10(abs(e4)))) * l_max + 10
-    wctx = ctx.boosted(extra) if extra else ctx
+    wctx = EvalContext(ctx.precision + extra) if extra else ctx
     with mp.workdps(wctx.work_digits):
         e4 = eval_AB("E4", sample, wctx)
         value = eval_poly(cert.remainder, sample, wctx)
@@ -532,7 +514,7 @@ def eval_certified(cert, sample: ComplexSample,
 
 
 def orbit_character(j: int, z: Sequence[complex],
-                    ctx: Optional[EvalContext] = None) -> mpmath.mpc:
+                    ctx: EvalContext) -> mpmath.mpc:
     """w_j(z) = sum over the Weyl orbit of the j-th fundamental weight of
     e^{2 pi i v . z}.
 
@@ -550,10 +532,9 @@ def orbit_character(j: int, z: Sequence[complex],
     the bits of that bound, of the table and product steps and of the
     orbit size.
     """
-    digits = ctx.work_digits if ctx else mp.dps
     orbit = e8.weyl_orbit(j)
     reach = max(map(max, orbit))     # the orbit is closed under negation
-    with mp.workdps(digits):
+    with mp.workdps(ctx.work_digits):
         growth = math.pi * reach * sum(abs(float(mpmath.im(zk))) for zk in z)
         wp = (mp.prec + math.ceil(growth / math.log(2))
               + (8 * reach + 8).bit_length() + len(orbit).bit_length() + 8)
@@ -593,11 +574,11 @@ def orbit_character(j: int, z: Sequence[complex],
 
 
 def q_laurent_probe(form: Poly, z: Sequence[complex], ctx: EvalContext,
-                    radius: float = 1 / 200, count: int = 16,
-                    evaluate=None) -> Dict[int, mpmath.mpc]:
+                    radius: float = 1 / 200,
+                    count: int = 16) -> Dict[int, mpmath.mpc]:
     """Approximate q-Laurent coefficients c_{-2}..c_{+2} of the form at
     fixed z, by a discrete Fourier transform over `count` points on the
-    circle |q| = radius.
+    circle |q| = radius.  The form is evaluated by `eval_poly`.
 
     The transform aliases: it returns c_t + sum_{k != 0} c_{t + k count}
     r^{k count} with r = radius, so the error of c_t is led by
@@ -609,13 +590,12 @@ def q_laurent_probe(form: Poly, z: Sequence[complex], ctx: EvalContext,
     with poles in tau (the circle passes close to the fundamental-domain
     zero of E4) shows large spurious coefficients instead.
     """
-    evaluate = evaluate or eval_poly
     with mp.workdps(ctx.work_digits):
         im_tau = -mpmath.log(mpmath.mpf(radius)) / (2 * mpmath.pi)
         values = []
         for j in range(count):
             tau = mp.mpf(j) / count + mp.mpc(0, 1) * im_tau
-            values.append(evaluate(form, ComplexSample(tau, tuple(z)), ctx))
+            values.append(eval_poly(form, ComplexSample(tau, tuple(z)), ctx))
         coeffs = {}
         for t in range(-2, 3):
             acc = mp.mpc(0)
@@ -625,10 +605,9 @@ def q_laurent_probe(form: Poly, z: Sequence[complex], ctx: EvalContext,
         return coeffs
 
 
-def probe_is_regular(coeffs: Dict[int, mpmath.mpc],
-                     rel_tol: float = 1e-12) -> bool:
-    """Regularity verdict: negative-power magnitudes negligible against
-    the scale of the regular part.
+def probe_is_regular(coeffs: Dict[int, mpmath.mpc]) -> bool:
+    """Regularity verdict: the negative-power magnitudes lie below 1e-12
+    of the scale of the regular part.
 
     For a regular form the measured c_{-1}, c_{-2} sit at the probe's
     aliasing floor (~1e-27 of the regular scale with 16 circle points);
@@ -636,7 +615,7 @@ def probe_is_regular(coeffs: Dict[int, mpmath.mpc],
     scale, so the two cases are separated by many orders of magnitude.
     """
     scale = max(abs(coeffs[t]) for t in (0, 1, 2))
-    bound = rel_tol * max(1.0, float(scale))
+    bound = 1e-12 * max(1.0, float(scale))
     return all(abs(coeffs[t]) < bound for t in (-1, -2))
 
 
@@ -651,13 +630,11 @@ def _reflect_complex(z: Sequence, alpha2: Tuple[int, ...]) -> tuple:
 class AxiomReport:
     weight: int
     index: int
-    samples: int
     quasi_periodicity: float
     modular_s: float
     modular_t: float
     weyl: float
     regular: bool
-    probe_coeffs: Dict[int, mpmath.mpc]
 
     @property
     def max_residual(self) -> float:
@@ -673,19 +650,18 @@ def _rel(a, b) -> float:
 
 
 def check_axioms(form: Poly, k: int, m: int, samples: int, ctx: EvalContext,
-                 seed: int = 0, evaluate=None,
-                 probe: bool = True) -> AxiomReport:
-    """Numeric residuals of the four Jacobi-form axioms.
+                 seed: int = 0) -> AxiomReport:
+    """Numeric residuals of the four Jacobi-form axioms, with the form
+    evaluated by `eval_poly` at `samples` random points.
 
     (i) Weyl invariance under a random simple reflection; (ii)
     quasi-periodicity under z -> z + tau*alpha + beta for random lattice
     alpha, beta; (iii) the S and T modular transformations; (iv) Fourier
-    regularity via the q-Laurent probe. Near-singular samples are
-    redrawn (bounded retries).
+    regularity via the q-Laurent probe, at one point drawn from seed + 1.
+    Near-singular samples are redrawn (bounded retries).
     """
     import random
     rng = random.Random(seed)
-    evaluate = evaluate or eval_poly
     roots = e8.e8_vectors_of_norm(2)
     qp = ms = mt = wy = 0.0
     done = 0
@@ -700,42 +676,37 @@ def check_axioms(form: Poly, k: int, m: int, samples: int, ctx: EvalContext,
                       for _ in range(8))
             sample = ComplexSample(tau, z)
             try:
-                base = evaluate(form, sample, ctx)
+                base = eval_poly(form, sample, ctx)
 
                 alpha2 = rng.choice(roots)
                 beta2 = rng.choice(roots)
                 z_shift = tuple(zj + tau * aj / 2 + bj / 2
                                 for zj, aj, bj in zip(z, alpha2, beta2))
-                shifted = evaluate(form, ComplexSample(tau, z_shift), ctx)
+                shifted = eval_poly(form, ComplexSample(tau, z_shift), ctx)
                 za = sum(zj * aj for zj, aj in zip(z, alpha2))  # 2 z.alpha
                 factor = mpmath.expjpi(-m * (2 * tau + za))     # alpha^2 = 2
                 qp = max(qp, _rel(shifted, factor * base))
 
                 z_s = tuple(zj / tau for zj in z)
-                s_val = evaluate(form, ComplexSample(-1 / tau, z_s), ctx)
+                s_val = eval_poly(form, ComplexSample(-1 / tau, z_s), ctx)
                 z2 = sum(zj * zj for zj in z)
                 factor = tau ** k * mpmath.expjpi(m * z2 / tau)
                 ms = max(ms, _rel(s_val, factor * base))
 
-                t_val = evaluate(form, ComplexSample(tau + 1, z), ctx)
+                t_val = eval_poly(form, ComplexSample(tau + 1, z), ctx)
                 mt = max(mt, _rel(t_val, base))
 
                 alpha2 = rng.choice(e8.SIMPLE_ROOTS)
-                w_val = evaluate(
+                w_val = eval_poly(
                     form, ComplexSample(tau, _reflect_complex(z, alpha2)), ctx)
                 wy = max(wy, _rel(w_val, base))
             except NearSingularError:
                 continue
             done += 1
 
-        if probe:
-            rng_z = random.Random(seed + 1)
-            z_fixed = tuple(
-                mp.mpc(rng_z.uniform(0.05, 0.2), rng_z.uniform(-0.1, 0.1))
-                for _ in range(8))
-            coeffs = q_laurent_probe(form, z_fixed, ctx, evaluate=evaluate)
-            regular = probe_is_regular(coeffs)
-        else:
-            coeffs = {}
-            regular = True
-    return AxiomReport(k, m, samples, qp, ms, mt, wy, regular, coeffs)
+        rng_z = random.Random(seed + 1)
+        z_fixed = tuple(
+            mp.mpc(rng_z.uniform(0.05, 0.2), rng_z.uniform(-0.1, 0.1))
+            for _ in range(8))
+        regular = probe_is_regular(q_laurent_probe(form, z_fixed, ctx))
+    return AxiomReport(k, m, qp, ms, mt, wy, regular)

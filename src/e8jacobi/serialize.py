@@ -48,19 +48,26 @@ def poly_to_json(p: Poly) -> dict:
 
 def poly_from_json(doc: dict) -> Poly:
     """Inverse of `poly_to_json`; raises SerializationError on a document
-    of another shape."""
+    of another shape, on an exponent that is not a non-negative int and
+    on a zero denominator."""
     try:
         alphabet = _lookup_alphabet(doc["alphabet"])
         terms = {}
         for t in doc["terms"]:
             exps = [0] * len(alphabet)
             for sym, e in t["exponents"].items():
+                if type(e) is not int or e < 0:
+                    raise SerializationError(
+                        "exponent %r of %r is not a non-negative integer"
+                        % (e, sym))
                 try:
                     exps[alphabet.position(sym)] = e
                 except KeyError:
                     raise SerializationError(
                         "symbol %r not in alphabet %s" % (sym, alphabet.name))
             terms[tuple(exps)] = fraction_from_str(t["coefficient"])
+    except ZeroDivisionError:
+        raise SerializationError("zero denominator in a coefficient")
     except (KeyError, TypeError, AttributeError) as exc:
         raise SerializationError("not a polynomial document (%s: %s)"
                                  % (type(exc).__name__, exc))

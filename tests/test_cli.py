@@ -35,6 +35,13 @@ def assert_usage_error(capsys, argv, message):
     assert err.splitlines()[-1].endswith(message)
 
 
+def _poly_doc(alphabet, terms):
+    """A polynomial document from [(exponents, coefficient), ...]."""
+    return json.dumps({"alphabet": alphabet,
+                       "terms": [{"exponents": e, "coefficient": c}
+                                 for e, c in terms]})
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, "--format", "json", *argv)
     return code, json.loads(out), err
@@ -156,9 +163,16 @@ class TestExitCodes:
         assert_usage_error(capsys, ["--tol=" + value, "verify", "4", "1"],
                            message)
 
-    @pytest.mark.parametrize("content", [None, "{ not json",
-                                         '{"alphabet": "zz", "terms": []}',
-                                         '{"alphabet": "ab"}', "[1]"])
+    @pytest.mark.parametrize("content", [
+        None, "{ not json", '{"alphabet": "zz", "terms": []}',
+        '{"alphabet": "ab"}', "[1]",
+        pytest.param(_poly_doc("ab", [({"b1": -1}, "1/1")]),
+                     id="negative-exponent"),
+        pytest.param(_poly_doc("ab", [({"b1": 1.5}, "1/1")]),
+                     id="fractional-exponent"),
+        pytest.param(_poly_doc("ab", [({"b1": 1}, "1/0")]),
+                     id="zero-denominator"),
+    ])
     def test_unreadable_certify_file_is_2(self, capsys, tmp_path, content):
         path = tmp_path / "form.json"
         if content is not None:
@@ -168,6 +182,24 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("e8jacobi: error: cannot read a polynomial")
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(_poly_doc("AB", [({"A1": 1}, "1/1")]), id="over-AB"),
+        pytest.param(_poly_doc("S", [({"A1": 1}, "1/1")]), id="over-S"),
+        pytest.param(_poly_doc("ab", [({"b1": 1}, "1/1"),
+                                      ({"a2": 1}, "1/1")]),
+                     id="inhomogeneous"),
+    ])
+    def test_uncertifiable_polynomial_is_2(self, capsys, tmp_path, content):
+        """Polynomials over AB or S, or inhomogeneous ones, are no input
+        for the ab-side membership construction."""
+        path = tmp_path / "form.json"
+        path.write_text(content)
+        code, out, err = run_cli(capsys, "certify", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("e8jacobi: error: cannot certify")
 
 
 class TestCertify:

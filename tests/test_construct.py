@@ -1,6 +1,8 @@
 """End-to-end construction: bases, certificates, profiles, subalgebra."""
 
 from dataclasses import replace
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,6 +171,90 @@ class TestModuleGenerators:
     def test_index_two(self):
         gens = module_generators(2)
         assert {k: len(fs) for k, fs in gens} == PROFILES[2]
+
+
+def fraction_complement(candidates, span_forms, mons):
+    """Reference for `construct._complement`, in Fractions and written
+    apart from the integer kernel: Gauss-Jordan rows with leading entry 1,
+    each candidate reduced against them by hand and kept when a nonzero
+    remainder is left, scaled to coprime integers with a positive leading
+    entry."""
+    pos = {mon: i for i, mon in enumerate(mons)}
+    rows = []       # (lead, row): row[lead] == 1, zero at the other leads
+
+    def reduced(form):
+        vec = [Fraction(0)] * len(mons)
+        for mon, c in form.terms.items():
+            vec[pos[mon]] = c
+        for lead, row in rows:
+            if vec[lead]:
+                c = vec[lead]
+                vec = [x - c * y for x, y in zip(vec, row)]
+        return vec
+
+    def add(vec):
+        lead = next(i for i, x in enumerate(vec) if x)
+        vec = [x / vec[lead] for x in vec]
+        for i, (l, row) in enumerate(rows):
+            if row[lead]:
+                c = row[lead]
+                rows[i] = (l, [x - c * y for x, y in zip(row, vec)])
+        rows.append((lead, vec))
+
+    for form in span_forms:
+        vec = reduced(form)
+        if any(vec):
+            add(vec)
+    out = []
+    for form in candidates:
+        vec = reduced(form)
+        if any(vec):
+            add(vec)
+            ints = [x * lcm(*(y.denominator for y in vec)) for x in vec]
+            g = gcd(*(int(x) for x in ints))
+            g = g if next(x for x in ints if x) > 0 else -g
+            out.append(Poly(ab, {mon: x / g
+                                 for mon, x in zip(mons, ints) if x}))
+    return out
+
+
+class TestIntegerComplement:
+    """The integer pivot rows of `_complement` emit the same generator
+    forms as the Fraction reduction they replaced."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_module_generators_match_fraction_reduction(self, m):
+        e4, e6 = Poly.gen(ab, "E4"), Poly.gen(ab, "E6")
+        lo, hi = construct._weight_window(m)
+        expected = []
+        for k in range(lo + lo % 2, hi + 1, 2):
+            forms = jacobi_basis(k, m).forms
+            if not forms:
+                continue
+            span = [e4 * f for f in jacobi_basis(k - 4, m).forms] \
+                + [e6 * f for f in jacobi_basis(k - 6, m).forms]
+            gens = fraction_complement(
+                forms, span, enumerate_monomials(ab, BiDegree(k, m)))
+            if gens:
+                expected.append((k, gens))
+        assert module_generators(m) == expected
+
+    def test_lb_generators_match_fraction_reduction(self):
+        expected = {}
+        gen_forms, gen_indices = [], []
+        for m in range(1, 9):
+            products = []
+            for multiset in construct._index_multisets(gen_indices, m):
+                prod = Poly.const(ab, 1)
+                for gi in multiset:
+                    prod = prod * gen_forms[gi]
+                products.append(prod)
+            expected[m] = fraction_complement(
+                jacobi_basis(-4 * m, m).forms, products,
+                enumerate_monomials(ab, BiDegree(-4 * m, m)))
+            gen_forms += expected[m]
+            gen_indices += [m] * len(expected[m])
+        assert lb_analysis(8).lb_gens == expected
 
 
 class TestLowestWeight:

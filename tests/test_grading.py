@@ -80,15 +80,6 @@ class TestPoly:
         with pytest.raises(AlphabetMismatchError):
             (E4 * E6).map_alphabet(S_ALPHABET)
 
-    def test_content_primitive(self):
-        p = Fraction(-4, 6) * E4 * A1 + Fraction(8, 9) * E4 * A1
-        content, prim = p.content_primitive()
-        assert content * prim.terms[max(prim.terms)] == p.terms[max(p.terms)]
-        nums = [c.numerator for c in prim.terms.values()]
-        assert all(c.denominator == 1 for c in prim.terms.values())
-        from math import gcd
-        assert gcd(*nums) == 1 if len(nums) > 1 else abs(nums[0]) == 1
-
     def test_delta_poly(self):
         d = delta_poly(AB)
         assert 1728 * d == E4 ** 3 - E6 ** 2
