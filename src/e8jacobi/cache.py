@@ -19,9 +19,8 @@ from typing import Optional
 
 from .construct import Certificate, JacobiBasis, SCHEMA_VERSION
 from .generators import meromorphic_images, p16_5
-from .grading import AB, BiDegree, Poly, S_ALPHABET, ab
-from .serialize import (fraction_from_str, fraction_to_str, poly_from_compact,
-                        poly_to_compact)
+from .grading import AB, BiDegree, S_ALPHABET, ab
+from .serialize import poly_from_compact, poly_to_compact
 
 
 @lru_cache(maxsize=None)

@@ -18,10 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from . import construct
-from .construct import (Certificate, ConsistencyError, Rejection,
-                        certificate_identity, certify, index_profile,
-                        jacobi_basis, lb_analysis, module_generators,
-                        rank_series, seed_cache)
+from .construct import (ConsistencyError, Rejection, certificate_identity,
+                        certify, index_profile, jacobi_basis, lb_analysis,
+                        module_generators, rank_series, seed_cache)
 from .grading import AlphabetMismatchError, GradingError
 from .serialize import (basis_to_json, certificate_to_json, poly_from_json,
                         poly_to_json, result_document)

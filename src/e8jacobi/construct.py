@@ -11,7 +11,7 @@ Each surviving basis form carries a certificate witnessing membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -138,6 +138,22 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
         rows.extend(coefficient_equations(q_l, rhs))
     space = nullspace(LinearSystem(n_cols, rows))
 
+    # Certificates by one integer column pass per basis vector.  R depends
+    # on the c-block only; its transpose lists, for each column j, the
+    # (term position, int coefficient) pairs in which j occurs.  The
+    # nullspace basis is reduced, so a vector is nonzero only at its free
+    # column and at the pivot columns it depends on, and R's numerators
+    # accumulate over those columns alone.  Each S_l ansatz has one unit
+    # column per monomial, so S_l is read straight off the vector.  Every
+    # output coefficient is built once, as Fraction(numerator, g * L).
+    r_mons = list(remainder.terms)
+    r_cols: List[List[Tuple[int, int]]] = [[] for _ in range(n_c)]
+    for pos, lf in enumerate(remainder.terms.values()):
+        for j, c in lf.items():
+            r_cols[j].append((pos, c))
+    s_cols = [(l, [(mon, j) for mon, lf in sl.terms.items() for j in lf])
+              for l, sl in sorted(sl_ansatze.items())]
+
     forms: List[Poly] = []
     certificates: List[Certificate] = []
     for vec in space.basis:
@@ -151,14 +167,20 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
         # vec leads with a positive entry in the c-block, so the form
         # c / g is primitive with positive leading coefficient.
         forms.append(ansatz.substitute(vec).scale(Fraction(1, g)))
-        scale = Fraction(1, g * L)
+        den = g * L
+        acc = [0] * len(r_mons)
+        for j in range(n_c):
+            x = vec[j]
+            if x:
+                for pos, c in r_cols[j]:
+                    acc[pos] += x * c
         s_parts = []
-        for l, sl in sorted(sl_ansatze.items()):
-            s_l = sl.substitute(vec).scale(scale)
-            if not s_l.is_zero():
-                s_parts.append((l, s_l))
-        certificates.append(Certificate(n, tuple(s_parts),
-                                        remainder.substitute(vec).scale(scale)))
+        for l, cols in s_cols:
+            s_l = {mon: Fraction(vec[j], den) for mon, j in cols if vec[j]}
+            if s_l:
+                s_parts.append((l, Poly(S_ALPHABET, s_l)))
+        r = {mon: Fraction(a, den) for mon, a in zip(r_mons, acc) if a}
+        certificates.append(Certificate(n, tuple(s_parts), Poly(AB, r)))
     return JacobiBasis(target, forms, certificates)
 
 

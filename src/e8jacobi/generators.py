@@ -11,9 +11,11 @@ The ab->AB substitution (`sub_ab_to_AB`) rests on two facts.  E4 and E6
 map to themselves, and Delta = (E4^3 - E6^2)/1728 is prime and prime to
 E4, to E6 and to every normalized numerator, so a monomial's normalized
 image follows from that of its index part (its a2..b6 exponents) by
-exponent arithmetic alone.  The index-part images are memoised, and so
-is each one's numerator lifted by a power of Delta; a whole polynomial is
-one pass that adds shifted copies of them into one dict of terms.
+exponent arithmetic alone.  For the same reason an index-part image, a
+product of generator images, needs only its E4 exponent normalized.  The
+index-part images are memoised, and so is each one's numerator lifted by
+a power of Delta; a whole polynomial is one pass that adds shifted
+copies of them into one dict of terms.
 """
 
 from __future__ import annotations
@@ -251,6 +253,15 @@ def p12_5_over_ab() -> Poly:
     return _P12_5_AB_OVER_E4[0]
 
 
+def _prime_to_delta(num: Poly, e4_pow: int, delta_pow: int) -> Frac:
+    """The normalized num / (E4^e4_pow Delta^delta_pow) for a numerator
+    prime to Delta, such as a product of normalized image numerators
+    (Delta is prime and divides none of them): only the E4 exponent needs
+    the check, and the Delta power is kept with no trial division."""
+    f = Frac.normalized(num, e4_pow, 0)
+    return Frac(f.num, f.e4_pow, delta_pow)
+
+
 _FRAC_POWER_CACHE: Dict[Tuple[str, int], Frac] = {}
 
 
@@ -259,7 +270,8 @@ def _image_power(symbol: str, e: int) -> Frac:
     f = _FRAC_POWER_CACHE.get(key)
     if f is None:
         base = meromorphic_images()[symbol]
-        f = base ** e
+        f = _prime_to_delta(base.num ** e, base.e4_pow * e,
+                            base.delta_pow * e)
         _FRAC_POWER_CACHE[key] = f
     return f
 
@@ -277,7 +289,9 @@ def _rest_image(rest: tuple) -> Frac:
         f = Frac(Poly.const(AB, 1), 0, 0)
         for symbol, e in zip(_INDEX_SYMBOLS, rest):
             if e:
-                f = f * _image_power(symbol, e)
+                g = _image_power(symbol, e)
+                f = _prime_to_delta(f.num * g.num, f.e4_pow + g.e4_pow,
+                                    f.delta_pow + g.delta_pow)
         _REST_IMAGE_CACHE[rest] = f
     return f
 

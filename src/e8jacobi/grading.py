@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
-                    Sequence, Union)
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -404,8 +403,10 @@ class ParamPoly:
 
     An unknown is a column position (see `ansatz.build_ansatz`).  Linear
     forms keep the type of their coefficients: integer forms multiplied by
-    a polynomial with integral coefficients stay `int`, which keeps
-    `substitute` an integer dot product per monomial.
+    a polynomial with integral coefficients stay `int`, so the equations
+    of `linsolve.coefficient_equations` are integer rows.  Only the basis
+    forms go through `substitute`; `construct._compute_basis` reads the
+    certificates off the remainder's columns instead.
     """
 
     __slots__ = ("alphabet", "terms")

@@ -68,11 +68,12 @@ def nullspace(sys: LinearSystem) -> SolutionSpace:
 
     The rows are reduced in reversed column order (column j at dense
     position n - 1 - j), so a pivot row has nonzeros only at its pivot and
-    at columns before it in the unknown order.  The solution vector of each free column therefore leads with
-    that column and is zero at every other free column: the free vectors
-    are already the reduced echelon basis over the unknown order.  Each
-    one is built in integers: the free column gets the lcm of the pivots
-    it meets, and the whole vector is divided by its content.
+    at columns before it in the unknown order.  The solution vector of
+    each free column therefore leads with that column and is zero at every
+    other free column: the free vectors are already the reduced echelon
+    basis over the unknown order.  Each one is built in integers: the free
+    column gets the lcm of the pivots it meets, and the whole vector is
+    divided by its content.
     """
     n = sys.n
     dense = []

@@ -8,7 +8,7 @@ positional form is reserved for the cache (see e8jacobi.cache).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict
 
 from .construct import Certificate, JacobiBasis, SCHEMA_VERSION
 from .grading import AB, Alphabet, BiDegree, Poly, S_ALPHABET, ab

@@ -26,6 +26,9 @@ WINDOW_TARGETS = [t for m in range(1, 6) for t in _profile_targets(m, None)]
 # the ones with at least one monomial, so that one can be added
 AMBIENT_TARGETS = [(k, m) for k, m in WINDOW_TARGETS
                    if enumerate_monomials(ab, BiDegree(k, m))]
+# the index-6 target with the most monomials
+LARGEST_6 = max(_profile_targets(6, None),
+                key=lambda t: len(enumerate_monomials(ab, BiDegree(*t))))
 
 
 class TestWorkedExamples:
@@ -65,6 +68,15 @@ class TestCertificates:
                 assert certificate_identity(form, recomputed)
                 checked += 1
         assert checked == 143 + 1
+
+    def test_index_6_certificates_hold(self):
+        checked = 0
+        for k, m in _profile_targets(6, None):
+            basis = jacobi_basis(k, m)
+            for form, cert in zip(basis.forms, basis.certificates):
+                assert certificate_identity(form, cert), (k, m)
+                checked += 1
+        assert checked == 248
 
     def test_tampered_certificates_fail(self):
         form = jacobi_basis(-26, 7).forms[0]
@@ -114,6 +126,57 @@ class TestIntegerStage:
         assert system.rows and space.dimension == 2
         assert all(type(c) is int for row in system.rows for c in row.values())
         assert all(type(x) is int for vec in space.basis for x in vec)
+
+
+class TestCertificateColumns:
+    """The certificates read off the remainder's columns equal the ones
+    that a dot product over the whole remainder and over each S_l ansatz
+    gives per basis vector, scaled by 1/(g L).  J_{-20,4} has monomials
+    but no forms; S_l parts are rare, and J_{-26,8} has eight nonzero S_l
+    coefficients over its twelve forms."""
+
+    @pytest.mark.parametrize("target", [(-16, 5), (0, 4), (-20, 4),
+                                        LARGEST_6, (-26, 8)],
+                             ids=["m16_5", "0_4", "m20_4", "largest_6",
+                                  "m26_8"])
+    def test_match_substitute_reference(self, target, monkeypatch):
+        seen = {}
+
+        def recording(name):
+            fn = getattr(construct, name)
+
+            def wrapper(*args):
+                out = fn(*args)
+                seen.setdefault(name, []).append(out)
+                return out
+            return wrapper
+
+        for name in ("build_ansatz", "e4_split", "nullspace"):
+            monkeypatch.setattr(construct, name, recording(name))
+        basis = construct._compute_basis(*target)
+        # build_ansatz makes the ab ansatz, then one S_l ansatz per l >= 1
+        ansatz, *sl_ansatze = seen["build_ansatz"]
+        ((_, remainder),) = seen["e4_split"]
+        (space,) = seen["nullspace"]
+        pf = sub_ab_to_AB(ansatz)
+        L = lcm(*(c.denominator for lf in pf.num.terms.values()
+                  for c in lf.values()))
+        n_c = len(ansatz.terms)
+        expected = []
+        for vec in space.basis:
+            scale = Fraction(1, gcd(*vec[:n_c]) * L)
+            s_parts = [(l, sl.substitute(vec).scale(scale))
+                       for l, sl in enumerate(sl_ansatze, 1)]
+            expected.append(Certificate(
+                pf.delta_pow, tuple((l, s) for l, s in s_parts if s),
+                remainder.substitute(vec).scale(scale)))
+        assert basis.certificates == expected
+        assert all(type(c) is Fraction for cert in basis.certificates
+                   for poly in [cert.remainder, *(s for _, s in cert.s_parts)]
+                   for c in poly.terms.values())
+        assert len(expected) == jacobi_dim(*target)
+        assert expected or target == (-20, 4)
+        assert any(cert.s_parts for cert in expected) == (target == (-26, 8))
 
 
 class TestCertifyProperty:

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from e8jacobi.ansatz import build_ansatz, enumerate_monomials
 from e8jacobi.cli import _profile_targets
 from e8jacobi.construct import jacobi_basis
-from e8jacobi.generators import (ParamFrac, e4_split, holomorphic_images,
-                                 meromorphic_images, p12_5_over_ab, p16_5,
-                                 sub_AB_to_ab, sub_ab_to_AB)
+from e8jacobi.generators import (ParamFrac, _rest_image, e4_split,
+                                 holomorphic_images, meromorphic_images,
+                                 p12_5_over_ab, p16_5, sub_AB_to_ab,
+                                 sub_ab_to_AB)
 from e8jacobi.grading import (AB, BiDegree, Frac, ParamPoly, Poly, ab,
                               delta_poly)
 
@@ -58,6 +59,14 @@ class TestTables:
         E4 = Poly.gen(AB, "E4")
         assert a2.num == (A1 ** 2 - E4 * A2).scale(6)
         assert (a2.e4_pow, a2.delta_pow) == (1, 1)
+
+    def test_numerators_prime_to_delta(self):
+        # the ab->AB substitution multiplies image numerators with no trial
+        # division by Delta; that is exact because Delta is prime and
+        # divides none of them
+        delta = delta_poly(AB)
+        for name, frac in meromorphic_images().items():
+            assert frac.num.divexact(delta) is None, name
 
     def test_b6_denominator_magnitude(self):
         # the deepest table entry: weight -30, index 6, denominator
@@ -170,6 +179,35 @@ class TestSubstitutionReference:
         want = naive_image(x)
         assert (got.num, got.e4_pow, got.delta_pow) == \
             (want.num, want.e4_pow, want.delta_pow)
+
+
+def index_parts(max_index):
+    """Every a2..b6 exponent vector of index at most max_index."""
+    indices = [d.index for d in ab.degrees[2:]]
+    parts = [()]
+    for idx in indices:
+        parts = [part + (e,) for part in parts
+                 for e in range((max_index - sum(
+                     x * i for x, i in zip(part, indices))) // idx + 1)]
+    return parts
+
+
+class TestIndexPartImages:
+    def test_match_frac_products(self):
+        """The memoised image of each index part, built with no trial
+        division by Delta, equals the product of its generator images
+        through Frac.__mul__, which normalizes after every factor."""
+        images = meromorphic_images()
+        parts = index_parts(6)
+        assert len(parts) == 62
+        for part in parts:
+            want = Frac(Poly.const(AB, 1), 0, 0)
+            for symbol, e in zip(ab.symbols[2:], part):
+                for _ in range(e):
+                    want = want * images[symbol]
+            got = _rest_image(part)
+            assert (got.num, got.e4_pow, got.delta_pow) == \
+                (want.num, want.e4_pow, want.delta_pow), part
 
 
 class TestP165:
