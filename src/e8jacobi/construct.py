@@ -18,7 +18,7 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .ansatz import build_ansatz, enumerate_monomials
-from .generators import (ParamFrac, e4_split, p16_5, sub_ab_to_AB)
+from .generators import e4_split, image_columns, p16_5, sub_ab_to_AB
 from .grading import (AB, BiDegree, Frac, ParamPoly, Poly, S_ALPHABET, ab,
                       delta_poly)
 from .kernels import echelon_int_rows
@@ -105,23 +105,33 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
     if ansatz.is_zero():
         return JacobiBasis(target, [], [])
 
-    pf = sub_ab_to_AB(ansatz)
-    if not isinstance(pf, ParamFrac):
-        raise ConsistencyError("parametric substitution returned %s"
-                               % type(pf).__name__)
-    n = pf.delta_pow
-    p = pf.e4_pow
-    # Delta^n * ansatz = num / (L * E4^p).  Clearing the common denominator
-    # L here makes every later linear form integer; the S_l columns absorb L.
-    L = lcm(*(c.denominator for lf in pf.num.terms.values()
-              for c in lf.values()))
-    num = ParamPoly(AB, {mon: {j: c.numerator * (L // c.denominator)
-                               for j, c in lf.items()}
-                         for mon, lf in pf.num.terms.items()})
-    qs, remainder = e4_split(ParamFrac(num, p, 0))
+    # Column j is the image of ansatz monomial j over the common
+    # denominator E4^p Delta^n, so Delta^n * ansatz = sum_j c_j column_j /
+    # E4^p.  One pass over the columns clears the common denominator L of
+    # their coefficients, which makes every linear form integer (the S_l
+    # columns absorb L), and splits each term by its E4 exponent e (E4
+    # leads AB): e < p goes, E4 stripped, into the rows of Q_{p-e}, and
+    # e >= p into R's list for the column, at E4 exponent e - p, as
+    # (term position, int coefficient).
+    columns, p, n = image_columns(ansatz.terms)
+    L = lcm(*(c.denominator for column in columns for _, c in column))
+    qs: List[Dict[tuple, Dict[int, int]]] = [{} for _ in range(p)]
+    r_pos: Dict[tuple, int] = {}
+    r_cols: List[List[Tuple[int, int]]] = []
+    for j, column in enumerate(columns):
+        r_col = []
+        for mon, c in column:
+            c = c.numerator * (L // c.denominator)
+            e = mon[0]
+            if e < p:
+                qs[p - e - 1].setdefault((0,) + mon[1:], {})[j] = c
+            else:
+                pos = r_pos.setdefault((e - p,) + mon[1:], len(r_pos))
+                r_col.append((pos, c))
+        r_cols.append(r_col)
 
     # Columns: the c-block of the ansatz, then each nonempty S_l block.
-    n_c = len(ansatz.terms)
+    n_c = len(columns)
     n_cols = n_c
     rows = []
     sl_ansatze: Dict[int, ParamPoly] = {}
@@ -129,28 +139,21 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
     for l in range(1, p + 1):
         sl = build_ansatz(S_ALPHABET,
                           BiDegree(k + 12 * n - 12 * l, m - 5 * l), n_cols)
-        q_l = qs[l - 1] if l <= len(qs) else ParamPoly.zero(AB)
         rhs = ParamPoly.zero(AB)
         if not sl.is_zero():
             sl_ansatze[l] = sl
             n_cols += len(sl.terms)
             rhs = sl.map_alphabet(AB).mul_poly(p165 ** l)
-        rows.extend(coefficient_equations(q_l, rhs))
+        rows.extend(coefficient_equations(ParamPoly(AB, qs[l - 1]), rhs))
     space = nullspace(LinearSystem(n_cols, rows))
 
-    # Certificates by one integer column pass per basis vector.  R depends
-    # on the c-block only; its transpose lists, for each column j, the
-    # (term position, int coefficient) pairs in which j occurs.  The
+    # Certificates by one integer column pass per basis vector.  The
     # nullspace basis is reduced, so a vector is nonzero only at its free
     # column and at the pivot columns it depends on, and R's numerators
     # accumulate over those columns alone.  Each S_l ansatz has one unit
     # column per monomial, so S_l is read straight off the vector.  Every
     # output coefficient is built once, as Fraction(numerator, g * L).
-    r_mons = list(remainder.terms)
-    r_cols: List[List[Tuple[int, int]]] = [[] for _ in range(n_c)]
-    for pos, lf in enumerate(remainder.terms.values()):
-        for j, c in lf.items():
-            r_cols[j].append((pos, c))
+    r_mons = list(r_pos)
     s_cols = [(l, [(mon, j) for mon, lf in sl.terms.items() for j in lf])
               for l, sl in sorted(sl_ansatze.items())]
 
@@ -197,9 +200,6 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
     """
     form.bidegree()  # raises on inhomogeneous input
     frac = sub_ab_to_AB(form)
-    if not isinstance(frac, Frac):
-        raise ConsistencyError("concrete substitution returned %s"
-                               % type(frac).__name__)
     n = frac.delta_pow
     p = frac.e4_pow
     qs, remainder = e4_split(Frac(frac.num, p, 0))

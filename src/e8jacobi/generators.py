@@ -14,17 +14,19 @@ image follows from that of its index part (its a2..b6 exponents) by
 exponent arithmetic alone.  For the same reason an index-part image, a
 product of generator images, needs only its E4 exponent normalized.  The
 index-part images are memoised, and so is each one's numerator lifted by
-a power of Delta; a whole polynomial is one pass that adds shifted
-copies of them into one dict of terms.
+a power of Delta.  `image_columns` shifts copies of them into the images
+of a list of monomials over one common denominator, one column of terms
+per monomial: the construction reads its linear system straight off
+those columns, and `sub_ab_to_AB` adds them up, weighted by a concrete
+polynomial's coefficients, into one dict of terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
-from .grading import (AB, AlphabetMismatchError, Frac, ParamPoly, Poly, ab,
-                      delta_poly)
+from .grading import AB, AlphabetMismatchError, Frac, Poly, ab, delta_poly
 
 F = Fraction
 
@@ -313,20 +315,8 @@ def _lifted_terms(rest: tuple, gap: int) -> list:
     return terms
 
 
-class ParamFrac:
-    """Parametric analogue of Frac: a ParamPoly numerator over AB with a
-    common denominator E4^e4_pow * Delta^delta_pow."""
-
-    __slots__ = ("num", "e4_pow", "delta_pow")
-
-    def __init__(self, num: ParamPoly, e4_pow: int, delta_pow: int):
-        self.num = num
-        self.e4_pow = e4_pow
-        self.delta_pow = delta_pow
-
-
-def sub_ab_to_AB(p: Union[Poly, ParamPoly]) -> Union[Frac, ParamFrac]:
-    """Replace every meromorphic generator by its holomorphic-side image.
+def image_columns(mons) -> Tuple[List[list], int, int]:
+    """The images of the ab-monomials `mons` over one common denominator.
 
     A monomial is E4^a E6^b times its index part (its a2..b6 exponents);
     the normalized image N/(E4^p Delta^q) of the index part is built once
@@ -334,85 +324,56 @@ def sub_ab_to_AB(p: Union[Poly, ParamPoly]) -> Union[Frac, ParamFrac]:
     Delta = (E4^3 - E6^2)/1728 is prime and prime to E4, to E6 and to the
     normalized numerator N, so the monomial's own normalized image is
     E4^(a - min(a, p)) E6^b N / (E4^(p - min(a, p)) Delta^q): exponent
-    arithmetic, with no product and no trial division.  Over the common
-    denominator E4^e4_pow Delta^delta_pow (the maxima of those powers),
-    each N is lifted once by Delta^(delta_pow - q), shifted by the E4 and
-    E6 exponents and added in place into one dict of output terms.
+    arithmetic, with no product and no trial division.  The common
+    denominator E4^e4_pow Delta^delta_pow takes the maxima of those
+    powers; each N is lifted once by Delta^(delta_pow - q) and shifted by
+    the E4 and E6 exponents.
 
-    A concrete polynomial gives the normalized Frac of that sum, one
-    normalization for the whole input.  A parametric polynomial gives a
-    ParamFrac whose terms hold linear forms and whose exponents are those
-    maxima, so Delta^delta_pow times the input has denominator E4^e4_pow.
-    A polynomial over another alphabet raises AlphabetMismatchError.
+    Returns (columns, e4_pow, delta_pow), where column j lists the
+    (AB exponent vector, coefficient) pairs of the numerator of monomial
+    j over that denominator, each exponent vector once.
+    """
+    items = [(m[0], m[1], m[2:]) for m in mons]
+    images = {rest: _rest_image(rest) for _, _, rest in items}
+    e4 = max((max(images[rest].e4_pow - a, 0) for a, _, rest in items),
+             default=0)
+    dl = max((f.delta_pow for f in images.values()), default=0)
+    columns = []
+    for a, b, rest in items:
+        f = images[rest]
+        shift = a + e4 - f.e4_pow
+        columns.append([((e4_exp + shift, e6_exp + b) + tail, c)
+                        for e4_exp, e6_exp, tail, c
+                        in _lifted_terms(rest, dl - f.delta_pow)])
+    return columns, e4, dl
+
+
+def sub_ab_to_AB(p: Poly) -> Frac:
+    """Replace every meromorphic generator by its holomorphic-side image.
+
+    The image of each monomial comes from `image_columns`; the columns,
+    weighted by the coefficients of p, are added in place into one dict
+    of output terms, and the sum is normalized once.  A polynomial over
+    another alphabet raises AlphabetMismatchError.
     """
     if p.alphabet != ab:
         raise AlphabetMismatchError("not over ab: %s" % p.alphabet.name)
-    parametric = isinstance(p, ParamPoly)
-    items = [(m[0], m[1], m[2:], v) for m, v in p.terms.items()]
-    images = {rest: _rest_image(rest) for _, _, rest, _ in items}
-    e4 = max((max(images[rest].e4_pow - a, 0) for a, _, rest, _ in items),
-             default=0)
-    dl = max((f.delta_pow for f in images.values()), default=0)
+    columns, e4, dl = image_columns(p.terms)
     out: dict = {}
-    for a, b, rest, v in items:
-        f = images[rest]
-        shift = a + e4 - f.e4_pow
-        for e4_exp, e6_exp, tail, c in _lifted_terms(rest, dl - f.delta_pow):
-            key = (e4_exp + shift, e6_exp + b) + tail
-            if parametric:
-                # An ansatz column has coefficient 1; skipping the Fraction
-                # product for it is most of this loop's time.
-                lf = out.get(key)
-                if lf is None:
-                    out[key] = {j: c if x == 1 else c * x
-                                for j, x in v.items()}
-                    continue
-                for j, x in v.items():
-                    s = lf.get(j)
-                    if s is None:
-                        lf[j] = c if x == 1 else c * x
-                    else:
-                        s += c * x
-                        if s:
-                            lf[j] = s
-                        else:
-                            del lf[j]
-            else:
-                s = out.get(key)
-                out[key] = c * v if s is None else s + c * v
-    if parametric:
-        return ParamFrac(ParamPoly(AB, out), e4, dl)
+    for column, v in zip(columns, p.terms.values()):
+        for key, c in column:
+            s = out.get(key)
+            out[key] = c * v if s is None else s + c * v
     return Frac.normalized(Poly(AB, out), e4, dl)
 
 
-def sub_AB_to_ab(p: Poly) -> Poly:
-    """Replace every holomorphic generator by its polynomial over ab."""
-    images = holomorphic_images()
-    power_cache: Dict[Tuple[str, int], Poly] = {}
-    result = Poly.zero(ab)
-    for m, c in p.terms.items():
-        term = Poly.const(ab, c)
-        for symbol, e in zip(AB.symbols, m):
-            if e:
-                key = (symbol, e)
-                q = power_cache.get(key)
-                if q is None:
-                    q = images[symbol] ** e
-                    power_cache[key] = q
-                term = term * q
-        result = result.unchecked_add(term)
-    return result
-
-
-def e4_split(f) -> Tuple[list, object]:
+def e4_split(f: Frac) -> Tuple[List[Poly], Poly]:
     """Decompose num/E4^p (delta_pow must be 0) as sum_l Q_l/E4^l + R.
 
     Writing num = sum_j E4^j N_j with every N_j free of E4, the parts are
     Q_l = N_{p-l} for l = 1..l1 (l1 the largest l with N_{p-l} nonzero)
-    and R = sum_{j>=p} E4^{j-p} N_j.  Works for Frac (returns Poly parts)
-    and ParamFrac (returns ParamPoly parts).
+    and R = sum_{j>=p} E4^{j-p} N_j.
     """
-    parametric = isinstance(f, ParamFrac)
     if f.delta_pow != 0:
         raise ValueError("e4_split requires delta_pow == 0")
     p = f.e4_pow
@@ -423,11 +384,9 @@ def e4_split(f) -> Tuple[list, object]:
         j = m[pos]
         stripped = tuple(0 if i == pos else e for i, e in enumerate(m))
         by_e4.setdefault(j, {})[stripped] = c
-    make = (lambda terms: ParamPoly(alphabet, terms)) if parametric \
-        else (lambda terms: Poly(alphabet, terms))
     qs = []
     for l in range(1, p + 1):
-        qs.append(make(by_e4.get(p - l, {})))
+        qs.append(Poly(alphabet, by_e4.get(p - l, {})))
     while qs and qs[-1].is_zero():
         qs.pop()
     r_terms: dict = {}
@@ -438,4 +397,4 @@ def e4_split(f) -> Tuple[list, object]:
             lifted = tuple(e + (j - p if i == pos else 0)
                            for i, e in enumerate(m))
             r_terms[lifted] = c
-    return qs, make(r_terms)
+    return qs, Poly(alphabet, r_terms)

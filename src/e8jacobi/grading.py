@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -322,7 +323,11 @@ class Poly:
 
         Single-divisor multivariate division: the leading term of the
         running remainder must always be cancellable by the leading term
-        of d, otherwise the division fails.
+        of d, otherwise the division fails.  The leads come from a heap of
+        negated exponent vectors; an entry whose term has cancelled since
+        it was pushed is skipped.  The lex order is a monomial order, so
+        every new term lies below the current lead, and a lead once
+        cancelled never comes back.
         """
         self._check_alphabet(d)
         if d.is_zero():
@@ -333,20 +338,30 @@ class Poly:
         d_lc = d.terms[d_lead]
         quotient: dict = {}
         rem = dict(self.terms)
-        while rem:
-            lead = max(rem)
+        heap = [tuple(-e for e in m) for m in rem]
+        heapify(heap)
+        while heap:
+            lead = tuple(-e for e in heappop(heap))
+            lc = rem.get(lead)
+            if lc is None:
+                continue
             diff = tuple(a - b for a, b in zip(lead, d_lead))
             if any(e < 0 for e in diff):
                 return None
-            qc = rem[lead] / d_lc
+            qc = lc / d_lc
             quotient[diff] = qc
             for m, c in d.terms.items():
                 t = tuple(a + b for a, b in zip(m, diff))
-                s = rem.get(t, Fraction(0)) - qc * c
-                if s:
-                    rem[t] = s
+                s = rem.get(t)
+                if s is None:
+                    rem[t] = -qc * c
+                    heappush(heap, tuple(-e for e in t))
                 else:
-                    rem.pop(t, None)
+                    s -= qc * c
+                    if s:
+                        rem[t] = s
+                    else:
+                        del rem[t]
         return Poly(self.alphabet, quotient)
 
     # -- conversion ---------------------------------------------------
@@ -376,27 +391,6 @@ class Poly:
 LinForm = Mapping[int, Rational]
 
 
-def linform_add(a: LinForm, b: LinForm) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = v
-        else:
-            s = s + v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def linform_scale(a: LinForm, c: Rational) -> dict:
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
 class ParamPoly:
     """Polynomial whose coefficients are homogeneous linear forms in the
     undetermined coefficients of an ansatz.
@@ -405,8 +399,9 @@ class ParamPoly:
     forms keep the type of their coefficients: integer forms multiplied by
     a polynomial with integral coefficients stay `int`, so the equations
     of `linsolve.coefficient_equations` are integer rows.  Only the basis
-    forms go through `substitute`; `construct._compute_basis` reads the
-    certificates off the remainder's columns instead.
+    forms go through `substitute`: `construct._compute_basis` reads the
+    E4-denominator parts and the certificates straight off the monomial
+    images of `generators.image_columns`.
     """
 
     __slots__ = ("alphabet", "terms")
@@ -430,10 +425,13 @@ class ParamPoly:
         out: dict = {}
         for m1, lf in self.terms.items():
             for m2, c in coeffs:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = linform_add(out.get(m, {}), linform_scale(lf, c))
-                if not out[m]:
-                    del out[m]
+                acc = out.setdefault(tuple(a + b for a, b in zip(m1, m2)), {})
+                for j, v in lf.items():
+                    s = acc.get(j, 0) + c * v
+                    if s:
+                        acc[j] = s
+                    else:
+                        del acc[j]
         return ParamPoly(self.alphabet, out)
 
     def substitute(self, values: Sequence[Rational]) -> Poly:

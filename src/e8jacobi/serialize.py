@@ -104,10 +104,12 @@ def basis_from_json(doc: dict) -> JacobiBasis:
         [certificate_from_json(c) for c in doc["certificates"]])
 
 
-# Compact positional encoding, used only inside the cache files.
+# Compact positional encoding, used only inside the cache files.  The
+# terms keep the polynomial's own order: `poly_from_compact` rebuilds a
+# dict, so a canonical order would buy nothing.
 
 def poly_to_compact(p: Poly) -> list:
-    return [[list(exps), fraction_to_str(c)] for exps, c in p.sorted_terms()]
+    return [[list(exps), fraction_to_str(c)] for exps, c in p.terms.items()]
 
 
 def poly_from_compact(alphabet_name: str, rows: list) -> Poly:

@@ -14,8 +14,9 @@ from e8jacobi.construct import (Certificate, ConsistencyError, Rejection,
                                 certificate_identity, certify, clear_cache,
                                 index_profile, jacobi_basis, jacobi_dim,
                                 lb_analysis, module_generators, rank_series)
-from e8jacobi.generators import sub_ab_to_AB
-from e8jacobi.grading import AB, BiDegree, Poly, ab
+from e8jacobi.generators import e4_split, image_columns, p16_5, sub_ab_to_AB
+from e8jacobi.grading import (AB, BiDegree, Frac, Poly, S_ALPHABET, ab,
+                              delta_poly)
 from e8jacobi.linsolve import nullspace
 
 from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
@@ -129,47 +130,30 @@ class TestIntegerStage:
 
 
 class TestCertificateColumns:
-    """The certificates read off the remainder's columns equal the ones
-    that a dot product over the whole remainder and over each S_l ansatz
-    gives per basis vector, scaled by 1/(g L).  J_{-20,4} has monomials
-    but no forms; S_l parts are rare, and J_{-26,8} has eight nonzero S_l
-    coefficients over its twelve forms."""
+    """The certificates read off the image columns equal the ones that the
+    concrete path gives for each basis form: its image lifted to the
+    ansatz's denominator E4^p Delta^n, split by `e4_split`, and each Q_l
+    divided by P^l.  J_{-20,4} has monomials but no forms; S_l parts are
+    rare, and J_{-26,8} has eight nonzero S_l coefficients over its twelve
+    forms."""
 
     @pytest.mark.parametrize("target", [(-16, 5), (0, 4), (-20, 4),
                                         LARGEST_6, (-26, 8)],
                              ids=["m16_5", "0_4", "m20_4", "largest_6",
                                   "m26_8"])
-    def test_match_substitute_reference(self, target, monkeypatch):
-        seen = {}
-
-        def recording(name):
-            fn = getattr(construct, name)
-
-            def wrapper(*args):
-                out = fn(*args)
-                seen.setdefault(name, []).append(out)
-                return out
-            return wrapper
-
-        for name in ("build_ansatz", "e4_split", "nullspace"):
-            monkeypatch.setattr(construct, name, recording(name))
+    def test_match_substitute_reference(self, target):
         basis = construct._compute_basis(*target)
-        # build_ansatz makes the ab ansatz, then one S_l ansatz per l >= 1
-        ansatz, *sl_ansatze = seen["build_ansatz"]
-        ((_, remainder),) = seen["e4_split"]
-        (space,) = seen["nullspace"]
-        pf = sub_ab_to_AB(ansatz)
-        L = lcm(*(c.denominator for lf in pf.num.terms.values()
-                  for c in lf.values()))
-        n_c = len(ansatz.terms)
+        _, p, n = image_columns(enumerate_monomials(ab, BiDegree(*target)))
+        E4, P = Poly.gen(AB, "E4"), p16_5()
         expected = []
-        for vec in space.basis:
-            scale = Fraction(1, gcd(*vec[:n_c]) * L)
-            s_parts = [(l, sl.substitute(vec).scale(scale))
-                       for l, sl in enumerate(sl_ansatze, 1)]
-            expected.append(Certificate(
-                pf.delta_pow, tuple((l, s) for l, s in s_parts if s),
-                remainder.substitute(vec).scale(scale)))
+        for form in basis.forms:
+            frac = sub_ab_to_AB(form)
+            num = frac.num * delta_poly(AB) ** (n - frac.delta_pow) \
+                * E4 ** (p - frac.e4_pow)
+            qs, remainder = e4_split(Frac(num, p, 0))
+            s_parts = tuple((l, q.divexact(P ** l).map_alphabet(S_ALPHABET))
+                            for l, q in enumerate(qs, 1) if q)
+            expected.append(Certificate(n, s_parts, remainder))
         assert basis.certificates == expected
         assert all(type(c) is Fraction for cert in basis.certificates
                    for poly in [cert.remainder, *(s for _, s in cert.s_parts)]

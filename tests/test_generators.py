@@ -1,19 +1,15 @@
 """Generator tables, substitutions and the E4 split."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from e8jacobi.ansatz import build_ansatz, enumerate_monomials
+from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.cli import _profile_targets
 from e8jacobi.construct import jacobi_basis
-from e8jacobi.generators import (ParamFrac, _rest_image, e4_split,
-                                 holomorphic_images, meromorphic_images,
-                                 p12_5_over_ab, p16_5, sub_AB_to_ab,
-                                 sub_ab_to_AB)
-from e8jacobi.grading import (AB, BiDegree, Frac, ParamPoly, Poly, ab,
-                              delta_poly)
+from e8jacobi.generators import (_rest_image, e4_split, holomorphic_images,
+                                 image_columns, meromorphic_images,
+                                 p12_5_over_ab, p16_5, sub_ab_to_AB)
+from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab, delta_poly
 
 from helpers import build
 
@@ -122,30 +118,22 @@ class TestSubstitutionReference:
 
     @pytest.mark.parametrize("target", [(-16, 5), (0, 4), (-20, 4)],
                              ids=["m16_5", "0_4", "m20_4"])
-    def test_parametric_matches_columns(self, target):
-        """Column i of the substituted ansatz, over the common denominator,
-        is the image of monomial i; the denominator powers are the maxima
-        over the monomials.  J_{-20,4} has monomials but no forms."""
-        ansatz = build_ansatz(ab, BiDegree(*target))
-        images = [naive_image(Poly.monomial(ab, mon, 1))
-                  for mon in ansatz.terms]
-        # the ansatz, and monomial i weighted by -2 - i instead of 1
-        weighted = ParamPoly(ab, {mon: {i: -2 - i}
-                                  for i, mon in enumerate(ansatz.terms)})
-        for p, weight in ((ansatz, lambda i: 1), (weighted, lambda i: -2 - i)):
-            pf = sub_ab_to_AB(p)
-            assert isinstance(pf, ParamFrac)
-            assert pf.e4_pow == max(f.e4_pow for f in images)
-            assert pf.delta_pow == max(f.delta_pow for f in images)
-            assert all(c for lf in pf.num.terms.values() for c in lf.values())
-            for i, image in enumerate(images):
-                column = Poly(AB, {mon: Fraction(lf[i])
-                                   for mon, lf in pf.num.terms.items()
-                                   if i in lf})
-                assert Frac.normalized(column, pf.e4_pow, pf.delta_pow) == \
-                    image * weight(i)
-            assert set().union(*pf.num.terms.values()) == \
-                set(range(len(images)))
+    def test_image_columns(self, target):
+        """Column i, over the common denominator, is the image of monomial
+        i; the denominator powers are the maxima over the monomials.
+        J_{-20,4} has monomials but no forms."""
+        mons = enumerate_monomials(ab, BiDegree(*target))
+        images = [naive_image(Poly.monomial(ab, mon, 1)) for mon in mons]
+        columns, e4_pow, delta_pow = image_columns(mons)
+        assert len(columns) == len(images)
+        assert e4_pow == max(f.e4_pow for f in images)
+        assert delta_pow == max(f.delta_pow for f in images)
+        for column, image in zip(columns, images):
+            terms = dict(column)
+            assert len(terms) == len(column)
+            assert all(terms.values())
+            assert Frac.normalized(Poly(AB, terms), e4_pow, delta_pow) == \
+                image
 
     def test_final_normalization_cancels_powers(self):
         # both J_{-16,5} forms lose three E4 powers in the sum of their

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from e8jacobi.generators import p16_5
 from e8jacobi.grading import (AB, AlphabetMismatchError, BiDegree,
                               GradingError, Frac, Poly, S_ALPHABET, ab,
                               delta_poly)
@@ -103,7 +104,53 @@ def homogeneous_poly(draw, alphabet=AB, max_terms=4):
     return Poly(alphabet, terms)
 
 
+def divexact_by_rescan(num, d):
+    """Reference division: the lead of the remainder found by max() for
+    every quotient term."""
+    d_lead = max(d.terms)
+    quotient = {}
+    rem = dict(num.terms)
+    while rem:
+        lead = max(rem)
+        diff = tuple(a - b for a, b in zip(lead, d_lead))
+        if any(e < 0 for e in diff):
+            return None
+        qc = rem[lead] / d.terms[d_lead]
+        quotient[diff] = qc
+        for m, c in d.terms.items():
+            t = tuple(a + b for a, b in zip(m, diff))
+            s = rem.get(t, 0) - qc * c
+            if s:
+                rem[t] = s
+            else:
+                rem.pop(t, None)
+    return Poly(num.alphabet, quotient)
+
+
+# multi-term divisors: Delta, P_{16,5} and the numerator of a2
+DIVISORS = [delta_poly(AB), p16_5(), E4 * A2 - A1 ** 2]
+_exponents = st.tuples(*[st.integers(0, 2)] * len(AB))
+_coefficients = st.builds(Fraction, _small.filter(bool), st.integers(1, 9))
+
+
 class TestPolyProperties:
+    @given(st.sampled_from(DIVISORS),
+           st.dictionaries(_exponents, _coefficients, min_size=1,
+                           max_size=5),
+           _exponents, _coefficients)
+    @settings(max_examples=60, deadline=None)
+    def test_divexact_matches_rescan(self, d, q_terms, extra, c):
+        """On multiples of d, and on a multiple plus one term, which a
+        divisor of several terms never divides."""
+        q = Poly(AB, q_terms)
+        num = q * d
+        assert num.divexact(d) == q == divexact_by_rescan(num, d)
+        terms = dict(num.terms)
+        terms[extra] = terms.get(extra, 0) + c
+        off = Poly(AB, terms)
+        assert off.divexact(d) is None
+        assert divexact_by_rescan(off, d) is None
+
     @given(homogeneous_poly(), homogeneous_poly())
     @settings(max_examples=50, deadline=None)
     def test_multiplication_commutes(self, p, q):
