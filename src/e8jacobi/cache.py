@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import tempfile
-from functools import lru_cache
+from functools import cache
 from typing import Optional
 
 from .construct import Certificate, JacobiBasis, SCHEMA_VERSION
@@ -23,7 +23,7 @@ from .grading import AB, BiDegree, S_ALPHABET, ab
 from .serialize import poly_from_compact, poly_to_compact
 
 
-@lru_cache(maxsize=None)
+@cache
 def _tables_digest() -> str:
     """Digest of the meromorphic images and P_{16,5}, once per process."""
     images = [[name, poly_to_compact(f.num), f.e4_pow, f.delta_pow]

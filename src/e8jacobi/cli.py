@@ -129,8 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _profile_targets(m: int, window) -> List[Tuple[int, int]]:
-    lo, hi = window if window is not None else construct._weight_window(m)
-    return [(k, m) for k in range(lo + (lo % 2), hi + 1, 2)]
+    return [(k, m) for k in construct.profile_weights(m, window)]
 
 
 def _compute_one(target: Tuple[int, int]) -> Tuple[int, int, dict]:

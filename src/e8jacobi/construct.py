@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -200,9 +200,7 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
     """
     form.bidegree()  # raises on inhomogeneous input
     frac = sub_ab_to_AB(form)
-    n = frac.delta_pow
-    p = frac.e4_pow
-    qs, remainder = e4_split(Frac(frac.num, p, 0))
+    qs, remainder = e4_split(frac.num, frac.e4_pow)
     p165 = p16_5()
     s_parts = []
     power = Poly.const(AB, 1)
@@ -215,7 +213,7 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
         if s_l is None:
             return Rejection(l)
         s_parts.append((l, s_l.map_alphabet(S_ALPHABET)))
-    return Certificate(n, tuple(s_parts), remainder)
+    return Certificate(frac.delta_pow, tuple(s_parts), remainder)
 
 
 def certificate_identity(form: Poly, cert: Certificate) -> bool:
@@ -245,7 +243,7 @@ def rank_series(m: int) -> int:
     return _rank_series_coeffs(m)[m]
 
 
-@lru_cache(maxsize=None)
+@cache
 def _rank_series_coeffs(limit: int) -> Tuple[int, ...]:
     # product of 1/(1-x^d) over the generator index multiset
     degrees = [1, 2, 2, 3, 3, 4, 4, 5, 6]
@@ -263,10 +261,16 @@ class IndexProfile:
     dims: Dict[int, int]   # weight -> dim of the weight-k index-m space
 
 
-def _weight_window(m: int) -> Tuple[int, int]:
-    # forms of index m have weight >= -5m; for m >= 2 all generators have
-    # non-positive weight, for m <= 1 the single generator sits at weight 4
-    return (-5 * m, 0 if m >= 2 else 4)
+def profile_weights(m: int, window: Optional[Tuple[int, int]] = None
+                    ) -> range:
+    """The even weights of the index-m profile window, ascending.
+
+    The default window is -5m..0: forms of index m have weight >= -5m;
+    for m >= 2 all generators have non-positive weight, and for m <= 1
+    the single generator sits at weight 4, so the window ends there.
+    """
+    lo, hi = window if window is not None else (-5 * m, 0 if m >= 2 else 4)
+    return range(lo + lo % 2, hi + 1, 2)
 
 
 def index_profile(m: int,
@@ -276,21 +280,14 @@ def index_profile(m: int,
     # all generator weights are even, so odd weights carry no monomials
     if any(d.weight % 2 for d in ab.degrees):
         raise ConsistencyError("generator of odd weight in the alphabet")
-    lo, hi = window if window is not None else _weight_window(m)
-    start = lo + (lo % 2)
-    dims = {k: jacobi_dim(k, m) for k in range(start, hi + 1, 2)}
-
-    def dim_at(k: int) -> int:
-        if k < lo or k % 2:
-            return 0
-        if k > hi:
-            raise ConsistencyError("weight window too small")
-        return dims.get(k, 0)
-
+    weights = profile_weights(m, window)
+    # every weight below the window has dimension 0
+    dims = {k: jacobi_dim(k, m) for k in weights}
     d = {}
     total = 0
-    for k in range(start, hi + 1, 2):
-        count = dim_at(k) - dim_at(k - 4) - dim_at(k - 6) + dim_at(k - 10)
+    for k in weights:
+        count = dims[k] - dims.get(k - 4, 0) - dims.get(k - 6, 0) \
+            + dims.get(k - 10, 0)
         if count < 0:
             raise ConsistencyError(
                 "negative generator count at weight %d index %d" % (k, m))
@@ -344,11 +341,10 @@ def module_generators(m: int, window: Optional[Tuple[int, int]] = None
     """Generators of the free module of index-m forms, weight ascending:
     at each weight, a basis complementary to E4/E6 times lower weights."""
     profile = index_profile(m, window)
-    lo, hi = window if window is not None else _weight_window(m)
     e4 = Poly.gen(ab, "E4")
     e6 = Poly.gen(ab, "E6")
     out = []
-    for k in range(lo + (lo % 2), hi + 1, 2):
+    for k in profile_weights(m, window):
         basis_k = jacobi_basis(k, m)
         if not basis_k.forms:
             continue

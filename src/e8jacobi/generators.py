@@ -11,19 +11,24 @@ The ab->AB substitution (`sub_ab_to_AB`) rests on two facts.  E4 and E6
 map to themselves, and Delta = (E4^3 - E6^2)/1728 is prime and prime to
 E4, to E6 and to every normalized numerator, so a monomial's normalized
 image follows from that of its index part (its a2..b6 exponents) by
-exponent arithmetic alone.  For the same reason an index-part image, a
-product of generator images, needs only its E4 exponent normalized.  The
-index-part images are memoised, and so is each one's numerator lifted by
-a power of Delta.  `image_columns` shifts copies of them into the images
-of a list of monomials over one common denominator, one column of terms
-per monomial: the construction reads its linear system straight off
-those columns, and `sub_ab_to_AB` adds them up, weighted by a concrete
+exponent arithmetic alone.  An index-part image is a product of
+generator images, each normalized with E4 exponent >= 1: its numerator
+is divisible neither by E4 nor by Delta.  E4 is a ring variable and
+Delta is prime, so neither divides a product of such numerators either,
+and the product is normalized as it stands: the numerators multiply and
+the denominator exponents add, with no check.  The index-part images are
+memoised, and so is each one's numerator lifted by a power of Delta.
+`image_columns` shifts copies of them into the images of a list of
+monomials over one common denominator, one column of terms per
+monomial: the construction reads its linear system straight off those
+columns, and `sub_ab_to_AB` adds them up, weighted by a concrete
 polynomial's coefficients, into one dict of terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Tuple
 
 from .grading import AB, AlphabetMismatchError, Frac, Poly, ab, delta_poly
@@ -39,14 +44,15 @@ def _AB_gens():
     return {s: Poly.gen(AB, s) for s in AB.symbols}
 
 
-def _build_meromorphic_images() -> Dict[str, Frac]:
+@cache
+def meromorphic_images() -> Dict[str, Frac]:
     """a_i, b_j as normalized fractions num / (E4^p Delta^q) over AB."""
     g = _AB_gens()
     E4, E6 = g["E4"], g["E6"]
     A1, A2, A3, A4, A5 = g["A1"], g["A2"], g["A3"], g["A4"], g["A5"]
     B2, B3, B4, B6 = g["B2"], g["B3"], g["B4"], g["B6"]
 
-    images = {
+    return {
         "E4": Frac.normalized(E4, 0, 0),
         "E6": Frac.normalized(E6, 0, 0),
         "a2": Frac.normalized(6 * (-E4 * A2 + A1 ** 2), 1, 1),
@@ -134,10 +140,10 @@ def _build_meromorphic_images() -> Dict[str, Frac]:
                 - 36 * E6 ** 5) * A1 ** 6) / 13436928,
             6, 5),
     }
-    return images
 
 
-def _build_holomorphic_images() -> Dict[str, Poly]:
+@cache
+def holomorphic_images() -> Dict[str, Poly]:
     """A_i, B_j as polynomials over the meromorphic alphabet."""
     g = _ab_gens()
     E4, E6 = g["E4"], g["E6"]
@@ -146,7 +152,7 @@ def _build_holomorphic_images() -> Dict[str, Poly]:
                               g["b4"], g["b5"], g["b6"])
     D = delta_poly(ab)
 
-    images = {
+    return {
         "E4": E4,
         "E6": E6,
         "A1": -(E4 * b1) / 4,
@@ -191,128 +197,77 @@ def _build_holomorphic_images() -> Dict[str, Poly]:
                + 10368 * D ** 2 * b1 ** 2 * b4
                - 124416 * D ** 3 * b6) / 552960,
     }
-    return images
 
 
-_MEROMORPHIC_IMAGES: Dict[str, Frac] = {}
-_HOLOMORPHIC_IMAGES: Dict[str, Poly] = {}
-
-
-def meromorphic_images() -> Dict[str, Frac]:
-    if not _MEROMORPHIC_IMAGES:
-        _MEROMORPHIC_IMAGES.update(_build_meromorphic_images())
-    return _MEROMORPHIC_IMAGES
-
-
-def holomorphic_images() -> Dict[str, Poly]:
-    if not _HOLOMORPHIC_IMAGES:
-        _HOLOMORPHIC_IMAGES.update(_build_holomorphic_images())
-    return _HOLOMORPHIC_IMAGES
-
-
-_P16_5: List[Poly] = []
-
-
+@cache
 def p16_5() -> Poly:
     """The distinguished weight-16 index-5 polynomial; E4-free over AB."""
-    if not _P16_5:
-        g = _AB_gens()
-        E6 = g["E6"]
-        A1, A2, A3, A5 = g["A1"], g["A2"], g["A3"], g["A5"]
-        B2, B3, B4 = g["B2"], g["B3"], g["B4"]
-        _P16_5.append(864 * A1 ** 3 * A2 + 3825 * A1 * B2 ** 2
-                      - 770 * E6 * A3 * B2 - 840 * E6 * A2 * B3
-                      + 60 * E6 * A1 * B4 + 21 * E6 ** 2 * A5)
-    return _P16_5[0]
+    g = _AB_gens()
+    E6 = g["E6"]
+    A1, A2, A3, A5 = g["A1"], g["A2"], g["A3"], g["A5"]
+    B2, B3, B4 = g["B2"], g["B3"], g["B4"]
+    return (864 * A1 ** 3 * A2 + 3825 * A1 * B2 ** 2
+            - 770 * E6 * A3 * B2 - 840 * E6 * A2 * B3
+            + 60 * E6 * A1 * B4 + 21 * E6 ** 2 * A5)
 
 
-_P12_5_AB_OVER_E4: List[Poly] = []
-
-
+@cache
 def p12_5_over_ab() -> Poly:
     """The weight-12 index-5 quotient form as a polynomial over ab."""
-    if not _P12_5_AB_OVER_E4:
-        g = _ab_gens()
-        E4, E6 = g["E4"], g["E6"]
-        a2, a3 = g["a2"], g["a3"]
-        b1, b2, b3, b4, b5 = g["b1"], g["b2"], g["b3"], g["b4"], g["b5"]
-        D = delta_poly(ab)
-        _P12_5_AB_OVER_E4.append(
-            (24 * D * E4 ** 2 * E6 * a2 * b1 * b2
-             - 18 * D * E4 ** 2 * E6 * a3 * b1 ** 2
-             + 20736 * D * E4 ** 2 * a2 * b1 ** 3
-             + 5 * D * E4 * E6 ** 2 * a2 ** 2 * b1
-             - 28440 * E6 ** 2 * b1 ** 5
-             - 336 * D ** 2 * E4 * E6 * a2 * a3
-             + 4824 * D * E6 ** 2 * b1 ** 2 * b3
-             - 1008 * D * E6 ** 2 * b1 * b2 ** 2
-             - 991872 * D * E6 * b1 ** 3 * b2
-             - 13436928 * D * b1 ** 5
-             - 384 * D ** 2 * E6 ** 2 * b5
-             + 27648 * D ** 2 * E6 * b1 * b4
-             + 76032 * D ** 2 * E6 * b2 * b3
-             - 12690432 * D ** 2 * b1 * b2 ** 2) / 9216)
-    return _P12_5_AB_OVER_E4[0]
+    g = _ab_gens()
+    E4, E6 = g["E4"], g["E6"]
+    a2, a3 = g["a2"], g["a3"]
+    b1, b2, b3, b4, b5 = g["b1"], g["b2"], g["b3"], g["b4"], g["b5"]
+    D = delta_poly(ab)
+    return (24 * D * E4 ** 2 * E6 * a2 * b1 * b2
+            - 18 * D * E4 ** 2 * E6 * a3 * b1 ** 2
+            + 20736 * D * E4 ** 2 * a2 * b1 ** 3
+            + 5 * D * E4 * E6 ** 2 * a2 ** 2 * b1
+            - 28440 * E6 ** 2 * b1 ** 5
+            - 336 * D ** 2 * E4 * E6 * a2 * a3
+            + 4824 * D * E6 ** 2 * b1 ** 2 * b3
+            - 1008 * D * E6 ** 2 * b1 * b2 ** 2
+            - 991872 * D * E6 * b1 ** 3 * b2
+            - 13436928 * D * b1 ** 5
+            - 384 * D ** 2 * E6 ** 2 * b5
+            + 27648 * D ** 2 * E6 * b1 * b4
+            + 76032 * D ** 2 * E6 * b2 * b3
+            - 12690432 * D ** 2 * b1 * b2 ** 2) / 9216
 
 
-def _prime_to_delta(num: Poly, e4_pow: int, delta_pow: int) -> Frac:
-    """The normalized num / (E4^e4_pow Delta^delta_pow) for a numerator
-    prime to Delta, such as a product of normalized image numerators
-    (Delta is prime and divides none of them): only the E4 exponent needs
-    the check, and the Delta power is kept with no trial division."""
-    f = Frac.normalized(num, e4_pow, 0)
-    return Frac(f.num, f.e4_pow, delta_pow)
-
-
-_FRAC_POWER_CACHE: Dict[Tuple[str, int], Frac] = {}
-
-
+@cache
 def _image_power(symbol: str, e: int) -> Frac:
-    key = (symbol, e)
-    f = _FRAC_POWER_CACHE.get(key)
-    if f is None:
-        base = meromorphic_images()[symbol]
-        f = _prime_to_delta(base.num ** e, base.e4_pow * e,
-                            base.delta_pow * e)
-        _FRAC_POWER_CACHE[key] = f
-    return f
+    base = meromorphic_images()[symbol]
+    return Frac(base.num ** e, base.e4_pow * e, base.delta_pow * e)
 
 
 # Both alphabets lead with E4, E6; the index part ("rest") of a monomial
 # over ab is its a2..b6 exponents, the tail after those two.
 _INDEX_SYMBOLS = ab.symbols[2:]
-_REST_IMAGE_CACHE: Dict[tuple, Frac] = {}
 
 
+@cache
 def _rest_image(rest: tuple) -> Frac:
-    """The normalized image of a2^.. b6^.. over AB, built once per rest."""
-    f = _REST_IMAGE_CACHE.get(rest)
-    if f is None:
-        f = Frac(Poly.const(AB, 1), 0, 0)
-        for symbol, e in zip(_INDEX_SYMBOLS, rest):
-            if e:
-                g = _image_power(symbol, e)
-                f = _prime_to_delta(f.num * g.num, f.e4_pow + g.e4_pow,
-                                    f.delta_pow + g.delta_pow)
-        _REST_IMAGE_CACHE[rest] = f
-    return f
+    """The normalized image of a2^.. b6^.. over AB: the product of the
+    generator images, exponents summed (see the module docstring)."""
+    num, e4_pow, delta_pow = Poly.const(AB, 1), 0, 0
+    for symbol, e in zip(_INDEX_SYMBOLS, rest):
+        if e:
+            g = _image_power(symbol, e)
+            num = num * g.num
+            e4_pow += g.e4_pow
+            delta_pow += g.delta_pow
+    return Frac(num, e4_pow, delta_pow)
 
 
-_LIFTED_CACHE: Dict[Tuple[tuple, int], list] = {}
-
-
+@cache
 def _lifted_terms(rest: tuple, gap: int) -> list:
     """(E4 exponent, E6 exponent, tail, coefficient) for each term of the
     rest's normalized numerator times Delta^gap."""
-    key = (rest, gap)
-    terms = _LIFTED_CACHE.get(key)
-    if terms is None:
-        num = _rest_image(rest).num
-        if gap:
-            num = num * delta_poly(AB) ** gap
-        terms = [(m[0], m[1], m[2:], c) for m, c in num.terms.items()]
-        _LIFTED_CACHE[key] = terms
-    return terms
+    num = _rest_image(rest).num
+    if gap:
+        num = num * delta_poly(AB) ** gap
+    return [(m[0], m[1], m[2:], c) for m, c in num.terms.items()]
 
 
 def image_columns(mons) -> Tuple[List[list], int, int]:
@@ -367,34 +322,22 @@ def sub_ab_to_AB(p: Poly) -> Frac:
     return Frac.normalized(Poly(AB, out), e4, dl)
 
 
-def e4_split(f: Frac) -> Tuple[List[Poly], Poly]:
-    """Decompose num/E4^p (delta_pow must be 0) as sum_l Q_l/E4^l + R.
+def e4_split(num: Poly, p: int) -> Tuple[List[Poly], Poly]:
+    """Decompose num/E4^p over AB as sum_l Q_l/E4^l + R, in one pass.
 
     Writing num = sum_j E4^j N_j with every N_j free of E4, the parts are
     Q_l = N_{p-l} for l = 1..l1 (l1 the largest l with N_{p-l} nonzero)
-    and R = sum_{j>=p} E4^{j-p} N_j.
+    and R = sum_{j>=p} E4^{j-p} N_j.  E4 leads AB, so j is the first
+    exponent of each term.
     """
-    if f.delta_pow != 0:
-        raise ValueError("e4_split requires delta_pow == 0")
-    p = f.e4_pow
-    alphabet = f.num.alphabet
-    pos = alphabet.position("E4")
-    by_e4: Dict[int, dict] = {}
-    for m, c in f.num.terms.items():
-        j = m[pos]
-        stripped = tuple(0 if i == pos else e for i, e in enumerate(m))
-        by_e4.setdefault(j, {})[stripped] = c
-    qs = []
-    for l in range(1, p + 1):
-        qs.append(Poly(alphabet, by_e4.get(p - l, {})))
-    while qs and qs[-1].is_zero():
-        qs.pop()
-    r_terms: dict = {}
-    for j, terms in by_e4.items():
+    qs: List[dict] = [{} for _ in range(p)]
+    r: dict = {}
+    for m, c in num.terms.items():
+        j = m[0]
         if j < p:
-            continue
-        for m, c in terms.items():
-            lifted = tuple(e + (j - p if i == pos else 0)
-                           for i, e in enumerate(m))
-            r_terms[lifted] = c
-    return qs, Poly(alphabet, r_terms)
+            qs[p - j - 1][(0,) + m[1:]] = c
+        else:
+            r[(j - p,) + m[1:]] = c
+    while qs and not qs[-1]:
+        qs.pop()
+    return [Poly(AB, q) for q in qs], Poly(AB, r)

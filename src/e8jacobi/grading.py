@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -452,7 +453,8 @@ class Frac:
 
     Delta is never a ring symbol; it only ever appears expanded as the
     polynomial (E4^3 - E6^2)/1728 or as the denominator exponent here.
-    Construct through `normalized` to maintain the divisibility invariants.
+    Construct through `normalized`, which cancels common factors, unless
+    num is known to be divisible by neither E4 nor Delta.
     """
 
     num: Poly
@@ -461,21 +463,24 @@ class Frac:
 
     @staticmethod
     def normalized(num: Poly, e4_pow: int, delta_pow: int) -> "Frac":
+        """num / (E4^e4_pow Delta^delta_pow) in lowest terms.
+
+        E4 is a single generator, so the power of E4 to cancel is the
+        least E4 exponent of num's terms, capped at e4_pow, and it goes in
+        one rebuild.  Delta is cancelled by trial division, one power at a
+        time.
+        """
         if num.is_zero():
             return Frac(num, 0, 0)
         if e4_pow < 0 or delta_pow < 0:
             raise ValueError("denominator exponents must be >= 0")
-        # E4 is a single generator, so E4-divisibility is an exponent check.
         pos = num.alphabet.position("E4")
-        while e4_pow > 0:
-            if all(m[pos] >= 1 for m in num.terms):
-                num = Poly(num.alphabet,
-                           {tuple(e - (1 if i == pos else 0)
-                                  for i, e in enumerate(m)): c
-                            for m, c in num.terms.items()})
-                e4_pow -= 1
-            else:
-                break
+        k = min(e4_pow, min(m[pos] for m in num.terms))
+        if k:
+            num = Poly(num.alphabet,
+                       {m[:pos] + (m[pos] - k,) + m[pos + 1:]: c
+                        for m, c in num.terms.items()})
+            e4_pow -= k
         if delta_pow > 0:
             delta = delta_poly(num.alphabet)
             while delta_pow > 0:
@@ -522,16 +527,9 @@ class Frac:
                         d.index)
 
 
-_DELTA_CACHE: dict = {}
-
-
+@cache
 def delta_poly(alphabet: Alphabet) -> Poly:
     """The cusp form (E4^3 - E6^2)/1728 as a polynomial, bidegree (12, 0)."""
-    key = alphabet.fingerprint()
-    p = _DELTA_CACHE.get(key)
-    if p is None:
-        e4 = Poly.gen(alphabet, "E4")
-        e6 = Poly.gen(alphabet, "E6")
-        p = (e4 ** 3 - e6 ** 2) / 1728
-        _DELTA_CACHE[key] = p
-    return p
+    e4 = Poly.gen(alphabet, "E4")
+    e6 = Poly.gen(alphabet, "E6")
+    return (e4 ** 3 - e6 ** 2) / 1728

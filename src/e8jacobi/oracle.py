@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
@@ -259,7 +259,7 @@ def theta0(kind: int, tau, ctx: EvalContext) -> mpmath.mpc:
     return theta(kind, 0, tau, ctx)
 
 
-@lru_cache(maxsize=None)
+@cache
 def bernoulli_number(k: int) -> Fraction:
     """Exact Bernoulli numbers via x/(e^x - 1) = sum B_k x^k / k!."""
     if k == 0:

@@ -68,6 +68,14 @@ def test_criterion_04_vanishing_strip():
                 assert jacobi_dim(k, m) == 0, (k, m)
 
 
+def test_vanishing_strip_m9_m10():
+    # criterion 4's strip at the next two indices
+    for m in (9, 10):
+        for k in range(-5 * m, -4 * m):
+            if k % 2 == 0:
+                assert jacobi_dim(k, m) == 0, (k, m)
+
+
 @criterion(5, "lowest-weight dimensions dim J_{-4m,m} for m = 0..10")
 def test_criterion_05_lowest_weight_dims():
     assert [jacobi_dim(-4 * m, m) for m in range(0, 11)] == LOWEST_WEIGHT_DIMS

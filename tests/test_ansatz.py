@@ -7,21 +7,32 @@ from e8jacobi.grading import AB, BiDegree, S_ALPHABET, ab
 
 
 def brute_force_monomials(alphabet, target):
-    """Independent enumeration: bounded exponent boxes, exact filter."""
-    caps = []
-    for sym, deg in zip(alphabet.symbols, alphabet.degrees):
-        if deg.index > 0:
-            caps.append(target.index // deg.index if target.index >= 0 else -1)
-        else:
-            # E4/E6: weight budget once every index generator is fixed;
-            # generous static cap (weights here never exceed |5m|+4)
-            caps.append((abs(target.weight) + 30 * abs(target.index)) // 4)
-    if any(c < 0 for c in caps):
+    """Independent enumeration: bounded exponent boxes, exact filter.  Each
+    index generator is capped by the index; E4 and E6 (index 0, weights 4
+    and 6) are capped by the weight left after the index generators."""
+    if target.index < 0:
         return []
+    width = len(alphabet)
+    index_pos = [i for i, d in enumerate(alphabet.degrees) if d.index > 0]
+    free_pos = [i for i, d in enumerate(alphabet.degrees) if d.index == 0]
     out = []
-    for exps in itertools.product(*(range(c + 1) for c in caps)):
-        if alphabet.monomial_degree(exps) == target:
-            out.append(exps)
+    for part in itertools.product(*(
+            range(target.index // alphabet.degrees[i].index + 1)
+            for i in index_pos)):
+        exps = [0] * width
+        for i, e in zip(index_pos, part):
+            exps[i] = e
+        deg = alphabet.monomial_degree(exps)
+        if deg.index != target.index:
+            continue
+        left = target.weight - deg.weight
+        for free in itertools.product(*(
+                range(left // alphabet.degrees[i].weight + 1)
+                for i in free_pos)):
+            for i, e in zip(free_pos, free):
+                exps[i] = e
+            if alphabet.monomial_degree(exps) == target:
+                out.append(tuple(exps))
     return sorted(out, reverse=True)
 
 

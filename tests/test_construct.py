@@ -15,8 +15,7 @@ from e8jacobi.construct import (Certificate, ConsistencyError, Rejection,
                                 index_profile, jacobi_basis, jacobi_dim,
                                 lb_analysis, module_generators, rank_series)
 from e8jacobi.generators import e4_split, image_columns, p16_5, sub_ab_to_AB
-from e8jacobi.grading import (AB, BiDegree, Frac, Poly, S_ALPHABET, ab,
-                              delta_poly)
+from e8jacobi.grading import AB, BiDegree, Poly, S_ALPHABET, ab, delta_poly
 from e8jacobi.linsolve import nullspace
 
 from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
@@ -150,7 +149,7 @@ class TestCertificateColumns:
             frac = sub_ab_to_AB(form)
             num = frac.num * delta_poly(AB) ** (n - frac.delta_pow) \
                 * E4 ** (p - frac.e4_pow)
-            qs, remainder = e4_split(Frac(num, p, 0))
+            qs, remainder = e4_split(num, p)
             s_parts = tuple((l, q.divexact(P ** l).map_alphabet(S_ALPHABET))
                             for l, q in enumerate(qs, 1) if q)
             expected.append(Certificate(n, s_parts, remainder))
@@ -272,9 +271,8 @@ class TestIntegerComplement:
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_module_generators_match_fraction_reduction(self, m):
         e4, e6 = Poly.gen(ab, "E4"), Poly.gen(ab, "E6")
-        lo, hi = construct._weight_window(m)
         expected = []
-        for k in range(lo + lo % 2, hi + 1, 2):
+        for k in construct.profile_weights(m):
             forms = jacobi_basis(k, m).forms
             if not forms:
                 continue

@@ -57,12 +57,17 @@ class TestTables:
         assert (a2.e4_pow, a2.delta_pow) == (1, 1)
 
     def test_numerators_prime_to_delta(self):
-        # the ab->AB substitution multiplies image numerators with no trial
-        # division by Delta; that is exact because Delta is prime and
-        # divides none of them
+        # the ab->AB substitution multiplies image numerators and adds the
+        # denominator exponents with no check; that is exact because
+        # Delta is prime and divides none of them, and because every
+        # index-symbol image has an E4 in its denominator that its
+        # numerator (some term free of E4) does not cancel
         delta = delta_poly(AB)
         for name, frac in meromorphic_images().items():
             assert frac.num.divexact(delta) is None, name
+            if name not in ("E4", "E6"):
+                assert frac.e4_pow >= 1, name
+                assert min(m[0] for m in frac.num.terms) == 0, name
 
     def test_b6_denominator_magnitude(self):
         # the deepest table entry: weight -30, index 6, denominator
@@ -216,14 +221,10 @@ class TestE4Split:
             (1, {"a2": 1, "b3": 1}), (2, {"a3": 1, "b2": 1}),
         ]))
         assert isinstance(f, Frac)
-        qs, remainder = e4_split(Frac(f.num, f.e4_pow, 0))
+        qs, remainder = e4_split(f.num, f.e4_pow)
         E4 = Poly.gen(AB, "E4")
         total = remainder * E4 ** f.e4_pow
         for l, q in enumerate(qs, start=1):
             assert q.gen_exponent_range("E4") == (0, 0)
             total = total + q * E4 ** (f.e4_pow - l)
         assert total == f.num
-
-    def test_rejects_delta_denominator(self):
-        with pytest.raises(ValueError):
-            e4_split(Frac(Poly.gen(AB, "A1"), 0, 1))

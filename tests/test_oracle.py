@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc
 
+from e8jacobi.construct import jacobi_basis
 from e8jacobi.generators import p12_5_over_ab, p16_5
 from e8jacobi.grading import AB, Poly, ab
 from e8jacobi.oracle import (ComplexSample, EvalContext, NearSingularError,
@@ -316,3 +317,11 @@ class TestAxioms:
         assert rep.max_residual < 1e-25   # axioms (i)-(iii) hold
         assert not rep.regular            # but it has poles at E4 zeros
         assert not rep.passed(1e-25)
+
+    def test_index_9_form_passes(self):
+        # J_{-36,9} is one-dimensional; the acceptance suite checks no
+        # form of index above 5 numerically
+        (form,) = jacobi_basis(-36, 9).forms
+        rep = check_axioms(form, -36, 9, 1, CTX, seed=0)
+        assert rep.max_residual < 1e-25
+        assert rep.regular

@@ -1,0 +1,81 @@
+"""Check the constructions up to index 10 against frozen golden data.
+
+Run from the repository root (about 30 s on one core):
+
+    PYTHONPATH=src python tools/check_golden.py
+
+`golden_index10.json`, next to this script, holds the sha256 of the
+canonical JSON text of `basis_to_json(jacobi_basis(k, m))` for each of
+the 147 targets (k, m) of `e8jacobi tables --max-index 10`, and the
+P^w_m line that command prints for each index.  The data is frozen: a
+mismatch means the construction's output changed.  The script also checks
+one form of J_{-40,10} numerically against the Jacobi-form axioms.
+
+Prints one line per mismatch and a summary; exits 0 when everything
+matches and 1 otherwise.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from e8jacobi import cli
+from e8jacobi.construct import jacobi_basis, profile_weights
+from e8jacobi.oracle import EvalContext, check_axioms
+from e8jacobi.serialize import basis_to_json
+
+GOLDEN = Path(__file__).resolve().parent / "golden_index10.json"
+MAX_INDEX = 10
+
+
+def digest(doc) -> str:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> int:
+    golden = json.loads(GOLDEN.read_text())
+    failures = []
+
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = cli.main(["tables", "--max-index", str(MAX_INDEX)])
+    if code != 0:
+        failures.append("tables --max-index %d exited %d" % (MAX_INDEX, code))
+    profiles = dict(line.split(" = ", 1)
+                    for line in text.getvalue().splitlines())
+    for m in range(1, MAX_INDEX + 1):
+        want = golden["profiles"][str(m)]
+        got = profiles.get("P^w_%d" % m)
+        if got != want:
+            failures.append("P^w_%d: %s, expected %s" % (m, got, want))
+
+    targets = ["%d,%d" % (k, m) for m in range(1, MAX_INDEX + 1)
+               for k in profile_weights(m)]
+    if sorted(targets) != sorted(golden["digests"]):
+        failures.append("targets differ from the golden file's")
+    for key in targets:
+        k, m = map(int, key.split(","))
+        if digest(basis_to_json(jacobi_basis(k, m))) \
+                != golden["digests"].get(key):
+            failures.append("basis digest of J_{%d,%d}" % (k, m))
+
+    form = jacobi_basis(-40, 10).forms[0]
+    rep = check_axioms(form, -40, 10, 1, EvalContext(), seed=0)
+    if not (rep.max_residual < 1e-25 and rep.regular):
+        failures.append("J_{-40,10} form 1: residual %.2e, regular %s"
+                        % (rep.max_residual, rep.regular))
+
+    for line in failures:
+        print("MISMATCH", line)
+    print("%d targets, %d profiles, 1 numeric check: %s"
+          % (len(targets), MAX_INDEX,
+             "%d mismatches" % len(failures) if failures else "ok"))
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
