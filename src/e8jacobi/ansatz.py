@@ -14,7 +14,8 @@ series truncation.
 
 from __future__ import annotations
 
-from typing import List
+from functools import cache
+from typing import List, Tuple
 
 from .grading import Alphabet, BiDegree, ParamPoly
 
@@ -39,8 +40,15 @@ def enumerate_monomials(alphabet: Alphabet, target: BiDegree) -> List[tuple]:
     """All exponent vectors of the exact bidegree, in canonical order.
 
     The list is finite because every generator has index >= 0 and the
-    index-0 generators (E4, E6) have positive weight.
+    index-0 generators (E4, E6) have positive weight.  Each call returns
+    a fresh list; the search runs once per (alphabet, bidegree), since
+    the construction and the cache both enumerate every target.
     """
+    return list(_monomials(alphabet, BiDegree(*target)))
+
+
+@cache
+def _monomials(alphabet: Alphabet, target: BiDegree) -> Tuple[tuple, ...]:
     n = len(alphabet)
     symbols = alphabet.symbols
     degrees = alphabet.degrees
@@ -74,7 +82,7 @@ def enumerate_monomials(alphabet: Alphabet, target: BiDegree) -> List[tuple]:
     if target.index >= 0:
         descend(0, target.index, target.weight)
     results.sort(reverse=True)
-    return results
+    return tuple(results)
 
 
 def build_ansatz(alphabet: Alphabet, target: BiDegree,

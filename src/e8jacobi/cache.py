@@ -1,11 +1,24 @@
 """Content-addressed on-disk store for computed bases.
 
-The key digests the schema version, all three alphabet definitions, the
-generator tables the construction reads (the meromorphic images and
-P_{16,5}) and the target (weight, index), so any change to the generator
-tables or the result format invalidates stale entries automatically.
-Writes are atomic: a temporary file in the same directory is renamed
-into place.
+The key digests the cache format, the schema version, all three alphabet
+definitions, the generator tables the construction reads (the
+meromorphic images and P_{16,5}) and the target (weight, index), so any
+change to the generator tables or the result format invalidates stale
+entries automatically.  Writes are atomic: a temporary file in the same
+directory is renamed into place.
+
+Format 2 stores integer rows, one JSON object per entry:
+
+- "forms": each form's int coefficients over
+  `enumerate_monomials(ab, target)`, whose order fixes the positions;
+- "r_mons": the AB exponent vectors of the remainders, listed once;
+- "s_mons": [l, S exponent vectors] for each S_l, listed once;
+- "certificates": [n, den, R's numerators, [S_l's numerators for each l
+  of "s_mons"]] per form, every numerator over the one den.
+
+`load` returns None for any entry not shaped like that: a row of the
+wrong length, an entry that is not an int, a denominator <= 0, a
+negative Delta power, or a certificate count other than the form count.
 """
 
 from __future__ import annotations
@@ -15,12 +28,18 @@ import json
 import os
 import tempfile
 from functools import cache
-from typing import Optional
+from itertools import chain
+from typing import List, Optional
 
-from .construct import Certificate, JacobiBasis, SCHEMA_VERSION
+from .ansatz import enumerate_monomials
+from .construct import (Certificate, JacobiBasis, SCHEMA_VERSION,
+                        coefficient_vector)
 from .generators import meromorphic_images, p16_5
-from .grading import AB, BiDegree, S_ALPHABET, ab
-from .serialize import poly_from_compact, poly_to_compact
+from .grading import AB, BiDegree, Poly, S_ALPHABET, ab
+from .serialize import poly_to_compact
+
+CACHE_FORMAT = 2
+_INT = {int}
 
 
 @cache
@@ -32,6 +51,40 @@ def _tables_digest() -> str:
     return hashlib.sha256(material).hexdigest()
 
 
+def _ints(row, length: int) -> list:
+    """`row` when it is a list of `length` ints, else ValueError (JSON
+    booleans are not ints here)."""
+    if type(row) is not list or len(row) != length \
+            or not _INT.issuperset(map(type, row)):
+        raise ValueError("not a row of %d ints" % length)
+    return row
+
+
+def _exponents(rows, width: int) -> List[tuple]:
+    """Exponent vectors of `width` non-negative ints, as tuples."""
+    out = [tuple(_ints(exps, width)) for exps in rows]
+    if any(e < 0 for exps in out for e in exps):
+        raise ValueError("negative exponent")
+    return out
+
+
+def _union(lists: list) -> list:
+    """One list holding every entry of `lists`: the first list itself
+    when all of them are the same object, as in one computed basis."""
+    first = lists[0]
+    if all(x is first for x in lists):
+        return first
+    return list(dict.fromkeys(chain.from_iterable(lists)))
+
+
+def _aligned(mons: list, own: list, nums: list) -> list:
+    """Numerators `nums` over the monomials `own`, re-listed over `mons`."""
+    if own is mons:
+        return nums
+    pos = dict(zip(own, nums))
+    return [pos.get(mon, 0) for mon in mons]
+
+
 class DiskStore:
     def __init__(self, root: str):
         self.root = root
@@ -39,6 +92,7 @@ class DiskStore:
 
     def _digest(self, k: int, m: int) -> str:
         material = json.dumps([
+            CACHE_FORMAT,
             SCHEMA_VERSION,
             [a.fingerprint() for a in (AB, ab, S_ALPHABET)],
             _tables_digest(),
@@ -52,33 +106,53 @@ class DiskStore:
     def load(self, k: int, m: int) -> Optional[JacobiBasis]:
         """The stored basis, or None when the entry is missing, unreadable
         or not shaped like one that `save` writes."""
-        path = self._path(k, m)
+        target = BiDegree(k, m)
         try:
-            with open(path) as fh:
+            with open(self._path(k, m)) as fh:
                 doc = json.load(fh)
-            forms = [poly_from_compact("ab", rows) for rows in doc["forms"]]
-            certs = [
-                Certificate(c["n"],
-                            tuple((l, poly_from_compact("S", rows))
-                                  for l, rows in c["s_parts"]),
-                            poly_from_compact("AB", c["remainder"]))
-                for c in doc["certificates"]
-            ]
+            mons = enumerate_monomials(ab, target)
+            forms = [Poly(ab, dict(zip(mons, _ints(vec, len(mons)))))
+                     for vec in doc["forms"]]
+            r_mons = _exponents(doc["r_mons"], len(AB))
+            s_mons = [(l, _exponents(rows, len(S_ALPHABET)))
+                      for l, rows in doc["s_mons"]]
+            _ints([l for l, _ in s_mons], len(s_mons))
+            certs = []
+            for n, den, r_nums, s_nums in doc["certificates"]:
+                _ints([n, den], 2)
+                if n < 0 or den <= 0 or len(s_nums) != len(s_mons):
+                    return None
+                s_rows = tuple((l, mons_l, _ints(nums, len(mons_l)))
+                               for (l, mons_l), nums in zip(s_mons, s_nums))
+                certs.append(Certificate.from_rows(
+                    n, den, r_mons, _ints(r_nums, len(r_mons)), s_rows))
         except (FileNotFoundError, KeyError, TypeError, ValueError):
             return None
         if len(certs) != len(forms):
             return None
-        return JacobiBasis(BiDegree(k, m), forms, certs)
+        return JacobiBasis(target, forms, certs)
 
     def save(self, k: int, m: int, basis: JacobiBasis) -> None:
+        pos = {mon: i for i, mon
+               in enumerate(enumerate_monomials(ab, basis.target))}
+        certs = basis.certificates
+        r_mons = _union([c.r_mons for c in certs]) if certs else []
+        s_lists: dict = {}
+        for c in certs:
+            for l, mons, _ in c.s_rows:
+                s_lists.setdefault(l, []).append(mons)
+        s_mons = [(l, _union(lists)) for l, lists in sorted(s_lists.items())]
+        rows = []
+        for c in certs:
+            own = {l: (mons, nums) for l, mons, nums in c.s_rows}
+            rows.append([c.n, c.den, _aligned(r_mons, c.r_mons, c.r_nums),
+                         [_aligned(mons, *own.get(l, ((), ())))
+                          for l, mons in s_mons]])
         doc = {
-            "forms": [poly_to_compact(f) for f in basis.forms],
-            "certificates": [
-                {"n": c.n,
-                 "s_parts": [[l, poly_to_compact(s)] for l, s in c.s_parts],
-                 "remainder": poly_to_compact(c.remainder)}
-                for c in basis.certificates
-            ],
+            "forms": [coefficient_vector(f, pos) for f in basis.forms],
+            "r_mons": r_mons,
+            "s_mons": s_mons,
+            "certificates": rows,
         }
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:

@@ -18,9 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from . import construct
-from .construct import (ConsistencyError, Rejection, certificate_identity,
-                        certify, index_profile, jacobi_basis, lb_analysis,
-                        module_generators, rank_series, seed_cache)
+from .construct import (ConsistencyError, Rejection, WindowError,
+                        certificate_identity, certify, index_profile,
+                        jacobi_basis, lb_analysis, module_generators,
+                        rank_series, seed_cache)
 from .grading import AlphabetMismatchError, GradingError
 from .serialize import (basis_to_json, certificate_to_json, poly_from_json,
                         poly_to_json, result_document)
@@ -70,6 +71,17 @@ def _parse_window(text: str) -> Tuple[int, int]:
         raise argparse.ArgumentTypeError(
             "window must have LO <= HI, got %d:%d" % (lo, hi))
     return lo, hi
+
+
+def _attach_window(argv: List[str]) -> List[str]:
+    """`--window LO:HI` as `--window=LO:HI`: argparse reads a separate
+    value such as -8:0 as an option, since it starts with '-' and is not
+    a plain negative number."""
+    argv = list(argv)
+    if "--window" in argv:
+        i = argv.index("--window")
+        argv[i:i + 2] = ["--window=" + "".join(argv[i + 1:i + 2])]
+    return argv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +327,8 @@ def _target_echo(args) -> dict:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_window(sys.argv[1:] if argv is None else argv))
 
     if args.cache_dir:
         from .cache import DiskStore
@@ -334,7 +347,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             sys.stdout.write(text.getvalue())
         return 0
-    except UsageError as exc:
+    except (UsageError, WindowError) as exc:
         print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
         return 2
     except ConsistencyError as exc:

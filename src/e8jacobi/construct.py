@@ -31,14 +31,79 @@ class ConsistencyError(RuntimeError):
     """An internal mathematical invariant failed; results are unusable."""
 
 
-@dataclass(frozen=True)
+class WindowError(ValueError):
+    """A caller's weight window fails the profile checks: it cuts off
+    weights that carry generators or forms."""
+
+
 class Certificate:
     """Witness that Delta^n * (form over AB) = sum_l P^l S_l / E4^l + R,
-    with P the weight-16 index-5 form and every S_l free of E4."""
+    with P the weight-16 index-5 form and every S_l free of E4.
 
-    n: int
-    s_parts: Tuple[Tuple[int, Poly], ...]   # (l, S_l over the E4-free alphabet)
-    remainder: Poly                          # R over AB
+    Kept in integers: every coefficient is a numerator over the one
+    positive denominator `den`.  `r_nums` lines up with the monomial list
+    `r_mons` of R, and each (l, mons, nums) of `s_rows` with the monomial
+    list of S_l; the certificates of one basis share these lists.
+    `s_parts` and `remainder` build Fraction polynomials on each read and
+    keep nothing, and equality compares those values.
+    """
+
+    __slots__ = ("n", "den", "r_mons", "r_nums", "s_rows")
+
+    def __init__(self, n: int, s_parts: Sequence[Tuple[int, Poly]],
+                 remainder: Poly):
+        """From (l, S_l over the E4-free alphabet) pairs and R over AB."""
+        polys = [remainder, *(s for _, s in s_parts)]
+        den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+        self.n = n
+        self.den = den
+        self.r_mons = list(remainder.terms)
+        self.r_nums = _numerators(remainder, den)
+        self.s_rows = tuple((l, list(s.terms), _numerators(s, den))
+                            for l, s in s_parts)
+
+    @classmethod
+    def from_rows(cls, n: int, den: int, r_mons: list, r_nums: list,
+                  s_rows: tuple) -> "Certificate":
+        """The certificate with the given numerators over `den`."""
+        cert = cls.__new__(cls)
+        cert.n, cert.den, cert.r_mons, cert.r_nums, cert.s_rows = \
+            n, den, r_mons, r_nums, s_rows
+        return cert
+
+    @property
+    def s_parts(self) -> Tuple[Tuple[int, Poly], ...]:
+        """(l, S_l) for each l whose S_l is nonzero, l ascending."""
+        den = self.den
+        return tuple(
+            (l, Poly(S_ALPHABET, {mon: Fraction(a, den)
+                                  for mon, a in zip(mons, nums) if a}))
+            for l, mons, nums in self.s_rows if any(nums))
+
+    @property
+    def remainder(self) -> Poly:
+        den = self.den
+        return Poly(AB, {mon: Fraction(a, den)
+                         for mon, a in zip(self.r_mons, self.r_nums) if a})
+
+    def _value(self):
+        return self.n, self.s_parts, self.remainder
+
+    def __eq__(self, other):
+        if not isinstance(other, Certificate):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __repr__(self):
+        return "Certificate(n=%d, s_parts=%r, remainder=%r)" % self._value()
+
+
+def _numerators(p: Poly, den: int) -> List[int]:
+    """The coefficients of p, in term order, as numerators over den."""
+    return [c.numerator * (den // c.denominator) for c in p.terms.values()]
 
 
 @dataclass(frozen=True)
@@ -107,21 +172,22 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
 
     # Column j is the image of ansatz monomial j over the common
     # denominator E4^p Delta^n, so Delta^n * ansatz = sum_j c_j column_j /
-    # E4^p.  One pass over the columns clears the common denominator L of
-    # their coefficients, which makes every linear form integer (the S_l
-    # columns absorb L), and splits each term by its E4 exponent e (E4
-    # leads AB): e < p goes, E4 stripped, into the rows of Q_{p-e}, and
-    # e >= p into R's list for the column, at E4 exponent e - p, as
-    # (term position, int coefficient).
+    # E4^p.  A column is int numerators over its index part's den, and L
+    # is the lcm of those few dens: scaling each column to L makes every
+    # linear form integer (the S_l columns absorb L).  One pass splits
+    # each term by its E4 exponent e (E4 leads AB): e < p goes, E4
+    # stripped, into the rows of Q_{p-e}, and e >= p into R's list for
+    # the column, at E4 exponent e - p, as (term position, int).
     columns, p, n = image_columns(ansatz.terms)
-    L = lcm(*(c.denominator for column in columns for _, c in column))
+    L = lcm(*{den for den, _ in columns})
     qs: List[Dict[tuple, Dict[int, int]]] = [{} for _ in range(p)]
     r_pos: Dict[tuple, int] = {}
     r_cols: List[List[Tuple[int, int]]] = []
-    for j, column in enumerate(columns):
+    for j, (den, column) in enumerate(columns):
+        scale = L // den
         r_col = []
         for mon, c in column:
-            c = c.numerator * (L // c.denominator)
+            c *= scale
             e = mon[0]
             if e < p:
                 qs[p - e - 1].setdefault((0,) + mon[1:], {})[j] = c
@@ -147,14 +213,15 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
         rows.extend(coefficient_equations(ParamPoly(AB, qs[l - 1]), rhs))
     space = nullspace(LinearSystem(n_cols, rows))
 
-    # Certificates by one integer column pass per basis vector.  The
-    # nullspace basis is reduced, so a vector is nonzero only at its free
-    # column and at the pivot columns it depends on, and R's numerators
-    # accumulate over those columns alone.  Each S_l ansatz has one unit
-    # column per monomial, so S_l is read straight off the vector.  Every
-    # output coefficient is built once, as Fraction(numerator, g * L).
+    # Certificates by one integer column pass per basis vector, kept as
+    # numerators over g * L.  The nullspace basis is reduced, so a vector
+    # is nonzero only at its free column and at the pivot columns it
+    # depends on, and R's numerators accumulate over those columns alone.
+    # Each S_l ansatz has one unit column per monomial, so S_l is read
+    # straight off the vector.  R's and each S_l's monomial lists are
+    # shared by every certificate of the target.
     r_mons = list(r_pos)
-    s_cols = [(l, [(mon, j) for mon, lf in sl.terms.items() for j in lf])
+    s_cols = [(l, list(sl.terms), [j for lf in sl.terms.values() for j in lf])
               for l, sl in sorted(sl_ansatze.items())]
 
     forms: List[Poly] = []
@@ -169,21 +236,17 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
                 "at weight %d index %d" % (k, m))
         # vec leads with a positive entry in the c-block, so the form
         # c / g is primitive with positive leading coefficient.
-        forms.append(ansatz.substitute(vec).scale(Fraction(1, g)))
-        den = g * L
+        forms.append(ansatz.substitute([x // g for x in vec[:n_c]]))
         acc = [0] * len(r_mons)
         for j in range(n_c):
             x = vec[j]
             if x:
                 for pos, c in r_cols[j]:
                     acc[pos] += x * c
-        s_parts = []
-        for l, cols in s_cols:
-            s_l = {mon: Fraction(vec[j], den) for mon, j in cols if vec[j]}
-            if s_l:
-                s_parts.append((l, Poly(S_ALPHABET, s_l)))
-        r = {mon: Fraction(a, den) for mon, a in zip(r_mons, acc) if a}
-        certificates.append(Certificate(n, tuple(s_parts), Poly(AB, r)))
+        s_rows = tuple((l, mons, [vec[j] for j in cols])
+                       for l, mons, cols in s_cols)
+        certificates.append(
+            Certificate.from_rows(n, g * L, r_mons, acc, s_rows))
     return JacobiBasis(target, forms, certificates)
 
 
@@ -273,6 +336,17 @@ def profile_weights(m: int, window: Optional[Tuple[int, int]] = None
     return range(lo + lo % 2, hi + 1, 2)
 
 
+def _profile_error(window: Optional[Tuple[int, int]], m: int,
+                   problem: str) -> Exception:
+    """The error for a failed profile check.  The default window holds
+    every weight that carries forms of index m, so the fault is the
+    window's when the caller chose one."""
+    if window is None:
+        return ConsistencyError(problem)
+    return WindowError("window %d:%d cuts off forms of index %d: %s"
+                       % (*window, m, problem))
+
+
 def index_profile(m: int,
                   window: Optional[Tuple[int, int]] = None) -> IndexProfile:
     if m < 1:
@@ -289,23 +363,24 @@ def index_profile(m: int,
         count = dims[k] - dims.get(k - 4, 0) - dims.get(k - 6, 0) \
             + dims.get(k - 10, 0)
         if count < 0:
-            raise ConsistencyError(
-                "negative generator count at weight %d index %d" % (k, m))
+            raise _profile_error(
+                window, m, "negative generator count at weight %d index %d"
+                % (k, m))
         if count:
             d[k] = count
             total += count
     if total != rank_series(m):
-        raise ConsistencyError(
-            "generator count %d does not match module rank %d at index %d"
-            % (total, rank_series(m), m))
+        raise _profile_error(
+            window, m, "generator count %d does not match module rank %d "
+            "at index %d" % (total, rank_series(m), m))
     return IndexProfile(m, d, dims)
 
 
-def _coefficient_vector(form: Poly, mons: Sequence[tuple]) -> List[int]:
-    """The coefficients of `form` at `mons`, as ints: basis forms and
-    their products are primitive integer polynomials."""
-    vec = [0] * len(mons)
-    pos = {mon: i for i, mon in enumerate(mons)}
+def coefficient_vector(form: Poly, pos: Dict[tuple, int]) -> List[int]:
+    """The coefficients of `form` as ints, each at the position `pos`
+    gives its monomial: basis forms and their products are primitive
+    integer polynomials."""
+    vec = [0] * len(pos)
     for mon, c in form.terms.items():
         if c.denominator != 1:
             raise ConsistencyError("non-integral coefficient %s" % c)
@@ -313,9 +388,14 @@ def _coefficient_vector(form: Poly, mons: Sequence[tuple]) -> List[int]:
     return vec
 
 
+def _positions(mons: Sequence[tuple]) -> Dict[tuple, int]:
+    return {mon: i for i, mon in enumerate(mons)}
+
+
 def _span(forms: List[Poly], mons: Sequence[tuple]) -> Dict[int, List[int]]:
     """The span of `forms` as `echelon_int_rows` pivot rows."""
-    return echelon_int_rows([_coefficient_vector(f, mons) for f in forms],
+    pos = _positions(mons)
+    return echelon_int_rows([coefficient_vector(f, pos) for f in forms],
                             len(mons))
 
 
@@ -324,13 +404,14 @@ def _complement(candidates: List[Poly], span: Dict[int, List[int]],
     """Members of `candidates` extending the span, reduced and primitive:
     a candidate is new exactly when it adds a pivot to the span's pivot
     rows, and the new pivot row is the candidate reduced against them."""
+    pos = _positions(mons)
     out = []
     for form in candidates:
         grown = echelon_int_rows(
-            [*span.values(), _coefficient_vector(form, mons)], len(mons))
+            [*span.values(), coefficient_vector(form, pos)], len(mons))
         if len(grown) > len(span):
             (lead,) = grown.keys() - span.keys()
-            out.append(Poly(ab, {mon: Fraction(c) for mon, c
+            out.append(Poly(ab, {mon: c for mon, c
                                  in zip(mons, grown[lead]) if c}))
             span = grown
     return out

@@ -17,18 +17,20 @@ is divisible neither by E4 nor by Delta.  E4 is a ring variable and
 Delta is prime, so neither divides a product of such numerators either,
 and the product is normalized as it stands: the numerators multiply and
 the denominator exponents add, with no check.  The index-part images are
-memoised, and so is each one's numerator lifted by a power of Delta.
+memoised, and so is each one's numerator lifted by a power of Delta, as
+`int` numerators over one integer denominator per part.
 `image_columns` shifts copies of them into the images of a list of
 monomials over one common denominator, one column of terms per
 monomial: the construction reads its linear system straight off those
-columns, and `sub_ab_to_AB` adds them up, weighted by a concrete
-polynomial's coefficients, into one dict of terms.
+columns, and `sub_ab_to_AB` adds them up in integers, weighted by a
+concrete polynomial's coefficients, into one dict of terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Dict, List, Tuple
 
 from .grading import AB, AlphabetMismatchError, Frac, Poly, ab, delta_poly
@@ -261,16 +263,19 @@ def _rest_image(rest: tuple) -> Frac:
 
 
 @cache
-def _lifted_terms(rest: tuple, gap: int) -> list:
-    """(E4 exponent, E6 exponent, tail, coefficient) for each term of the
-    rest's normalized numerator times Delta^gap."""
+def _lifted_terms(rest: tuple, gap: int) -> Tuple[int, list]:
+    """The rest's normalized numerator times Delta^gap as (den, terms):
+    den is the lcm of the coefficient denominators, and each term is
+    (E4 exponent, E6 exponent, tail, int numerator over den)."""
     num = _rest_image(rest).num
     if gap:
         num = num * delta_poly(AB) ** gap
-    return [(m[0], m[1], m[2:], c) for m, c in num.terms.items()]
+    den = lcm(*(c.denominator for c in num.terms.values()))
+    return den, [(m[0], m[1], m[2:], c.numerator * (den // c.denominator))
+                 for m, c in num.terms.items()]
 
 
-def image_columns(mons) -> Tuple[List[list], int, int]:
+def image_columns(mons) -> Tuple[List[tuple], int, int]:
     """The images of the ab-monomials `mons` over one common denominator.
 
     A monomial is E4^a E6^b times its index part (its a2..b6 exponents);
@@ -284,9 +289,11 @@ def image_columns(mons) -> Tuple[List[list], int, int]:
     powers; each N is lifted once by Delta^(delta_pow - q) and shifted by
     the E4 and E6 exponents.
 
-    Returns (columns, e4_pow, delta_pow), where column j lists the
-    (AB exponent vector, coefficient) pairs of the numerator of monomial
-    j over that denominator, each exponent vector once.
+    Returns (columns, e4_pow, delta_pow), where column j is (den, terms):
+    the numerator of monomial j over that denominator is the sum of the
+    (AB exponent vector, int) pairs of terms, each exponent vector once,
+    divided by the positive integer den, which the monomials of one
+    index part share.
     """
     items = [(m[0], m[1], m[2:]) for m in mons]
     images = {rest: _rest_image(rest) for _, _, rest in items}
@@ -297,29 +304,37 @@ def image_columns(mons) -> Tuple[List[list], int, int]:
     for a, b, rest in items:
         f = images[rest]
         shift = a + e4 - f.e4_pow
-        columns.append([((e4_exp + shift, e6_exp + b) + tail, c)
-                        for e4_exp, e6_exp, tail, c
-                        in _lifted_terms(rest, dl - f.delta_pow)])
+        den, terms = _lifted_terms(rest, dl - f.delta_pow)
+        columns.append((den, [((e4_exp + shift, e6_exp + b) + tail, c)
+                              for e4_exp, e6_exp, tail, c in terms]))
     return columns, e4, dl
 
 
 def sub_ab_to_AB(p: Poly) -> Frac:
     """Replace every meromorphic generator by its holomorphic-side image.
 
-    The image of each monomial comes from `image_columns`; the columns,
-    weighted by the coefficients of p, are added in place into one dict
-    of output terms, and the sum is normalized once.  A polynomial over
-    another alphabet raises AlphabetMismatchError.
+    The image of each monomial comes from `image_columns`.  Each column's
+    weight, p's coefficient over the column's den, is brought to one
+    common integer denominator L; the integer columns, times their
+    weights, are added in place into one dict of output terms, each term
+    becomes one Fraction over L, and the sum is normalized once.  A
+    polynomial over another alphabet raises AlphabetMismatchError.
     """
     if p.alphabet != ab:
         raise AlphabetMismatchError("not over ab: %s" % p.alphabet.name)
     columns, e4, dl = image_columns(p.terms)
+    weights = [Fraction(v, den)
+               for (den, _), v in zip(columns, p.terms.values())]
+    L = lcm(*(w.denominator for w in weights))
     out: dict = {}
-    for column, v in zip(columns, p.terms.values()):
+    for (_, column), w in zip(columns, weights):
+        w = w.numerator * (L // w.denominator)
         for key, c in column:
             s = out.get(key)
-            out[key] = c * v if s is None else s + c * v
-    return Frac.normalized(Poly(AB, out), e4, dl)
+            out[key] = c * w if s is None else s + c * w
+    return Frac.normalized(
+        Poly(AB, {key: Fraction(c, L) for key, c in out.items() if c}),
+        e4, dl)
 
 
 def e4_split(num: Poly, p: int) -> Tuple[List[Poly], Poly]:

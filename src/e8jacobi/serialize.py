@@ -1,8 +1,13 @@
 """Lossless JSON serialization of polynomials, certificates and bases.
 
-Rationals are exact "num/den" strings in lowest terms.  Documents meant
-for humans use named exponent maps ({"E4": 2, "b5": 1}); the compact
-positional form is reserved for the cache (see e8jacobi.cache).
+This is the output boundary where coefficients become text: every
+coefficient, an `int` of a basis form or a `Fraction` built when a
+certificate is read, is an exact "num/den" string in lowest terms (an
+int n is "n/1").  Documents meant for humans use named exponent maps
+({"E4": 2, "b5": 1}).  The compact positional form ([exponents,
+"num/den"] pairs) now only feeds the cache key's digest of the
+generator tables; the cache entries themselves store integer rows (see
+e8jacobi.cache).
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from fractions import Fraction
 from typing import Dict
 
 from .construct import Certificate, JacobiBasis, SCHEMA_VERSION
-from .grading import AB, Alphabet, BiDegree, Poly, S_ALPHABET, ab
+from .grading import AB, Alphabet, BiDegree, Poly, Rational, S_ALPHABET, ab
 
 ALPHABETS: Dict[str, Alphabet] = {a.name: a for a in (AB, ab, S_ALPHABET)}
 
@@ -20,7 +25,7 @@ class SerializationError(ValueError):
     pass
 
 
-def fraction_to_str(c: Fraction) -> str:
+def fraction_to_str(c: Rational) -> str:
     return "%d/%d" % (c.numerator, c.denominator)
 
 
@@ -104,9 +109,10 @@ def basis_from_json(doc: dict) -> JacobiBasis:
         [certificate_from_json(c) for c in doc["certificates"]])
 
 
-# Compact positional encoding, used only inside the cache files.  The
-# terms keep the polynomial's own order: `poly_from_compact` rebuilds a
-# dict, so a canonical order would buy nothing.
+# Compact positional encoding, used for the digest of the generator
+# tables in the cache key.  The terms keep the polynomial's own order:
+# `poly_from_compact` rebuilds a dict, so a canonical order would buy
+# nothing.
 
 def poly_to_compact(p: Poly) -> list:
     return [[list(exps), fraction_to_str(c)] for exps, c in p.terms.items()]

@@ -1,5 +1,6 @@
 """On-disk basis cache."""
 
+import json
 import os
 
 import pytest
@@ -9,6 +10,8 @@ from e8jacobi.cache import DiskStore
 from e8jacobi.construct import jacobi_basis
 from e8jacobi.generators import meromorphic_images
 from e8jacobi.grading import AB, Frac, Poly
+from e8jacobi.serialize import (basis_from_json, basis_to_json,
+                                poly_to_compact)
 
 
 @pytest.fixture
@@ -31,6 +34,16 @@ class TestDiskStore:
             assert loaded.forms == basis.forms
             assert loaded.certificates == basis.certificates
         assert any(c.s_parts for c in loaded.certificates)
+
+    def test_round_trip_of_unshared_certificates(self, tmp_path):
+        # certificates rebuilt from JSON each hold their own monomial
+        # lists; the entry lists their union once
+        store = DiskStore(str(tmp_path))
+        basis = basis_from_json(basis_to_json(jacobi_basis(-26, 8)))
+        store.save(-26, 8, basis)
+        loaded = store.load(-26, 8)
+        assert loaded.forms == basis.forms
+        assert loaded.certificates == basis.certificates
 
     def test_missing_returns_none(self, tmp_path):
         assert DiskStore(str(tmp_path)).load(2, 3) is None
@@ -83,3 +96,98 @@ class TestDiskStore:
         root = os.path.join(str(tmp_path), "a", "b")
         DiskStore(root)
         assert os.path.isdir(root)
+
+
+def v1_document(basis):
+    """The entry that format 1 wrote: compact "num/den" terms."""
+    return {"forms": [poly_to_compact(f) for f in basis.forms],
+            "certificates": [
+                {"n": c.n,
+                 "s_parts": [[l, poly_to_compact(s)] for l, s in c.s_parts],
+                 "remainder": poly_to_compact(c.remainder)}
+                for c in basis.certificates]}
+
+
+class TestFormat2:
+    """Each way an entry can be malformed makes `load` miss rather than
+    return a wrong basis: `zip` would truncate a short row silently."""
+
+    TARGET = (-26, 8)   # forms, remainders and S_l parts
+
+    @pytest.fixture
+    def entry(self, tmp_path):
+        store = DiskStore(str(tmp_path))
+        store.save(*self.TARGET, jacobi_basis(*self.TARGET))
+        (name,) = [p for p in os.listdir(tmp_path) if p.endswith(".json")]
+        path = tmp_path / name
+        return store, path, json.loads(path.read_text())
+
+    def reload(self, entry, doc):
+        store, path, _ = entry
+        path.write_text(json.dumps(doc))
+        return store.load(*self.TARGET)
+
+    def test_entry_holds_integer_rows(self, entry):
+        _, _, doc = entry
+        basis = jacobi_basis(*self.TARGET)
+        assert len(doc["forms"]) == len(doc["certificates"]) == 12
+        assert doc["s_mons"] and doc["r_mons"]
+        assert self.reload(entry, doc).certificates == basis.certificates
+
+    def test_digest_names_the_format(self, tmp_path, monkeypatch):
+        store = DiskStore(str(tmp_path))
+        digest = store._digest(*self.TARGET)
+        monkeypatch.setattr(cache, "CACHE_FORMAT", 1)
+        assert store._digest(*self.TARGET) != digest
+
+    @pytest.mark.parametrize("where", ["form", "remainder", "s_part"])
+    @pytest.mark.parametrize("change", ["append", "pop"])
+    def test_row_of_wrong_length(self, entry, where, change):
+        doc = entry[2]
+        cert = doc["certificates"][0]
+        row = {"form": doc["forms"][0], "remainder": cert[2],
+               "s_part": cert[3][0]}[where]
+        row.append(0) if change == "append" else row.pop()
+        assert self.reload(entry, doc) is None
+
+    @pytest.mark.parametrize("value", ["1", 1.0, True, None, [1]])
+    @pytest.mark.parametrize("where", ["form", "numerator", "den", "n"])
+    def test_entry_not_an_int(self, entry, where, value):
+        doc = entry[2]
+        cert = doc["certificates"][0]
+        if where == "form":
+            doc["forms"][0][0] = value
+        elif where == "numerator":
+            cert[2][0] = value
+        else:
+            cert[["n", "den"].index(where)] = value
+        assert self.reload(entry, doc) is None
+
+    @pytest.mark.parametrize("sign", [0, -1])
+    def test_denominator_not_positive(self, entry, sign):
+        # a negated den over negated numerators has the same values
+        doc = entry[2]
+        cert = doc["certificates"][0]
+        cert[1] *= sign
+        cert[2] = [sign * a for a in cert[2]]
+        assert self.reload(entry, doc) is None
+
+    def test_negative_delta_power(self, entry):
+        doc = entry[2]
+        doc["certificates"][0][0] = -1
+        assert self.reload(entry, doc) is None
+
+    @pytest.mark.parametrize("key", ["forms", "certificates"])
+    def test_count_mismatch(self, entry, key):
+        doc = entry[2]
+        doc[key].pop()
+        assert self.reload(entry, doc) is None
+
+    def test_s_part_count_mismatch(self, entry):
+        doc = entry[2]
+        doc["certificates"][0][3].pop()
+        assert self.reload(entry, doc) is None
+
+    def test_format_1_document_misses(self, entry):
+        assert self.reload(entry, v1_document(
+            jacobi_basis(*self.TARGET))) is None

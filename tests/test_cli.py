@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from e8jacobi import construct
 from e8jacobi.cli import main
 from e8jacobi.construct import certify, clear_cache
 from e8jacobi.grading import Poly, ab
@@ -122,10 +123,32 @@ class TestExitCodes:
             main(["dim", "4"])
         assert exc.value.code == 2
 
-    def test_consistency_error_is_1(self, capsys):
-        code, out, err = run_cli(capsys, "--window=-4:-4", "profile", "2")
+    def test_consistency_error_is_1(self, capsys, monkeypatch):
+        # with the default window, counts that miss the module rank are a
+        # mathematical inconsistency
+        monkeypatch.setattr(construct, "rank_series", lambda m: 4)
+        code, out, err = run_cli(capsys, "profile", "2")
         assert code == 1
         assert "inconsistency" in err
+
+    @pytest.mark.parametrize("window, argv", [
+        ("-4:-4", ["profile", "2"]),
+        ("-6:0", ["profile", "3"]),
+        ("-15:-10", ["profile", "3"]),
+        ("-6:0", ["module-gens", "3"]),
+    ])
+    def test_window_cutting_off_forms_is_2(self, capsys, window, argv):
+        code, out, err = run_cli(capsys, "--window=" + window, *argv)
+        assert code == 2
+        assert not out
+        (line,) = err.splitlines()
+        assert line.startswith("e8jacobi: error: window %s cuts off forms "
+                               "of index %s: " % (window, argv[1]))
+
+    def test_window_as_separate_argument(self, capsys):
+        joined = run_cli(capsys, "--window=-8:0", "profile", "3")
+        assert joined == (0, "x^-8 + x^-6 + x^-4 + x^-2 + 1\n", "")
+        assert run_cli(capsys, "--window", "-8:0", "profile", "3") == joined
 
     def test_bad_window_syntax_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

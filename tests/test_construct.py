@@ -1,11 +1,11 @@
 """End-to-end construction: bases, certificates, profiles, subalgebra."""
 
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mpc
 
 from e8jacobi import construct
 from e8jacobi.ansatz import enumerate_monomials
@@ -17,6 +17,8 @@ from e8jacobi.construct import (Certificate, ConsistencyError, Rejection,
 from e8jacobi.generators import e4_split, image_columns, p16_5, sub_ab_to_AB
 from e8jacobi.grading import AB, BiDegree, Poly, S_ALPHABET, ab, delta_poly
 from e8jacobi.linsolve import nullspace
+from e8jacobi.oracle import ComplexSample, EvalContext, eval_poly
+from e8jacobi.serialize import fraction_to_str, poly_to_json
 
 from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
                      m16_5_pair, m26_7_generator, span_basis, spans_equal)
@@ -85,15 +87,18 @@ class TestCertificates:
         assert certificate_identity(form, cert)
         # n below the true value leaves a Delta denominator; n above it
         # multiplies the image by Delta
-        assert not certificate_identity(form, replace(cert, n=cert.n - 1))
-        assert not certificate_identity(form, replace(cert, n=cert.n + 1))
+        def altered(n=cert.n, remainder=cert.remainder):
+            return Certificate(n, cert.s_parts, remainder)
+
+        assert not certificate_identity(form, altered(n=cert.n - 1))
+        assert not certificate_identity(form, altered(n=cert.n + 1))
         terms = dict(cert.remainder.terms)
         mon = max(terms)
         terms[mon] += 1
         assert not certificate_identity(
-            form, replace(cert, remainder=Poly(AB, terms)))
+            form, altered(remainder=Poly(AB, terms)))
         with pytest.raises(ValueError):
-            certificate_identity(form, replace(cert, n=-1))
+            certificate_identity(form, altered(n=-1))
 
     def test_meromorphic_generators_rejected(self):
         for name in ("a2", "a3", "b2"):
@@ -325,3 +330,29 @@ class TestCaching:
         clear_cache()
         b = jacobi_basis(-16, 5)
         assert a is not b and a.forms == b.forms
+
+
+class TestIntegerForms:
+    """Basis forms carry the ints of their primitive vectors; each one
+    behaves exactly like its copy with Fraction coefficients."""
+
+    @pytest.mark.parametrize("target", [(-16, 5), (0, 8), (-26, 8)],
+                             ids=["m16_5", "0_8", "m26_8"])
+    def test_like_fraction_copies(self, target):
+        ctx = EvalContext()
+        sample = ComplexSample(mpc("0.13", "1.07"),
+                               tuple(mpc(0.01 * j, 0.02 - 0.003 * j)
+                                     for j in range(8)))
+        for form in jacobi_basis(*target).forms:
+            assert all(type(c) is int for c in form.terms.values())
+            copy = Poly(ab, {mon: Fraction(c)
+                             for mon, c in form.terms.items()})
+            assert form == copy and hash(form) == hash(copy)
+            assert poly_to_json(form) == poly_to_json(copy)
+            assert [fraction_to_str(c) for c in form.terms.values()] == \
+                [fraction_to_str(c) for c in copy.terms.values()]
+            assert eval_poly(form, sample, ctx) == \
+                eval_poly(copy, sample, ctx)
+            cert = certify(form)
+            assert cert == certify(copy)
+            assert certificate_identity(form, cert)

@@ -1,5 +1,7 @@
 """Generator tables, substitutions and the E4 split."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,21 +126,24 @@ class TestSubstitutionReference:
     @pytest.mark.parametrize("target", [(-16, 5), (0, 4), (-20, 4)],
                              ids=["m16_5", "0_4", "m20_4"])
     def test_image_columns(self, target):
-        """Column i, over the common denominator, is the image of monomial
-        i; the denominator powers are the maxima over the monomials.
-        J_{-20,4} has monomials but no forms."""
+        """Column i, int numerators over its positive integer den and over
+        the common denominator, is the image of monomial i; the
+        denominator powers are the maxima over the monomials.  J_{-20,4}
+        has monomials but no forms."""
         mons = enumerate_monomials(ab, BiDegree(*target))
         images = [naive_image(Poly.monomial(ab, mon, 1)) for mon in mons]
         columns, e4_pow, delta_pow = image_columns(mons)
         assert len(columns) == len(images)
         assert e4_pow == max(f.e4_pow for f in images)
         assert delta_pow == max(f.delta_pow for f in images)
-        for column, image in zip(columns, images):
+        for (den, column), image in zip(columns, images):
             terms = dict(column)
             assert len(terms) == len(column)
             assert all(terms.values())
-            assert Frac.normalized(Poly(AB, terms), e4_pow, delta_pow) == \
-                image
+            assert type(den) is int and den > 0
+            assert all(type(c) is int for c in terms.values())
+            num = Poly(AB, terms).scale(Fraction(1, den))
+            assert Frac.normalized(num, e4_pow, delta_pow) == image
 
     def test_final_normalization_cancels_powers(self):
         # both J_{-16,5} forms lose three E4 powers in the sum of their

@@ -73,6 +73,14 @@ class TestPoly:
         with pytest.raises(ZeroDivisionError):
             E4.divexact(Poly.zero(AB))
 
+    def test_divexact_of_int_coefficients_is_exact(self):
+        a2 = ab.position("a2")
+        one = tuple(int(i == a2) for i in range(len(ab)))
+        two = tuple(2 * e for e in one)
+        q = Poly(ab, {two: 3}).divexact(Poly(ab, {one: 2}))
+        assert q.terms == {one: Fraction(3, 2)}
+        assert type(q.terms[one]) is Fraction
+
     def test_map_alphabet(self):
         p = E6 * A1 ** 2
         q = p.map_alphabet(S_ALPHABET)
@@ -150,6 +158,21 @@ class TestPolyProperties:
         off = Poly(AB, terms)
         assert off.divexact(d) is None
         assert divexact_by_rescan(off, d) is None
+
+    @given(st.dictionaries(_exponents, _small.filter(bool), min_size=1,
+                           max_size=4),
+           st.dictionaries(_exponents, _small.filter(bool), min_size=1,
+                           max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_divexact_of_int_multiples_is_exact(self, q_terms, d_terms):
+        """Basis forms carry int coefficients: dividing an int multiple
+        by an int divisor gives the cofactor back, every quotient
+        coefficient a Fraction or an int, never a float."""
+        q, d = Poly(AB, q_terms), Poly(AB, d_terms)
+        quotient = (q * d).divexact(d)
+        assert quotient == q
+        assert all(type(c) in (int, Fraction)
+                   for c in quotient.terms.values())
 
     @given(homogeneous_poly(), homogeneous_poly())
     @settings(max_examples=50, deadline=None)
