@@ -106,61 +106,75 @@ class DiskStore:
     def load(self, k: int, m: int) -> Optional[JacobiBasis]:
         """The stored basis, or None when the entry is missing, unreadable
         or not shaped like one that `save` writes."""
-        target = BiDegree(k, m)
         try:
             with open(self._path(k, m)) as fh:
-                doc = json.load(fh)
-            mons = enumerate_monomials(ab, target)
-            forms = [Poly(ab, dict(zip(mons, _ints(vec, len(mons)))))
-                     for vec in doc["forms"]]
-            r_mons = _exponents(doc["r_mons"], len(AB))
-            s_mons = [(l, _exponents(rows, len(S_ALPHABET)))
-                      for l, rows in doc["s_mons"]]
-            _ints([l for l, _ in s_mons], len(s_mons))
-            certs = []
-            for n, den, r_nums, s_nums in doc["certificates"]:
-                _ints([n, den], 2)
-                if n < 0 or den <= 0 or len(s_nums) != len(s_mons):
-                    return None
-                s_rows = tuple((l, mons_l, _ints(nums, len(mons_l)))
-                               for (l, mons_l), nums in zip(s_mons, s_nums))
-                certs.append(Certificate.from_rows(
-                    n, den, r_mons, _ints(r_nums, len(r_mons)), s_rows))
+                return basis_from_text(k, m, fh.read())
         except (FileNotFoundError, KeyError, TypeError, ValueError):
             return None
-        if len(certs) != len(forms):
-            return None
-        return JacobiBasis(target, forms, certs)
 
     def save(self, k: int, m: int, basis: JacobiBasis) -> None:
-        pos = {mon: i for i, mon
-               in enumerate(enumerate_monomials(ab, basis.target))}
-        certs = basis.certificates
-        r_mons = _union([c.r_mons for c in certs]) if certs else []
-        s_lists: dict = {}
-        for c in certs:
-            for l, mons, _ in c.s_rows:
-                s_lists.setdefault(l, []).append(mons)
-        s_mons = [(l, _union(lists)) for l, lists in sorted(s_lists.items())]
-        rows = []
-        for c in certs:
-            own = {l: (mons, nums) for l, mons, nums in c.s_rows}
-            rows.append([c.n, c.den, _aligned(r_mons, c.r_mons, c.r_nums),
-                         [_aligned(mons, *own.get(l, ((), ())))
-                          for l, mons in s_mons]])
-        doc = {
-            "forms": [coefficient_vector(f, pos) for f in basis.forms],
-            "r_mons": r_mons,
-            "s_mons": s_mons,
-            "certificates": rows,
-        }
+        text = basis_to_text(basis)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                # json.dumps uses the C encoder; json.dump to a file does not
-                fh.write(json.dumps(doc))
+                fh.write(text)
             os.replace(tmp, self._path(k, m))
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+
+
+def basis_from_text(k: int, m: int, text: str) -> JacobiBasis:
+    """The basis of weight k and index m from its format-2 JSON text;
+    KeyError, TypeError or ValueError when the text is not shaped like
+    what `basis_to_text` writes.  The certificates share one remainder
+    monomial list and one list per S_l, as in a computed basis."""
+    target = BiDegree(k, m)
+    doc = json.loads(text)
+    mons = enumerate_monomials(ab, target)
+    forms = [Poly(ab, dict(zip(mons, _ints(vec, len(mons)))))
+             for vec in doc["forms"]]
+    r_mons = _exponents(doc["r_mons"], len(AB))
+    s_mons = [(l, _exponents(rows, len(S_ALPHABET)))
+              for l, rows in doc["s_mons"]]
+    _ints([l for l, _ in s_mons], len(s_mons))
+    certs = []
+    for n, den, r_nums, s_nums in doc["certificates"]:
+        _ints([n, den], 2)
+        if n < 0 or den <= 0 or len(s_nums) != len(s_mons):
+            raise ValueError("malformed certificate")
+        s_rows = tuple((l, mons_l, _ints(nums, len(mons_l)))
+                       for (l, mons_l), nums in zip(s_mons, s_nums))
+        certs.append(Certificate.from_rows(
+            n, den, r_mons, _ints(r_nums, len(r_mons)), s_rows))
+    if len(certs) != len(forms):
+        raise ValueError("certificate count differs from form count")
+    return JacobiBasis(target, forms, certs)
+
+
+def basis_to_text(basis: JacobiBasis) -> str:
+    """The format-2 JSON text of `basis` (see the module docstring)."""
+    pos = {mon: i for i, mon
+           in enumerate(enumerate_monomials(ab, basis.target))}
+    certs = basis.certificates
+    r_mons = _union([c.r_mons for c in certs]) if certs else []
+    s_lists: dict = {}
+    for c in certs:
+        for l, mons, _ in c.s_rows:
+            s_lists.setdefault(l, []).append(mons)
+    s_mons = [(l, _union(lists)) for l, lists in sorted(s_lists.items())]
+    rows = []
+    for c in certs:
+        own = {l: (mons, nums) for l, mons, nums in c.s_rows}
+        rows.append([c.n, c.den, _aligned(r_mons, c.r_mons, c.r_nums),
+                     [_aligned(mons, *own.get(l, ((), ())))
+                      for l, mons in s_mons]])
+    doc = {
+        "forms": [coefficient_vector(f, pos) for f in basis.forms],
+        "r_mons": r_mons,
+        "s_mons": s_mons,
+        "certificates": rows,
+    }
+    # json.dumps uses the C encoder; json.dump to a file does not
+    return json.dumps(doc)

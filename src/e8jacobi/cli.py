@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from . import construct
+from .cache import DiskStore, basis_from_text, basis_to_text
 from .construct import (ConsistencyError, Rejection, WindowError,
                         certificate_identity, certify, index_profile,
                         jacobi_basis, lb_analysis, module_generators,
@@ -144,26 +145,26 @@ def _profile_targets(m: int, window) -> List[Tuple[int, int]]:
     return [(k, m) for k in construct.profile_weights(m, window)]
 
 
-def _compute_one(target: Tuple[int, int]) -> Tuple[int, int, dict]:
+def _compute_one(target: Tuple[int, int]) -> Tuple[int, int, str]:
     k, m = target
-    return k, m, basis_to_json(jacobi_basis(k, m))
+    return k, m, basis_to_text(jacobi_basis(k, m))
 
 
 def _precompute(targets: List[Tuple[int, int]], jobs: int) -> None:
     """Fill the in-process basis cache, optionally in parallel.
 
-    Workers ship results as JSON so the parent re-materializes them over
-    its own canonical alphabet objects; outputs are byte-identical to a
-    sequential run.
+    Workers ship results in the integer-row text of the disk cache, so
+    the parent re-materializes them over its own canonical alphabet
+    objects with the same int coefficients and shared monomial lists as
+    a sequential run, whose outputs they match byte for byte.
     """
-    from .serialize import basis_from_json
     if jobs <= 1 or len(targets) <= 1:
         for k, m in targets:
             jacobi_basis(k, m)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for k, m, doc in pool.map(_compute_one, targets):
-            seed_cache(k, m, basis_from_json(doc))
+        for k, m, text in pool.map(_compute_one, targets):
+            seed_cache(k, m, basis_from_text(k, m, text))
 
 
 def _profile_poly_str(d: Dict[int, int]) -> str:
@@ -331,7 +332,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _attach_window(sys.argv[1:] if argv is None else argv))
 
     if args.cache_dir:
-        from .cache import DiskStore
         construct.set_disk_store(DiskStore(args.cache_dir))
     try:
         import io

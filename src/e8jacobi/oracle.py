@@ -1,21 +1,24 @@
 """Numeric verification oracle for E8 Jacobi forms.
 
 Everything here is arbitrary-precision complex arithmetic (mpmath),
-fully independent of the symbolic construction.  The two inner sums,
-theta functions and Weyl-orbit characters, run in fixed point, as
-mpmath's own `_jacobi_theta2` does: every quantity is a pair (re, im) of
-Python ints scaled by 2^wp, products are shifted right by wp, and each
-result is rounded to an mpc at the working precision once.  wp is the
-working precision plus guard bits for the largest factor |y^n| a term
-can carry and for the rounding steps, so the absolute error of a result
-stays a few units of 2^-prec.
+fully independent of the symbolic construction.  The inner sums, theta
+functions, the E8 theta function and Weyl-orbit characters, run in fixed
+point, as mpmath's own `_jacobi_theta2` does: every quantity is a pair
+(re, im) of Python ints scaled by 2^wp, products are shifted right by
+wp, and each result is rounded to an mpc at the working precision once.
+wp is the working precision plus guard bits for the largest factor |y^n|
+a term can carry and for the rounding steps, so the absolute error of a
+result stays a few units of 2^-prec.
 
 Theta functions are summed with a derived truncation bound: the
 q^{a^2/2} factors come from one table per tau, shared by the theta
 calls at that tau, the powers of y are stepped by multiplication, and
-one pass gives all four kinds.  The holomorphic generators A_m and B_m
-are built from theta functions, and the meromorphic generators divide
-by numerically evaluated E4 and Delta.
+one pass gives all four kinds.  The E8 theta function is one integer
+product per sample: the four kinds at each of the eight coordinates stay
+fixed-point pairs, their products are summed in integers with guard
+bits for the bound on those products, and the sum is rounded once.  The
+holomorphic generators A_m and B_m are built from E8 theta values, and
+the meromorphic generators divide by numerically evaluated E4 and Delta.
 """
 
 from __future__ import annotations
@@ -56,8 +59,10 @@ _SINGULAR_THRESHOLD = 1e-12     # |E4| or |Delta| below this: near a pole
 class EvalContext:
     """Numeric evaluation context: the working precision in decimal
     digits, its only setting (evaluations run at `work_digits`, that plus
-    a fixed guard), and the caches of theta values, generator values and
-    the Gauss table of the last tau."""
+    a fixed guard), and three caches: `theta` values per (z, tau),
+    generator, Eisenstein and E8 theta values per argument, and the
+    Gauss table of the last tau that `theta` or `theta_E8` summed at,
+    kept at the most bits a call at that tau needed."""
 
     precision: int = 50
     _theta_cache: Dict[tuple, Tuple[mpmath.mpc, ...]] = field(
@@ -138,9 +143,9 @@ class _GaussTable:
     Built by integer multiplication from one exponential, g_{h+1} =
     g_h u^{2h+1} with u = e^{pi i tau / 4}, and extended on demand.  All
     factors have modulus <= 1, so each step adds at most a few units of
-    2^-wp to the absolute error.  `_theta_values` replaces the table by
-    one at a larger wp when a call needs more bits, and uses the
-    table's wp when it has more.
+    2^-wp to the absolute error.  `_gauss_table` replaces the table by
+    one at a larger wp when a call needs more bits, and the kernel uses
+    the table's wp when it has more.
     """
 
     def __init__(self, tau, wp: int):
@@ -170,8 +175,10 @@ def theta(kind: int, z, tau, ctx: EvalContext) -> mpmath.mpc:
     """Jacobi theta functions; y = e^{2 pi i z}, q = e^{2 pi i tau}:
     theta3 = sum_n y^n q^{n^2/2} and its three companions.
 
-    One evaluation gives all four kinds at (z, tau) and stores them as
-    one cache entry, keyed by the raw mpmath values of z and tau.
+    One evaluation gives all four kinds at (z, tau), each the
+    fixed-point value of `_theta_fixed` rounded to an mpc at the working
+    precision once, and stores them as one cache entry, keyed by the raw
+    mpmath values of z and tau.
     """
     if kind not in (1, 2, 3, 4):
         raise ValueError("theta kind must be 1..4")
@@ -180,79 +187,85 @@ def theta(kind: int, z, tau, ctx: EvalContext) -> mpmath.mpc:
     key = (z._mpc_, tau._mpc_)
     values = ctx._theta_cache.get(key)
     if values is None:
-        values = ctx._theta_cache[key] = _theta_values(z, tau, ctx)
+        with mp.workdps(ctx.work_digits):
+            im_tau = float(mpmath.im(tau))
+            im_z = float(abs(mpmath.im(z)))
+            n_max = _theta_bound(im_tau, im_z, ctx.work_digits)
+            table = _gauss_table(
+                tau, mp.prec + _theta_guard_bits(im_tau, im_z, n_max), ctx)
+            values = ctx._theta_cache[key] = tuple(
+                _from_fixed(re, im, table.wp)
+                for re, im in _theta_fixed(z, table, n_max))
     return values[kind - 1]
 
 
-def _theta_values(z: mpmath.mpc, tau: mpmath.mpc,
-                  ctx: EvalContext) -> Tuple[mpmath.mpc, ...]:
-    """(theta1, theta2, theta3, theta4) at (z, tau), summed in fixed point.
+def _gauss_table(tau: mpmath.mpc, wp: int, ctx: EvalContext) -> _GaussTable:
+    """The context's Gauss table for tau at >= wp bits: the one of the
+    last tau when it fits, else a new one.  wp is rounded up to a
+    multiple of 32, so that calls at one tau share the table."""
+    wp += -wp % 32
+    table = ctx._gauss_table
+    if table is None or table.tau != tau or table.wp < wp:
+        table = ctx._gauss_table = _GaussTable(tau, wp)
+    return table
 
-    The sums run over n = -N..N (a = n - 1/2 for theta1, theta2), N from
-    `_theta_bound`.  Every quantity is a pair (re, im) of Python ints
-    scaled by 2^wp, with wp the working precision plus
-    `_theta_guard_bits`, rounded up to a multiple of 32 so that calls at
-    one tau share the Gauss table.  The g_h = q^{h^2/8} come from the
-    context's table for the last tau, and y^{+-h/2} are stepped from
-    e^{+-pi i z}.  One loop over h = 1..2N+1 sums the products
-    g_h y^{+-h/2} exactly, at scale 2^{2 wp}, into buckets by h mod 4:
-    even h = 2n give theta3 and theta4, which differ in the sign of odd
-    n; odd h give theta2 and theta1/i, which differ in the sign of every
-    other term and of the ups (y^{h/2}) against the downs (y^{-h/2}).
-    The down-term at h = 2N+1 has no up partner.  Each result is rounded
-    to an mpc at the working precision once.
+
+def _theta_fixed(z: mpmath.mpc, table: _GaussTable,
+                 n_max: int) -> Tuple[Tuple[int, int], ...]:
+    """(theta1, theta2, theta3, theta4) at (z, table.tau) as fixed-point
+    pairs (re, im) scaled by 2^wp, wp = table.wp.
+
+    The sums run over n = -N..N (a = n - 1/2 for theta1, theta2), N =
+    `n_max`.  The g_h = q^{h^2/8} come from the table, and y^{+-h/2} are
+    stepped from e^{+-pi i z}.  One loop over h = 1..2N+1 sums the
+    products g_h y^{+-h/2} exactly, at scale 2^{2 wp}, into buckets by
+    h mod 4: even h = 2n give theta3 and theta4, which differ in the sign
+    of odd n; odd h give theta2 and theta1/i, which differ in the sign of
+    every other term and of the ups (y^{h/2}) against the downs
+    (y^{-h/2}).  The down-term at h = 2N+1 has no up partner.  Each sum
+    is shifted down to scale 2^wp once.  With wp at least the working
+    precision plus `_theta_guard_bits`, the absolute error is a few
+    units of 2^{-wp} times 2^{guard bits}.
     """
-    with mp.workdps(ctx.work_digits):
-        im_tau = float(mpmath.im(tau))
-        im_z = float(abs(mpmath.im(z)))
-        n_max = _theta_bound(im_tau, im_z, ctx.work_digits)
-        wp = mp.prec + _theta_guard_bits(im_tau, im_z, n_max)
-        wp += -wp % 32
-        table = ctx._gauss_table
-        if table is None or table.tau != tau or table.wp < wp:
-            table = ctx._gauss_table = _GaussTable(tau, wp)
-        wp = table.wp
-        g = table.upto(2 * n_max + 1)
-        with mp.workprec(wp + 10):
-            half = mpmath.expjpi(z)
-            hr, hi = _to_fixed(half, wp)          # y^{1/2}
-            kr, ki = _to_fixed(1 / half, wp)      # y^{-1/2}
-        ur, ui, dr, di = hr, hi, kr, ki     # y^{h/2}, y^{-h/2} at h = 1
-        # by parity of m, for h = 2m + 1 and h = 2m + 2
-        ups_r, ups_i, downs_r, downs_i = [0, 0], [0, 0], [0, 0], [0, 0]
-        evens_r, evens_i = [0, 0], [0, 0]
-        for m in range(n_max):
-            p = m & 1
-            gr, gi = g[2 * m + 1]
-            ups_r[p] += gr * ur - gi * ui
-            ups_i[p] += gr * ui + gi * ur
-            downs_r[p] += gr * dr - gi * di
-            downs_i[p] += gr * di + gi * dr
-            ur, ui = (ur * hr - ui * hi) >> wp, (ur * hi + ui * hr) >> wp
-            dr, di = (dr * kr - di * ki) >> wp, (dr * ki + di * kr) >> wp
-            gr, gi = g[2 * m + 2]
-            sr, si = ur + dr, ui + di
-            evens_r[p] += gr * sr - gi * si
-            evens_i[p] += gr * si + gi * sr
-            ur, ui = (ur * hr - ui * hi) >> wp, (ur * hi + ui * hr) >> wp
-            dr, di = (dr * kr - di * ki) >> wp, (dr * ki + di * kr) >> wp
-        gr, gi = g[2 * n_max + 1]
-        downs_r[n_max & 1] += gr * dr - gi * di
-        downs_i[n_max & 1] += gr * di + gi * dr
-        # evens[0] holds the odd n = m + 1, evens[1] the even n
-        wp2 = 2 * wp
-        one = 1 << wp2
-        theta1 = _from_fixed(   # i (downs[0] - downs[1] - ups[0] + ups[1])
-            -downs_i[0] + downs_i[1] + ups_i[0] - ups_i[1],
-            downs_r[0] - downs_r[1] - ups_r[0] + ups_r[1], wp2)
-        theta2 = _from_fixed(ups_r[0] + ups_r[1] + downs_r[0] + downs_r[1],
-                             ups_i[0] + ups_i[1] + downs_i[0] + downs_i[1],
-                             wp2)
-        theta3 = _from_fixed(one + evens_r[0] + evens_r[1],
-                             evens_i[0] + evens_i[1], wp2)
-        theta4 = _from_fixed(one - evens_r[0] + evens_r[1],
-                             -evens_i[0] + evens_i[1], wp2)
-    return theta1, theta2, theta3, theta4
+    wp = table.wp
+    g = table.upto(2 * n_max + 1)
+    with mp.workprec(wp + 10):
+        half = mpmath.expjpi(z)
+        hr, hi = _to_fixed(half, wp)          # y^{1/2}
+        kr, ki = _to_fixed(1 / half, wp)      # y^{-1/2}
+    ur, ui, dr, di = hr, hi, kr, ki     # y^{h/2}, y^{-h/2} at h = 1
+    # by parity of m, for h = 2m + 1 and h = 2m + 2
+    ups_r, ups_i, downs_r, downs_i = [0, 0], [0, 0], [0, 0], [0, 0]
+    evens_r, evens_i = [0, 0], [0, 0]
+    for m in range(n_max):
+        p = m & 1
+        gr, gi = g[2 * m + 1]
+        ups_r[p] += gr * ur - gi * ui
+        ups_i[p] += gr * ui + gi * ur
+        downs_r[p] += gr * dr - gi * di
+        downs_i[p] += gr * di + gi * dr
+        ur, ui = (ur * hr - ui * hi) >> wp, (ur * hi + ui * hr) >> wp
+        dr, di = (dr * kr - di * ki) >> wp, (dr * ki + di * kr) >> wp
+        gr, gi = g[2 * m + 2]
+        sr, si = ur + dr, ui + di
+        evens_r[p] += gr * sr - gi * si
+        evens_i[p] += gr * si + gi * sr
+        ur, ui = (ur * hr - ui * hi) >> wp, (ur * hi + ui * hr) >> wp
+        dr, di = (dr * kr - di * ki) >> wp, (dr * ki + di * kr) >> wp
+    gr, gi = g[2 * n_max + 1]
+    downs_r[n_max & 1] += gr * dr - gi * di
+    downs_i[n_max & 1] += gr * di + gi * dr
+    # evens[0] holds the odd n = m + 1, evens[1] the even n
+    one = 1 << (2 * wp)
+    return (   # theta1 = i (downs[0] - downs[1] - ups[0] + ups[1])
+        ((-downs_i[0] + downs_i[1] + ups_i[0] - ups_i[1]) >> wp,
+         (downs_r[0] - downs_r[1] - ups_r[0] + ups_r[1]) >> wp),
+        ((ups_r[0] + ups_r[1] + downs_r[0] + downs_r[1]) >> wp,
+         (ups_i[0] + ups_i[1] + downs_i[0] + downs_i[1]) >> wp),
+        ((one + evens_r[0] + evens_r[1]) >> wp,
+         (evens_i[0] + evens_i[1]) >> wp),
+        ((one - evens_r[0] + evens_r[1]) >> wp,
+         (-evens_i[0] + evens_i[1]) >> wp))
 
 
 def theta0(kind: int, tau, ctx: EvalContext) -> mpmath.mpc:
@@ -339,15 +352,52 @@ def h0(tau, ctx: EvalContext) -> mpmath.mpc:
 
 def theta_E8(sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
     """Theta function of the E8 lattice via the product identity:
-    (1/2) sum_{k=1}^4 prod_{j=1}^8 theta_k(z_j, tau)."""
+    (1/2) sum_{k=1}^4 prod_{j=1}^8 theta_k(z_j, tau).
+
+    One fixed-point product per sample: `_theta_fixed` gives the four
+    kinds at each z_j as pairs of ints at one scale 2^wp, the products
+    and their sum stay in integers, and the result is rounded to an mpc
+    once, the 1/2 folded into the exponent, and cached in `_gen_cache`.
+    All eight coordinates share tau, the Gauss table and N, taken at the
+    largest |Im z_j|.
+
+    Each |theta_k(z_j, tau)| is at most the sum over a in Z/2 of
+    e^{-pi Im tau a^2 - 2 pi a Im z_j}, a Gaussian in a with peak
+    e^{pi Im(z_j)^2 / Im tau}; a sum over a grid of spacing 1/2 is at
+    most the peak times 1 + 2 / sqrt(Im tau).  That bound M_j is >= 1,
+    so an error of e units in one factor costs at most e prod_j M_j
+    units in a product, and each of the 7 shifts of a product 1 unit
+    times the factors after it.  wp is the working precision plus
+    `_theta_guard_bits` at the largest |Im z_j|, plus sum_j log2 M_j,
+    plus 8 bits for the errors of the 4 products and their sum, so the
+    absolute error stays a few units of 2^-prec.
+    """
+    key = ("theta_E8", sample.tau, sample.z)
+    cached = ctx._gen_cache.get(key)
+    if cached is not None:
+        return cached
     with mp.workdps(ctx.work_digits):
-        total = mp.mpc(0)
-        for kind in range(1, 5):
-            prod = mp.mpc(1)
-            for zj in sample.z:
-                prod *= theta(kind, zj, sample.tau, ctx)
-            total += prod
-        return total / 2
+        tau = mpmath.mpc(sample.tau)
+        zs = [mpmath.mpc(zj) for zj in sample.z]
+        im_tau = float(tau.imag)
+        im_zs = [abs(float(zj.imag)) for zj in zs]
+        im_z = max(im_zs)
+        n_max = _theta_bound(im_tau, im_z, ctx.work_digits)
+        growth = (math.pi * sum(y * y for y in im_zs) / im_tau / math.log(2)
+                  + 8 * math.log2(1 + 2 / math.sqrt(im_tau)))
+        table = _gauss_table(
+            tau, mp.prec + _theta_guard_bits(im_tau, im_z, n_max)
+            + math.ceil(growth) + 8, ctx)
+        wp = table.wp
+        prods = _theta_fixed(zs[0], table, n_max)
+        for zj in zs[1:]:
+            prods = [((ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp)
+                     for (ar, ai), (vr, vi)
+                     in zip(prods, _theta_fixed(zj, table, n_max))]
+        value = _from_fixed(sum(ar for ar, _ in prods),
+                            sum(ai for _, ai in prods), wp + 1)
+    ctx._gen_cache[key] = value
+    return value
 
 
 def _scaled(sample: ComplexSample, tau, z_mult: int) -> ComplexSample:

@@ -286,3 +286,25 @@ class TestCacheAndJobs:
         doc1.pop("elapsed_seconds")
         doc2.pop("elapsed_seconds")
         assert doc1 == doc2
+
+    def test_jobs_bases_integer_native(self, capsys):
+        # the bases a parallel run seeds hold the int coefficients and the
+        # shared monomial lists of a sequential run
+        code, _, _ = run_cli(capsys, "--jobs", "2", "profile", "5")
+        assert code == 0
+        parallel = construct.jacobi_basis(-16, 5)
+        clear_cache()
+        sequential = construct.jacobi_basis(-16, 5)
+        assert parallel is not sequential
+        assert parallel.forms == sequential.forms
+        assert parallel.certificates == sequential.certificates
+        for basis in (parallel, sequential):
+            assert all(type(c) is int
+                       for f in basis.forms for c in f.terms.values())
+            first = basis.certificates[0]
+            for cert in basis.certificates:
+                assert cert.r_mons is first.r_mons
+                assert [mons for _, mons, _ in cert.s_rows] == \
+                    [mons for _, mons, _ in first.s_rows]
+                assert all(a is b for (_, a, _), (_, b, _)
+                           in zip(cert.s_rows, first.s_rows))

@@ -157,6 +157,33 @@ class TestThetaE8:
             s = ComplexSample(mpc(0, 3), z)
             assert _absdiff(theta_E8(s, CTX), theta_E8_lattice(s, CTX)) < 1e-30
 
+    @pytest.mark.parametrize("precision", [30, 50, 80])
+    def test_matches_per_coordinate_product(self, precision):
+        # the arguments the generators reach: Im tau from tau/6 of B6 to
+        # the 6 tau of the probe, z scaled by 1..6 with |Im z| up to 0.9;
+        # the reference multiplies theta values of a context 20 digits
+        # finer, one coordinate at a time
+        import random
+        rng = random.Random(precision)
+        ref_ctx = EvalContext(precision + 20)
+        for _ in range(12):
+            ctx = EvalContext(precision)
+            tau = mpc(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-0.82, 1))
+            scale = rng.choice([1, 2, 3, 4, 6])
+            z = tuple(scale * mpc(rng.uniform(-0.2, 0.2),
+                                  rng.uniform(-0.9, 0.9) / scale)
+                      for _ in range(8))
+            sample = ComplexSample(tau, z)
+            value = theta_E8(sample, ctx)
+            with mp.workdps(ref_ctx.work_digits):
+                ref = sum(mpmath.fprod(theta(k, zj, tau, ref_ctx) for zj in z)
+                          for k in range(1, 5)) / 2
+                err = abs(value - ref) / abs(ref)
+            assert err <= mp.mpf(10) ** -(precision + 5), (tau, scale, err)
+            # one cached value per sample, and no per-coordinate entries
+            assert theta_E8(sample, ctx) is value
+            assert not ctx._theta_cache
+
     def test_reduces_to_e4(self):
         s = ComplexSample(TAU, Z0)
         assert _rel(theta_E8(s, CTX), eisenstein(2, TAU, CTX)) < 1e-55
