@@ -2,23 +2,27 @@
 
 Everything here is arbitrary-precision complex arithmetic (mpmath),
 fully independent of the symbolic construction.  The inner sums, theta
-functions, the E8 theta function and Weyl-orbit characters, run in fixed
-point, as mpmath's own `_jacobi_theta2` does: every quantity is a pair
-(re, im) of Python ints scaled by 2^wp, products are shifted right by
-wp, and each result is rounded to an mpc at the working precision once.
-wp is the working precision plus guard bits for the largest factor |y^n|
-a term can carry and for the rounding steps, so the absolute error of a
-result stays a few units of 2^-prec.
+functions, the E8 theta function, Eisenstein series and Weyl-orbit
+characters, run in fixed point, as mpmath's own `_jacobi_theta2` does:
+every quantity is a pair (re, im) of Python ints scaled by 2^wp,
+products are shifted right by wp, and each result is rounded to an mpc
+at the working precision once.  wp is the working precision plus guard
+bits for the largest factor a term can carry and for the rounding
+steps, so the absolute error of a result stays a few units of 2^-prec.
 
 Theta functions are summed with a derived truncation bound: the
 q^{a^2/2} factors come from one table per tau, shared by the theta
-calls at that tau, the powers of y are stepped by multiplication, and
-one pass gives all four kinds.  The E8 theta function is one integer
-product per sample: the four kinds at each of the eight coordinates stay
-fixed-point pairs, their products are summed in integers with guard
-bits for the bound on those products, and the sum is rounded once.  The
-holomorphic generators A_m and B_m are built from E8 theta values, and
-the meromorphic generators divide by numerically evaluated E4 and Delta.
+calls at that tau, the powers of y are stepped by multiplication from
+y^{+-1/2} = e^{+-pi i z}, which the context computes once per
+coordinate, and one pass gives all four kinds.  The E8 theta function is
+one integer product per sample: the four kinds at each of the eight
+coordinates stay fixed-point pairs, their products are summed in
+integers with guard bits for the bound on those products, and the sum
+is rounded once.  The Eisenstein series are q-series with exact divisor
+sums.  The holomorphic generators A_m and B_m are built from E8 theta
+values, and the meromorphic generators divide by numerically evaluated
+E4 and Delta.  Every cache is keyed by the exact values of its
+arguments, so points that differ anywhere never share an entry.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import (from_float, from_int, from_man_exp, fzero,
+                          mpf_div, mpf_sign, round_nearest, to_float)
 
 from . import e8
 from .generators import meromorphic_images, p16_5
@@ -59,16 +64,21 @@ _SINGULAR_THRESHOLD = 1e-12     # |E4| or |Delta| below this: near a pole
 class EvalContext:
     """Numeric evaluation context: the working precision in decimal
     digits, its only setting (evaluations run at `work_digits`, that plus
-    a fixed guard), and three caches: `theta` values per (z, tau),
-    generator, Eisenstein and E8 theta values per argument, and the
-    Gauss table of the last tau that `theta` or `theta_E8` summed at,
-    kept at the most bits a call at that tau needed."""
+    a fixed guard), and four caches.  Three are keyed by exact `_mpc_`
+    values: `theta` values per (z, tau); generator, Eisenstein, eta and
+    E8 theta values per argument (`ComplexSample.key` for a sample); and
+    the fixed-point pairs of y^{+-1/2} = e^{+-pi i z} per coordinate z,
+    kept at the most bits asked for so far (`_half_powers`).  The fourth
+    is the Gauss table of the last tau that `theta` or `theta_E8` summed
+    at, kept at the most bits a call at that tau needed."""
 
     precision: int = 50
     _theta_cache: Dict[tuple, Tuple[mpmath.mpc, ...]] = field(
         default_factory=dict, repr=False)
     _gen_cache: Dict[tuple, mpmath.mpc] = field(default_factory=dict,
                                                 repr=False)
+    _half_cache: Dict[tuple, Tuple[int, tuple, tuple]] = field(
+        default_factory=dict, repr=False)
     _gauss_table: Optional["_GaussTable"] = field(default=None, init=False,
                                                   repr=False)
 
@@ -77,16 +87,40 @@ class EvalContext:
         return self.precision + _GUARD_DIGITS
 
 
+def _raw(x) -> tuple:
+    """The exact value of a number as an mpmath `_mpc_` pair: mpc and mpf
+    as they are, Python ints without rounding, other numbers through
+    `complex` (so floats and complexes without rounding).  Equal values
+    give equal pairs, whatever their type."""
+    if isinstance(x, mpmath.mpc):
+        return x._mpc_
+    if isinstance(x, mpmath.mpf):
+        return x._mpf_, fzero
+    if isinstance(x, int):
+        return from_int(x), fzero
+    x = complex(x)
+    return from_float(x.real), from_float(x.imag)
+
+
 @dataclass(frozen=True)
 class ComplexSample:
+    """A point (tau, z) with Im tau > 0 and z in C^8.  `key` holds the
+    exact values of tau and of the z_j as `_mpc_` pairs, computed once;
+    the caches of generator and E8 theta values use it, so points that
+    differ anywhere, even below the working precision, get different
+    entries, and a Python complex shares one with the equal mpc."""
+
     tau: complex
     z: Tuple[complex, ...]
+    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if mpmath.im(self.tau) <= 0:
+        tau = _raw(self.tau)
+        if mpf_sign(tau[1]) <= 0:
             raise ValueError("tau must lie in the upper half plane")
         if len(self.z) != 8:
             raise ValueError("z must have 8 components")
+        object.__setattr__(self, "key", (tau, tuple(map(_raw, self.z))))
 
 
 def _theta_bound(im_tau: float, im_z: float, digits: int) -> int:
@@ -177,26 +211,51 @@ def theta(kind: int, z, tau, ctx: EvalContext) -> mpmath.mpc:
 
     One evaluation gives all four kinds at (z, tau), each the
     fixed-point value of `_theta_fixed` rounded to an mpc at the working
-    precision once, and stores them as one cache entry, keyed by the raw
-    mpmath values of z and tau.
+    precision once, and stores them as one cache entry, keyed by the
+    exact values of z and tau (`_raw`).
     """
     if kind not in (1, 2, 3, 4):
         raise ValueError("theta kind must be 1..4")
-    z = mpmath.mpc(z)
-    tau = mpmath.mpc(tau)
-    key = (z._mpc_, tau._mpc_)
+    key = (_raw(z), _raw(tau))
     values = ctx._theta_cache.get(key)
     if values is None:
         with mp.workdps(ctx.work_digits):
-            im_tau = float(mpmath.im(tau))
-            im_z = float(abs(mpmath.im(z)))
+            tau = mp.make_mpc(key[1])
+            im_tau = to_float(key[1][1])
+            im_z = abs(to_float(key[0][1]))
             n_max = _theta_bound(im_tau, im_z, ctx.work_digits)
             table = _gauss_table(
                 tau, mp.prec + _theta_guard_bits(im_tau, im_z, n_max), ctx)
             values = ctx._theta_cache[key] = tuple(
-                _from_fixed(re, im, table.wp)
-                for re, im in _theta_fixed(z, table, n_max))
+                _from_fixed(re, im, table.wp) for re, im in _theta_fixed(
+                    _half_powers(key[0], table.wp, ctx), table, n_max))
     return values[kind - 1]
+
+
+def _half_powers(z: tuple, wp: int, ctx: EvalContext) -> tuple:
+    """y^{1/2} = e^{pi i z} and y^{-1/2} as fixed-point pairs at scale
+    2^wp, for z given as its `_mpc_` value: one exponential per
+    coordinate.
+
+    The context keeps each coordinate's pairs at the largest wp asked for
+    so far, W.  A call at wp < W gets them shifted right by W - wp; the
+    stored ints are floors, like `_to_fixed`, and floor(floor(x) / 2^s)
+    = floor(x / 2^s), so the shifted pair is the truncation at wp of the
+    value computed at W + 10 bits: at most 1 unit of 2^-wp off per
+    component, as a pair computed at wp would be.
+    """
+    cache = ctx._half_cache
+    entry = cache.get(z)
+    if entry is None or entry[0] < wp:
+        with mp.workprec(wp + 10):
+            half = mpmath.expjpi(mp.make_mpc(z))
+            entry = cache[z] = (wp, _to_fixed(half, wp),
+                                _to_fixed(1 / half, wp))
+    shift = entry[0] - wp
+    if not shift:
+        return entry[1:]
+    (hr, hi), (kr, ki) = entry[1:]
+    return (hr >> shift, hi >> shift), (kr >> shift, ki >> shift)
 
 
 def _gauss_table(tau: mpmath.mpc, wp: int, ctx: EvalContext) -> _GaussTable:
@@ -210,14 +269,16 @@ def _gauss_table(tau: mpmath.mpc, wp: int, ctx: EvalContext) -> _GaussTable:
     return table
 
 
-def _theta_fixed(z: mpmath.mpc, table: _GaussTable,
+def _theta_fixed(half_powers: tuple, table: _GaussTable,
                  n_max: int) -> Tuple[Tuple[int, int], ...]:
     """(theta1, theta2, theta3, theta4) at (z, table.tau) as fixed-point
-    pairs (re, im) scaled by 2^wp, wp = table.wp.
+    pairs (re, im) scaled by 2^wp, wp = table.wp, given `half_powers`,
+    the pairs of y^{1/2} = e^{pi i z} and y^{-1/2} at that scale
+    (`_half_powers`).
 
     The sums run over n = -N..N (a = n - 1/2 for theta1, theta2), N =
     `n_max`.  The g_h = q^{h^2/8} come from the table, and y^{+-h/2} are
-    stepped from e^{+-pi i z}.  One loop over h = 1..2N+1 sums the
+    stepped from y^{+-1/2}.  One loop over h = 1..2N+1 sums the
     products g_h y^{+-h/2} exactly, at scale 2^{2 wp}, into buckets by
     h mod 4: even h = 2n give theta3 and theta4, which differ in the sign
     of odd n; odd h give theta2 and theta1/i, which differ in the sign of
@@ -229,10 +290,7 @@ def _theta_fixed(z: mpmath.mpc, table: _GaussTable,
     """
     wp = table.wp
     g = table.upto(2 * n_max + 1)
-    with mp.workprec(wp + 10):
-        half = mpmath.expjpi(z)
-        hr, hi = _to_fixed(half, wp)          # y^{1/2}
-        kr, ki = _to_fixed(1 / half, wp)      # y^{-1/2}
+    (hr, hi), (kr, ki) = half_powers
     ur, ui, dr, di = hr, hi, kr, ki     # y^{h/2}, y^{-h/2} at h = 1
     # by parity of m, for h = 2m + 1 and h = 2m + 2
     ups_r, ups_i, downs_r, downs_i = [0, 0], [0, 0], [0, 0], [0, 0]
@@ -283,47 +341,104 @@ def bernoulli_number(k: int) -> Fraction:
     return -s / (k + 1)
 
 
+@cache
+def _divisor_sums(k: int, count: int) -> Tuple[int, ...]:
+    """sigma_k(N) = sum_{d | N} d^k for N = 0..count-1 (0 at N = 0), as
+    exact ints, by a sieve over d."""
+    sums = [0] * count
+    for d in range(1, count):
+        dk = d ** k
+        for multiple in range(d, count, d):
+            sums[multiple] += dk
+    return tuple(sums)
+
+
+def _eisenstein_bound(im_tau: float, j: int, bits: int) -> int:
+    """N with sum_{M > N} M^j |q|^M below 2^-bits, |q| = e^{-t}, t =
+    2 pi Im tau.
+
+    For M >= 2j/t the ratio of consecutive terms, (1 + 1/M)^j e^{-t} <=
+    e^{j/M - t}, is at most e^{-t/2}, and x^j e^{-tx} decreases in x, so
+    for any real x >= 2j/t the tail from M = N + 1 > x is at most
+    x^j e^{-tx} / (1 - e^{-t/2}).  That is below 2^-bits when t x -
+    j ln x >= L = bits ln 2 - ln(1 - e^{-t/2}).  ln is concave, ln x <=
+    ln x0 + x/x0 - 1, so t x - j ln x >= (t - j/x0) x - j (ln x0 - 1);
+    with x0 = max(2j/t, L/t, 1), t - j/x0 >= t/2 > 0 and x = max(x0,
+    (L + j (ln x0 - 1)) / (t - j/x0)) qualifies.  N = ceil(x).
+    """
+    t = 2 * math.pi * im_tau
+    L = bits * math.log(2) - math.log1p(-math.exp(-t / 2))
+    x0 = max(2 * j / t, L / t, 1.0)
+    x = max(x0, (L + j * (math.log(x0) - 1)) / (t - j / x0))
+    if x > _THETA_TERM_CAP:
+        raise PrecisionUnreachableError(
+            "Eisenstein sum does not converge fast enough for Im tau = %g"
+            % im_tau)
+    return math.ceil(x)
+
+
 def eisenstein(n: int, tau, ctx: EvalContext) -> mpmath.mpc:
-    """E_{2n}(tau) = 1 - (4n/B_{2n}) sum_k k^{2n-1} q^k/(1-q^k)."""
-    tau = mpmath.mpc(tau)
-    key = ("E", 2 * n, tau)
+    """E_{2n}(tau) = 1 - c S, c = 4n/B_{2n}, S = sum_{N >= 1}
+    sigma_{2n-1}(N) q^N, q = e^{2 pi i tau}, cached per exact tau.
+
+    The divisor sums are exact ints (`_divisor_sums`) and q^N is stepped
+    in fixed point from one exponential, so S is a sum of exact products
+    of ints, and E is rounded to an mpc once, by one exact division per
+    part.  Since sigma_{2n-1}(N) <= N^{2n} (at most N divisors, each at
+    most N^{2n-1}), the terms past N0 = `_eisenstein_bound` at bits =
+    prec + bitlen(|c|) add at most 2^-prec to E.  The pair for q is
+    truncated from an exponential at wp + 10 bits and carries at most 2
+    units of 2^-wp; each step q^{N+1} = q^N q adds at most those 2 units
+    (|q^N| < 1) and 2 units of rounding, and |q| < 1 keeps the earlier
+    error from growing, so q^N carries at most 4N units.  The sum then
+    carries at most sum_{N <= N0} N^{2n} 4N <= 4 N0^{2n+2} units, and E
+    |c| times that: wp = prec + bitlen(|c|) + (2n+2) bitlen(N0) + 4
+    keeps it below 2^-prec / 4, so the absolute error of E is below
+    2 units of 2^-prec besides the final rounding.  Independent of the
+    theta functions, which `theta_E8` at z = 0 checks it against.
+    """
+    raw = _raw(tau)
+    key = ("E", 2 * n, raw)
     cached = ctx._gen_cache.get(key)
     if cached is not None:
         return cached
+    im_tau = to_float(raw[1])
+    if not im_tau > 0:
+        raise PrecisionUnreachableError("tau not in the upper half plane")
+    c = 4 * n / bernoulli_number(2 * n)
+    c_bits = (abs(c.numerator) // c.denominator + 1).bit_length()
     with mp.workdps(ctx.work_digits):
-        q = mpmath.expjpi(2 * tau)
-        absq = abs(q)
-        if absq >= 1:
-            raise PrecisionUnreachableError("tau not in the upper half plane")
-        eps = mp.mpf(10) ** (-ctx.work_digits - 5)
-        b = bernoulli_number(2 * n)
-        factor = mp.mpf(-4 * n * b.denominator) / b.numerator
-        total = mp.mpc(0)
-        qk = mp.mpc(1)
-        k = 0
-        while True:
-            k += 1
-            qk *= q
-            term = (k ** (2 * n - 1)) * qk / (1 - qk)
-            total += term
-            if abs(term) < eps and absq ** k < eps:
-                break
-            if k > _THETA_TERM_CAP:
-                raise PrecisionUnreachableError("Eisenstein sum does not "
-                                                "converge fast enough")
-        value = 1 + factor * total
+        prec = mp.prec
+        n_max = _eisenstein_bound(im_tau, 2 * n, prec + c_bits)
+        wp = prec + c_bits + (2 * n + 2) * n_max.bit_length() + 4
+        with mp.workprec(wp + 10):
+            qr, qi = _to_fixed(mpmath.expjpi(2 * mp.make_mpc(raw)), wp)
+        sigma = _divisor_sums(2 * n - 1, 1 << n_max.bit_length())
+        ar, ai = qr, qi                     # q^N at N = 1
+        sr = si = 0
+        for s in sigma[1:n_max + 1]:
+            sr += s * ar
+            si += s * ai
+            ar, ai = (ar * qr - ai * qi) >> wp, (ar * qi + ai * qr) >> wp
+        one = c.denominator << wp
+        scale = from_int(one)
+        value = mp.make_mpc((
+            mpf_div(from_int(one - c.numerator * sr), scale, prec,
+                    round_nearest),
+            mpf_div(from_int(-c.numerator * si), scale, prec, round_nearest)))
     ctx._gen_cache[key] = value
     return value
 
 
 def eta(tau, ctx: EvalContext) -> mpmath.mpc:
-    """Dedekind eta: q^{1/24} prod (1 - q^n)."""
-    tau = mpmath.mpc(tau)
-    key = ("eta", tau)
+    """Dedekind eta: q^{1/24} prod (1 - q^n), cached per exact tau."""
+    raw = _raw(tau)
+    key = ("eta", raw)
     cached = ctx._gen_cache.get(key)
     if cached is not None:
         return cached
     with mp.workdps(ctx.work_digits):
+        tau = mp.make_mpc(raw)
         q = mpmath.expjpi(2 * tau)
         value = mpmath.expjpi(tau / 12) * mpmath.qp(q)
     ctx._gen_cache[key] = value
@@ -357,9 +472,10 @@ def theta_E8(sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
     One fixed-point product per sample: `_theta_fixed` gives the four
     kinds at each z_j as pairs of ints at one scale 2^wp, the products
     and their sum stay in integers, and the result is rounded to an mpc
-    once, the 1/2 folded into the exponent, and cached in `_gen_cache`.
-    All eight coordinates share tau, the Gauss table and N, taken at the
-    largest |Im z_j|.
+    once, the 1/2 folded into the exponent, and cached in `_gen_cache`
+    under the sample's exact key.  All eight coordinates share tau, the
+    Gauss table and N, taken at the largest |Im z_j|; the pairs of
+    y^{+-1/2} of each z_j come from the context (`_half_powers`).
 
     Each |theta_k(z_j, tau)| is at most the sum over a in Z/2 of
     e^{-pi Im tau a^2 - 2 pi a Im z_j}, a Gaussian in a with peak
@@ -372,28 +488,28 @@ def theta_E8(sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
     plus 8 bits for the errors of the 4 products and their sum, so the
     absolute error stays a few units of 2^-prec.
     """
-    key = ("theta_E8", sample.tau, sample.z)
+    key = ("theta_E8",) + sample.key
     cached = ctx._gen_cache.get(key)
     if cached is not None:
         return cached
+    tau, zs = sample.key
     with mp.workdps(ctx.work_digits):
-        tau = mpmath.mpc(sample.tau)
-        zs = [mpmath.mpc(zj) for zj in sample.z]
-        im_tau = float(tau.imag)
-        im_zs = [abs(float(zj.imag)) for zj in zs]
+        im_tau = to_float(tau[1])
+        im_zs = [abs(to_float(zj[1])) for zj in zs]
         im_z = max(im_zs)
         n_max = _theta_bound(im_tau, im_z, ctx.work_digits)
         growth = (math.pi * sum(y * y for y in im_zs) / im_tau / math.log(2)
                   + 8 * math.log2(1 + 2 / math.sqrt(im_tau)))
         table = _gauss_table(
-            tau, mp.prec + _theta_guard_bits(im_tau, im_z, n_max)
+            mp.make_mpc(tau), mp.prec + _theta_guard_bits(im_tau, im_z, n_max)
             + math.ceil(growth) + 8, ctx)
         wp = table.wp
-        prods = _theta_fixed(zs[0], table, n_max)
-        for zj in zs[1:]:
+        kinds = [_theta_fixed(_half_powers(zj, wp, ctx), table, n_max)
+                 for zj in zs]
+        prods = kinds[0]
+        for values in kinds[1:]:
             prods = [((ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp)
-                     for (ar, ai), (vr, vi)
-                     in zip(prods, _theta_fixed(zj, table, n_max))]
+                     for (ar, ai), (vr, vi) in zip(prods, values)]
         value = _from_fixed(sum(ar for ar, _ in prods),
                             sum(ai for _, ai in prods), wp + 1)
     ctx._gen_cache[key] = value
@@ -406,12 +522,13 @@ def _scaled(sample: ComplexSample, tau, z_mult: int) -> ComplexSample:
 
 def eval_AB(name: str, sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
     """The holomorphic generators A1..A5, B2..B6 (plus E4, E6 for
-    convenience), from their defining theta expressions."""
-    key = (name, sample.tau, sample.z)
+    convenience), from their defining theta expressions, at the exact
+    tau of the sample and cached under its key."""
+    key = (name,) + sample.key
     cached = ctx._gen_cache.get(key)
     if cached is not None:
         return cached
-    tau = mpmath.mpc(sample.tau)
+    tau = mp.make_mpc(sample.key[0])
     with mp.workdps(ctx.work_digits):
         if name == "E4":
             value = eisenstein(2, tau, ctx)
@@ -501,10 +618,11 @@ def eval_frac(frac: Frac, sample: ComplexSample,
 
 def eval_ab(name: str, sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
     """The meromorphic generators a2..a4, b1..b6 (plus E4, E6), via their
-    exact expressions over the holomorphic generators."""
+    exact expressions over the holomorphic generators, cached under the
+    sample's key."""
     if name in ("E4", "E6"):
         return eval_AB(name, sample, ctx)
-    key = (name, sample.tau, sample.z)
+    key = (name,) + sample.key
     cached = ctx._gen_cache.get(key)
     if cached is not None:
         return cached

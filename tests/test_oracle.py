@@ -136,6 +136,54 @@ class TestSpecialFunctions:
                 assert err < 1e-45, (kind, z, tau, err)
 
 
+def eisenstein_loop(n, tau, ctx):
+    """E_{2n}(tau) = 1 - (4n/B_{2n}) sum_k k^{2n-1} q^k/(1-q^k) in mpc
+    arithmetic, one division per term, summed until the terms and q^k
+    fall below 10^-(work digits + 5): the reference for the fixed-point
+    q-series of `eisenstein`."""
+    with mp.workdps(ctx.work_digits):
+        q = mpmath.expjpi(2 * mpmath.mpc(tau))
+        absq = abs(q)
+        eps = mp.mpf(10) ** (-ctx.work_digits - 5)
+        b = bernoulli_number(2 * n)
+        factor = mp.mpf(-4 * n * b.denominator) / b.numerator
+        total = mp.mpc(0)
+        qk = mp.mpc(1)
+        k = 0
+        while True:
+            k += 1
+            qk *= q
+            term = (k ** (2 * n - 1)) * qk / (1 - qk)
+            total += term
+            if abs(term) < eps and absq ** k < eps:
+                return 1 + factor * total
+
+
+class TestEisenstein:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("precision", [30, 50, 80])
+    def test_matches_mpc_loop(self, n, precision):
+        # Im tau from 0.3 covers the S-transformed samples of check_axioms
+        # (Im(-1/tau) >= 0.33); the reference runs 20 digits finer
+        import random
+        rng = random.Random(100 * n + precision)
+        ref_ctx = EvalContext(precision + 20)
+        ctx = EvalContext(precision)
+        for _ in range(12):
+            tau = mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 3))
+            value = eisenstein(n, tau, ctx)
+            ref = eisenstein_loop(n, tau, ref_ctx)
+            with mp.workdps(ref_ctx.work_digits):
+                err = abs(value - ref) / abs(ref)
+            assert err <= mp.mpf(10) ** -(precision + 5), (n, tau, err)
+            assert eisenstein(n, tau, ctx) is value
+
+    def test_lower_half_plane_raises(self):
+        for tau in (mpc("0.2", 0), mpc("0.2", "-0.5"), 1):
+            with pytest.raises(PrecisionUnreachableError):
+                eisenstein(2, tau, EvalContext())
+
+
 def theta_E8_lattice(sample, ctx, max_norm=8):
     """Direct lattice sum over all E8 vectors of norm <= max_norm, one
     exponential per vector: the reference for the product identity of
@@ -184,6 +232,40 @@ class TestThetaE8:
             assert theta_E8(sample, ctx) is value
             assert not ctx._theta_cache
 
+    def test_coordinates_first_summed_at_more_bits(self):
+        # Im tau = 0.2 needs more bits than Im tau = 1.3, so the second
+        # sample's coordinate pairs are the stored ones shifted right
+        z = tuple(3 * zj for zj in _z_generic(11))
+        first = ComplexSample(mpc("0.1", "0.2"), z)
+        sample = ComplexSample(mpc("-0.3", "1.3"), z)
+        for precision in (30, 50, 80):
+            ctx, fresh = EvalContext(precision), EvalContext(precision)
+            theta_E8(first, ctx)
+            stored = {zj: entry[0] for zj, entry in ctx._half_cache.items()}
+            value = theta_E8(sample, ctx)
+            ref = theta_E8(sample, fresh)
+            assert {zj: entry[0] for zj, entry
+                    in ctx._half_cache.items()} == stored
+            assert all(entry[0] < stored[zj]
+                       for zj, entry in fresh._half_cache.items())
+            with mp.workdps(ctx.work_digits):
+                err = abs(value - ref) / abs(ref)
+            assert err <= mp.mpf(10) ** -(precision + 5), (precision, err)
+
+    def test_one_coordinate_entry_per_distinct_coordinate(self):
+        (form, _) = jacobi_basis(-16, 5).forms
+        ctx = EvalContext()
+        check_axioms(form, -16, 5, 1, ctx, seed=3)
+        samples = [key for key in ctx._gen_cache if key[0] == "theta_E8"]
+        coords = {zj for key in samples for zj in key[2]}
+        coords |= {z for z, _ in ctx._theta_cache}
+        assert set(ctx._half_cache) == coords
+        assert len(coords) < 8 * len(samples)
+        ctx = EvalContext()
+        theta_E8(ComplexSample(TAU, _z_generic()), ctx)
+        assert not ctx._theta_cache
+        assert len(ctx._half_cache) == 8
+
     def test_reduces_to_e4(self):
         s = ComplexSample(TAU, Z0)
         assert _rel(theta_E8(s, CTX), eisenstein(2, TAU, CTX)) < 1e-55
@@ -199,6 +281,35 @@ class TestThetaE8:
             lhs = theta_E8(ComplexSample(TAU, shifted), CTX)
             rhs = factor * theta_E8(ComplexSample(TAU, z), CTX)
             assert _rel(lhs, rhs) < 1e-45
+
+
+class TestCacheKeys:
+    def test_points_apart_below_working_precision(self):
+        # the two tau agree to 300 bits, beyond the ~200 bits of the
+        # working precision, and still get one entry each
+        ctx = EvalContext()
+        with mp.workprec(400):
+            tau = mpc("0.13", "1.07")
+            taus = (tau, tau + mpc(0, mp.mpf(2) ** -300))
+        z = _z_generic()
+        for count, t in enumerate(taus, 1):
+            sample = ComplexSample(t, z)
+            eval_AB("E4", sample, ctx)
+            eval_ab("b1", sample, ctx)
+            theta_E8(sample, ctx)
+            names = [key[0] for key in ctx._gen_cache]
+            for name in ("E4", "E", "b1", "eta", "theta_E8"):
+                assert names.count(name) == count, (name, count)
+
+    def test_complex_and_equal_mpc_share_an_entry(self):
+        ctx = EvalContext()
+        z = _z_generic()
+        value = eval_AB("A1", ComplexSample(TAU, z), ctx)
+        size = len(ctx._gen_cache)
+        same = ComplexSample(complex(TAU), tuple(complex(zj) for zj in z))
+        assert eval_AB("A1", same, ctx) is value
+        assert len(ctx._gen_cache) == size
+        assert ComplexSample(TAU, Z0).key == ComplexSample(TAU, (0j,) * 8).key
 
 
 class TestGenerators:
