@@ -282,9 +282,10 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
 def certificate_identity(form: Poly, cert: Certificate) -> bool:
     """Exact re-check: Delta^n * image(form) == sum_l P^l S_l / E4^l + R.
 
-    Delta is prime to the normalized numerator of the image, so Delta^n
+    The image is recomputed by `sub_ab_to_AB`, which cancels Delta in
+    integers.  Delta is prime to its normalized numerator, so Delta^n
     cancels min(n, q) of the denominator's Delta^q and the left side is
-    already normalized, with no trial division.
+    normalized as it stands, with no further cancellation.
     """
     if cert.n < 0:
         raise ValueError("certificate Delta power must be >= 0")

@@ -23,7 +23,10 @@ memoised, and so is each one's numerator lifted by a power of Delta, as
 monomials over one common denominator, one column of terms per
 monomial: the construction reads its linear system straight off those
 columns, and `sub_ab_to_AB` adds them up in integers, weighted by a
-concrete polynomial's coefficients, into one dict of terms.
+concrete polynomial's coefficients, into one dict of terms.  The sum may
+be divisible by E4 and by Delta; both are cancelled from the integer
+terms (Delta by `grading.cancel_delta`, with no polynomial division)
+before the terms become Fractions.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from functools import cache
 from math import lcm
 from typing import Dict, List, Tuple
 
-from .grading import AB, AlphabetMismatchError, Frac, Poly, ab, delta_poly
+from .grading import (AB, AlphabetMismatchError, Frac, Poly, ab, cancel_delta,
+                      delta_poly)
 
 F = Fraction
 
@@ -284,7 +288,7 @@ def image_columns(mons) -> Tuple[List[tuple], int, int]:
     Delta = (E4^3 - E6^2)/1728 is prime and prime to E4, to E6 and to the
     normalized numerator N, so the monomial's own normalized image is
     E4^(a - min(a, p)) E6^b N / (E4^(p - min(a, p)) Delta^q): exponent
-    arithmetic, with no product and no trial division.  The common
+    arithmetic, with no product and no division.  The common
     denominator E4^e4_pow Delta^delta_pow takes the maxima of those
     powers; each N is lifted once by Delta^(delta_pow - q) and shifted by
     the E4 and E6 exponents.
@@ -316,8 +320,10 @@ def sub_ab_to_AB(p: Poly) -> Frac:
     The image of each monomial comes from `image_columns`.  Each column's
     weight, p's coefficient over the column's den, is brought to one
     common integer denominator L; the integer columns, times their
-    weights, are added in place into one dict of output terms, each term
-    becomes one Fraction over L, and the sum is normalized once.  A
+    weights, are added in place into one dict of output terms.  The
+    common power of E4 is read off the exponents and Delta is cancelled
+    from the integer terms by `cancel_delta`, before any Fraction is
+    made; each remaining term then becomes one Fraction over L.  A
     polynomial over another alphabet raises AlphabetMismatchError.
     """
     if p.alphabet != ab:
@@ -332,9 +338,14 @@ def sub_ab_to_AB(p: Poly) -> Frac:
         for key, c in column:
             s = out.get(key)
             out[key] = c * w if s is None else s + c * w
-    return Frac.normalized(
-        Poly(AB, {key: Fraction(c, L) for key, c in out.items() if c}),
-        e4, dl)
+    out = {key: c for key, c in out.items() if c}
+    if not out:
+        return Frac(Poly.zero(AB), 0, 0)
+    k4 = min(e4, min(key[0] for key in out))
+    k, out = cancel_delta(out, dl)
+    return Frac(Poly(AB, {(key[0] - k4,) + key[1:]: Fraction(c, L)
+                          for key, c in out.items()}),
+                e4 - k4, dl - k)
 
 
 def e4_split(num: Poly, p: int) -> Tuple[List[Poly], Poly]:

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from itertools import accumulate
+from math import lcm
+from typing import (Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 Rational = Union[int, Fraction]
 
@@ -465,8 +468,9 @@ class Frac:
 
     Delta is never a ring symbol; it only ever appears expanded as the
     polynomial (E4^3 - E6^2)/1728 or as the denominator exponent here.
-    Construct through `normalized`, which cancels common factors, unless
-    num is known to be divisible by neither E4 nor Delta.
+    Construct through `normalized`, which cancels the common powers of E4
+    and of Delta (the latter by `cancel_delta`), unless num is known to
+    be divisible by neither E4 nor Delta.
     """
 
     num: Poly
@@ -479,28 +483,33 @@ class Frac:
 
         E4 is a single generator, so the power of E4 to cancel is the
         least E4 exponent of num's terms, capped at e4_pow, and it goes in
-        one rebuild.  Delta is cancelled by trial division, one power at a
-        time.
+        one rebuild.  The power of Delta goes in integers: the
+        coefficients are brought to one denominator, `cancel_delta`
+        divides the integer numerators by as many powers of Delta as
+        divide them, up to delta_pow, and the quotient is rebuilt once.
+        num's alphabet must lead with E4, E6 (as AB and ab do).
         """
         if num.is_zero():
             return Frac(num, 0, 0)
         if e4_pow < 0 or delta_pow < 0:
             raise ValueError("denominator exponents must be >= 0")
-        pos = num.alphabet.position("E4")
-        k = min(e4_pow, min(m[pos] for m in num.terms))
+        if num.alphabet.symbols[:2] != ("E4", "E6"):
+            raise AlphabetMismatchError(
+                "%s does not lead with E4, E6" % num.alphabet.name)
+        k = min(e4_pow, min(m[0] for m in num.terms))
         if k:
-            num = Poly(num.alphabet,
-                       {m[:pos] + (m[pos] - k,) + m[pos + 1:]: c
-                        for m, c in num.terms.items()})
+            num = Poly(num.alphabet, {(m[0] - k,) + m[1:]: c
+                                      for m, c in num.terms.items()})
             e4_pow -= k
         if delta_pow > 0:
-            delta = delta_poly(num.alphabet)
-            while delta_pow > 0:
-                q = num.divexact(delta)
-                if q is None:
-                    break
-                num = q
-                delta_pow -= 1
+            den = lcm(*(c.denominator for c in num.terms.values()))
+            k, terms = cancel_delta(
+                {m: c.numerator * (den // c.denominator)
+                 for m, c in num.terms.items()}, delta_pow)
+            if k:
+                num = Poly(num.alphabet, {m: Fraction(c, den)
+                                          for m, c in terms.items()})
+                delta_pow -= k
         return Frac(num, e4_pow, delta_pow)
 
     def is_zero(self) -> bool:
@@ -545,3 +554,58 @@ def delta_poly(alphabet: Alphabet) -> Poly:
     e4 = Poly.gen(alphabet, "E4")
     e6 = Poly.gen(alphabet, "E6")
     return (e4 ** 3 - e6 ** 2) / 1728
+
+
+def cancel_delta(terms: Mapping[tuple, int], limit: int) -> Tuple[int, dict]:
+    """(k, terms / Delta^k) for the largest k <= limit such that Delta^k
+    divides the polynomial with these nonzero `int` terms, over an
+    alphabet that leads with E4, E6; the quotient's terms are `int`s.
+    For k = 0 the input comes back as it is.
+
+    Write a term E4^a E6^b T (T the tail, the other exponents) as
+    E4^A E6^r u^j with r = b mod 2, j = (b - r)/2, u = E6^2/E4^3 and
+    A = a + 3j, and group the terms by (T, 4a + 6b, r), which fixes
+    E4^A E6^r T: each group is E4^A E6^r T g(u) for a polynomial g.
+    Since Delta = E4^3 (1 - u)/1728, multiplying by Delta sends each
+    group into the group (T, 4a + 6b + 12, r) and no two groups into the
+    same one.  So Delta divides the polynomial iff it divides each group,
+    that is iff (1 - u) divides each g, iff each g(1), the sum of the
+    group's coefficients, is 0.  The quotient's group is then
+    E4^(A-3) E6^r T 1728 h(u) with h = g/(1 - u), whose coefficients are
+    the prefix sums of g's: h_j = g_lo + ... + g_j for j from g's lowest
+    power lo to one below its top power hi.  Its E4 exponents
+    A - 3 - 3j are at least A - 3hi, that of g's top term, so >= 0.
+    The prefix sums begin with g_lo and end with -g_hi, both nonzero, so
+    each quotient group is again a dense list with nonzero ends, one
+    entry shorter.  The factors 1728 are applied once, at the end.
+    """
+    if limit <= 0 or not terms:
+        return 0, terms
+    groups: dict = {}
+    for m, c in terms.items():
+        b = m[1]
+        groups.setdefault((m[2:], 4 * m[0] + 6 * b, b & 1), {})[b >> 1] = c
+    if any(sum(g.values()) for g in groups.values()):
+        return 0, terms
+    dense = []
+    for key, g in groups.items():
+        lo = min(g)
+        dense.append((key, lo, [g.get(j, 0) for j in range(lo, max(g) + 1)]))
+    k = 0
+    while True:                     # here every group sums to 0
+        dense = [(key, lo, list(accumulate(cs[:-1])))
+                 for key, lo, cs in dense]
+        k += 1
+        if k == limit or any(sum(cs) for _, _, cs in dense):
+            break
+    scale = 1728 ** k
+    out = {}
+    for (tail, weight, r), lo, cs in dense:
+        a = (weight - 6 * r) // 4 - 3 * k - 3 * lo
+        b = r + 2 * lo
+        for c in cs:
+            if c:
+                out[(a, b) + tail] = c * scale
+            a -= 3
+            b += 2
+    return k, out

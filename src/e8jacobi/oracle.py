@@ -594,7 +594,16 @@ def eval_AB(name: str, sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
 
 
 def delta_value(tau, ctx: EvalContext) -> mpmath.mpc:
-    return eta(tau, ctx) ** 24
+    """Delta = eta^24 at the working precision, cached per exact tau."""
+    raw = _raw(tau)
+    key = ("delta", raw)
+    cached = ctx._gen_cache.get(key)
+    if cached is not None:
+        return cached
+    with mp.workdps(ctx.work_digits):
+        value = eta(tau, ctx) ** 24
+    ctx._gen_cache[key] = value
+    return value
 
 
 def _check_regular_point(tau, ctx: EvalContext) -> None:

@@ -5,15 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from e8jacobi.generators import p16_5
+from e8jacobi.construct import jacobi_basis, profile_weights
+from e8jacobi.generators import (image_columns, meromorphic_images, p16_5,
+                                 sub_ab_to_AB)
 from e8jacobi.grading import (AB, AlphabetMismatchError, BiDegree,
                               GradingError, Frac, Poly, S_ALPHABET, ab,
-                              delta_poly)
+                              cancel_delta, delta_poly)
 
 E4 = Poly.gen(AB, "E4")
 E6 = Poly.gen(AB, "E6")
 A1 = Poly.gen(AB, "A1")
 A2 = Poly.gen(AB, "A2")
+A3 = Poly.gen(AB, "A3")
 
 
 class TestBiDegree:
@@ -212,3 +215,104 @@ class TestFrac:
     def test_bidegree(self):
         f = Frac.normalized(A1, 1, 1)
         assert f.bidegree() == BiDegree(4 - 4 - 12, 1)
+
+
+def normalized_by_trial_division(num, e4_pow, delta_pow):
+    """Reference normalization: the least E4 exponent cancelled in one
+    step, then Delta divided out one power at a time by `Poly.divexact`
+    until it fails or delta_pow is used up."""
+    if num.is_zero():
+        return Frac(num, 0, 0)
+    pos = num.alphabet.position("E4")
+    k = min(e4_pow, min(m[pos] for m in num.terms))
+    if k:
+        num = Poly(num.alphabet,
+                   {m[:pos] + (m[pos] - k,) + m[pos + 1:]: c
+                    for m, c in num.terms.items()})
+        e4_pow -= k
+    delta = delta_poly(num.alphabet)
+    while delta_pow > 0:
+        q = num.divexact(delta)
+        if q is None:
+            break
+        num = q
+        delta_pow -= 1
+    return Frac(num, e4_pow, delta_pow)
+
+
+def _same(got, want):
+    return (got.num, got.e4_pow, got.delta_pow) == \
+        (want.num, want.e4_pow, want.delta_pow)
+
+
+# a few tails (A1..B6 exponents), so that terms share groups
+_TAILS = [(0,) * 9, (1,) + (0,) * 8, (0, 2) + (0,) * 7,
+          (1, 0, 0, 0, 0, 1, 0, 0, 0)]
+_ab_terms = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 5), st.sampled_from(_TAILS))
+    .map(lambda t: (t[0], t[1]) + t[2]),
+    st.one_of(_small.filter(bool), _coefficients), min_size=1, max_size=8)
+
+
+class TestDeltaCancellation:
+    @given(_ab_terms, st.integers(0, 3), st.integers(0, 2),
+           st.integers(0, 4), st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_trial_division(self, h_terms, k, i, e4_pow,
+                                    delta_pow):
+        """h Delta^k E4^i, h of mixed weights over several tails with int
+        and Fraction coefficients, against the reference, for delta_pow
+        below, at and above k."""
+        num = Poly(AB, h_terms) * delta_poly(AB) ** k * E4 ** i
+        assert _same(Frac.normalized(num, e4_pow, delta_pow),
+                     normalized_by_trial_division(num, e4_pow, delta_pow))
+
+    def test_one_group_not_summing_to_zero(self):
+        # the groups of Delta h sum to 0; A3 (E4^3 - 2 E6^2) falls into
+        # the group of Delta A3 and leaves it summing to -1
+        h = Poly(AB, {**(E4 * A1).terms, **(E6 ** 2 * A2).terms,
+                      **A3.terms})
+        num = (delta_poly(AB) * h).unchecked_add(
+            A3 * (E4 ** 3 - 2 * E6 ** 2))
+        ints = {m: int(1728 * c) for m, c in num.terms.items()}
+        assert cancel_delta(ints, 3) == (0, ints)
+        assert Frac.normalized(num, 0, 3) == Frac(num, 0, 3)
+        lifted = num * delta_poly(AB) ** 2
+        f = Frac.normalized(lifted, 0, 5)
+        assert (f.num, f.delta_pow) == (num, 3)
+        assert _same(f, normalized_by_trial_division(lifted, 0, 5))
+
+    def test_images_match_trial_division(self, monkeypatch):
+        """Every normalization that builds the meromorphic images, and
+        the image of every basis form of index <= 6 from its columns
+        over the common denominator, against the reference."""
+        calls = []
+        normalized = Frac.normalized
+
+        def spy(num, e4_pow, delta_pow):
+            calls.append((num, e4_pow, delta_pow))
+            return normalized(num, e4_pow, delta_pow)
+
+        monkeypatch.setattr(Frac, "normalized", staticmethod(spy))
+        images = meromorphic_images.__wrapped__()
+        monkeypatch.undo()
+        assert len(calls) == len(images) == 11
+        for (num, e4_pow, delta_pow), image in zip(calls, images.values()):
+            assert _same(image, normalized_by_trial_division(
+                num, e4_pow, delta_pow))
+        assert images == meromorphic_images()
+        checked = 0
+        for m in range(1, 7):
+            for k in profile_weights(m, None):
+                for form in jacobi_basis(k, m).forms:
+                    columns, e4_pow, delta_pow = image_columns(form.terms)
+                    num = Poly.zero(AB)
+                    for (den, column), c in zip(columns,
+                                                form.terms.values()):
+                        num = num.unchecked_add(
+                            Poly(AB, dict(column)).scale(Fraction(c, den)))
+                    assert _same(sub_ab_to_AB(form),
+                                 normalized_by_trial_division(
+                                     num, e4_pow, delta_pow))
+                    checked += 1
+        assert checked == 391

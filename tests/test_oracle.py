@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc
 
+from e8jacobi import oracle
 from e8jacobi.construct import jacobi_basis
 from e8jacobi.generators import p12_5_over_ab, p16_5
 from e8jacobi.grading import AB, Poly, ab
@@ -310,6 +311,30 @@ class TestCacheKeys:
         assert eval_AB("A1", same, ctx) is value
         assert len(ctx._gen_cache) == size
         assert ComplexSample(TAU, Z0).key == ComplexSample(TAU, (0j,) * 8).key
+
+    def test_one_delta_entry_per_distinct_tau(self, monkeypatch):
+        # Delta is raised from eta once per exact tau, at the working
+        # precision, and every meromorphic evaluation reads that entry
+        calls = []
+        monkeypatch.setattr(oracle, "eta",
+                            lambda tau, ctx: calls.append(tau) or eta(tau, ctx))
+        (form, _) = jacobi_basis(-16, 5).forms
+        ctx = EvalContext()
+        check_axioms(form, -16, 5, 1, ctx, seed=3)
+        deltas = {key[1] for key in ctx._gen_cache if key[0] == "delta"}
+        mero = {key[1] for key in ctx._gen_cache
+                if key[0] in ("a2", "a3", "a4", "b1", "b2", "b3", "b4",
+                              "b5", "b6")}
+        assert deltas == mero
+        assert len(calls) == len(deltas)
+        # a first evaluation at the caller's lower precision still caches
+        # the value at the working precision
+        fresh = EvalContext()
+        eval_ab("a2", ComplexSample(TAU, _z_generic()), fresh)
+        for c, raw in [(ctx, raw) for raw in deltas] + [(fresh, TAU._mpc_)]:
+            with mp.workdps(c.work_digits):
+                expected = eta(mp.make_mpc(raw), c) ** 24
+            assert c._gen_cache[("delta", raw)] == expected
 
 
 class TestGenerators:
