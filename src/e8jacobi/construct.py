@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .ansatz import build_ansatz, enumerate_monomials
 from .generators import e4_split, image_columns, p16_5, sub_ab_to_AB
-from .grading import (AB, BiDegree, Frac, ParamPoly, Poly, S_ALPHABET, ab,
+from .grading import (AB, BiDegree, ParamPoly, Poly, S_ALPHABET, ab,
                       delta_poly)
 from .kernels import echelon_int_rows
 from .linsolve import LinearSystem, coefficient_equations, nullspace
@@ -282,24 +282,35 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
 def certificate_identity(form: Poly, cert: Certificate) -> bool:
     """Exact re-check: Delta^n * image(form) == sum_l P^l S_l / E4^l + R.
 
-    The image is recomputed by `sub_ab_to_AB`, which cancels Delta in
-    integers.  Delta is prime to its normalized numerator, so Delta^n
-    cancels min(n, q) of the denominator's Delta^q and the left side is
-    normalized as it stands, with no further cancellation.
+    The image N/(E4^a Delta^d) is recomputed by `sub_ab_to_AB`, in
+    lowest terms.  The right side has no Delta in its denominator, and
+    Delta is prime to N and to E4, so the identity fails when n < d.
+    Otherwise both sides are brought over E4^t, t the largest of a and
+    every l, and the check is one polynomial equation over AB:
+    Delta^(n-d) N E4^(t-a) == E4^t R + sum_l E4^(t-l) P^l S_l, each
+    power of E4 a shift of exponents.
     """
     if cert.n < 0:
         raise ValueError("certificate Delta power must be >= 0")
-    frac = sub_ab_to_AB(form)
-    if cert.n <= frac.delta_pow:
-        lhs = Frac(frac.num, frac.e4_pow, frac.delta_pow - cert.n)
-    else:
-        lhs = Frac(frac.num * delta_poly(AB) ** (cert.n - frac.delta_pow),
-                   frac.e4_pow, 0)
-    rhs = Frac.normalized(cert.remainder, 0, 0)
+    image = sub_ab_to_AB(form)
+    gap = cert.n - image.delta_pow
+    if gap < 0:
+        return False
+    s_parts = cert.s_parts
+    t = max([image.e4_pow, *(l for l, _ in s_parts)])
+    num = image.num * delta_poly(AB) ** gap if gap else image.num
+    lhs = _e4_shift(num, t - image.e4_pow)
+    rhs = _e4_shift(cert.remainder, t)
     p165 = p16_5()
-    for l, s_l in cert.s_parts:
-        rhs = rhs + Frac.normalized(p165 ** l * s_l.map_alphabet(AB), l, 0)
+    for l, s_l in s_parts:
+        rhs = rhs.unchecked_add(
+            _e4_shift(p165 ** l * s_l.map_alphabet(AB), t - l))
     return lhs == rhs
+
+
+def _e4_shift(p: Poly, e: int) -> Poly:
+    """p * E4^e over AB, which leads with E4."""
+    return Poly(AB, {(m[0] + e,) + m[1:]: c for m, c in p.terms.items()})
 
 
 def rank_series(m: int) -> int:

@@ -1,10 +1,10 @@
 """Substitution maps between the two generator alphabets.
 
-The meromorphic generators a2..a4, b1..b6 are stored as normalized
-fractions over the holomorphic alphabet (numerator over AB divided by
-powers of E4 and Delta), and conversely A1..B6 are stored as genuine
-polynomials over the meromorphic alphabet with every Delta occurrence
-expanded via (E4^3 - E6^2)/1728.  The two tables are transcribed
+The meromorphic generators a2..a4, b1..b6 are stored as fractions over
+the holomorphic alphabet (numerator over AB divided by powers of E4 and
+Delta), in lowest terms as transcribed, and conversely A1..B6 are stored
+as genuine polynomials over the meromorphic alphabet with every Delta
+occurrence expanded via (E4^3 - E6^2)/1728.  The two tables are transcribed
 independently and verified against each other by the roundtrip tests.
 
 The ab->AB substitution (`sub_ab_to_AB`) rests on two facts.  E4 and E6
@@ -26,7 +26,8 @@ columns, and `sub_ab_to_AB` adds them up in integers, weighted by a
 concrete polynomial's coefficients, into one dict of terms.  The sum may
 be divisible by E4 and by Delta; both are cancelled from the integer
 terms (Delta by `grading.cancel_delta`, with no polynomial division)
-before the terms become Fractions.
+before the terms become Fractions.  This is the one place where a
+fraction is brought to lowest terms.
 """
 
 from __future__ import annotations
@@ -52,22 +53,24 @@ def _AB_gens():
 
 @cache
 def meromorphic_images() -> Dict[str, Frac]:
-    """a_i, b_j as normalized fractions num / (E4^p Delta^q) over AB."""
+    """a_i, b_j as fractions num / (E4^p Delta^q) over AB, each in lowest
+    terms as written: no numerator is divisible by Delta, and each has a
+    term free of E4."""
     g = _AB_gens()
     E4, E6 = g["E4"], g["E6"]
     A1, A2, A3, A4, A5 = g["A1"], g["A2"], g["A3"], g["A4"], g["A5"]
     B2, B3, B4, B6 = g["B2"], g["B3"], g["B4"], g["B6"]
 
     return {
-        "E4": Frac.normalized(E4, 0, 0),
-        "E6": Frac.normalized(E6, 0, 0),
-        "a2": Frac.normalized(6 * (-E4 * A2 + A1 ** 2), 1, 1),
-        "a3": Frac.normalized(
+        "E4": Frac(E4, 0, 0),
+        "E6": Frac(E6, 0, 0),
+        "a2": Frac(6 * (-E4 * A2 + A1 ** 2), 1, 1),
+        "a3": Frac(
             (-7 * E4 ** 2 * E6 * A3 - 20 * E4 ** 3 * B3
              - 9 * E4 * E6 * A1 * A2 + 30 * E4 ** 2 * A1 * B2
              + 6 * E6 * A1 ** 3) / 9,
             2, 2),
-        "a4": Frac.normalized(
+        "a4": Frac(
             ((E4 ** 6 - E4 ** 3 * E6 ** 2) * A4
              + (56 * E4 ** 5 - 56 * E4 ** 2 * E6 ** 2) * A1 * A3
              - 27 * E4 ** 5 * A2 ** 2
@@ -77,14 +80,14 @@ def meromorphic_images() -> Dict[str, Frac]:
              + 240 * E4 ** 2 * E6 * A1 ** 2 * B2
              + (-210 * E4 ** 3 + 18 * E6 ** 2) * A1 ** 4) / 864,
             3, 3),
-        "b1": Frac.normalized(-4 * A1, 1, 0),
-        "b2": Frac.normalized(F(5, 6) * (E4 ** 2 * B2 - E6 * A1 ** 2), 2, 1),
-        "b3": Frac.normalized(
+        "b1": Frac(-4 * A1, 1, 0),
+        "b2": Frac(F(5, 6) * (E4 ** 2 * B2 - E6 * A1 ** 2), 2, 1),
+        "b3": Frac(
             (-7 * E4 ** 5 * A3 - 20 * E4 ** 3 * E6 * B3
              - 9 * E4 ** 4 * A1 * A2 + 30 * E4 ** 2 * E6 * A1 * B2
              + (16 * E4 ** 3 - 10 * E6 ** 2) * A1 ** 3) / 108,
             3, 2),
-        "b4": Frac.normalized(
+        "b4": Frac(
             ((-5 * E4 ** 7 + 5 * E4 ** 4 * E6 ** 2) * B4
              + (80 * E4 ** 6 - 80 * E4 ** 3 * E6 ** 2) * A1 * B3
              + 9 * E4 ** 5 * E6 * A2 ** 2
@@ -94,7 +97,7 @@ def meromorphic_images() -> Dict[str, Frac]:
              + (-140 * E4 ** 5 + 60 * E4 ** 2 * E6 ** 2) * A1 ** 2 * B2
              + (74 * E4 ** 3 * E6 - 10 * E6 ** 3) * A1 ** 4) / 1728,
             4, 3),
-        "b5": Frac.normalized(
+        "b5": Frac(
             ((-21 * E4 ** 7 + 21 * E4 ** 4 * E6 ** 2) * A5
              - 294 * E4 ** 6 * A2 * A3
              - 770 * E4 ** 4 * E6 * B2 * A3
@@ -108,7 +111,7 @@ def meromorphic_images() -> Dict[str, Frac]:
              - 240 * E4 ** 2 * E6 * A1 ** 3 * B2
              + (-456 * E4 ** 3 + 24 * E6 ** 2) * A1 ** 5) / 72,
             5, 3),
-        "b6": Frac.normalized(
+        "b6": Frac(
             ((-20 * E4 ** 12 + 40 * E4 ** 9 * E6 ** 2
               - 20 * E4 ** 6 * E6 ** 4) * B6
              + (-189 * E4 ** 10 * E6 + 378 * E4 ** 7 * E6 ** 3

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from math import lcm
 from typing import (Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
@@ -464,88 +463,19 @@ class ParamPoly:
 
 @dataclass(frozen=True)
 class Frac:
-    """Normalized fraction num / (E4^e4_pow * Delta^delta_pow) over AB.
+    """The fraction num / (E4^e4_pow * Delta^delta_pow) over AB, as a
+    plain record.
 
     Delta is never a ring symbol; it only ever appears expanded as the
     polynomial (E4^3 - E6^2)/1728 or as the denominator exponent here.
-    Construct through `normalized`, which cancels the common powers of E4
-    and of Delta (the latter by `cancel_delta`), unless num is known to
-    be divisible by neither E4 nor Delta.
+    The generator tables hold their fractions in lowest terms as
+    transcribed, and `generators.sub_ab_to_AB` is the one place that
+    brings a fraction to lowest terms.
     """
 
     num: Poly
     e4_pow: int
     delta_pow: int
-
-    @staticmethod
-    def normalized(num: Poly, e4_pow: int, delta_pow: int) -> "Frac":
-        """num / (E4^e4_pow Delta^delta_pow) in lowest terms.
-
-        E4 is a single generator, so the power of E4 to cancel is the
-        least E4 exponent of num's terms, capped at e4_pow, and it goes in
-        one rebuild.  The power of Delta goes in integers: the
-        coefficients are brought to one denominator, `cancel_delta`
-        divides the integer numerators by as many powers of Delta as
-        divide them, up to delta_pow, and the quotient is rebuilt once.
-        num's alphabet must lead with E4, E6 (as AB and ab do).
-        """
-        if num.is_zero():
-            return Frac(num, 0, 0)
-        if e4_pow < 0 or delta_pow < 0:
-            raise ValueError("denominator exponents must be >= 0")
-        if num.alphabet.symbols[:2] != ("E4", "E6"):
-            raise AlphabetMismatchError(
-                "%s does not lead with E4, E6" % num.alphabet.name)
-        k = min(e4_pow, min(m[0] for m in num.terms))
-        if k:
-            num = Poly(num.alphabet, {(m[0] - k,) + m[1:]: c
-                                      for m, c in num.terms.items()})
-            e4_pow -= k
-        if delta_pow > 0:
-            den = lcm(*(c.denominator for c in num.terms.values()))
-            k, terms = cancel_delta(
-                {m: c.numerator * (den // c.denominator)
-                 for m, c in num.terms.items()}, delta_pow)
-            if k:
-                num = Poly(num.alphabet, {m: Fraction(c, den)
-                                          for m, c in terms.items()})
-                delta_pow -= k
-        return Frac(num, e4_pow, delta_pow)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Frac.normalized(self.num * other, self.e4_pow, self.delta_pow)
-        return Frac.normalized(self.num * other.num,
-                               self.e4_pow + other.e4_pow,
-                               self.delta_pow + other.delta_pow)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "Frac") -> "Frac":
-        e4 = max(self.e4_pow, other.e4_pow)
-        dl = max(self.delta_pow, other.delta_pow)
-        alphabet = self.num.alphabet
-        delta = delta_poly(alphabet)
-        e4g = Poly.gen(alphabet, "E4")
-        a = self.num * e4g ** (e4 - self.e4_pow) * delta ** (dl - self.delta_pow)
-        b = other.num * e4g ** (e4 - other.e4_pow) * delta ** (dl - other.delta_pow)
-        return Frac.normalized(a.unchecked_add(b), e4, dl)
-
-    def __pow__(self, e: int) -> "Frac":
-        result = Frac(Poly.const(self.num.alphabet, 1), 0, 0)
-        for _ in range(e):
-            result = result * self
-        return result
-
-    def bidegree(self) -> Optional[BiDegree]:
-        d = self.num.bidegree()
-        if d is None:
-            return None
-        return BiDegree(d.weight - 4 * self.e4_pow - 12 * self.delta_pow,
-                        d.index)
 
 
 @cache

@@ -39,7 +39,7 @@ from mpmath.libmp import (from_float, from_int, from_man_exp, fzero,
                           mpf_div, mpf_sign, round_nearest, to_float)
 
 from . import e8
-from .generators import meromorphic_images, p16_5
+from .generators import meromorphic_images
 from .grading import AB, Frac, Poly, S_ALPHABET, ab
 
 
@@ -662,32 +662,6 @@ def eval_poly(form: Poly, sample: ComplexSample,
                     term *= gen_eval(sym, sample, ctx) ** e
             total += term
         return total
-
-
-def eval_certified(cert, sample: ComplexSample,
-                   ctx: EvalContext) -> mpmath.mpc:
-    """Evaluate a form through its certificate representation
-    (R + sum_l P^l S_l / E4^l) / Delta^n.
-
-    Near a zero of E4 the numerators P^l S_l vanish like E4^l, so the
-    working precision is raised by the cancellation depth and the
-    quotient stays accurate; this is how holomorphic forms are evaluated
-    where the meromorphic generators blow up.
-    """
-    e4 = eval_AB("E4", sample, ctx)
-    l_max = max((l for l, _ in cert.s_parts), default=0)
-    extra = 0
-    if l_max and abs(e4) < 1:
-        extra = int(mpmath.ceil(-mpmath.log10(abs(e4)))) * l_max + 10
-    wctx = EvalContext(ctx.precision + extra) if extra else ctx
-    with mp.workdps(wctx.work_digits):
-        e4 = eval_AB("E4", sample, wctx)
-        value = eval_poly(cert.remainder, sample, wctx)
-        if cert.s_parts:
-            p_val = eval_poly(p16_5(), sample, wctx)
-            for l, s_l in cert.s_parts:
-                value += (p_val / e4) ** l * eval_poly(s_l, sample, wctx)
-        return value / delta_value(sample.tau, wctx) ** cert.n
 
 
 def orbit_character(j: int, z: Sequence[complex],

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from e8jacobi.ansatz import enumerate_monomials
-from e8jacobi.grading import AB, BiDegree, Poly, ab
+from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab, delta_poly
 from e8jacobi.linsolve import echelonize, primitive_vector
 
 
@@ -16,6 +16,54 @@ def build(alphabet, terms):
             vec[alphabet.position(sym)] = e
         out[tuple(vec)] = Fraction(coeff)
     return Poly(alphabet, out)
+
+
+def normalized_by_trial_division(num, e4_pow, delta_pow):
+    """Reference lowest terms of num / (E4^e4_pow Delta^delta_pow): the
+    least E4 exponent cancelled in one step, then Delta divided out one
+    power at a time by `Poly.divexact` until it fails or delta_pow is
+    used up."""
+    if num.is_zero():
+        return Frac(num, 0, 0)
+    pos = num.alphabet.position("E4")
+    k = min(e4_pow, min(m[pos] for m in num.terms))
+    if k:
+        num = Poly(num.alphabet,
+                   {m[:pos] + (m[pos] - k,) + m[pos + 1:]: c
+                    for m, c in num.terms.items()})
+        e4_pow -= k
+    delta = delta_poly(num.alphabet)
+    while delta_pow > 0:
+        q = num.divexact(delta)
+        if q is None:
+            break
+        num = q
+        delta_pow -= 1
+    return Frac(num, e4_pow, delta_pow)
+
+
+def frac_product(f, g):
+    """Reference product of two fractions, in lowest terms."""
+    return normalized_by_trial_division(
+        f.num * g.num, f.e4_pow + g.e4_pow, f.delta_pow + g.delta_pow)
+
+
+def frac_sum(f, g):
+    """Reference sum of two fractions over AB, in lowest terms: both
+    numerators brought over the larger powers of E4 and of Delta."""
+    e4 = max(f.e4_pow, g.e4_pow)
+    dl = max(f.delta_pow, g.delta_pow)
+    E4, delta = Poly.gen(AB, "E4"), delta_poly(AB)
+    a = f.num * E4 ** (e4 - f.e4_pow) * delta ** (dl - f.delta_pow)
+    b = g.num * E4 ** (e4 - g.e4_pow) * delta ** (dl - g.delta_pow)
+    return normalized_by_trial_division(a.unchecked_add(b), e4, dl)
+
+
+def frac_bidegree(f):
+    """The bidegree of num / (E4^p Delta^q): E4 has weight 4 and Delta
+    weight 12, both index 0."""
+    d = f.num.bidegree()
+    return BiDegree(d.weight - 4 * f.e4_pow - 12 * f.delta_pow, d.index)
 
 
 def span_basis(forms, k, m):

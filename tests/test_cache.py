@@ -71,7 +71,7 @@ class TestDiskStore:
         store = DiskStore(str(tmp_path))
         store.save(4, 1, jacobi_basis(4, 1))
         monkeypatch.setitem(meromorphic_images(), "b1",
-                            Frac.normalized(Poly.gen(AB, "A1").scale(-3), 1, 0))
+                            Frac(Poly.gen(AB, "A1").scale(-3), 1, 0))
         cache._tables_digest.cache_clear()
         assert store.load(4, 1) is None
         monkeypatch.undo()

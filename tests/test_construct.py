@@ -14,7 +14,8 @@ from e8jacobi.construct import (Certificate, ConsistencyError, Rejection,
                                 certificate_identity, certify, clear_cache,
                                 index_profile, jacobi_basis, jacobi_dim,
                                 lb_analysis, module_generators, rank_series)
-from e8jacobi.generators import e4_split, image_columns, p16_5, sub_ab_to_AB
+from e8jacobi.generators import (e4_split, holomorphic_images, image_columns,
+                                 p12_5_over_ab, p16_5, sub_ab_to_AB)
 from e8jacobi.grading import AB, BiDegree, Poly, S_ALPHABET, ab, delta_poly
 from e8jacobi.linsolve import nullspace
 from e8jacobi.oracle import ComplexSample, EvalContext, eval_poly
@@ -99,6 +100,50 @@ class TestCertificates:
             form, altered(remainder=Poly(AB, terms)))
         with pytest.raises(ValueError):
             certificate_identity(form, altered(n=-1))
+        # S_1 moved to l = 2, and the S part dropped
+        ((l, s_1),) = cert.s_parts
+        assert not certificate_identity(
+            form, Certificate(cert.n, ((l + 1, s_1),), cert.remainder))
+        assert not certificate_identity(
+            form, Certificate(cert.n, (), cert.remainder))
+        # a basis certificate whose n is above the image's Delta power,
+        # so the check multiplies the image by Delta, with one R
+        # numerator changed
+        basis = jacobi_basis(-20, 6)
+        form, cert = basis.forms[3], basis.certificates[3]
+        image = sub_ab_to_AB(form)
+        assert (cert.n, image.delta_pow, image.e4_pow) == (5, 4, 1)
+        assert [l for l, _ in cert.s_parts] == [1]
+        assert certificate_identity(form, cert)
+        for i in (0, len(cert.r_nums) - 1):
+            r_nums = list(cert.r_nums)
+            r_nums[i] += 1
+            assert not certificate_identity(form, Certificate.from_rows(
+                cert.n, cert.den, cert.r_mons, r_nums, cert.s_rows))
+        # the zero form and its empty certificate
+        zero = Poly.zero(ab)
+        assert certify(zero) == Certificate(0, (), Poly.zero(AB))
+        assert certificate_identity(zero, Certificate(0, (), Poly.zero(AB)))
+
+    def test_second_power_part(self):
+        """P_{12,5} over ab is P/E4, so x = P_{12,5} (P_{12,5} + E4 A1 A4)
+        is P^2/E4^2 + P A1 A4 over AB: S_2 = 1, and only the E4 shift
+        by t - l = 0 puts P^2 back over E4^2."""
+        p12 = p12_5_over_ab()
+        hol = holomorphic_images()
+        x = p12 * (p12 + Poly.gen(ab, "E4") * hol["A1"] * hol["A4"])
+        cert = certify(x)
+        assert cert.n == 0
+        assert cert.s_parts == ((2, Poly.const(S_ALPHABET, 1)),)
+        assert cert.remainder == p16_5() * Poly.gen(AB, "A1") \
+            * Poly.gen(AB, "A4")
+        assert certificate_identity(x, cert)
+        for l in (1, 3):
+            assert not certificate_identity(
+                x, Certificate(0, ((l, Poly.const(S_ALPHABET, 1)),),
+                               cert.remainder))
+        assert not certificate_identity(x, Certificate(1, cert.s_parts,
+                                                       cert.remainder))
 
     def test_meromorphic_generators_rejected(self):
         for name in ("a2", "a3", "b2"):

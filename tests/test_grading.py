@@ -1,6 +1,7 @@
 """Polynomial and graded-ring arithmetic."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from e8jacobi.generators import (image_columns, meromorphic_images, p16_5,
 from e8jacobi.grading import (AB, AlphabetMismatchError, BiDegree,
                               GradingError, Frac, Poly, S_ALPHABET, ab,
                               cancel_delta, delta_poly)
+
+from helpers import normalized_by_trial_division
 
 E4 = Poly.gen(AB, "E4")
 E6 = Poly.gen(AB, "E6")
@@ -199,50 +202,21 @@ class TestPolyProperties:
 
 class TestFrac:
     def test_normalization_strips_common_factors(self):
-        f = Frac.normalized(E4 * E6 * A1, 2, 0)
-        assert f.e4_pow == 1 and f.num == E6 * A1
-        d = delta_poly(AB)
-        g = Frac.normalized(d * A1, 0, 2)
-        assert g.delta_pow == 1 and g.num == A1
-
-    def test_field_identities(self):
-        f = Frac.normalized(A1, 1, 1)
-        g = Frac.normalized(E6 * A1, 0, 2)
-        assert f + g == g + f
-        assert (f + g) * f == f * f + g * f
-        assert f ** 2 == f * f
-
-    def test_bidegree(self):
-        f = Frac.normalized(A1, 1, 1)
-        assert f.bidegree() == BiDegree(4 - 4 - 12, 1)
+        """Lowest terms come from `sub_ab_to_AB` alone: a common E4 and
+        a common Delta leave the denominator of the image."""
+        e4, e6, b1, a2 = (Poly.gen(ab, s) for s in ("E4", "E6", "b1", "a2"))
+        f = sub_ab_to_AB(e4 * e6 * b1)
+        assert f == Frac(-4 * E6 * A1, 0, 0)
+        d = delta_poly(ab)
+        g = sub_ab_to_AB(d ** 2 * a2)
+        assert g == Frac(6 * (A1 ** 2 - E4 * A2) * delta_poly(AB), 1, 0)
 
 
-def normalized_by_trial_division(num, e4_pow, delta_pow):
-    """Reference normalization: the least E4 exponent cancelled in one
-    step, then Delta divided out one power at a time by `Poly.divexact`
-    until it fails or delta_pow is used up."""
-    if num.is_zero():
-        return Frac(num, 0, 0)
-    pos = num.alphabet.position("E4")
-    k = min(e4_pow, min(m[pos] for m in num.terms))
-    if k:
-        num = Poly(num.alphabet,
-                   {m[:pos] + (m[pos] - k,) + m[pos + 1:]: c
-                    for m, c in num.terms.items()})
-        e4_pow -= k
-    delta = delta_poly(num.alphabet)
-    while delta_pow > 0:
-        q = num.divexact(delta)
-        if q is None:
-            break
-        num = q
-        delta_pow -= 1
-    return Frac(num, e4_pow, delta_pow)
-
-
-def _same(got, want):
-    return (got.num, got.e4_pow, got.delta_pow) == \
-        (want.num, want.e4_pow, want.delta_pow)
+def as_ints(num):
+    """(den, terms): num's coefficients as int numerators over den."""
+    den = lcm(*(c.denominator for c in num.terms.values()))
+    return den, {m: c.numerator * (den // c.denominator)
+                 for m, c in num.terms.items()}
 
 
 # a few tails (A1..B6 exponents), so that terms share groups
@@ -256,16 +230,19 @@ _ab_terms = st.dictionaries(
 
 class TestDeltaCancellation:
     @given(_ab_terms, st.integers(0, 3), st.integers(0, 2),
-           st.integers(0, 4), st.integers(0, 5))
+           st.integers(0, 5))
     @settings(max_examples=80, deadline=None)
-    def test_matches_trial_division(self, h_terms, k, i, e4_pow,
-                                    delta_pow):
+    def test_matches_trial_division(self, h_terms, k, i, delta_pow):
         """h Delta^k E4^i, h of mixed weights over several tails with int
         and Fraction coefficients, against the reference, for delta_pow
         below, at and above k."""
         num = Poly(AB, h_terms) * delta_poly(AB) ** k * E4 ** i
-        assert _same(Frac.normalized(num, e4_pow, delta_pow),
-                     normalized_by_trial_division(num, e4_pow, delta_pow))
+        den, ints = as_ints(num)
+        cancelled, terms = cancel_delta(ints, delta_pow)
+        want = normalized_by_trial_division(num, 0, delta_pow)
+        assert cancelled == delta_pow - want.delta_pow
+        assert all(type(c) is int for c in terms.values())
+        assert Poly(AB, terms).scale(Fraction(1, den)) == want.num
 
     def test_one_group_not_summing_to_zero(self):
         # the groups of Delta h sum to 0; A3 (E4^3 - 2 E6^2) falls into
@@ -276,31 +253,23 @@ class TestDeltaCancellation:
             A3 * (E4 ** 3 - 2 * E6 ** 2))
         ints = {m: int(1728 * c) for m, c in num.terms.items()}
         assert cancel_delta(ints, 3) == (0, ints)
-        assert Frac.normalized(num, 0, 3) == Frac(num, 0, 3)
+        assert normalized_by_trial_division(num, 0, 3) == Frac(num, 0, 3)
         lifted = num * delta_poly(AB) ** 2
-        f = Frac.normalized(lifted, 0, 5)
-        assert (f.num, f.delta_pow) == (num, 3)
-        assert _same(f, normalized_by_trial_division(lifted, 0, 5))
+        den, lifted_ints = as_ints(lifted)
+        cancelled, terms = cancel_delta(lifted_ints, 5)
+        assert cancelled == 2
+        assert Poly(AB, terms).scale(Fraction(1, den)) == num
+        assert normalized_by_trial_division(lifted, 0, 5) == Frac(num, 0, 3)
 
-    def test_images_match_trial_division(self, monkeypatch):
-        """Every normalization that builds the meromorphic images, and
+    def test_images_match_trial_division(self):
+        """Every meromorphic image is in lowest terms as transcribed, and
         the image of every basis form of index <= 6 from its columns
-        over the common denominator, against the reference."""
-        calls = []
-        normalized = Frac.normalized
-
-        def spy(num, e4_pow, delta_pow):
-            calls.append((num, e4_pow, delta_pow))
-            return normalized(num, e4_pow, delta_pow)
-
-        monkeypatch.setattr(Frac, "normalized", staticmethod(spy))
-        images = meromorphic_images.__wrapped__()
-        monkeypatch.undo()
-        assert len(calls) == len(images) == 11
-        for (num, e4_pow, delta_pow), image in zip(calls, images.values()):
-            assert _same(image, normalized_by_trial_division(
-                num, e4_pow, delta_pow))
-        assert images == meromorphic_images()
+        over the common denominator matches the reference."""
+        images = meromorphic_images()
+        assert len(images) == 11
+        for image in images.values():
+            assert image == normalized_by_trial_division(
+                image.num, image.e4_pow, image.delta_pow)
         checked = 0
         for m in range(1, 7):
             for k in profile_weights(m, None):
@@ -311,8 +280,7 @@ class TestDeltaCancellation:
                                                 form.terms.values()):
                         num = num.unchecked_add(
                             Poly(AB, dict(column)).scale(Fraction(c, den)))
-                    assert _same(sub_ab_to_AB(form),
-                                 normalized_by_trial_division(
-                                     num, e4_pow, delta_pow))
+                    assert sub_ab_to_AB(form) == normalized_by_trial_division(
+                        num, e4_pow, delta_pow)
                     checked += 1
         assert checked == 391

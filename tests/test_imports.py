@@ -1,5 +1,6 @@
 """Every name a library module imports is used by that module, and
-every function, class and method the library defines is read somewhere.
+every function, class and method the library defines is read by the
+library itself, unless `READ_OUTSIDE_SRC` lists it with its reason.
 
 `__init__.py` is left out of the import check: its imports are the
 package's re-exports.
@@ -10,8 +11,7 @@ from pathlib import Path
 
 import pytest
 
-TESTS = Path(__file__).resolve().parent
-PACKAGE = TESTS.parent / "src" / "e8jacobi"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "e8jacobi"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -86,12 +86,36 @@ def read_names(tree):
                                if isinstance(node, ast.Attribute)}
 
 
+# Definitions that no library module reads, each with the reason it stays.
+READ_OUTSIDE_SRC = {
+    "clear_cache": "README library API: drops the in-process bases",
+    "BiDegree.scaled": "README library API",
+    "Alphabet.degree": "README library API",
+    "Poly.monomial": "README library API",
+    "Poly.gen_exponent_range": "README library API",
+    "basis_from_json": "README library API: reads a basis document back",
+    "dot2": "test reference: the pairing the E8 root tests check",
+    "reflect": "test reference: the Weyl orbits are closed under it",
+    "holomorphic_images": "test reference: the table the roundtrips invert",
+    "p12_5_over_ab": "test reference: criterion 7's weight-12 form",
+    "echelonize": "pinned by perfbench/spans.py; span_basis reference",
+    "primitive_vector": "pinned by perfbench/spans.py; span_basis reference",
+    "poly_from_compact": "pinned by perfbench/spans.py",
+    "orbit_character": "pinned by perfbench/spans.py; README library API",
+}
+
+
 def test_no_unread_definitions():
-    sources = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    sources = sorted(PACKAGE.glob("*.py"))
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sources}
     read = set().union(*(read_names(tree) for tree in trees.values()))
-    unread = sorted("%s: %s (line %d)" % (path.name, name, line)
-                    for path in sources if path.parent == PACKAGE
-                    for name, line in defined_names(trees[path]).items()
-                    if name.rpartition(".")[2] not in read)
-    assert not unread, "defined but never read: %s" % ", ".join(unread)
+    unread = {name: "%s: %s (line %d)" % (path.name, name, line)
+              for path in sources
+              for name, line in defined_names(trees[path]).items()
+              if name.rpartition(".")[2] not in read}
+    unlisted = sorted(unread[name] for name in unread.keys()
+                      - READ_OUTSIDE_SRC.keys())
+    assert not unlisted, "defined but never read: %s" % ", ".join(unlisted)
+    stale = sorted(READ_OUTSIDE_SRC.keys() - unread.keys())
+    assert not stale, "listed but read by the library or gone: %s" \
+        % ", ".join(stale)

@@ -14,9 +14,9 @@ from e8jacobi.grading import AB, Poly, ab
 from e8jacobi.oracle import (ComplexSample, EvalContext, NearSingularError,
                              PrecisionUnreachableError, bernoulli_number,
                              check_axioms, e_j, eisenstein, eta, eval_AB,
-                             eval_ab, eval_certified, eval_poly,
-                             orbit_character, probe_is_regular,
-                             q_laurent_probe, theta, theta_E8, _theta_bound)
+                             eval_ab, eval_poly, orbit_character,
+                             probe_is_regular, q_laurent_probe, theta,
+                             theta_E8, _theta_bound)
 
 CTX = EvalContext()
 TAU = mpc("0.13", "1.07")
@@ -399,19 +399,6 @@ class TestSingularities:
         s = ComplexSample(tau, _z_generic(4))
         with pytest.raises(NearSingularError):
             eval_ab("a2", s, CTX)
-
-    def test_certified_evaluation_is_finite_at_e4_zero(self):
-        from e8jacobi.construct import jacobi_basis
-        basis = jacobi_basis(-26, 7)
-        form, cert = basis.forms[0], basis.certificates[0]
-        z = _z_generic(8)
-        tau_star = _e4_zero(CTX)
-        value = eval_certified(cert, ComplexSample(tau_star, z), CTX)
-        assert mpmath.isfinite(value)
-        # at a regular point the certificate and the direct evaluation agree
-        s = ComplexSample(TAU, z)
-        assert _rel(eval_poly(form, s, CTX),
-                    eval_certified(cert, s, CTX)) < 1e-40
 
 
 class TestOrbitCharacters:

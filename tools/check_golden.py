@@ -1,6 +1,7 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (about 30 s on one core):
+Run from the repository root (about 55 s on one core of a 2-core VM,
+about 30 s of it the certificate checks):
 
     PYTHONPATH=src python tools/check_golden.py
 
@@ -8,8 +9,10 @@ Run from the repository root (about 30 s on one core):
 canonical JSON text of `basis_to_json(jacobi_basis(k, m))` for each of
 the 147 targets (k, m) of `e8jacobi tables --max-index 10`, and the
 P^w_m line that command prints for each index.  The data is frozen: a
-mismatch means the construction's output changed.  The script also checks
-one form of J_{-40,10} numerically against the Jacobi-form axioms.
+mismatch means the construction's output changed.  The script also runs
+`certificate_identity` on every form of those bases with its certificate
+(6,575 forms), counting a failure as a mismatch, and checks one form of
+J_{-40,10} numerically against the Jacobi-form axioms.
 
 Prints one line per mismatch and a summary; exits 0 when everything
 matches and 1 otherwise.
@@ -23,7 +26,8 @@ import sys
 from pathlib import Path
 
 from e8jacobi import cli
-from e8jacobi.construct import jacobi_basis, profile_weights
+from e8jacobi.construct import (certificate_identity, jacobi_basis,
+                                profile_weights)
 from e8jacobi.oracle import EvalContext, check_axioms
 from e8jacobi.serialize import basis_to_json
 
@@ -57,11 +61,18 @@ def main() -> int:
                for k in profile_weights(m)]
     if sorted(targets) != sorted(golden["digests"]):
         failures.append("targets differ from the golden file's")
+    certified = 0
     for key in targets:
         k, m = map(int, key.split(","))
-        if digest(basis_to_json(jacobi_basis(k, m))) \
-                != golden["digests"].get(key):
+        basis = jacobi_basis(k, m)
+        if digest(basis_to_json(basis)) != golden["digests"].get(key):
             failures.append("basis digest of J_{%d,%d}" % (k, m))
+        for i, (form, cert) in enumerate(zip(basis.forms,
+                                             basis.certificates)):
+            if certificate_identity(form, cert):
+                certified += 1
+            else:
+                failures.append("certificate %d of J_{%d,%d}" % (i, k, m))
 
     form = jacobi_basis(-40, 10).forms[0]
     rep = check_axioms(form, -40, 10, 1, EvalContext(), seed=0)
@@ -71,8 +82,8 @@ def main() -> int:
 
     for line in failures:
         print("MISMATCH", line)
-    print("%d targets, %d profiles, 1 numeric check: %s"
-          % (len(targets), MAX_INDEX,
+    print("%d targets, %d profiles, %d certificates, 1 numeric check: %s"
+          % (len(targets), MAX_INDEX, certified,
              "%d mismatches" % len(failures) if failures else "ok"))
     return 1 if failures else 0
 
