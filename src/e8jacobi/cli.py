@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "construction, module tables and numeric verification.")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--cache-dir", default=os.environ.get(ENV_CACHE_DIR))
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="parallel workers for independent "
                              "(weight, index) tasks")
     # a string default goes through `type` like a command-line value
@@ -153,16 +153,19 @@ def _compute_one(target: Tuple[int, int]) -> Tuple[int, int, str]:
 def _precompute(targets: List[Tuple[int, int]], jobs: int) -> None:
     """Fill the in-process basis cache, optionally in parallel.
 
-    Workers ship results in the integer-row text of the disk cache, so
-    the parent re-materializes them over its own canonical alphabet
-    objects with the same int coefficients and shared monomial lists as
-    a sequential run, whose outputs they match byte for byte.
+    The pool has no more workers than targets or CPUs: under the fork
+    start method it starts all of them up front.  Workers ship results
+    in the integer-row text of the disk cache, so the parent
+    re-materializes them over its own canonical alphabet objects with the
+    same int coefficients and shared monomial lists as a sequential run,
+    whose outputs they match byte for byte.
     """
-    if jobs <= 1 or len(targets) <= 1:
+    workers = min(jobs, len(targets), os.cpu_count() or 1)
+    if workers <= 1:
         for k, m in targets:
             jacobi_basis(k, m)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for k, m, text in pool.map(_compute_one, targets):
             seed_cache(k, m, basis_from_text(k, m, text))
 
@@ -331,10 +334,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(
         _attach_window(sys.argv[1:] if argv is None else argv))
 
-    if args.cache_dir:
-        construct.set_disk_store(DiskStore(args.cache_dir))
     try:
         import io
+        if args.cache_dir:
+            try:
+                construct.set_disk_store(DiskStore(args.cache_dir))
+            except OSError as exc:
+                raise UsageError("cannot use --cache-dir %s: %s"
+                                 % (args.cache_dir, exc.strerror or exc))
         start = time.perf_counter()
         text = io.StringIO()
         payload = _COMMANDS[args.command](args, text)

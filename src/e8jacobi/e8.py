@@ -8,6 +8,7 @@ lattice contains half-integer vectors).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import List, Tuple
 
 Vec2 = Tuple[int, ...]   # coordinates scaled by 2
@@ -51,10 +52,11 @@ def reflect(v: Vec2, alpha: Vec2) -> Vec2:
     return tuple(a - s * b for a, b in zip(v, alpha))
 
 
-def weyl_orbit(j: int) -> List[Vec2]:
+@cache
+def weyl_orbit(j: int) -> Tuple[Vec2, ...]:
     """Orbit of the j-th fundamental weight (1-based) under the Weyl
     group, sorted, by breadth-first closure under the simple
-    reflections.
+    reflections; built once per j and kept, as exact integer data.
 
     The reflections are written out coordinate-wise, and those that fix
     v are skipped: alpha1 subtracts s*alpha1 with s = v . alpha1, one
@@ -95,7 +97,7 @@ def weyl_orbit(j: int) -> List[Vec2]:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    return sorted(seen)
+    return tuple(sorted(seen))
 
 
 def e8_vectors_of_norm(norm: int) -> List[Vec2]:

@@ -2,13 +2,13 @@
 
 Everything here is arbitrary-precision complex arithmetic (mpmath),
 fully independent of the symbolic construction.  The inner sums, theta
-functions, the E8 theta function, Eisenstein series and Weyl-orbit
-characters, run in fixed point, as mpmath's own `_jacobi_theta2` does:
-every quantity is a pair (re, im) of Python ints scaled by 2^wp,
-products are shifted right by wp, and each result is rounded to an mpc
-at the working precision once.  wp is the working precision plus guard
-bits for the largest factor a term can carry and for the rounding
-steps, so the absolute error of a result stays a few units of 2^-prec.
+functions, the E8 theta function and Weyl-orbit characters, run in
+fixed point, as mpmath's own `_jacobi_theta2` does: every quantity is
+a pair (re, im) of Python ints scaled by 2^wp, products are shifted
+right by wp, and each result is rounded to an mpc at the working
+precision once.  wp is the working precision plus guard bits for the
+largest factor a term can carry and for the rounding steps, so the
+absolute error of a result stays a few units of 2^-prec.
 
 Theta functions are summed with a derived truncation bound: the
 q^{a^2/2} factors come from one table per tau, shared by the theta
@@ -18,25 +18,24 @@ coordinate, and one pass gives all four kinds.  The E8 theta function is
 one integer product per sample: the four kinds at each of the eight
 coordinates stay fixed-point pairs, their products are summed in
 integers with guard bits for the bound on those products, and the sum
-is rounded once.  The Eisenstein series are q-series with exact divisor
-sums.  The holomorphic generators A_m and B_m are built from E8 theta
-values, and the meromorphic generators divide by numerically evaluated
-E4 and Delta.  Every cache is keyed by the exact values of its
-arguments, so points that differ anywhere never share an entry.
+is rounded once.  E4, E6 and Delta are polynomials in the fourth
+powers of the theta constants theta_k(0, tau).  The holomorphic
+generators A_m and B_m are built from E8 theta values, and the
+meromorphic generators divide by numerically evaluated E4 and Delta.
+Every cache is keyed by the exact values of its arguments, so points
+that differ anywhere never share an entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (from_float, from_int, from_man_exp, fzero,
-                          mpf_div, mpf_sign, round_nearest, to_float)
+                          mpf_sign, round_nearest, to_float)
 
 from . import e8
 from .generators import meromorphic_images
@@ -65,18 +64,19 @@ class EvalContext:
     """Numeric evaluation context: the working precision in decimal
     digits, its only setting (evaluations run at `work_digits`, that plus
     a fixed guard), and four caches.  Three are keyed by exact `_mpc_`
-    values: `theta` values per (z, tau); generator, Eisenstein, eta and
-    E8 theta values per argument (`ComplexSample.key` for a sample); and
-    the fixed-point pairs of y^{+-1/2} = e^{+-pi i z} per coordinate z,
-    kept at the most bits asked for so far (`_half_powers`).  The fourth
-    is the Gauss table of the last tau that `theta` or `theta_E8` summed
-    at, kept at the most bits a call at that tau needed."""
+    values: `theta` values per (z, tau); generator and E8 theta values
+    per sample (`ComplexSample.key`), and (E4, E6, Delta) as one entry
+    per tau (`modular_forms`); and the fixed-point pairs of y^{+-1/2} =
+    e^{+-pi i z} per coordinate z, kept at the most bits asked for so far
+    (`_half_powers`).  The fourth is the Gauss table of the last tau that
+    `theta` or `theta_E8` summed at, kept at the most bits a call at
+    that tau needed."""
 
     precision: int = 50
     _theta_cache: Dict[tuple, Tuple[mpmath.mpc, ...]] = field(
         default_factory=dict, repr=False)
-    _gen_cache: Dict[tuple, mpmath.mpc] = field(default_factory=dict,
-                                                repr=False)
+    _gen_cache: Dict[tuple, object] = field(default_factory=dict,
+                                            repr=False)
     _half_cache: Dict[tuple, Tuple[int, tuple, tuple]] = field(
         default_factory=dict, repr=False)
     _gauss_table: Optional["_GaussTable"] = field(default=None, init=False,
@@ -330,126 +330,50 @@ def theta0(kind: int, tau, ctx: EvalContext) -> mpmath.mpc:
     return theta(kind, 0, tau, ctx)
 
 
-@cache
-def bernoulli_number(k: int) -> Fraction:
-    """Exact Bernoulli numbers via x/(e^x - 1) = sum B_k x^k / k!."""
-    if k == 0:
-        return Fraction(1)
-    s = Fraction(0)
-    for j in range(k):
-        s += math.comb(k + 1, j) * bernoulli_number(j)
-    return -s / (k + 1)
+def modular_forms(tau, ctx: EvalContext) -> Tuple[mpmath.mpc, ...]:
+    """(E4, E6, Delta) at tau from the fourth powers t_k = theta_k(0,
+    tau)^4 of the theta constants:
 
+        E4 = (t2^2 + t3^2 + t4^2) / 2,
+        E6 = (t2 + t3) (t3 + t4) (t4 - t2) / 2,
+        Delta = eta^24 = (t2 t3 t4)^2 / 256,
 
-@cache
-def _divisor_sums(k: int, count: int) -> Tuple[int, ...]:
-    """sigma_k(N) = sum_{d | N} d^k for N = 0..count-1 (0 at N = 0), as
-    exact ints, by a sieve over d."""
-    sums = [0] * count
-    for d in range(1, count):
-        dk = d ** k
-        for multiple in range(d, count, d):
-            sums[multiple] += dk
-    return tuple(sums)
-
-
-def _eisenstein_bound(im_tau: float, j: int, bits: int) -> int:
-    """N with sum_{M > N} M^j |q|^M below 2^-bits, |q| = e^{-t}, t =
-    2 pi Im tau.
-
-    For M >= 2j/t the ratio of consecutive terms, (1 + 1/M)^j e^{-t} <=
-    e^{j/M - t}, is at most e^{-t/2}, and x^j e^{-tx} decreases in x, so
-    for any real x >= 2j/t the tail from M = N + 1 > x is at most
-    x^j e^{-tx} / (1 - e^{-t/2}).  That is below 2^-bits when t x -
-    j ln x >= L = bits ln 2 - ln(1 - e^{-t/2}).  ln is concave, ln x <=
-    ln x0 + x/x0 - 1, so t x - j ln x >= (t - j/x0) x - j (ln x0 - 1);
-    with x0 = max(2j/t, L/t, 1), t - j/x0 >= t/2 > 0 and x = max(x0,
-    (L + j (ln x0 - 1)) / (t - j/x0)) qualifies.  N = ceil(x).
+    at the working precision, stored as one `_gen_cache` entry per exact
+    tau.  The t_k come from `theta`'s cache, which `e_j` shares.
     """
-    t = 2 * math.pi * im_tau
-    L = bits * math.log(2) - math.log1p(-math.exp(-t / 2))
-    x0 = max(2 * j / t, L / t, 1.0)
-    x = max(x0, (L + j * (math.log(x0) - 1)) / (t - j / x0))
-    if x > _THETA_TERM_CAP:
-        raise PrecisionUnreachableError(
-            "Eisenstein sum does not converge fast enough for Im tau = %g"
-            % im_tau)
-    return math.ceil(x)
+    key = ("modular", _raw(tau))
+    values = ctx._gen_cache.get(key)
+    if values is None:
+        with mp.workdps(ctx.work_digits):
+            t2, t3, t4 = _theta_fourths(tau, ctx)
+            values = ctx._gen_cache[key] = (
+                (t2 * t2 + t3 * t3 + t4 * t4) / 2,
+                (t2 + t3) * (t3 + t4) * (t4 - t2) / 2,
+                (t2 * t3 * t4) ** 2 / 256)
+    return values
+
+
+def _theta_fourths(tau, ctx: EvalContext) -> List[mpmath.mpc]:
+    """[t2, t3, t4], t_k = theta_k(0, tau)^4, at the current precision."""
+    return [theta0(k, tau, ctx) ** 4 for k in (2, 3, 4)]
 
 
 def eisenstein(n: int, tau, ctx: EvalContext) -> mpmath.mpc:
-    """E_{2n}(tau) = 1 - c S, c = 4n/B_{2n}, S = sum_{N >= 1}
-    sigma_{2n-1}(N) q^N, q = e^{2 pi i tau}, cached per exact tau.
-
-    The divisor sums are exact ints (`_divisor_sums`) and q^N is stepped
-    in fixed point from one exponential, so S is a sum of exact products
-    of ints, and E is rounded to an mpc once, by one exact division per
-    part.  Since sigma_{2n-1}(N) <= N^{2n} (at most N divisors, each at
-    most N^{2n-1}), the terms past N0 = `_eisenstein_bound` at bits =
-    prec + bitlen(|c|) add at most 2^-prec to E.  The pair for q is
-    truncated from an exponential at wp + 10 bits and carries at most 2
-    units of 2^-wp; each step q^{N+1} = q^N q adds at most those 2 units
-    (|q^N| < 1) and 2 units of rounding, and |q| < 1 keeps the earlier
-    error from growing, so q^N carries at most 4N units.  The sum then
-    carries at most sum_{N <= N0} N^{2n} 4N <= 4 N0^{2n+2} units, and E
-    |c| times that: wp = prec + bitlen(|c|) + (2n+2) bitlen(N0) + 4
-    keeps it below 2^-prec / 4, so the absolute error of E is below
-    2 units of 2^-prec besides the final rounding.  Independent of the
-    theta functions, which `theta_E8` at z = 0 checks it against.
-    """
-    raw = _raw(tau)
-    key = ("E", 2 * n, raw)
-    cached = ctx._gen_cache.get(key)
-    if cached is not None:
-        return cached
-    im_tau = to_float(raw[1])
-    if not im_tau > 0:
-        raise PrecisionUnreachableError("tau not in the upper half plane")
-    c = 4 * n / bernoulli_number(2 * n)
-    c_bits = (abs(c.numerator) // c.denominator + 1).bit_length()
-    with mp.workdps(ctx.work_digits):
-        prec = mp.prec
-        n_max = _eisenstein_bound(im_tau, 2 * n, prec + c_bits)
-        wp = prec + c_bits + (2 * n + 2) * n_max.bit_length() + 4
-        with mp.workprec(wp + 10):
-            qr, qi = _to_fixed(mpmath.expjpi(2 * mp.make_mpc(raw)), wp)
-        sigma = _divisor_sums(2 * n - 1, 1 << n_max.bit_length())
-        ar, ai = qr, qi                     # q^N at N = 1
-        sr = si = 0
-        for s in sigma[1:n_max + 1]:
-            sr += s * ar
-            si += s * ai
-            ar, ai = (ar * qr - ai * qi) >> wp, (ar * qi + ai * qr) >> wp
-        one = c.denominator << wp
-        scale = from_int(one)
-        value = mp.make_mpc((
-            mpf_div(from_int(one - c.numerator * sr), scale, prec,
-                    round_nearest),
-            mpf_div(from_int(-c.numerator * si), scale, prec, round_nearest)))
-    ctx._gen_cache[key] = value
-    return value
+    """E_{2n}(tau) for n = 2 (E4) and n = 3 (E6), read from
+    `modular_forms`."""
+    if n not in (2, 3):
+        raise ValueError("eisenstein defined for n = 2 and 3")
+    return modular_forms(tau, ctx)[n - 2]
 
 
-def eta(tau, ctx: EvalContext) -> mpmath.mpc:
-    """Dedekind eta: q^{1/24} prod (1 - q^n), cached per exact tau."""
-    raw = _raw(tau)
-    key = ("eta", raw)
-    cached = ctx._gen_cache.get(key)
-    if cached is not None:
-        return cached
-    with mp.workdps(ctx.work_digits):
-        tau = mp.make_mpc(raw)
-        q = mpmath.expjpi(2 * tau)
-        value = mpmath.expjpi(tau / 12) * mpmath.qp(q)
-    ctx._gen_cache[key] = value
-    return value
+def delta_value(tau, ctx: EvalContext) -> mpmath.mpc:
+    """Delta = eta^24, read from `modular_forms`."""
+    return modular_forms(tau, ctx)[2]
 
 
 def e_j(j: int, tau, ctx: EvalContext) -> mpmath.mpc:
     with mp.workdps(ctx.work_digits):
-        t2 = theta0(2, tau, ctx) ** 4
-        t3 = theta0(3, tau, ctx) ** 4
-        t4 = theta0(4, tau, ctx) ** 4
+        t2, t3, t4 = _theta_fourths(tau, ctx)
         if j == 1:
             return (t3 + t4) / 12
         if j == 2:
@@ -521,20 +445,18 @@ def _scaled(sample: ComplexSample, tau, z_mult: int) -> ComplexSample:
 
 
 def eval_AB(name: str, sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
-    """The holomorphic generators A1..A5, B2..B6 (plus E4, E6 for
-    convenience), from their defining theta expressions, at the exact
-    tau of the sample and cached under its key."""
+    """The holomorphic generators A1..A5, B2..B6, from their defining
+    theta expressions, at the exact tau of the sample and cached under
+    its key; E4 and E6 are read from `modular_forms`."""
+    if name in ("E4", "E6"):
+        return eisenstein(2 if name == "E4" else 3, sample.tau, ctx)
     key = (name,) + sample.key
     cached = ctx._gen_cache.get(key)
     if cached is not None:
         return cached
     tau = mp.make_mpc(sample.key[0])
     with mp.workdps(ctx.work_digits):
-        if name == "E4":
-            value = eisenstein(2, tau, ctx)
-        elif name == "E6":
-            value = eisenstein(3, tau, ctx)
-        elif name == "A1":
+        if name == "A1":
             value = theta_E8(sample, ctx)
         elif name == "A4":
             value = theta_E8(_scaled(sample, tau, 2), ctx)
@@ -593,36 +515,19 @@ def eval_AB(name: str, sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
     return value
 
 
-def delta_value(tau, ctx: EvalContext) -> mpmath.mpc:
-    """Delta = eta^24 at the working precision, cached per exact tau."""
-    raw = _raw(tau)
-    key = ("delta", raw)
-    cached = ctx._gen_cache.get(key)
-    if cached is not None:
-        return cached
-    with mp.workdps(ctx.work_digits):
-        value = eta(tau, ctx) ** 24
-    ctx._gen_cache[key] = value
-    return value
-
-
-def _check_regular_point(tau, ctx: EvalContext) -> None:
-    if abs(eisenstein(2, tau, ctx)) < _SINGULAR_THRESHOLD:
-        raise NearSingularError("E4 vanishes at this tau")
-    if abs(delta_value(tau, ctx)) < _SINGULAR_THRESHOLD:
-        raise NearSingularError("Delta too small at this tau")
-
-
 def eval_frac(frac: Frac, sample: ComplexSample,
               ctx: EvalContext) -> mpmath.mpc:
     """Evaluate num / (E4^p Delta^q) with the numerator a polynomial in
     the holomorphic generators."""
-    _check_regular_point(sample.tau, ctx)
+    e4 = eisenstein(2, sample.tau, ctx)
+    delta = delta_value(sample.tau, ctx)
+    if abs(e4) < _SINGULAR_THRESHOLD:
+        raise NearSingularError("E4 vanishes at this tau")
+    if abs(delta) < _SINGULAR_THRESHOLD:
+        raise NearSingularError("Delta too small at this tau")
     with mp.workdps(ctx.work_digits):
         num = eval_poly(frac.num, sample, ctx)
-        denom = (eisenstein(2, sample.tau, ctx) ** frac.e4_pow
-                 * delta_value(sample.tau, ctx) ** frac.delta_pow)
-        return num / denom
+        return num / (e4 ** frac.e4_pow * delta ** frac.delta_pow)
 
 
 def eval_ab(name: str, sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:

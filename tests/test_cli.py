@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from e8jacobi import construct
+from e8jacobi import cli, construct
 from e8jacobi.cli import main
 from e8jacobi.construct import certify, clear_cache
 from e8jacobi.grading import Poly, ab
@@ -166,9 +166,25 @@ class TestExitCodes:
         (["tables", "--max-index", "-3"], "must be >= 1, got -3"),
         (["--window", "4:-8", "profile", "2"],
          "window must have LO <= HI, got 4:-8"),
+        (["--jobs", "0", "dim", "4", "1"], "must be >= 1, got 0"),
+        (["--jobs", "-5", "dim", "4", "1"], "must be >= 1, got -5"),
     ])
     def test_out_of_range_index_is_2(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)
+
+    @pytest.mark.parametrize("child", [None, "sub"])
+    def test_cache_dir_that_is_a_file_is_2(self, capsys, tmp_path, child):
+        path = tmp_path / "file"
+        path.write_text("")
+        if child:
+            path = path / child
+        code, out, err = run_cli(capsys, "--cache-dir", str(path),
+                                 "dim", "4", "1")
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("e8jacobi: error: cannot use --cache-dir %s: "
+                               % path)
 
     def test_bad_precision_environment_is_2(self, capsys, monkeypatch):
         monkeypatch.setenv("E8JACOBI_PRECISION", "abc")
@@ -286,6 +302,37 @@ class TestCacheAndJobs:
         doc1.pop("elapsed_seconds")
         doc2.pop("elapsed_seconds")
         assert doc1 == doc2
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (500, 64, 8),       # no more workers than the 8 targets
+        (4, 2, 2),          # nor than CPUs
+        (3, 64, 3),
+        (8, None, None),    # one CPU, or none known: no pool
+        (1, 64, None),
+    ])
+    def test_pool_size(self, capsys, monkeypatch, jobs, cpus, workers):
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out, _ = run_cli(capsys, "--jobs", str(jobs), "profile", "3")
+        assert (code, out) == (0, "x^-8 + x^-6 + x^-4 + x^-2 + 1\n")
+        assert sizes == ([] if workers is None else [workers])
 
     def test_jobs_bases_integer_native(self, capsys):
         # the bases a parallel run seeds hold the int coefficients and the

@@ -49,7 +49,13 @@ class TestOrbits:
             assert WEYL_GROUP_ORDER % len(orbit) == 0
 
     def test_orbit_of_highest_root_is_root_system(self):
-        assert weyl_orbit(8) == e8_vectors_of_norm(2)
+        assert weyl_orbit(8) == tuple(e8_vectors_of_norm(2))
+
+    def test_orbit_built_once_per_j(self):
+        # exact integer data: one immutable tuple per j, kept
+        orbit = weyl_orbit(7)
+        assert type(orbit) is tuple
+        assert weyl_orbit(7) is orbit
 
     def test_orbit_closed_under_reflections(self):
         orbit = set(weyl_orbit(7))
@@ -80,4 +86,4 @@ class TestOrbits:
                         seen.add(w)
                         nxt.append(w)
             frontier = nxt
-        assert weyl_orbit(j) == sorted(seen)
+        assert weyl_orbit(j) == tuple(sorted(seen))

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc
 
-from e8jacobi import oracle
 from e8jacobi.construct import jacobi_basis
 from e8jacobi.generators import p12_5_over_ab, p16_5
 from e8jacobi.grading import AB, Poly, ab
 from e8jacobi.oracle import (ComplexSample, EvalContext, NearSingularError,
-                             PrecisionUnreachableError, bernoulli_number,
-                             check_axioms, e_j, eisenstein, eta, eval_AB,
-                             eval_ab, eval_poly, orbit_character,
+                             PrecisionUnreachableError, check_axioms,
+                             delta_value, e_j, eisenstein, eval_AB, eval_ab,
+                             eval_poly, modular_forms, orbit_character,
                              probe_is_regular, q_laurent_probe, theta,
                              theta_E8, _theta_bound)
 
@@ -67,12 +66,6 @@ class TestSpecialFunctions:
         with pytest.raises(PrecisionUnreachableError):
             _theta_bound(1e-9, 0.0, 60)
 
-    def test_bernoulli(self):
-        assert bernoulli_number(4) == Fraction(-1, 30)
-        assert bernoulli_number(6) == Fraction(1, 42)
-        assert bernoulli_number(12) == Fraction(-691, 2730)
-        assert bernoulli_number(3) == 0
-
     def test_eisenstein_q1_coefficient(self):
         # E4 = 1 + 240 q + O(q^2): extract the q^1 coefficient at
         # Im tau = 3 where q ~ 6.5e-9
@@ -88,10 +81,16 @@ class TestSpecialFunctions:
                        + e_j(3, TAU, CTX)) < 1e-55
 
     def test_delta_identity(self):
-        with mp.workdps(CTX.work_digits):
-            e4 = eisenstein(2, TAU, CTX)
-            e6 = eisenstein(3, TAU, CTX)
-            assert _rel(eta(TAU, CTX) ** 24 * 1728, e4 ** 3 - e6 ** 2) < 1e-55
+        # E4, E6 and Delta are one entry per exact tau; 1728 Delta =
+        # E4^3 - E6^2 holds for their theta expressions by Jacobi's
+        # identity t3 = t2 + t4
+        ctx = EvalContext()
+        e4, e6, delta = modular_forms(TAU, ctx)
+        assert list(ctx._gen_cache) == [("modular", TAU._mpc_)]
+        assert (eisenstein(2, TAU, ctx), eisenstein(3, TAU, ctx),
+                delta_value(TAU, ctx)) == (e4, e6, delta)
+        assert len(ctx._gen_cache) == 1
+        assert _rel(delta * 1728, e4 ** 3 - e6 ** 2) < 1e-55
 
     @pytest.mark.parametrize("order", [(1, 2, 3, 4), (4, 3, 2, 1)])
     def test_theta_matches_jtheta(self, order):
@@ -137,16 +136,20 @@ class TestSpecialFunctions:
                 assert err < 1e-45, (kind, z, tau, err)
 
 
+# B_4 and B_6, the Bernoulli numbers of E4 and E6
+BERNOULLI = {4: Fraction(-1, 30), 6: Fraction(1, 42)}
+
+
 def eisenstein_loop(n, tau, ctx):
     """E_{2n}(tau) = 1 - (4n/B_{2n}) sum_k k^{2n-1} q^k/(1-q^k) in mpc
     arithmetic, one division per term, summed until the terms and q^k
-    fall below 10^-(work digits + 5): the reference for the fixed-point
-    q-series of `eisenstein`."""
+    fall below 10^-(work digits + 5): the reference for the theta
+    expressions of `eisenstein`."""
     with mp.workdps(ctx.work_digits):
         q = mpmath.expjpi(2 * mpmath.mpc(tau))
         absq = abs(q)
         eps = mp.mpf(10) ** (-ctx.work_digits - 5)
-        b = bernoulli_number(2 * n)
+        b = BERNOULLI[2 * n]
         factor = mp.mpf(-4 * n * b.denominator) / b.numerator
         total = mp.mpc(0)
         qk = mp.mpc(1)
@@ -183,6 +186,37 @@ class TestEisenstein:
         for tau in (mpc("0.2", 0), mpc("0.2", "-0.5"), 1):
             with pytest.raises(PrecisionUnreachableError):
                 eisenstein(2, tau, EvalContext())
+
+    def test_other_weights_raise(self):
+        for n in (1, 4):
+            with pytest.raises(ValueError):
+                eisenstein(n, TAU, EvalContext())
+
+    @pytest.mark.parametrize("precision", [30, 50, 80])
+    def test_delta_matches_qp_eta(self, precision):
+        # the same tau range as the Eisenstein series; the reference is
+        # mpmath's q-Pochhammer product 20 digits finer
+        import random
+        rng = random.Random(precision)
+        ref_ctx = EvalContext(precision + 20)
+        ctx = EvalContext(precision)
+        for _ in range(12):
+            tau = mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 3))
+            value = delta_value(tau, ctx)
+            ref = eta24_qp(tau, ref_ctx)
+            with mp.workdps(ref_ctx.work_digits):
+                err = abs(value - ref) / abs(ref)
+            assert err <= mp.mpf(10) ** -(precision + 5), (tau, err)
+            assert delta_value(tau, ctx) is value
+
+
+def eta24_qp(tau, ctx):
+    """eta(tau)^24 = (q^{1/24} prod_{n >= 1} (1 - q^n))^24 by mpmath's
+    q-Pochhammer symbol `qp`: the reference for `delta_value`."""
+    with mp.workdps(ctx.work_digits):
+        tau = mpmath.mpc(tau)
+        eta = mpmath.expjpi(tau / 12) * mpmath.qp(mpmath.expjpi(2 * tau))
+        return eta ** 24
 
 
 def theta_E8_lattice(sample, ctx, max_norm=8):
@@ -299,8 +333,9 @@ class TestCacheKeys:
             eval_ab("b1", sample, ctx)
             theta_E8(sample, ctx)
             names = [key[0] for key in ctx._gen_cache]
-            for name in ("E4", "E", "b1", "eta", "theta_E8"):
+            for name in ("modular", "b1", "theta_E8"):
                 assert names.count(name) == count, (name, count)
+            assert "E4" not in names
 
     def test_complex_and_equal_mpc_share_an_entry(self):
         ctx = EvalContext()
@@ -312,29 +347,29 @@ class TestCacheKeys:
         assert len(ctx._gen_cache) == size
         assert ComplexSample(TAU, Z0).key == ComplexSample(TAU, (0j,) * 8).key
 
-    def test_one_delta_entry_per_distinct_tau(self, monkeypatch):
-        # Delta is raised from eta once per exact tau, at the working
+    def test_one_delta_entry_per_distinct_tau(self):
+        # E4, E6 and Delta are one entry per exact tau, at the working
         # precision, and every meromorphic evaluation reads that entry
-        calls = []
-        monkeypatch.setattr(oracle, "eta",
-                            lambda tau, ctx: calls.append(tau) or eta(tau, ctx))
         (form, _) = jacobi_basis(-16, 5).forms
         ctx = EvalContext()
         check_axioms(form, -16, 5, 1, ctx, seed=3)
-        deltas = {key[1] for key in ctx._gen_cache if key[0] == "delta"}
+        taus = {key[1] for key in ctx._gen_cache if key[0] == "modular"}
         mero = {key[1] for key in ctx._gen_cache
                 if key[0] in ("a2", "a3", "a4", "b1", "b2", "b3", "b4",
                               "b5", "b6")}
-        assert deltas == mero
-        assert len(calls) == len(deltas)
+        assert taus == mero
         # a first evaluation at the caller's lower precision still caches
-        # the value at the working precision
+        # the values at the working precision
         fresh = EvalContext()
         eval_ab("a2", ComplexSample(TAU, _z_generic()), fresh)
-        for c, raw in [(ctx, raw) for raw in deltas] + [(fresh, TAU._mpc_)]:
+        for c, raw in [(ctx, raw) for raw in taus] + [(fresh, TAU._mpc_)]:
+            bound = mp.mpf(10) ** -(c.precision + 5)
+            tau = mp.make_mpc(raw)
+            e4, _, delta = c._gen_cache[("modular", raw)]
+            ref_e4, ref_delta = eisenstein_loop(2, tau, c), eta24_qp(tau, c)
             with mp.workdps(c.work_digits):
-                expected = eta(mp.make_mpc(raw), c) ** 24
-            assert c._gen_cache[("delta", raw)] == expected
+                assert abs(e4 - ref_e4) / abs(ref_e4) <= bound
+                assert abs(delta - ref_delta) / abs(ref_delta) <= bound
 
 
 class TestGenerators:
