@@ -18,9 +18,10 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .ansatz import build_ansatz, enumerate_monomials
-from .generators import e4_split, image_columns, p16_5, sub_ab_to_AB
+from .generators import (_delta_power, _int_image, e4_split, image_columns,
+                         p16_5)
 from .grading import (AB, BiDegree, ParamPoly, Poly, S_ALPHABET, ab,
-                      delta_poly)
+                      cancel_delta)
 from .kernels import echelon_int_rows
 from .linsolve import LinearSystem, coefficient_equations, nullspace
 
@@ -259,58 +260,64 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
 
     Succeeds iff every E4-denominator part is exactly divisible by the
     matching power of the weight-16 index-5 form; a Rejection names the
-    first failing denominator power.
+    first failing denominator power.  The image's `int` terms over L
+    (`generators._int_image`) lose their Delta factors (`cancel_delta`)
+    and are split by E4 exponent; only dividing each nonzero Q_l by P^l
+    makes Fractions.  The denominator is the lcm of the reduced ones.
     """
     form.bidegree()  # raises on inhomogeneous input
-    frac = sub_ab_to_AB(form)
-    qs, remainder = e4_split(frac.num, frac.e4_pow)
-    p165 = p16_5()
+    terms, L, e4, dl = _int_image(form)
+    k, terms = cancel_delta(terms, dl)
+    qs, remainder = e4_split(Poly(AB, terms), e4)
     s_parts = []
-    power = Poly.const(AB, 1)
-    for l in range(1, len(qs) + 1):
-        power = power * p165
-        q_l = qs[l - 1]
-        if q_l.is_zero():
-            continue
-        s_l = q_l.divexact(power)
-        if s_l is None:
-            return Rejection(l)
-        s_parts.append((l, s_l.map_alphabet(S_ALPHABET)))
-    return Certificate(frac.delta_pow, tuple(s_parts), remainder)
+    for l, q_l in enumerate(qs, 1):
+        if q_l:
+            s_l = q_l.divexact(_p_power(l))
+            if s_l is None:
+                return Rejection(l)
+            s_parts.append((l, s_l.map_alphabet(S_ALPHABET) / L))
+    r = remainder.terms.values()
+    den = lcm(L // gcd(L, *r),
+              *(c.denominator for _, s in s_parts for c in s.terms.values()))
+    return Certificate.from_rows(
+        dl - k, den, list(remainder.terms), [c * den // L for c in r],
+        tuple((l, list(s.terms), _numerators(s, den)) for l, s in s_parts))
+
+
+@cache
+def _p_power(l: int) -> Poly:
+    """P^l over AB, P the weight-16 index-5 form, with int coefficients."""
+    return Poly(AB, {m: c.numerator for m, c in (p16_5() ** l).terms.items()})
 
 
 def certificate_identity(form: Poly, cert: Certificate) -> bool:
-    """Exact re-check: Delta^n * image(form) == sum_l P^l S_l / E4^l + R.
+    """Exact re-check: Delta^n * image(form) == sum_l P^l S_l / E4^l + R,
+    as one polynomial equation over AB in integers.
 
-    The image N/(E4^a Delta^d) is recomputed by `sub_ab_to_AB`, in
-    lowest terms.  The right side has no Delta in its denominator, and
-    Delta is prime to N and to E4, so the identity fails when n < d.
-    Otherwise both sides are brought over E4^t, t the largest of a and
-    every l, and the check is one polynomial equation over AB:
-    Delta^(n-d) N E4^(t-a) == E4^t R + sum_l E4^(t-l) P^l S_l, each
-    power of E4 a shift of exponents.
+    The image is T/(L E4^a Delta^D), the `int` terms T of
+    `generators._int_image` lifted to D = max(n, d), d the largest Delta
+    power of the form's monomial images; R and the S_l are the
+    certificate's numerators over den.  With t the largest of a and
+    every l, the check is 1728^(D-n) den E4^(t-a) T ==
+    L (E4^3 - E6^2)^(D-n) (E4^t R + sum_l E4^(t-l) P^l S_l), each power
+    of E4 a shift of exponents.  An n below the lowest-terms Delta
+    power leaves a factor Delta on the left only, and the check fails.
     """
     if cert.n < 0:
         raise ValueError("certificate Delta power must be >= 0")
-    image = sub_ab_to_AB(form)
-    gap = cert.n - image.delta_pow
-    if gap < 0:
-        return False
-    s_parts = cert.s_parts
-    t = max([image.e4_pow, *(l for l, _ in s_parts)])
-    num = image.num * delta_poly(AB) ** gap if gap else image.num
-    lhs = _e4_shift(num, t - image.e4_pow)
-    rhs = _e4_shift(cert.remainder, t)
-    p165 = p16_5()
-    for l, s_l in s_parts:
-        rhs = rhs.unchecked_add(
-            _e4_shift(p165 ** l * s_l.map_alphabet(AB), t - l))
-    return lhs == rhs
-
-
-def _e4_shift(p: Poly, e: int) -> Poly:
-    """p * E4^e over AB, which leads with E4."""
-    return Poly(AB, {(m[0] + e,) + m[1:]: c for m, c in p.terms.items()})
+    terms, L, e4, dl = _int_image(form, cert.n)
+    t = max([e4, *(l for l, _, _ in cert.s_rows)])
+    rhs = Poly(AB, {(m[0] + t,) + m[1:]: c
+                    for m, c in zip(cert.r_mons, cert.r_nums)})
+    for l, mons, nums in cert.s_rows:
+        s_l = Poly(AB, {(t - l,) + m: c for m, c in zip(mons, nums)})
+        rhs = rhs.unchecked_add(s_l * _p_power(l))
+    scale = cert.den * 1728 ** (dl - cert.n)
+    if dl > cert.n:
+        rhs = rhs * _delta_power(dl - cert.n)
+    return {(m[0] + t - e4,) + m[1:]: c * scale
+            for m, c in terms.items()} == \
+        {m: c * L for m, c in rhs.terms.items()}
 
 
 def rank_series(m: int) -> int:

@@ -17,24 +17,26 @@ is divisible neither by E4 nor by Delta.  E4 is a ring variable and
 Delta is prime, so neither divides a product of such numerators either,
 and the product is normalized as it stands: the numerators multiply and
 the denominator exponents add, with no check.  The index-part images are
-memoised, and so is each one's numerator lifted by a power of Delta, as
-`int` numerators over one integer denominator per part.
+memoised as `int` numerators over one integer denominator each, and so
+is each one lifted by a power of Delta.
 `image_columns` shifts copies of them into the images of a list of
-monomials over one common denominator, one column of terms per
-monomial: the construction reads its linear system straight off those
-columns, and `sub_ab_to_AB` adds them up in integers, weighted by a
-concrete polynomial's coefficients, into one dict of terms.  The sum may
-be divisible by E4 and by Delta; both are cancelled from the integer
-terms (Delta by `grading.cancel_delta`, with no polynomial division)
-before the terms become Fractions.  This is the one place where a
-fraction is brought to lowest terms.
+monomials, one column per monomial: the construction reads its linear
+system straight off those columns.  `_int_image` adds them up in
+integers, weighted by a concrete polynomial's coefficients, into one
+dict of `int` terms over one integer L; `sub_ab_to_AB`,
+`construct.certify` and `construct.certificate_identity` start from it.
+The sum may be divisible by E4 and by Delta.  `sub_ab_to_AB` cancels
+both from the integer terms (Delta by `grading.cancel_delta`, with no
+polynomial division) before the terms become Fractions, and `certify`
+cancels Delta the same way; no other fraction is brought to lowest
+terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import comb, gcd, lcm
 from typing import Dict, List, Tuple
 
 from .grading import (AB, AlphabetMismatchError, Frac, Poly, ab, cancel_delta,
@@ -245,9 +247,21 @@ def p12_5_over_ab() -> Poly:
 
 
 @cache
-def _image_power(symbol: str, e: int) -> Frac:
+def _image_power(symbol: str, e: int) -> Tuple[int, Frac]:
+    """A generator image to the e-th power as (den, f), the power being
+    f / den: the numerator is cleared to ints once and raised in ints."""
     base = meromorphic_images()[symbol]
-    return Frac(base.num ** e, base.e4_pow * e, base.delta_pow * e)
+    den = lcm(*(c.denominator for c in base.num.terms.values()))
+    num = Poly(AB, {m: c.numerator * (den // c.denominator)
+                    for m, c in base.num.terms.items()})
+    return den ** e, Frac(num ** e, base.e4_pow * e, base.delta_pow * e)
+
+
+@cache
+def _delta_power(k: int) -> Poly:
+    """1728^k Delta^k = (E4^3 - E6^2)^k over AB, with int coefficients."""
+    return Poly(AB, {(3 * (k - i), 2 * i) + (0,) * (len(AB) - 2):
+                     (-1) ** i * comb(k, i) for i in range(k + 1)})
 
 
 # Both alphabets lead with E4, E6; the index part ("rest") of a monomial
@@ -256,17 +270,19 @@ _INDEX_SYMBOLS = ab.symbols[2:]
 
 
 @cache
-def _rest_image(rest: tuple) -> Frac:
-    """The normalized image of a2^.. b6^.. over AB: the product of the
-    generator images, exponents summed (see the module docstring)."""
-    num, e4_pow, delta_pow = Poly.const(AB, 1), 0, 0
+def _rest_image(rest: tuple) -> Tuple[int, Frac]:
+    """The normalized image f / den of a2^.. b6^.. over AB as (den, f),
+    f's numerator in ints: the product of the generator images,
+    exponents summed (see the module docstring)."""
+    den, num, e4_pow, delta_pow = 1, Poly(AB, {(0,) * len(AB): 1}), 0, 0
     for symbol, e in zip(_INDEX_SYMBOLS, rest):
         if e:
-            g = _image_power(symbol, e)
+            d, g = _image_power(symbol, e)
+            den *= d
             num = num * g.num
             e4_pow += g.e4_pow
             delta_pow += g.delta_pow
-    return Frac(num, e4_pow, delta_pow)
+    return den, Frac(num, e4_pow, delta_pow)
 
 
 @cache
@@ -274,16 +290,20 @@ def _lifted_terms(rest: tuple, gap: int) -> Tuple[int, list]:
     """The rest's normalized numerator times Delta^gap as (den, terms):
     den is the lcm of the coefficient denominators, and each term is
     (E4 exponent, E6 exponent, tail, int numerator over den)."""
-    num = _rest_image(rest).num
+    den, f = _rest_image(rest)
+    num = f.num
     if gap:
-        num = num * delta_poly(AB) ** gap
-    den = lcm(*(c.denominator for c in num.terms.values()))
-    return den, [(m[0], m[1], m[2:], c.numerator * (den // c.denominator))
-                 for m, c in num.terms.items()]
+        num = num * _delta_power(gap)
+        den *= 1728 ** gap
+    g = gcd(den, *num.terms.values())
+    return den // g, [(m[0], m[1], m[2:], c // g)
+                      for m, c in num.terms.items()]
 
 
-def image_columns(mons) -> Tuple[List[tuple], int, int]:
-    """The images of the ab-monomials `mons` over one common denominator.
+def _lifted_columns(mons, lift: int = 0) -> Tuple[list, int, int]:
+    """(columns, e4_pow, delta_pow): over E4^e4_pow Delta^delta_pow, the
+    image of monomial j is column j = (E4 shift, E6 shift, den, terms),
+    the `_lifted_terms` of its index part shifted, over den.
 
     A monomial is E4^a E6^b times its index part (its a2..b6 exponents);
     the normalized image N/(E4^p Delta^q) of the index part is built once
@@ -292,56 +312,64 @@ def image_columns(mons) -> Tuple[List[tuple], int, int]:
     normalized numerator N, so the monomial's own normalized image is
     E4^(a - min(a, p)) E6^b N / (E4^(p - min(a, p)) Delta^q): exponent
     arithmetic, with no product and no division.  The common
-    denominator E4^e4_pow Delta^delta_pow takes the maxima of those
-    powers; each N is lifted once by Delta^(delta_pow - q) and shifted by
-    the E4 and E6 exponents.
-
-    Returns (columns, e4_pow, delta_pow), where column j is (den, terms):
-    the numerator of monomial j over that denominator is the sum of the
-    (AB exponent vector, int) pairs of terms, each exponent vector once,
-    divided by the positive integer den, which the monomials of one
-    index part share.
+    denominator takes the maxima of those powers, and of `lift` for
+    Delta; each N is lifted once by Delta^(delta_pow - q).
     """
     items = [(m[0], m[1], m[2:]) for m in mons]
-    images = {rest: _rest_image(rest) for _, _, rest in items}
+    images = {rest: _rest_image(rest)[1] for _, _, rest in items}
     e4 = max((max(images[rest].e4_pow - a, 0) for a, _, rest in items),
              default=0)
-    dl = max((f.delta_pow for f in images.values()), default=0)
+    dl = max([lift, *(f.delta_pow for f in images.values())])
     columns = []
     for a, b, rest in items:
         f = images[rest]
-        shift = a + e4 - f.e4_pow
-        den, terms = _lifted_terms(rest, dl - f.delta_pow)
-        columns.append((den, [((e4_exp + shift, e6_exp + b) + tail, c)
-                              for e4_exp, e6_exp, tail, c in terms]))
+        columns.append((a + e4 - f.e4_pow, b,
+                        *_lifted_terms(rest, dl - f.delta_pow)))
     return columns, e4, dl
 
 
-def sub_ab_to_AB(p: Poly) -> Frac:
-    """Replace every meromorphic generator by its holomorphic-side image.
-
-    The image of each monomial comes from `image_columns`.  Each column's
-    weight, p's coefficient over the column's den, is brought to one
-    common integer denominator L; the integer columns, times their
-    weights, are added in place into one dict of output terms.  The
-    common power of E4 is read off the exponents and Delta is cancelled
-    from the integer terms by `cancel_delta`, before any Fraction is
-    made; each remaining term then becomes one Fraction over L.  A
-    polynomial over another alphabet raises AlphabetMismatchError.
+def image_columns(mons) -> Tuple[List[tuple], int, int]:
+    """The images of the ab-monomials `mons` over one common denominator
+    E4^e4_pow Delta^delta_pow (see `_lifted_columns`), as (columns,
+    e4_pow, delta_pow): column j is (den, terms), the numerator of
+    monomial j being its (AB exponent vector, int) terms over the
+    positive integer den, which the monomials of one index part share.
     """
+    columns, e4, dl = _lifted_columns(mons)
+    return [(den, [((e4_exp + s4, e6_exp + b) + tail, c)
+                   for e4_exp, e6_exp, tail, c in terms])
+            for s4, b, den, terms in columns], e4, dl
+
+
+def _int_image(p: Poly, lift: int = 0) -> Tuple[dict, int, int, int]:
+    """p's image over AB as (terms, L, e4_pow, delta_pow), not reduced:
+    nonzero `int` terms over L E4^e4_pow Delta^delta_pow, every column
+    lifted to at least Delta^lift.  Each weight, p's coefficient over its
+    column's den, is brought to one integer denominator L, and the
+    columns' terms times their weights are added into one dict.  A
+    polynomial over another alphabet raises AlphabetMismatchError."""
     if p.alphabet != ab:
         raise AlphabetMismatchError("not over ab: %s" % p.alphabet.name)
-    columns, e4, dl = image_columns(p.terms)
-    weights = [Fraction(v, den)
-               for (den, _), v in zip(columns, p.terms.values())]
+    columns, e4, dl = _lifted_columns(p.terms, lift)
+    weights = [Fraction(v, column[2])
+               for column, v in zip(columns, p.terms.values())]
     L = lcm(*(w.denominator for w in weights))
     out: dict = {}
-    for (_, column), w in zip(columns, weights):
+    for (s4, b, _, terms), w in zip(columns, weights):
         w = w.numerator * (L // w.denominator)
-        for key, c in column:
-            s = out.get(key)
-            out[key] = c * w if s is None else s + c * w
-    out = {key: c for key, c in out.items() if c}
+        for e4_exp, e6_exp, tail, c in terms:
+            key = (e4_exp + s4, e6_exp + b) + tail
+            out[key] = out.get(key, 0) + c * w
+    return {key: c for key, c in out.items() if c}, L, e4, dl
+
+
+def sub_ab_to_AB(p: Poly) -> Frac:
+    """Replace every meromorphic generator by its holomorphic-side image,
+    in lowest terms: the common power of E4 is read off the exponents of
+    `_int_image`'s terms and Delta is cancelled from them by
+    `cancel_delta`; each remaining term then becomes a Fraction over L.
+    """
+    out, L, e4, dl = _int_image(p)
     if not out:
         return Frac(Poly.zero(AB), 0, 0)
     k4 = min(e4, min(key[0] for key in out))
@@ -349,7 +377,6 @@ def sub_ab_to_AB(p: Poly) -> Frac:
     return Frac(Poly(AB, {(key[0] - k4,) + key[1:]: Fraction(c, L)
                           for key, c in out.items()}),
                 e4 - k4, dl - k)
-
 
 def e4_split(num: Poly, p: int) -> Tuple[List[Poly], Poly]:
     """Decompose num/E4^p over AB as sum_l Q_l/E4^l + R, in one pass.

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
+from operator import add
 from typing import (Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
@@ -283,7 +284,7 @@ class Poly:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 c = c1 * c2
                 s = out.get(m)
                 if s is None:
@@ -304,7 +305,8 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power")
-        result = Poly.const(self.alphabet, 1)
+        # an int 1, so that a polynomial with int coefficients stays int
+        result = Poly(self.alphabet, {(0,) * len(self.alphabet): 1})
         base = self
         while e:
             if e & 1:
@@ -470,7 +472,8 @@ class Frac:
     polynomial (E4^3 - E6^2)/1728 or as the denominator exponent here.
     The generator tables hold their fractions in lowest terms as
     transcribed, and `generators.sub_ab_to_AB` is the one place that
-    brings a fraction to lowest terms.
+    builds a Frac in lowest terms (`construct.certify` cancels Delta
+    from the same integer terms with `cancel_delta`).
     """
 
     num: Poly

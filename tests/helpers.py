@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 from e8jacobi.ansatz import enumerate_monomials
-from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab, delta_poly
+from e8jacobi.construct import Certificate, Rejection
+from e8jacobi.generators import e4_split, p16_5, sub_ab_to_AB
+from e8jacobi.grading import (AB, BiDegree, Frac, Poly, S_ALPHABET, ab,
+                              delta_poly)
 from e8jacobi.linsolve import echelonize, primitive_vector
 
 
@@ -64,6 +67,50 @@ def frac_bidegree(f):
     weight 12, both index 0."""
     d = f.num.bidegree()
     return BiDegree(d.weight - 4 * f.e4_pow - 12 * f.delta_pow, d.index)
+
+
+def certify_reference(form):
+    """Reference `certify` in Fraction polynomials: the image in lowest
+    terms by `sub_ab_to_AB`, split by `e4_split`, each nonzero Q_l
+    divided by P^l with `Poly.divexact`, and the certificate built from
+    the Fraction parts."""
+    frac = sub_ab_to_AB(form)
+    qs, remainder = e4_split(frac.num, frac.e4_pow)
+    s_parts = []
+    for l, q_l in enumerate(qs, 1):
+        if q_l:
+            s_l = q_l.divexact(p16_5() ** l)
+            if s_l is None:
+                return Rejection(l)
+            s_parts.append((l, s_l.map_alphabet(S_ALPHABET)))
+    return Certificate(frac.delta_pow, tuple(s_parts), remainder)
+
+
+def _e4_shift(p, e):
+    """p * E4^e over AB, which leads with E4."""
+    return Poly(AB, {(m[0] + e,) + m[1:]: c for m, c in p.terms.items()})
+
+
+def certificate_identity_reference(form, cert):
+    """Reference `certificate_identity` in Fraction polynomials: the image
+    N/(E4^a Delta^d) in lowest terms by `sub_ab_to_AB`, False when
+    n < d, and otherwise Delta^(n-d) N E4^(t-a) against
+    E4^t R + sum_l E4^(t-l) P^l S_l, t the largest of a and every l."""
+    if cert.n < 0:
+        raise ValueError("certificate Delta power must be >= 0")
+    image = sub_ab_to_AB(form)
+    gap = cert.n - image.delta_pow
+    if gap < 0:
+        return False
+    s_parts = cert.s_parts
+    t = max([image.e4_pow, *(l for l, _ in s_parts)])
+    num = image.num * delta_poly(AB) ** gap if gap else image.num
+    lhs = _e4_shift(num, t - image.e4_pow)
+    rhs = _e4_shift(cert.remainder, t)
+    for l, s_l in s_parts:
+        rhs = rhs.unchecked_add(
+            _e4_shift(p16_5() ** l * s_l.map_alphabet(AB), t - l))
+    return lhs == rhs
 
 
 def span_basis(forms, k, m):

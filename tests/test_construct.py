@@ -1,6 +1,7 @@
 """End-to-end construction: bases, certificates, profiles, subalgebra."""
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 import pytest
@@ -14,14 +15,17 @@ from e8jacobi.construct import (Certificate, ConsistencyError, Rejection,
                                 certificate_identity, certify, clear_cache,
                                 index_profile, jacobi_basis, jacobi_dim,
                                 lb_analysis, module_generators, rank_series)
-from e8jacobi.generators import (e4_split, holomorphic_images, image_columns,
-                                 p12_5_over_ab, p16_5, sub_ab_to_AB)
+from e8jacobi.generators import (_int_image, e4_split, holomorphic_images,
+                                 image_columns, p12_5_over_ab, p16_5,
+                                 sub_ab_to_AB)
 from e8jacobi.grading import AB, BiDegree, Poly, S_ALPHABET, ab, delta_poly
 from e8jacobi.linsolve import nullspace
 from e8jacobi.oracle import ComplexSample, EvalContext, eval_poly
-from e8jacobi.serialize import fraction_to_str, poly_to_json
+from e8jacobi.serialize import (certificate_to_json, fraction_to_str,
+                                poly_to_json)
 
 from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
+                     certificate_identity_reference, certify_reference,
                      m16_5_pair, m26_7_generator, span_basis, spans_equal)
 
 # every target of index 1..5 in its profile weight window (143 forms)
@@ -129,9 +133,7 @@ class TestCertificates:
         """P_{12,5} over ab is P/E4, so x = P_{12,5} (P_{12,5} + E4 A1 A4)
         is P^2/E4^2 + P A1 A4 over AB: S_2 = 1, and only the E4 shift
         by t - l = 0 puts P^2 back over E4^2."""
-        p12 = p12_5_over_ab()
-        hol = holomorphic_images()
-        x = p12 * (p12 + Poly.gen(ab, "E4") * hol["A1"] * hol["A4"])
+        x = second_power_form()
         cert = certify(x)
         assert cert.n == 0
         assert cert.s_parts == ((2, Poly.const(S_ALPHABET, 1)),)
@@ -210,6 +212,141 @@ class TestCertificateColumns:
         assert len(expected) == jacobi_dim(*target)
         assert expected or target == (-20, 4)
         assert any(cert.s_parts for cert in expected) == (target == (-26, 8))
+
+
+def second_power_form():
+    """P_{12,5} (P_{12,5} + E4 A1 A4) over ab: P^2/E4^2 + P A1 A4 over
+    AB, whose certificate has S_2 = 1 (see test_second_power_part)."""
+    p12 = p12_5_over_ab()
+    hol = holomorphic_images()
+    return p12 * (p12 + Poly.gen(ab, "E4") * hol["A1"] * hol["A4"])
+
+
+class TestIntegerCertify:
+    """`certify` in integers gives the certificate of the Fraction
+    reference (`sub_ab_to_AB`, `e4_split` and `Poly.divexact`), with the
+    same JSON text and the same denominator."""
+
+    def assert_same(self, form):
+        got, want = certify(form), certify_reference(form)
+        if isinstance(want, Rejection):
+            assert got == want
+            return
+        assert certificate_to_json(got) == certificate_to_json(want)
+        assert (got.den, got.n) == (want.den, want.n)
+
+    def test_every_target_of_index_5(self):
+        """Each basis form of index <= 5, and per target one integer
+        combination of all its forms."""
+        checked = 0
+        for k, m in WINDOW_TARGETS:
+            forms = jacobi_basis(k, m).forms
+            for form in forms:
+                self.assert_same(form)
+                checked += 1
+            if len(forms) >= 2:
+                combo = Poly.zero(ab)
+                for i, form in enumerate(forms):
+                    combo = combo + form.scale((-1) ** i * (i + 1))
+                self.assert_same(combo)
+        assert checked == 143
+
+    def test_delta_cancelling_and_rejected_inputs(self):
+        delta = delta_poly(ab)
+        for form in (delta * jacobi_basis(-16, 5).forms[0],
+                     delta * m26_7_generator(), second_power_form(),
+                     Poly.zero(ab), Poly.const(ab, 5)):
+            self.assert_same(form)
+        for name in ("a2", "a3", "a4", "b1", "b2", "b3", "b4", "b5", "b6"):
+            self.assert_same(Poly.gen(ab, name))
+
+
+@cache
+def identity_pool():
+    """(form, certificate) pairs: the basis certificates and the `certify`
+    certificates of a few targets, `certify` certificates of forms
+    times Delta (whose terms cancel a Delta), the l = 2 certificate of
+    `second_power_form` and the zero form with its empty certificate."""
+    pool = []
+    for target in [(4, 1), (-16, 5), (-26, 7), (-20, 6)]:
+        basis = jacobi_basis(*target)
+        for form, cert in zip(basis.forms, basis.certificates):
+            pool += [(form, cert), (form, certify(form))]
+    for form in (jacobi_basis(-16, 5).forms[0], m26_7_generator()):
+        form = delta_poly(ab) * form
+        pool.append((form, certify(form)))
+    x = second_power_form()
+    pool += [(x, certify(x)), (Poly.zero(ab), certify(Poly.zero(ab)))]
+    return pool
+
+
+TAMPERINGS = ["none", "r", "s", "den", "n", "l", "drop"]
+
+
+def tampered(cert, kind, data):
+    """`cert` with one change of the given kind, drawn from `data`."""
+    n, den, r_nums, s_rows = cert.n, cert.den, cert.r_nums, cert.s_rows
+    s_at = [i for i, (_, _, nums) in enumerate(s_rows) if any(nums)]
+    step = data.draw(st.sampled_from([-1, 1]))
+    if kind == "r" and r_nums:
+        r_nums = list(r_nums)
+        r_nums[data.draw(st.integers(0, len(r_nums) - 1))] += step
+    elif kind == "s" and s_at:
+        i = data.draw(st.sampled_from(s_at))
+        l, mons, nums = s_rows[i]
+        nums = list(nums)
+        nums[data.draw(st.sampled_from(
+            [j for j, a in enumerate(nums) if a]))] += step
+        s_rows = s_rows[:i] + ((l, mons, nums),) + s_rows[i + 1:]
+    elif kind == "den":
+        den *= 2
+    elif kind == "n":
+        n += step
+    elif kind in ("l", "drop") and s_at:
+        i = data.draw(st.sampled_from(s_at))
+        l, mons, nums = s_rows[i]
+        moved = ((l + step, mons, nums),) if kind == "l" else ()
+        s_rows = s_rows[:i] + moved + s_rows[i + 1:]
+    return Certificate.from_rows(n, den, cert.r_mons, r_nums, s_rows)
+
+
+def outcome(check, form, cert):
+    try:
+        return check(form, cert)
+    except ValueError:
+        return "ValueError"
+
+
+class TestIdentityProperty:
+    def test_pool_has_both_lift_branches(self):
+        """The pool lifts the form's columns to the certificate's n
+        (n above the columns' Delta power d: basis certificates) and
+        lifts the certificate's side by Delta^(d - n) (n below d:
+        certificates whose terms cancel a Delta)."""
+        gaps = {cert.n - _int_image(form)[3] for form, cert
+                in identity_pool()}
+        assert min(gaps) < 0 < max(gaps)
+        assert any(l == 2 for _, cert in identity_pool()
+                   for l, _ in cert.s_parts)
+
+    def test_pool_certificates_hold(self):
+        for form, cert in identity_pool():
+            assert certificate_identity(form, cert)
+            assert certificate_identity_reference(form, cert)
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from(TAMPERINGS), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_reference(self, pick, kind, data):
+        """On the pool, the integer identity equals the Fraction reference
+        under one random change: an R or S numerator +-1, den times 2,
+        n +- 1, an S_l moved to l +- 1 or dropped."""
+        pool = identity_pool()
+        form, cert = pool[pick % len(pool)]
+        if kind == "none":
+            assert certificate_identity(form, cert)
+        cert = tampered(cert, kind, data)
+        assert outcome(certificate_identity, form, cert) == \
+            outcome(certificate_identity_reference, form, cert)
 
 
 class TestCertifyProperty:

@@ -1,6 +1,7 @@
 """Generator tables, substitutions and the E4 split."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +146,8 @@ class TestSubstitutionReference:
             assert all(terms.values())
             assert type(den) is int and den > 0
             assert all(type(c) is int for c in terms.values())
+            # den is the lcm of the reduced coefficient denominators
+            assert gcd(den, *terms.values()) == 1
             num = Poly(AB, terms).scale(Fraction(1, den))
             assert normalized_by_trial_division(
                 num, e4_pow, delta_pow) == image
@@ -196,9 +199,10 @@ def index_parts(max_index):
 
 class TestIndexPartImages:
     def test_match_frac_products(self):
-        """The memoised image of each index part, built with no trial
-        division by Delta, equals the product of its generator images
-        brought to lowest terms by trial division after every factor."""
+        """The memoised image of each index part, built in integers with
+        no trial division by Delta, equals the product of its generator
+        images brought to lowest terms by trial division after every
+        factor."""
         images = meromorphic_images()
         parts = index_parts(6)
         assert len(parts) == 62
@@ -207,8 +211,9 @@ class TestIndexPartImages:
             for symbol, e in zip(ab.symbols[2:], part):
                 for _ in range(e):
                     want = frac_product(want, images[symbol])
-            got = _rest_image(part)
-            assert (got.num, got.e4_pow, got.delta_pow) == \
+            den, got = _rest_image(part)
+            assert all(type(c) is int for c in got.num.terms.values())
+            assert (got.num / den, got.e4_pow, got.delta_pow) == \
                 (want.num, want.e4_pow, want.delta_pow), part
 
 

@@ -101,6 +101,7 @@ READ_OUTSIDE_SRC = {
     "echelonize": "pinned by perfbench/spans.py; span_basis reference",
     "primitive_vector": "pinned by perfbench/spans.py; span_basis reference",
     "poly_from_compact": "pinned by perfbench/spans.py",
+    "sub_ab_to_AB": "pinned by perfbench/spans.py; lowest-terms reference",
     "orbit_character": "pinned by perfbench/spans.py; README library API",
 }
 
