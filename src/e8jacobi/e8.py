@@ -1,4 +1,5 @@
-"""E8 root data: simple roots, fundamental weights, Weyl orbits.
+"""E8 root data: simple roots, fundamental weights, Weyl orbits and the
+W(D8)-orbits into which they split.
 
 All vectors live in the orthonormal basis of R^8 and are stored with
 coordinates doubled so that everything is an exact integer (the E8
@@ -93,6 +94,47 @@ def weyl_orbit(j: int) -> Tuple[Vec2, ...]:
             if v5 != v6:
                 images.append((v0, v1, v2, v3, v4, v6, v5, v7))
             for w in images:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def d8_dominant(v: Vec2) -> Vec2:
+    """The D8-dominant vector v_1 >= ... >= v_7 >= |v_8| in the orbit of v
+    under W(D8), the permutations and even sign changes of the
+    coordinates: the absolute values in decreasing order, the last one
+    negated when v has an odd number of negative coordinates and no
+    zero."""
+    w = sorted(map(abs, v), reverse=True)
+    if w[7] and sum(x < 0 for x in v) % 2:
+        w[7] = -w[7]
+    return tuple(w)
+
+
+@cache
+def d8_representatives(j: int) -> Tuple[Vec2, ...]:
+    """The D8-dominant representatives of the W(D8)-orbits into which
+    the Weyl orbit of the j-th fundamental weight splits, sorted.
+
+    W(E8) is generated by W(D8) and the reflections in the 128 roots
+    with half-integer coordinates, which W(D8) permutes.  So the
+    W(D8)-orbits met by the Weyl orbit are the closure of the one of
+    the weight under those reflections, applied to the representatives.
+    There are 2, 3, 3 and 4 for j = 8, 1, 7, 2, and at most 8 (j = 4).
+    """
+    if not 1 <= j <= 8:
+        raise ValueError("fundamental weight index must be in 1..8")
+    half_roots = [r for r in e8_vectors_of_norm(2) if r[0] % 2]
+    start = d8_dominant(FUNDAMENTAL_WEIGHTS[j - 1])
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for alpha in half_roots:
+                w = d8_dominant(reflect(v, alpha))
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)

@@ -12,24 +12,30 @@ absolute error of a result stays a few units of 2^-prec.
 
 Theta functions are summed with a derived truncation bound: the
 q^{a^2/2} factors come from one table per tau, shared by the theta
-calls at that tau, the powers of y are stepped by multiplication from
-y^{+-1/2} = e^{+-pi i z}, which the context computes once per
-coordinate, and one pass gives all four kinds.  The E8 theta function is
-one integer product per sample: the four kinds at each of the eight
-coordinates stay fixed-point pairs, their products are summed in
-integers with guard bits for the bound on those products, and the sum
-is rounded once.  E4, E6 and Delta are polynomials in the fourth
-powers of the theta constants theta_k(0, tau).  The holomorphic
-generators A_m and B_m are built from E8 theta values, and the
-meromorphic generators divide by numerically evaluated E4 and Delta.
-Every cache is keyed by the exact values of its arguments, so points
-that differ anywhere never share an entry.
+calls at that tau, and the powers y^{+-h/2} = e^{+-pi i h z} from a
+ladder per coordinate, which the context steps once by multiplication,
+extends on demand and keeps for the coordinates used last.  One kernel
+call sums all four kinds at any number of coordinates, each of its six
+classes of terms by h mod 4 a C-level dot product of table and ladder
+lists.  The E8 theta function is one kernel call and one integer
+product per sample: the four kinds at each of the eight coordinates
+stay fixed-point pairs, their products are summed in integers with
+guard bits for the bound on those products, and the sum is rounded
+once.  Weyl-orbit characters sum over the few W(D8)-orbits into which
+a Weyl orbit splits, by a DP over the coordinates, and hold no orbit.
+E4, E6 and Delta are polynomials in the fourth powers of the theta
+constants theta_k(0, tau).  The holomorphic generators A_m and B_m are
+built from E8 theta values, and the meromorphic generators divide by
+numerically evaluated E4 and Delta.  Every cache is keyed by the exact
+values of its arguments, so points that differ anywhere never share an
+entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add, mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
@@ -57,30 +63,46 @@ class PrecisionUnreachableError(OracleError):
 _THETA_TERM_CAP = 200_000
 _GUARD_DIGITS = 10              # decimal digits beyond the precision
 _SINGULAR_THRESHOLD = 1e-12     # |E4| or |Delta| below this: near a pole
+_LADDER_CACHE_SIZE = 48         # coordinates whose ladders a context keeps
 
 
 @dataclass
 class EvalContext:
     """Numeric evaluation context: the working precision in decimal
     digits, its only setting (evaluations run at `work_digits`, that plus
-    a fixed guard), and four caches.  Three are keyed by exact `_mpc_`
-    values: `theta` values per (z, tau); generator and E8 theta values
-    per sample (`ComplexSample.key`), and (E4, E6, Delta) as one entry
-    per tau (`modular_forms`); and the fixed-point pairs of y^{+-1/2} =
-    e^{+-pi i z} per coordinate z, kept at the most bits asked for so far
-    (`_half_powers`).  The fourth is the Gauss table of the last tau that
-    `theta` or `theta_E8` summed at, kept at the most bits a call at
-    that tau needed."""
+    a fixed guard), four caches and four counters.
+
+    Two caches are keyed by exact `_mpc_` values and grow with the
+    points evaluated: `theta` values per (z, tau), and generator and E8
+    theta values per sample (`ComplexSample.key`) with (E4, E6, Delta)
+    as one entry per tau (`modular_forms`).  `_half_cache` holds the
+    power ladders of y^{+-h/2} = e^{+-pi i h z} per exact coordinate z
+    (`_Ladder`), each at the most bits asked for so far, and keeps the
+    `_LADDER_CACHE_SIZE` coordinates used last.  The Gauss table is the
+    one of the last tau that `theta` or `theta_E8` summed at, kept at the
+    most bits a call at that tau needed.
+
+    The counters are plain ints that the kernels add to: the coordinates
+    `_theta_fixed` summed the four kinds at, one per `theta` evaluation
+    and eight per `theta_E8` sample (`theta_kernel_calls`), the terms n =
+    -N..N it summed, 2N + 1 per coordinate (`theta_terms`), the ladders
+    stepped from their first power, new or at more bits
+    (`ladder_builds`), and the Gauss tables built
+    (`gauss_table_builds`)."""
 
     precision: int = 50
     _theta_cache: Dict[tuple, Tuple[mpmath.mpc, ...]] = field(
         default_factory=dict, repr=False)
     _gen_cache: Dict[tuple, object] = field(default_factory=dict,
                                             repr=False)
-    _half_cache: Dict[tuple, Tuple[int, tuple, tuple]] = field(
-        default_factory=dict, repr=False)
+    _half_cache: Dict[tuple, "_Ladder"] = field(default_factory=dict,
+                                                repr=False)
     _gauss_table: Optional["_GaussTable"] = field(default=None, init=False,
                                                   repr=False)
+    theta_kernel_calls: int = field(default=0, init=False)
+    theta_terms: int = field(default=0, init=False)
+    ladder_builds: int = field(default=0, init=False)
+    gauss_table_builds: int = field(default=0, init=False)
 
     @property
     def work_digits(self) -> int:
@@ -172,7 +194,7 @@ def _theta_guard_bits(im_tau: float, im_z: float, n_max: int) -> int:
 
 class _GaussTable:
     """g_h = e^{pi i tau h^2 / 4} = q^{a^2/2} at a = h/2, for one tau, as
-    fixed-point pairs (re, im) scaled by 2^wp.
+    fixed-point parallel int lists `re`, `im` scaled by 2^wp.
 
     Built by integer multiplication from one exponential, g_{h+1} =
     g_h u^{2h+1} with u = e^{pi i tau / 4}, and extended on demand.  All
@@ -185,24 +207,72 @@ class _GaussTable:
     def __init__(self, tau, wp: int):
         self.tau = tau
         self.wp = wp
-        self.values = [(1 << wp, 0)]
+        self.re, self.im = [1 << wp], [0]
         with mp.workprec(wp + 10):
             u = mpmath.expjpi(tau / 4)
             self._step = _to_fixed(u, wp)         # u^{2h+1} at h = 0
             self._u2 = _to_fixed(u * u, wp)
 
-    def upto(self, h_max: int) -> List[Tuple[int, int]]:
-        values = self.values
-        wp = self.wp
+    def upto(self, h_max: int) -> Tuple[List[int], List[int]]:
+        re, im, wp = self.re, self.im, self.wp
         sr, si = self._step
         ur, ui = self._u2
-        while len(values) <= h_max:
-            gr, gi = values[-1]
-            values.append(((gr * sr - gi * si) >> wp,
-                           (gr * si + gi * sr) >> wp))
+        while len(re) <= h_max:
+            gr, gi = re[-1], im[-1]
+            re.append((gr * sr - gi * si) >> wp)
+            im.append((gr * si + gi * sr) >> wp)
             sr, si = (sr * ur - si * ui) >> wp, (sr * ui + si * ur) >> wp
         self._step = (sr, si)
-        return values
+        return re, im
+
+
+class _Ladder:
+    """The power ladder of one coordinate z: y^{h/2} = e^{pi i h z} (the
+    ups) and y^{-h/2} (the downs) for h = 0, 1, ..., as parallel int
+    lists (re, im) scaled by 2^wp.
+
+    y^{+-1/2} is one exponential each, computed at wp + 10 bits and
+    truncated, like `_to_fixed`; every further power is one product with
+    it shifted right by wp, and `upto` extends the lists on demand.
+    `classes` holds what `_theta_fixed` reads, for the ups at h = 1 and 3
+    mod 4, the downs at h = 1 and 3 mod 4, and the sums y^{h/2} + y^{-h/2}
+    at h = 2 and 0 mod 4 (h >= 4): the lists c, d - c and c + d of the
+    entries c + i d, the ladder's side of the three-multiplication
+    complex product.
+    """
+
+    def __init__(self, z: tuple, wp: int):
+        self.wp = wp
+        with mp.workprec(wp + 10):
+            half = mpmath.expjpi(mp.make_mpc(z))
+            self._steps = _to_fixed(half, wp) + _to_fixed(1 / half, wp)
+        self.up_re, self.up_im = [1 << wp], [0]
+        self.down_re, self.down_im = [1 << wp], [0]
+        self.classes = ()
+
+    def upto(self, h_max: int) -> None:
+        up_re, up_im = self.up_re, self.up_im
+        if len(up_re) > h_max:
+            return
+        down_re, down_im, wp = self.down_re, self.down_im, self.wp
+        hr, hi, kr, ki = self._steps
+        ur, ui, dr, di = up_re[-1], up_im[-1], down_re[-1], down_im[-1]
+        while len(up_re) <= h_max:
+            ur, ui = (ur * hr - ui * hi) >> wp, (ur * hi + ui * hr) >> wp
+            dr, di = (dr * kr - di * ki) >> wp, (dr * ki + di * kr) >> wp
+            up_re.append(ur)
+            up_im.append(ui)
+            down_re.append(dr)
+            down_im.append(di)
+        ups, downs = (up_re, up_im), (down_re, down_im)
+        evens = (list(map(add, up_re, down_re)),
+                 list(map(add, up_im, down_im)))
+        classes = []
+        for (re, im), start in ((ups, 1), (ups, 3), (downs, 1), (downs, 3),
+                                (evens, 2), (evens, 4)):
+            c, d = re[start::4], im[start::4]
+            classes.append((c, list(map(sub, d, c)), list(map(add, c, d))))
+        self.classes = tuple(classes)
 
 
 def theta(kind: int, z, tau, ctx: EvalContext) -> mpmath.mpc:
@@ -226,36 +296,31 @@ def theta(kind: int, z, tau, ctx: EvalContext) -> mpmath.mpc:
             n_max = _theta_bound(im_tau, im_z, ctx.work_digits)
             table = _gauss_table(
                 tau, mp.prec + _theta_guard_bits(im_tau, im_z, n_max), ctx)
+            (pairs,) = _theta_fixed((key[0],), table, n_max, ctx)
             values = ctx._theta_cache[key] = tuple(
-                _from_fixed(re, im, table.wp) for re, im in _theta_fixed(
-                    _half_powers(key[0], table.wp, ctx), table, n_max))
+                _from_fixed(re, im, table.wp) for re, im in pairs)
     return values[kind - 1]
 
 
-def _half_powers(z: tuple, wp: int, ctx: EvalContext) -> tuple:
-    """y^{1/2} = e^{pi i z} and y^{-1/2} as fixed-point pairs at scale
-    2^wp, for z given as its `_mpc_` value: one exponential per
-    coordinate.
+def _ladder(z: tuple, wp: int, h_max: int, ctx: EvalContext) -> _Ladder:
+    """The context's ladder of the coordinate z (its `_mpc_` value) at
+    >= wp bits, reaching h_max.
 
-    The context keeps each coordinate's pairs at the largest wp asked for
-    so far, W.  A call at wp < W gets them shifted right by W - wp; the
-    stored ints are floors, like `_to_fixed`, and floor(floor(x) / 2^s)
-    = floor(x / 2^s), so the shifted pair is the truncation at wp of the
-    value computed at W + 10 bits: at most 1 unit of 2^-wp off per
-    component, as a pair computed at wp would be.
+    A ladder at fewer bits is replaced by one stepped at wp; one at more
+    bits serves as it is.  The context keeps the `_LADDER_CACHE_SIZE`
+    coordinates used last: a dict in order of use, the first entry the
+    one to evict.
     """
     cache = ctx._half_cache
-    entry = cache.get(z)
-    if entry is None or entry[0] < wp:
-        with mp.workprec(wp + 10):
-            half = mpmath.expjpi(mp.make_mpc(z))
-            entry = cache[z] = (wp, _to_fixed(half, wp),
-                                _to_fixed(1 / half, wp))
-    shift = entry[0] - wp
-    if not shift:
-        return entry[1:]
-    (hr, hi), (kr, ki) = entry[1:]
-    return (hr >> shift, hi >> shift), (kr >> shift, ki >> shift)
+    ladder = cache.pop(z, None)
+    if ladder is None or ladder.wp < wp:
+        ladder = _Ladder(z, wp)
+        ctx.ladder_builds += 1
+    cache[z] = ladder
+    if len(cache) > _LADDER_CACHE_SIZE:
+        del cache[next(iter(cache))]
+    ladder.upto(h_max)
+    return ladder
 
 
 def _gauss_table(tau: mpmath.mpc, wp: int, ctx: EvalContext) -> _GaussTable:
@@ -266,64 +331,70 @@ def _gauss_table(tau: mpmath.mpc, wp: int, ctx: EvalContext) -> _GaussTable:
     table = ctx._gauss_table
     if table is None or table.tau != tau or table.wp < wp:
         table = ctx._gauss_table = _GaussTable(tau, wp)
+        ctx.gauss_table_builds += 1
     return table
 
 
-def _theta_fixed(half_powers: tuple, table: _GaussTable,
-                 n_max: int) -> Tuple[Tuple[int, int], ...]:
-    """(theta1, theta2, theta3, theta4) at (z, table.tau) as fixed-point
-    pairs (re, im) scaled by 2^wp, wp = table.wp, given `half_powers`,
-    the pairs of y^{1/2} = e^{pi i z} and y^{-1/2} at that scale
-    (`_half_powers`).
+def _theta_fixed(zs: Sequence[tuple], table: _GaussTable, n_max: int,
+                 ctx: EvalContext) -> List[Tuple[Tuple[int, int], ...]]:
+    """(theta1, theta2, theta3, theta4) at (z, table.tau) for each
+    coordinate z in `zs` (its `_mpc_` value), as fixed-point pairs (re,
+    im) scaled by 2^wp, wp = table.wp.
 
     The sums run over n = -N..N (a = n - 1/2 for theta1, theta2), N =
-    `n_max`.  The g_h = q^{h^2/8} come from the table, and y^{+-h/2} are
-    stepped from y^{+-1/2}.  One loop over h = 1..2N+1 sums the
-    products g_h y^{+-h/2} exactly, at scale 2^{2 wp}, into buckets by
-    h mod 4: even h = 2n give theta3 and theta4, which differ in the sign
-    of odd n; odd h give theta2 and theta1/i, which differ in the sign of
-    every other term and of the ups (y^{h/2}) against the downs
-    (y^{-h/2}).  The down-term at h = 2N+1 has no up partner.  Each sum
-    is shifted down to scale 2^wp once.  With wp at least the working
+    `n_max`, so over h = 1..2N+1 with g_h = q^{h^2/8} from the table and
+    y^{+-h/2} from the coordinate's ladder (`_ladder`).  The products
+    g_h y^{+-h/2} fall into six classes by h mod 4: the ups (y^{h/2},
+    h <= 2N-1) and the downs (y^{-h/2}, h <= 2N+1) at h = 1 and 3, and
+    the evens (y^{h/2} + y^{-h/2}, h <= 2N) at h = 2 and 0.  Each class
+    is a complex dot product, summed exactly in C-level `sum(map(mul,
+    ...))` by the three-multiplication product (a + ib)(c + id) = (k1 -
+    k3) + i (k1 + k2) with k1 = c(a + b), k2 = a(d - c), k3 = b(c + d):
+    the table's a, b and a + b are sliced once per call and serve every
+    coordinate, the ladder keeps c, d - c and c + d.  Even h give theta3
+    and theta4, which differ in the sign of the h = 2 mod 4 class; odd h
+    give theta2 and theta1/i, which differ in the sign of the h = 3 mod 4
+    classes and of the ups against the downs.  Each sum is shifted down
+    to scale 2^wp once.
+
+    With the ladder at wp W >= wp, the sums are at scale 2^{wp + W} and
+    are shifted by W.  Integer products and sums are exact, so at W = wp
+    this is bit for bit the result of summing term by term; at W > wp
+    the ladder's errors are smaller.  With wp at least the working
     precision plus `_theta_guard_bits`, the absolute error is a few
     units of 2^{-wp} times 2^{guard bits}.
     """
     wp = table.wp
-    g = table.upto(2 * n_max + 1)
-    (hr, hi), (kr, ki) = half_powers
-    ur, ui, dr, di = hr, hi, kr, ki     # y^{h/2}, y^{-h/2} at h = 1
-    # by parity of m, for h = 2m + 1 and h = 2m + 2
-    ups_r, ups_i, downs_r, downs_i = [0, 0], [0, 0], [0, 0], [0, 0]
-    evens_r, evens_i = [0, 0], [0, 0]
-    for m in range(n_max):
-        p = m & 1
-        gr, gi = g[2 * m + 1]
-        ups_r[p] += gr * ur - gi * ui
-        ups_i[p] += gr * ui + gi * ur
-        downs_r[p] += gr * dr - gi * di
-        downs_i[p] += gr * di + gi * dr
-        ur, ui = (ur * hr - ui * hi) >> wp, (ur * hi + ui * hr) >> wp
-        dr, di = (dr * kr - di * ki) >> wp, (dr * ki + di * kr) >> wp
-        gr, gi = g[2 * m + 2]
-        sr, si = ur + dr, ui + di
-        evens_r[p] += gr * sr - gi * si
-        evens_i[p] += gr * si + gi * sr
-        ur, ui = (ur * hr - ui * hi) >> wp, (ur * hi + ui * hr) >> wp
-        dr, di = (dr * kr - di * ki) >> wp, (dr * ki + di * kr) >> wp
-    gr, gi = g[2 * n_max + 1]
-    downs_r[n_max & 1] += gr * dr - gi * di
-    downs_i[n_max & 1] += gr * di + gi * dr
-    # evens[0] holds the odd n = m + 1, evens[1] the even n
-    one = 1 << (2 * wp)
-    return (   # theta1 = i (downs[0] - downs[1] - ups[0] + ups[1])
-        ((-downs_i[0] + downs_i[1] + ups_i[0] - ups_i[1]) >> wp,
-         (downs_r[0] - downs_r[1] - ups_r[0] + ups_r[1]) >> wp),
-        ((ups_r[0] + ups_r[1] + downs_r[0] + downs_r[1]) >> wp,
-         (ups_i[0] + ups_i[1] + downs_i[0] + downs_i[1]) >> wp),
-        ((one + evens_r[0] + evens_r[1]) >> wp,
-         (evens_i[0] + evens_i[1]) >> wp),
-        ((one - evens_r[0] + evens_r[1]) >> wp,
-         (-evens_i[0] + evens_i[1]) >> wp))
+    top = 2 * n_max + 1
+    re, im = table.upto(top)
+    sides = []      # a + b, a, b of g_h per class, in the ladder's order
+    for start, stop in ((1, top - 1), (3, top - 1), (1, top + 1),
+                        (3, top + 1), (2, top), (4, top)):
+        a, b = re[start:stop:4], im[start:stop:4]
+        sides.append((list(map(add, a, b)), a, b))
+    ctx.theta_kernel_calls += len(zs)
+    ctx.theta_terms += top * len(zs)
+    out = []
+    for z in zs:
+        ladder = _ladder(z, wp, top, ctx)
+        sums = []
+        # map stops at the table's slice; the ladder may reach further
+        for (ab, a, b), (c, dc, cd) in zip(sides, ladder.classes):
+            k1 = sum(map(mul, ab, c))
+            sums.append((k1 - sum(map(mul, b, cd)),
+                         k1 + sum(map(mul, a, dc))))
+        (u1r, u1i), (u3r, u3i), (d1r, d1i), (d3r, d3i), \
+            (e2r, e2i), (e0r, e0i) = sums
+        shift = ladder.wp
+        one = 1 << (wp + shift)
+        out.append((   # theta1 = i (d1 - d3 - u1 + u3)
+            ((-d1i + d3i + u1i - u3i) >> shift,
+             (d1r - d3r - u1r + u3r) >> shift),
+            ((u1r + u3r + d1r + d3r) >> shift,
+             (u1i + u3i + d1i + d3i) >> shift),
+            ((one + e2r + e0r) >> shift, (e2i + e0i) >> shift),
+            ((one - e2r + e0r) >> shift, (-e2i + e0i) >> shift)))
+    return out
 
 
 def theta0(kind: int, tau, ctx: EvalContext) -> mpmath.mpc:
@@ -393,13 +464,14 @@ def theta_E8(sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
     """Theta function of the E8 lattice via the product identity:
     (1/2) sum_{k=1}^4 prod_{j=1}^8 theta_k(z_j, tau).
 
-    One fixed-point product per sample: `_theta_fixed` gives the four
-    kinds at each z_j as pairs of ints at one scale 2^wp, the products
-    and their sum stay in integers, and the result is rounded to an mpc
-    once, the 1/2 folded into the exponent, and cached in `_gen_cache`
-    under the sample's exact key.  All eight coordinates share tau, the
-    Gauss table and N, taken at the largest |Im z_j|; the pairs of
-    y^{+-1/2} of each z_j come from the context (`_half_powers`).
+    One fixed-point product per sample: one `_theta_fixed` call gives
+    the four kinds at all eight z_j as pairs of ints at one scale 2^wp,
+    the products and their sum stay in integers, and the result is
+    rounded to an mpc once, the 1/2 folded into the exponent, and cached
+    in `_gen_cache` under the sample's exact key.  All eight coordinates
+    share tau, the Gauss table and N, taken at the largest |Im z_j|, so
+    the table's slices are taken once per sample; the powers of y of
+    each z_j come from the context's ladders (`_ladder`).
 
     Each |theta_k(z_j, tau)| is at most the sum over a in Z/2 of
     e^{-pi Im tau a^2 - 2 pi a Im z_j}, a Gaussian in a with peak
@@ -428,8 +500,7 @@ def theta_E8(sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
             mp.make_mpc(tau), mp.prec + _theta_guard_bits(im_tau, im_z, n_max)
             + math.ceil(growth) + 8, ctx)
         wp = table.wp
-        kinds = [_theta_fixed(_half_powers(zj, wp, ctx), table, n_max)
-                 for zj in zs]
+        kinds = _theta_fixed(zs, table, n_max, ctx)
         prods = kinds[0]
         for values in kinds[1:]:
             prods = [((ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp)
@@ -572,61 +643,100 @@ def eval_poly(form: Poly, sample: ComplexSample,
 def orbit_character(j: int, z: Sequence[complex],
                     ctx: EvalContext) -> mpmath.mpc:
     """w_j(z) = sum over the Weyl orbit of the j-th fundamental weight of
-    e^{2 pi i v . z}.
+    e^{2 pi i v . z}, for z with 8 components.
 
-    v is doubled, so each term is prod_k x_k^{v_k} with x_k = e^{pi i z_k},
-    read from one power table per coordinate.  The orbit is sorted, so
-    consecutive vectors share a prefix: the partial products of the
-    previous vector are kept and only those after the first changed
-    coordinate are redone.
+    v is doubled, so each term is prod_k x_k^{v_k} with x_k = e^{pi i z_k}.
+    The orbit is the union of the W(D8)-orbits of its D8-dominant
+    representatives (`e8.d8_representatives`: 2, 3, 3 and 4 of them for
+    j = 8, 1, 7, 2), and no orbit is ever held.  W(D8) permutes the
+    coordinates and changes an even number of signs.  For a
+    representative with a zero coordinate its orbit is every signed
+    arrangement, and the sum over the sign changes of one arrangement
+    (a_k) is prod_k (x_k^{a_k} + x_k^{-a_k}), with the factor 1 at a_k =
+    0.  Without a zero the orbit keeps the parity of the minus signs,
+    and the sum is half of that product plus or minus prod_k (x_k^{a_k} -
+    x_k^{-a_k}), the sign that of the product of the representative's
+    coordinates.  Each product is summed over the distinct arrangements
+    of the representative's |v_k| by `_arrangement_sum`.
 
-    The tables and products are fixed-point pairs (re, im) of Python
-    ints scaled by 2^wp, and the sum is rounded to an mpc once.  A term
-    has modulus at most prod_k e^{pi reach |Im z_k|}, with reach the
-    largest |v_k|, and its absolute error is that bound times a few units
-    of 2^-wp per table step and product; wp is the working precision plus
-    the bits of that bound, of the table and product steps and of the
-    orbit size.
+    The powers x_k^{+-a} (a `_Ladder` of z_k, not kept) and the sums are
+    fixed-point pairs (re, im) of Python ints scaled by 2^wp, and the sum
+    is rounded to an mpc once.  A factor has
+    modulus at most 2 e^{pi reach |Im z_k|}, with reach the largest
+    |v_k|, and carries a few units of 2^-wp per power step, each of the
+    8 products per arrangement adds 1 unit, and there are at most 8!
+    arrangements per representative and two products each; wp is the
+    working precision plus the bits of the product bound 2^8 prod_k
+    e^{pi reach |Im z_k|}, of the steps and of the arrangement count.
     """
-    orbit = e8.weyl_orbit(j)
-    reach = max(map(max, orbit))     # the orbit is closed under negation
+    if len(z) != 8:
+        raise ValueError("z must have 8 components")
+    reps = e8.d8_representatives(j)
+    reach = max(v[0] for v in reps)
     with mp.workdps(ctx.work_digits):
         growth = math.pi * reach * sum(abs(float(mpmath.im(zk))) for zk in z)
-        wp = (mp.prec + math.ceil(growth / math.log(2))
-              + (8 * reach + 8).bit_length() + len(orbit).bit_length() + 8)
-        powers = []
+        wp = (mp.prec + math.ceil(growth / math.log(2)) + 8
+              + (8 * reach + 8).bit_length()
+              + (2 * len(reps) * math.factorial(8)).bit_length() + 8)
+        plus, minus = [], []     # per coordinate: a -> x^a +- x^-a
         for zk in z:
-            with mp.workprec(wp + 10):
-                x = mpmath.expjpi(zk)
-                xr, xi = _to_fixed(x, wp)
-                yr, yi = _to_fixed(1 / x, wp)
-            row = [(1 << wp, 0)] * (2 * reach + 1)   # row[reach + e] = x^e
-            for e in range(1, reach + 1):
-                ar, ai = row[reach + e - 1]
-                row[reach + e] = ((ar * xr - ai * xi) >> wp,
-                                  (ar * xi + ai * xr) >> wp)
-                ar, ai = row[reach - e + 1]
-                row[reach - e] = ((ar * yr - ai * yi) >> wp,
-                                  (ar * yi + ai * yr) >> wp)
-            powers.append(row)
-        # prefix[k] = prod_{i<k} x_i^{v_i}
-        prefix_r = [1 << wp] + [0] * 8
-        prefix_i = [0] * 9
-        previous = (None,) * 8
-        total_r = total_i = 0
-        for v in orbit:
-            first = 0
-            while v[first] == previous[first]:
-                first += 1
-            for k in range(first, 8):
-                xr, xi = powers[k][reach + v[k]]
-                ar, ai = prefix_r[k], prefix_i[k]
-                prefix_r[k + 1] = (ar * xr - ai * xi) >> wp
-                prefix_i[k + 1] = (ar * xi + ai * xr) >> wp
-            total_r += prefix_r[8]
-            total_i += prefix_i[8]
-            previous = v
-        return _from_fixed(total_r, total_i, wp)
+            powers = _Ladder(_raw(zk), wp)    # x^a and x^-a, a = 0..reach
+            powers.upto(reach)
+            row_plus, row_minus = {}, {}
+            for a, (ur, ui, dr, di) in enumerate(zip(
+                    powers.up_re, powers.up_im, powers.down_re,
+                    powers.down_im)):
+                row_plus[a] = (ur + dr, ui + di)
+                row_minus[a] = (ur - dr, ui - di)
+            row_plus[0] = (1 << wp, 0)
+            plus.append(row_plus)
+            minus.append(row_minus)
+        total_r = total_i = 0     # at scale 2^(wp + 1)
+        for v in reps:
+            values = tuple(map(abs, v))
+            sum_r, sum_i = _arrangement_sum(values, plus, wp)
+            if not values[7]:
+                total_r += 2 * sum_r
+                total_i += 2 * sum_i
+                continue
+            diff_r, diff_i = _arrangement_sum(values, minus, wp)
+            if v[7] < 0:
+                diff_r, diff_i = -diff_r, -diff_i
+            total_r += sum_r + diff_r
+            total_i += sum_i + diff_i
+        return _from_fixed(total_r, total_i, wp + 1)
+
+
+def _arrangement_sum(values: tuple, rows: List[dict],
+                     wp: int) -> Tuple[int, int]:
+    """sum over the distinct arrangements (a_0, ..., a_7) of the sorted
+    multiset `values` of prod_k rows[k][a_k], all fixed-point pairs at
+    scale 2^wp.
+
+    A DP over the coordinates in order, keyed by the multiset left for
+    the coordinates not yet filled, so each sub-multiset is summed once:
+    its sum is that over the distinct values a left of rows[k][a] times
+    the sum of what is left without one a, accumulated exactly and
+    shifted right by wp once.
+    """
+    memo = {(): (1 << wp, 0)}
+
+    def rest(left: tuple) -> Tuple[int, int]:
+        got = memo.get(left)
+        if got is None:
+            row = rows[8 - len(left)]
+            re = im = 0
+            for i, a in enumerate(left):
+                if i and a == left[i - 1]:
+                    continue
+                fr, fi = row[a]
+                sr, si = rest(left[:i] + left[i + 1:])
+                re += fr * sr - fi * si
+                im += fr * si + fi * sr
+            got = memo[left] = (re >> wp, im >> wp)
+        return got
+
+    return rest(values)
 
 
 def q_laurent_probe(form: Poly, z: Sequence[complex], ctx: EvalContext,

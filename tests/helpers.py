@@ -1,13 +1,19 @@
 """Shared builders and reference data for the test suite."""
 
+import math
 from fractions import Fraction
+
+import mpmath
+from mpmath import mp
 
 from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.construct import Certificate, Rejection
+from e8jacobi.e8 import weyl_orbit
 from e8jacobi.generators import e4_split, p16_5, sub_ab_to_AB
 from e8jacobi.grading import (AB, BiDegree, Frac, Poly, S_ALPHABET, ab,
                               delta_poly)
 from e8jacobi.linsolve import echelonize, primitive_vector
+from e8jacobi.oracle import _from_fixed, _to_fixed
 
 
 def build(alphabet, terms):
@@ -128,6 +134,96 @@ def span_basis(forms, k, m):
 
 def spans_equal(forms_a, forms_b, k, m):
     return span_basis(forms_a, k, m) == span_basis(forms_b, k, m)
+
+
+def theta_fixed_loop(half_powers, table, n_max):
+    """Reference theta kernel: (theta1, theta2, theta3, theta4) at (z,
+    table.tau) as fixed-point pairs at scale 2^wp, wp = table.wp, given
+    the pairs of y^{1/2} = e^{pi i z} and y^{-1/2} at that scale, by one
+    loop over h = 1..2N+1 that steps y^{+-h/2} and sums the products
+    g_h y^{+-h/2} term by term, exactly, into buckets by h mod 4."""
+    wp = table.wp
+    g_re, g_im = table.upto(2 * n_max + 1)
+    (hr, hi), (kr, ki) = half_powers
+    ur, ui, dr, di = hr, hi, kr, ki     # y^{h/2}, y^{-h/2} at h = 1
+    # by parity of m, for h = 2m + 1 and h = 2m + 2
+    ups_r, ups_i, downs_r, downs_i = [0, 0], [0, 0], [0, 0], [0, 0]
+    evens_r, evens_i = [0, 0], [0, 0]
+    for m in range(n_max):
+        p = m & 1
+        gr, gi = g_re[2 * m + 1], g_im[2 * m + 1]
+        ups_r[p] += gr * ur - gi * ui
+        ups_i[p] += gr * ui + gi * ur
+        downs_r[p] += gr * dr - gi * di
+        downs_i[p] += gr * di + gi * dr
+        ur, ui = (ur * hr - ui * hi) >> wp, (ur * hi + ui * hr) >> wp
+        dr, di = (dr * kr - di * ki) >> wp, (dr * ki + di * kr) >> wp
+        gr, gi = g_re[2 * m + 2], g_im[2 * m + 2]
+        sr, si = ur + dr, ui + di
+        evens_r[p] += gr * sr - gi * si
+        evens_i[p] += gr * si + gi * sr
+        ur, ui = (ur * hr - ui * hi) >> wp, (ur * hi + ui * hr) >> wp
+        dr, di = (dr * kr - di * ki) >> wp, (dr * ki + di * kr) >> wp
+    gr, gi = g_re[2 * n_max + 1], g_im[2 * n_max + 1]
+    downs_r[n_max & 1] += gr * dr - gi * di
+    downs_i[n_max & 1] += gr * di + gi * dr
+    # evens[0] holds the odd n = m + 1, evens[1] the even n
+    one = 1 << (2 * wp)
+    return (   # theta1 = i (downs[0] - downs[1] - ups[0] + ups[1])
+        ((-downs_i[0] + downs_i[1] + ups_i[0] - ups_i[1]) >> wp,
+         (downs_r[0] - downs_r[1] - ups_r[0] + ups_r[1]) >> wp),
+        ((ups_r[0] + ups_r[1] + downs_r[0] + downs_r[1]) >> wp,
+         (ups_i[0] + ups_i[1] + downs_i[0] + downs_i[1]) >> wp),
+        ((one + evens_r[0] + evens_r[1]) >> wp,
+         (evens_i[0] + evens_i[1]) >> wp),
+        ((one - evens_r[0] + evens_r[1]) >> wp,
+         (-evens_i[0] + evens_i[1]) >> wp))
+
+
+def orbit_character_loop(j, z, ctx):
+    """Reference orbit character: the sum of prod_k x_k^{v_k}, x_k =
+    e^{pi i z_k}, over the whole sorted orbit `weyl_orbit(j)` in fixed
+    point, keeping the prefix products of the previous vector and
+    redoing only those after its first changed coordinate."""
+    orbit = weyl_orbit(j)
+    reach = max(map(max, orbit))     # the orbit is closed under negation
+    with mp.workdps(ctx.work_digits):
+        growth = math.pi * reach * sum(abs(float(mpmath.im(zk))) for zk in z)
+        wp = (mp.prec + math.ceil(growth / math.log(2))
+              + (8 * reach + 8).bit_length() + len(orbit).bit_length() + 8)
+        powers = []
+        for zk in z:
+            with mp.workprec(wp + 10):
+                x = mpmath.expjpi(zk)
+                xr, xi = _to_fixed(x, wp)
+                yr, yi = _to_fixed(1 / x, wp)
+            row = [(1 << wp, 0)] * (2 * reach + 1)   # row[reach + e] = x^e
+            for e in range(1, reach + 1):
+                ar, ai = row[reach + e - 1]
+                row[reach + e] = ((ar * xr - ai * xi) >> wp,
+                                  (ar * xi + ai * xr) >> wp)
+                ar, ai = row[reach - e + 1]
+                row[reach - e] = ((ar * yr - ai * yi) >> wp,
+                                  (ar * yi + ai * yr) >> wp)
+            powers.append(row)
+        # prefix[k] = prod_{i<k} x_i^{v_i}
+        prefix_r = [1 << wp] + [0] * 8
+        prefix_i = [0] * 9
+        previous = (None,) * 8
+        total_r = total_i = 0
+        for v in orbit:
+            first = 0
+            while v[first] == previous[first]:
+                first += 1
+            for k in range(first, 8):
+                xr, xi = powers[k][reach + v[k]]
+                ar, ai = prefix_r[k], prefix_i[k]
+                prefix_r[k + 1] = (ar * xr - ai * xi) >> wp
+                prefix_i[k + 1] = (ar * xi + ai * xr) >> wp
+            total_r += prefix_r[8]
+            total_i += prefix_i[8]
+            previous = v
+        return _from_fixed(total_r, total_i, wp)
 
 
 # Known bases: weight -16 index 5 (two forms) and the unique

@@ -3,8 +3,8 @@
 import pytest
 
 from e8jacobi.e8 import (FUNDAMENTAL_WEIGHTS, SIMPLE_ROOTS,
-                         WEYL_GROUP_ORDER, dot2, e8_vectors_of_norm,
-                         reflect, weyl_orbit)
+                         WEYL_GROUP_ORDER, d8_dominant, d8_representatives,
+                         dot2, e8_vectors_of_norm, reflect, weyl_orbit)
 
 
 class TestRootData:
@@ -87,3 +87,34 @@ class TestOrbits:
                         nxt.append(w)
             frontier = nxt
         assert weyl_orbit(j) == tuple(sorted(seen))
+
+
+class TestD8Orbits:
+    @pytest.mark.parametrize("j, count", [(8, 2), (1, 3), (7, 3), (2, 4)])
+    def test_representatives_match_the_orbit(self, j, count):
+        # the W(D8)-orbits into which the Weyl orbit splits, read off
+        # the orbit itself
+        reps = d8_representatives(j)
+        assert len(reps) == count
+        assert reps == tuple(sorted({d8_dominant(v) for v in weyl_orbit(j)}))
+
+    def test_dominant_form_is_a_d8_invariant(self):
+        # a permutation with an even sign change keeps the class, one
+        # sign change more keeps it only when a coordinate is 0
+        import random
+        rng = random.Random(1)
+        for v in weyl_orbit(2)[::97] + weyl_orbit(1)[::31]:
+            d = d8_dominant(v)
+            assert list(d[:7]) == sorted(map(abs, v), reverse=True)[:7]
+            assert d[6] >= abs(d[7])
+            w = list(v)
+            rng.shuffle(w)
+            i, k = rng.sample(range(8), 2)
+            w[i], w[k] = -w[i], -w[k]
+            assert d8_dominant(tuple(w)) == d
+            w[i] = -w[i]
+            assert (d8_dominant(tuple(w)) == d) == (0 in v)
+
+    def test_representative_counts(self):
+        assert [len(d8_representatives(j)) for j in range(1, 9)] == \
+            [3, 4, 5, 8, 7, 5, 3, 2]

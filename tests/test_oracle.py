@@ -15,7 +15,11 @@ from e8jacobi.oracle import (ComplexSample, EvalContext, NearSingularError,
                              delta_value, e_j, eisenstein, eval_AB, eval_ab,
                              eval_poly, modular_forms, orbit_character,
                              probe_is_regular, q_laurent_probe, theta,
-                             theta_E8, _theta_bound)
+                             theta_E8, _GaussTable, _LADDER_CACHE_SIZE,
+                             _gauss_table, _raw, _theta_bound,
+                             _theta_fixed, _theta_guard_bits)
+
+from helpers import orbit_character_loop, theta_fixed_loop
 
 CTX = EvalContext()
 TAU = mpc("0.13", "1.07")
@@ -269,33 +273,43 @@ class TestThetaE8:
 
     def test_coordinates_first_summed_at_more_bits(self):
         # Im tau = 0.2 needs more bits than Im tau = 1.3, so the second
-        # sample's coordinate pairs are the stored ones shifted right
+        # sample sums on the ladders the first one built, at their bits
         z = tuple(3 * zj for zj in _z_generic(11))
         first = ComplexSample(mpc("0.1", "0.2"), z)
         sample = ComplexSample(mpc("-0.3", "1.3"), z)
         for precision in (30, 50, 80):
             ctx, fresh = EvalContext(precision), EvalContext(precision)
             theta_E8(first, ctx)
-            stored = {zj: entry[0] for zj, entry in ctx._half_cache.items()}
+            ladders = dict(ctx._half_cache)
+            builds = ctx.ladder_builds
             value = theta_E8(sample, ctx)
             ref = theta_E8(sample, fresh)
-            assert {zj: entry[0] for zj, entry
-                    in ctx._half_cache.items()} == stored
-            assert all(entry[0] < stored[zj]
-                       for zj, entry in fresh._half_cache.items())
+            assert ctx.ladder_builds == builds
+            assert ctx._half_cache == ladders    # the same ladder objects
+            assert all(ladder.wp < ladders[zj].wp
+                       for zj, ladder in fresh._half_cache.items())
             with mp.workdps(ctx.work_digits):
                 err = abs(value - ref) / abs(ref)
             assert err <= mp.mpf(10) ** -(precision + 5), (precision, err)
 
     def test_one_coordinate_entry_per_distinct_coordinate(self):
+        # one ladder per exact coordinate, at most _LADDER_CACHE_SIZE of
+        # them: the coordinates used last, in order of use
         (form, _) = jacobi_basis(-16, 5).forms
         ctx = EvalContext()
         check_axioms(form, -16, 5, 1, ctx, seed=3)
         samples = [key for key in ctx._gen_cache if key[0] == "theta_E8"]
         coords = {zj for key in samples for zj in key[2]}
         coords |= {z for z, _ in ctx._theta_cache}
-        assert set(ctx._half_cache) == coords
-        assert len(coords) < 8 * len(samples)
+        assert len(coords) > _LADDER_CACHE_SIZE
+        assert len(ctx._half_cache) == _LADDER_CACHE_SIZE
+        assert set(ctx._half_cache) <= coords
+        kept = list(ctx._half_cache)
+        z = _z_generic(31)
+        theta_E8(ComplexSample(TAU, z), ctx)
+        assert list(ctx._half_cache) == kept[8:] + [_raw(zj) for zj in z]
+        theta(1, mp.make_mpc(kept[8]), TAU, ctx)
+        assert list(ctx._half_cache)[-1] == kept[8]
         ctx = EvalContext()
         theta_E8(ComplexSample(TAU, _z_generic()), ctx)
         assert not ctx._theta_cache
@@ -316,6 +330,73 @@ class TestThetaE8:
             lhs = theta_E8(ComplexSample(TAU, shifted), CTX)
             rhs = factor * theta_E8(ComplexSample(TAU, z), CTX)
             assert _rel(lhs, rhs) < 1e-45
+
+
+def _kernel_table(z, tau, ctx):
+    """N and the context's Gauss table for theta at (z, tau), as `theta`
+    takes them."""
+    im_tau, im_z = float(tau.imag), abs(float(z.imag))
+    n_max = _theta_bound(im_tau, im_z, ctx.work_digits)
+    with mp.workdps(ctx.work_digits):
+        wp = mp.prec + _theta_guard_bits(im_tau, im_z, n_max)
+    return n_max, _gauss_table(tau, wp, ctx)
+
+
+class TestThetaKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-1.5, 1.5), st.floats(-2.7, 2.7), st.floats(-0.5, 0.5),
+           st.floats(0.15, 3.0), st.sampled_from([30, 50, 80]))
+    def test_matches_loop_bit_for_bit(self, re_z, im_z, re_tau, im_tau,
+                                      precision):
+        # with the ladder at the table's wp the dot products are the
+        # loop's exact sums regrouped; the first call at half the terms
+        # makes the second extend the ladder
+        ctx = EvalContext(precision)
+        z, tau = mpc(re_z, im_z), mpc(re_tau, im_tau)
+        n_max, table = _kernel_table(z, tau, ctx)
+        for n in (max(1, n_max // 2), n_max):
+            (pairs,) = _theta_fixed((_raw(z),), table, n, ctx)
+            ladder = ctx._half_cache[_raw(z)]
+            assert ladder.wp == table.wp
+            half = ((ladder.up_re[1], ladder.up_im[1]),
+                    (ladder.down_re[1], ladder.down_im[1]))
+            assert pairs == theta_fixed_loop(half, table, n)
+        assert ctx.ladder_builds == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-1.5, 1.5), st.floats(-2.7, 2.7), st.floats(-0.5, 0.5),
+           st.floats(0.15, 3.0), st.integers(1, 256))
+    def test_ladder_at_more_bits(self, re_z, im_z, re_tau, im_tau, extra):
+        # a ladder stepped for a table at more bits serves a call at
+        # fewer: the values stay within the 1e-45 of the jtheta tests
+        ctx = EvalContext()
+        z, tau = mpc(re_z, im_z), mpc(re_tau, im_tau)
+        n_max, table = _kernel_table(z, tau, ctx)
+        _theta_fixed((_raw(z),), _GaussTable(tau, table.wp + extra),
+                     n_max, ctx)
+        (pairs,) = _theta_fixed((_raw(z),), table, n_max, ctx)
+        assert ctx._half_cache[_raw(z)].wp == table.wp + extra
+        assert ctx.ladder_builds == 1
+        for kind, (re, im) in enumerate(pairs, 1):
+            with mp.workdps(ctx.work_digits + 20):
+                value = mpc(mp.mpf(re) / 2 ** table.wp,
+                            mp.mpf(im) / 2 ** table.wp)
+                ref = mpmath.jtheta(kind, mpmath.pi * z, mpmath.expjpi(tau))
+                err = abs(value - ref) / max(abs(ref), 1e-12)
+            assert err < 1e-45, (kind, z, tau, err)
+
+    def test_counters(self):
+        # one check_axioms: the ladders are stepped far fewer times than
+        # the kernel sums a coordinate
+        (form, _) = jacobi_basis(-16, 5).forms
+        ctx = EvalContext()
+        check_axioms(form, -16, 5, 1, ctx, seed=3)
+        samples = sum(key[0] == "theta_E8" for key in ctx._gen_cache)
+        assert ctx.theta_kernel_calls == len(ctx._theta_cache) + 8 * samples
+        assert ctx.ladder_builds * 10 < ctx.theta_kernel_calls
+        assert ctx.theta_terms >= 3 * ctx.theta_kernel_calls
+        assert 0 < ctx.gauss_table_builds <= (len(ctx._theta_cache)
+                                              + samples)
 
 
 class TestCacheKeys:
@@ -460,6 +541,46 @@ class TestOrbitCharacters:
             for v in weyl_orbit(j):
                 ref += mpmath.expjpi(sum(vk * zk for vk, zk in zip(v, z)))
             assert abs(value - ref) / abs(ref) < 1e-45
+
+    def test_matches_prefix_product_loop(self):
+        # j = 6: 60,480 vectors in 5 W(D8)-orbits, at |Im z| up to 0.45
+        z = tuple(3 * zj for zj in _z_generic(22))
+        value = orbit_character(6, z, CTX)
+        ref = orbit_character_loop(6, z, CTX)
+        with mp.workdps(CTX.work_digits):
+            assert abs(value - ref) / abs(ref) < 1e-45
+
+    # |W(E8)| / |W_j|: the orbit sizes, orbit_character(j, 0)
+    ORBIT_SIZES = {1: 2160, 2: 17280, 3: 69120, 4: 483840, 5: 241920,
+                   6: 60480, 7: 6720, 8: 240}
+
+    @pytest.mark.parametrize("j", range(1, 9))
+    def test_every_fundamental_weight(self, j):
+        # every j: the orbit size at z = 0, and invariance under every
+        # simple reflection at a generic z
+        from e8jacobi.e8 import SIMPLE_ROOTS
+        from e8jacobi.oracle import _reflect_complex
+        assert _absdiff(orbit_character(j, Z0, CTX),
+                        self.ORBIT_SIZES[j]) < 1e-45
+        z = _z_generic(40 + j)
+        w = orbit_character(j, z, CTX)
+        for alpha in SIMPLE_ROOTS:
+            with mp.workdps(CTX.work_digits):
+                zr = _reflect_complex(z, alpha)
+            assert _rel(orbit_character(j, zr, CTX), w) < 1e-45, alpha
+
+    def test_builds_no_weyl_orbit(self):
+        from e8jacobi.e8 import weyl_orbit
+        size = weyl_orbit.cache_info().currsize
+        for j in range(1, 9):
+            orbit_character(j, _z_generic(23), EvalContext())
+        assert weyl_orbit.cache_info().currsize == size
+
+    @pytest.mark.parametrize("length", [7, 9])
+    def test_z_of_wrong_length_raises(self, length):
+        z = _z_generic(24) + _z_generic(25)
+        with pytest.raises(ValueError, match="z must have 8 components"):
+            orbit_character(8, z[:length], CTX)
 
 
 class TestProbe:
