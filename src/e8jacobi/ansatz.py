@@ -1,8 +1,7 @@
 """Enumeration of all monomials of a given bidegree and ansatz building.
 
 An ansatz has one unknown per monomial, and an unknown is a column
-position, so several ansatze share one system as consecutive blocks of
-columns.
+position: the i-th monomial in enumeration order is column i.
 
 Enumeration is a bounded depth-first search over exponent vectors: the
 exponent of any index-carrying generator is capped by the remaining
@@ -85,9 +84,8 @@ def _monomials(alphabet: Alphabet, target: BiDegree) -> Tuple[tuple, ...]:
     return tuple(results)
 
 
-def build_ansatz(alphabet: Alphabet, target: BiDegree,
-                 first: int = 0) -> ParamPoly:
+def build_ansatz(alphabet: Alphabet, target: BiDegree) -> ParamPoly:
     """One unknown per monomial: the i-th monomial in enumeration order
-    has the coefficient of column first + i."""
+    has the coefficient of column i."""
     mons = enumerate_monomials(alphabet, target)
-    return ParamPoly(alphabet, {m: {first + i: 1} for i, m in enumerate(mons)})
+    return ParamPoly(alphabet, {m: {i: 1} for i, m in enumerate(mons)})

@@ -16,9 +16,12 @@ Format 2 stores integer rows, one JSON object per entry:
 - "certificates": [n, den, R's numerators, [S_l's numerators for each l
   of "s_mons"]] per form, every numerator over the one den.
 
-`load` returns None for any entry not shaped like that: a row of the
-wrong length, an entry that is not an int, a denominator <= 0, a
-negative Delta power, or a certificate count other than the form count.
+`load` returns None for an entry it cannot read (a directory in its
+place, JSON nested too deeply to parse) and for any entry not shaped
+like that: a row of the wrong length, an entry that is not an int, a
+denominator <= 0, a negative Delta power, an l of "s_mons" below 1 or
+listed twice, or a certificate count other than the form count.  A
+`save` that cannot write its entry raises CacheError.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ from .serialize import poly_to_compact
 
 CACHE_FORMAT = 2
 _INT = {int}
+
+
+class CacheError(Exception):
+    """The store cannot write an entry."""
 
 
 @cache
@@ -109,27 +116,34 @@ class DiskStore:
         try:
             with open(self._path(k, m)) as fh:
                 return basis_from_text(k, m, fh.read())
-        except (FileNotFoundError, KeyError, TypeError, ValueError):
+        except (OSError, RecursionError, KeyError, TypeError, ValueError):
             return None
 
     def save(self, k: int, m: int, basis: JacobiBasis) -> None:
+        """Write the entry atomically; CacheError when the file system
+        refuses it (say, a directory where the entry goes)."""
         text = basis_to_text(basis)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        path = self._path(k, m)
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
-            os.replace(tmp, self._path(k, m))
-        except BaseException:
-            if os.path.exists(tmp):
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise CacheError("cannot write cache entry %s: %s"
+                             % (path, exc.strerror or exc)) from exc
+        finally:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
 
 
 def basis_from_text(k: int, m: int, text: str) -> JacobiBasis:
     """The basis of weight k and index m from its format-2 JSON text;
     KeyError, TypeError or ValueError when the text is not shaped like
-    what `basis_to_text` writes.  The certificates share one remainder
-    monomial list and one list per S_l, as in a computed basis."""
+    what `basis_to_text` writes, RecursionError when it nests too deep
+    to parse.  The certificates share one remainder monomial list and
+    one list per S_l, as in a computed basis."""
     target = BiDegree(k, m)
     doc = json.loads(text)
     mons = enumerate_monomials(ab, target)
@@ -138,7 +152,9 @@ def basis_from_text(k: int, m: int, text: str) -> JacobiBasis:
     r_mons = _exponents(doc["r_mons"], len(AB))
     s_mons = [(l, _exponents(rows, len(S_ALPHABET)))
               for l, rows in doc["s_mons"]]
-    _ints([l for l, _ in s_mons], len(s_mons))
+    ls = _ints([l for l, _ in s_mons], len(s_mons))
+    if any(l < 1 for l in ls) or len(set(ls)) != len(ls):
+        raise ValueError("an l of s_mons below 1 or repeated")
     certs = []
     for n, den, r_nums, s_nums in doc["certificates"]:
         _ints([n, den], 2)

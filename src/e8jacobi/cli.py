@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from . import construct
-from .cache import DiskStore, basis_from_text, basis_to_text
+from .cache import CacheError, DiskStore, basis_from_text, basis_to_text
 from .construct import (ConsistencyError, Rejection, WindowError,
                         certificate_identity, certify, index_profile,
                         jacobi_basis, lb_analysis, module_generators,
@@ -248,7 +248,7 @@ def _cmd_certify(args, out) -> dict:
     try:
         with open(args.file) as fh:
             form = poly_from_json(json.load(fh))
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise UsageError("cannot read a polynomial from %s: %s"
                          % (args.file, exc))
     try:
@@ -354,7 +354,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             sys.stdout.write(text.getvalue())
         return 0
-    except (UsageError, WindowError) as exc:
+    except (UsageError, WindowError, CacheError) as exc:
         print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
         return 2
     except ConsistencyError as exc:

@@ -15,15 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .ansatz import build_ansatz, enumerate_monomials
-from .generators import (_delta_power, _int_image, e4_split, image_columns,
+from .generators import (_delta_power, _int_image, _lifted_columns, e4_split,
                          p16_5)
-from .grading import (AB, BiDegree, ParamPoly, Poly, S_ALPHABET, ab,
-                      cancel_delta)
+from .grading import AB, BiDegree, Poly, S_ALPHABET, ab, cancel_delta
 from .kernels import echelon_int_rows
-from .linsolve import LinearSystem, coefficient_equations, nullspace
+from .linsolve import LinearSystem, nullspace
 
 SCHEMA_VERSION = 1
 
@@ -171,59 +171,58 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
     if ansatz.is_zero():
         return JacobiBasis(target, [], [])
 
-    # Column j is the image of ansatz monomial j over the common
-    # denominator E4^p Delta^n, so Delta^n * ansatz = sum_j c_j column_j /
-    # E4^p.  A column is int numerators over its index part's den, and L
-    # is the lcm of those few dens: scaling each column to L makes every
-    # linear form integer (the S_l columns absorb L).  One pass splits
-    # each term by its E4 exponent e (E4 leads AB): e < p goes, E4
-    # stripped, into the rows of Q_{p-e}, and e >= p into R's list for
-    # the column, at E4 exponent e - p, as (term position, int).
-    columns, p, n = image_columns(ansatz.terms)
-    L = lcm(*{den for den, _ in columns})
+    # Over the common denominator E4^p Delta^n the system reads
+    # sum_j c_j column_j = E4^p R + sum_l E4^(p-l) P^l S_l, and every
+    # row is read off integer columns in one pass.  Ansatz column j is
+    # the image of monomial j (`_lifted_columns`): int numerators over
+    # its index part's den, and L is the lcm of those few dens, so
+    # scaling each column to L makes every row integer (the S_l columns
+    # absorb L).  Each term is split by its E4 exponent e (E4 leads AB):
+    # e < p goes, E4 stripped, into the rows of Q_{p-e}, and e >= p into
+    # R's list for the column, at E4 exponent e - p, as (term position,
+    # int).  Then each monomial s of each nonempty S_l ansatz is the
+    # column -P^l s, all of it at E4 exponent p - l, so in Q_l's rows.
+    columns, p, n = _lifted_columns(ansatz.terms)
+    L = lcm(*{den for _, _, den, _ in columns})
     qs: List[Dict[tuple, Dict[int, int]]] = [{} for _ in range(p)]
     r_pos: Dict[tuple, int] = {}
     r_cols: List[List[Tuple[int, int]]] = []
-    for j, (den, column) in enumerate(columns):
+    for j, (s4, s6, den, terms) in enumerate(columns):
         scale = L // den
         r_col = []
-        for mon, c in column:
-            c *= scale
-            e = mon[0]
+        for e4, e6, tail, c in terms:
+            e = e4 + s4
             if e < p:
-                qs[p - e - 1].setdefault((0,) + mon[1:], {})[j] = c
+                qs[p - e - 1].setdefault((e6 + s6,) + tail, {})[j] = c * scale
             else:
-                pos = r_pos.setdefault((e - p,) + mon[1:], len(r_pos))
-                r_col.append((pos, c))
+                pos = r_pos.setdefault((e - p, e6 + s6) + tail, len(r_pos))
+                r_col.append((pos, c * scale))
         r_cols.append(r_col)
-
-    # Columns: the c-block of the ansatz, then each nonempty S_l block.
-    n_c = len(columns)
-    n_cols = n_c
-    rows = []
-    sl_ansatze: Dict[int, ParamPoly] = {}
-    p165 = p16_5()
+    n_c = n_cols = len(columns)
+    s_cols = []
     for l in range(1, p + 1):
-        sl = build_ansatz(S_ALPHABET,
-                          BiDegree(k + 12 * n - 12 * l, m - 5 * l), n_cols)
-        rhs = ParamPoly.zero(AB)
-        if not sl.is_zero():
-            sl_ansatze[l] = sl
-            n_cols += len(sl.terms)
-            rhs = sl.map_alphabet(AB).mul_poly(p165 ** l)
-        rows.extend(coefficient_equations(ParamPoly(AB, qs[l - 1]), rhs))
+        mons = list(build_ansatz(
+            S_ALPHABET, BiDegree(k + 12 * n - 12 * l, m - 5 * l)).terms)
+        if mons:
+            p_l = [(mon[1:], c) for mon, c in _p_power(l).terms.items()]
+            q = qs[l - 1]
+            for j, s in enumerate(mons, n_cols):
+                for mon, c in p_l:
+                    q.setdefault(tuple(map(add, s, mon)), {})[j] = -c
+            s_cols.append((l, mons, n_cols))
+            n_cols += len(mons)
+    # Q_l's rows in descending monomial order, l ascending
+    rows = [q[mon] for q in qs for mon in sorted(q, reverse=True)]
     space = nullspace(LinearSystem(n_cols, rows))
 
     # Certificates by one integer column pass per basis vector, kept as
     # numerators over g * L.  The nullspace basis is reduced, so a vector
     # is nonzero only at its free column and at the pivot columns it
     # depends on, and R's numerators accumulate over those columns alone.
-    # Each S_l ansatz has one unit column per monomial, so S_l is read
-    # straight off the vector.  R's and each S_l's monomial lists are
-    # shared by every certificate of the target.
+    # Each S_l monomial has one column, so S_l is read straight off the
+    # vector.  R's and each S_l's monomial lists are shared by every
+    # certificate of the target.
     r_mons = list(r_pos)
-    s_cols = [(l, list(sl.terms), [j for lf in sl.terms.values() for j in lf])
-              for l, sl in sorted(sl_ansatze.items())]
 
     forms: List[Poly] = []
     certificates: List[Certificate] = []
@@ -244,8 +243,8 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
             if x:
                 for pos, c in r_cols[j]:
                     acc[pos] += x * c
-        s_rows = tuple((l, mons, [vec[j] for j in cols])
-                       for l, mons, cols in s_cols)
+        s_rows = tuple((l, mons, list(vec[j:j + len(mons)]))
+                       for l, mons, j in s_cols)
         certificates.append(
             Certificate.from_rows(n, g * L, r_mons, acc, s_rows))
     return JacobiBasis(target, forms, certificates)

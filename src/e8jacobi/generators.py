@@ -19,17 +19,18 @@ and the product is normalized as it stands: the numerators multiply and
 the denominator exponents add, with no check.  The index-part images are
 memoised as `int` numerators over one integer denominator each, and so
 is each one lifted by a power of Delta.
-`image_columns` shifts copies of them into the images of a list of
-monomials, one column per monomial: the construction reads its linear
-system straight off those columns.  `_int_image` adds them up in
-integers, weighted by a concrete polynomial's coefficients, into one
-dict of `int` terms over one integer L; `sub_ab_to_AB`,
-`construct.certify` and `construct.certificate_identity` start from it.
-The sum may be divisible by E4 and by Delta.  `sub_ab_to_AB` cancels
-both from the integer terms (Delta by `grading.cancel_delta`, with no
-polynomial division) before the terms become Fractions, and `certify`
-cancels Delta the same way; no other fraction is brought to lowest
-terms.
+`_lifted_columns` gives the images of a list of monomials over one
+common denominator, one column per monomial: a column is the memoised
+terms of its index part with the E4 and E6 shifts of its monomial, and
+the construction reads its linear system straight off those columns
+without expanding them.  `_int_image` adds them up in integers,
+weighted by a concrete polynomial's coefficients, into one dict of `int`
+terms over one integer L; `sub_ab_to_AB`, `construct.certify` and
+`construct.certificate_identity` start from it.  The sum may be
+divisible by E4 and by Delta.  `sub_ab_to_AB` cancels both from the
+integer terms (Delta by `grading.cancel_delta`, with no polynomial
+division) before the terms become Fractions, and `certify` cancels
+Delta the same way; no other fraction is brought to lowest terms.
 """
 
 from __future__ import annotations
@@ -326,19 +327,6 @@ def _lifted_columns(mons, lift: int = 0) -> Tuple[list, int, int]:
         columns.append((a + e4 - f.e4_pow, b,
                         *_lifted_terms(rest, dl - f.delta_pow)))
     return columns, e4, dl
-
-
-def image_columns(mons) -> Tuple[List[tuple], int, int]:
-    """The images of the ab-monomials `mons` over one common denominator
-    E4^e4_pow Delta^delta_pow (see `_lifted_columns`), as (columns,
-    e4_pow, delta_pow): column j is (den, terms), the numerator of
-    monomial j being its (AB exponent vector, int) terms over the
-    positive integer den, which the monomials of one index part share.
-    """
-    columns, e4, dl = _lifted_columns(mons)
-    return [(den, [((e4_exp + s4, e6_exp + b) + tail, c)
-                   for e4_exp, e6_exp, tail, c in terms])
-            for s4, b, den, terms in columns], e4, dl
 
 
 def _int_image(p: Poly, lift: int = 0) -> Tuple[dict, int, int, int]:

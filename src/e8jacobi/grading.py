@@ -406,13 +406,13 @@ class ParamPoly:
     """Polynomial whose coefficients are homogeneous linear forms in the
     undetermined coefficients of an ansatz.
 
-    An unknown is a column position (see `ansatz.build_ansatz`).  Linear
-    forms keep the type of their coefficients: integer forms multiplied by
-    a polynomial with integral coefficients stay `int`, so the equations
-    of `linsolve.coefficient_equations` are integer rows.  Only the basis
-    forms go through `substitute`: `construct._compute_basis` reads the
-    E4-denominator parts and the certificates straight off the monomial
-    images of `generators.image_columns`.
+    An unknown is a column position (see `ansatz.build_ansatz`).  Only
+    the basis forms go through `substitute`: `construct._compute_basis`
+    builds its integer rows and the certificates straight from the
+    memoised monomial images (`generators._lifted_columns`) and from the
+    terms of P^l.  `mul_poly` and `linsolve.coefficient_equations` are
+    the reference those rows are tested against; a linear form multiplied
+    by a polynomial with integral coefficients stays `int`.
     """
 
     __slots__ = ("alphabet", "terms")
@@ -420,10 +420,6 @@ class ParamPoly:
     def __init__(self, alphabet: Alphabet, terms: Mapping[tuple, LinForm]):
         self.alphabet = alphabet
         self.terms = {m: dict(lf) for m, lf in terms.items() if lf}
-
-    @classmethod
-    def zero(cls, alphabet: Alphabet) -> "ParamPoly":
-        return cls(alphabet, {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -457,10 +453,6 @@ class ParamPoly:
             if s:
                 out[m] = s
         return Poly(self.alphabet, out)
-
-    def map_alphabet(self, target: Alphabet) -> "ParamPoly":
-        """Re-express over another alphabet (see `_rekey`)."""
-        return ParamPoly(target, _rekey(self.terms, self.alphabet, target))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Exact integer linear algebra for coefficient matching.
 
 Systems are homogeneous, and an unknown is a column position: a row maps
-columns to `int` coefficients.  Rows are row-reduced fraction-free by
+columns to `int` coefficients.  `construct._compute_basis` builds its
+rows from integer columns; `coefficient_equations`, which matches the
+coefficients of two parametric polynomials, is the reference it is
+tested against.  Rows are row-reduced fraction-free by
 `kernels.echelon_int_rows`, the only elimination routine, and `nullspace`
 builds its basis from the pivot rows in integers.  All output bases are
 canonical: reduced echelon form over the column order, scaled to

@@ -53,8 +53,8 @@ def poly_to_json(p: Poly) -> dict:
 
 def poly_from_json(doc: dict) -> Poly:
     """Inverse of `poly_to_json`; raises SerializationError on a document
-    of another shape, on an exponent that is not a non-negative int and
-    on a zero denominator."""
+    of another shape, on an exponent that is not a non-negative int, on
+    a monomial listed twice and on a zero denominator."""
     try:
         alphabet = _lookup_alphabet(doc["alphabet"])
         terms = {}
@@ -70,7 +70,11 @@ def poly_from_json(doc: dict) -> Poly:
                 except KeyError:
                     raise SerializationError(
                         "symbol %r not in alphabet %s" % (sym, alphabet.name))
-            terms[tuple(exps)] = fraction_from_str(t["coefficient"])
+            exps = tuple(exps)
+            if exps in terms:
+                raise SerializationError(
+                    "monomial %r listed twice" % (t["exponents"],))
+            terms[exps] = fraction_from_str(t["coefficient"])
     except ZeroDivisionError:
         raise SerializationError("zero denominator in a coefficient")
     except (KeyError, TypeError, AttributeError) as exc:

@@ -2,17 +2,20 @@
 
 import math
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 from mpmath import mp
 
-from e8jacobi.ansatz import enumerate_monomials
+from e8jacobi.ansatz import build_ansatz, enumerate_monomials
 from e8jacobi.construct import Certificate, Rejection
 from e8jacobi.e8 import weyl_orbit
-from e8jacobi.generators import e4_split, p16_5, sub_ab_to_AB
-from e8jacobi.grading import (AB, BiDegree, Frac, Poly, S_ALPHABET, ab,
-                              delta_poly)
-from e8jacobi.linsolve import echelonize, primitive_vector
+from e8jacobi.generators import (_lifted_columns, e4_split, p16_5,
+                                 sub_ab_to_AB)
+from e8jacobi.grading import (AB, BiDegree, Frac, ParamPoly, Poly,
+                              S_ALPHABET, ab, delta_poly)
+from e8jacobi.linsolve import (LinearSystem, coefficient_equations,
+                               echelonize, primitive_vector)
 from e8jacobi.oracle import _from_fixed, _to_fixed
 
 
@@ -117,6 +120,46 @@ def certificate_identity_reference(form, cert):
         rhs = rhs.unchecked_add(
             _e4_shift(p16_5() ** l * s_l.map_alphabet(AB), t - l))
     return lhs == rhs
+
+
+def expand_column(column):
+    """A `_lifted_columns` column as its (AB exponent vector, int) terms:
+    the index part's terms with the monomial's E4 and E6 shifts added."""
+    s4, s6, _, terms = column
+    return [((e4 + s4, e6 + s6) + tail, c) for e4, e6, tail, c in terms]
+
+
+def system_rows_reference(k, m):
+    """Reference for the linear system that `construct._compute_basis`
+    hands to `nullspace`, as (system, the l of each S_l block).
+
+    The ansatz's image columns are expanded, scaled to the lcm L of their
+    dens and split by E4 exponent into the parametric polynomials Q_l
+    over AB; each S_l ansatz is a ParamPoly over AB whose columns follow
+    the c-block, multiplied by P^l with `ParamPoly.mul_poly`; and each
+    l's rows are `coefficient_equations(Q_l, P^l S_l)`."""
+    ansatz = build_ansatz(ab, BiDegree(k, m))
+    columns, p, n = _lifted_columns(ansatz.terms)
+    L = lcm(*{column[2] for column in columns})
+    qs = [{} for _ in range(p)]
+    for j, column in enumerate(columns):
+        for mon, c in expand_column(column):
+            if mon[0] < p:
+                qs[p - mon[0] - 1].setdefault((0,) + mon[1:], {})[j] = \
+                    c * (L // column[2])
+    n_cols = len(columns)
+    rows, blocks = [], []
+    for l in range(1, p + 1):
+        mons = enumerate_monomials(S_ALPHABET,
+                                   BiDegree(k + 12 * n - 12 * l, m - 5 * l))
+        s_l = ParamPoly(AB, {(0,) + s: {n_cols + i: 1}
+                             for i, s in enumerate(mons)})
+        if mons:
+            blocks.append(l)
+        n_cols += len(mons)
+        rows.extend(coefficient_equations(ParamPoly(AB, qs[l - 1]),
+                                          s_l.mul_poly(p16_5() ** l)))
+    return LinearSystem(n_cols, rows), blocks
 
 
 def span_basis(forms, k, m):

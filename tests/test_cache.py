@@ -6,7 +6,7 @@ import os
 import pytest
 
 from e8jacobi import cache
-from e8jacobi.cache import DiskStore
+from e8jacobi.cache import CacheError, DiskStore
 from e8jacobi.construct import jacobi_basis
 from e8jacobi.generators import meromorphic_images
 from e8jacobi.grading import AB, Frac, Poly
@@ -55,6 +55,27 @@ class TestDiskStore:
         with open(os.path.join(tmp_path, path), "w") as fh:
             fh.write("{ not json")
         assert store.load(4, 1) is None
+
+    def test_unreadable_returns_none(self, tmp_path):
+        # a directory in the entry's place, and JSON nested past the
+        # parser's recursion limit
+        store = DiskStore(str(tmp_path))
+        store.save(4, 1, jacobi_basis(4, 1))
+        (path,) = [p for p in os.listdir(tmp_path) if p.endswith(".json")]
+        path = os.path.join(tmp_path, path)
+        with open(path, "w") as fh:
+            fh.write("[" * 100000)
+        assert store.load(4, 1) is None
+        os.unlink(path)
+        os.mkdir(path)
+        assert store.load(4, 1) is None
+
+    def test_unwritable_entry_raises_cache_error(self, tmp_path):
+        store = DiskStore(str(tmp_path))
+        os.mkdir(store._path(4, 1))
+        with pytest.raises(CacheError, match="cannot write cache entry"):
+            store.save(4, 1, jacobi_basis(4, 1))
+        assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
     def test_malformed_returns_none(self, tmp_path):
         store = DiskStore(str(tmp_path))
@@ -186,6 +207,19 @@ class TestFormat2:
     def test_s_part_count_mismatch(self, entry):
         doc = entry[2]
         doc["certificates"][0][3].pop()
+        assert self.reload(entry, doc) is None
+
+    @pytest.mark.parametrize("l", [0, -1, "repeat"])
+    def test_s_part_power_not_valid(self, entry, l):
+        # each certificate's S_l rows stay aligned with "s_mons", so only
+        # the l itself is wrong
+        doc = entry[2]
+        if l == "repeat":
+            doc["s_mons"].append(doc["s_mons"][0])
+            for cert in doc["certificates"]:
+                cert[3].append(cert[3][0])
+        else:
+            doc["s_mons"][0][0] = l
         assert self.reload(entry, doc) is None
 
     def test_format_1_document_misses(self, entry):

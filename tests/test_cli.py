@@ -211,6 +211,10 @@ class TestExitCodes:
                      id="fractional-exponent"),
         pytest.param(_poly_doc("ab", [({"b1": 1}, "1/0")]),
                      id="zero-denominator"),
+        pytest.param(_poly_doc("ab", [({"E4": 1, "b1": 1}, "1"),
+                                      ({"E4": 1, "b1": 1}, "1")]),
+                     id="repeated-monomial"),
+        pytest.param("[" * 100000, id="nested-too-deep"),
     ])
     def test_unreadable_certify_file_is_2(self, capsys, tmp_path, content):
         path = tmp_path / "form.json"
@@ -293,6 +297,29 @@ class TestCacheAndJobs:
         code3, out3, _ = run_cli(capsys, "basis", "-16", "5")
         assert code2 == code3 == 0
         assert out1 == out2 == out3
+
+    def test_unreadable_entry(self, capsys, tmp_path):
+        """An entry nested too deeply to parse is a miss and is rewritten;
+        a directory in the entry's place is a miss whose save fails, and
+        the run ends with one error line and exit 2."""
+        cache = tmp_path / "cache"
+        assert run_cli(capsys, "--cache-dir", str(cache), "dim", "4", "1") \
+            == (0, "1\n", "")
+        (entry,) = cache.iterdir()
+        entry.write_text("[" * 100000)
+        clear_cache()
+        assert run_cli(capsys, "--cache-dir", str(cache), "dim", "4", "1") \
+            == (0, "1\n", "")
+        assert json.loads(entry.read_text())["forms"] == [[1]]
+        entry.unlink()
+        entry.mkdir()
+        clear_cache()
+        code, out, err = run_cli(capsys, "--cache-dir", str(cache),
+                                 "dim", "4", "1")
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("e8jacobi: error: cannot write cache entry %s"
+                               % entry)
 
     def test_jobs_output_identical(self, capsys):
         code1, doc1, _ = run_json(capsys, "--jobs", "1", "profile", "4")

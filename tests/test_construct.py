@@ -15,8 +15,8 @@ from e8jacobi.construct import (Certificate, ConsistencyError, Rejection,
                                 certificate_identity, certify, clear_cache,
                                 index_profile, jacobi_basis, jacobi_dim,
                                 lb_analysis, module_generators, rank_series)
-from e8jacobi.generators import (_int_image, e4_split, holomorphic_images,
-                                 image_columns, p12_5_over_ab, p16_5,
+from e8jacobi.generators import (_int_image, _lifted_columns, e4_split,
+                                 holomorphic_images, p12_5_over_ab, p16_5,
                                  sub_ab_to_AB)
 from e8jacobi.grading import AB, BiDegree, Poly, S_ALPHABET, ab, delta_poly
 from e8jacobi.linsolve import nullspace
@@ -26,7 +26,8 @@ from e8jacobi.serialize import (certificate_to_json, fraction_to_str,
 
 from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
                      certificate_identity_reference, certify_reference,
-                     m16_5_pair, m26_7_generator, span_basis, spans_equal)
+                     m16_5_pair, m26_7_generator, span_basis, spans_equal,
+                     system_rows_reference)
 
 # every target of index 1..5 in its profile weight window (143 forms)
 WINDOW_TARGETS = [t for m in range(1, 6) for t in _profile_targets(m, None)]
@@ -179,6 +180,25 @@ class TestIntegerStage:
         assert all(type(c) is int for row in system.rows for c in row.values())
         assert all(type(x) is int for vec in space.basis for x in vec)
 
+    @pytest.mark.parametrize("target, blocks", [((-48, 10), [1, 2]),
+                                                ((-24, 5), [1]),
+                                                ((-8, 2), [])],
+                             ids=["m48_10", "m24_5", "m8_2"])
+    def test_rows_match_reference(self, target, blocks, monkeypatch):
+        """The system handed to `nullspace` equals, row for row, the one
+        built from expanded columns, `ParamPoly.mul_poly` and
+        `coefficient_equations`."""
+        seen = []
+
+        def recording(system):
+            seen.append(system)
+            return nullspace(system)
+
+        monkeypatch.setattr(construct, "nullspace", recording)
+        construct._compute_basis(*target)
+        (system,) = seen
+        assert (system, blocks) == system_rows_reference(*target)
+
 
 class TestCertificateColumns:
     """The certificates read off the image columns equal the ones that the
@@ -194,7 +214,7 @@ class TestCertificateColumns:
                                   "m26_8"])
     def test_match_substitute_reference(self, target):
         basis = construct._compute_basis(*target)
-        _, p, n = image_columns(enumerate_monomials(ab, BiDegree(*target)))
+        _, p, n = _lifted_columns(enumerate_monomials(ab, BiDegree(*target)))
         E4, P = Poly.gen(AB, "E4"), p16_5()
         expected = []
         for form in basis.forms:

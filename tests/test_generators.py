@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.cli import _profile_targets
 from e8jacobi.construct import jacobi_basis
-from e8jacobi.generators import (_rest_image, e4_split, holomorphic_images,
-                                 image_columns, meromorphic_images,
+from e8jacobi.generators import (_lifted_columns, _rest_image, e4_split,
+                                 holomorphic_images, meromorphic_images,
                                  p12_5_over_ab, p16_5, sub_ab_to_AB)
 from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab, delta_poly
 
-from helpers import (build, frac_bidegree, frac_product, frac_sum,
-                     normalized_by_trial_division)
+from helpers import (build, expand_column, frac_bidegree, frac_product,
+                     frac_sum, normalized_by_trial_division)
 
 # every target of index 1..4 in its profile weight window with monomials
 SMALL_TARGETS = [(k, m) for i in range(1, 5)
@@ -136,13 +136,13 @@ class TestSubstitutionReference:
         has monomials but no forms."""
         mons = enumerate_monomials(ab, BiDegree(*target))
         images = [naive_image(Poly.monomial(ab, mon, 1)) for mon in mons]
-        columns, e4_pow, delta_pow = image_columns(mons)
+        columns, e4_pow, delta_pow = _lifted_columns(mons)
         assert len(columns) == len(images)
         assert e4_pow == max(f.e4_pow for f in images)
         assert delta_pow == max(f.delta_pow for f in images)
-        for (den, column), image in zip(columns, images):
-            terms = dict(column)
-            assert len(terms) == len(column)
+        for column, image in zip(columns, images):
+            den, terms = column[2], dict(expand_column(column))
+            assert len(terms) == len(column[3])
             assert all(terms.values())
             assert type(den) is int and den > 0
             assert all(type(c) is int for c in terms.values())

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from e8jacobi.construct import jacobi_basis, profile_weights
-from e8jacobi.generators import (image_columns, meromorphic_images, p16_5,
-                                 sub_ab_to_AB)
+from e8jacobi.generators import (_lifted_columns, meromorphic_images,
+                                 p16_5, sub_ab_to_AB)
 from e8jacobi.grading import (AB, AlphabetMismatchError, BiDegree,
                               GradingError, Frac, Poly, S_ALPHABET, ab,
                               cancel_delta, delta_poly)
 
-from helpers import normalized_by_trial_division
+from helpers import expand_column, normalized_by_trial_division
 
 E4 = Poly.gen(AB, "E4")
 E6 = Poly.gen(AB, "E6")
@@ -274,12 +274,12 @@ class TestDeltaCancellation:
         for m in range(1, 7):
             for k in profile_weights(m, None):
                 for form in jacobi_basis(k, m).forms:
-                    columns, e4_pow, delta_pow = image_columns(form.terms)
+                    columns, e4_pow, delta_pow = _lifted_columns(form.terms)
                     num = Poly.zero(AB)
-                    for (den, column), c in zip(columns,
-                                                form.terms.values()):
+                    for column, c in zip(columns, form.terms.values()):
                         num = num.unchecked_add(
-                            Poly(AB, dict(column)).scale(Fraction(c, den)))
+                            Poly(AB, dict(expand_column(column))).scale(
+                                Fraction(c, column[2])))
                     assert sub_ab_to_AB(form) == normalized_by_trial_division(
                         num, e4_pow, delta_pow)
                     checked += 1

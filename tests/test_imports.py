@@ -103,6 +103,9 @@ READ_OUTSIDE_SRC = {
     "poly_from_compact": "pinned by perfbench/spans.py",
     "sub_ab_to_AB": "pinned by perfbench/spans.py; lowest-terms reference",
     "orbit_character": "pinned by perfbench/spans.py; README library API",
+    "coefficient_equations":
+        "pinned by perfbench/spans.py; system-row reference",
+    "ParamPoly.mul_poly": "pinned by perfbench/spans.py; system-row reference",
 }
 
 

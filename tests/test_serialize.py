@@ -58,6 +58,12 @@ class TestPoly:
                             "terms": [{"exponents": {"Z9": 1},
                                        "coefficient": "1/1"}]})
 
+    def test_repeated_monomial(self):
+        # read as one term, 2 E4 b1 would have become E4 b1
+        term = {"exponents": {"E4": 1, "b1": 1}, "coefficient": "1"}
+        with pytest.raises(SerializationError, match="listed twice"):
+            poly_from_json({"alphabet": "ab", "terms": [term, term]})
+
     def test_compact_round_trip(self):
         p = m16_5_pair()[1]
         assert poly_from_compact("ab", poly_to_compact(p)) == p
