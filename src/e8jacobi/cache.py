@@ -162,7 +162,7 @@ def basis_from_text(k: int, m: int, text: str) -> JacobiBasis:
             raise ValueError("malformed certificate")
         s_rows = tuple((l, mons_l, _ints(nums, len(mons_l)))
                        for (l, mons_l), nums in zip(s_mons, s_nums))
-        certs.append(Certificate.from_rows(
+        certs.append(Certificate(
             n, den, r_mons, _ints(r_nums, len(r_mons)), s_rows))
     if len(certs) != len(forms):
         raise ValueError("certificate count differs from form count")

@@ -102,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=_positive_float, default=1e-30,
                         help="oracle comparison tolerance")
     parser.add_argument("--window", type=_parse_window, default=None,
-                        help="weight window LO:HI override for profiles")
+                        help="weight window LO:HI override for profile "
+                             "and module-gens")
     sub = parser.add_subparsers(dest="command", required=True)
 
     index = _int_at_least(0)
@@ -262,7 +263,8 @@ def _cmd_certify(args, out) -> dict:
     if not certificate_identity(form, result):
         raise ConsistencyError("certificate identity re-check failed")
     print("certified: Delta power %d, %d E4-part(s)"
-          % (result.n, len(result.s_parts)), file=out)
+          % (result.n, sum(any(nums) for _, _, nums in result.s_rows)),
+          file=out)
     return {"certified": True, "certificate": certificate_to_json(result)}
 
 
@@ -336,6 +338,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         import io
+        if args.window and args.command not in ("profile", "module-gens"):
+            raise UsageError("--window applies only to profile and "
+                             "module-gens, not to %s" % args.command)
         if args.cache_dir:
             try:
                 construct.set_disk_store(DiskStore(args.cache_dir))

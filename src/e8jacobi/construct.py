@@ -6,7 +6,8 @@ substitution to the holomorphic side, clear the Delta denominator, split
 off the E4-denominator parts, demand that each such part be the matching
 power of the distinguished weight-16 index-5 form times an E4-free
 polynomial, and solve the resulting homogeneous linear system exactly.
-Each surviving basis form carries a certificate witnessing membership.
+Each surviving basis form carries a certificate witnessing membership,
+kept as integer rows (see `Certificate`).
 """
 
 from __future__ import annotations
@@ -41,70 +42,19 @@ class Certificate:
     """Witness that Delta^n * (form over AB) = sum_l P^l S_l / E4^l + R,
     with P the weight-16 index-5 form and every S_l free of E4.
 
-    Kept in integers: every coefficient is a numerator over the one
+    Kept in integers only: every coefficient is a numerator over the one
     positive denominator `den`.  `r_nums` lines up with the monomial list
-    `r_mons` of R, and each (l, mons, nums) of `s_rows` with the monomial
-    list of S_l; the certificates of one basis share these lists.
-    `s_parts` and `remainder` build Fraction polynomials on each read and
-    keep nothing, and equality compares those values.
+    `r_mons` of R over AB, and each (l, mons, nums) of `s_rows`, l
+    ascending, with that of S_l over S; a row may be all zero.  One
+    basis shares these lists.  `serialize` writes them as fractions.
     """
 
     __slots__ = ("n", "den", "r_mons", "r_nums", "s_rows")
 
-    def __init__(self, n: int, s_parts: Sequence[Tuple[int, Poly]],
-                 remainder: Poly):
-        """From (l, S_l over the E4-free alphabet) pairs and R over AB."""
-        polys = [remainder, *(s for _, s in s_parts)]
-        den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-        self.n = n
-        self.den = den
-        self.r_mons = list(remainder.terms)
-        self.r_nums = _numerators(remainder, den)
-        self.s_rows = tuple((l, list(s.terms), _numerators(s, den))
-                            for l, s in s_parts)
-
-    @classmethod
-    def from_rows(cls, n: int, den: int, r_mons: list, r_nums: list,
-                  s_rows: tuple) -> "Certificate":
-        """The certificate with the given numerators over `den`."""
-        cert = cls.__new__(cls)
-        cert.n, cert.den, cert.r_mons, cert.r_nums, cert.s_rows = \
+    def __init__(self, n: int, den: int, r_mons: list, r_nums: list,
+                 s_rows: tuple):
+        self.n, self.den, self.r_mons, self.r_nums, self.s_rows = \
             n, den, r_mons, r_nums, s_rows
-        return cert
-
-    @property
-    def s_parts(self) -> Tuple[Tuple[int, Poly], ...]:
-        """(l, S_l) for each l whose S_l is nonzero, l ascending."""
-        den = self.den
-        return tuple(
-            (l, Poly(S_ALPHABET, {mon: Fraction(a, den)
-                                  for mon, a in zip(mons, nums) if a}))
-            for l, mons, nums in self.s_rows if any(nums))
-
-    @property
-    def remainder(self) -> Poly:
-        den = self.den
-        return Poly(AB, {mon: Fraction(a, den)
-                         for mon, a in zip(self.r_mons, self.r_nums) if a})
-
-    def _value(self):
-        return self.n, self.s_parts, self.remainder
-
-    def __eq__(self, other):
-        if not isinstance(other, Certificate):
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
-
-    def __repr__(self):
-        return "Certificate(n=%d, s_parts=%r, remainder=%r)" % self._value()
-
-
-def _numerators(p: Poly, den: int) -> List[int]:
-    """The coefficients of p, in term order, as numerators over den."""
-    return [c.numerator * (den // c.denominator) for c in p.terms.values()]
 
 
 @dataclass(frozen=True)
@@ -245,8 +195,7 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
                     acc[pos] += x * c
         s_rows = tuple((l, mons, list(vec[j:j + len(mons)]))
                        for l, mons, j in s_cols)
-        certificates.append(
-            Certificate.from_rows(n, g * L, r_mons, acc, s_rows))
+        certificates.append(Certificate(n, g * L, r_mons, acc, s_rows))
     return JacobiBasis(target, forms, certificates)
 
 
@@ -261,26 +210,30 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
     matching power of the weight-16 index-5 form; a Rejection names the
     first failing denominator power.  The image's `int` terms over L
     (`generators._int_image`) lose their Delta factors (`cancel_delta`)
-    and are split by E4 exponent; only dividing each nonzero Q_l by P^l
-    makes Fractions.  The denominator is the lcm of the reduced ones.
+    and are split by E4 exponent.  Each nonzero Q_l divided by P^l gives
+    the row of S_l: its quotient's monomials with the E4 exponent (0)
+    dropped, and its coefficients over L as numerators over `den`, the
+    lcm of the reduced denominators of R and every S_l.
     """
     form.bidegree()  # raises on inhomogeneous input
     terms, L, e4, dl = _int_image(form)
     k, terms = cancel_delta(terms, dl)
     qs, remainder = e4_split(Poly(AB, terms), e4)
-    s_parts = []
+    s_rows = []
     for l, q_l in enumerate(qs, 1):
         if q_l:
             s_l = q_l.divexact(_p_power(l))
             if s_l is None:
                 return Rejection(l)
-            s_parts.append((l, s_l.map_alphabet(S_ALPHABET) / L))
+            s_rows.append((l, [m[1:] for m in s_l.terms],
+                           [Fraction(c, L) for c in s_l.terms.values()]))
     r = remainder.terms.values()
     den = lcm(L // gcd(L, *r),
-              *(c.denominator for _, s in s_parts for c in s.terms.values()))
-    return Certificate.from_rows(
+              *(c.denominator for _, _, s in s_rows for c in s))
+    return Certificate(
         dl - k, den, list(remainder.terms), [c * den // L for c in r],
-        tuple((l, list(s.terms), _numerators(s, den)) for l, s in s_parts))
+        tuple((l, mons, [c.numerator * (den // c.denominator) for c in s])
+              for l, mons, s in s_rows))
 
 
 @cache

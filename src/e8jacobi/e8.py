@@ -53,52 +53,32 @@ def reflect(v: Vec2, alpha: Vec2) -> Vec2:
     return tuple(a - s * b for a, b in zip(v, alpha))
 
 
-@cache
-def weyl_orbit(j: int) -> Tuple[Vec2, ...]:
-    """Orbit of the j-th fundamental weight (1-based) under the Weyl
-    group, sorted, by breadth-first closure under the simple
-    reflections; built once per j and kept, as exact integer data.
-
-    The reflections are written out coordinate-wise, and those that fix
-    v are skipped: alpha1 subtracts s*alpha1 with s = v . alpha1, one
-    signed coordinate sum; alpha2 = e1 + e2 swaps and negates the first
-    two coordinates; alpha_j = e_{j-1} - e_{j-2} (j = 3..8) swaps
-    coordinates j-2 and j-1.
-    """
+def _closure(j: int, roots, image) -> Tuple[Vec2, ...]:
+    """Sorted breadth-first closure of image(w_j), w_j the j-th (1-based)
+    fundamental weight, under v -> image(reflect(v, alpha)), alpha in roots."""
     if not 1 <= j <= 8:
         raise ValueError("fundamental weight index must be in 1..8")
-    start = FUNDAMENTAL_WEIGHTS[j - 1]
+    start = image(FUNDAMENTAL_WEIGHTS[j - 1])
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for v in frontier:
-            v0, v1, v2, v3, v4, v5, v6, v7 = v
-            images = []
-            s = (v0 - v1 - v2 - v3 - v4 - v5 - v6 + v7) // 4
-            if s:
-                images.append((v0 - s, v1 + s, v2 + s, v3 + s, v4 + s,
-                               v5 + s, v6 + s, v7 - s))
-            if v0 != -v1:
-                images.append((-v1, -v0, v2, v3, v4, v5, v6, v7))
-            if v0 != v1:
-                images.append((v1, v0, v2, v3, v4, v5, v6, v7))
-            if v1 != v2:
-                images.append((v0, v2, v1, v3, v4, v5, v6, v7))
-            if v2 != v3:
-                images.append((v0, v1, v3, v2, v4, v5, v6, v7))
-            if v3 != v4:
-                images.append((v0, v1, v2, v4, v3, v5, v6, v7))
-            if v4 != v5:
-                images.append((v0, v1, v2, v3, v5, v4, v6, v7))
-            if v5 != v6:
-                images.append((v0, v1, v2, v3, v4, v6, v5, v7))
-            for w in images:
+            for alpha in roots:
+                w = image(reflect(v, alpha))
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
     return tuple(sorted(seen))
+
+
+@cache
+def weyl_orbit(j: int) -> Tuple[Vec2, ...]:
+    """Orbit of the j-th fundamental weight (1-based) under the Weyl
+    group, sorted, by closure under the reflections in the simple roots;
+    built once per j and kept, as exact integer data."""
+    return _closure(j, SIMPLE_ROOTS, lambda v: v)
 
 
 def d8_dominant(v: Vec2) -> Vec2:
@@ -124,22 +104,8 @@ def d8_representatives(j: int) -> Tuple[Vec2, ...]:
     the weight under those reflections, applied to the representatives.
     There are 2, 3, 3 and 4 for j = 8, 1, 7, 2, and at most 8 (j = 4).
     """
-    if not 1 <= j <= 8:
-        raise ValueError("fundamental weight index must be in 1..8")
     half_roots = [r for r in e8_vectors_of_norm(2) if r[0] % 2]
-    start = d8_dominant(FUNDAMENTAL_WEIGHTS[j - 1])
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for alpha in half_roots:
-                w = d8_dominant(reflect(v, alpha))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return tuple(sorted(seen))
+    return _closure(j, half_roots, d8_dominant)
 
 
 def e8_vectors_of_norm(norm: int) -> List[Vec2]:

@@ -118,28 +118,6 @@ S_ALPHABET = _alphabet("S", ["E6", "A1", "A2", "A3", "A4", "A5",
                              "B2", "B3", "B4", "B6"])
 
 
-def _rekey(terms: Mapping[tuple, object], source: Alphabet,
-           target: Alphabet) -> dict:
-    """`terms` with each exponent vector over `source` re-expressed over
-    `target`.  Symbols missing from the target must not actually occur
-    (zero exponent everywhere)."""
-    positions = [target.position(s) if s in target.symbols else None
-                 for s in source.symbols]
-    width = len(target)
-    out: dict = {}
-    for m, v in terms.items():
-        exps = [0] * width
-        for e, p in zip(m, positions):
-            if p is None:
-                if e:
-                    raise AlphabetMismatchError(
-                        "symbol not present in target alphabet")
-            else:
-                exps[p] = e
-        out[tuple(exps)] = v
-    return out
-
-
 def _as_fraction(c: Rational) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
@@ -374,12 +352,6 @@ class Poly:
                     else:
                         del rem[t]
         return Poly(self.alphabet, quotient)
-
-    # -- conversion ---------------------------------------------------
-
-    def map_alphabet(self, target: Alphabet) -> "Poly":
-        """Re-express over another alphabet (see `_rekey`)."""
-        return Poly(target, _rekey(self.terms, self.alphabet, target))
 
     def __repr__(self):
         if self.is_zero():

@@ -1,18 +1,20 @@
 """Lossless JSON serialization of polynomials, certificates and bases.
 
 This is the output boundary where coefficients become text: every
-coefficient, an `int` of a basis form or a `Fraction` built when a
-certificate is read, is an exact "num/den" string in lowest terms (an
-int n is "n/1").  Documents meant for humans use named exponent maps
-({"E4": 2, "b5": 1}).  The compact positional form ([exponents,
-"num/den"] pairs) now only feeds the cache key's digest of the
-generator tables; the cache entries themselves store integer rows (see
-e8jacobi.cache).
+coefficient is an exact "num/den" string in lowest terms (an int n is
+"n/1"), and a certificate's text is written from its integer rows and
+read back into them.  Documents meant for humans use named exponent
+maps ({"E4": 2, "b5": 1}), terms in descending monomial order.  The
+compact positional form ([exponents, "num/den"] pairs) now only
+feeds the cache key's digest of the generator tables; the cache entries
+themselves store integer rows (see e8jacobi.cache).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Dict
 
 from .construct import Certificate, JacobiBasis, SCHEMA_VERSION
@@ -41,14 +43,34 @@ def _lookup_alphabet(name: str) -> Alphabet:
         raise SerializationError("unknown alphabet %r" % name)
 
 
+def _poly_doc(alphabet: Alphabet, terms) -> dict:
+    """The document of (exponent vector, "num/den") pairs, descending."""
+    symbols = alphabet.symbols
+    return {"alphabet": alphabet.name,
+            "terms": [{"exponents": {s: e for s, e in zip(symbols, exps)
+                                     if e},
+                       "coefficient": coeff} for exps, coeff in terms]}
+
+
 def poly_to_json(p: Poly) -> dict:
-    symbols = p.alphabet.symbols
+    return _poly_doc(p.alphabet, ((exps, fraction_to_str(c))
+                                  for exps, c in p.sorted_terms()))
+
+
+def _row_doc(alphabet: Alphabet, mons: list, nums: list, den: int) -> dict:
+    """`poly_to_json` of the sum of nums[i]/den * mons[i]."""
     terms = []
-    for exps, coeff in p.sorted_terms():
-        named = {s: e for s, e in zip(symbols, exps) if e}
-        terms.append({"exponents": named,
-                      "coefficient": fraction_to_str(coeff)})
-    return {"alphabet": p.alphabet.name, "terms": terms}
+    for exps, a in sorted([t for t in zip(mons, nums) if t[1]],
+                          key=itemgetter(0), reverse=True):
+        g = gcd(a, den)
+        terms.append((exps, "%d/%d" % (a // g, den // g)))
+    return _poly_doc(alphabet, terms)
+
+
+def _malformed(what: str, exc: Exception) -> SerializationError:
+    """The error for a document missing a key or shaped otherwise."""
+    return SerializationError("not a %s document (%s: %s)"
+                              % (what, type(exc).__name__, exc))
 
 
 def poly_from_json(doc: dict) -> Poly:
@@ -78,23 +100,56 @@ def poly_from_json(doc: dict) -> Poly:
     except ZeroDivisionError:
         raise SerializationError("zero denominator in a coefficient")
     except (KeyError, TypeError, AttributeError) as exc:
-        raise SerializationError("not a polynomial document (%s: %s)"
-                                 % (type(exc).__name__, exc))
+        raise _malformed("polynomial", exc)
     return Poly(alphabet, terms)
 
 
 def certificate_to_json(cert: Certificate) -> dict:
+    """R and each S_l that is not all zero, from the integer rows."""
+    den = cert.den
     return {"n": cert.n,
-            "s_parts": [{"l": l, "poly": poly_to_json(s)}
-                        for l, s in cert.s_parts],
-            "remainder": poly_to_json(cert.remainder)}
+            "s_parts": [{"l": l, "poly": _row_doc(S_ALPHABET, mons, nums, den)}
+                        for l, mons, nums in cert.s_rows if any(nums)],
+            "remainder": _row_doc(AB, cert.r_mons, cert.r_nums, den)}
+
+
+def _poly_over(doc, alphabet: Alphabet, what: str) -> Poly:
+    p = poly_from_json(doc)
+    if p.alphabet is not alphabet:
+        raise SerializationError("%s is over %s, not over %s"
+                                 % (what, p.alphabet.name, alphabet.name))
+    return p
+
+
+def _row(p: Poly, den: int) -> tuple:
+    """The monomials of p and its coefficients as numerators over den."""
+    return list(p.terms), [c.numerator * (den // c.denominator)
+                           for c in p.terms.values()]
 
 
 def certificate_from_json(doc: dict) -> Certificate:
-    return Certificate(
-        doc["n"],
-        tuple((p["l"], poly_from_json(p["poly"])) for p in doc["s_parts"]),
-        poly_from_json(doc["remainder"]))
+    """Inverse of `certificate_to_json`, over the lcm of the denominators.
+    Raises SerializationError on a missing key, an n that is not an int
+    >= 0, S part powers l that are not distinct ints >= 1, a remainder
+    not over AB and an S part not over S."""
+    try:
+        n, r_doc = doc["n"], doc["remainder"]
+        parts = [(p["l"], p["poly"]) for p in doc["s_parts"]]
+    except (KeyError, TypeError) as exc:
+        raise _malformed("certificate", exc)
+    if type(n) is not int or n < 0:
+        raise SerializationError("Delta power %r is not an int >= 0" % (n,))
+    ls = [l for l, _ in parts]
+    if any(type(l) is not int or l < 1 for l in ls) or len(set(ls)) < len(ls):
+        raise SerializationError("the l of each S part must be an int >= 1, "
+                                 "listed once: %r" % (ls,))
+    r = _poly_over(r_doc, AB, "remainder")
+    s_polys = [(l, _poly_over(p, S_ALPHABET, "S part %d" % l))
+               for l, p in parts]
+    den = lcm(*(c.denominator for p in [r, *(s for _, s in s_polys)]
+                for c in p.terms.values()))
+    return Certificate(n, den, *_row(r, den),
+                       tuple((l, *_row(s, den)) for l, s in s_polys))
 
 
 def basis_to_json(basis: JacobiBasis) -> dict:
@@ -107,10 +162,19 @@ def basis_to_json(basis: JacobiBasis) -> dict:
 
 
 def basis_from_json(doc: dict) -> JacobiBasis:
-    return JacobiBasis(
-        BiDegree(doc["weight"], doc["index"]),
-        [poly_from_json(f) for f in doc["forms"]],
-        [certificate_from_json(c) for c in doc["certificates"]])
+    """Inverse of `basis_to_json`.  Raises SerializationError on a missing
+    key, a form not over ab, a malformed certificate and a certificate
+    count other than the form count."""
+    try:
+        target = BiDegree(doc["weight"], doc["index"])
+        forms, certs = doc["forms"], doc["certificates"]
+        if len(certs) != len(forms):
+            raise SerializationError("%d certificates for %d forms"
+                                     % (len(certs), len(forms)))
+        return JacobiBasis(target, [_poly_over(f, ab, "form") for f in forms],
+                           [certificate_from_json(c) for c in certs])
+    except (KeyError, TypeError) as exc:
+        raise _malformed("basis", exc)
 
 
 # Compact positional encoding, used for the digest of the generator

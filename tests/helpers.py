@@ -10,7 +10,8 @@ from mpmath import mp
 from e8jacobi.ansatz import build_ansatz, enumerate_monomials
 from e8jacobi.construct import Certificate, Rejection
 from e8jacobi.e8 import weyl_orbit
-from e8jacobi.generators import (_lifted_columns, e4_split, p16_5,
+from e8jacobi.generators import (_lifted_columns, e4_split,
+                                 holomorphic_images, p12_5_over_ab, p16_5,
                                  sub_ab_to_AB)
 from e8jacobi.grading import (AB, BiDegree, Frac, ParamPoly, Poly,
                               S_ALPHABET, ab, delta_poly)
@@ -78,21 +79,60 @@ def frac_bidegree(f):
     return BiDegree(d.weight - 4 * f.e4_pow - 12 * f.delta_pow, d.index)
 
 
+def certificate_from_parts(n, s_parts, remainder):
+    """The certificate with the Fraction parts (l, S_l over S) and R over
+    AB: their numerators over the lcm of their denominators."""
+    polys = [remainder, *(s for _, s in s_parts)]
+    den = lcm(*(Fraction(c).denominator for p in polys
+                for c in p.terms.values()))
+
+    def row(p):
+        return list(p.terms), [int(c * den) for c in p.terms.values()]
+
+    return Certificate(n, den, *row(remainder),
+                       tuple((l, *row(s)) for l, s in s_parts))
+
+
+def rows(cert):
+    """The five fields of `cert`, which hold all of it."""
+    return cert.n, cert.den, cert.r_mons, cert.r_nums, cert.s_rows
+
+
+def s_parts(cert):
+    """(l, S_l over S) for each row of `cert` that is not all zero, as
+    Fraction polynomials."""
+    return tuple((l, Poly(S_ALPHABET, {m: Fraction(a, cert.den)
+                                       for m, a in zip(mons, nums) if a}))
+                 for l, mons, nums in cert.s_rows if any(nums))
+
+
+def remainder(cert):
+    """R of `cert` over AB, as a Fraction polynomial."""
+    return Poly(AB, {m: Fraction(a, cert.den)
+                     for m, a in zip(cert.r_mons, cert.r_nums) if a})
+
+
+def drop_e4(p):
+    """p over AB, free of E4, as a polynomial over S."""
+    assert all(m[0] == 0 for m in p.terms)
+    return Poly(S_ALPHABET, {m[1:]: c for m, c in p.terms.items()})
+
+
 def certify_reference(form):
     """Reference `certify` in Fraction polynomials: the image in lowest
     terms by `sub_ab_to_AB`, split by `e4_split`, each nonzero Q_l
     divided by P^l with `Poly.divexact`, and the certificate built from
     the Fraction parts."""
     frac = sub_ab_to_AB(form)
-    qs, remainder = e4_split(frac.num, frac.e4_pow)
-    s_parts = []
+    qs, r = e4_split(frac.num, frac.e4_pow)
+    parts = []
     for l, q_l in enumerate(qs, 1):
         if q_l:
             s_l = q_l.divexact(p16_5() ** l)
             if s_l is None:
                 return Rejection(l)
-            s_parts.append((l, s_l.map_alphabet(S_ALPHABET)))
-    return Certificate(frac.delta_pow, tuple(s_parts), remainder)
+            parts.append((l, drop_e4(s_l)))
+    return certificate_from_parts(frac.delta_pow, parts, r)
 
 
 def _e4_shift(p, e):
@@ -111,14 +151,14 @@ def certificate_identity_reference(form, cert):
     gap = cert.n - image.delta_pow
     if gap < 0:
         return False
-    s_parts = cert.s_parts
-    t = max([image.e4_pow, *(l for l, _ in s_parts)])
+    parts = s_parts(cert)
+    t = max([image.e4_pow, *(l for l, _ in parts)])
     num = image.num * delta_poly(AB) ** gap if gap else image.num
     lhs = _e4_shift(num, t - image.e4_pow)
-    rhs = _e4_shift(cert.remainder, t)
-    for l, s_l in s_parts:
-        rhs = rhs.unchecked_add(
-            _e4_shift(p16_5() ** l * s_l.map_alphabet(AB), t - l))
+    rhs = _e4_shift(remainder(cert), t)
+    for l, s_l in parts:
+        s_l = Poly(AB, {(t - l,) + m: c for m, c in s_l.terms.items()})
+        rhs = rhs.unchecked_add(p16_5() ** l * s_l)
     return lhs == rhs
 
 
@@ -267,6 +307,15 @@ def orbit_character_loop(j, z, ctx):
             total_i += prefix_i[8]
             previous = v
         return _from_fixed(total_r, total_i, wp)
+
+
+def second_power_form():
+    """P_{12,5} (P_{12,5} + E4 A1 A4) over ab: P^2/E4^2 + P A1 A4 over
+    AB, whose certificate has S_2 = 1 (see
+    test_construct.py::TestCertificates::test_second_power_part)."""
+    p12 = p12_5_over_ab()
+    hol = holomorphic_images()
+    return p12 * (p12 + Poly.gen(ab, "E4") * hol["A1"] * hol["A4"])
 
 
 # Known bases: weight -16 index 5 (two forms) and the unique

@@ -11,7 +11,9 @@ from e8jacobi.construct import jacobi_basis
 from e8jacobi.generators import meromorphic_images
 from e8jacobi.grading import AB, Frac, Poly
 from e8jacobi.serialize import (basis_from_json, basis_to_json,
-                                poly_to_compact)
+                                certificate_to_json, poly_to_compact)
+
+from helpers import remainder, rows, s_parts
 
 
 @pytest.fixture
@@ -32,8 +34,9 @@ class TestDiskStore:
             assert loaded is not None
             assert loaded.target == basis.target
             assert loaded.forms == basis.forms
-            assert loaded.certificates == basis.certificates
-        assert any(c.s_parts for c in loaded.certificates)
+            assert list(map(rows, loaded.certificates)) == \
+                list(map(rows, basis.certificates))
+        assert any(s_parts(c) for c in loaded.certificates)
 
     def test_round_trip_of_unshared_certificates(self, tmp_path):
         # certificates rebuilt from JSON each hold their own monomial
@@ -43,7 +46,8 @@ class TestDiskStore:
         store.save(-26, 8, basis)
         loaded = store.load(-26, 8)
         assert loaded.forms == basis.forms
-        assert loaded.certificates == basis.certificates
+        assert list(map(certificate_to_json, loaded.certificates)) == \
+            list(map(certificate_to_json, basis.certificates))
 
     def test_missing_returns_none(self, tmp_path):
         assert DiskStore(str(tmp_path)).load(2, 3) is None
@@ -124,8 +128,8 @@ def v1_document(basis):
     return {"forms": [poly_to_compact(f) for f in basis.forms],
             "certificates": [
                 {"n": c.n,
-                 "s_parts": [[l, poly_to_compact(s)] for l, s in c.s_parts],
-                 "remainder": poly_to_compact(c.remainder)}
+                 "s_parts": [[l, poly_to_compact(s)] for l, s in s_parts(c)],
+                 "remainder": poly_to_compact(remainder(c))}
                 for c in basis.certificates]}
 
 
@@ -153,7 +157,8 @@ class TestFormat2:
         basis = jacobi_basis(*self.TARGET)
         assert len(doc["forms"]) == len(doc["certificates"]) == 12
         assert doc["s_mons"] and doc["r_mons"]
-        assert self.reload(entry, doc).certificates == basis.certificates
+        assert list(map(rows, self.reload(entry, doc).certificates)) == \
+            list(map(rows, basis.certificates))
 
     def test_digest_names_the_format(self, tmp_path, monkeypatch):
         store = DiskStore(str(tmp_path))

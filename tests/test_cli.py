@@ -10,7 +10,7 @@ from e8jacobi.construct import certify, clear_cache
 from e8jacobi.grading import Poly, ab
 from e8jacobi.serialize import poly_to_json
 
-from helpers import m26_7_generator
+from helpers import m26_7_generator, rows, second_power_form
 
 
 @pytest.fixture(autouse=True)
@@ -150,6 +150,14 @@ class TestExitCodes:
         assert joined == (0, "x^-8 + x^-6 + x^-4 + x^-2 + 1\n", "")
         assert run_cli(capsys, "--window", "-8:0", "profile", "3") == joined
 
+    @pytest.mark.parametrize("argv", [["tables", "--max-index", "2"],
+                                      ["dim", "4", "1"]])
+    def test_window_for_other_commands_is_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "--window", "-8:0", *argv)
+        assert (code, out) == (2, "")
+        assert err == ("e8jacobi: error: --window applies only to profile "
+                       "and module-gens, not to %s\n" % argv[0])
+
     def test_bad_window_syntax_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--window", "abc", "profile", "2"])
@@ -252,6 +260,13 @@ class TestCertify:
         code, out, _ = run_cli(capsys, "certify", str(path))
         assert code == 0
         assert out.startswith("certified: Delta power 5")
+
+    def test_second_power_part(self, capsys, tmp_path):
+        # the one S part is S_2; the certificate has no S_1 row
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(poly_to_json(second_power_form())))
+        code, out, _ = run_cli(capsys, "certify", str(path))
+        assert (code, out) == (0, "certified: Delta power 0, 1 E4-part(s)\n")
 
     def test_rejected(self, capsys, tmp_path):
         path = tmp_path / "a3.json"
@@ -371,7 +386,8 @@ class TestCacheAndJobs:
         sequential = construct.jacobi_basis(-16, 5)
         assert parallel is not sequential
         assert parallel.forms == sequential.forms
-        assert parallel.certificates == sequential.certificates
+        assert list(map(rows, parallel.certificates)) == \
+            list(map(rows, sequential.certificates))
         for basis in (parallel, sequential):
             assert all(type(c) is int
                        for f in basis.forms for c in f.terms.values())

@@ -16,8 +16,7 @@ from e8jacobi.construct import (Certificate, ConsistencyError, Rejection,
                                 index_profile, jacobi_basis, jacobi_dim,
                                 lb_analysis, module_generators, rank_series)
 from e8jacobi.generators import (_int_image, _lifted_columns, e4_split,
-                                 holomorphic_images, p12_5_over_ab, p16_5,
-                                 sub_ab_to_AB)
+                                 p16_5, sub_ab_to_AB)
 from e8jacobi.grading import AB, BiDegree, Poly, S_ALPHABET, ab, delta_poly
 from e8jacobi.linsolve import nullspace
 from e8jacobi.oracle import ComplexSample, EvalContext, eval_poly
@@ -25,9 +24,10 @@ from e8jacobi.serialize import (certificate_to_json, fraction_to_str,
                                 poly_to_json)
 
 from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
-                     certificate_identity_reference, certify_reference,
-                     m16_5_pair, m26_7_generator, span_basis, spans_equal,
-                     system_rows_reference)
+                     certificate_from_parts, certificate_identity_reference,
+                     certify_reference, drop_e4, m16_5_pair,
+                     m26_7_generator, remainder, s_parts, second_power_form,
+                     span_basis, spans_equal, system_rows_reference)
 
 # every target of index 1..5 in its profile weight window (143 forms)
 WINDOW_TARGETS = [t for m in range(1, 6) for t in _profile_targets(m, None)]
@@ -55,7 +55,7 @@ class TestWorkedExamples:
         assert form == expected
         cert = basis.certificates[0]
         assert cert.n == 5
-        assert [l for l, _ in cert.s_parts] == [1]
+        assert [l for l, _ in s_parts(cert)] == [1]
 
     def test_dimensions(self):
         assert jacobi_dim(4, 1) == 1
@@ -93,24 +93,23 @@ class TestCertificates:
         assert certificate_identity(form, cert)
         # n below the true value leaves a Delta denominator; n above it
         # multiplies the image by Delta
-        def altered(n=cert.n, remainder=cert.remainder):
-            return Certificate(n, cert.s_parts, remainder)
+        def altered(n=cert.n, r=remainder(cert)):
+            return certificate_from_parts(n, s_parts(cert), r)
 
         assert not certificate_identity(form, altered(n=cert.n - 1))
         assert not certificate_identity(form, altered(n=cert.n + 1))
-        terms = dict(cert.remainder.terms)
+        terms = dict(remainder(cert).terms)
         mon = max(terms)
         terms[mon] += 1
-        assert not certificate_identity(
-            form, altered(remainder=Poly(AB, terms)))
+        assert not certificate_identity(form, altered(r=Poly(AB, terms)))
         with pytest.raises(ValueError):
             certificate_identity(form, altered(n=-1))
         # S_1 moved to l = 2, and the S part dropped
-        ((l, s_1),) = cert.s_parts
-        assert not certificate_identity(
-            form, Certificate(cert.n, ((l + 1, s_1),), cert.remainder))
-        assert not certificate_identity(
-            form, Certificate(cert.n, (), cert.remainder))
+        ((l, s_1),) = s_parts(cert)
+        assert not certificate_identity(form, certificate_from_parts(
+            cert.n, ((l + 1, s_1),), remainder(cert)))
+        assert not certificate_identity(form, certificate_from_parts(
+            cert.n, (), remainder(cert)))
         # a basis certificate whose n is above the image's Delta power,
         # so the check multiplies the image by Delta, with one R
         # numerator changed
@@ -118,17 +117,19 @@ class TestCertificates:
         form, cert = basis.forms[3], basis.certificates[3]
         image = sub_ab_to_AB(form)
         assert (cert.n, image.delta_pow, image.e4_pow) == (5, 4, 1)
-        assert [l for l, _ in cert.s_parts] == [1]
+        assert [l for l, _ in s_parts(cert)] == [1]
         assert certificate_identity(form, cert)
         for i in (0, len(cert.r_nums) - 1):
             r_nums = list(cert.r_nums)
             r_nums[i] += 1
-            assert not certificate_identity(form, Certificate.from_rows(
+            assert not certificate_identity(form, Certificate(
                 cert.n, cert.den, cert.r_mons, r_nums, cert.s_rows))
         # the zero form and its empty certificate
         zero = Poly.zero(ab)
-        assert certify(zero) == Certificate(0, (), Poly.zero(AB))
-        assert certificate_identity(zero, Certificate(0, (), Poly.zero(AB)))
+        empty = certificate_from_parts(0, (), Poly.zero(AB))
+        assert certificate_to_json(certify(zero)) == \
+            certificate_to_json(empty)
+        assert certificate_identity(zero, empty)
 
     def test_second_power_part(self):
         """P_{12,5} over ab is P/E4, so x = P_{12,5} (P_{12,5} + E4 A1 A4)
@@ -137,16 +138,15 @@ class TestCertificates:
         x = second_power_form()
         cert = certify(x)
         assert cert.n == 0
-        assert cert.s_parts == ((2, Poly.const(S_ALPHABET, 1)),)
-        assert cert.remainder == p16_5() * Poly.gen(AB, "A1") \
+        assert s_parts(cert) == ((2, Poly.const(S_ALPHABET, 1)),)
+        assert remainder(cert) == p16_5() * Poly.gen(AB, "A1") \
             * Poly.gen(AB, "A4")
         assert certificate_identity(x, cert)
         for l in (1, 3):
-            assert not certificate_identity(
-                x, Certificate(0, ((l, Poly.const(S_ALPHABET, 1)),),
-                               cert.remainder))
-        assert not certificate_identity(x, Certificate(1, cert.s_parts,
-                                                       cert.remainder))
+            assert not certificate_identity(x, certificate_from_parts(
+                0, ((l, Poly.const(S_ALPHABET, 1)),), remainder(cert)))
+        assert not certificate_identity(x, certificate_from_parts(
+            1, s_parts(cert), remainder(cert)))
 
     def test_meromorphic_generators_rejected(self):
         for name in ("a2", "a3", "b2"):
@@ -221,25 +221,20 @@ class TestCertificateColumns:
             frac = sub_ab_to_AB(form)
             num = frac.num * delta_poly(AB) ** (n - frac.delta_pow) \
                 * E4 ** (p - frac.e4_pow)
-            qs, remainder = e4_split(num, p)
-            s_parts = tuple((l, q.divexact(P ** l).map_alphabet(S_ALPHABET))
-                            for l, q in enumerate(qs, 1) if q)
-            expected.append(Certificate(n, s_parts, remainder))
-        assert basis.certificates == expected
-        assert all(type(c) is Fraction for cert in basis.certificates
-                   for poly in [cert.remainder, *(s for _, s in cert.s_parts)]
-                   for c in poly.terms.values())
+            qs, r = e4_split(num, p)
+            parts = tuple((l, drop_e4(q.divexact(P ** l)))
+                          for l, q in enumerate(qs, 1) if q)
+            expected.append(certificate_from_parts(n, parts, r))
+        assert [certificate_to_json(c) for c in basis.certificates] == \
+            [certificate_to_json(c) for c in expected]
+        assert all(type(a) is int for cert in basis.certificates
+                   for a in [cert.den, *cert.r_nums,
+                             *(a for _, _, nums in cert.s_rows
+                               for a in nums)])
         assert len(expected) == jacobi_dim(*target)
         assert expected or target == (-20, 4)
-        assert any(cert.s_parts for cert in expected) == (target == (-26, 8))
-
-
-def second_power_form():
-    """P_{12,5} (P_{12,5} + E4 A1 A4) over ab: P^2/E4^2 + P A1 A4 over
-    AB, whose certificate has S_2 = 1 (see test_second_power_part)."""
-    p12 = p12_5_over_ab()
-    hol = holomorphic_images()
-    return p12 * (p12 + Poly.gen(ab, "E4") * hol["A1"] * hol["A4"])
+        assert any(s_parts(cert) for cert in expected) == \
+            (target == (-26, 8))
 
 
 class TestIntegerCertify:
@@ -327,7 +322,7 @@ def tampered(cert, kind, data):
         l, mons, nums = s_rows[i]
         moved = ((l + step, mons, nums),) if kind == "l" else ()
         s_rows = s_rows[:i] + moved + s_rows[i + 1:]
-    return Certificate.from_rows(n, den, cert.r_mons, r_nums, s_rows)
+    return Certificate(n, den, cert.r_mons, r_nums, s_rows)
 
 
 def outcome(check, form, cert):
@@ -347,7 +342,7 @@ class TestIdentityProperty:
                 in identity_pool()}
         assert min(gaps) < 0 < max(gaps)
         assert any(l == 2 for _, cert in identity_pool()
-                   for l, _ in cert.s_parts)
+                   for l, _ in s_parts(cert))
 
     def test_pool_certificates_hold(self):
         for form, cert in identity_pool():
@@ -556,5 +551,6 @@ class TestIntegerForms:
             assert eval_poly(form, sample, ctx) == \
                 eval_poly(copy, sample, ctx)
             cert = certify(form)
-            assert cert == certify(copy)
+            assert certificate_to_json(cert) == \
+                certificate_to_json(certify(copy))
             assert certificate_identity(form, cert)

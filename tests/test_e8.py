@@ -70,10 +70,18 @@ class TestOrbits:
             n = dot2(lam, lam)
             assert all(dot2(v, v) == n for v in orbit)
 
+    @pytest.mark.parametrize("j, norm", [(1, 4), (2, 8), (7, 6)])
+    def test_orbit_is_lattice_shell(self, j, norm):
+        # a reference built without reflections: the lattice vectors of
+        # the weight's norm, less twice the roots at norm 8
+        shell = set(e8_vectors_of_norm(norm))
+        if norm == 8:
+            shell -= {tuple(2 * x for x in r) for r in e8_vectors_of_norm(2)}
+        assert weyl_orbit(j) == tuple(sorted(shell))
+
     @pytest.mark.parametrize("j", [1, 2, 7, 8])
     def test_matches_closure_under_reflect(self, j):
-        # the written-out reflections against breadth-first closure under
-        # `reflect` in all eight simple roots
+        # breadth-first closure under `reflect` in all eight simple roots
         start = FUNDAMENTAL_WEIGHTS[j - 1]
         seen = {start}
         frontier = [start]

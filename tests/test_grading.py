@@ -87,14 +87,6 @@ class TestPoly:
         assert q.terms == {one: Fraction(3, 2)}
         assert type(q.terms[one]) is Fraction
 
-    def test_map_alphabet(self):
-        p = E6 * A1 ** 2
-        q = p.map_alphabet(S_ALPHABET)
-        assert q.alphabet is S_ALPHABET
-        assert q.map_alphabet(AB) == p
-        with pytest.raises(AlphabetMismatchError):
-            (E4 * E6).map_alphabet(S_ALPHABET)
-
     def test_delta_poly(self):
         d = delta_poly(AB)
         assert 1728 * d == E4 ** 3 - E6 ** 2

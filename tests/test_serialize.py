@@ -1,10 +1,12 @@
 """JSON serialization round-trips and error handling."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from e8jacobi.construct import certify, jacobi_basis
+from e8jacobi.construct import (Certificate, certificate_identity, certify,
+                                jacobi_basis, profile_weights)
 from e8jacobi.grading import AB, Poly, S_ALPHABET, ab
 from e8jacobi.serialize import (SerializationError, basis_from_json,
                                 basis_to_json, certificate_from_json,
@@ -13,7 +15,7 @@ from e8jacobi.serialize import (SerializationError, basis_from_json,
                                 poly_from_json, poly_to_compact, poly_to_json,
                                 result_document)
 
-from helpers import build, m16_5_pair
+from helpers import build, m16_5_pair, remainder, s_parts
 
 
 class TestFractions:
@@ -74,8 +76,8 @@ class TestCertificateAndBasis:
         cert = certify(m16_5_pair()[0])
         back = certificate_from_json(certificate_to_json(cert))
         assert back.n == cert.n
-        assert back.s_parts == cert.s_parts
-        assert back.remainder == cert.remainder
+        assert s_parts(back) == s_parts(cert)
+        assert remainder(back) == remainder(cert)
 
     def test_basis_round_trip(self):
         basis = jacobi_basis(-16, 5)
@@ -87,10 +89,140 @@ class TestCertificateAndBasis:
             [c.n for c in basis.certificates]
 
     def test_json_document_is_plain_data(self):
-        import json
         doc = basis_to_json(jacobi_basis(4, 1))
         assert basis_from_json(json.loads(json.dumps(doc))).forms == \
             jacobi_basis(4, 1).forms
+
+
+def text(doc):
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestCertificateRows:
+    """`certificate_to_json` writes the rows; `certificate_from_json`
+    builds them back."""
+
+    def test_round_trip_index_6(self):
+        """Every basis certificate of index <= 6 comes back as the same
+        JSON text and still certifies its form."""
+        checked = 0
+        for m in range(1, 7):
+            for k in profile_weights(m):
+                basis = jacobi_basis(k, m)
+                for form, cert in zip(basis.forms, basis.certificates):
+                    doc = certificate_to_json(cert)
+                    back = certificate_from_json(json.loads(text(doc)))
+                    assert text(certificate_to_json(back)) == text(doc)
+                    assert certificate_identity(form, back)
+                    checked += 1
+        assert checked == 391
+
+    def test_zero_s_row_omitted(self):
+        """Four certificates of J_{-12,5} hold an all-zero S_1 row; the
+        fifth S_1 is nonzero."""
+        certs = jacobi_basis(-12, 5).certificates
+        assert [[any(nums) for _, _, nums in c.s_rows] for c in certs] == \
+            [[False]] * 4 + [[True]]
+        docs = [certificate_to_json(c) for c in certs]
+        assert [[p["l"] for p in d["s_parts"]] for d in docs] == \
+            [[]] * 4 + [[1]]
+        back = certificate_from_json(docs[0])
+        assert back.s_rows == () and back.n == certs[0].n == 3
+
+    def test_lowest_terms_descending(self):
+        """Numerators over den 12 as reduced "num/den", zeros left out and
+        terms in descending monomial order (E4 before E6)."""
+        e4, e6, a1 = [tuple(int(i == j) for j in range(11)) for i in range(3)]
+        cert = Certificate(1, 12, [e6, a1, e4], [3, 0, -8],
+                           ((1, [(2,) + (0,) * 9], [6]), (2, [e6[1:]], [0])))
+        assert certificate_to_json(cert) == {
+            "n": 1,
+            "s_parts": [{"l": 1, "poly": {"alphabet": "S", "terms": [
+                {"exponents": {"E6": 2}, "coefficient": "1/2"}]}}],
+            "remainder": {"alphabet": "AB", "terms": [
+                {"exponents": {"E4": 1}, "coefficient": "-2/3"},
+                {"exponents": {"E6": 1}, "coefficient": "1/4"}]}}
+
+
+@pytest.fixture
+def basis_doc():
+    """J_{-26,7}: one form, whose certificate has S_1 and R."""
+    return json.loads(text(basis_to_json(jacobi_basis(-26, 7))))
+
+
+def ab_poly_doc():
+    return poly_to_json(build(ab, [(1, {"b1": 1})]))
+
+
+class TestReaderRejects:
+    """Malformed documents raise SerializationError, never a bare
+    KeyError or a certificate read over the wrong alphabet."""
+
+    @pytest.mark.parametrize("path", [
+        ("weight",), ("index",), ("forms",), ("certificates",),
+        ("certificates", 0, "n"), ("certificates", 0, "s_parts"),
+        ("certificates", 0, "remainder"),
+        ("certificates", 0, "s_parts", 0, "l"),
+        ("certificates", 0, "s_parts", 0, "poly")])
+    def test_missing_key(self, basis_doc, path):
+        holder = basis_doc
+        for key in path[:-1]:
+            holder = holder[key]
+        del holder[path[-1]]
+        with pytest.raises(SerializationError):
+            basis_from_json(basis_doc)
+        if path[0] == "certificates" and len(path) > 2:
+            with pytest.raises(SerializationError):
+                certificate_from_json(basis_doc["certificates"][0])
+
+    @pytest.mark.parametrize("n", ["x", -1, 2.0, True, None])
+    def test_delta_power_not_an_int_at_least_0(self, basis_doc, n):
+        basis_doc["certificates"][0]["n"] = n
+        with pytest.raises(SerializationError, match="Delta power"):
+            certificate_from_json(basis_doc["certificates"][0])
+        with pytest.raises(SerializationError, match="Delta power"):
+            basis_from_json(basis_doc)
+
+    @pytest.mark.parametrize("ls", [[0], [-1], ["1"], [1.0], [True],
+                                    [1, 1]])
+    def test_l_not_an_int_at_least_1_once(self, basis_doc, ls):
+        cert = basis_doc["certificates"][0]
+        (part,) = cert["s_parts"]
+        cert["s_parts"] = [dict(part, l=l) for l in ls]
+        with pytest.raises(SerializationError, match="the l of each S part"):
+            certificate_from_json(cert)
+        with pytest.raises(SerializationError):
+            basis_from_json(basis_doc)
+
+    def test_remainder_not_over_AB(self, basis_doc):
+        # read positionally, b1 over ab would be A4 over AB
+        cert = basis_doc["certificates"][0]
+        for doc in (ab_poly_doc(), cert["s_parts"][0]["poly"]):
+            cert["remainder"] = doc
+            with pytest.raises(SerializationError,
+                               match="remainder is over (ab|S), not over AB"):
+                certificate_from_json(cert)
+
+    def test_s_part_not_over_S(self, basis_doc):
+        cert = basis_doc["certificates"][0]
+        for doc in (ab_poly_doc(), cert["remainder"]):
+            cert["s_parts"][0]["poly"] = doc
+            with pytest.raises(SerializationError,
+                               match="S part 1 is over (ab|AB), not over S"):
+                certificate_from_json(cert)
+
+    def test_form_not_over_ab(self, basis_doc):
+        basis_doc["forms"][0] = basis_doc["certificates"][0]["remainder"]
+        with pytest.raises(SerializationError,
+                           match="form is over AB, not over ab"):
+            basis_from_json(basis_doc)
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_certificate_count_differs(self, basis_doc, count):
+        basis_doc["certificates"] = basis_doc["certificates"][:1] * count
+        with pytest.raises(SerializationError,
+                           match="%d certificates for 1 forms" % count):
+            basis_from_json(basis_doc)
 
 
 class TestResultDocument:

@@ -1,8 +1,9 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (about 31 s on one core of a 2-core VM:
-about 8 s to build the bases and 9 s for the certificate checks, which
-run in integers):
+Run from the repository root (30-32 s on one core of a 2-core VM, three
+runs: 8-9 s to build the bases, 12-13 s for the digests, mostly
+`basis_to_json`, 9 s for the certificate checks, which run in integers,
+and 0.3 s for the numeric check):
 
     PYTHONPATH=src python tools/check_golden.py
 
@@ -16,7 +17,7 @@ mismatch means the construction's output changed.  The script also runs
 J_{-40,10} numerically against the Jacobi-form axioms.
 
 Prints one line per mismatch and a summary; exits 0 when everything
-matches and 1 otherwise.
+matches and 1 otherwise.  The seconds of each part go to stderr.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from time import perf_counter
 
 from e8jacobi import cli
 from e8jacobi.construct import (certificate_identity, jacobi_basis,
@@ -45,9 +47,13 @@ def main() -> int:
     golden = json.loads(GOLDEN.read_text())
     failures = []
 
+    seconds = dict.fromkeys(["tables", "digests", "identities",
+                             "numeric check"], 0.0)
+    start = perf_counter()
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
         code = cli.main(["tables", "--max-index", str(MAX_INDEX)])
+    seconds["tables"] = perf_counter() - start
     if code != 0:
         failures.append("tables --max-index %d exited %d" % (MAX_INDEX, code))
     profiles = dict(line.split(" = ", 1)
@@ -66,20 +72,28 @@ def main() -> int:
     for key in targets:
         k, m = map(int, key.split(","))
         basis = jacobi_basis(k, m)
+        start = perf_counter()
         if digest(basis_to_json(basis)) != golden["digests"].get(key):
             failures.append("basis digest of J_{%d,%d}" % (k, m))
+        middle = perf_counter()
         for i, (form, cert) in enumerate(zip(basis.forms,
                                              basis.certificates)):
             if certificate_identity(form, cert):
                 certified += 1
             else:
                 failures.append("certificate %d of J_{%d,%d}" % (i, k, m))
+        seconds["digests"] += middle - start
+        seconds["identities"] += perf_counter() - middle
 
+    start = perf_counter()
     form = jacobi_basis(-40, 10).forms[0]
     rep = check_axioms(form, -40, 10, 1, EvalContext(), seed=0)
     if not (rep.max_residual < 1e-25 and rep.regular):
         failures.append("J_{-40,10} form 1: residual %.2e, regular %s"
                         % (rep.max_residual, rep.regular))
+    seconds["numeric check"] = perf_counter() - start
+    print(", ".join("%s %.1f s" % item for item in seconds.items()),
+          file=sys.stderr)
 
     for line in failures:
         print("MISMATCH", line)
