@@ -5,10 +5,11 @@ columns to `int` coefficients.  `construct._compute_basis` builds its
 rows from integer columns; `coefficient_equations`, which matches the
 coefficients of two parametric polynomials, is the reference it is
 tested against.  Rows are row-reduced fraction-free by
-`kernels.echelon_int_rows`, the only elimination routine, and `nullspace`
-builds its basis from the pivot rows in integers.  All output bases are
-canonical: reduced echelon form over the column order, scaled to
-primitive integer vectors with positive leading entry.
+`kernels.echelon_int_rows`, the only elimination routine, which orders
+the rows itself (sparsest first), so callers pass them in any order;
+`nullspace` builds its basis from the pivot rows in integers.  All
+output bases are canonical: reduced echelon form over the column order,
+scaled to primitive integer vectors with positive leading entry.
 
 `echelonize` and `primitive_vector` take rational vectors; only the test
 helpers and the benchmark's span tracer still use them.

@@ -18,7 +18,8 @@ from operator import itemgetter
 from typing import Dict
 
 from .construct import Certificate, JacobiBasis, SCHEMA_VERSION
-from .grading import AB, Alphabet, BiDegree, Poly, Rational, S_ALPHABET, ab
+from .grading import (AB, Alphabet, BiDegree, GradingError, Poly, Rational,
+                      S_ALPHABET, ab)
 
 ALPHABETS: Dict[str, Alphabet] = {a.name: a for a in (AB, ab, S_ALPHABET)}
 
@@ -163,18 +164,27 @@ def basis_to_json(basis: JacobiBasis) -> dict:
 
 def basis_from_json(doc: dict) -> JacobiBasis:
     """Inverse of `basis_to_json`.  Raises SerializationError on a missing
-    key, a form not over ab, a malformed certificate and a certificate
-    count other than the form count."""
+    key, a weight, index or dimension that is not an int, a dimension or
+    certificate count other than the form count, a form not over ab or
+    not of the target's bidegree and a malformed certificate."""
     try:
         target = BiDegree(doc["weight"], doc["index"])
-        forms, certs = doc["forms"], doc["certificates"]
-        if len(certs) != len(forms):
-            raise SerializationError("%d certificates for %d forms"
-                                     % (len(certs), len(forms)))
-        return JacobiBasis(target, [_poly_over(f, ab, "form") for f in forms],
-                           [certificate_from_json(c) for c in certs])
-    except (KeyError, TypeError) as exc:
+        dimension = doc["dimension"]
+        forms = [_poly_over(f, ab, "form") for f in doc["forms"]]
+        certs = [certificate_from_json(c) for c in doc["certificates"]]
+        degrees = {f.bidegree() for f in forms}
+    except (KeyError, TypeError, GradingError) as exc:
         raise _malformed("basis", exc)
+    if any(type(x) is not int for x in (*target, dimension)):
+        raise SerializationError("weight, index and dimension %r are not "
+                                 "all ints" % ((*target, dimension),))
+    if not dimension == len(certs) == len(forms):
+        raise SerializationError("dimension %d and %d certificates for %d "
+                                 "forms" % (dimension, len(certs), len(forms)))
+    if degrees - {target}:
+        raise SerializationError("forms of bidegree %s in J_%s"
+                                 % (degrees - {target}, tuple(target)))
+    return JacobiBasis(target, forms, certs)
 
 
 # Compact positional encoding, used for the digest of the generator

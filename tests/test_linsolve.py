@@ -149,3 +149,67 @@ class TestEchelon:
             assert all(row[c2] == 0 for c2 in pivots if c2 != c)
         expected = [naive_primitive(r) for r in naive_rref(rows, n)[0]]
         assert [pivots[c] for c in sorted(pivots)] == expected
+
+
+_sparse_entry = st.one_of(st.just(0), st.just(0), st.integers(-30, 30))
+
+
+@st.composite
+def _row_multisets(draw):
+    """(n, rows, a permutation of rows), the rows with all-zero and
+    repeated members mixed in."""
+    n = draw(st.integers(1, 7))
+    rows = [[draw(_sparse_entry) for _ in range(n)]
+            for _ in range(draw(st.integers(0, 7)))]
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.append([0] * n)
+    return n, rows, draw(st.permutations(rows))
+
+
+class TestOrderInvariance:
+    """The reduced echelon form depends only on the row space, so the
+    order of the rows does not change the output."""
+
+    @given(_row_multisets())
+    @settings(max_examples=80, deadline=None)
+    def test_echelon_int_rows(self, case):
+        n, rows, shuffled = case
+        assert sorted(echelon_int_rows(shuffled, n).items()) == \
+            sorted(echelon_int_rows(rows, n).items())
+
+    @given(_row_multisets())
+    @settings(max_examples=80, deadline=None)
+    def test_nullspace(self, case):
+        n, rows, shuffled = case
+        assert nullspace(make_system(shuffled, n)) == \
+            nullspace(make_system(rows, n))
+
+    @given(_row_multisets())
+    @settings(max_examples=40, deadline=None)
+    def test_input_rows_unmodified(self, case):
+        n, rows, _ = case
+        copies = [list(row) for row in rows]
+        pivots = echelon_int_rows(rows, n)
+        assert rows == copies
+        for row in pivots.values():
+            assert all(row is not r for r in rows)
+            row[:] = [7] * n
+        assert rows == copies
+
+
+class TestKernelEdges:
+    def test_no_rows(self):
+        assert echelon_int_rows([], 4) == {}
+        assert echelon_int_rows([[0, 0], [0, 0]], 2) == {}
+
+    def test_negative_lead_negated_and_content_free(self):
+        assert echelon_int_rows([[0, -6, 4, 0, -2]], 5) == \
+            {1: [0, 3, -2, 0, 1]}
+
+    def test_ncols_wider_than_the_support(self):
+        pivots = echelon_int_rows([[0, 2, 4, 0, 0, 0], [1, 0, 3, 0, 0, 0]],
+                                  6)
+        assert pivots == {0: [1, 0, 3, 0, 0, 0], 1: [0, 1, 2, 0, 0, 0]}
+        assert all(type(x) is int for row in pivots.values() for x in row)

@@ -150,6 +150,12 @@ def basis_doc():
     return json.loads(text(basis_to_json(jacobi_basis(-26, 7))))
 
 
+@pytest.fixture
+def pair_doc():
+    """J_{-16,5}: two forms."""
+    return json.loads(text(basis_to_json(jacobi_basis(-16, 5))))
+
+
 def ab_poly_doc():
     return poly_to_json(build(ab, [(1, {"b1": 1})]))
 
@@ -163,7 +169,7 @@ class TestReaderRejects:
         ("certificates", 0, "n"), ("certificates", 0, "s_parts"),
         ("certificates", 0, "remainder"),
         ("certificates", 0, "s_parts", 0, "l"),
-        ("certificates", 0, "s_parts", 0, "poly")])
+        ("certificates", 0, "s_parts", 0, "poly"), ("dimension",)])
     def test_missing_key(self, basis_doc, path):
         holder = basis_doc
         for key in path[:-1]:
@@ -223,6 +229,44 @@ class TestReaderRejects:
         with pytest.raises(SerializationError,
                            match="%d certificates for 1 forms" % count):
             basis_from_json(basis_doc)
+
+    @pytest.mark.parametrize("key", ["weight", "index", "dimension"])
+    @pytest.mark.parametrize("value", ["x", True, 5.0, None])
+    def test_target_field_not_an_int(self, pair_doc, key, value):
+        pair_doc[key] = value
+        with pytest.raises(SerializationError,
+                           match="weight, index and dimension .* are not "
+                                 "all ints"):
+            basis_from_json(pair_doc)
+
+    @pytest.mark.parametrize("dimension", [7, 1, 0])
+    def test_dimension_differs_from_form_count(self, pair_doc, dimension):
+        pair_doc["dimension"] = dimension
+        with pytest.raises(SerializationError,
+                           match="dimension %d and 2 certificates for 2 "
+                                 "forms" % dimension):
+            basis_from_json(pair_doc)
+
+    @pytest.mark.parametrize("key, value", [("weight", -14), ("index", 6)])
+    def test_target_other_than_the_forms(self, pair_doc, key, value):
+        pair_doc[key] = value
+        with pytest.raises(SerializationError,
+                           match=r"forms of bidegree \{BiDegree\(weight=-16, "
+                                 r"index=5\)\} in J_"):
+            basis_from_json(pair_doc)
+
+    def test_form_of_another_bidegree(self, pair_doc, basis_doc):
+        pair_doc["forms"][1] = basis_doc["forms"][0]
+        with pytest.raises(SerializationError,
+                           match=r"\{BiDegree\(weight=-26, index=7\)\} "
+                                 r"in J_\(-16, 5\)"):
+            basis_from_json(pair_doc)
+
+    def test_inhomogeneous_form(self, pair_doc, basis_doc):
+        pair_doc["forms"][0]["terms"] += basis_doc["forms"][0]["terms"]
+        with pytest.raises(SerializationError,
+                           match="GradingError: inhomogeneous polynomial"):
+            basis_from_json(pair_doc)
 
 
 class TestResultDocument:

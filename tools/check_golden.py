@@ -1,7 +1,7 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (30-32 s on one core of a 2-core VM, three
-runs: 8-9 s to build the bases, 12-13 s for the digests, mostly
+Run from the repository root (25-26 s on one core of a 2-core VM, two
+runs: 3.6-3.8 s to build the bases, 12 s for the digests, mostly
 `basis_to_json`, 9 s for the certificate checks, which run in integers,
 and 0.3 s for the numeric check):
 
