@@ -36,7 +36,7 @@ from typing import List, Optional
 
 from .ansatz import enumerate_monomials
 from .construct import (Certificate, JacobiBasis, SCHEMA_VERSION,
-                        coefficient_vector)
+                        coefficient_row)
 from .generators import meromorphic_images, p16_5
 from .grading import AB, BiDegree, Poly, S_ALPHABET, ab
 from .serialize import poly_to_compact
@@ -187,7 +187,8 @@ def basis_to_text(basis: JacobiBasis) -> str:
                      [_aligned(mons, *own.get(l, ((), ())))
                       for l, mons in s_mons]])
     doc = {
-        "forms": [coefficient_vector(f, pos) for f in basis.forms],
+        "forms": [[row.get(i, 0) for i in range(len(pos))]
+                  for row in (coefficient_row(f, pos) for f in basis.forms)],
         "r_mons": r_mons,
         "s_mons": s_mons,
         "certificates": rows,

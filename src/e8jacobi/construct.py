@@ -23,7 +23,7 @@ from .ansatz import build_ansatz, enumerate_monomials
 from .generators import (_delta_power, _int_image, _lifted_columns, e4_split,
                          p16_5)
 from .grading import AB, BiDegree, Poly, S_ALPHABET, ab, cancel_delta
-from .kernels import echelon_int_rows
+from .kernels import echelon, extend
 from .linsolve import LinearSystem, nullspace
 
 SCHEMA_VERSION = 1
@@ -347,45 +347,35 @@ def index_profile(m: int,
     return IndexProfile(m, d, dims)
 
 
-def coefficient_vector(form: Poly, pos: Dict[tuple, int]) -> List[int]:
-    """The coefficients of `form` as ints, each at the position `pos`
-    gives its monomial: basis forms and their products are primitive
-    integer polynomials."""
-    vec = [0] * len(pos)
+def coefficient_row(form: Poly, pos: Dict[tuple, int]) -> Dict[int, int]:
+    """The coefficients of `form` as a sparse row of ints, each keyed by
+    the position `pos` gives its monomial: basis forms and their products
+    are primitive integer polynomials."""
+    row = {}
     for mon, c in form.terms.items():
         if c.denominator != 1:
             raise ConsistencyError("non-integral coefficient %s" % c)
-        vec[pos[mon]] = c.numerator
-    return vec
+        row[pos[mon]] = c.numerator
+    return row
 
 
-def _positions(mons: Sequence[tuple]) -> Dict[tuple, int]:
-    return {mon: i for i, mon in enumerate(mons)}
-
-
-def _span(forms: List[Poly], mons: Sequence[tuple]) -> Dict[int, List[int]]:
-    """The span of `forms` as `echelon_int_rows` pivot rows."""
-    pos = _positions(mons)
-    return echelon_int_rows([coefficient_vector(f, pos) for f in forms],
-                            len(mons))
-
-
-def _complement(candidates: List[Poly], span: Dict[int, List[int]],
-                mons: Sequence[tuple]) -> List[Poly]:
-    """Members of `candidates` extending the span, reduced and primitive:
-    a candidate is new exactly when it adds a pivot to the span's pivot
-    rows, and the new pivot row is the candidate reduced against them."""
-    pos = _positions(mons)
+def _complement(candidates: List[Poly], spanned: List[Poly],
+                mons: Sequence[tuple]) -> Tuple[int, List[Poly]]:
+    """The rank of `spanned` and the members of `candidates` extending its
+    span, reduced and primitive.  The span is the `kernels.echelon` of
+    the coefficient rows of `spanned`; a candidate is new exactly when
+    `kernels.extend` adds a pivot to it, and the new pivot row is the
+    candidate reduced against the span."""
+    pos = {mon: i for i, mon in enumerate(mons)}
+    span = echelon([coefficient_row(f, pos) for f in spanned])
+    rank = len(span)
     out = []
     for form in candidates:
-        grown = echelon_int_rows(
-            [*span.values(), coefficient_vector(form, pos)], len(mons))
-        if len(grown) > len(span):
-            (lead,) = grown.keys() - span.keys()
-            out.append(Poly(ab, {mon: c for mon, c
-                                 in zip(mons, grown[lead]) if c}))
-            span = grown
-    return out
+        lead = extend(span, coefficient_row(form, pos))
+        if lead is not None:
+            out.append(Poly(ab, {mons[c]: x
+                                 for c, x in sorted(span[lead].items())}))
+    return rank, out
 
 
 def module_generators(m: int, window: Optional[Tuple[int, int]] = None
@@ -403,7 +393,7 @@ def module_generators(m: int, window: Optional[Tuple[int, int]] = None
         mons = enumerate_monomials(ab, BiDegree(k, m))
         old = [e4 * f for f in jacobi_basis(k - 4, m).forms] \
             + [e6 * f for f in jacobi_basis(k - 6, m).forms]
-        gens = _complement(basis_k.forms, _span(old, mons), mons)
+        _, gens = _complement(basis_k.forms, old, mons)
         if len(gens) != profile.d.get(k, 0):
             raise ConsistencyError(
                 "complement dimension %d != generator count %d at (%d,%d)"
@@ -465,13 +455,11 @@ def lb_analysis(max_index: int) -> LbReport:
             for gi in multiset:
                 prod = prod * gen_forms[gi]
             products.append(prod)
-        span = _span(products, mons)
-        span_dim = len(span)
+        span_dim, new_gens = _complement(basis.forms, products, mons)
         d_lb = basis.dimension - span_dim
         if d_lb < 0:
             raise ConsistencyError(
                 "product span exceeds the full space at index %d" % m)
-        new_gens = _complement(basis.forms, span, mons)
         if len(new_gens) != d_lb:
             raise ConsistencyError(
                 "complement dimension mismatch at index %d" % m)

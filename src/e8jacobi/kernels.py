@@ -1,13 +1,12 @@
 """Fraction-free row reduction over the integers.
 
-`echelon_int_rows` is the one elimination routine of the package.  Rows
-come in and go out as dense lists of Python ints; inside, each row is a
-sparse dict {column: int} of its nonzeros, and the rows are reduced
-sparsest first.  Every step cross-multiplies two rows over the pivot
-row's nonzeros and divides by the content gcd, which keeps the entries
-small without ever forming a fraction.  The output is the reduced
-echelon form, which depends only on the row space: neither the order of
-the rows nor repeated or zero rows change it.
+A row is a sparse dict {column: int} of its nonzeros.  `extend`, the one
+elimination routine of the package, adds a row to a reduced echelon form
+{pivot column: row}, whose rows are content-free with a positive entry at
+their pivot, their smallest column, and zero at every other pivot; that
+form depends only on the row space.  Every step cross-multiplies two
+rows over the pivot row's nonzeros and divides by the content gcd, which
+keeps the entries small without ever forming a fraction.
 """
 
 from math import gcd
@@ -37,37 +36,42 @@ def _eliminate(row, pivot_row, col):
             row[c] //= g
 
 
-def echelon_int_rows(rows, ncols):
-    """Reduced echelon form of integer rows, keyed by pivot column.
+def extend(pivots, row):
+    """Add `row` to the reduced echelon form `pivots`; return its new
+    pivot column, or None when the row is in their span, which leaves
+    `pivots` as they were.  A pivot row is zero at the other pivots, so
+    the row is cleared once at each pivot it meets; what is left becomes
+    the pivot row of its smallest column, which is then cleared from the
+    other pivot rows.  `row` is reduced in place and may be stored."""
+    for c in row.keys() & pivots.keys():
+        _eliminate(row, pivots[c], c)
+    if not row:
+        return None
+    lead = min(row)
+    g = gcd(*row.values())
+    g = -g if row[lead] < 0 else g
+    if g != 1:
+        row = {c: x // g for c, x in row.items()}
+    for other in pivots.values():
+        if lead in other:
+            _eliminate(other, row, lead)
+    pivots[lead] = row
+    return lead
 
-    The result is a dict {pivot column: dense row of length `ncols`}.
-    Every row is content-free with a positive pivot entry, its pivot is
-    its smallest nonzero column, and it is zero in every other row's
-    pivot column; that form depends only on the row space, so the output
-    is canonical.  Zero and dependent rows are dropped; the input rows
-    are not modified.
-    """
-    sparse = [dict(filter(itemgetter(1), enumerate(row))) for row in rows]
+
+def echelon(rows):
+    """The reduced echelon form of sparse `rows`, extended sparsest first,
+    which keeps the pivot rows small; the rows may be stored in it."""
     pivots = {}
-    for row in sorted(sparse, key=len):
-        while row:
-            lead = min(row)
-            p = pivots.get(lead)
-            if p is None:
-                g = gcd(*row.values())
-                g = -g if row[lead] < 0 else g
-                pivots[lead] = {c: x // g for c, x in row.items()} \
-                    if g != 1 else row
-                break
-            _eliminate(row, p, lead)
-    # Back-eliminate bottom-up, so every pivot row used is already reduced
-    # and clearing one pivot column never refills another.
-    out = {}
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for c in (row.keys() & pivots.keys()) - {lead}:
-            _eliminate(row, pivots[c], c)
-        dense = out[lead] = [0] * ncols
-        for c, x in row.items():
-            dense[c] = x
-    return out
+    for row in sorted(rows, key=len):
+        extend(pivots, row)
+    return pivots
+
+
+def echelon_int_rows(rows, ncols):
+    """`echelon` of dense integer rows, as {pivot column: dense row of
+    length `ncols`}; the input rows are not modified."""
+    pivots = echelon([dict(filter(itemgetter(1), enumerate(row)))
+                      for row in rows])
+    return {lead: [row.get(c, 0) for c in range(ncols)]
+            for lead, row in pivots.items()}

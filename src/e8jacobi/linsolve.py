@@ -4,12 +4,10 @@ Systems are homogeneous, and an unknown is a column position: a row maps
 columns to `int` coefficients.  `construct._compute_basis` builds its
 rows from integer columns; `coefficient_equations`, which matches the
 coefficients of two parametric polynomials, is the reference it is
-tested against.  Rows are row-reduced fraction-free by
-`kernels.echelon_int_rows`, the only elimination routine, which orders
-the rows itself (sparsest first), so callers pass them in any order;
-`nullspace` builds its basis from the pivot rows in integers.  All
-output bases are canonical: reduced echelon form over the column order,
-scaled to primitive integer vectors with positive leading entry.
+tested against.  `nullspace` reduces them with `kernels.echelon` and
+returns a canonical basis, whatever the order of the rows: reduced
+echelon form over the column order, scaled to primitive integer vectors
+with positive leading entry.
 
 `echelonize` and `primitive_vector` take rational vectors; only the test
 helpers and the benchmark's span tracer still use them.
@@ -23,7 +21,7 @@ from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .grading import ParamPoly
-from .kernels import echelon_int_rows
+from .kernels import echelon, echelon_int_rows
 
 
 @dataclass
@@ -70,33 +68,30 @@ def coefficient_equations(lhs: ParamPoly,
 def nullspace(sys: LinearSystem) -> SolutionSpace:
     """Exact reduced basis of the solution space, deterministic.
 
-    The rows are reduced in reversed column order (column j at dense
-    position n - 1 - j), so a pivot row has nonzeros only at its pivot and
-    at columns before it in the unknown order.  The solution vector of
-    each free column therefore leads with that column and is zero at every
-    other free column: the free vectors are already the reduced echelon
-    basis over the unknown order.  Each one is built in integers: the free
-    column gets the lcm of the pivots it meets, and the whole vector is
-    divided by its content.
+    Copies of the rows are reduced with column j keyed n - 1 - j, so a
+    pivot row has nonzeros only at its pivot and at free columns before
+    it in the unknown order.  The solution vector of each free column
+    therefore leads with that column and is zero at every other free
+    column: the free vectors are already the reduced echelon basis over
+    the unknown order.  One pass over the pivot rows' nonzeros lists the
+    rows that meet each free column; its vector gets the lcm of their
+    pivots there and is divided by its content.
     """
     n = sys.n
-    dense = []
-    for row in sys.rows:
-        dense.append([0] * n)
-        for j, c in row.items():
-            dense[-1][n - 1 - j] = c
-    pivots = {n - 1 - c: row[::-1] for c, row in
-              echelon_int_rows(dense, n).items()}
+    pivots = echelon([{n - 1 - j: c for j, c in row.items() if c}
+                      for row in sys.rows])
+    meets = {f: [] for f in range(n) if n - 1 - f not in pivots}
+    for lead, row in pivots.items():
+        for c, x in row.items():
+            if c != lead:
+                meets[n - 1 - c].append((n - 1 - lead, row[lead], x))
     basis = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        deps = [(c, row) for c, row in pivots.items() if row[f]]
-        scale = lcm(*(row[c] for c, row in deps))
+    for f, rows in meets.items():
+        scale = lcm(*(p for _, p, _ in rows))
         vec = [0] * n
         vec[f] = scale
-        for c, row in deps:
-            vec[c] = -row[f] * (scale // row[c])
+        for c, p, x in rows:
+            vec[c] = -x * (scale // p)
         g = gcd(*vec)
         basis.append(tuple(x // g for x in vec))
     return SolutionSpace(basis, len(pivots))

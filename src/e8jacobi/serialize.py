@@ -17,7 +17,8 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Dict
 
-from .construct import Certificate, JacobiBasis, SCHEMA_VERSION
+from .construct import (Certificate, JacobiBasis, SCHEMA_VERSION,
+                        certificate_identity)
 from .grading import (AB, Alphabet, BiDegree, GradingError, Poly, Rational,
                       S_ALPHABET, ab)
 
@@ -34,7 +35,10 @@ def fraction_to_str(c: Rational) -> str:
 
 def fraction_from_str(s: str) -> Fraction:
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    try:
+        return Fraction(int(num), int(den) if den else 1)
+    except ValueError:
+        raise SerializationError("%r is not an integer num/den" % s) from None
 
 
 def _lookup_alphabet(name: str) -> Alphabet:
@@ -77,7 +81,8 @@ def _malformed(what: str, exc: Exception) -> SerializationError:
 def poly_from_json(doc: dict) -> Poly:
     """Inverse of `poly_to_json`; raises SerializationError on a document
     of another shape, on an exponent that is not a non-negative int, on
-    a monomial listed twice and on a zero denominator."""
+    a monomial listed twice, on a coefficient that is not an integer
+    num/den and on a zero denominator."""
     try:
         alphabet = _lookup_alphabet(doc["alphabet"])
         terms = {}
@@ -166,7 +171,8 @@ def basis_from_json(doc: dict) -> JacobiBasis:
     """Inverse of `basis_to_json`.  Raises SerializationError on a missing
     key, a weight, index or dimension that is not an int, a dimension or
     certificate count other than the form count, a form not over ab or
-    not of the target's bidegree and a malformed certificate."""
+    not of the target's bidegree, a malformed certificate, an S part
+    power l above index/5 and a certificate that does not certify it."""
     try:
         target = BiDegree(doc["weight"], doc["index"])
         dimension = doc["dimension"]
@@ -184,6 +190,12 @@ def basis_from_json(doc: dict) -> JacobiBasis:
     if degrees - {target}:
         raise SerializationError("forms of bidegree %s in J_%s"
                                  % (degrees - {target}, tuple(target)))
+    if any(5 * l > target.index for c in certs for l, _, _ in c.s_rows):
+        raise SerializationError("an S part power l exceeds index/5")
+    for i, (form, cert) in enumerate(zip(forms, certs)):
+        if not certificate_identity(form, cert):
+            raise SerializationError("certificate %d of J_%s does not "
+                                     "certify its form" % (i, tuple(target)))
     return JacobiBasis(target, forms, certs)
 
 

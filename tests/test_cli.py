@@ -219,6 +219,8 @@ class TestExitCodes:
                      id="fractional-exponent"),
         pytest.param(_poly_doc("ab", [({"b1": 1}, "1/0")]),
                      id="zero-denominator"),
+        pytest.param(_poly_doc("ab", [({"b1": 1}, "1/x")]),
+                     id="non-integer-coefficient"),
         pytest.param(_poly_doc("ab", [({"E4": 1, "b1": 1}, "1"),
                                       ({"E4": 1, "b1": 1}, "1")]),
                      id="repeated-monomial"),

@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
-from e8jacobi.kernels import echelon_int_rows
+from e8jacobi.kernels import echelon, echelon_int_rows, extend
 from e8jacobi.linsolve import LinearSystem, echelonize, nullspace
 
 
@@ -188,6 +188,15 @@ class TestOrderInvariance:
 
     @given(_row_multisets())
     @settings(max_examples=40, deadline=None)
+    def test_system_rows_unmodified(self, case):
+        n, rows, _ = case
+        system = make_system(rows, n)
+        copies = [dict(row) for row in system.rows]
+        nullspace(system)
+        assert system.rows == copies
+
+    @given(_row_multisets())
+    @settings(max_examples=40, deadline=None)
     def test_input_rows_unmodified(self, case):
         n, rows, _ = case
         copies = [list(row) for row in rows]
@@ -197,6 +206,72 @@ class TestOrderInvariance:
             assert all(row is not r for r in rows)
             row[:] = [7] * n
         assert rows == copies
+
+
+def sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def assert_reduced(pivots):
+    """Each pivot row is content-free, its smallest column is its pivot,
+    with a positive entry, and it is zero at every other pivot."""
+    for lead, row in pivots.items():
+        assert all(row.values()) and min(row) == lead and row[lead] > 0
+        assert gcd(*row.values()) == 1
+        assert row.keys() & pivots.keys() == {lead}
+
+
+def copied(pivots):
+    return {c: dict(row) for c, row in pivots.items()}
+
+
+class TestSparseKernel:
+    """`extend` grows a reduced echelon form one row at a time."""
+
+    @given(_row_multisets())
+    @settings(max_examples=80, deadline=None)
+    def test_extend_row_by_row_is_echelon(self, case):
+        n, rows, shuffled = case
+        pivots = {}
+        for row in shuffled:
+            before = copied(pivots)
+            lead = extend(pivots, sparse(row))
+            assert_reduced(pivots)
+            if lead is None:
+                assert pivots == before
+            else:
+                assert lead not in before
+                assert pivots.keys() == before.keys() | {lead}
+        assert pivots == echelon([sparse(row) for row in rows])
+
+    @given(_row_multisets(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_row_in_the_span_returns_none(self, case, data):
+        n, rows, _ = case
+        pivots = echelon([sparse(row) for row in rows])
+        combination = [0] * n
+        for row in rows:
+            a = data.draw(_entry)
+            combination = [x + a * y for x, y in zip(combination, row)]
+        before = copied(pivots)
+        assert extend(pivots, sparse(combination)) is None
+        assert pivots == before
+
+    @given(_row_multisets())
+    @settings(max_examples=60, deadline=None)
+    def test_echelon_matches_dense_adapter(self, case):
+        n, rows, _ = case
+        pivots = echelon([sparse(row) for row in rows])
+        assert_reduced(pivots)
+        assert {c: sparse(row) for c, row
+                in echelon_int_rows(rows, n).items()} == pivots
+
+    def test_extend_returns_the_new_pivot(self):
+        pivots = echelon([{1: 2, 3: 4}])
+        assert pivots == {1: {1: 1, 3: 2}}
+        assert extend(pivots, {0: -3, 1: 3, 3: 9}) == 0
+        assert pivots == {0: {0: 1, 3: -1}, 1: {1: 1, 3: 2}}
+        assert extend(pivots, {0: 2, 1: -1, 3: -4}) is None
 
 
 class TestKernelEdges:

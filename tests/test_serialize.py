@@ -262,6 +262,31 @@ class TestReaderRejects:
                                  r"in J_\(-16, 5\)"):
             basis_from_json(pair_doc)
 
+    @pytest.mark.parametrize("coefficient", ["x", "1.5", "1/x", "1/2/3"])
+    def test_coefficient_not_an_integer_fraction(self, coefficient):
+        term = {"exponents": {"b1": 1}, "coefficient": coefficient}
+        with pytest.raises(SerializationError,
+                           match="is not an integer num/den"):
+            poly_from_json({"alphabet": "ab", "terms": [term]})
+
+    def test_forms_swapped(self, pair_doc):
+        """Both forms of J_{-16,5} have the target's bidegree; only the
+        certificates tell them apart."""
+        pair_doc["forms"].reverse()
+        with pytest.raises(SerializationError,
+                           match=r"certificate 0 of J_\(-16, 5\) does not "
+                                 "certify its form"):
+            basis_from_json(pair_doc)
+
+    def test_s_part_power_above_index(self, pair_doc):
+        """P^2 has index 10, so no S_2 can take part at index 5; the
+        identity is not run on it (P^l grows with l)."""
+        part = {"l": 2, "poly": {"alphabet": "S", "terms": []}}
+        pair_doc["certificates"][0]["s_parts"].append(part)
+        with pytest.raises(SerializationError,
+                           match="an S part power l exceeds index/5"):
+            basis_from_json(pair_doc)
+
     def test_inhomogeneous_form(self, pair_doc, basis_doc):
         pair_doc["forms"][0]["terms"] += basis_doc["forms"][0]["terms"]
         with pytest.raises(SerializationError,

@@ -1,9 +1,9 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (25-26 s on one core of a 2-core VM, two
-runs: 3.6-3.8 s to build the bases, 12 s for the digests, mostly
-`basis_to_json`, 9 s for the certificate checks, which run in integers,
-and 0.3 s for the numeric check):
+Run from the repository root (about 29 s on one core of a 2-core VM:
+4.5 s to build the bases, 13 s for the digests, mostly `basis_to_json`,
+10 s for the certificate checks, which run in integers, 0.3 s for the
+numeric check and 0.9 s for the span outputs below):
 
     PYTHONPATH=src python tools/check_golden.py
 
@@ -15,6 +15,11 @@ mismatch means the construction's output changed.  The script also runs
 `certificate_identity` on every form of those bases with its certificate
 (6,575 forms), counting a failure as a mismatch, and checks one form of
 J_{-40,10} numerically against the Jacobi-form axioms.
+
+`golden_spans.json` holds the sha256 of the stdout of `e8jacobi
+module-gens m` for m = 1..9 and of `e8jacobi lb 12`, the commands whose
+generators come from spans and complements of bases; the script runs
+them in process and compares.
 
 Prints one line per mismatch and a summary; exits 0 when everything
 matches and 1 otherwise.  The seconds of each part go to stderr.
@@ -34,7 +39,9 @@ from e8jacobi.construct import (certificate_identity, jacobi_basis,
 from e8jacobi.oracle import EvalContext, check_axioms
 from e8jacobi.serialize import basis_to_json
 
-GOLDEN = Path(__file__).resolve().parent / "golden_index10.json"
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden_index10.json"
+GOLDEN_SPANS = HERE / "golden_spans.json"
 MAX_INDEX = 10
 
 
@@ -43,21 +50,26 @@ def digest(doc) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def run(argv, failures) -> str:
+    """The stdout of the CLI on `argv`; a nonzero exit is a mismatch."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = cli.main(argv)
+    if code != 0:
+        failures.append("%s exited %d" % (" ".join(argv), code))
+    return text.getvalue()
+
+
 def main() -> int:
     golden = json.loads(GOLDEN.read_text())
     failures = []
 
     seconds = dict.fromkeys(["tables", "digests", "identities",
-                             "numeric check"], 0.0)
+                             "numeric check", "spans"], 0.0)
     start = perf_counter()
-    text = io.StringIO()
-    with contextlib.redirect_stdout(text):
-        code = cli.main(["tables", "--max-index", str(MAX_INDEX)])
+    text = run(["tables", "--max-index", str(MAX_INDEX)], failures)
     seconds["tables"] = perf_counter() - start
-    if code != 0:
-        failures.append("tables --max-index %d exited %d" % (MAX_INDEX, code))
-    profiles = dict(line.split(" = ", 1)
-                    for line in text.getvalue().splitlines())
+    profiles = dict(line.split(" = ", 1) for line in text.splitlines())
     for m in range(1, MAX_INDEX + 1):
         want = golden["profiles"][str(m)]
         got = profiles.get("P^w_%d" % m)
@@ -92,13 +104,24 @@ def main() -> int:
         failures.append("J_{-40,10} form 1: residual %.2e, regular %s"
                         % (rep.max_residual, rep.regular))
     seconds["numeric check"] = perf_counter() - start
+
+    start = perf_counter()
+    spans = json.loads(GOLDEN_SPANS.read_text())
+    for command, runs in sorted(spans.items()):
+        for arg, want in runs.items():
+            got = run([command, arg], failures)
+            if hashlib.sha256(got.encode()).hexdigest() != want:
+                failures.append("stdout of %s %s" % (command, arg))
+    seconds["spans"] = perf_counter() - start
     print(", ".join("%s %.1f s" % item for item in seconds.items()),
           file=sys.stderr)
 
     for line in failures:
         print("MISMATCH", line)
-    print("%d targets, %d profiles, %d certificates, 1 numeric check: %s"
+    print("%d targets, %d profiles, %d certificates, 1 numeric check, "
+          "%d span outputs: %s"
           % (len(targets), MAX_INDEX, certified,
+             sum(map(len, spans.values())),
              "%d mismatches" % len(failures) if failures else "ok"))
     return 1 if failures else 0
 
