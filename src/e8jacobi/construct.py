@@ -258,10 +258,11 @@ def certificate_identity(form: Poly, cert: Certificate) -> bool:
     if cert.n < 0:
         raise ValueError("certificate Delta power must be >= 0")
     terms, L, e4, dl = _int_image(form, cert.n)
-    t = max([e4, *(l for l, _, _ in cert.s_rows)])
+    s_rows = [row for row in cert.s_rows if any(row[2])]
+    t = max([e4, *(l for l, _, _ in s_rows)])
     rhs = Poly(AB, {(m[0] + t,) + m[1:]: c
                     for m, c in zip(cert.r_mons, cert.r_nums)})
-    for l, mons, nums in cert.s_rows:
+    for l, mons, nums in s_rows:
         s_l = Poly(AB, {(t - l,) + m: c for m, c in zip(mons, nums)})
         rhs = rhs.unchecked_add(s_l * _p_power(l))
     scale = cert.den * 1728 ** (dl - cert.n)

@@ -16,9 +16,11 @@ generator images, each normalized with E4 exponent >= 1: its numerator
 is divisible neither by E4 nor by Delta.  E4 is a ring variable and
 Delta is prime, so neither divides a product of such numerators either,
 and the product is normalized as it stands: the numerators multiply and
-the denominator exponents add, with no check.  The index-part images are
-memoised as `int` numerators over one integer denominator each, and so
-is each one lifted by a power of Delta.
+the denominator exponents add, with no check.  So the E4 and Delta
+powers of an index-part image come by exponent arithmetic
+(`_rest_powers`), and only the lifted images are memoised: each
+index part's numerator times a power of Delta, as `int` terms over one
+integer denominator (`_lifted_terms`).
 `_lifted_columns` gives the images of a list of monomials over one
 common denominator, one column per monomial: a column is the memoised
 terms of its index part with the E4 and E6 shifts of its monomial, and
@@ -248,14 +250,15 @@ def p12_5_over_ab() -> Poly:
 
 
 @cache
-def _image_power(symbol: str, e: int) -> Tuple[int, Frac]:
-    """A generator image to the e-th power as (den, f), the power being
-    f / den: the numerator is cleared to ints once and raised in ints."""
-    base = meromorphic_images()[symbol]
-    den = lcm(*(c.denominator for c in base.num.terms.values()))
+def _image_power(symbol: str, e: int) -> Tuple[int, Poly]:
+    """A generator image's numerator to the e-th power as (den, num), the
+    power being num / den over E4 and Delta (see `_rest_powers`): the
+    numerator is cleared to ints once and raised in ints."""
+    base = meromorphic_images()[symbol].num
+    den = lcm(*(c.denominator for c in base.terms.values()))
     num = Poly(AB, {m: c.numerator * (den // c.denominator)
-                    for m, c in base.num.terms.items()})
-    return den ** e, Frac(num ** e, base.e4_pow * e, base.delta_pow * e)
+                    for m, c in base.terms.items()})
+    return den ** e, num ** e
 
 
 @cache
@@ -271,28 +274,27 @@ _INDEX_SYMBOLS = ab.symbols[2:]
 
 
 @cache
-def _rest_image(rest: tuple) -> Tuple[int, Frac]:
-    """The normalized image f / den of a2^.. b6^.. over AB as (den, f),
-    f's numerator in ints: the product of the generator images,
-    exponents summed (see the module docstring)."""
-    den, num, e4_pow, delta_pow = 1, Poly(AB, {(0,) * len(AB): 1}), 0, 0
-    for symbol, e in zip(_INDEX_SYMBOLS, rest):
-        if e:
-            d, g = _image_power(symbol, e)
-            den *= d
-            num = num * g.num
-            e4_pow += g.e4_pow
-            delta_pow += g.delta_pow
-    return den, Frac(num, e4_pow, delta_pow)
+def _rest_powers(rest: tuple) -> Tuple[int, int]:
+    """The E4 and Delta powers of the normalized image of a2^.. b6^..:
+    the generators' denominator exponents, times the rest's exponents,
+    summed (see the module docstring)."""
+    images = [meromorphic_images()[s] for s in _INDEX_SYMBOLS]
+    return (sum(e * f.e4_pow for e, f in zip(rest, images)),
+            sum(e * f.delta_pow for e, f in zip(rest, images)))
 
 
 @cache
 def _lifted_terms(rest: tuple, gap: int) -> Tuple[int, list]:
-    """The rest's normalized numerator times Delta^gap as (den, terms):
-    den is the lcm of the coefficient denominators, and each term is
+    """The normalized numerator of a2^.. b6^.. times Delta^gap as
+    (den, terms): the product of the generators' numerator powers, over
+    den, the lcm of the coefficient denominators; each term is
     (E4 exponent, E6 exponent, tail, int numerator over den)."""
-    den, f = _rest_image(rest)
-    num = f.num
+    den, num = 1, Poly(AB, {(0,) * len(AB): 1})
+    for symbol, e in zip(_INDEX_SYMBOLS, rest):
+        if e:
+            d, power = _image_power(symbol, e)
+            den *= d
+            num = num * power
     if gap:
         num = num * _delta_power(gap)
         den *= 1728 ** gap
@@ -306,27 +308,22 @@ def _lifted_columns(mons, lift: int = 0) -> Tuple[list, int, int]:
     image of monomial j is column j = (E4 shift, E6 shift, den, terms),
     the `_lifted_terms` of its index part shifted, over den.
 
-    A monomial is E4^a E6^b times its index part (its a2..b6 exponents);
-    the normalized image N/(E4^p Delta^q) of the index part is built once
-    per distinct part and memoised.  E4 and E6 map to themselves, and
+    A monomial is E4^a E6^b times its index part (its a2..b6 exponents),
+    whose normalized image is N/(E4^p Delta^q), with p and q from
+    `_rest_powers`.  E4 and E6 map to themselves, and
     Delta = (E4^3 - E6^2)/1728 is prime and prime to E4, to E6 and to the
     normalized numerator N, so the monomial's own normalized image is
     E4^(a - min(a, p)) E6^b N / (E4^(p - min(a, p)) Delta^q): exponent
     arithmetic, with no product and no division.  The common
     denominator takes the maxima of those powers, and of `lift` for
-    Delta; each N is lifted once by Delta^(delta_pow - q).
+    Delta; each N, lifted by Delta^(delta_pow - q), is built once per
+    distinct part and gap and memoised (`_lifted_terms`).
     """
-    items = [(m[0], m[1], m[2:]) for m in mons]
-    images = {rest: _rest_image(rest)[1] for _, _, rest in items}
-    e4 = max((max(images[rest].e4_pow - a, 0) for a, _, rest in items),
-             default=0)
-    dl = max([lift, *(f.delta_pow for f in images.values())])
-    columns = []
-    for a, b, rest in items:
-        f = images[rest]
-        columns.append((a + e4 - f.e4_pow, b,
-                        *_lifted_terms(rest, dl - f.delta_pow)))
-    return columns, e4, dl
+    items = [(m[0], m[1], m[2:], *_rest_powers(m[2:])) for m in mons]
+    e4 = max((max(p - a, 0) for a, _, _, p, _ in items), default=0)
+    dl = max([lift, *(q for *_, q in items)])
+    return ([(a + e4 - p, b, *_lifted_terms(rest, dl - q))
+             for a, b, rest, p, q in items], e4, dl)
 
 
 def _int_image(p: Poly, lift: int = 0) -> Tuple[dict, int, int, int]:

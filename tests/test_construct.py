@@ -3,6 +3,7 @@
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +21,8 @@ from e8jacobi.generators import (_int_image, _lifted_columns, e4_split,
 from e8jacobi.grading import AB, BiDegree, Poly, S_ALPHABET, ab, delta_poly
 from e8jacobi.linsolve import nullspace
 from e8jacobi.oracle import ComplexSample, EvalContext, eval_poly
-from e8jacobi.serialize import (certificate_to_json, fraction_to_str,
-                                poly_to_json)
+from e8jacobi.serialize import (certificate_from_json, certificate_to_json,
+                                fraction_to_str, poly_to_json)
 
 from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
                      certificate_from_parts, certificate_identity_reference,
@@ -348,6 +349,24 @@ class TestIdentityProperty:
         for form, cert in identity_pool():
             assert certificate_identity(form, cert)
             assert certificate_identity_reference(form, cert)
+
+    def test_empty_s_part_skipped(self):
+        """An all-zero S part adds nothing to the equation, so a read
+        certificate that lists one at l = 20 still checks, without
+        building P^20 (38 s at index 5 when it was built)."""
+        basis = jacobi_basis(-16, 5)
+        form, cert = basis.forms[0], basis.certificates[0]
+        assert certificate_identity(form, cert)
+        doc = certificate_to_json(cert)
+        doc["s_parts"].append({"l": 20,
+                               "poly": poly_to_json(Poly.zero(S_ALPHABET))})
+        padded = certificate_from_json(doc)
+        assert [l for l, _, _ in padded.s_rows][-1] == 20
+        built = construct._p_power.cache_info().currsize
+        start = perf_counter()
+        assert certificate_identity(form, padded)
+        assert perf_counter() - start < 1.0
+        assert construct._p_power.cache_info().currsize == built
 
     @given(st.integers(0, 10 ** 6), st.sampled_from(TAMPERINGS), st.data())
     @settings(max_examples=150, deadline=None)

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.cli import _profile_targets
 from e8jacobi.construct import jacobi_basis
-from e8jacobi.generators import (_lifted_columns, _rest_image, e4_split,
-                                 holomorphic_images, meromorphic_images,
-                                 p12_5_over_ab, p16_5, sub_ab_to_AB)
+from e8jacobi.generators import (_lifted_columns, _lifted_terms,
+                                 _rest_powers, e4_split, holomorphic_images,
+                                 meromorphic_images, p12_5_over_ab, p16_5,
+                                 sub_ab_to_AB)
 from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab, delta_poly
 
 from helpers import (build, expand_column, frac_bidegree, frac_product,
@@ -197,24 +198,46 @@ def index_parts(max_index):
     return parts
 
 
+def part_image(part):
+    """Reference image of an index part: the product of its generator
+    images, brought to lowest terms by trial division after every
+    factor."""
+    images = meromorphic_images()
+    want = Frac(Poly.const(AB, 1), 0, 0)
+    for symbol, e in zip(ab.symbols[2:], part):
+        for _ in range(e):
+            want = frac_product(want, images[symbol])
+    return want
+
+
+def lifted_poly(part, gap):
+    """`_lifted_terms(part, gap)` as a Fraction polynomial over AB."""
+    den, terms = _lifted_terms(part, gap)
+    assert all(type(c) is int for *_, c in terms)
+    return Poly(AB, {(e4, e6) + tail: Fraction(c, den)
+                     for e4, e6, tail, c in terms})
+
+
 class TestIndexPartImages:
     def test_match_frac_products(self):
         """The memoised image of each index part, built in integers with
-        no trial division by Delta, equals the product of its generator
-        images brought to lowest terms by trial division after every
-        factor."""
-        images = meromorphic_images()
+        no trial division by Delta, and its E4 and Delta powers, read off
+        its exponents, equal the product of its generator images brought
+        to lowest terms by trial division after every factor."""
         parts = index_parts(6)
         assert len(parts) == 62
         for part in parts:
-            want = Frac(Poly.const(AB, 1), 0, 0)
-            for symbol, e in zip(ab.symbols[2:], part):
-                for _ in range(e):
-                    want = frac_product(want, images[symbol])
-            den, got = _rest_image(part)
-            assert all(type(c) is int for c in got.num.terms.values())
-            assert (got.num / den, got.e4_pow, got.delta_pow) == \
-                (want.num, want.e4_pow, want.delta_pow), part
+            want = part_image(part)
+            assert (lifted_poly(part, 0), _rest_powers(part)) == \
+                (want.num, (want.e4_pow, want.delta_pow)), part
+
+    @pytest.mark.parametrize("gap", [1, 2])
+    def test_lifted_by_delta(self, gap):
+        """A lifted image is the reference numerator times Delta^gap."""
+        lift = delta_poly(AB) ** gap
+        for part in index_parts(4):
+            assert lifted_poly(part, gap) == part_image(part).num * lift, \
+                part
 
 
 class TestP165:

@@ -1,9 +1,10 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (about 29 s on one core of a 2-core VM:
-4.5 s to build the bases, 13 s for the digests, mostly `basis_to_json`,
+Run from the repository root (about 34 s on one core of a 2-core VM:
+4.6 s to build the bases, 13 s for the digests, mostly `basis_to_json`,
 10 s for the certificate checks, which run in integers, 0.3 s for the
-numeric check and 0.9 s for the span outputs below):
+numeric check, 1.0 s for the span outputs and 4.0 s for the lowest
+weights below; the process peaks at about 230 MB):
 
     PYTHONPATH=src python tools/check_golden.py
 
@@ -21,27 +22,37 @@ module-gens m` for m = 1..9 and of `e8jacobi lb 12`, the commands whose
 generators come from spans and complements of bases; the script runs
 them in process and compares.
 
+`golden_lowest.json` holds, for the lowest weights -4m of m = 1..15,
+dim J_{-4m,m}, the new-generator and relation counts of
+`lb_analysis(15)` (the `e8jacobi lb 15` report) and the sha256 of each
+`basis_to_json(jacobi_basis(-4m, m))`.  As a check on the data, the
+script also asserts a new generator at every 12 <= m <= 15, the paper's
+claim of a generator of weight -4m at each such index.
+
 Prints one line per mismatch and a summary; exits 0 when everything
-matches and 1 otherwise.  The seconds of each part go to stderr.
+matches and 1 otherwise.  The seconds of each part and the process's
+peak RSS go to stderr.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import resource
 import sys
 from pathlib import Path
 from time import perf_counter
 
 from e8jacobi import cli
 from e8jacobi.construct import (certificate_identity, jacobi_basis,
-                                profile_weights)
+                                lb_analysis, profile_weights)
 from e8jacobi.oracle import EvalContext, check_axioms
 from e8jacobi.serialize import basis_to_json
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_index10.json"
 GOLDEN_SPANS = HERE / "golden_spans.json"
+GOLDEN_LOWEST = HERE / "golden_lowest.json"
 MAX_INDEX = 10
 
 
@@ -65,7 +76,7 @@ def main() -> int:
     failures = []
 
     seconds = dict.fromkeys(["tables", "digests", "identities",
-                             "numeric check", "spans"], 0.0)
+                             "numeric check", "spans", "lowest"], 0.0)
     start = perf_counter()
     text = run(["tables", "--max-index", str(MAX_INDEX)], failures)
     seconds["tables"] = perf_counter() - start
@@ -113,15 +124,37 @@ def main() -> int:
             if hashlib.sha256(got.encode()).hexdigest() != want:
                 failures.append("stdout of %s %s" % (command, arg))
     seconds["spans"] = perf_counter() - start
-    print(", ".join("%s %.1f s" % item for item in seconds.items()),
+
+    start = perf_counter()
+    lowest = json.loads(GOLDEN_LOWEST.read_text())
+    top = lowest["max_index"]
+    report = lb_analysis(top)
+    got = {"dims": report.lb_dims,
+           "new_generators": {m: len(g) for m, g in report.lb_gens.items()},
+           "relations": report.relation_counts,
+           "digests": {m: digest(basis_to_json(jacobi_basis(-4 * m, m)))
+                       for m in range(1, top + 1)}}
+    for field, values in got.items():
+        for m, value in values.items():
+            if value != lowest[field][str(m)]:
+                failures.append("%s at m = %d: %s, expected %s"
+                                % (field, m, value, lowest[field][str(m)]))
+    for m in range(12, top + 1):
+        if not lowest["new_generators"][str(m)]:
+            failures.append("golden_lowest.json: no new generator at m = %d"
+                            % m)
+    seconds["lowest"] = perf_counter() - start
+    print(", ".join("%s %.1f s" % item for item in seconds.items())
+          + ", peak RSS %d MB"
+          % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024),
           file=sys.stderr)
 
     for line in failures:
         print("MISMATCH", line)
     print("%d targets, %d profiles, %d certificates, 1 numeric check, "
-          "%d span outputs: %s"
+          "%d span outputs, %d lowest weights: %s"
           % (len(targets), MAX_INDEX, certified,
-             sum(map(len, spans.values())),
+             sum(map(len, spans.values())), top,
              "%d mismatches" % len(failures) if failures else "ok"))
     return 1 if failures else 0
 
