@@ -19,10 +19,9 @@ from typing import Dict, List, Optional, Tuple
 
 from . import construct
 from .cache import CacheError, DiskStore, basis_from_text, basis_to_text
-from .construct import (ConsistencyError, Rejection, WindowError,
-                        certificate_identity, certify, index_profile,
-                        jacobi_basis, lb_analysis, module_generators,
-                        rank_series, seed_cache)
+from .construct import (ConsistencyError, Rejection, certificate_identity,
+                        certify, index_profile, jacobi_basis, lb_analysis,
+                        module_generators, rank_series, seed_cache)
 from .grading import AlphabetMismatchError, GradingError
 from .serialize import (basis_to_json, certificate_to_json, poly_from_json,
                         poly_to_json, result_document)
@@ -61,30 +60,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _parse_window(text: str) -> Tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    try:
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "window must be LO:HI with integer bounds")
-    if lo > hi:
-        raise argparse.ArgumentTypeError(
-            "window must have LO <= HI, got %d:%d" % (lo, hi))
-    return lo, hi
-
-
-def _attach_window(argv: List[str]) -> List[str]:
-    """`--window LO:HI` as `--window=LO:HI`: argparse reads a separate
-    value such as -8:0 as an option, since it starts with '-' and is not
-    a plain negative number."""
-    argv = list(argv)
-    if "--window" in argv:
-        i = argv.index("--window")
-        argv[i:i + 2] = ["--window=" + "".join(argv[i + 1:i + 2])]
-    return argv
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="e8jacobi",
@@ -101,9 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="oracle working precision in decimal digits")
     parser.add_argument("--tol", type=_positive_float, default=1e-30,
                         help="oracle comparison tolerance")
-    parser.add_argument("--window", type=_parse_window, default=None,
-                        help="weight window LO:HI override for profile "
-                             "and module-gens")
     sub = parser.add_subparsers(dest="command", required=True)
 
     index = _int_at_least(0)
@@ -142,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _profile_targets(m: int, window) -> List[Tuple[int, int]]:
-    return [(k, m) for k in construct.profile_weights(m, window)]
+def _profile_targets(m: int) -> List[Tuple[int, int]]:
+    return [(k, m) for k in construct.profile_weights(m)]
 
 
 def _compute_one(target: Tuple[int, int]) -> Tuple[int, int, str]:
@@ -183,8 +155,8 @@ def _profile_poly_str(d: Dict[int, int]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _profile_payload(m: int, window) -> dict:
-    profile = index_profile(m, window)
+def _profile_payload(m: int) -> dict:
+    profile = index_profile(m)
     return {"index": m,
             "rank": rank_series(m),
             "generator_counts": {str(k): v for k, v in
@@ -210,15 +182,15 @@ def _cmd_basis(args, out) -> dict:
 
 
 def _cmd_profile(args, out) -> dict:
-    _precompute(_profile_targets(args.index, args.window), args.jobs)
-    payload = _profile_payload(args.index, args.window)
+    _precompute(_profile_targets(args.index), args.jobs)
+    payload = _profile_payload(args.index)
     print(payload["polynomial"], file=out)
     return payload
 
 
 def _cmd_module_gens(args, out) -> dict:
-    _precompute(_profile_targets(args.index, args.window), args.jobs)
-    gens = module_generators(args.index, args.window)
+    _precompute(_profile_targets(args.index), args.jobs)
+    gens = module_generators(args.index)
     payload = {"index": args.index, "generators": []}
     for k, forms in gens:
         for form in forms:
@@ -301,11 +273,11 @@ def _cmd_verify(args, out) -> dict:
 def _cmd_tables(args, out) -> dict:
     targets = []
     for m in range(1, args.max_index + 1):
-        targets.extend(_profile_targets(m, None))
+        targets.extend(_profile_targets(m))
     _precompute(targets, args.jobs)
     profiles = []
     for m in range(1, args.max_index + 1):
-        payload = _profile_payload(m, None)
+        payload = _profile_payload(m)
         print("P^w_%d = %s" % (m, payload["polynomial"]), file=out)
         profiles.append(payload)
     return {"max_index": args.max_index, "profiles": profiles}
@@ -333,14 +305,10 @@ def _target_echo(args) -> dict:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(
-        _attach_window(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
 
     try:
         import io
-        if args.window and args.command not in ("profile", "module-gens"):
-            raise UsageError("--window applies only to profile and "
-                             "module-gens, not to %s" % args.command)
         if args.cache_dir:
             try:
                 construct.set_disk_store(DiskStore(args.cache_dir))
@@ -359,7 +327,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             sys.stdout.write(text.getvalue())
         return 0
-    except (UsageError, WindowError, CacheError) as exc:
+    except (UsageError, CacheError) as exc:
         print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
         return 2
     except ConsistencyError as exc:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .ansatz import build_ansatz, enumerate_monomials
 from .generators import (_delta_power, _int_image, _lifted_columns, e4_split,
@@ -31,11 +31,6 @@ SCHEMA_VERSION = 1
 
 class ConsistencyError(RuntimeError):
     """An internal mathematical invariant failed; results are unusable."""
-
-
-class WindowError(ValueError):
-    """A caller's weight window fails the profile checks: it cuts off
-    weights that carry generators or forms."""
 
 
 class Certificate:
@@ -296,38 +291,28 @@ class IndexProfile:
     dims: Dict[int, int]   # weight -> dim of the weight-k index-m space
 
 
-def profile_weights(m: int, window: Optional[Tuple[int, int]] = None
-                    ) -> range:
-    """The even weights of the index-m profile window, ascending.
+def profile_weights(m: int) -> range:
+    """The even weights of the index-m profile, ascending: -5m..0, or
+    -5..4 at m = 1: the range the index fixes.
 
-    The default window is -5m..0: forms of index m have weight >= -5m;
-    for m >= 2 all generators have non-positive weight, and for m <= 1
-    the single generator sits at weight 4, so the window ends there.
+    Forms of index m have weight >= -5m; for m >= 2 all generators have
+    non-positive weight, and for m <= 1 the single generator sits at
+    weight 4, so the range ends there.
     """
-    lo, hi = window if window is not None else (-5 * m, 0 if m >= 2 else 4)
+    lo, hi = -5 * m, 0 if m >= 2 else 4
     return range(lo + lo % 2, hi + 1, 2)
 
 
-def _profile_error(window: Optional[Tuple[int, int]], m: int,
-                   problem: str) -> Exception:
-    """The error for a failed profile check.  The default window holds
-    every weight that carries forms of index m, so the fault is the
-    window's when the caller chose one."""
-    if window is None:
-        return ConsistencyError(problem)
-    return WindowError("window %d:%d cuts off forms of index %d: %s"
-                       % (*window, m, problem))
-
-
-def index_profile(m: int,
-                  window: Optional[Tuple[int, int]] = None) -> IndexProfile:
+def index_profile(m: int) -> IndexProfile:
+    """The generator counts d_k of the free module of index-m forms over
+    the weights of `profile_weights(m)`, checked against its rank."""
     if m < 1:
         raise ValueError("index must be >= 1")
     # all generator weights are even, so odd weights carry no monomials
     if any(d.weight % 2 for d in ab.degrees):
         raise ConsistencyError("generator of odd weight in the alphabet")
-    weights = profile_weights(m, window)
-    # every weight below the window has dimension 0
+    weights = profile_weights(m)
+    # every weight below the range has dimension 0
     dims = {k: jacobi_dim(k, m) for k in weights}
     d = {}
     total = 0
@@ -335,16 +320,15 @@ def index_profile(m: int,
         count = dims[k] - dims.get(k - 4, 0) - dims.get(k - 6, 0) \
             + dims.get(k - 10, 0)
         if count < 0:
-            raise _profile_error(
-                window, m, "negative generator count at weight %d index %d"
-                % (k, m))
+            raise ConsistencyError(
+                "negative generator count at weight %d index %d" % (k, m))
         if count:
             d[k] = count
             total += count
     if total != rank_series(m):
-        raise _profile_error(
-            window, m, "generator count %d does not match module rank %d "
-            "at index %d" % (total, rank_series(m), m))
+        raise ConsistencyError(
+            "generator count %d does not match module rank %d at index %d"
+            % (total, rank_series(m), m))
     return IndexProfile(m, d, dims)
 
 
@@ -379,15 +363,15 @@ def _complement(candidates: List[Poly], spanned: List[Poly],
     return rank, out
 
 
-def module_generators(m: int, window: Optional[Tuple[int, int]] = None
-                      ) -> List[Tuple[int, List[Poly]]]:
-    """Generators of the free module of index-m forms, weight ascending:
-    at each weight, a basis complementary to E4/E6 times lower weights."""
-    profile = index_profile(m, window)
+def module_generators(m: int) -> List[Tuple[int, List[Poly]]]:
+    """Generators of the free module of index-m forms, weight ascending
+    over `profile_weights(m)`: at each weight, a basis complementary to
+    E4/E6 times lower weights."""
+    profile = index_profile(m)
     e4 = Poly.gen(ab, "E4")
     e6 = Poly.gen(ab, "E6")
     out = []
-    for k in profile_weights(m, window):
+    for k in profile_weights(m):
         basis_k = jacobi_basis(k, m)
         if not basis_k.forms:
             continue

@@ -124,44 +124,22 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_consistency_error_is_1(self, capsys, monkeypatch):
-        # with the default window, counts that miss the module rank are a
-        # mathematical inconsistency
+        # counts that miss the module rank are a mathematical inconsistency
         monkeypatch.setattr(construct, "rank_series", lambda m: 4)
-        code, out, err = run_cli(capsys, "profile", "2")
-        assert code == 1
-        assert "inconsistency" in err
-
-    @pytest.mark.parametrize("window, argv", [
-        ("-4:-4", ["profile", "2"]),
-        ("-6:0", ["profile", "3"]),
-        ("-15:-10", ["profile", "3"]),
-        ("-6:0", ["module-gens", "3"]),
-    ])
-    def test_window_cutting_off_forms_is_2(self, capsys, window, argv):
-        code, out, err = run_cli(capsys, "--window=" + window, *argv)
-        assert code == 2
-        assert not out
-        (line,) = err.splitlines()
-        assert line.startswith("e8jacobi: error: window %s cuts off forms "
-                               "of index %s: " % (window, argv[1]))
-
-    def test_window_as_separate_argument(self, capsys):
-        joined = run_cli(capsys, "--window=-8:0", "profile", "3")
-        assert joined == (0, "x^-8 + x^-6 + x^-4 + x^-2 + 1\n", "")
-        assert run_cli(capsys, "--window", "-8:0", "profile", "3") == joined
-
-    @pytest.mark.parametrize("argv", [["tables", "--max-index", "2"],
-                                      ["dim", "4", "1"]])
-    def test_window_for_other_commands_is_2(self, capsys, argv):
-        code, out, err = run_cli(capsys, "--window", "-8:0", *argv)
-        assert (code, out) == (2, "")
-        assert err == ("e8jacobi: error: --window applies only to profile "
-                       "and module-gens, not to %s\n" % argv[0])
+        for command in ("profile", "module-gens"):
+            code, out, err = run_cli(capsys, command, "2")
+            assert (code, out) == (1, "")
+            assert err == ("inconsistency: generator count 3 does not match "
+                           "module rank 4 at index 2\n")
 
     def test_bad_window_syntax_is_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--window", "abc", "profile", "2"])
-        assert exc.value.code == 2
+        # there is no --window: a profile covers the range its index fixes
+        for argv, extra in [
+                (["--window=-8:0", "profile", "3"], "--window=-8:0"),
+                (["--window", "-8:0", "profile", "3"], "--window -8:0"),
+                (["profile", "3", "--window=-8:0"], "--window=-8:0")]:
+            assert_usage_error(capsys, argv, "unrecognized arguments: "
+                               + extra)
 
     @pytest.mark.parametrize("argv, message", [
         (["dim", "4", "-1"], "must be >= 0, got -1"),
@@ -172,8 +150,7 @@ class TestExitCodes:
         (["verify", "4", "1", "--samples", "-2"], "must be >= 1, got -2"),
         (["tables", "--max-index", "0"], "must be >= 1, got 0"),
         (["tables", "--max-index", "-3"], "must be >= 1, got -3"),
-        (["--window", "4:-8", "profile", "2"],
-         "window must have LO <= HI, got 4:-8"),
+        (["module-gens", "0"], "must be >= 1, got 0"),
         (["--jobs", "0", "dim", "4", "1"], "must be >= 1, got 0"),
         (["--jobs", "-5", "dim", "4", "1"], "must be >= 1, got -5"),
     ])

@@ -30,13 +30,13 @@ from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
                      m26_7_generator, remainder, s_parts, second_power_form,
                      span_basis, spans_equal, system_rows_reference)
 
-# every target of index 1..5 in its profile weight window (143 forms)
-WINDOW_TARGETS = [t for m in range(1, 6) for t in _profile_targets(m, None)]
+# every target of index 1..5 in its profile weight range (143 forms)
+PROFILE_TARGETS = [t for m in range(1, 6) for t in _profile_targets(m)]
 # the ones with at least one monomial, so that one can be added
-AMBIENT_TARGETS = [(k, m) for k, m in WINDOW_TARGETS
+AMBIENT_TARGETS = [(k, m) for k, m in PROFILE_TARGETS
                    if enumerate_monomials(ab, BiDegree(k, m))]
 # the index-6 target with the most monomials
-LARGEST_6 = max(_profile_targets(6, None),
+LARGEST_6 = max(_profile_targets(6),
                 key=lambda t: len(enumerate_monomials(ab, BiDegree(*t))))
 
 
@@ -68,7 +68,7 @@ class TestWorkedExamples:
 class TestCertificates:
     def test_emitted_forms_certify(self):
         checked = 0
-        for k, m in WINDOW_TARGETS + [(-26, 7)]:
+        for k, m in PROFILE_TARGETS + [(-26, 7)]:
             basis = jacobi_basis(k, m)
             for form, cert in zip(basis.forms, basis.certificates):
                 assert certificate_identity(form, cert)
@@ -80,7 +80,7 @@ class TestCertificates:
 
     def test_index_6_certificates_hold(self):
         checked = 0
-        for k, m in _profile_targets(6, None):
+        for k, m in _profile_targets(6):
             basis = jacobi_basis(k, m)
             for form, cert in zip(basis.forms, basis.certificates):
                 assert certificate_identity(form, cert), (k, m)
@@ -255,7 +255,7 @@ class TestIntegerCertify:
         """Each basis form of index <= 5, and per target one integer
         combination of all its forms."""
         checked = 0
-        for k, m in WINDOW_TARGETS:
+        for k, m in PROFILE_TARGETS:
             forms = jacobi_basis(k, m).forms
             for form in forms:
                 self.assert_same(form)
@@ -424,9 +424,21 @@ class TestProfiles:
         assert profile.d == PROFILES[m]
         assert sum(profile.d.values()) == rank_series(m)
 
-    def test_window_too_small_raises(self):
-        with pytest.raises((ConsistencyError, ValueError)):
-            index_profile(2, window=(-4, -4))
+    def test_rank_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(construct, "rank_series", lambda m: 4)
+        with pytest.raises(ConsistencyError, match="module rank 4"):
+            index_profile(2)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_range_misses_nothing(self, m):
+        # no forms below profile_weights(m), and no generator count
+        # d_k = dim_k - dim_{k-4} - dim_{k-6} + dim_{k-10} above it
+        weights = construct.profile_weights(m)
+        for k in (weights[0] - 4, weights[0] - 2):
+            assert jacobi_dim(k, m) == 0
+        for k in range(weights[-1] + 2, 17, 2):
+            assert jacobi_dim(k, m) - jacobi_dim(k - 4, m) \
+                - jacobi_dim(k - 6, m) + jacobi_dim(k - 10, m) == 0
 
 
 class TestModuleGenerators:

@@ -18,9 +18,9 @@ from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab, delta_poly
 from helpers import (build, expand_column, frac_bidegree, frac_product,
                      frac_sum, normalized_by_trial_division)
 
-# every target of index 1..4 in its profile weight window with monomials
+# every target of index 1..4 in its profile weight range with monomials
 SMALL_TARGETS = [(k, m) for i in range(1, 5)
-                 for k, m in _profile_targets(i, None)
+                 for k, m in _profile_targets(i)
                  if enumerate_monomials(ab, BiDegree(k, m))]
 
 

@@ -264,7 +264,7 @@ class TestDeltaCancellation:
                 image.num, image.e4_pow, image.delta_pow)
         checked = 0
         for m in range(1, 7):
-            for k in profile_weights(m, None):
+            for k in profile_weights(m):
                 for form in jacobi_basis(k, m).forms:
                     columns, e4_pow, delta_pow = _lifted_columns(form.terms)
                     num = Poly.zero(AB)

@@ -1,10 +1,11 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (about 34 s on one core of a 2-core VM:
-4.6 s to build the bases, 13 s for the digests, mostly `basis_to_json`,
-10 s for the certificate checks, which run in integers, 0.3 s for the
-numeric check, 1.0 s for the span outputs and 4.0 s for the lowest
-weights below; the process peaks at about 230 MB):
+Run from the repository root (about 42 s on one core of a 2-core VM:
+4.3 s to build the bases, 12 s for the digests, mostly `basis_to_json`,
+9 s for the certificate checks, which run in integers, 0.3 s for the
+numeric check, 0.9 s for the span outputs and 16 s for the lowest
+weights below, nearly all of it the bases of m = 16 and 17; the process
+peaks at about 490 MB):
 
     PYTHONPATH=src python tools/check_golden.py
 
@@ -22,11 +23,11 @@ module-gens m` for m = 1..9 and of `e8jacobi lb 12`, the commands whose
 generators come from spans and complements of bases; the script runs
 them in process and compares.
 
-`golden_lowest.json` holds, for the lowest weights -4m of m = 1..15,
+`golden_lowest.json` holds, for the lowest weights -4m of m = 1..17,
 dim J_{-4m,m}, the new-generator and relation counts of
-`lb_analysis(15)` (the `e8jacobi lb 15` report) and the sha256 of each
+`lb_analysis(17)` (the `e8jacobi lb 17` report) and the sha256 of each
 `basis_to_json(jacobi_basis(-4m, m))`.  As a check on the data, the
-script also asserts a new generator at every 12 <= m <= 15, the paper's
+script also asserts a new generator at every 12 <= m <= 17, the paper's
 claim of a generator of weight -4m at each such index.
 
 Prints one line per mismatch and a summary; exits 0 when everything
