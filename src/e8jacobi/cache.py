@@ -20,8 +20,9 @@ Format 2 stores integer rows, one JSON object per entry:
 place, JSON nested too deeply to parse) and for any entry not shaped
 like that: a row of the wrong length, an entry that is not an int, a
 denominator <= 0, a negative Delta power, an l of "s_mons" below 1 or
-listed twice, or a certificate count other than the form count.  A
-`save` that cannot write its entry raises CacheError.
+listed twice, a monomial listed twice in "r_mons" or in one S_l list,
+or a certificate count other than the form count.  A `save` that cannot
+write its entry raises CacheError.
 """
 
 from __future__ import annotations
@@ -68,10 +69,10 @@ def _ints(row, length: int) -> list:
 
 
 def _exponents(rows, width: int) -> List[tuple]:
-    """Exponent vectors of `width` non-negative ints, as tuples."""
+    """Distinct exponent vectors of `width` non-negative ints, as tuples."""
     out = [tuple(_ints(exps, width)) for exps in rows]
-    if any(e < 0 for exps in out for e in exps):
-        raise ValueError("negative exponent")
+    if any(e < 0 for exps in out for e in exps) or len(set(out)) < len(out):
+        raise ValueError("negative exponent or repeated monomial")
     return out
 
 

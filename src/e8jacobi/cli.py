@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from . import construct
@@ -138,6 +137,8 @@ def _precompute(targets: List[Tuple[int, int]], jobs: int) -> None:
         for k, m in targets:
             jacobi_basis(k, m)
         return
+    # here, not at the top: a sequential run never needs multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for k, m, text in pool.map(_compute_one, targets):
             seed_cache(k, m, basis_from_text(k, m, text))

@@ -204,16 +204,17 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
     Succeeds iff every E4-denominator part is exactly divisible by the
     matching power of the weight-16 index-5 form; a Rejection names the
     first failing denominator power.  The image's `int` terms over L
-    (`generators._int_image`) lose their Delta factors (`cancel_delta`)
-    and are split by E4 exponent.  Each nonzero Q_l divided by P^l gives
-    the row of S_l: its quotient's monomials with the E4 exponent (0)
-    dropped, and its coefficients over L as numerators over `den`, the
-    lcm of the reduced denominators of R and every S_l.
+    (`generators._int_image`, kept for `certificate_identity`) lose their
+    Delta factors (`cancel_delta`) and are split by E4 exponent into R's
+    int terms and the Q_l.  Each nonzero Q_l divided by P^l, the one step
+    in Fractions, gives the row of S_l: its quotient's monomials with the
+    E4 exponent (0) dropped, and its coefficients over L as numerators
+    over `den`, the lcm of the reduced denominators of R and every S_l.
     """
     form.bidegree()  # raises on inhomogeneous input
     terms, L, e4, dl = _int_image(form)
     k, terms = cancel_delta(terms, dl)
-    qs, remainder = e4_split(Poly(AB, terms), e4)
+    qs, r = e4_split(terms, e4)
     s_rows = []
     for l, q_l in enumerate(qs, 1):
         if q_l:
@@ -222,11 +223,10 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
                 return Rejection(l)
             s_rows.append((l, [m[1:] for m in s_l.terms],
                            [Fraction(c, L) for c in s_l.terms.values()]))
-    r = remainder.terms.values()
-    den = lcm(L // gcd(L, *r),
+    den = lcm(L // gcd(L, *r.values()),
               *(c.denominator for _, _, s in s_rows for c in s))
     return Certificate(
-        dl - k, den, list(remainder.terms), [c * den // L for c in r],
+        dl - k, den, list(r), [c * den // L for c in r.values()],
         tuple((l, mons, [c.numerator * (den // c.denominator) for c in s])
               for l, mons, s in s_rows))
 
@@ -243,17 +243,27 @@ def certificate_identity(form: Poly, cert: Certificate) -> bool:
 
     The image is T/(L E4^a Delta^D), the `int` terms T of
     `generators._int_image` lifted to D = max(n, d), d the largest Delta
-    power of the form's monomial images; R and the S_l are the
+    power of the form's monomial images: for n <= d, the image that
+    `certify` built for the same form object.  R and the S_l are the
     certificate's numerators over den.  With t the largest of a and
     every l, the check is 1728^(D-n) den E4^(t-a) T ==
     L (E4^3 - E6^2)^(D-n) (E4^t R + sum_l E4^(t-l) P^l S_l), each power
-    of E4 a shift of exponents.  An n below the lowest-terms Delta
-    power leaves a factor Delta on the left only, and the check fails.
+    of E4 a shift of exponents; with no nonzero S row and D = n it is
+    den T == L E4^a R, checked term by term on T in place.  An n below
+    the lowest-terms Delta power leaves a factor Delta on the left only,
+    and the check fails.
     """
     if cert.n < 0:
         raise ValueError("certificate Delta power must be >= 0")
     terms, L, e4, dl = _int_image(form, cert.n)
     s_rows = [row for row in cert.s_rows if any(row[2])]
+    if not s_rows and dl == cert.n:
+        # each nonzero numerator meets its own image term, once
+        unmet = dict(terms)
+        for m, x in zip(cert.r_mons, cert.r_nums):
+            if x and unmet.pop((m[0] + e4,) + m[1:], 0) * cert.den != x * L:
+                return False
+        return not unmet
     t = max([e4, *(l for l, _, _ in s_rows)])
     rhs = Poly(AB, {(m[0] + t,) + m[1:]: c
                     for m, c in zip(cert.r_mons, cert.r_nums)})

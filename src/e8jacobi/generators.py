@@ -27,8 +27,9 @@ terms of its index part with the E4 and E6 shifts of its monomial, and
 the construction reads its linear system straight off those columns
 without expanding them.  `_int_image` adds them up in integers,
 weighted by a concrete polynomial's coefficients, into one dict of `int`
-terms over one integer L; `sub_ab_to_AB`, `construct.certify` and
-`construct.certificate_identity` start from it.  The sum may be
+terms over one integer L, and keeps the last one: `sub_ab_to_AB` and
+`construct.certify` start from it, and `construct.certificate_identity`
+reuses the image `certify` built for the same form.  The sum may be
 divisible by E4 and by Delta.  `sub_ab_to_AB` cancels both from the
 integer terms (Delta by `grading.cancel_delta`, with no polynomial
 division) before the terms become Fractions, and `certify` cancels
@@ -326,26 +327,41 @@ def _lifted_columns(mons, lift: int = 0) -> Tuple[list, int, int]:
              for a, b, rest, p, q in items], e4, dl)
 
 
+# (form, q, image) of the last `_int_image` call; see its docstring
+_last_image: tuple = (None, 0, None)
+
+
 def _int_image(p: Poly, lift: int = 0) -> Tuple[dict, int, int, int]:
     """p's image over AB as (terms, L, e4_pow, delta_pow), not reduced:
-    nonzero `int` terms over L E4^e4_pow Delta^delta_pow, every column
-    lifted to at least Delta^lift.  Each weight, p's coefficient over its
-    column's den, is brought to one integer denominator L, and the
-    columns' terms times their weights are added into one dict.  A
-    polynomial over another alphabet raises AlphabetMismatchError."""
+    nonzero `int` terms over L E4^e4_pow Delta^delta_pow, with delta_pow
+    = max(lift, q), q the largest Delta power of p's monomial images.
+    Each weight, p's coefficient v over its column's den, is the int
+    pair (v.numerator, v.denominator den), L is the lcm of their reduced
+    denominators, and the columns' terms times their weights over L are
+    added into one dict.  The last image is memoised, held with its
+    form: a call on the same object (compared with `is`) at the same
+    delta_pow returns it again, so callers must not mutate the terms.
+    A polynomial over another alphabet raises AlphabetMismatchError."""
+    global _last_image
     if p.alphabet != ab:
         raise AlphabetMismatchError("not over ab: %s" % p.alphabet.name)
+    form, q, image = _last_image
+    if form is p and max(lift, q) == image[3]:
+        return image
+    q = max((_rest_powers(m[2:])[1] for m in p.terms), default=0)
     columns, e4, dl = _lifted_columns(p.terms, lift)
-    weights = [Fraction(v, column[2])
+    weights = [(v.numerator, v.denominator * column[2])
                for column, v in zip(columns, p.terms.values())]
-    L = lcm(*(w.denominator for w in weights))
+    L = lcm(*(den // gcd(num, den) for num, den in weights))
     out: dict = {}
-    for (s4, b, _, terms), w in zip(columns, weights):
-        w = w.numerator * (L // w.denominator)
+    for (s4, b, _, terms), (num, den) in zip(columns, weights):
+        w = num * L // den
         for e4_exp, e6_exp, tail, c in terms:
             key = (e4_exp + s4, e6_exp + b) + tail
             out[key] = out.get(key, 0) + c * w
-    return {key: c for key, c in out.items() if c}, L, e4, dl
+    image = {key: c for key, c in out.items() if c}, L, e4, dl
+    _last_image = (p, q, image)
+    return image
 
 
 def sub_ab_to_AB(p: Poly) -> Frac:
@@ -363,17 +379,18 @@ def sub_ab_to_AB(p: Poly) -> Frac:
                           for key, c in out.items()}),
                 e4 - k4, dl - k)
 
-def e4_split(num: Poly, p: int) -> Tuple[List[Poly], Poly]:
-    """Decompose num/E4^p over AB as sum_l Q_l/E4^l + R, in one pass.
+def e4_split(terms: Dict[tuple, int], p: int) -> Tuple[List[Poly], dict]:
+    """Decompose num/E4^p over AB, num given by its nonzero terms, as
+    sum_l Q_l/E4^l + R, in one pass.
 
     Writing num = sum_j E4^j N_j with every N_j free of E4, the parts are
-    Q_l = N_{p-l} for l = 1..l1 (l1 the largest l with N_{p-l} nonzero)
-    and R = sum_{j>=p} E4^{j-p} N_j.  E4 leads AB, so j is the first
-    exponent of each term.
+    Q_l = N_{p-l} for l = 1..l1 (l1 the largest l with N_{p-l} nonzero),
+    as polynomials, and R = sum_{j>=p} E4^{j-p} N_j, as a dict of terms.
+    E4 leads AB, so j is the first exponent of each term.
     """
     qs: List[dict] = [{} for _ in range(p)]
     r: dict = {}
-    for m, c in num.terms.items():
+    for m, c in terms.items():
         j = m[0]
         if j < p:
             qs[p - j - 1][(0,) + m[1:]] = c
@@ -381,4 +398,4 @@ def e4_split(num: Poly, p: int) -> Tuple[List[Poly], Poly]:
             r[(j - p,) + m[1:]] = c
     while qs and not qs[-1]:
         qs.pop()
-    return [Poly(AB, q) for q in qs], Poly(AB, r)
+    return [Poly(AB, q) for q in qs], r

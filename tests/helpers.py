@@ -124,7 +124,7 @@ def certify_reference(form):
     divided by P^l with `Poly.divexact`, and the certificate built from
     the Fraction parts."""
     frac = sub_ab_to_AB(form)
-    qs, r = e4_split(frac.num, frac.e4_pow)
+    qs, r = e4_split(frac.num.terms, frac.e4_pow)
     parts = []
     for l, q_l in enumerate(qs, 1):
         if q_l:
@@ -132,7 +132,7 @@ def certify_reference(form):
             if s_l is None:
                 return Rejection(l)
             parts.append((l, drop_e4(s_l)))
-    return certificate_from_parts(frac.delta_pow, parts, r)
+    return certificate_from_parts(frac.delta_pow, parts, Poly(AB, r))
 
 
 def _e4_shift(p, e):

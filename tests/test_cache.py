@@ -227,6 +227,17 @@ class TestFormat2:
             doc["s_mons"][0][0] = l
         assert self.reload(entry, doc) is None
 
+    @pytest.mark.parametrize("where", ["remainder", "s_part"])
+    def test_repeated_monomial(self, entry, where):
+        # the first monomial listed again with numerators 0: read as a
+        # dict, the repeat would hide that monomial's numerators
+        doc = entry[2]
+        mons = doc["r_mons"] if where == "remainder" else doc["s_mons"][0][1]
+        mons.append(mons[0])
+        for cert in doc["certificates"]:
+            (cert[2] if where == "remainder" else cert[3][0]).append(0)
+        assert self.reload(entry, doc) is None
+
     def test_format_1_document_misses(self, entry):
         assert self.reload(entry, v1_document(
             jacobi_basis(*self.TARGET))) is None

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, cache and parallelism."""
 
+import concurrent.futures
 import json
 
 import pytest
@@ -349,7 +350,8 @@ class TestCacheAndJobs:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, out, _ = run_cli(capsys, "--jobs", str(jobs), "profile", "3")
         assert (code, out) == (0, "x^-8 + x^-6 + x^-4 + x^-2 + 1\n")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpc
 
-from e8jacobi import construct
+from e8jacobi import construct, generators
 from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.cli import _profile_targets
 from e8jacobi.construct import (Certificate, ConsistencyError, Rejection,
@@ -222,10 +222,10 @@ class TestCertificateColumns:
             frac = sub_ab_to_AB(form)
             num = frac.num * delta_poly(AB) ** (n - frac.delta_pow) \
                 * E4 ** (p - frac.e4_pow)
-            qs, r = e4_split(num, p)
+            qs, r = e4_split(num.terms, p)
             parts = tuple((l, drop_e4(q.divexact(P ** l)))
                           for l, q in enumerate(qs, 1) if q)
-            expected.append(certificate_from_parts(n, parts, r))
+            expected.append(certificate_from_parts(n, parts, Poly(AB, r)))
         assert [certificate_to_json(c) for c in basis.certificates] == \
             [certificate_to_json(c) for c in expected]
         assert all(type(a) is int for cert in basis.certificates
@@ -381,6 +381,100 @@ class TestIdentityProperty:
         cert = tampered(cert, kind, data)
         assert outcome(certificate_identity, form, cert) == \
             outcome(certificate_identity_reference, form, cert)
+
+
+class TestSharedImage:
+    """`certify` and `certificate_identity` share one image per form
+    object, and with no S part and n the image's Delta power the
+    identity compares R with the image term by term."""
+
+    @pytest.fixture
+    def count_images(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(generators, "_lifted_columns",
+                            lambda mons, lift=0: built.append(lift)
+                            or _lifted_columns(mons, lift))
+        return built
+
+    @staticmethod
+    def fresh(form):
+        """An equal copy that no memo has seen."""
+        return Poly(ab, dict(form.terms))
+
+    def test_one_image_per_form(self, count_images):
+        for form in jacobi_basis(-26, 8).forms[:3]:
+            form = self.fresh(form)
+            assert certificate_identity(form, certify(form))
+        assert count_images == [0] * 3
+
+    def test_lift_above_the_image_then_certify(self):
+        """An image built for a Delta power above the form's own does not
+        serve a later `certify` of the same object."""
+        form = self.fresh(jacobi_basis(-16, 5).forms[0])
+        want = certificate_to_json(certify(self.fresh(form)))
+        q = _int_image(form)[3]
+        cert = certify(form)
+        lifted = Certificate(q + 2, cert.den, cert.r_mons, cert.r_nums,
+                             cert.s_rows)
+        assert not certificate_identity(form, lifted)
+        assert _int_image(form, q + 2)[3] == q + 2
+        assert certificate_to_json(certify(form)) == want
+        assert _int_image(form)[3] == q
+
+    @pytest.fixture
+    def fast_case(self):
+        """A J_{-16,5} form and its certificate, which has no S part and
+        the Delta power of the image: the term-by-term case."""
+        form = self.fresh(jacobi_basis(-16, 5).forms[0])
+        cert = certify(form)
+        assert not s_parts(cert) and len(cert.r_mons) >= 2
+        assert cert.n == _int_image(form, cert.n)[3]
+        assert certificate_identity(form, cert)
+        return form, cert
+
+    @staticmethod
+    def with_r(cert, mons, nums, n=None):
+        return Certificate(cert.n if n is None else n, cert.den, mons, nums,
+                           cert.s_rows)
+
+    def test_fast_path_rejects_changed_numerators(self, fast_case):
+        form, cert = fast_case
+        for i in (0, len(cert.r_nums) - 1):
+            for step in (-1, 1):
+                nums = list(cert.r_nums)
+                nums[i] += step
+                bad = self.with_r(cert, cert.r_mons, nums)
+                assert not certificate_identity(form, bad)
+                assert not certificate_identity_reference(form, bad)
+
+    def test_fast_path_rejects_added_or_dropped_monomials(self, fast_case):
+        form, cert = fast_case
+        mons, nums = cert.r_mons, cert.r_nums
+        # E6 times a monomial of R has another weight, so it is not in R
+        extra = (mons[0][0], mons[0][1] + 1) + mons[0][2:]
+        for bad in (self.with_r(cert, mons + [extra], nums + [1]),
+                    self.with_r(cert, mons[:-1], nums[:-1]),
+                    self.with_r(cert, mons[1:], nums[1:])):
+            assert not certificate_identity(form, bad)
+            assert not certificate_identity_reference(form, bad)
+
+    def test_fast_path_rejects_repeated_monomials(self, fast_case):
+        """A monomial listed twice: once more at the end, or in place of
+        another monomial with its own numerator, which leaves the count
+        of nonzero numerators equal to the number of image terms."""
+        form, cert = fast_case
+        mons, nums = cert.r_mons, cert.r_nums
+        for bad in (self.with_r(cert, mons + mons[:1], nums + nums[:1]),
+                    self.with_r(cert, mons[:1] + mons[:1] + mons[2:],
+                                nums[:1] + nums[:1] + nums[2:])):
+            assert not certificate_identity(form, bad)
+
+    def test_fast_path_rejects_other_delta_powers(self, fast_case):
+        form, cert = fast_case
+        for n in (cert.n - 1, cert.n + 1):
+            bad = self.with_r(cert, cert.r_mons, cert.r_nums, n)
+            assert not certificate_identity(form, bad)
+            assert not certificate_identity_reference(form, bad)
 
 
 class TestCertifyProperty:

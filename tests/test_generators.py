@@ -1,15 +1,16 @@
 """Generator tables, substitutions and the E4 split."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.cli import _profile_targets
+from e8jacobi import generators
 from e8jacobi.construct import jacobi_basis
-from e8jacobi.generators import (_lifted_columns, _lifted_terms,
+from e8jacobi.generators import (_int_image, _lifted_columns, _lifted_terms,
                                  _rest_powers, e4_split, holomorphic_images,
                                  meromorphic_images, p12_5_over_ab, p16_5,
                                  sub_ab_to_AB)
@@ -187,6 +188,66 @@ class TestSubstitutionReference:
             (want.num, want.e4_pow, want.delta_pow)
 
 
+class TestIntImage:
+    @given(st.sampled_from(SMALL_TARGETS), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_fraction_weights(self, target, data):
+        """A form with Fraction coefficients: int terms over L, where L is
+        the lcm of the reduced weights v / den, and in lowest terms the
+        reference image."""
+        k, m = target
+        fractions = st.fractions(max_denominator=50).filter(bool)
+        x = Poly.zero(ab)
+        for form in jacobi_basis(k, m).forms:
+            x = x + form.scale(data.draw(fractions))
+        for mon in data.draw(st.lists(st.sampled_from(
+                enumerate_monomials(ab, BiDegree(k, m))), max_size=3)):
+            x = x + Poly.monomial(ab, mon, data.draw(fractions))
+        terms, L, e4, dl = _int_image(x)
+        columns = _lifted_columns(x.terms)[0]
+        assert L == lcm(*(Fraction(v, column[2]).denominator
+                          for column, v in zip(columns, x.terms.values())))
+        assert all(type(c) is int and c for c in terms.values())
+        num = Poly(AB, {key: Fraction(c, L) for key, c in terms.items()})
+        want = naive_image(x)
+        assert normalized_by_trial_division(num, e4, dl) == want
+
+    def test_memo_serves_only_the_same_object(self, monkeypatch):
+        """The memo compares by identity: an equal copy, or another form,
+        is built anew, and the same object at the same Delta power is
+        served the same image."""
+        built = []
+        monkeypatch.setattr(generators, "_lifted_columns",
+                            lambda mons, lift=0: built.append(lift)
+                            or _lifted_columns(mons, lift))
+        monkeypatch.setattr(generators, "_last_image", (None, 0, None))
+        form, other = jacobi_basis(-16, 5).forms
+        copy = Poly(ab, dict(form.terms))
+        image = _int_image(form)
+        assert _int_image(form) is image
+        assert _int_image(copy) == image and _int_image(copy) is not image
+        assert _int_image(other) != image
+        assert _int_image(form) == image
+        assert len(built) == 4
+
+    def test_memo_keyed_by_delta_power(self, monkeypatch):
+        """A call reuses the memo only at the same effective Delta power
+        max(lift, q): any lift up to q at once, a lift above q anew, and
+        after it lift 0 anew too, at q again."""
+        built = []
+        monkeypatch.setattr(generators, "_lifted_columns",
+                            lambda mons, lift=0: built.append(lift)
+                            or _lifted_columns(mons, lift))
+        form = Poly(ab, dict(jacobi_basis(-16, 5).forms[0].terms))
+        q = _int_image(form)[3]
+        assert q > 0
+        assert [_int_image(form, lift)[3] for lift in range(q + 1)] == \
+            [q] * (q + 1)
+        assert _int_image(form, q + 2)[3] == q + 2
+        assert _int_image(form)[3] == q
+        assert built == [0, q + 2, 0]
+
+
 def index_parts(max_index):
     """Every a2..b6 exponent vector of index at most max_index."""
     indices = [d.index for d in ab.degrees[2:]]
@@ -258,9 +319,9 @@ class TestE4Split:
             (1, {"a2": 1, "b3": 1}), (2, {"a3": 1, "b2": 1}),
         ]))
         assert isinstance(f, Frac)
-        qs, remainder = e4_split(f.num, f.e4_pow)
+        qs, remainder = e4_split(f.num.terms, f.e4_pow)
         E4 = Poly.gen(AB, "E4")
-        total = remainder * E4 ** f.e4_pow
+        total = Poly(AB, remainder) * E4 ** f.e4_pow
         for l, q in enumerate(qs, start=1):
             assert q.gen_exponent_range("E4") == (0, 0)
             total = total + q * E4 ** (f.e4_pow - l)

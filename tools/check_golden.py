@@ -1,11 +1,12 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (about 42 s on one core of a 2-core VM:
-4.3 s to build the bases, 12 s for the digests, mostly `basis_to_json`,
-9 s for the certificate checks, which run in integers, 0.3 s for the
+Run from the repository root (about 40 s on one core of a 2-core VM:
+3.7 s to build the bases, 12 s for the digests, mostly `basis_to_json`,
+6.6 s for the certificate checks, which run in integers, 0.3 s for the
 numeric check, 0.9 s for the span outputs and 16 s for the lowest
 weights below, nearly all of it the bases of m = 16 and 17; the process
-peaks at about 490 MB):
+peaks at about 420 MB, because the bases and images built before the
+lowest weights are dropped first):
 
     PYTHONPATH=src python tools/check_golden.py
 
@@ -45,8 +46,9 @@ from pathlib import Path
 from time import perf_counter
 
 from e8jacobi import cli
-from e8jacobi.construct import (certificate_identity, jacobi_basis,
-                                lb_analysis, profile_weights)
+from e8jacobi.construct import (certificate_identity, clear_cache,
+                                jacobi_basis, lb_analysis, profile_weights)
+from e8jacobi.generators import _lifted_terms
 from e8jacobi.oracle import EvalContext, check_axioms
 from e8jacobi.serialize import basis_to_json
 
@@ -126,6 +128,9 @@ def main() -> int:
                 failures.append("stdout of %s %s" % (command, arg))
     seconds["spans"] = perf_counter() - start
 
+    # the chain below needs none of the bases and images built so far
+    clear_cache()
+    _lifted_terms.cache_clear()
     start = perf_counter()
     lowest = json.loads(GOLDEN_LOWEST.read_text())
     top = lowest["max_index"]
