@@ -3,12 +3,13 @@
 An ansatz has one unknown per monomial, and an unknown is a column
 position: the i-th monomial in enumeration order is column i.
 
-Enumeration is a bounded depth-first search over exponent vectors: the
-exponent of any index-carrying generator is capped by the remaining
-index, and the residual weight left for E4/E6 must be expressible as
-4a + 6b with a, b >= 0.  This is equivalent to extracting one
-coefficient of the obvious generating series, without having to pick a
-series truncation.
+Enumeration fills E4 and E6 into each index part: an exponent vector of
+the index-carrying generators alone, of the target's index.  The parts
+of one index are enumerated once, by a search in which the exponent of
+each generator is capped by the remaining index, and a part is kept for
+each weight whose residue is 4a + 6b with a, b >= 0.  This is equivalent
+to extracting one coefficient of the obvious generating series, without
+having to pick a series truncation.
 """
 
 from __future__ import annotations
@@ -20,19 +21,11 @@ from .grading import Alphabet, BiDegree, ParamPoly
 
 
 def _weight_fillings(weight: int, has_e4: bool) -> List[tuple]:
-    """All (a, b) with 4a + 6b == weight (a forced to 0 without E4)."""
-    if weight < 0:
-        return []
-    out = []
-    if has_e4:
-        for b in range(weight // 6 + 1):
-            rest = weight - 6 * b
-            if rest % 4 == 0:
-                out.append((rest // 4, b))
-    else:
-        if weight % 6 == 0:
-            out.append((0, weight // 6))
-    return out
+    """The exponents (a, b) of E4 and E6 with 4a + 6b == weight, or (b,)
+    of E6 alone without E4."""
+    return [(rest // 4, b)[not has_e4:] for b in range(weight // 6 + 1)
+            for rest in [weight - 6 * b]
+            if rest % 4 == 0 and (has_e4 or not rest)]
 
 
 def enumerate_monomials(alphabet: Alphabet, target: BiDegree) -> List[tuple]:
@@ -47,41 +40,27 @@ def enumerate_monomials(alphabet: Alphabet, target: BiDegree) -> List[tuple]:
 
 
 @cache
+def _index_parts(alphabet: Alphabet, index: int) -> Tuple[tuple, ...]:
+    """(exponents, weight) of each monomial of the given index in the
+    index-carrying generators, which follow E4 and E6 in every alphabet."""
+    parts = [((), 0, index)]    # (exponents, weight, index left)
+    for deg in alphabet.degrees:
+        if deg.index > 0:
+            parts = [(exps + (e,), weight + e * deg.weight,
+                      left - e * deg.index)
+                     for exps, weight, left in parts
+                     for e in range(left // deg.index + 1)]
+    return tuple((exps, weight) for exps, weight, left in parts if not left)
+
+
+@cache
 def _monomials(alphabet: Alphabet, target: BiDegree) -> Tuple[tuple, ...]:
-    n = len(alphabet)
-    symbols = alphabet.symbols
-    degrees = alphabet.degrees
-    has_e4 = "E4" in symbols
-    e4_pos = symbols.index("E4") if has_e4 else None
-    e6_pos = symbols.index("E6")
-    indexed = [(i, degrees[i]) for i in range(n)
-               if degrees[i].index > 0]
-
-    results = []
-    exps = [0] * n
-
-    def descend(pos: int, index_left: int, weight_left: int):
-        if pos == len(indexed):
-            for a, b in _weight_fillings(weight_left, has_e4) \
-                    if index_left == 0 else []:
-                full = exps[:]
-                if has_e4:
-                    full[e4_pos] = a
-                full[e6_pos] = b
-                results.append(tuple(full))
-            return
-        i, deg = indexed[pos]
-        max_e = index_left // deg.index
-        for e in range(max_e + 1):
-            exps[i] = e
-            descend(pos + 1, index_left - e * deg.index,
-                    weight_left - e * deg.weight)
-        exps[i] = 0
-
-    if target.index >= 0:
-        descend(0, target.index, target.weight)
-    results.sort(reverse=True)
-    return tuple(results)
+    has_e4 = "E4" in alphabet.symbols
+    mons = [filling + exps
+            for exps, weight in _index_parts(alphabet, target.index)
+            for filling in _weight_fillings(target.weight - weight, has_e4)]
+    mons.sort(reverse=True)
+    return tuple(mons)
 
 
 def build_ansatz(alphabet: Alphabet, target: BiDegree) -> ParamPoly:

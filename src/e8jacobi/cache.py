@@ -7,7 +7,9 @@ change to the generator tables or the result format invalidates stale
 entries automatically.  Writes are atomic: a temporary file in the same
 directory is renamed into place.
 
-Format 2 stores integer rows, one JSON object per entry:
+Format 3 stores sparse integer rows, one JSON object per entry; a row
+is [positions, values], its nonzero values at strictly ascending
+positions:
 
 - "forms": each form's int coefficients over
   `enumerate_monomials(ab, target)`, whose order fixes the positions;
@@ -16,13 +18,15 @@ Format 2 stores integer rows, one JSON object per entry:
 - "certificates": [n, den, R's numerators, [S_l's numerators for each l
   of "s_mons"]] per form, every numerator over the one den.
 
-`load` returns None for an entry it cannot read (a directory in its
-place, JSON nested too deeply to parse) and for any entry not shaped
-like that: a row of the wrong length, an entry that is not an int, a
-denominator <= 0, a negative Delta power, an l of "s_mons" below 1 or
-listed twice, a monomial listed twice in "r_mons" or in one S_l list,
-or a certificate count other than the form count.  A `save` that cannot
-write its entry raises CacheError.
+`load` expands the rows into the dense rows of a computed basis.  It
+returns None for an entry it cannot read (a directory in its place, JSON
+nested too deeply to parse) and for any entry not shaped like that: a
+row whose positions and values differ in length, a position out of
+range, not ascending or repeated, a value of 0, an entry that is not an
+int, a denominator <= 0, a negative Delta power, an l of "s_mons" below
+1 or listed twice, a monomial listed twice in "r_mons" or in one S_l
+list, or a certificate count other than the form count.  A `save` that
+cannot write its entry raises CacheError.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ import json
 import os
 import tempfile
 from functools import cache
-from itertools import chain
+from itertools import chain, compress
+from operator import lt
 from typing import List, Optional
 
 from .ansatz import enumerate_monomials
@@ -42,7 +47,7 @@ from .generators import meromorphic_images, p16_5
 from .grading import AB, BiDegree, Poly, S_ALPHABET, ab
 from .serialize import poly_to_compact
 
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 _INT = {int}
 
 
@@ -52,10 +57,11 @@ class CacheError(Exception):
 
 @cache
 def _tables_digest() -> str:
-    """Digest of the meromorphic images and P_{16,5}, once per process."""
+    """Digest of the alphabets and the generator tables, once per process."""
     images = [[name, poly_to_compact(f.num), f.e4_pow, f.delta_pow]
               for name, f in sorted(meromorphic_images().items())]
-    material = json.dumps([images, poly_to_compact(p16_5())]).encode()
+    material = json.dumps([[a.fingerprint() for a in (AB, ab, S_ALPHABET)],
+                           images, poly_to_compact(p16_5())]).encode()
     return hashlib.sha256(material).hexdigest()
 
 
@@ -66,6 +72,31 @@ def _ints(row, length: int) -> list:
             or not _INT.issuperset(map(type, row)):
         raise ValueError("not a row of %d ints" % length)
     return row
+
+
+def _pairs(row, length: int) -> zip:
+    """The (position, value) pairs of the sparse row [positions, values];
+    ValueError unless its values are nonzero ints, one per position, at
+    int positions strictly ascending in range(length)."""
+    positions, values = row
+    _ints(values, len(_ints(positions, len(positions))))
+    bounds = [-1, *positions, length]
+    if 0 in values or not all(map(lt, bounds, bounds[1:])):
+        raise ValueError("not a sparse row of length %d" % length)
+    return zip(positions, values)
+
+
+def _dense(row, length: int) -> list:
+    """The `length` ints of the sparse row [positions, values]."""
+    out = [0] * length
+    for i, x in _pairs(row, length):
+        out[i] = x
+    return out
+
+
+def _sparse(row: list) -> list:
+    """The [positions, values] pair of the nonzeros of `row`."""
+    return [list(compress(range(len(row)), row)), list(filter(None, row))]
 
 
 def _exponents(rows, width: int) -> List[tuple]:
@@ -99,13 +130,8 @@ class DiskStore:
         os.makedirs(root, exist_ok=True)
 
     def _digest(self, k: int, m: int) -> str:
-        material = json.dumps([
-            CACHE_FORMAT,
-            SCHEMA_VERSION,
-            [a.fingerprint() for a in (AB, ab, S_ALPHABET)],
-            _tables_digest(),
-            k, m,
-        ]).encode()
+        material = json.dumps([CACHE_FORMAT, SCHEMA_VERSION,
+                               _tables_digest(), k, m]).encode()
         return hashlib.sha256(material).hexdigest()
 
     def _path(self, k: int, m: int) -> str:
@@ -140,7 +166,7 @@ class DiskStore:
 
 
 def basis_from_text(k: int, m: int, text: str) -> JacobiBasis:
-    """The basis of weight k and index m from its format-2 JSON text;
+    """The basis of weight k and index m from its format-3 JSON text;
     KeyError, TypeError or ValueError when the text is not shaped like
     what `basis_to_text` writes, RecursionError when it nests too deep
     to parse.  The certificates share one remainder monomial list and
@@ -148,8 +174,8 @@ def basis_from_text(k: int, m: int, text: str) -> JacobiBasis:
     target = BiDegree(k, m)
     doc = json.loads(text)
     mons = enumerate_monomials(ab, target)
-    forms = [Poly(ab, dict(zip(mons, _ints(vec, len(mons)))))
-             for vec in doc["forms"]]
+    forms = [Poly(ab, {mons[i]: x for i, x in _pairs(row, len(mons))})
+             for row in doc["forms"]]
     r_mons = _exponents(doc["r_mons"], len(AB))
     s_mons = [(l, _exponents(rows, len(S_ALPHABET)))
               for l, rows in doc["s_mons"]]
@@ -161,17 +187,17 @@ def basis_from_text(k: int, m: int, text: str) -> JacobiBasis:
         _ints([n, den], 2)
         if n < 0 or den <= 0 or len(s_nums) != len(s_mons):
             raise ValueError("malformed certificate")
-        s_rows = tuple((l, mons_l, _ints(nums, len(mons_l)))
+        s_rows = tuple((l, mons_l, _dense(nums, len(mons_l)))
                        for (l, mons_l), nums in zip(s_mons, s_nums))
         certs.append(Certificate(
-            n, den, r_mons, _ints(r_nums, len(r_mons)), s_rows))
+            n, den, r_mons, _dense(r_nums, len(r_mons)), s_rows))
     if len(certs) != len(forms):
         raise ValueError("certificate count differs from form count")
     return JacobiBasis(target, forms, certs)
 
 
 def basis_to_text(basis: JacobiBasis) -> str:
-    """The format-2 JSON text of `basis` (see the module docstring)."""
+    """The format-3 JSON text of `basis` (see the module docstring)."""
     pos = {mon: i for i, mon
            in enumerate(enumerate_monomials(ab, basis.target))}
     certs = basis.certificates
@@ -184,12 +210,14 @@ def basis_to_text(basis: JacobiBasis) -> str:
     rows = []
     for c in certs:
         own = {l: (mons, nums) for l, mons, nums in c.s_rows}
-        rows.append([c.n, c.den, _aligned(r_mons, c.r_mons, c.r_nums),
-                     [_aligned(mons, *own.get(l, ((), ())))
+        rows.append([c.n, c.den,
+                     _sparse(_aligned(r_mons, c.r_mons, c.r_nums)),
+                     [_sparse(_aligned(mons, *own.get(l, ((), ()))))
                       for l, mons in s_mons]])
     doc = {
-        "forms": [[row.get(i, 0) for i in range(len(pos))]
-                  for row in (coefficient_row(f, pos) for f in basis.forms)],
+        # (positions, values) of a form: it is never zero
+        "forms": [list(zip(*sorted(coefficient_row(f, pos).items())))
+                  for f in basis.forms],
         "r_mons": r_mons,
         "s_mons": s_mons,
         "certificates": rows,

@@ -124,25 +124,27 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
     # scaling each column to L makes every row integer (the S_l columns
     # absorb L).  Each term is split by its E4 exponent e (E4 leads AB):
     # e < p goes, E4 stripped, into the rows of Q_{p-e}, and e >= p into
-    # R's list for the column, at E4 exponent e - p, as (term position,
-    # int).  Then each monomial s of each nonempty S_l ansatz is the
-    # column -P^l s, all of it at E4 exponent p - l, so in Q_l's rows.
+    # R's part of the column, at E4 exponent e - p: (scale, term
+    # positions, int numerators), the scale applied once per form.  Then
+    # each monomial s of each nonempty S_l ansatz is the column -P^l s,
+    # all of it at E4 exponent p - l, so in Q_l's rows.
     columns, p, n = _lifted_columns(ansatz.terms)
     L = lcm(*{den for _, _, den, _ in columns})
     qs: List[Dict[tuple, Dict[int, int]]] = [{} for _ in range(p)]
     r_pos: Dict[tuple, int] = {}
-    r_cols: List[List[Tuple[int, int]]] = []
+    r_cols: List[Tuple[int, List[int], List[int]]] = []
     for j, (s4, s6, den, terms) in enumerate(columns):
         scale = L // den
-        r_col = []
+        positions, nums = [], []
         for e4, e6, tail, c in terms:
             e = e4 + s4
             if e < p:
                 qs[p - e - 1].setdefault((e6 + s6,) + tail, {})[j] = c * scale
             else:
-                pos = r_pos.setdefault((e - p, e6 + s6) + tail, len(r_pos))
-                r_col.append((pos, c * scale))
-        r_cols.append(r_col)
+                mon = (e - p, e6 + s6) + tail
+                positions.append(r_pos.setdefault(mon, len(r_pos)))
+                nums.append(c)
+        r_cols.append((scale, positions, nums))
     n_c = n_cols = len(columns)
     s_cols = []
     for l in range(1, p + 1):
@@ -154,42 +156,44 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
             for j, s in enumerate(mons, n_cols):
                 for mon, c in p_l:
                     q.setdefault(tuple(map(add, s, mon)), {})[j] = -c
-            s_cols.append((l, mons, n_cols))
+            s_cols.append((l, mons, (n_cols, n_cols + len(mons))))
             n_cols += len(mons)
     # Q_l's rows in descending monomial order, l ascending
     rows = [q[mon] for q in qs for mon in sorted(q, reverse=True)]
     space = nullspace(LinearSystem(n_cols, rows))
 
     # Certificates by one integer column pass per basis vector, kept as
-    # numerators over g * L.  The nullspace basis is reduced, so a vector
-    # is nonzero only at its free column and at the pivot columns it
-    # depends on, and R's numerators accumulate over those columns alone.
-    # Each S_l monomial has one column, so S_l is read straight off the
-    # vector.  R's and each S_l's monomial lists are shared by every
-    # certificate of the target.
+    # numerators over g * L.  A basis vector holds its nonzeros only, the
+    # free column and the pivot columns it depends on, so R's numerators
+    # accumulate over those columns alone.  Each S_l monomial has one
+    # column, so S_l is read straight off the vector.  R's and each
+    # S_l's monomial lists are shared by every certificate of the target.
     r_mons = list(r_pos)
 
     forms: List[Poly] = []
     certificates: List[Certificate] = []
     for vec in space.basis:
+        c_part = [(j, x) for j, x in vec.items() if j < n_c]
         # d is determined by c, so a solution vanishing on the c-block
         # means the projection onto c would lose dimensions.
-        g = gcd(*vec[:n_c])
+        g = gcd(*(x for _, x in c_part))
         if not g:
             raise ConsistencyError(
                 "nullspace vector independent of the ansatz coefficients "
                 "at weight %d index %d" % (k, m))
         # vec leads with a positive entry in the c-block, so the form
         # c / g is primitive with positive leading coefficient.
-        forms.append(ansatz.substitute([x // g for x in vec[:n_c]]))
+        values = [0] * n_c
         acc = [0] * len(r_mons)
-        for j in range(n_c):
-            x = vec[j]
-            if x:
-                for pos, c in r_cols[j]:
-                    acc[pos] += x * c
-        s_rows = tuple((l, mons, list(vec[j:j + len(mons)]))
-                       for l, mons, j in s_cols)
+        for j, x in c_part:
+            values[j] = x // g
+            scale, positions, nums = r_cols[j]
+            x *= scale
+            for pos, c in zip(positions, nums):
+                acc[pos] += x * c
+        forms.append(ansatz.substitute(values))
+        s_rows = tuple((l, mons, [vec.get(j, 0) for j in range(*cols)])
+                       for l, mons, cols in s_cols)
         certificates.append(Certificate(n, g * L, r_mons, acc, s_rows))
     return JacobiBasis(target, forms, certificates)
 
@@ -245,7 +249,8 @@ def certificate_identity(form: Poly, cert: Certificate) -> bool:
     `generators._int_image` lifted to D = max(n, d), d the largest Delta
     power of the form's monomial images: for n <= d, the image that
     `certify` built for the same form object.  R and the S_l are the
-    certificate's numerators over den.  With t the largest of a and
+    certificate's nonzero numerators over den; a monomial listed twice
+    with nonzero numerators fails the check.  With t the largest of a and
     every l, the check is 1728^(D-n) den E4^(t-a) T ==
     L (E4^3 - E6^2)^(D-n) (E4^t R + sum_l E4^(t-l) P^l S_l), each power
     of E4 a shift of exponents; with no nonzero S row and D = n it is
@@ -265,11 +270,16 @@ def certificate_identity(form: Poly, cert: Certificate) -> bool:
                 return False
         return not unmet
     t = max([e4, *(l for l, _, _ in s_rows)])
-    rhs = Poly(AB, {(m[0] + t,) + m[1:]: c
-                    for m, c in zip(cert.r_mons, cert.r_nums)})
+    r = {(m[0] + t,) + m[1:]: c for m, c in zip(cert.r_mons, cert.r_nums)
+         if c}
+    if len(r) + cert.r_nums.count(0) < len(cert.r_nums):
+        return False
+    rhs = Poly(AB, r)
     for l, mons, nums in s_rows:
-        s_l = Poly(AB, {(t - l,) + m: c for m, c in zip(mons, nums)})
-        rhs = rhs.unchecked_add(s_l * _p_power(l))
+        s_l = {(t - l,) + m: c for m, c in zip(mons, nums) if c}
+        if len(s_l) + nums.count(0) < len(nums):
+            return False
+        rhs = rhs.unchecked_add(Poly(AB, s_l) * _p_power(l))
     scale = cert.den * 1728 ** (dl - cert.n)
     if dl > cert.n:
         rhs = rhs * _delta_power(dl - cert.n)
@@ -413,23 +423,14 @@ class LbReport:
         return {m: len(g) for m, g in self.lb_gens.items()}
 
 
-def _index_multisets(indices: List[int], total: int):
-    """Multisets over `indices` (with repetition) summing to total."""
-    out = []
-
-    def rec(pos: int, left: int, chosen: List[int]):
-        if left == 0:
-            out.append(tuple(chosen))
-            return
-        if pos == len(indices):
-            return
-        idx = indices[pos]
-        max_e = left // idx
-        for e in range(max_e + 1):
-            rec(pos + 1, left - e * idx, chosen + [pos] * e)
-
-    rec(0, total, [])
-    return out
+def _index_multisets(indices: List[int], total: int) -> List[tuple]:
+    """Multisets of positions of `indices` (with repetition) whose indices
+    sum to total, each a tuple of positions ascending."""
+    out = [((), total)]     # (positions, index left)
+    for pos, idx in enumerate(indices):
+        out = [(chosen + (pos,) * e, left - e * idx) for chosen, left in out
+               for e in range(left // idx + 1)]
+    return [chosen for chosen, left in out if not left]
 
 
 def lb_analysis(max_index: int) -> LbReport:

@@ -7,7 +7,8 @@ coefficients of two parametric polynomials, is the reference it is
 tested against.  `nullspace` reduces them with `kernels.echelon` and
 returns a canonical basis, whatever the order of the rows: reduced
 echelon form over the column order, scaled to primitive integer vectors
-with positive leading entry.
+with positive leading entry, each kept in the rows' sparse form, a dict
+of its nonzeros in ascending column order.
 
 `echelonize` and `primitive_vector` take rational vectors; only the test
 helpers and the benchmark's span tracer still use them.
@@ -35,13 +36,14 @@ class LinearSystem:
 
 @dataclass
 class SolutionSpace:
-    """Nullspace basis in reduced echelon form, primitive-integer scaled.
+    """Nullspace basis in reduced echelon form, primitive-integer scaled,
+    each vector a {column: int} dict of its nonzeros, columns ascending.
 
     `rank` is the rank of the system matrix, so rank + len(basis) is the
     number of unknowns.
     """
 
-    basis: List[Tuple[int, ...]]
+    basis: List[Dict[int, int]]
     rank: int
 
     @property
@@ -73,27 +75,27 @@ def nullspace(sys: LinearSystem) -> SolutionSpace:
     it in the unknown order.  The solution vector of each free column
     therefore leads with that column and is zero at every other free
     column: the free vectors are already the reduced echelon basis over
-    the unknown order.  One pass over the pivot rows' nonzeros lists the
-    rows that meet each free column; its vector gets the lcm of their
-    pivots there and is divided by its content.
+    the unknown order.  One pass over the pivot rows' nonzeros, pivot
+    columns ascending, lists the rows that meet each free column; its
+    vector gets the lcm of their pivots there, after which come those
+    rows' pivot columns, and is divided by its content.
     """
     n = sys.n
     pivots = echelon([{n - 1 - j: c for j, c in row.items() if c}
                       for row in sys.rows])
     meets = {f: [] for f in range(n) if n - 1 - f not in pivots}
-    for lead, row in pivots.items():
+    for lead, row in sorted(pivots.items(), reverse=True):
         for c, x in row.items():
             if c != lead:
                 meets[n - 1 - c].append((n - 1 - lead, row[lead], x))
     basis = []
     for f, rows in meets.items():
         scale = lcm(*(p for _, p, _ in rows))
-        vec = [0] * n
-        vec[f] = scale
+        vec = {f: scale}
         for c, p, x in rows:
             vec[c] = -x * (scale // p)
-        g = gcd(*vec)
-        basis.append(tuple(x // g for x in vec))
+        g = gcd(*vec.values())
+        basis.append({c: x // g for c, x in vec.items()})
     return SolutionSpace(basis, len(pivots))
 
 
@@ -101,13 +103,9 @@ def echelonize(vectors: Sequence[Sequence[Fraction]]) -> List[List[int]]:
     """Reduced row echelon form of a rational matrix as primitive integer
     rows with positive leading entry; zero rows dropped, rows ordered by
     leading column."""
-    rows = []
-    for v in vectors:
-        denom = lcm(*(c.denominator for c in v))
-        rows.append([int(c * denom) for c in v])
-    if not rows:
-        return []
-    pivots = echelon_int_rows(rows, len(rows[0]))
+    rows = [[int(c * denom) for c in v] for v in vectors
+            for denom in [lcm(*(c.denominator for c in v))]]
+    pivots = echelon_int_rows(rows, len(rows[0])) if rows else {}
     return [pivots[c] for c in sorted(pivots)]
 
 
@@ -116,13 +114,6 @@ def primitive_vector(vec: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     nz = [c for c in vec if c]
     if not nz:
         return tuple(vec)
-    denom = lcm(*(c.denominator for c in nz)) if len(nz) > 1 \
-        else nz[0].denominator
-    ints = [c * denom for c in vec]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(int(c)))
-    scale = Fraction(denom, g)
-    if nz[0] < 0:
-        scale = -scale
-    return tuple(c * scale for c in vec)
+    denom = lcm(*(c.denominator for c in nz))
+    scale = Fraction(denom, gcd(*(int(c * denom) for c in nz)))
+    return tuple(c * (scale if nz[0] > 0 else -scale) for c in vec)

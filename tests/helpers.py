@@ -20,6 +20,64 @@ from e8jacobi.linsolve import (LinearSystem, coefficient_equations,
 from e8jacobi.oracle import _from_fixed, _to_fixed
 
 
+def dense(vec, n):
+    """The sparse vector {column: int} as a list of its n entries."""
+    return [vec.get(j, 0) for j in range(n)]
+
+
+def enumerate_monomials_reference(alphabet, target):
+    """Reference enumeration: one bounded depth-first search per target
+    over the index-carrying generators, each exponent capped by the index
+    left, E4 and E6 filled in wherever the index is used up; the
+    exponent vectors sorted descending, as a tuple."""
+    symbols = alphabet.symbols
+    has_e4 = "E4" in symbols
+    e6_pos = symbols.index("E6")
+    indexed = [(i, d) for i, d in enumerate(alphabet.degrees) if d.index > 0]
+    results = []
+    exps = [0] * len(alphabet)
+
+    def descend(pos, index_left, weight_left):
+        if pos == len(indexed):
+            if index_left == 0:
+                for b in range(weight_left // 6 + 1):
+                    rest = weight_left - 6 * b
+                    if rest % 4 == 0 and (has_e4 or rest == 0):
+                        full = exps[:]
+                        if has_e4:
+                            full[symbols.index("E4")] = rest // 4
+                        full[e6_pos] = b
+                        results.append(tuple(full))
+            return
+        i, deg = indexed[pos]
+        for e in range(index_left // deg.index + 1):
+            exps[i] = e
+            descend(pos + 1, index_left - e * deg.index,
+                    weight_left - e * deg.weight)
+        exps[i] = 0
+
+    if target.index >= 0:
+        descend(0, target.index, target.weight)
+    return tuple(sorted(results, reverse=True))
+
+
+def index_multisets_reference(indices, total):
+    """Reference for `construct._index_multisets`: a depth-first search
+    over the positions of `indices`, each taken 0, 1, ... times while
+    the index left allows."""
+    out = []
+
+    def rec(pos, left, chosen):
+        if left == 0:
+            out.append(tuple(chosen))
+        elif pos < len(indices):
+            for e in range(left // indices[pos] + 1):
+                rec(pos + 1, left - e * indices[pos], chosen + [pos] * e)
+
+    rec(0, total, [])
+    return out
+
+
 def build(alphabet, terms):
     """Polynomial from [(coeff, {symbol: exponent}), ...]."""
     out = {}

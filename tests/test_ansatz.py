@@ -2,8 +2,10 @@
 
 import itertools
 
-from e8jacobi.ansatz import build_ansatz, enumerate_monomials
+from e8jacobi.ansatz import _monomials, build_ansatz, enumerate_monomials
 from e8jacobi.grading import AB, BiDegree, S_ALPHABET, ab
+
+from helpers import enumerate_monomials_reference
 
 
 def brute_force_monomials(alphabet, target):
@@ -55,6 +57,19 @@ class TestEnumeration:
         for t in [BiDegree(16, 5), BiDegree(4, 0), BiDegree(10, 2)]:
             got = enumerate_monomials(S_ALPHABET, t)
             assert got == brute_force_monomials(S_ALPHABET, t), t
+
+    def test_matches_search_per_target(self):
+        """The index parts memoised per (alphabet, index), filled with E4
+        and E6 per weight, give the tuples of one search per target, for
+        every weight -6m - 2..6m + 14 (odd ones too) of every index m <= 10
+        over the three alphabets."""
+        for alphabet in (ab, AB, S_ALPHABET):
+            for m in range(11):
+                for k in range(-6 * m - 2, 6 * m + 15):
+                    target = BiDegree(k, m)
+                    assert _monomials(alphabet, target) == \
+                        enumerate_monomials_reference(alphabet, target), \
+                        (alphabet.name, target)
 
     def test_all_monomials_on_target(self):
         target = BiDegree(-20, 6)

@@ -6,10 +6,11 @@ import os
 import pytest
 
 from e8jacobi import cache
+from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.cache import CacheError, DiskStore
 from e8jacobi.construct import jacobi_basis
 from e8jacobi.generators import meromorphic_images
-from e8jacobi.grading import AB, Frac, Poly
+from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab
 from e8jacobi.serialize import (basis_from_json, basis_to_json,
                                 certificate_to_json, poly_to_compact)
 
@@ -133,11 +134,25 @@ def v1_document(basis):
                 for c in basis.certificates]}
 
 
-class TestFormat2:
-    """Each way an entry can be malformed makes `load` miss rather than
-    return a wrong basis: `zip` would truncate a short row silently."""
+def v2_document(basis):
+    """The entry that format 2 wrote for a computed basis: dense int rows
+    over the monomial lists that its certificates share."""
+    mons = enumerate_monomials(ab, basis.target)
+    certs = basis.certificates
+    return {"forms": [[f.terms.get(mon, 0) for mon in mons]
+                      for f in basis.forms],
+            "r_mons": certs[0].r_mons,
+            "s_mons": [[l, mons_l] for l, mons_l, _ in certs[0].s_rows],
+            "certificates": [[c.n, c.den, c.r_nums,
+                              [nums for _, _, nums in c.s_rows]]
+                             for c in certs]}
 
-    TARGET = (-26, 8)   # forms, remainders and S_l parts
+
+class Entry:
+    """A stored J_{-26,8}, which has forms, remainders and S_l parts, and
+    its reload after an edit of the JSON document."""
+
+    TARGET = (-26, 8)
 
     @pytest.fixture
     def entry(self, tmp_path):
@@ -151,6 +166,13 @@ class TestFormat2:
         store, path, _ = entry
         path.write_text(json.dumps(doc))
         return store.load(*self.TARGET)
+
+
+class TestFormat2(Entry):
+    """The malformed-entry cases of format 2, each on the sparse rows of
+    format 3: every one makes `load` miss rather than return a wrong
+    basis.  A row of the wrong length reaches past its monomials, or has
+    fewer values than positions: `zip` would truncate it silently."""
 
     def test_entry_holds_integer_rows(self, entry):
         _, _, doc = entry
@@ -170,10 +192,12 @@ class TestFormat2:
     @pytest.mark.parametrize("change", ["append", "pop"])
     def test_row_of_wrong_length(self, entry, where, change):
         doc = entry[2]
-        cert = doc["certificates"][0]
-        row = {"form": doc["forms"][0], "remainder": cert[2],
-               "s_part": cert[3][0]}[where]
-        row.append(0) if change == "append" else row.pop()
+        positions, values = sparse_row(doc, where)
+        if change == "append":
+            positions.append(row_length(doc, where))
+            values.append(1)
+        else:
+            values.pop()
         assert self.reload(entry, doc) is None
 
     @pytest.mark.parametrize("value", ["1", 1.0, True, None, [1]])
@@ -182,20 +206,22 @@ class TestFormat2:
         doc = entry[2]
         cert = doc["certificates"][0]
         if where == "form":
-            doc["forms"][0][0] = value
+            doc["forms"][0][1][0] = value
         elif where == "numerator":
-            cert[2][0] = value
+            cert[2][1][0] = value
         else:
             cert[["n", "den"].index(where)] = value
         assert self.reload(entry, doc) is None
 
     @pytest.mark.parametrize("sign", [0, -1])
     def test_denominator_not_positive(self, entry, sign):
-        # a negated den over negated numerators has the same values
+        # a negated den over negated numerators has the same values; a
+        # zero den keeps the numerators, which may not be 0
         doc = entry[2]
         cert = doc["certificates"][0]
         cert[1] *= sign
-        cert[2] = [sign * a for a in cert[2]]
+        if sign:
+            cert[2][1] = [sign * a for a in cert[2][1]]
         assert self.reload(entry, doc) is None
 
     def test_negative_delta_power(self, entry):
@@ -229,15 +255,90 @@ class TestFormat2:
 
     @pytest.mark.parametrize("where", ["remainder", "s_part"])
     def test_repeated_monomial(self, entry, where):
-        # the first monomial listed again with numerators 0: read as a
-        # dict, the repeat would hide that monomial's numerators
+        # the first monomial listed again, past every stored position:
+        # read as a dict, the repeat would hide that monomial's numerators
         doc = entry[2]
         mons = doc["r_mons"] if where == "remainder" else doc["s_mons"][0][1]
         mons.append(mons[0])
-        for cert in doc["certificates"]:
-            (cert[2] if where == "remainder" else cert[3][0]).append(0)
         assert self.reload(entry, doc) is None
 
     def test_format_1_document_misses(self, entry):
         assert self.reload(entry, v1_document(
+            jacobi_basis(*self.TARGET))) is None
+
+
+def sparse_rows(doc, where):
+    """The [positions, values] rows of the kind `where` in `doc`: every
+    form, every remainder or every certificate's first S_l."""
+    certs = doc["certificates"]
+    return {"form": doc["forms"], "remainder": [c[2] for c in certs],
+            "s_part": [c[3][0] for c in certs]}[where]
+
+
+def sparse_row(doc, where):
+    """The first row of the kind `where` with two stored values or more."""
+    return next(row for row in sparse_rows(doc, where) if len(row[0]) >= 2)
+
+
+def row_length(doc, where):
+    """The number of monomials that a row of the kind `where` spans."""
+    if where == "form":
+        return len(enumerate_monomials(ab, BiDegree(*Entry.TARGET)))
+    return len(doc["r_mons"] if where == "remainder" else doc["s_mons"][0][1])
+
+
+class TestSparseRows(Entry):
+    """A format-3 row is [positions, values]: nonzero int values at int
+    positions strictly ascending within its monomials.  Each way to break
+    that makes `load` miss."""
+
+    def test_rows_are_sparse(self, entry):
+        doc = entry[2]
+        for where in ("form", "remainder", "s_part"):
+            length = row_length(doc, where)
+            for positions, values in sparse_rows(doc, where):
+                assert len(positions) == len(values) and all(values)
+                assert positions == sorted(set(positions))
+                assert all(0 <= i < length for i in positions)
+
+    @pytest.mark.parametrize("fault", ["past_end", "negative", "descending",
+                                       "repeated", "zero", "more_values",
+                                       "bool"])
+    @pytest.mark.parametrize("where", ["form", "remainder", "s_part"])
+    def test_malformed_row(self, entry, where, fault):
+        doc = entry[2]
+        positions, values = sparse_row(doc, where)
+        if fault == "past_end":
+            positions[-1] = row_length(doc, where)
+        elif fault == "negative":
+            positions[0] = -1
+        elif fault == "descending":
+            # the same pairs, out of order
+            positions[:2] = positions[1::-1]
+            values[:2] = values[1::-1]
+        elif fault == "repeated":
+            positions[1] = positions[0]
+        elif fault == "zero":
+            values[0] = 0
+        elif fault == "more_values":
+            values.append(values[0])
+        else:
+            values[0] = bool(values[0])
+        assert self.reload(entry, doc) is None
+
+    @pytest.mark.parametrize("pair", [[], [[0]], [[0], [1], [2]], {}, 7])
+    def test_row_not_a_pair(self, entry, pair):
+        doc = entry[2]
+        doc["forms"][0] = pair
+        assert self.reload(entry, doc) is None
+
+    def test_format_2_entry_is_never_read(self, entry, monkeypatch):
+        """Format 2's entry has another name, and its document, put where
+        the format-3 entry goes, misses."""
+        store = entry[0]
+        digest = store._digest(*self.TARGET)
+        monkeypatch.setattr(cache, "CACHE_FORMAT", 2)
+        assert store._digest(*self.TARGET) != digest
+        monkeypatch.undo()
+        assert self.reload(entry, v2_document(
             jacobi_basis(*self.TARGET))) is None

@@ -305,7 +305,7 @@ class TestCacheAndJobs:
         clear_cache()
         assert run_cli(capsys, "--cache-dir", str(cache), "dim", "4", "1") \
             == (0, "1\n", "")
-        assert json.loads(entry.read_text())["forms"] == [[1]]
+        assert json.loads(entry.read_text())["forms"] == [[[0], [1]]]
         entry.unlink()
         entry.mkdir()
         clear_cache()

@@ -26,7 +26,8 @@ from e8jacobi.serialize import (certificate_from_json, certificate_to_json,
 
 from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
                      certificate_from_parts, certificate_identity_reference,
-                     certify_reference, drop_e4, m16_5_pair,
+                     certify_reference, dense, drop_e4,
+                     index_multisets_reference, m16_5_pair,
                      m26_7_generator, remainder, s_parts, second_power_form,
                      span_basis, spans_equal, system_rows_reference)
 
@@ -179,7 +180,8 @@ class TestIntegerStage:
         ((system, space),) = seen
         assert system.rows and space.dimension == 2
         assert all(type(c) is int for row in system.rows for c in row.values())
-        assert all(type(x) is int for vec in space.basis for x in vec)
+        assert all(type(x) is int for vec in space.basis
+                   for x in dense(vec, system.n))
 
     @pytest.mark.parametrize("target, blocks", [((-48, 10), [1, 2]),
                                                 ((-24, 5), [1]),
@@ -477,6 +479,43 @@ class TestSharedImage:
             assert not certificate_identity_reference(form, bad)
 
 
+class TestRepeatedMonomial:
+    """An R monomial listed twice.  Both paths of `certificate_identity`
+    read the nonzero numerators only: a repeat with numerator 0 changes
+    nothing, and one with a nonzero numerator fails the check, on the
+    general path (a J_{-26,8} form with an S part) and on the term-by-term
+    path (a J_{-16,5} form's S-free certificate from `certify`)."""
+
+    @staticmethod
+    def case(path):
+        if path == "s_part":
+            basis = jacobi_basis(-26, 8)
+            return next((f, c) for f, c in zip(basis.forms,
+                                               basis.certificates)
+                        if s_parts(c))
+        form = jacobi_basis(-16, 5).forms[0]
+        cert = certify(form)
+        assert not s_parts(cert) and cert.n == _int_image(form, cert.n)[3]
+        return form, cert
+
+    @pytest.mark.parametrize("repeat, holds", [("append_zero", True),
+                                               ("prepend_zero", True),
+                                               ("append_own", False)])
+    @pytest.mark.parametrize("path", ["s_part", "s_free"])
+    def test_repeat(self, path, repeat, holds):
+        form, cert = self.case(path)
+        assert certificate_identity(form, cert)
+        i = next(i for i, x in enumerate(cert.r_nums) if x)
+        mon, x = cert.r_mons[i], cert.r_nums[i]
+        if repeat == "prepend_zero":
+            mons, nums = [mon] + cert.r_mons, [0] + cert.r_nums
+        else:
+            mons = cert.r_mons + [mon]
+            nums = cert.r_nums + [x if repeat == "append_own" else 0]
+        assert certificate_identity(form, Certificate(
+            cert.n, cert.den, mons, nums, cert.s_rows)) is holds
+
+
 class TestCertifyProperty:
     @given(st.sampled_from(AMBIENT_TARGETS), st.data())
     @settings(max_examples=40, deadline=None)
@@ -639,6 +678,13 @@ class TestLowestWeight:
         assert [len(report.lb_gens[m]) for m in range(1, 7)] == \
             LB_GENERATOR_COUNTS[:6]
         assert all(v == 0 for v in report.relation_counts.values())
+
+    @pytest.mark.parametrize("indices", [[], [4], [4, 6, 6], [4, 6, 8, 9, 9],
+                                         [3, 1, 2]])
+    def test_index_multisets_match_search(self, indices):
+        for total in range(0, 21):
+            assert construct._index_multisets(indices, total) == \
+                index_multisets_reference(indices, total)
 
 
 class TestCaching:

@@ -6,7 +6,10 @@ from math import gcd, lcm
 from hypothesis import given, settings, strategies as st
 
 from e8jacobi.kernels import echelon, echelon_int_rows, extend
-from e8jacobi.linsolve import LinearSystem, echelonize, nullspace
+from e8jacobi.linsolve import (LinearSystem, echelonize, nullspace,
+                               primitive_vector)
+
+from helpers import dense
 
 
 def naive_rref(rows, n):
@@ -77,7 +80,7 @@ class TestNullspace:
     def test_zero_system(self):
         space = nullspace(make_system([], 3))
         assert space.rank == 0
-        assert [list(map(int, v)) for v in space.basis] == \
+        assert [dense(v, 3) for v in space.basis] == \
             [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_identity_system(self):
@@ -87,7 +90,7 @@ class TestNullspace:
     def test_known_small_system(self):
         # x1 + x2 - x3 = 0, 2x1 - x2 = 0  ->  span{(1, 2, 3)}
         space = nullspace(make_system([[1, 1, -1], [2, -1, 0]], 3))
-        assert space.basis == [(1, 2, 3)]
+        assert [dense(v, 3) for v in space.basis] == [[1, 2, 3]]
 
 
 _entry = st.integers(min_value=-9, max_value=9)
@@ -101,10 +104,11 @@ class TestAgainstNaiveOracle:
         rows = [[data.draw(_entry) for _ in range(n)] for _ in range(nrows)]
         space = nullspace(make_system(rows, n))
         expected = naive_nullspace(rows, n)
-        assert [list(v) for v in space.basis] == expected
+        assert [dense(v, n) for v in space.basis] == expected
         assert space.rank + space.dimension == n
         for v in space.basis:
-            assert all(type(x) is int for x in v) and gcd(*v) == 1
+            assert all(type(x) is int for x in v.values())
+            assert gcd(*v.values()) == 1
 
     @given(st.integers(2, 6), st.integers(1, 6), st.data())
     @settings(max_examples=40, deadline=None)
@@ -113,13 +117,13 @@ class TestAgainstNaiveOracle:
         space = nullspace(make_system(rows, n))
         for v in space.basis:
             for row in rows:
-                assert sum(a * b for a, b in zip(row, v)) == 0
+                assert sum(row[j] * x for j, x in v.items()) == 0
 
     def test_rational_coefficients(self):
         rows = [[Fraction(1, 3), Fraction(-1, 6), 0],
                 [0, Fraction(2, 5), Fraction(-2, 5)]]
         space = nullspace(make_system(rows, 3))
-        assert space.basis == [(1, 2, 2)]
+        assert [dense(v, 3) for v in space.basis] == [[1, 2, 2]]
 
 
 class TestEchelon:
@@ -132,6 +136,15 @@ class TestEchelon:
             rows.insert(data.draw(st.integers(0, nrows)), [Fraction(0)] * n)
         expected = [naive_primitive(r) for r in naive_rref(rows, n)[0]]
         assert echelonize(rows) == expected
+
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_primitive_vector_matches_naive(self, n, data):
+        vec = [data.draw(_rational) for _ in range(n)]
+        if any(vec):
+            assert list(primitive_vector(vec)) == naive_primitive(vec)
+        else:
+            assert primitive_vector(vec) == tuple(vec)
 
     def test_echelonize_empty_and_zero_input(self):
         assert echelonize([]) == []
@@ -166,6 +179,20 @@ def _row_multisets(draw):
     if draw(st.booleans()):
         rows.append([0] * n)
     return n, rows, draw(st.permutations(rows))
+
+
+class TestSparseVectors:
+    @given(_row_multisets())
+    @settings(max_examples=80, deadline=None)
+    def test_nonzero_columns_ascending(self, case):
+        """Each vector holds nonzero values only, its columns ascend, and
+        it densifies to the naive basis vector."""
+        n, rows, _ = case
+        space = nullspace(make_system(rows, n))
+        for v in space.basis:
+            assert all(v.values()) and list(v) == sorted(v)
+        assert [dense(v, n) for v in space.basis] == \
+            naive_nullspace(rows, n)
 
 
 class TestOrderInvariance:

@@ -1,12 +1,13 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (about 40 s on one core of a 2-core VM:
-3.7 s to build the bases, 12 s for the digests, mostly `basis_to_json`,
-6.6 s for the certificate checks, which run in integers, 0.3 s for the
-numeric check, 0.9 s for the span outputs and 16 s for the lowest
-weights below, nearly all of it the bases of m = 16 and 17; the process
-peaks at about 420 MB, because the bases and images built before the
-lowest weights are dropped first):
+Run from the repository root (about 60 s on one core of a 2-core VM:
+3.5 s to build the bases, 14 s for the digests, mostly `basis_to_json`,
+8 s for the certificate checks, which run in integers, 17 s for the
+cache round trip, again mostly `basis_to_json`, 0.4 s for the numeric
+check, 1 s for the span outputs and 19 s for the lowest weights below,
+nearly all of it the bases of m = 16 and 17; the process peaks at about
+420 MB, because the bases and images built before the lowest weights
+are dropped first):
 
     PYTHONPATH=src python tools/check_golden.py
 
@@ -16,8 +17,10 @@ the 147 targets (k, m) of `e8jacobi tables --max-index 10`, and the
 P^w_m line that command prints for each index.  The data is frozen: a
 mismatch means the construction's output changed.  The script also runs
 `certificate_identity` on every form of those bases with its certificate
-(6,575 forms), counting a failure as a mismatch, and checks one form of
-J_{-40,10} numerically against the Jacobi-form axioms.
+(6,575 forms), counting a failure as a mismatch, writes every one of
+those bases through a `DiskStore` in a temporary directory and compares
+the digest of each reloaded entry with the golden one, and checks one
+form of J_{-40,10} numerically against the Jacobi-form axioms.
 
 `golden_spans.json` holds the sha256 of the stdout of `e8jacobi
 module-gens m` for m = 1..9 and of `e8jacobi lb 12`, the commands whose
@@ -42,10 +45,12 @@ import io
 import json
 import resource
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
 from e8jacobi import cli
+from e8jacobi.cache import DiskStore
 from e8jacobi.construct import (certificate_identity, clear_cache,
                                 jacobi_basis, lb_analysis, profile_weights)
 from e8jacobi.generators import _lifted_terms
@@ -78,7 +83,7 @@ def main() -> int:
     golden = json.loads(GOLDEN.read_text())
     failures = []
 
-    seconds = dict.fromkeys(["tables", "digests", "identities",
+    seconds = dict.fromkeys(["tables", "digests", "identities", "cache",
                              "numeric check", "spans", "lowest"], 0.0)
     start = perf_counter()
     text = run(["tables", "--max-index", str(MAX_INDEX)], failures)
@@ -110,6 +115,18 @@ def main() -> int:
                 failures.append("certificate %d of J_{%d,%d}" % (i, k, m))
         seconds["digests"] += middle - start
         seconds["identities"] += perf_counter() - middle
+
+    start = perf_counter()
+    with tempfile.TemporaryDirectory() as root:
+        store = DiskStore(root)
+        for key in targets:
+            k, m = map(int, key.split(","))
+            store.save(k, m, jacobi_basis(k, m))
+            loaded = store.load(k, m)
+            if loaded is None or digest(basis_to_json(loaded)) \
+                    != golden["digests"].get(key):
+                failures.append("cache entry of J_{%d,%d}" % (k, m))
+    seconds["cache"] = perf_counter() - start
 
     start = perf_counter()
     form = jacobi_basis(-40, 10).forms[0]
