@@ -183,15 +183,13 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
                 "at weight %d index %d" % (k, m))
         # vec leads with a positive entry in the c-block, so the form
         # c / g is primitive with positive leading coefficient.
-        values = [0] * n_c
         acc = [0] * len(r_mons)
         for j, x in c_part:
-            values[j] = x // g
             scale, positions, nums = r_cols[j]
             x *= scale
             for pos, c in zip(positions, nums):
                 acc[pos] += x * c
-        forms.append(ansatz.substitute(values))
+        forms.append(ansatz.substitute({j: x // g for j, x in c_part}))
         s_rows = tuple((l, mons, [vec.get(j, 0) for j in range(*cols)])
                        for l, mons, cols in s_cols)
         certificates.append(Certificate(n, g * L, r_mons, acc, s_rows))

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import add
-from typing import (Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
+from typing import Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -379,15 +378,13 @@ class ParamPoly:
     undetermined coefficients of an ansatz.
 
     An unknown is a column position (see `ansatz.build_ansatz`).  Only
-    the basis forms go through `substitute`: `construct._compute_basis`
-    builds its integer rows and the certificates straight from the
-    memoised monomial images (`generators._lifted_columns`) and from the
-    terms of P^l.  `mul_poly` and `linsolve.coefficient_equations` are
-    the reference those rows are tested against; a linear form multiplied
-    by a polynomial with integral coefficients stays `int`.
+    the basis forms, sparse nullspace vectors, go through `substitute`;
+    `construct._compute_basis` builds its rows and certificates straight
+    from the memoised monomial images (`generators._lifted_columns`) and
+    the terms of P^l.  `mul_poly` and `linsolve.coefficient_equations`
+    are the reference those rows are tested against; a linear form
+    multiplied by a polynomial with integral coefficients stays `int`.
     """
-
-    __slots__ = ("alphabet", "terms")
 
     def __init__(self, alphabet: Alphabet, terms: Mapping[tuple, LinForm]):
         self.alphabet = alphabet
@@ -413,17 +410,22 @@ class ParamPoly:
                         del acc[j]
         return ParamPoly(self.alphabet, out)
 
-    def substitute(self, values: Sequence[Rational]) -> Poly:
-        """Evaluate every unknown, column j taking values[j]: one dot
-        product per monomial, as a plain loop (twice as fast as `sum`
-        over a generator)."""
-        out = {}
+    @cached_property
+    def _columns(self) -> dict:
+        """Each column's (monomial, coefficient) terms; `terms` is fixed."""
+        cols: dict = {}
         for m, lf in self.terms.items():
-            s = 0
             for j, v in lf.items():
-                s += values[j] * v
-            if s:
-                out[m] = s
+                cols.setdefault(j, []).append((m, v))
+        return cols
+
+    def substitute(self, values: Mapping[int, Rational]) -> Poly:
+        """Evaluate at the sparse vector `values` ({column: value}, other
+        columns 0): each value times its column's terms."""
+        out: dict = {}
+        for j, x in values.items():
+            for m, v in self._columns.get(j, ()):
+                out[m] = out.get(m, 0) + x * v
         return Poly(self.alphabet, out)
 
 

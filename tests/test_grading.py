@@ -6,11 +6,13 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.construct import jacobi_basis, profile_weights
 from e8jacobi.generators import (_lifted_columns, meromorphic_images,
                                  p16_5, sub_ab_to_AB)
 from e8jacobi.grading import (AB, AlphabetMismatchError, BiDegree,
-                              GradingError, Frac, Poly, S_ALPHABET, ab,
+                              GradingError, Frac, ParamPoly, Poly,
+                              S_ALPHABET, ab,
                               cancel_delta, delta_poly)
 
 from helpers import expand_column, normalized_by_trial_division
@@ -190,6 +192,25 @@ class TestPolyProperties:
         if p.is_zero():
             return
         assert (p * p).bidegree() == p.bidegree().scaled(2)
+
+
+class TestParamPoly:
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_substitute_sparse_vector(self, data):
+        """`substitute` of a sparse {column: value} vector equals the dot
+        product per monomial with every other column at 0, for linear
+        forms that share columns across monomials."""
+        mons = enumerate_monomials(ab, BiDegree(-16, 5))
+        coeff = st.integers(-5, 5)
+        terms = {m: data.draw(st.dictionaries(st.integers(0, 6), coeff))
+                 for m in mons}
+        values = data.draw(st.dictionaries(
+            st.integers(0, 8), st.fractions(-3, 3, max_denominator=4)))
+        got = ParamPoly(ab, terms).substitute(values)
+        assert got == Poly(ab, {m: sum(values.get(j, 0) * v
+                                       for j, v in lf.items())
+                                for m, lf in terms.items()})
 
 
 class TestFrac:
