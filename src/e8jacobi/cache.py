@@ -7,25 +7,30 @@ change to the generator tables or the result format invalidates stale
 entries automatically.  Writes are atomic: a temporary file in the same
 directory is renamed into place.
 
-Format 3 stores sparse integer rows, one JSON object per entry; a row
-is [positions, values], its nonzero values at strictly ascending
-positions:
+Format 4 stores sparse integer rows, one JSON object per entry; a row
+is [positions, values], its nonzero values at distinct positions in a
+monomial list:
 
 - "forms": each form's int coefficients over
   `enumerate_monomials(ab, target)`, whose order fixes the positions;
-- "r_mons": the AB exponent vectors of the remainders, listed once;
-- "s_mons": [l, S exponent vectors] for each S_l, listed once;
+- "r_mons": the AB exponent vectors of the remainders, and "s_mons":
+  [l, S exponent vectors] for each S_l, l ascending, each vector listed
+  once, in order of first appearance;
 - "certificates": [n, den, R's numerators, [S_l's numerators for each l
-  of "s_mons"]] per form, every numerator over the one den.
+  of "s_mons"]] per form, every numerator over the one den, [[], []]
+  where a certificate has no S_l.
 
-`load` expands the rows into the dense rows of a computed basis.  It
-returns None for an entry it cannot read (a directory in its place, JSON
-nested too deeply to parse) and for any entry not shaped like that: a
-row whose positions and values differ in length, a position out of
-range, not ascending or repeated, a value of 0, an entry that is not an
-int, a denominator <= 0, a negative Delta power, an l of "s_mons" below
-1 or listed twice, a monomial listed twice in "r_mons" or in one S_l
-list, or a certificate count other than the form count.  A `save` that
+`load` maps each row back to the certificate's own lists.  It returns
+None for an entry it cannot read (a directory in its place, JSON nested
+too deeply to parse) and for any entry not shaped like one that `save`
+writes from a computed basis: a row whose positions and values differ
+in length, a position out of range or repeated, a value of 0, an entry
+that is not an int, a denominator <= 0, a negative Delta power, ls of
+"s_mons" not strictly ascending from 1 or one above index/5, a monomial
+listed twice in "r_mons" or in one S_l list, a certificate count other
+than the form count, and forms other than nonzero primitive ones, each
+positive at its lead (its smallest position), the leads strictly
+ascending and no form nonzero at another form's lead.  A `save` that
 cannot write its entry raises CacheError.
 """
 
@@ -36,7 +41,7 @@ import json
 import os
 import tempfile
 from functools import cache
-from itertools import chain, compress
+from math import gcd
 from operator import lt
 from typing import List, Optional
 
@@ -47,7 +52,7 @@ from .generators import meromorphic_images, p16_5
 from .grading import AB, BiDegree, Poly, S_ALPHABET, ab
 from .serialize import poly_to_compact
 
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 _INT = {int}
 
 
@@ -74,29 +79,17 @@ def _ints(row, length: int) -> list:
     return row
 
 
-def _pairs(row, length: int) -> zip:
-    """The (position, value) pairs of the sparse row [positions, values];
-    ValueError unless its values are nonzero ints, one per position, at
-    int positions strictly ascending in range(length)."""
+def _terms(row, mons: list) -> tuple:
+    """The monomials and values of the sparse row [positions, values]
+    over `mons`; ValueError unless its values are nonzero ints, one per
+    position, at distinct int positions in range(len(mons))."""
     positions, values = row
     _ints(values, len(_ints(positions, len(positions))))
-    bounds = [-1, *positions, length]
-    if 0 in values or not all(map(lt, bounds, bounds[1:])):
-        raise ValueError("not a sparse row of length %d" % length)
-    return zip(positions, values)
-
-
-def _dense(row, length: int) -> list:
-    """The `length` ints of the sparse row [positions, values]."""
-    out = [0] * length
-    for i, x in _pairs(row, length):
-        out[i] = x
-    return out
-
-
-def _sparse(row: list) -> list:
-    """The [positions, values] pair of the nonzeros of `row`."""
-    return [list(compress(range(len(row)), row)), list(filter(None, row))]
+    if 0 in values or len(set(positions)) < len(positions) \
+            or min(positions, default=0) < 0 \
+            or max(positions, default=-1) >= len(mons):
+        raise ValueError("not a sparse row over %d monomials" % len(mons))
+    return list(map(mons.__getitem__, positions)), values
 
 
 def _exponents(rows, width: int) -> List[tuple]:
@@ -107,21 +100,10 @@ def _exponents(rows, width: int) -> List[tuple]:
     return out
 
 
-def _union(lists: list) -> list:
-    """One list holding every entry of `lists`: the first list itself
-    when all of them are the same object, as in one computed basis."""
-    first = lists[0]
-    if all(x is first for x in lists):
-        return first
-    return list(dict.fromkeys(chain.from_iterable(lists)))
-
-
-def _aligned(mons: list, own: list, nums: list) -> list:
-    """Numerators `nums` over the monomials `own`, re-listed over `mons`."""
-    if own is mons:
-        return nums
-    pos = dict(zip(own, nums))
-    return [pos.get(mon, 0) for mon in mons]
+def _row(index: dict, mons: list, nums: list) -> list:
+    """The sparse row of `nums` over `mons`, each monomial at its position
+    in `index`, where a monomial not yet listed goes last."""
+    return [[index.setdefault(mon, len(index)) for mon in mons], nums]
 
 
 class DiskStore:
@@ -166,60 +148,64 @@ class DiskStore:
 
 
 def basis_from_text(k: int, m: int, text: str) -> JacobiBasis:
-    """The basis of weight k and index m from its format-3 JSON text;
+    """The basis of weight k and index m from its format-4 JSON text;
     KeyError, TypeError or ValueError when the text is not shaped like
     what `basis_to_text` writes, RecursionError when it nests too deep
-    to parse.  The certificates share one remainder monomial list and
-    one list per S_l, as in a computed basis."""
+    to parse."""
     target = BiDegree(k, m)
     doc = json.loads(text)
     mons = enumerate_monomials(ab, target)
-    forms = [Poly(ab, {mons[i]: x for i, x in _pairs(row, len(mons))})
-             for row in doc["forms"]]
+    forms, leads = [], []
+    for row in doc["forms"]:
+        form_mons, values = _terms(row, mons)
+        lead = min(row[0])      # a ValueError for a zero form
+        if gcd(*values) != 1 or values[row[0].index(lead)] < 0:
+            raise ValueError("a form not primitive or negative at its lead")
+        leads.append(lead)
+        forms.append(Poly(ab, dict(zip(form_mons, values))))
+    # the leads ascend, and each form meets one of them, its own
+    lead_set = set(leads)
+    if leads != sorted(lead_set) or len(leads) < sum(
+            len(lead_set.intersection(p)) for p, _ in doc["forms"]):
+        raise ValueError("forms not in echelon form")
     r_mons = _exponents(doc["r_mons"], len(AB))
     s_mons = [(l, _exponents(rows, len(S_ALPHABET)))
               for l, rows in doc["s_mons"]]
-    ls = _ints([l for l, _ in s_mons], len(s_mons))
-    if any(l < 1 for l in ls) or len(set(ls)) != len(ls):
-        raise ValueError("an l of s_mons below 1 or repeated")
+    ls = [0, *_ints([l for l, _ in s_mons], len(s_mons))]
+    if not all(map(lt, ls, ls[1:])) or 5 * ls[-1] > m:
+        raise ValueError("ls of s_mons not ascending from 1 up to index/5")
     certs = []
-    for n, den, r_nums, s_nums in doc["certificates"]:
+    for n, den, r_row, s_part_rows in doc["certificates"]:
         _ints([n, den], 2)
-        if n < 0 or den <= 0 or len(s_nums) != len(s_mons):
+        if n < 0 or den <= 0 or len(s_part_rows) != len(s_mons):
             raise ValueError("malformed certificate")
-        s_rows = tuple((l, mons_l, _dense(nums, len(mons_l)))
-                       for (l, mons_l), nums in zip(s_mons, s_nums))
-        certs.append(Certificate(
-            n, den, r_mons, _dense(r_nums, len(r_mons)), s_rows))
+        s_rows = [(l, *_terms(row, mons_l))
+                  for (l, mons_l), row in zip(s_mons, s_part_rows)]
+        certs.append(Certificate(n, den, *_terms(r_row, r_mons),
+                                 tuple(s for s in s_rows if s[2])))
     if len(certs) != len(forms):
         raise ValueError("certificate count differs from form count")
     return JacobiBasis(target, forms, certs)
 
 
 def basis_to_text(basis: JacobiBasis) -> str:
-    """The format-3 JSON text of `basis` (see the module docstring)."""
+    """The format-4 JSON text of `basis` (see the module docstring)."""
     pos = {mon: i for i, mon
            in enumerate(enumerate_monomials(ab, basis.target))}
-    certs = basis.certificates
-    r_mons = _union([c.r_mons for c in certs]) if certs else []
-    s_lists: dict = {}
-    for c in certs:
-        for l, mons, _ in c.s_rows:
-            s_lists.setdefault(l, []).append(mons)
-    s_mons = [(l, _union(lists)) for l, lists in sorted(s_lists.items())]
-    rows = []
-    for c in certs:
-        own = {l: (mons, nums) for l, mons, nums in c.s_rows}
-        rows.append([c.n, c.den,
-                     _sparse(_aligned(r_mons, c.r_mons, c.r_nums)),
-                     [_sparse(_aligned(mons, *own.get(l, ((), ()))))
-                      for l, mons in s_mons]])
+    r_index: dict = {}
+    s_index: dict = {}
+    rows = [[c.n, c.den, _row(r_index, c.r_mons, c.r_nums),
+             {l: _row(s_index.setdefault(l, {}), mons, nums)
+              for l, mons, nums in c.s_rows}] for c in basis.certificates]
+    ls = sorted(s_index)
+    for row in rows:
+        row[3] = [row[3].get(l, [[], []]) for l in ls]
     doc = {
         # (positions, values) of a form: it is never zero
         "forms": [list(zip(*sorted(coefficient_row(f, pos).items())))
                   for f in basis.forms],
-        "r_mons": r_mons,
-        "s_mons": s_mons,
+        "r_mons": list(r_index),
+        "s_mons": [[l, list(s_index[l])] for l in ls],
         "certificates": rows,
     }
     # json.dumps uses the C encoder; json.dump to a file does not

@@ -129,8 +129,8 @@ def _precompute(targets: List[Tuple[int, int]], jobs: int) -> None:
     start method it starts all of them up front.  Workers ship results
     in the integer-row text of the disk cache, so the parent
     re-materializes them over its own canonical alphabet objects with the
-    same int coefficients and shared monomial lists as a sequential run,
-    whose outputs they match byte for byte.
+    same int coefficients and certificate rows as a sequential run, whose
+    outputs they match byte for byte.
     """
     workers = min(jobs, len(targets), os.cpu_count() or 1)
     if workers <= 1:
@@ -236,8 +236,7 @@ def _cmd_certify(args, out) -> dict:
     if not certificate_identity(form, result):
         raise ConsistencyError("certificate identity re-check failed")
     print("certified: Delta power %d, %d E4-part(s)"
-          % (result.n, sum(any(nums) for _, _, nums in result.s_rows)),
-          file=out)
+          % (result.n, len(result.s_rows)), file=out)
     return {"certified": True, "certificate": certificate_to_json(result)}
 
 

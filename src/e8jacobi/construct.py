@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from math import gcd, lcm
 from operator import add
 from typing import Dict, List, Sequence, Tuple, Union
@@ -40,8 +41,9 @@ class Certificate:
     Kept in integers only: every coefficient is a numerator over the one
     positive denominator `den`.  `r_nums` lines up with the monomial list
     `r_mons` of R over AB, and each (l, mons, nums) of `s_rows`, l
-    ascending, with that of S_l over S; a row may be all zero.  One
-    basis shares these lists.  `serialize` writes them as fractions.
+    ascending, with that of S_l over S.  Every certificate the library
+    builds lists each monomial once, nonzero numerators only, and only
+    the S_l that are not zero.  `serialize` writes them as fractions.
     """
 
     __slots__ = ("n", "den", "r_mons", "r_nums", "s_rows")
@@ -166,8 +168,8 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
     # numerators over g * L.  A basis vector holds its nonzeros only, the
     # free column and the pivot columns it depends on, so R's numerators
     # accumulate over those columns alone.  Each S_l monomial has one
-    # column, so S_l is read straight off the vector.  R's and each
-    # S_l's monomial lists are shared by every certificate of the target.
+    # column, so S_l is read straight off the vector.  R and each S_l
+    # keep their nonzero terms only, and an S_l that is zero is left out.
     r_mons = list(r_pos)
 
     forms: List[Poly] = []
@@ -190,9 +192,12 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
             for pos, c in zip(positions, nums):
                 acc[pos] += x * c
         forms.append(ansatz.substitute({j: x // g for j, x in c_part}))
-        s_rows = tuple((l, mons, [vec.get(j, 0) for j in range(*cols)])
-                       for l, mons, cols in s_cols)
-        certificates.append(Certificate(n, g * L, r_mons, acc, s_rows))
+        s_rows = [(l, mons, [vec.get(j, 0) for j in range(*cols)])
+                  for l, mons, cols in s_cols]
+        certificates.append(Certificate(
+            n, g * L, list(compress(r_mons, acc)), list(filter(None, acc)),
+            tuple((l, list(compress(mons, nums)), list(filter(None, nums)))
+                  for l, mons, nums in s_rows if any(nums))))
     return JacobiBasis(target, forms, certificates)
 
 

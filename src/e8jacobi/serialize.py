@@ -134,10 +134,11 @@ def _row(p: Poly, den: int) -> tuple:
 
 
 def certificate_from_json(doc: dict) -> Certificate:
-    """Inverse of `certificate_to_json`, over the lcm of the denominators.
-    Raises SerializationError on a missing key, an n that is not an int
-    >= 0, S part powers l that are not distinct ints >= 1, a remainder
-    not over AB and an S part not over S."""
+    """Inverse of `certificate_to_json`, over the lcm of the denominators,
+    S parts ascending in l and those that are zero left out.  Raises
+    SerializationError on a missing key, an n that is not an int >= 0, S
+    part powers l that are not distinct ints >= 1, a remainder not over
+    AB and an S part not over S."""
     try:
         n, r_doc = doc["n"], doc["remainder"]
         parts = [(p["l"], p["poly"]) for p in doc["s_parts"]]
@@ -155,7 +156,8 @@ def certificate_from_json(doc: dict) -> Certificate:
     den = lcm(*(c.denominator for p in [r, *(s for _, s in s_polys)]
                 for c in p.terms.values()))
     return Certificate(n, den, *_row(r, den),
-                       tuple((l, *_row(s, den)) for l, s in s_polys))
+                       tuple((l, *_row(s, den)) for l, s
+                             in sorted(s_polys, key=itemgetter(0)) if s.terms))
 
 
 def basis_to_json(basis: JacobiBasis) -> dict:

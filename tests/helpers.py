@@ -164,6 +164,18 @@ def s_parts(cert):
                  for l, mons, nums in cert.s_rows if any(nums))
 
 
+def one_shape(cert):
+    """Whether `cert` has the shape of every certificate the library
+    builds: R and each S_l list each monomial once with a nonzero
+    numerator, and the S_l come at strictly ascending l, each with a
+    term."""
+    ls = [l for l, _, _ in cert.s_rows]
+    rows = [(cert.r_mons, cert.r_nums), *((m, x) for _, m, x in cert.s_rows)]
+    return ls == sorted(set(ls)) and all(x for _, _, x in cert.s_rows) \
+        and all(len(mons) == len(set(mons)) == len(nums) and 0 not in nums
+                for mons, nums in rows)
+
+
 def remainder(cert):
     """R of `cert` over AB, as a Fraction polynomial."""
     return Poly(AB, {m: Fraction(a, cert.den)

@@ -1,14 +1,17 @@
 """On-disk basis cache."""
 
 import json
+import math
 import os
+from itertools import chain
 
 import pytest
 
 from e8jacobi import cache
 from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.cache import CacheError, DiskStore
-from e8jacobi.construct import jacobi_basis
+from e8jacobi.construct import (Certificate, certificate_identity,
+                                jacobi_basis)
 from e8jacobi.generators import meromorphic_images
 from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab
 from e8jacobi.serialize import (basis_from_json, basis_to_json,
@@ -40,8 +43,9 @@ class TestDiskStore:
         assert any(s_parts(c) for c in loaded.certificates)
 
     def test_round_trip_of_unshared_certificates(self, tmp_path):
-        # certificates rebuilt from JSON each hold their own monomial
-        # lists; the entry lists their union once
+        # certificates read from JSON list their terms in descending
+        # monomial order, not in the construction's; the entry lists each
+        # monomial once all the same
         store = DiskStore(str(tmp_path))
         basis = basis_from_json(basis_to_json(jacobi_basis(-26, 8)))
         store.save(-26, 8, basis)
@@ -136,16 +140,27 @@ def v1_document(basis):
 
 def v2_document(basis):
     """The entry that format 2 wrote for a computed basis: dense int rows
-    over the monomial lists that its certificates share."""
-    mons = enumerate_monomials(ab, basis.target)
+    over one list of the remainder monomials and one per S_l, each the
+    union of the certificates' own lists."""
     certs = basis.certificates
-    return {"forms": [[f.terms.get(mon, 0) for mon in mons]
-                      for f in basis.forms],
-            "r_mons": certs[0].r_mons,
-            "s_mons": [[l, mons_l] for l, mons_l, _ in certs[0].s_rows],
-            "certificates": [[c.n, c.den, c.r_nums,
-                              [nums for _, _, nums in c.s_rows]]
-                             for c in certs]}
+    r_terms = [dict(zip(c.r_mons, c.r_nums)) for c in certs]
+    s_terms = [{l: dict(zip(mons, nums)) for l, mons, nums in c.s_rows}
+               for c in certs]
+    r_mons = list(dict.fromkeys(chain.from_iterable(r_terms)))
+    ls = sorted(set(chain.from_iterable(s_terms)))
+    s_mons = {l: list(dict.fromkeys(chain.from_iterable(
+        s.get(l, {}) for s in s_terms))) for l in ls}
+
+    def dense(terms, mons):
+        return [terms.get(mon, 0) for mon in mons]
+
+    mons = enumerate_monomials(ab, basis.target)
+    return {"forms": [dense(f.terms, mons) for f in basis.forms],
+            "r_mons": r_mons,
+            "s_mons": [[l, s_mons[l]] for l in ls],
+            "certificates": [[c.n, c.den, dense(r, r_mons),
+                              [dense(s.get(l, {}), s_mons[l]) for l in ls]]
+                             for c, r, s in zip(certs, r_terms, s_terms)]}
 
 
 class Entry:
@@ -170,7 +185,7 @@ class Entry:
 
 class TestFormat2(Entry):
     """The malformed-entry cases of format 2, each on the sparse rows of
-    format 3: every one makes `load` miss rather than return a wrong
+    format 4: every one makes `load` miss rather than return a wrong
     basis.  A row of the wrong length reaches past its monomials, or has
     fewer values than positions: `zip` would truncate it silently."""
 
@@ -288,9 +303,9 @@ def row_length(doc, where):
 
 
 class TestSparseRows(Entry):
-    """A format-3 row is [positions, values]: nonzero int values at int
-    positions strictly ascending within its monomials.  Each way to break
-    that makes `load` miss."""
+    """A format-4 row is [positions, values]: nonzero int values at
+    distinct int positions within its monomials, in any order.  Each way
+    to break that makes `load` miss."""
 
     def test_rows_are_sparse(self, entry):
         doc = entry[2]
@@ -298,12 +313,11 @@ class TestSparseRows(Entry):
             length = row_length(doc, where)
             for positions, values in sparse_rows(doc, where):
                 assert len(positions) == len(values) and all(values)
-                assert positions == sorted(set(positions))
+                assert len(set(positions)) == len(positions)
                 assert all(0 <= i < length for i in positions)
 
-    @pytest.mark.parametrize("fault", ["past_end", "negative", "descending",
-                                       "repeated", "zero", "more_values",
-                                       "bool"])
+    @pytest.mark.parametrize("fault", ["past_end", "negative", "repeated",
+                                       "zero", "more_values", "bool"])
     @pytest.mark.parametrize("where", ["form", "remainder", "s_part"])
     def test_malformed_row(self, entry, where, fault):
         doc = entry[2]
@@ -312,10 +326,6 @@ class TestSparseRows(Entry):
             positions[-1] = row_length(doc, where)
         elif fault == "negative":
             positions[0] = -1
-        elif fault == "descending":
-            # the same pairs, out of order
-            positions[:2] = positions[1::-1]
-            values[:2] = values[1::-1]
         elif fault == "repeated":
             positions[1] = positions[0]
         elif fault == "zero":
@@ -333,12 +343,81 @@ class TestSparseRows(Entry):
         assert self.reload(entry, doc) is None
 
     def test_format_2_entry_is_never_read(self, entry, monkeypatch):
-        """Format 2's entry has another name, and its document, put where
-        the format-3 entry goes, misses."""
+        """Format 2's and format 3's entries have other names, and format
+        2's document, put where the format-4 entry goes, misses.  (A
+        format-3 document would load: its rows, positions ascending, are
+        format-4 rows over the same lists.)"""
         store = entry[0]
         digest = store._digest(*self.TARGET)
-        monkeypatch.setattr(cache, "CACHE_FORMAT", 2)
-        assert store._digest(*self.TARGET) != digest
+        assert cache.CACHE_FORMAT == 4
+        for old in (2, 3):
+            monkeypatch.setattr(cache, "CACHE_FORMAT", old)
+            assert store._digest(*self.TARGET) != digest
         monkeypatch.undo()
         assert self.reload(entry, v2_document(
             jacobi_basis(*self.TARGET))) is None
+
+
+class TestNotABasis(Entry):
+    """Forms that `jacobi_basis` never builds: each is primitive, with a
+    positive coefficient at its lead (its smallest position), the leads
+    strictly ascending and no form nonzero at another form's lead; and
+    no S_l with 5l above the index.  Each entry breaks one rule, and
+    `load` misses it rather than return a set that is not the basis."""
+
+    def test_stored_basis_meets_every_rule(self, entry):
+        forms = entry[2]["forms"]
+        leads = [min(positions) for positions, _ in forms]
+        assert leads == sorted(set(leads))
+        for positions, values in forms:
+            assert math.gcd(*values) == 1
+            assert values[positions.index(min(positions))] > 0
+            assert set(leads) & set(positions) == {min(positions)}
+
+    def append_form(self, doc, row, cert):
+        doc["forms"].append(row)
+        doc["certificates"].append(cert)
+
+    def test_zero_form(self, entry):
+        # an all-zero certificate passes `certificate_identity` for it
+        doc = entry[2]
+        n, den, _, s_part_rows = doc["certificates"][0]
+        self.append_form(doc, [[], []],
+                         [n, den, [[], []], [[[], []]] * len(s_part_rows)])
+        assert certificate_identity(Poly.zero(ab), Certificate(
+            0, 1, [], [], ()))
+        assert self.reload(entry, doc) is None
+
+    @pytest.mark.parametrize("order", ["repeated", "swapped"])
+    def test_leads_not_ascending(self, entry, order):
+        doc = entry[2]
+        if order == "repeated":
+            self.append_form(doc, doc["forms"][0], doc["certificates"][0])
+        else:
+            for key in ("forms", "certificates"):
+                doc[key][:2] = doc[key][1::-1]
+        assert self.reload(entry, doc) is None
+
+    def test_nonzero_at_another_lead(self, entry):
+        # the term goes in at its ascending place, which format 3 took too
+        doc = entry[2]
+        terms = sorted([*zip(*doc["forms"][0]), (min(doc["forms"][1][0]), 1)])
+        doc["forms"][0] = [list(part) for part in zip(*terms)]
+        assert self.reload(entry, doc) is None
+
+    def test_lead_not_positive(self, entry):
+        doc = entry[2]
+        doc["forms"][0][1] = [-x for x in doc["forms"][0][1]]
+        assert self.reload(entry, doc) is None
+
+    def test_common_factor(self, entry):
+        doc = entry[2]
+        doc["forms"][0][1] = [2 * x for x in doc["forms"][0][1]]
+        assert self.reload(entry, doc) is None
+
+    def test_s_part_power_above_index(self, entry):
+        # index 8 takes S_1 only; l = 2 is still ascending from 1
+        doc = entry[2]
+        assert [l for l, _ in doc["s_mons"]] == [1]
+        doc["s_mons"][0][0] = 2
+        assert self.reload(entry, doc) is None

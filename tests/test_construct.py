@@ -1,5 +1,6 @@
 """End-to-end construction: bases, certificates, profiles, subalgebra."""
 
+import random
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -11,6 +12,7 @@ from mpmath import mpc
 
 from e8jacobi import construct, generators
 from e8jacobi.ansatz import enumerate_monomials
+from e8jacobi.cache import DiskStore
 from e8jacobi.cli import _profile_targets
 from e8jacobi.construct import (Certificate, ConsistencyError, Rejection,
                                 certificate_identity, certify, clear_cache,
@@ -28,8 +30,9 @@ from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
                      certificate_from_parts, certificate_identity_reference,
                      certify_reference, dense, drop_e4,
                      index_multisets_reference, m16_5_pair,
-                     m26_7_generator, remainder, s_parts, second_power_form,
-                     span_basis, spans_equal, system_rows_reference)
+                     m26_7_generator, one_shape, remainder, s_parts,
+                     second_power_form, span_basis, spans_equal,
+                     system_rows_reference)
 
 # every target of index 1..5 in its profile weight range (143 forms)
 PROFILE_TARGETS = [t for m in range(1, 6) for t in _profile_targets(m)]
@@ -67,6 +70,29 @@ class TestWorkedExamples:
 
 
 class TestCertificates:
+    def test_one_shape(self, tmp_path):
+        """Every producer of certificates lists nonzero terms only, each
+        monomial once, and only the S_l that are not zero, l ascending:
+        `jacobi_basis`, `certify` on each form and on one seeded integer
+        combination of them, the JSON round trip and the disk cache.
+        Over every target of index <= 6."""
+        store = DiskStore(str(tmp_path))
+        rng = random.Random(30)
+        for k, m in [t for m in range(7) for t in _profile_targets(m)]:
+            basis = jacobi_basis(k, m)
+            store.save(k, m, basis)
+            certs = [*basis.certificates, *map(certify, basis.forms),
+                     *(certificate_from_json(certificate_to_json(c))
+                       for c in basis.certificates),
+                     *store.load(k, m).certificates]
+            if basis.forms:
+                combination = Poly.zero(ab)
+                for form in basis.forms:
+                    combination += form.scale(rng.randint(-9, 9))
+                certs.append(certify(combination))
+            for cert in certs:
+                assert isinstance(cert, Certificate) and one_shape(cert)
+
     def test_emitted_forms_certify(self):
         checked = 0
         for k, m in PROFILE_TARGETS + [(-26, 7)]:
@@ -353,17 +379,20 @@ class TestIdentityProperty:
             assert certificate_identity_reference(form, cert)
 
     def test_empty_s_part_skipped(self):
-        """An all-zero S part adds nothing to the equation, so a read
-        certificate that lists one at l = 20 still checks, without
-        building P^20 (38 s at index 5 when it was built)."""
+        """An all-zero S part adds nothing to the equation, so a
+        certificate built by hand that lists one at l = 20 still checks,
+        without building P^20 (38 s at index 5 when it was built).  Read
+        from JSON, the part is left out."""
         basis = jacobi_basis(-16, 5)
         form, cert = basis.forms[0], basis.certificates[0]
         assert certificate_identity(form, cert)
         doc = certificate_to_json(cert)
         doc["s_parts"].append({"l": 20,
                                "poly": poly_to_json(Poly.zero(S_ALPHABET))})
-        padded = certificate_from_json(doc)
-        assert [l for l, _, _ in padded.s_rows][-1] == 20
+        assert certificate_from_json(doc).s_rows == cert.s_rows
+        zero_s = (0,) * len(S_ALPHABET)
+        padded = Certificate(cert.n, cert.den, cert.r_mons, cert.r_nums,
+                             cert.s_rows + ((20, [zero_s], [0]),))
         built = construct._p_power.cache_info().currsize
         start = perf_counter()
         assert certificate_identity(form, padded)

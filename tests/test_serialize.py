@@ -118,11 +118,11 @@ class TestCertificateRows:
         assert checked == 391
 
     def test_zero_s_row_omitted(self):
-        """Four certificates of J_{-12,5} hold an all-zero S_1 row; the
-        fifth S_1 is nonzero."""
+        """Four certificates of J_{-12,5} hold no S_1 row, as S_1 is zero
+        there; the fifth S_1 is nonzero."""
         certs = jacobi_basis(-12, 5).certificates
-        assert [[any(nums) for _, _, nums in c.s_rows] for c in certs] == \
-            [[False]] * 4 + [[True]]
+        assert [[l for l, _, _ in c.s_rows] for c in certs] == \
+            [[]] * 4 + [[1]]
         docs = [certificate_to_json(c) for c in certs]
         assert [[p["l"] for p in d["s_parts"]] for d in docs] == \
             [[]] * 4 + [[1]]
@@ -280,8 +280,10 @@ class TestReaderRejects:
 
     def test_s_part_power_above_index(self, pair_doc):
         """P^2 has index 10, so no S_2 can take part at index 5; the
-        identity is not run on it (P^l grows with l)."""
-        part = {"l": 2, "poly": {"alphabet": "S", "terms": []}}
+        identity is not run on it (P^l grows with l).  The part is
+        nonzero: a zero one is left out of the certificate."""
+        part = {"l": 2, "poly": {"alphabet": "S", "terms": [
+            {"exponents": {}, "coefficient": "1/1"}]}}
         pair_doc["certificates"][0]["s_parts"].append(part)
         with pytest.raises(SerializationError,
                            match="an S part power l exceeds index/5"):

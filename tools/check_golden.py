@@ -1,13 +1,13 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (about 60 s on one core of a 2-core VM:
-3.5 s to build the bases, 14 s for the digests, mostly `basis_to_json`,
-8 s for the certificate checks, which run in integers, 17 s for the
-cache round trip, again mostly `basis_to_json`, 0.4 s for the numeric
-check, 1 s for the span outputs and 19 s for the lowest weights below,
-nearly all of it the bases of m = 16 and 17; the process peaks at about
-420 MB, because the bases and images built before the lowest weights
-are dropped first):
+Run from the repository root (about 45 s on one core of a 2-core VM:
+2.9 s to build the bases, 9.8 s for the digests, mostly `basis_to_json`,
+5.5 s for the certificate checks, which run in integers, 0.4 s for the
+shape checks, 11 s for the cache round trip, again mostly
+`basis_to_json`, 0.3 s for the numeric check, 0.6 s for the span outputs
+and 13 s for the lowest weights below, nearly all of it the bases of
+m = 16 and 17; the process peaks at about 410 MB, because the bases and
+images built before the lowest weights are dropped first):
 
     PYTHONPATH=src python tools/check_golden.py
 
@@ -20,7 +20,10 @@ mismatch means the construction's output changed.  The script also runs
 (6,575 forms), counting a failure as a mismatch, writes every one of
 those bases through a `DiskStore` in a temporary directory and compares
 the digest of each reloaded entry with the golden one, and checks one
-form of J_{-40,10} numerically against the Jacobi-form axioms.
+form of J_{-40,10} numerically against the Jacobi-form axioms.  It
+checks the shape of each of those certificates as built and again as
+reloaded (`one_shape` of `tests/helpers.py`), a failure again a
+mismatch.
 
 `golden_spans.json` holds the sha256 of the stdout of `e8jacobi
 module-gens m` for m = 1..9 and of `e8jacobi lb 12`, the commands whose
@@ -58,6 +61,10 @@ from e8jacobi.oracle import EvalContext, check_axioms
 from e8jacobi.serialize import basis_to_json
 
 HERE = Path(__file__).resolve().parent
+# the certificate shape check is the tests' own
+sys.path.insert(0, str(HERE.parent / "tests"))
+from helpers import one_shape  # noqa: E402
+
 GOLDEN = HERE / "golden_index10.json"
 GOLDEN_SPANS = HERE / "golden_spans.json"
 GOLDEN_LOWEST = HERE / "golden_lowest.json"
@@ -67,6 +74,16 @@ MAX_INDEX = 10
 def digest(doc) -> str:
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def check_shapes(what: str, basis, failures) -> float:
+    """Seconds to check the shape of every certificate of `basis`, whose
+    failures name it as `what`."""
+    start = perf_counter()
+    for i, cert in enumerate(basis.certificates):
+        if not one_shape(cert):
+            failures.append("shape of certificate %d of %s" % (i, what))
+    return perf_counter() - start
 
 
 def run(argv, failures) -> str:
@@ -83,8 +100,9 @@ def main() -> int:
     golden = json.loads(GOLDEN.read_text())
     failures = []
 
-    seconds = dict.fromkeys(["tables", "digests", "identities", "cache",
-                             "numeric check", "spans", "lowest"], 0.0)
+    seconds = dict.fromkeys(["tables", "digests", "identities", "shapes",
+                             "cache", "numeric check", "spans", "lowest"],
+                            0.0)
     start = perf_counter()
     text = run(["tables", "--max-index", str(MAX_INDEX)], failures)
     seconds["tables"] = perf_counter() - start
@@ -115,8 +133,11 @@ def main() -> int:
                 failures.append("certificate %d of J_{%d,%d}" % (i, k, m))
         seconds["digests"] += middle - start
         seconds["identities"] += perf_counter() - middle
+        seconds["shapes"] += check_shapes("J_{%d,%d}" % (k, m), basis,
+                                          failures)
 
     start = perf_counter()
+    shapes = 0.0
     with tempfile.TemporaryDirectory() as root:
         store = DiskStore(root)
         for key in targets:
@@ -126,7 +147,11 @@ def main() -> int:
             if loaded is None or digest(basis_to_json(loaded)) \
                     != golden["digests"].get(key):
                 failures.append("cache entry of J_{%d,%d}" % (k, m))
-    seconds["cache"] = perf_counter() - start
+            if loaded is not None:
+                shapes += check_shapes("reloaded J_{%d,%d}" % (k, m),
+                                       loaded, failures)
+    seconds["shapes"] += shapes
+    seconds["cache"] = perf_counter() - start - shapes
 
     start = perf_counter()
     form = jacobi_basis(-40, 10).forms[0]
