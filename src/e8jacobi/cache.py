@@ -7,31 +7,35 @@ change to the generator tables or the result format invalidates stale
 entries automatically.  Writes are atomic: a temporary file in the same
 directory is renamed into place.
 
-Format 4 stores sparse integer rows, one JSON object per entry; a row
-is [positions, values], its nonzero values at distinct positions in a
-monomial list:
+Format 5 stores each certificate's witness only, as sparse integer
+rows, one JSON object per entry; a row is [positions, values], its
+nonzero values at distinct positions in a monomial list:
 
 - "forms": each form's int coefficients over
   `enumerate_monomials(ab, target)`, whose order fixes the positions;
-- "r_mons": the AB exponent vectors of the remainders, and "s_mons":
-  [l, S exponent vectors] for each S_l, l ascending, each vector listed
-  once, in order of first appearance;
-- "certificates": [n, den, R's numerators, [S_l's numerators for each l
-  of "s_mons"]] per form, every numerator over the one den, [[], []]
-  where a certificate has no S_l.
+- "s_mons": [l, S exponent vectors] for each S_l, l ascending, each
+  vector listed once, in order of first appearance;
+- "certificates": [n, den, [S_l's numerators for each l of "s_mons"]]
+  per form, every numerator over the one den, [[], []] where a
+  certificate has no S_l.
 
+No entry holds R: it is fixed by the form, n and the S_l, and `load`
+builds each certificate over its reloaded form (`Certificate.of_form`),
+which derives R when it is read, so no stale R can come back from disk.
 `load` maps each row back to the certificate's own lists.  It returns
 None for an entry it cannot read (a directory in its place, JSON nested
 too deeply to parse) and for any entry not shaped like one that `save`
-writes from a computed basis: a row whose positions and values differ
-in length, a position out of range or repeated, a value of 0, an entry
-that is not an int, a denominator <= 0, a negative Delta power, ls of
-"s_mons" not strictly ascending from 1 or one above index/5, a monomial
-listed twice in "r_mons" or in one S_l list, a certificate count other
-than the form count, and forms other than nonzero primitive ones, each
-positive at its lead (its smallest position), the leads strictly
-ascending and no form nonzero at another form's lead.  A `save` that
-cannot write its entry raises CacheError.
+writes: a row whose positions and values differ in length, a position
+out of range or repeated, a value of 0, an entry that is not an int, a
+denominator <= 0, a Delta power below that of its form's image (so
+below 0), ls of "s_mons" not strictly ascending from 1 or one above
+index/5, a monomial listed twice in one S_l list, a certificate count
+other than the form count, and forms other than nonzero primitive ones,
+each positive at its lead (its smallest position), the leads strictly
+ascending and no form nonzero at another form's lead.  `save` raises
+CacheError, and writes nothing, for a basis whose entry `load` would
+miss or would read back with another R, and for an entry the file
+system refuses.
 """
 
 from __future__ import annotations
@@ -46,13 +50,13 @@ from operator import lt
 from typing import List, Optional
 
 from .ansatz import enumerate_monomials
-from .construct import (Certificate, JacobiBasis, SCHEMA_VERSION,
-                        coefficient_row)
-from .generators import meromorphic_images, p16_5
+from .construct import (Certificate, ConsistencyError, JacobiBasis,
+                        SCHEMA_VERSION, _remainder, coefficient_row)
+from .generators import _rest_powers, meromorphic_images, p16_5
 from .grading import AB, BiDegree, Poly, S_ALPHABET, ab
 from .serialize import poly_to_compact
 
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 _INT = {int}
 
 
@@ -95,15 +99,49 @@ def _terms(row, mons: list) -> tuple:
 def _exponents(rows, width: int) -> List[tuple]:
     """Distinct exponent vectors of `width` non-negative ints, as tuples."""
     out = [tuple(_ints(exps, width)) for exps in rows]
-    if any(e < 0 for exps in out for e in exps) or len(set(out)) < len(out):
+    if min(map(min, out), default=0) < 0 or len(set(out)) < len(out):
         raise ValueError("negative exponent or repeated monomial")
     return out
 
 
+@cache
+def _delta_powers(target: BiDegree) -> tuple:
+    """The Delta power of the image of each monomial of
+    `enumerate_monomials(ab, target)`, by position: a form's image has
+    the largest over its positions."""
+    return tuple(_rest_powers(mon[2:])[1]
+                 for mon in enumerate_monomials(ab, target))
+
+
+def _check_echelon(rows) -> None:
+    """ValueError unless the form rows [positions, values] are those of
+    nonzero primitive forms, each positive at its lead (its smallest
+    position), the leads strictly ascending and no form nonzero at
+    another form's lead."""
+    leads = []
+    for positions, values in rows:
+        lead = min(positions)       # a ValueError for a zero form
+        if gcd(*values) != 1 or values[positions.index(lead)] < 0:
+            raise ValueError("a form not primitive or negative at its lead")
+        leads.append(lead)
+    # the leads ascend, and each form meets one of them, its own
+    lead_set = set(leads)
+    if leads != sorted(lead_set) or len(leads) < sum(
+            len(lead_set.intersection(p)) for p, _ in rows):
+        raise ValueError("forms not in echelon form")
+
+
 def _row(index: dict, mons: list, nums: list) -> list:
     """The sparse row of `nums` over `mons`, each monomial at its position
-    in `index`, where a monomial not yet listed goes last."""
-    return [[index.setdefault(mon, len(index)) for mon in mons], nums]
+    in `index`, where a monomial not yet listed goes last; CacheError
+    unless the numerators are nonzero, one per monomial, each monomial
+    listed once."""
+    positions = [index.setdefault(mon, len(index)) for mon in mons]
+    if len(nums) != len(positions) or 0 in nums \
+            or len(set(positions)) < len(positions):
+        raise CacheError("an S row with a zero numerator or a monomial "
+                         "listed twice")
+    return [positions, nums]
 
 
 class DiskStore:
@@ -129,7 +167,9 @@ class DiskStore:
             return None
 
     def save(self, k: int, m: int, basis: JacobiBasis) -> None:
-        """Write the entry atomically; CacheError when the file system
+        """Write the entry atomically; CacheError, and nothing written,
+        for a basis whose entry `load` would miss or would read back
+        with another R (see `basis_to_text`), and when the file system
         refuses it (say, a directory where the entry goes)."""
         text = basis_to_text(basis)
         path = self._path(k, m)
@@ -148,65 +188,95 @@ class DiskStore:
 
 
 def basis_from_text(k: int, m: int, text: str) -> JacobiBasis:
-    """The basis of weight k and index m from its format-4 JSON text;
-    KeyError, TypeError or ValueError when the text is not shaped like
-    what `basis_to_text` writes, RecursionError when it nests too deep
-    to parse."""
+    """The basis of weight k and index m from its format-5 JSON text,
+    each certificate over its form; KeyError, TypeError or ValueError
+    when the text is not shaped like what `basis_to_text` writes,
+    RecursionError when it nests too deep to parse."""
     target = BiDegree(k, m)
     doc = json.loads(text)
     mons = enumerate_monomials(ab, target)
-    forms, leads = [], []
-    for row in doc["forms"]:
-        form_mons, values = _terms(row, mons)
-        lead = min(row[0])      # a ValueError for a zero form
-        if gcd(*values) != 1 or values[row[0].index(lead)] < 0:
-            raise ValueError("a form not primitive or negative at its lead")
-        leads.append(lead)
-        forms.append(Poly(ab, dict(zip(form_mons, values))))
-    # the leads ascend, and each form meets one of them, its own
-    lead_set = set(leads)
-    if leads != sorted(lead_set) or len(leads) < sum(
-            len(lead_set.intersection(p)) for p, _ in doc["forms"]):
-        raise ValueError("forms not in echelon form")
-    r_mons = _exponents(doc["r_mons"], len(AB))
+    powers = _delta_powers(target)
+    forms = [Poly(ab, dict(zip(*_terms(row, mons)))) for row in doc["forms"]]
+    _check_echelon(doc["forms"])
     s_mons = [(l, _exponents(rows, len(S_ALPHABET)))
               for l, rows in doc["s_mons"]]
     ls = [0, *_ints([l for l, _ in s_mons], len(s_mons))]
     if not all(map(lt, ls, ls[1:])) or 5 * ls[-1] > m:
         raise ValueError("ls of s_mons not ascending from 1 up to index/5")
+    if len(doc["certificates"]) != len(forms):
+        raise ValueError("certificate count differs from form count")
     certs = []
-    for n, den, r_row, s_part_rows in doc["certificates"]:
+    for form, (positions, _), (n, den, s_part_rows) in zip(
+            forms, doc["forms"], doc["certificates"]):
         _ints([n, den], 2)
-        if n < 0 or den <= 0 or len(s_part_rows) != len(s_mons):
+        if n < max(map(powers.__getitem__, positions)) or den <= 0 \
+                or len(s_part_rows) != len(s_mons):
             raise ValueError("malformed certificate")
         s_rows = [(l, *_terms(row, mons_l))
                   for (l, mons_l), row in zip(s_mons, s_part_rows)]
-        certs.append(Certificate(n, den, *_terms(r_row, r_mons),
-                                 tuple(s for s in s_rows if s[2])))
-    if len(certs) != len(forms):
-        raise ValueError("certificate count differs from form count")
+        certs.append(Certificate.of_form(form, n, den,
+                                         tuple(s for s in s_rows if s[2])))
     return JacobiBasis(target, forms, certs)
 
 
 def basis_to_text(basis: JacobiBasis) -> str:
-    """The format-4 JSON text of `basis` (see the module docstring)."""
-    pos = {mon: i for i, mon
-           in enumerate(enumerate_monomials(ab, basis.target))}
-    r_index: dict = {}
+    """The format-5 JSON text of `basis` (see the module docstring).
+
+    CacheError for a basis whose entry `load` would miss: forms not in
+    the echelon shape of `_check_echelon`, a certificate count other than
+    the form count, a den <= 0, a Delta power below that of its form's
+    image, an S_l with l < 1, listed twice or with 5l above the index,
+    and an S row with a zero numerator or a monomial listed twice.  Also
+    for a certificate not over its form object whose R differs from the
+    one derived from the form, which is the R that `load` gives it."""
+    target = basis.target
+    pos = {mon: i for i, mon in enumerate(enumerate_monomials(ab, target))}
+    powers = _delta_powers(target)
+    # (positions, values) of a form
+    forms = [tuple(zip(*sorted(coefficient_row(f, pos).items())))
+             for f in basis.forms]
+    try:
+        _check_echelon(forms)
+    except ValueError as exc:
+        raise CacheError("not a basis in echelon form: %s" % exc) from None
+    if len(basis.certificates) != len(forms):
+        raise CacheError("%d certificates for %d forms"
+                         % (len(basis.certificates), len(forms)))
     s_index: dict = {}
-    rows = [[c.n, c.den, _row(r_index, c.r_mons, c.r_nums),
-             {l: _row(s_index.setdefault(l, {}), mons, nums)
-              for l, mons, nums in c.s_rows}] for c in basis.certificates]
+    rows = []
+    for form, (positions, _), c in zip(basis.forms, forms,
+                                       basis.certificates):
+        q = max(map(powers.__getitem__, positions))
+        if c.den <= 0 or c.n < q:
+            raise CacheError("a certificate with den %d, or Delta power %d "
+                             "below its form's %d" % (c.den, c.n, q))
+        ls = [l for l, _, _ in c.s_rows]
+        if len(set(ls)) < len(ls) or not all(0 < 5 * l <= target.index
+                                             for l in ls):
+            raise CacheError("S_l powers %s at index %d"
+                             % (ls, target.index))
+        if c.form is not form and not _same_remainder(form, c):
+            raise CacheError("a certificate whose R is not its form's")
+        rows.append([c.n, c.den, {l: _row(s_index.setdefault(l, {}),
+                                          mons, nums)
+                                  for l, mons, nums in c.s_rows}])
     ls = sorted(s_index)
     for row in rows:
-        row[3] = [row[3].get(l, [[], []]) for l in ls]
-    doc = {
-        # (positions, values) of a form: it is never zero
-        "forms": [list(zip(*sorted(coefficient_row(f, pos).items())))
-                  for f in basis.forms],
-        "r_mons": list(r_index),
-        "s_mons": [[l, list(s_index[l])] for l in ls],
-        "certificates": rows,
-    }
+        row[2] = [row[2].get(l, [[], []]) for l in ls]
+    doc = {"forms": forms,
+           "s_mons": [[l, list(s_index[l])] for l in ls],
+           "certificates": rows}
     # json.dumps uses the C encoder; json.dump to a file does not
     return json.dumps(doc)
+
+
+def _same_remainder(form: Poly, cert: Certificate) -> bool:
+    """Whether the R of `cert` lists the terms of the one derived from
+    `form` at the certificate's n and den, each once."""
+    try:
+        mons, nums = cert.r_rows()
+        derived = list(zip(*_remainder(form, cert.n, cert.den)))
+    except ConsistencyError:
+        return False
+    return len(mons) == len(nums) and \
+        sorted(zip(mons, nums), reverse=True) == derived

@@ -6,8 +6,9 @@ substitution to the holomorphic side, clear the Delta denominator, split
 off the E4-denominator parts, demand that each such part be the matching
 power of the distinguished weight-16 index-5 form times an E4-free
 polynomial, and solve the resulting homogeneous linear system exactly.
-Each surviving basis form carries a certificate witnessing membership,
-kept as integer rows (see `Certificate`).
+Each surviving basis form carries a certificate witnessing membership:
+integer rows of its S_l parts, its remainder derived from the form when
+read (see `Certificate`).
 """
 
 from __future__ import annotations
@@ -44,14 +45,66 @@ class Certificate:
     ascending, with that of S_l over S.  Every certificate the library
     builds lists each monomial once, nonzero numerators only, and only
     the S_l that are not zero.  `serialize` writes them as fractions.
+
+    R is fixed by the form, n and the S_l, so a certificate built over
+    its form (`of_form`: the construction's and the cache's) keeps the
+    witness only and stores no R: `r_mons` and `r_nums` are derived from
+    the form on every read (`_remainder`), R's monomials descending.  A
+    certificate built by hand (`certify`, `certificate_from_json`) keeps
+    the R it is given, and its `form` is None.
     """
 
-    __slots__ = ("n", "den", "r_mons", "r_nums", "s_rows")
+    __slots__ = ("n", "den", "s_rows", "form", "_r")
 
     def __init__(self, n: int, den: int, r_mons: list, r_nums: list,
                  s_rows: tuple):
-        self.n, self.den, self.r_mons, self.r_nums, self.s_rows = \
-            n, den, r_mons, r_nums, s_rows
+        self.n, self.den, self.s_rows = n, den, s_rows
+        self.form, self._r = None, (r_mons, r_nums)
+
+    @classmethod
+    def of_form(cls, form: Poly, n: int, den: int,
+                s_rows: tuple) -> "Certificate":
+        """The certificate of `form` whose R is derived on each read."""
+        cert = cls(n, den, None, None, s_rows)
+        cert.form, cert._r = form, None
+        return cert
+
+    def r_rows(self) -> tuple:
+        """(r_mons, r_nums) in one read."""
+        return self._r or _remainder(self.form, self.n, self.den)
+
+    @property
+    def r_mons(self) -> list:
+        return self.r_rows()[0]
+
+    @property
+    def r_nums(self) -> list:
+        return self.r_rows()[1]
+
+
+def _remainder(form: Poly, n: int, den: int) -> Tuple[list, list]:
+    """R of the certificate of `form` at Delta power n over den, as its
+    monomials, descending, and their numerators: the terms of the image
+    T/(L E4^a Delta^n) (`generators._int_image`) at E4 exponent >= a,
+    shifted down by a, each times den / L.  The terms below a are the
+    E4^(a-l) Q_l that the S_l account for.  ConsistencyError when the
+    image's Delta power is not n (n is below the form's) or den R is not
+    integral."""
+    terms, L, a, dl = _int_image(form, n)
+    if dl != n:
+        raise ConsistencyError("certificate Delta power %d is not the "
+                               "image's %d" % (n, dl))
+    mons, nums = [], []
+    for mon in sorted(terms, reverse=True):
+        if mon[0] < a:
+            break
+        x, rest = divmod(terms[mon] * den, L)
+        if rest:
+            raise ConsistencyError("remainder not integral over the "
+                                   "certificate denominator %d" % den)
+        mons.append((mon[0] - a,) + mon[1:])
+        nums.append(x)
+    return mons, nums
 
 
 @dataclass(frozen=True)
@@ -125,28 +178,19 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
     # its index part's den, and L is the lcm of those few dens, so
     # scaling each column to L makes every row integer (the S_l columns
     # absorb L).  Each term is split by its E4 exponent e (E4 leads AB):
-    # e < p goes, E4 stripped, into the rows of Q_{p-e}, and e >= p into
-    # R's part of the column, at E4 exponent e - p: (scale, term
-    # positions, int numerators), the scale applied once per form.  Then
-    # each monomial s of each nonempty S_l ansatz is the column -P^l s,
-    # all of it at E4 exponent p - l, so in Q_l's rows.
+    # e < p goes, E4 stripped, into the rows of Q_{p-e}, and e >= p only
+    # into R, which the system leaves free and no row holds.  Then each
+    # monomial s of each nonempty S_l ansatz is the column -P^l s, all
+    # of it at E4 exponent p - l, so in Q_l's rows.
     columns, p, n = _lifted_columns(ansatz.terms)
     L = lcm(*{den for _, _, den, _ in columns})
     qs: List[Dict[tuple, Dict[int, int]]] = [{} for _ in range(p)]
-    r_pos: Dict[tuple, int] = {}
-    r_cols: List[Tuple[int, List[int], List[int]]] = []
     for j, (s4, s6, den, terms) in enumerate(columns):
         scale = L // den
-        positions, nums = [], []
         for e4, e6, tail, c in terms:
             e = e4 + s4
             if e < p:
                 qs[p - e - 1].setdefault((e6 + s6,) + tail, {})[j] = c * scale
-            else:
-                mon = (e - p, e6 + s6) + tail
-                positions.append(r_pos.setdefault(mon, len(r_pos)))
-                nums.append(c)
-        r_cols.append((scale, positions, nums))
     n_c = n_cols = len(columns)
     s_cols = []
     for l in range(1, p + 1):
@@ -164,14 +208,11 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
     rows = [q[mon] for q in qs for mon in sorted(q, reverse=True)]
     space = nullspace(LinearSystem(n_cols, rows))
 
-    # Certificates by one integer column pass per basis vector, kept as
-    # numerators over g * L.  A basis vector holds its nonzeros only, the
-    # free column and the pivot columns it depends on, so R's numerators
-    # accumulate over those columns alone.  Each S_l monomial has one
-    # column, so S_l is read straight off the vector.  R and each S_l
-    # keep their nonzero terms only, and an S_l that is zero is left out.
-    r_mons = list(r_pos)
-
+    # Each certificate keeps the witness only: n, the den g * L and the
+    # S_l, each read straight off the vector, as each S_l monomial has
+    # one column; its R is derived from the form when read
+    # (`Certificate.of_form`).  Each S_l keeps its nonzero terms only,
+    # and an S_l that is zero is left out.
     forms: List[Poly] = []
     certificates: List[Certificate] = []
     for vec in space.basis:
@@ -185,17 +226,12 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
                 "at weight %d index %d" % (k, m))
         # vec leads with a positive entry in the c-block, so the form
         # c / g is primitive with positive leading coefficient.
-        acc = [0] * len(r_mons)
-        for j, x in c_part:
-            scale, positions, nums = r_cols[j]
-            x *= scale
-            for pos, c in zip(positions, nums):
-                acc[pos] += x * c
-        forms.append(ansatz.substitute({j: x // g for j, x in c_part}))
+        form = ansatz.substitute({j: x // g for j, x in c_part})
         s_rows = [(l, mons, [vec.get(j, 0) for j in range(*cols)])
                   for l, mons, cols in s_cols]
-        certificates.append(Certificate(
-            n, g * L, list(compress(r_mons, acc)), list(filter(None, acc)),
+        forms.append(form)
+        certificates.append(Certificate.of_form(
+            form, n, g * L,
             tuple((l, list(compress(mons, nums)), list(filter(None, nums)))
                   for l, mons, nums in s_rows if any(nums))))
     return JacobiBasis(target, forms, certificates)
@@ -251,31 +287,33 @@ def certificate_identity(form: Poly, cert: Certificate) -> bool:
     The image is T/(L E4^a Delta^D), the `int` terms T of
     `generators._int_image` lifted to D = max(n, d), d the largest Delta
     power of the form's monomial images: for n <= d, the image that
-    `certify` built for the same form object.  R and the S_l are the
-    certificate's nonzero numerators over den; a monomial listed twice
+    `certify` built for the same form object, and the one that a
+    certificate over that object derives its R from.  R and the S_l are
+    the certificate's nonzero numerators over den; a monomial listed twice
     with nonzero numerators fails the check.  With t the largest of a and
     every l, the check is 1728^(D-n) den E4^(t-a) T ==
     L (E4^3 - E6^2)^(D-n) (E4^t R + sum_l E4^(t-l) P^l S_l), each power
     of E4 a shift of exponents; with no nonzero S row and D = n it is
     den T == L E4^a R, checked term by term on T in place.  An n below
     the lowest-terms Delta power leaves a factor Delta on the left only,
-    and the check fails.
+    and the check fails (a certificate whose R is derived from its form
+    raises ConsistencyError then, see `_remainder`).
     """
     if cert.n < 0:
         raise ValueError("certificate Delta power must be >= 0")
     terms, L, e4, dl = _int_image(form, cert.n)
+    r_mons, r_nums = cert.r_rows()
     s_rows = [row for row in cert.s_rows if any(row[2])]
     if not s_rows and dl == cert.n:
         # each nonzero numerator meets its own image term, once
         unmet = dict(terms)
-        for m, x in zip(cert.r_mons, cert.r_nums):
+        for m, x in zip(r_mons, r_nums):
             if x and unmet.pop((m[0] + e4,) + m[1:], 0) * cert.den != x * L:
                 return False
         return not unmet
     t = max([e4, *(l for l, _, _ in s_rows)])
-    r = {(m[0] + t,) + m[1:]: c for m, c in zip(cert.r_mons, cert.r_nums)
-         if c}
-    if len(r) + cert.r_nums.count(0) < len(cert.r_nums):
+    r = {(m[0] + t,) + m[1:]: c for m, c in zip(r_mons, r_nums) if c}
+    if len(r) + r_nums.count(0) < len(r_nums):
         return False
     rhs = Poly(AB, r)
     for l, mons, nums in s_rows:

@@ -111,12 +111,13 @@ def poly_from_json(doc: dict) -> Poly:
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    """R and each S_l that is not all zero, from the integer rows."""
+    """R and each S_l that is not all zero, from the integer rows; the R
+    of a certificate over its form is derived here, once."""
     den = cert.den
     return {"n": cert.n,
             "s_parts": [{"l": l, "poly": _row_doc(S_ALPHABET, mons, nums, den)}
                         for l, mons, nums in cert.s_rows if any(nums)],
-            "remainder": _row_doc(AB, cert.r_mons, cert.r_nums, den)}
+            "remainder": _row_doc(AB, *cert.r_rows(), den)}
 
 
 def _poly_over(doc, alphabet: Alphabet, what: str) -> Poly:

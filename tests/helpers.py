@@ -152,7 +152,9 @@ def certificate_from_parts(n, s_parts, remainder):
 
 
 def rows(cert):
-    """The five fields of `cert`, which hold all of it."""
+    """n, den, R's two lists and the S rows of `cert`: all of what it
+    certifies, R as read (derived from the form of a certificate built
+    over one)."""
     return cert.n, cert.den, cert.r_mons, cert.r_nums, cert.s_rows
 
 
@@ -230,6 +232,41 @@ def certificate_identity_reference(form, cert):
         s_l = Poly(AB, {(t - l,) + m: c for m, c in s_l.terms.items()})
         rhs = rhs.unchecked_add(p16_5() ** l * s_l)
     return lhs == rhs
+
+
+def remainders_reference(basis):
+    """Reference R of each certificate of a computed `basis`, by the one
+    integer column pass over the image columns that the construction
+    made before R was derived from the form: each column's terms at E4
+    exponent e >= p go, at exponent e - p, to R's part of the column,
+    and each form's numerators over its certificate's den g L accumulate
+    over the columns of its monomials, g = den / L.  One dict
+    {AB monomial: nonzero numerator} per certificate."""
+    ansatz = build_ansatz(ab, basis.target)
+    columns, p, _ = _lifted_columns(ansatz.terms)
+    L = lcm(*{den for _, _, den, _ in columns})
+    r_pos, r_cols = {}, {}
+    for mon, (s4, s6, den, terms) in zip(ansatz.terms, columns):
+        positions, nums = [], []
+        for e4, e6, tail, c in terms:
+            if e4 + s4 >= p:
+                positions.append(r_pos.setdefault(
+                    (e4 + s4 - p, e6 + s6) + tail, len(r_pos)))
+                nums.append(c)
+        r_cols[mon] = (L // den, positions, nums)
+    r_mons = list(r_pos)
+    out = []
+    for form, cert in zip(basis.forms, basis.certificates):
+        g, rest = divmod(cert.den, L)
+        assert not rest
+        acc = [0] * len(r_mons)
+        for mon, c in form.terms.items():
+            scale, positions, nums = r_cols[mon]
+            x = g * int(c) * scale
+            for pos, a in zip(positions, nums):
+                acc[pos] += x * a
+        out.append({mon: a for mon, a in zip(r_mons, acc) if a})
+    return out
 
 
 def expand_column(column):

@@ -10,9 +10,9 @@ import pytest
 from e8jacobi import cache
 from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.cache import CacheError, DiskStore
-from e8jacobi.construct import (Certificate, certificate_identity,
-                                jacobi_basis)
-from e8jacobi.generators import meromorphic_images
+from e8jacobi.construct import (Certificate, JacobiBasis,
+                                certificate_identity, jacobi_basis)
+from e8jacobi.generators import _int_image, meromorphic_images
 from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab
 from e8jacobi.serialize import (basis_from_json, basis_to_json,
                                 certificate_to_json, poly_to_compact)
@@ -128,6 +128,76 @@ class TestDiskStore:
         assert os.path.isdir(root)
 
 
+class TestSaveRefuses:
+    """`save` raises CacheError and writes nothing for a basis whose entry
+    `load` would miss, or would read back with another R: each case
+    changes one certificate of J_{-26,8} that has an S part, or its
+    forms."""
+
+    TARGET = (-26, 8)
+
+    def changed(self, fault):
+        basis = jacobi_basis(*self.TARGET)
+        forms, certs = list(basis.forms), list(basis.certificates)
+        i = next(i for i, c in enumerate(certs) if c.s_rows)
+        form, cert = forms[i], certs[i]
+        (l, mons, nums), = cert.s_rows
+        n, den, s_rows = cert.n, cert.den, cert.s_rows
+        r_mons, r_nums = map(list, cert.r_rows())
+        if fault == "zero_s_numerator":
+            s_rows = ((l, mons, [0, *nums[1:]]),)
+        elif fault == "s_monomial_twice":
+            s_rows = ((l, mons + mons[:1], nums + nums[:1]),)
+        elif fault in ("s_power_above_index", "s_power_zero"):
+            s_rows = ((2 if fault == "s_power_above_index" else 0, mons,
+                       nums),)
+        elif fault == "s_power_twice":
+            s_rows = s_rows * 2
+        elif fault in ("den_zero", "den_negative"):
+            den = 0 if fault == "den_zero" else -den
+        elif fault == "n_negative":
+            n = -1
+        elif fault == "n_below_the_forms":
+            n = _int_image(form)[3] - 1
+        elif fault == "r_numerator":
+            r_nums[0] += 1
+        elif fault == "r_zero_term":
+            r_mons.append((0,) * len(AB))
+            r_nums.append(0)
+        elif fault == "r_monomial_twice":
+            r_mons.append(r_mons[0])
+            r_nums.append(r_nums[0])
+        elif fault == "forms_swapped":
+            forms[:2] = forms[1::-1]
+        elif fault == "certificate_missing":
+            del certs[-1]
+        if fault.startswith("r_"):
+            certs[i] = Certificate(n, den, r_mons, r_nums, s_rows)
+        elif fault not in ("forms_swapped", "certificate_missing"):
+            certs[i] = Certificate.of_form(form, n, den, s_rows)
+        return JacobiBasis(basis.target, forms, certs)
+
+    @pytest.mark.parametrize("fault", [
+        "zero_s_numerator", "s_monomial_twice", "s_power_above_index",
+        "s_power_zero", "s_power_twice", "den_zero", "den_negative",
+        "n_negative", "n_below_the_forms", "r_numerator", "r_zero_term",
+        "r_monomial_twice", "forms_swapped", "certificate_missing"])
+    def test_refused(self, tmp_path, fault):
+        store = DiskStore(str(tmp_path))
+        with pytest.raises(CacheError):
+            store.save(*self.TARGET, self.changed(fault))
+        assert os.listdir(tmp_path) == []
+
+    def test_hand_built_remainder_that_matches(self, tmp_path):
+        # the R that `load` derives is the one the certificate held
+        store = DiskStore(str(tmp_path))
+        basis = self.changed("r_unchanged")
+        store.save(*self.TARGET, basis)
+        loaded = store.load(*self.TARGET)
+        assert list(map(rows, loaded.certificates)) == \
+            list(map(rows, basis.certificates))
+
+
 def v1_document(basis):
     """The entry that format 1 wrote: compact "num/den" terms."""
     return {"forms": [poly_to_compact(f) for f in basis.forms],
@@ -164,8 +234,8 @@ def v2_document(basis):
 
 
 class Entry:
-    """A stored J_{-26,8}, which has forms, remainders and S_l parts, and
-    its reload after an edit of the JSON document."""
+    """A stored J_{-26,8}, which has forms and S_l parts, and its reload
+    after an edit of the JSON document."""
 
     TARGET = (-26, 8)
 
@@ -185,7 +255,7 @@ class Entry:
 
 class TestFormat2(Entry):
     """The malformed-entry cases of format 2, each on the sparse rows of
-    format 4: every one makes `load` miss rather than return a wrong
+    format 5: every one makes `load` miss rather than return a wrong
     basis.  A row of the wrong length reaches past its monomials, or has
     fewer values than positions: `zip` would truncate it silently."""
 
@@ -193,7 +263,7 @@ class TestFormat2(Entry):
         _, _, doc = entry
         basis = jacobi_basis(*self.TARGET)
         assert len(doc["forms"]) == len(doc["certificates"]) == 12
-        assert doc["s_mons"] and doc["r_mons"]
+        assert doc["s_mons"] and "r_mons" not in doc
         assert list(map(rows, self.reload(entry, doc).certificates)) == \
             list(map(rows, basis.certificates))
 
@@ -203,7 +273,7 @@ class TestFormat2(Entry):
         monkeypatch.setattr(cache, "CACHE_FORMAT", 1)
         assert store._digest(*self.TARGET) != digest
 
-    @pytest.mark.parametrize("where", ["form", "remainder", "s_part"])
+    @pytest.mark.parametrize("where", ["form", "s_part"])
     @pytest.mark.parametrize("change", ["append", "pop"])
     def test_row_of_wrong_length(self, entry, where, change):
         doc = entry[2]
@@ -218,12 +288,13 @@ class TestFormat2(Entry):
     @pytest.mark.parametrize("value", ["1", 1.0, True, None, [1]])
     @pytest.mark.parametrize("where", ["form", "numerator", "den", "n"])
     def test_entry_not_an_int(self, entry, where, value):
+        # the numerator is an S_l numerator: no entry holds R
         doc = entry[2]
-        cert = doc["certificates"][0]
+        cert = with_s_part(doc)
         if where == "form":
             doc["forms"][0][1][0] = value
         elif where == "numerator":
-            cert[2][1][0] = value
+            cert[2][0][1][0] = value
         else:
             cert[["n", "den"].index(where)] = value
         assert self.reload(entry, doc) is None
@@ -233,15 +304,22 @@ class TestFormat2(Entry):
         # a negated den over negated numerators has the same values; a
         # zero den keeps the numerators, which may not be 0
         doc = entry[2]
-        cert = doc["certificates"][0]
+        cert = with_s_part(doc)
         cert[1] *= sign
         if sign:
-            cert[2][1] = [sign * a for a in cert[2][1]]
+            cert[2][0][1] = [sign * a for a in cert[2][0][1]]
         assert self.reload(entry, doc) is None
 
     def test_negative_delta_power(self, entry):
         doc = entry[2]
         doc["certificates"][0][0] = -1
+        assert self.reload(entry, doc) is None
+
+    def test_delta_power_below_the_forms(self, entry):
+        # R would not be derivable over the form's image
+        doc = entry[2]
+        form = jacobi_basis(*self.TARGET).forms[0]
+        doc["certificates"][0][0] = _int_image(form)[3] - 1
         assert self.reload(entry, doc) is None
 
     @pytest.mark.parametrize("key", ["forms", "certificates"])
@@ -252,7 +330,7 @@ class TestFormat2(Entry):
 
     def test_s_part_count_mismatch(self, entry):
         doc = entry[2]
-        doc["certificates"][0][3].pop()
+        doc["certificates"][0][2].pop()
         assert self.reload(entry, doc) is None
 
     @pytest.mark.parametrize("l", [0, -1, "repeat"])
@@ -263,17 +341,17 @@ class TestFormat2(Entry):
         if l == "repeat":
             doc["s_mons"].append(doc["s_mons"][0])
             for cert in doc["certificates"]:
-                cert[3].append(cert[3][0])
+                cert[2].append(cert[2][0])
         else:
             doc["s_mons"][0][0] = l
         assert self.reload(entry, doc) is None
 
-    @pytest.mark.parametrize("where", ["remainder", "s_part"])
+    @pytest.mark.parametrize("where", ["s_part"])
     def test_repeated_monomial(self, entry, where):
         # the first monomial listed again, past every stored position:
         # read as a dict, the repeat would hide that monomial's numerators
         doc = entry[2]
-        mons = doc["r_mons"] if where == "remainder" else doc["s_mons"][0][1]
+        mons = doc["s_mons"][0][1]
         mons.append(mons[0])
         assert self.reload(entry, doc) is None
 
@@ -284,10 +362,15 @@ class TestFormat2(Entry):
 
 def sparse_rows(doc, where):
     """The [positions, values] rows of the kind `where` in `doc`: every
-    form, every remainder or every certificate's first S_l."""
-    certs = doc["certificates"]
-    return {"form": doc["forms"], "remainder": [c[2] for c in certs],
-            "s_part": [c[3][0] for c in certs]}[where]
+    form or every certificate's first S_l."""
+    if where == "form":
+        return doc["forms"]
+    return [c[2][0] for c in doc["certificates"]]
+
+
+def with_s_part(doc):
+    """The first certificate row of `doc` whose first S_l is not zero."""
+    return next(c for c in doc["certificates"] if c[2][0][0])
 
 
 def sparse_row(doc, where):
@@ -299,17 +382,17 @@ def row_length(doc, where):
     """The number of monomials that a row of the kind `where` spans."""
     if where == "form":
         return len(enumerate_monomials(ab, BiDegree(*Entry.TARGET)))
-    return len(doc["r_mons"] if where == "remainder" else doc["s_mons"][0][1])
+    return len(doc["s_mons"][0][1])
 
 
 class TestSparseRows(Entry):
-    """A format-4 row is [positions, values]: nonzero int values at
+    """A format-5 row is [positions, values]: nonzero int values at
     distinct int positions within its monomials, in any order.  Each way
     to break that makes `load` miss."""
 
     def test_rows_are_sparse(self, entry):
         doc = entry[2]
-        for where in ("form", "remainder", "s_part"):
+        for where in ("form", "s_part"):
             length = row_length(doc, where)
             for positions, values in sparse_rows(doc, where):
                 assert len(positions) == len(values) and all(values)
@@ -318,7 +401,7 @@ class TestSparseRows(Entry):
 
     @pytest.mark.parametrize("fault", ["past_end", "negative", "repeated",
                                        "zero", "more_values", "bool"])
-    @pytest.mark.parametrize("where", ["form", "remainder", "s_part"])
+    @pytest.mark.parametrize("where", ["form", "s_part"])
     def test_malformed_row(self, entry, where, fault):
         doc = entry[2]
         positions, values = sparse_row(doc, where)
@@ -343,14 +426,13 @@ class TestSparseRows(Entry):
         assert self.reload(entry, doc) is None
 
     def test_format_2_entry_is_never_read(self, entry, monkeypatch):
-        """Format 2's and format 3's entries have other names, and format
-        2's document, put where the format-4 entry goes, misses.  (A
-        format-3 document would load: its rows, positions ascending, are
-        format-4 rows over the same lists.)"""
+        """Format 2's, 3's and 4's entries have other names, and format
+        2's document, put where the format-5 entry goes, misses.  (A
+        format-4 document would miss too: its certificate rows hold R.)"""
         store = entry[0]
         digest = store._digest(*self.TARGET)
-        assert cache.CACHE_FORMAT == 4
-        for old in (2, 3):
+        assert cache.CACHE_FORMAT == 5
+        for old in (2, 3, 4):
             monkeypatch.setattr(cache, "CACHE_FORMAT", old)
             assert store._digest(*self.TARGET) != digest
         monkeypatch.undo()
@@ -381,9 +463,9 @@ class TestNotABasis(Entry):
     def test_zero_form(self, entry):
         # an all-zero certificate passes `certificate_identity` for it
         doc = entry[2]
-        n, den, _, s_part_rows = doc["certificates"][0]
+        n, den, s_part_rows = doc["certificates"][0]
         self.append_form(doc, [[], []],
-                         [n, den, [[], []], [[[], []]] * len(s_part_rows)])
+                         [n, den, [[[], []]] * len(s_part_rows)])
         assert certificate_identity(Poly.zero(ab), Certificate(
             0, 1, [], [], ()))
         assert self.reload(entry, doc) is None

@@ -30,7 +30,8 @@ from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
                      certificate_from_parts, certificate_identity_reference,
                      certify_reference, dense, drop_e4,
                      index_multisets_reference, m16_5_pair,
-                     m26_7_generator, one_shape, remainder, s_parts,
+                     m26_7_generator, one_shape, remainder,
+                     remainders_reference, s_parts,
                      second_power_form, span_basis, spans_equal,
                      system_rows_reference)
 
@@ -264,6 +265,68 @@ class TestCertificateColumns:
         assert expected or target == (-20, 4)
         assert any(s_parts(cert) for cert in expected) == \
             (target == (-26, 8))
+
+
+# every target of index 1..8 in its profile weight range (1,776 forms)
+INDEX_8_TARGETS = [t for m in range(1, 9) for t in _profile_targets(m)]
+
+
+class TestDerivedRemainder:
+    """A computed certificate stores no R: it derives R from its form on
+    each read, as the terms of the form's image at E4 exponent >= a,
+    shifted down by a, over den.  That R is the one the construction
+    accumulated over the image columns (`remainders_reference`)."""
+
+    def test_matches_column_accumulation(self, tmp_path):
+        store = DiskStore(str(tmp_path))
+        for k, m in INDEX_8_TARGETS:
+            basis = jacobi_basis(k, m)
+            want = remainders_reference(basis)
+            store.save(k, m, basis)
+            for certs in (basis.certificates, store.load(k, m).certificates):
+                got = [cert.r_rows() for cert in certs]
+                assert [dict(zip(*r)) for r in got] == want, (k, m)
+                assert all(mons == sorted(mons, reverse=True)
+                           for mons, _ in got)
+
+    def test_stores_no_remainder(self):
+        basis = jacobi_basis(-26, 8)
+        for form, cert in zip(basis.forms, basis.certificates):
+            assert cert.form is form and cert._r is None
+            first, again = cert.r_mons, cert.r_mons
+            assert first == again and first is not again
+            assert cert.r_nums == cert.r_nums
+            assert cert._r is None and not hasattr(cert, "__dict__")
+
+    @pytest.fixture
+    def with_s_part(self):
+        """A J_{-26,8} form and its certificate, which has an S part."""
+        basis = jacobi_basis(-26, 8)
+        return next((f, c) for f, c in zip(basis.forms, basis.certificates)
+                    if c.s_rows)
+
+    def test_den_leaving_remainder_not_integral(self, with_s_part):
+        form, cert = with_s_part
+        bad = Certificate.of_form(form, cert.n, 1, cert.s_rows)
+        for read in (Certificate.r_rows, lambda c: c.r_mons,
+                     lambda c: c.r_nums):
+            with pytest.raises(ConsistencyError, match="not integral"):
+                read(bad)
+
+    def test_delta_power_below_the_forms(self, with_s_part):
+        form, cert = with_s_part
+        q = _int_image(form)[3]
+        assert q == cert.n
+        bad = Certificate.of_form(form, q - 1, cert.den, cert.s_rows)
+        with pytest.raises(ConsistencyError, match="Delta power"):
+            bad.r_rows()
+        with pytest.raises(ConsistencyError, match="Delta power"):
+            certificate_identity(form, bad)
+        # above the form's own power the image is lifted, as for a basis
+        # form whose monomials sit below the ansatz's Delta power
+        lifted = Certificate.of_form(form, q + 1, 1728 * cert.den,
+                                     cert.s_rows)
+        assert lifted.r_rows() and lifted.r_rows() != cert.r_rows()
 
 
 class TestIntegerCertify:

@@ -1,13 +1,14 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (about 45 s on one core of a 2-core VM:
-2.9 s to build the bases, 9.8 s for the digests, mostly `basis_to_json`,
-5.5 s for the certificate checks, which run in integers, 0.4 s for the
-shape checks, 11 s for the cache round trip, again mostly
-`basis_to_json`, 0.3 s for the numeric check, 0.6 s for the span outputs
-and 13 s for the lowest weights below, nearly all of it the bases of
-m = 16 and 17; the process peaks at about 410 MB, because the bases and
-images built before the lowest weights are dropped first):
+Run from the repository root (about 78 s on one core of a 2-core VM:
+1.6 s to build the bases, 19 s for the digests, mostly `basis_to_json`,
+which derives each certificate's R from its form's image, 9.3 s for the
+certificate checks, which run in integers, 17 s for the shape checks,
+which derive each R again, 16 s for the cache round trip, again mostly
+`basis_to_json`, 0.3 s for the numeric check, 0.7 s for the span
+outputs and 14 s for the lowest weights below, nearly all of it the
+bases of m = 16 and 17; the process peaks at about 380 MB, because the
+bases and images built before the lowest weights are dropped first):
 
     PYTHONPATH=src python tools/check_golden.py
 
@@ -38,14 +39,16 @@ script also asserts a new generator at every 12 <= m <= 17, the paper's
 claim of a generator of weight -4m at each such index.
 
 Prints one line per mismatch and a summary; exits 0 when everything
-matches and 1 otherwise.  The seconds of each part and the process's
-peak RSS go to stderr.
+matches and 1 otherwise.  The seconds of each part, the bytes of the
+temporary store's entries (1,323,077 in cache format 5) and the
+process's peak RSS go to stderr.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import resource
 import sys
 import tempfile
@@ -150,6 +153,7 @@ def main() -> int:
             if loaded is not None:
                 shapes += check_shapes("reloaded J_{%d,%d}" % (k, m),
                                        loaded, failures)
+        store_bytes = sum(entry.stat().st_size for entry in os.scandir(root))
     seconds["shapes"] += shapes
     seconds["cache"] = perf_counter() - start - shapes
 
@@ -193,8 +197,9 @@ def main() -> int:
                             % m)
     seconds["lowest"] = perf_counter() - start
     print(", ".join("%s %.1f s" % item for item in seconds.items())
-          + ", peak RSS %d MB"
-          % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024),
+          + ", cache entries %d bytes, peak RSS %d MB"
+          % (store_bytes,
+             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024),
           file=sys.stderr)
 
     for line in failures:
