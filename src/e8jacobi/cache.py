@@ -20,8 +20,8 @@ nonzero values at distinct positions in a monomial list:
   certificate has no S_l.
 
 No entry holds R: it is fixed by the form, n and the S_l, and `load`
-builds each certificate over its reloaded form (`Certificate.of_form`),
-which derives R when it is read, so no stale R can come back from disk.
+builds each certificate over its reloaded form (`Certificate`), which
+derives R when it is read, so no stale R can come back from disk.
 `load` maps each row back to the certificate's own lists.  It returns
 None for an entry it cannot read (a directory in its place, JSON nested
 too deeply to parse) and for any entry not shaped like one that `save`
@@ -34,8 +34,8 @@ other than the form count, and forms other than nonzero primitive ones,
 each positive at its lead (its smallest position), the leads strictly
 ascending and no form nonzero at another form's lead.  `save` raises
 CacheError, and writes nothing, for a basis whose entry `load` would
-miss or would read back with another R, and for an entry the file
-system refuses.
+miss, for a certificate of another form than the one at its position,
+and for an entry the file system refuses.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from operator import lt
 from typing import List, Optional
 
 from .ansatz import enumerate_monomials
-from .construct import (Certificate, ConsistencyError, JacobiBasis,
-                        SCHEMA_VERSION, _remainder, coefficient_row)
+from .construct import (Certificate, JacobiBasis, SCHEMA_VERSION,
+                        coefficient_row)
 from .generators import _rest_powers, meromorphic_images, p16_5
 from .grading import AB, BiDegree, Poly, S_ALPHABET, ab
 from .serialize import poly_to_compact
@@ -168,9 +168,8 @@ class DiskStore:
 
     def save(self, k: int, m: int, basis: JacobiBasis) -> None:
         """Write the entry atomically; CacheError, and nothing written,
-        for a basis whose entry `load` would miss or would read back
-        with another R (see `basis_to_text`), and when the file system
-        refuses it (say, a directory where the entry goes)."""
+        for a basis that `basis_to_text` refuses, and when the file
+        system refuses it (say, a directory where the entry goes)."""
         text = basis_to_text(basis)
         path = self._path(k, m)
         tmp = None
@@ -214,8 +213,8 @@ def basis_from_text(k: int, m: int, text: str) -> JacobiBasis:
             raise ValueError("malformed certificate")
         s_rows = [(l, *_terms(row, mons_l))
                   for (l, mons_l), row in zip(s_mons, s_part_rows)]
-        certs.append(Certificate.of_form(form, n, den,
-                                         tuple(s for s in s_rows if s[2])))
+        certs.append(Certificate(form, n, den,
+                                 tuple(s for s in s_rows if s[2])))
     return JacobiBasis(target, forms, certs)
 
 
@@ -227,8 +226,8 @@ def basis_to_text(basis: JacobiBasis) -> str:
     the form count, a den <= 0, a Delta power below that of its form's
     image, an S_l with l < 1, listed twice or with 5l above the index,
     and an S row with a zero numerator or a monomial listed twice.  Also
-    for a certificate not over its form object whose R differs from the
-    one derived from the form, which is the R that `load` gives it."""
+    for a certificate whose form is not the basis form at its position:
+    `load` builds each certificate over the form at its position."""
     target = basis.target
     pos = {mon: i for i, mon in enumerate(enumerate_monomials(ab, target))}
     powers = _delta_powers(target)
@@ -255,8 +254,8 @@ def basis_to_text(basis: JacobiBasis) -> str:
                                              for l in ls):
             raise CacheError("S_l powers %s at index %d"
                              % (ls, target.index))
-        if c.form is not form and not _same_remainder(form, c):
-            raise CacheError("a certificate whose R is not its form's")
+        if c.form != form:
+            raise CacheError("a certificate of another form")
         rows.append([c.n, c.den, {l: _row(s_index.setdefault(l, {}),
                                           mons, nums)
                                   for l, mons, nums in c.s_rows}])
@@ -269,14 +268,3 @@ def basis_to_text(basis: JacobiBasis) -> str:
     # json.dumps uses the C encoder; json.dump to a file does not
     return json.dumps(doc)
 
-
-def _same_remainder(form: Poly, cert: Certificate) -> bool:
-    """Whether the R of `cert` lists the terms of the one derived from
-    `form` at the certificate's n and den, each once."""
-    try:
-        mons, nums = cert.r_rows()
-        derived = list(zip(*_remainder(form, cert.n, cert.den)))
-    except ConsistencyError:
-        return False
-    return len(mons) == len(nums) and \
-        sorted(zip(mons, nums), reverse=True) == derived

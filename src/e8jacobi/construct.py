@@ -19,11 +19,10 @@ from functools import cache
 from itertools import compress
 from math import gcd, lcm
 from operator import add
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .ansatz import build_ansatz, enumerate_monomials
-from .generators import (_delta_power, _int_image, _lifted_columns, e4_split,
-                         p16_5)
+from .generators import _int_image, _lifted_columns, e4_split, p16_5
 from .grading import AB, BiDegree, Poly, S_ALPHABET, ab, cancel_delta
 from .kernels import echelon, extend
 from .linsolve import LinearSystem, nullspace
@@ -36,64 +35,54 @@ class ConsistencyError(RuntimeError):
 
 
 class Certificate:
-    """Witness that Delta^n * (form over AB) = sum_l P^l S_l / E4^l + R,
-    with P the weight-16 index-5 form and every S_l free of E4.
+    """Witness that `form` is a Jacobi form: with P the weight-16 index-5
+    form, Delta^n * (form over AB) = sum_l P^l S_l / E4^l + R, every S_l
+    free of E4.
 
-    Kept in integers only: every coefficient is a numerator over the one
-    positive denominator `den`.  `r_nums` lines up with the monomial list
-    `r_mons` of R over AB, and each (l, mons, nums) of `s_rows`, l
-    ascending, with that of S_l over S.  Every certificate the library
-    builds lists each monomial once, nonzero numerators only, and only
-    the S_l that are not zero.  `serialize` writes them as fractions.
-
-    R is fixed by the form, n and the S_l, so a certificate built over
-    its form (`of_form`: the construction's and the cache's) keeps the
-    witness only and stores no R: `r_mons` and `r_nums` are derived from
-    the form on every read (`_remainder`), R's monomials descending.  A
-    certificate built by hand (`certify`, `certificate_from_json`) keeps
-    the R it is given, and its `form` is None.
+    It holds the form, n, the one positive denominator `den` and the
+    S_l, in integers: each (l, mons, nums) of `s_rows`, l ascending, is
+    S_l over S as its monomials and their numerators over den.  Every
+    certificate the library builds lists each monomial once, nonzero
+    numerators only, and only the S_l that are not zero.  R is fixed by
+    the form, n and the S_l, so it is not held: `r_rows()` derives it
+    from the form on every read (`_remainder`), as R's monomials,
+    descending, and their numerators over den.
+    `serialize` writes R and the S_l as fractions.
     """
 
-    __slots__ = ("n", "den", "s_rows", "form", "_r")
+    __slots__ = ("form", "n", "den", "s_rows")
 
-    def __init__(self, n: int, den: int, r_mons: list, r_nums: list,
-                 s_rows: tuple):
-        self.n, self.den, self.s_rows = n, den, s_rows
-        self.form, self._r = None, (r_mons, r_nums)
-
-    @classmethod
-    def of_form(cls, form: Poly, n: int, den: int,
-                s_rows: tuple) -> "Certificate":
-        """The certificate of `form` whose R is derived on each read."""
-        cert = cls(n, den, None, None, s_rows)
-        cert.form, cert._r = form, None
-        return cert
+    def __init__(self, form: Poly, n: int, den: int, s_rows: tuple):
+        self.form, self.n, self.den, self.s_rows = form, n, den, s_rows
 
     def r_rows(self) -> tuple:
-        """(r_mons, r_nums) in one read."""
-        return self._r or _remainder(self.form, self.n, self.den)
+        """(R's monomials, their numerators), derived from the form."""
+        return _remainder(self.form, self.n, self.den)
 
-    @property
-    def r_mons(self) -> list:
-        return self.r_rows()[0]
 
-    @property
-    def r_nums(self) -> list:
-        return self.r_rows()[1]
+def _image(form: Poly, n: int) -> Optional[Tuple[dict, int, int]]:
+    """(terms, L, a): the image of `form` as `int` terms T over
+    L E4^a Delta^n (`generators._int_image`), or None when n is below
+    the Delta power of its lowest terms.  Above the largest Delta power
+    d of the form's monomial images the image is lifted to Delta^n;
+    below d, Delta is cancelled from T (`cancel_delta`) down to n."""
+    terms, L, a, dl = _int_image(form, n)
+    k, terms = cancel_delta(terms, dl - n)
+    return (terms, L, a) if dl - k == n else None
 
 
 def _remainder(form: Poly, n: int, den: int) -> Tuple[list, list]:
     """R of the certificate of `form` at Delta power n over den, as its
     monomials, descending, and their numerators: the terms of the image
-    T/(L E4^a Delta^n) (`generators._int_image`) at E4 exponent >= a,
-    shifted down by a, each times den / L.  The terms below a are the
-    E4^(a-l) Q_l that the S_l account for.  ConsistencyError when the
-    image's Delta power is not n (n is below the form's) or den R is not
-    integral."""
-    terms, L, a, dl = _int_image(form, n)
-    if dl != n:
-        raise ConsistencyError("certificate Delta power %d is not the "
-                               "image's %d" % (n, dl))
+    T/(L E4^a Delta^n) (`_image`) at E4 exponent >= a, shifted down by
+    a, each times den / L.  The terms below a are the E4^(a-l) Q_l that
+    the S_l account for.  ConsistencyError when Delta cannot be
+    cancelled from the image down to Delta^n or den R is not integral."""
+    image = _image(form, n)
+    if image is None:
+        raise ConsistencyError("certificate Delta power %d is below the "
+                               "image's" % n)
+    terms, L, a = image
     mons, nums = [], []
     for mon in sorted(terms, reverse=True):
         if mon[0] < a:
@@ -208,11 +197,10 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
     rows = [q[mon] for q in qs for mon in sorted(q, reverse=True)]
     space = nullspace(LinearSystem(n_cols, rows))
 
-    # Each certificate keeps the witness only: n, the den g * L and the
+    # Each certificate is the form's witness: n, the den g * L and the
     # S_l, each read straight off the vector, as each S_l monomial has
-    # one column; its R is derived from the form when read
-    # (`Certificate.of_form`).  Each S_l keeps its nonzero terms only,
-    # and an S_l that is zero is left out.
+    # one column (see `Certificate`).  Each S_l keeps its nonzero terms
+    # only, and an S_l that is zero is left out.
     forms: List[Poly] = []
     certificates: List[Certificate] = []
     for vec in space.basis:
@@ -230,7 +218,7 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
         s_rows = [(l, mons, [vec.get(j, 0) for j in range(*cols)])
                   for l, mons, cols in s_cols]
         forms.append(form)
-        certificates.append(Certificate.of_form(
+        certificates.append(Certificate(
             form, n, g * L,
             tuple((l, list(compress(mons, nums)), list(filter(None, nums)))
                   for l, mons, nums in s_rows if any(nums))))
@@ -247,12 +235,14 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
     Succeeds iff every E4-denominator part is exactly divisible by the
     matching power of the weight-16 index-5 form; a Rejection names the
     first failing denominator power.  The image's `int` terms over L
-    (`generators._int_image`, kept for `certificate_identity`) lose their
-    Delta factors (`cancel_delta`) and are split by E4 exponent into R's
-    int terms and the Q_l.  Each nonzero Q_l divided by P^l, the one step
-    in Fractions, gives the row of S_l: its quotient's monomials with the
-    E4 exponent (0) dropped, and its coefficients over L as numerators
-    over `den`, the lcm of the reduced denominators of R and every S_l.
+    (`generators._int_image`, kept for `certificate_identity` and the
+    certificate's R) lose their Delta factors (`cancel_delta`) and are
+    split by E4 exponent into R's terms and the Q_l.  Each nonzero Q_l
+    divided by P^l, the one step in Fractions, gives the row of S_l: its
+    quotient's monomials with the E4 exponent (0) dropped, and its
+    coefficients over L as numerators over `den`, the lcm of the reduced
+    denominators of R and every S_l.  The certificate is the witness
+    over `form` at the Delta power left; its R is derived when read.
     """
     form.bidegree()  # raises on inhomogeneous input
     terms, L, e4, dl = _int_image(form)
@@ -269,7 +259,7 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
     den = lcm(L // gcd(L, *r.values()),
               *(c.denominator for _, _, s in s_rows for c in s))
     return Certificate(
-        dl - k, den, list(r), [c * den // L for c in r.values()],
+        form, dl - k, den,
         tuple((l, mons, [c.numerator * (den // c.denominator) for c in s])
               for l, mons, s in s_rows))
 
@@ -281,52 +271,42 @@ def _p_power(l: int) -> Poly:
 
 
 def certificate_identity(form: Poly, cert: Certificate) -> bool:
-    """Exact re-check: Delta^n * image(form) == sum_l P^l S_l / E4^l + R,
-    as one polynomial equation over AB in integers.
+    """Exact check that the witness of `cert` (n, den and the S rows)
+    certifies `form`, in integers; `cert.form` and R are not read.
 
-    The image is T/(L E4^a Delta^D), the `int` terms T of
-    `generators._int_image` lifted to D = max(n, d), d the largest Delta
-    power of the form's monomial images: for n <= d, the image that
-    `certify` built for the same form object, and the one that a
-    certificate over that object derives its R from.  R and the S_l are
-    the certificate's nonzero numerators over den; a monomial listed twice
-    with nonzero numerators fails the check.  With t the largest of a and
-    every l, the check is 1728^(D-n) den E4^(t-a) T ==
-    L (E4^3 - E6^2)^(D-n) (E4^t R + sum_l E4^(t-l) P^l S_l), each power
-    of E4 a shift of exponents; with no nonzero S row and D = n it is
-    den T == L E4^a R, checked term by term on T in place.  An n below
-    the lowest-terms Delta power leaves a factor Delta on the left only,
-    and the check fails (a certificate whose R is derived from its form
-    raises ConsistencyError then, see `_remainder`).
+    The image of `form` is T/(L E4^a Delta^n), the `int` terms of
+    `_image`: for the n of a `certify` certificate, the image that
+    `certify` built for the same form object.  With Q_l the E4^(a-l)
+    slice of T and S_l the numerators of the S row at l over den, the
+    witness holds when den Q_l == L P^l S_l for every l <= a, each
+    nonzero S_l has 1 <= l <= a and den R is integral, R the slices of
+    E4 exponent >= a over L.  A monomial listed twice in an S row with
+    nonzero numerators, an l listed twice, a den < 1 and an n from which
+    Delta cannot be cancelled down to the image's all fail the check.
+    ValueError for n < 0.
     """
     if cert.n < 0:
         raise ValueError("certificate Delta power must be >= 0")
-    terms, L, e4, dl = _int_image(form, cert.n)
-    r_mons, r_nums = cert.r_rows()
-    s_rows = [row for row in cert.s_rows if any(row[2])]
-    if not s_rows and dl == cert.n:
-        # each nonzero numerator meets its own image term, once
-        unmet = dict(terms)
-        for m, x in zip(r_mons, r_nums):
-            if x and unmet.pop((m[0] + e4,) + m[1:], 0) * cert.den != x * L:
-                return False
-        return not unmet
-    t = max([e4, *(l for l, _, _ in s_rows)])
-    r = {(m[0] + t,) + m[1:]: c for m, c in zip(r_mons, r_nums) if c}
-    if len(r) + r_nums.count(0) < len(r_nums):
+    image = _image(form, cert.n)
+    den = cert.den
+    if image is None or den < 1:
         return False
-    rhs = Poly(AB, r)
-    for l, mons, nums in s_rows:
-        s_l = {(t - l,) + m: c for m, c in zip(mons, nums) if c}
-        if len(s_l) + nums.count(0) < len(nums):
+    terms, L, a = image
+    qs: Dict[int, dict] = {}
+    for m, c in terms.items():
+        if m[0] < a:
+            qs.setdefault(a - m[0], {})[(0,) + m[1:]] = c * den
+        elif c * den % L:
             return False
-        rhs = rhs.unchecked_add(Poly(AB, s_l) * _p_power(l))
-    scale = cert.den * 1728 ** (dl - cert.n)
-    if dl > cert.n:
-        rhs = rhs * _delta_power(dl - cert.n)
-    return {(m[0] + t - e4,) + m[1:]: c * scale
-            for m, c in terms.items()} == \
-        {m: c * L for m, c in rhs.terms.items()}
+    for l, mons, nums in cert.s_rows:
+        s_l = {(0,) + m: x * L for m, x in zip(mons, nums) if x}
+        if not s_l:
+            continue
+        q_l = qs.pop(l, None)
+        if q_l is None or len(s_l) + nums.count(0) < len(nums) or \
+                q_l != (Poly(AB, s_l) * _p_power(l)).terms:
+            return False
+    return not qs
 
 
 def rank_series(m: int) -> int:

@@ -28,13 +28,14 @@ the construction reads its linear system straight off those columns
 without expanding them.  `_int_image` adds them up in integers,
 weighted by a concrete polynomial's coefficients, into one dict of `int`
 terms over one integer L, and keeps the last one: `sub_ab_to_AB` and
-`construct.certify` start from it, `construct.certificate_identity`
-reuses the image `certify` built for the same form, and a certificate
-built over its form derives its remainder from that form's image.  The
-sum may be divisible by E4 and by Delta.  `sub_ab_to_AB` cancels both
-from the integer terms (Delta by `grading.cancel_delta`, with no
-polynomial division) before the terms become Fractions, and `certify`
-cancels Delta the same way; no other fraction is brought to lowest
+`construct.certify` start from it, and `construct.certificate_identity`
+and every certificate's remainder, which is derived from its form's
+image, reuse the image `certify` built for the same form.  The sum may
+be divisible by E4 and by Delta.  `sub_ab_to_AB` cancels both from the
+integer terms (Delta by `grading.cancel_delta`, with no polynomial
+division) before the terms become Fractions; `certify` cancels Delta
+the same way, and the identity and the remainder cancel it down to the
+certificate's Delta power.  No other fraction is brought to lowest
 terms.
 """
 

@@ -17,8 +17,8 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Dict
 
-from .construct import (Certificate, JacobiBasis, SCHEMA_VERSION,
-                        certificate_identity)
+from .construct import (Certificate, ConsistencyError, JacobiBasis,
+                        SCHEMA_VERSION, certificate_identity)
 from .grading import (AB, Alphabet, BiDegree, GradingError, Poly, Rational,
                       S_ALPHABET, ab)
 
@@ -111,8 +111,8 @@ def poly_from_json(doc: dict) -> Poly:
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    """R and each S_l that is not all zero, from the integer rows; the R
-    of a certificate over its form is derived here, once."""
+    """R and each S_l that is not all zero, from the integer rows; R is
+    derived from the certificate's form here, once."""
     den = cert.den
     return {"n": cert.n,
             "s_parts": [{"l": l, "poly": _row_doc(S_ALPHABET, mons, nums, den)}
@@ -128,18 +128,14 @@ def _poly_over(doc, alphabet: Alphabet, what: str) -> Poly:
     return p
 
 
-def _row(p: Poly, den: int) -> tuple:
-    """The monomials of p and its coefficients as numerators over den."""
-    return list(p.terms), [c.numerator * (den // c.denominator)
-                           for c in p.terms.values()]
-
-
-def certificate_from_json(doc: dict) -> Certificate:
-    """Inverse of `certificate_to_json`, over the lcm of the denominators,
-    S parts ascending in l and those that are zero left out.  Raises
-    SerializationError on a missing key, an n that is not an int >= 0, S
-    part powers l that are not distinct ints >= 1, a remainder not over
-    AB and an S part not over S."""
+def certificate_from_json(doc: dict, form: Poly) -> Certificate:
+    """Inverse of `certificate_to_json`: the certificate of `form` over
+    the lcm of the document's denominators, S parts ascending in l and
+    those that are zero left out.  Raises SerializationError on a
+    missing key, an n that is not an int >= 0, S part powers l that are
+    not distinct ints >= 1, a remainder not over AB, an S part not over
+    S, and a remainder other than the one derived from the form at the
+    document's n and den, or none derivable there."""
     try:
         n, r_doc = doc["n"], doc["remainder"]
         parts = [(p["l"], p["poly"]) for p in doc["s_parts"]]
@@ -156,9 +152,19 @@ def certificate_from_json(doc: dict) -> Certificate:
                for l, p in parts]
     den = lcm(*(c.denominator for p in [r, *(s for _, s in s_polys)]
                 for c in p.terms.values()))
-    return Certificate(n, den, *_row(r, den),
-                       tuple((l, *_row(s, den)) for l, s
-                             in sorted(s_polys, key=itemgetter(0)) if s.terms))
+    cert = Certificate(form, n, den, tuple(
+        (l, list(s.terms), [c.numerator * (den // c.denominator)
+                            for c in s.terms.values()])
+        for l, s in sorted(s_polys, key=itemgetter(0)) if s.terms))
+    try:
+        mons, nums = cert.r_rows()
+    except ConsistencyError as exc:
+        raise SerializationError("no remainder of the form at Delta power "
+                                 "%d over %d: %s" % (n, den, exc)) from None
+    if r != Poly(AB, {m: Fraction(x, den) for m, x in zip(mons, nums)}):
+        raise SerializationError("the remainder is not the one its form "
+                                 "gives at Delta power %d" % n)
+    return cert
 
 
 def basis_to_json(basis: JacobiBasis) -> dict:
@@ -171,28 +177,32 @@ def basis_to_json(basis: JacobiBasis) -> dict:
 
 
 def basis_from_json(doc: dict) -> JacobiBasis:
-    """Inverse of `basis_to_json`.  Raises SerializationError on a missing
-    key, a weight, index or dimension that is not an int, a dimension or
-    certificate count other than the form count, a form not over ab or
-    not of the target's bidegree, a malformed certificate, an S part
-    power l above index/5 and a certificate that does not certify it."""
+    """Inverse of `basis_to_json`, each certificate over its form.
+    Raises SerializationError on a missing key, a weight, index or
+    dimension that is not an int, a dimension or certificate count other
+    than the form count, a form not over ab or not of the target's
+    bidegree, a malformed certificate or one whose remainder is not its
+    form's (`certificate_from_json`), an S part power l above index/5
+    and a certificate that does not certify its form."""
     try:
         target = BiDegree(doc["weight"], doc["index"])
         dimension = doc["dimension"]
         forms = [_poly_over(f, ab, "form") for f in doc["forms"]]
-        certs = [certificate_from_json(c) for c in doc["certificates"]]
+        cert_docs = list(doc["certificates"])
         degrees = {f.bidegree() for f in forms}
     except (KeyError, TypeError, GradingError) as exc:
         raise _malformed("basis", exc)
     if any(type(x) is not int for x in (*target, dimension)):
         raise SerializationError("weight, index and dimension %r are not "
                                  "all ints" % ((*target, dimension),))
-    if not dimension == len(certs) == len(forms):
+    if not dimension == len(cert_docs) == len(forms):
         raise SerializationError("dimension %d and %d certificates for %d "
-                                 "forms" % (dimension, len(certs), len(forms)))
+                                 "forms" % (dimension, len(cert_docs),
+                                            len(forms)))
     if degrees - {target}:
         raise SerializationError("forms of bidegree %s in J_%s"
                                  % (degrees - {target}, tuple(target)))
+    certs = list(map(certificate_from_json, cert_docs, forms))
     if any(5 * l > target.index for c in certs for l, _, _ in c.s_rows):
         raise SerializationError("an S part power l exceeds index/5")
     for i, (form, cert) in enumerate(zip(forms, certs)):

@@ -8,7 +8,7 @@ import mpmath
 from mpmath import mp
 
 from e8jacobi.ansatz import build_ansatz, enumerate_monomials
-from e8jacobi.construct import Certificate, Rejection
+from e8jacobi.construct import Rejection
 from e8jacobi.e8 import weyl_orbit
 from e8jacobi.generators import (_lifted_columns, e4_split,
                                  holomorphic_images, p12_5_over_ab, p16_5,
@@ -137,25 +137,10 @@ def frac_bidegree(f):
     return BiDegree(d.weight - 4 * f.e4_pow - 12 * f.delta_pow, d.index)
 
 
-def certificate_from_parts(n, s_parts, remainder):
-    """The certificate with the Fraction parts (l, S_l over S) and R over
-    AB: their numerators over the lcm of their denominators."""
-    polys = [remainder, *(s for _, s in s_parts)]
-    den = lcm(*(Fraction(c).denominator for p in polys
-                for c in p.terms.values()))
-
-    def row(p):
-        return list(p.terms), [int(c * den) for c in p.terms.values()]
-
-    return Certificate(n, den, *row(remainder),
-                       tuple((l, *row(s)) for l, s in s_parts))
-
-
 def rows(cert):
     """n, den, R's two lists and the S rows of `cert`: all of what it
-    certifies, R as read (derived from the form of a certificate built
-    over one)."""
-    return cert.n, cert.den, cert.r_mons, cert.r_nums, cert.s_rows
+    certifies, R as derived from its form, read once."""
+    return (cert.n, cert.den, *cert.r_rows(), cert.s_rows)
 
 
 def s_parts(cert):
@@ -170,18 +155,18 @@ def one_shape(cert):
     """Whether `cert` has the shape of every certificate the library
     builds: R and each S_l list each monomial once with a nonzero
     numerator, and the S_l come at strictly ascending l, each with a
-    term."""
+    term.  R is read once."""
     ls = [l for l, _, _ in cert.s_rows]
-    rows = [(cert.r_mons, cert.r_nums), *((m, x) for _, m, x in cert.s_rows)]
+    rows = [cert.r_rows(), *((m, x) for _, m, x in cert.s_rows)]
     return ls == sorted(set(ls)) and all(x for _, _, x in cert.s_rows) \
         and all(len(mons) == len(set(mons)) == len(nums) and 0 not in nums
                 for mons, nums in rows)
 
 
 def remainder(cert):
-    """R of `cert` over AB, as a Fraction polynomial."""
+    """R of `cert` over AB, as a Fraction polynomial, read once."""
     return Poly(AB, {m: Fraction(a, cert.den)
-                     for m, a in zip(cert.r_mons, cert.r_nums) if a})
+                     for m, a in zip(*cert.r_rows()) if a})
 
 
 def drop_e4(p):
@@ -192,9 +177,10 @@ def drop_e4(p):
 
 def certify_reference(form):
     """Reference `certify` in Fraction polynomials: the image in lowest
-    terms by `sub_ab_to_AB`, split by `e4_split`, each nonzero Q_l
-    divided by P^l with `Poly.divexact`, and the certificate built from
-    the Fraction parts."""
+    terms by `sub_ab_to_AB`, split by `e4_split`, and each nonzero Q_l
+    divided by P^l with `Poly.divexact`.  A Rejection, or (n, den, the
+    parts (l, S_l over S), R over AB), den the lcm of the denominators
+    of R and the S_l."""
     frac = sub_ab_to_AB(form)
     qs, r = e4_split(frac.num.terms, frac.e4_pow)
     parts = []
@@ -204,34 +190,41 @@ def certify_reference(form):
             if s_l is None:
                 return Rejection(l)
             parts.append((l, drop_e4(s_l)))
-    return certificate_from_parts(frac.delta_pow, parts, Poly(AB, r))
-
-
-def _e4_shift(p, e):
-    """p * E4^e over AB, which leads with E4."""
-    return Poly(AB, {(m[0] + e,) + m[1:]: c for m, c in p.terms.items()})
+    r = Poly(AB, r)
+    den = lcm(*(Fraction(c).denominator for p in [r, *(s for _, s in parts)]
+                for c in p.terms.values()))
+    return frac.delta_pow, den, tuple(parts), r
 
 
 def certificate_identity_reference(form, cert):
-    """Reference `certificate_identity` in Fraction polynomials: the image
-    N/(E4^a Delta^d) in lowest terms by `sub_ab_to_AB`, False when
-    n < d, and otherwise Delta^(n-d) N E4^(t-a) against
-    E4^t R + sum_l E4^(t-l) P^l S_l, t the largest of a and every l."""
+    """Reference `certificate_identity` in Fraction polynomials, from the
+    witness alone: the image N/(E4^a Delta^d) in lowest terms by
+    `sub_ab_to_AB`, False when n < d or den < 1, and otherwise
+    Delta^(n-d) N, split by `e4_split` at a into the Q_l and R, holds
+    exactly when every l >= 1 has Q_l == P^l S_l (a part missing is
+    zero), no l is listed twice or is below 1, and den R has integer
+    coefficients."""
     if cert.n < 0:
         raise ValueError("certificate Delta power must be >= 0")
     image = sub_ab_to_AB(form)
     gap = cert.n - image.delta_pow
-    if gap < 0:
+    if gap < 0 or cert.den < 1:
         return False
     parts = s_parts(cert)
-    t = max([image.e4_pow, *(l for l, _ in parts)])
+    ls = [l for l, _ in parts]
+    if len(set(ls)) < len(ls) or min(ls, default=1) < 1:
+        return False
     num = image.num * delta_poly(AB) ** gap if gap else image.num
-    lhs = _e4_shift(num, t - image.e4_pow)
-    rhs = _e4_shift(remainder(cert), t)
-    for l, s_l in parts:
-        s_l = Poly(AB, {(t - l,) + m: c for m, c in s_l.terms.items()})
-        rhs = rhs.unchecked_add(p16_5() ** l * s_l)
-    return lhs == rhs
+    qs, r = e4_split(num.terms, image.e4_pow)
+    if max(ls, default=0) > len(qs):
+        return False
+    parts = dict(parts)
+    for l, q_l in enumerate(qs, 1):
+        s_l = parts.get(l, Poly.zero(S_ALPHABET))
+        if q_l != p16_5() ** l * Poly(AB, {(0,) + m: c for m, c
+                                           in s_l.terms.items()}):
+            return False
+    return all((c * cert.den).denominator == 1 for c in r.values())
 
 
 def remainders_reference(basis):

@@ -130,9 +130,9 @@ class TestDiskStore:
 
 class TestSaveRefuses:
     """`save` raises CacheError and writes nothing for a basis whose entry
-    `load` would miss, or would read back with another R: each case
-    changes one certificate of J_{-26,8} that has an S part, or its
-    forms."""
+    `load` would miss, or that holds a certificate of another form than
+    the one at its position: each case changes one certificate of
+    J_{-26,8} that has an S part, or its forms."""
 
     TARGET = (-26, 8)
 
@@ -143,7 +143,6 @@ class TestSaveRefuses:
         form, cert = forms[i], certs[i]
         (l, mons, nums), = cert.s_rows
         n, den, s_rows = cert.n, cert.den, cert.s_rows
-        r_mons, r_nums = map(list, cert.r_rows())
         if fault == "zero_s_numerator":
             s_rows = ((l, mons, [0, *nums[1:]]),)
         elif fault == "s_monomial_twice":
@@ -159,39 +158,37 @@ class TestSaveRefuses:
             n = -1
         elif fault == "n_below_the_forms":
             n = _int_image(form)[3] - 1
-        elif fault == "r_numerator":
-            r_nums[0] += 1
-        elif fault == "r_zero_term":
-            r_mons.append((0,) * len(AB))
-            r_nums.append(0)
-        elif fault == "r_monomial_twice":
-            r_mons.append(r_mons[0])
-            r_nums.append(r_nums[0])
+        elif fault == "other_form":
+            # an equal copy of the form is its form; another form is not
+            form = forms[i - 1]
         elif fault == "forms_swapped":
             forms[:2] = forms[1::-1]
         elif fault == "certificate_missing":
             del certs[-1]
-        if fault.startswith("r_"):
-            certs[i] = Certificate(n, den, r_mons, r_nums, s_rows)
-        elif fault not in ("forms_swapped", "certificate_missing"):
-            certs[i] = Certificate.of_form(form, n, den, s_rows)
+        if fault not in ("forms_swapped", "certificate_missing"):
+            certs[i] = Certificate(form, n, den, s_rows)
         return JacobiBasis(basis.target, forms, certs)
 
     @pytest.mark.parametrize("fault", [
         "zero_s_numerator", "s_monomial_twice", "s_power_above_index",
         "s_power_zero", "s_power_twice", "den_zero", "den_negative",
-        "n_negative", "n_below_the_forms", "r_numerator", "r_zero_term",
-        "r_monomial_twice", "forms_swapped", "certificate_missing"])
+        "n_negative", "n_below_the_forms", "other_form", "forms_swapped",
+        "certificate_missing"])
     def test_refused(self, tmp_path, fault):
         store = DiskStore(str(tmp_path))
         with pytest.raises(CacheError):
             store.save(*self.TARGET, self.changed(fault))
         assert os.listdir(tmp_path) == []
 
-    def test_hand_built_remainder_that_matches(self, tmp_path):
-        # the R that `load` derives is the one the certificate held
+    def test_certificate_over_an_equal_form(self, tmp_path):
+        # a certificate over an equal copy of its form saves, and loads
+        # back over the stored form
         store = DiskStore(str(tmp_path))
-        basis = self.changed("r_unchanged")
+        basis = self.changed("unchanged")
+        cert = basis.certificates[0]
+        basis.certificates[0] = Certificate(
+            Poly(ab, dict(basis.forms[0].terms)), cert.n, cert.den,
+            cert.s_rows)
         store.save(*self.TARGET, basis)
         loaded = store.load(*self.TARGET)
         assert list(map(rows, loaded.certificates)) == \
@@ -213,7 +210,7 @@ def v2_document(basis):
     over one list of the remainder monomials and one per S_l, each the
     union of the certificates' own lists."""
     certs = basis.certificates
-    r_terms = [dict(zip(c.r_mons, c.r_nums)) for c in certs]
+    r_terms = [dict(zip(*c.r_rows())) for c in certs]
     s_terms = [{l: dict(zip(mons, nums)) for l, mons, nums in c.s_rows}
                for c in certs]
     r_mons = list(dict.fromkeys(chain.from_iterable(r_terms)))
@@ -467,7 +464,7 @@ class TestNotABasis(Entry):
         self.append_form(doc, [[], []],
                          [n, den, [[[], []]] * len(s_part_rows)])
         assert certificate_identity(Poly.zero(ab), Certificate(
-            0, 1, [], [], ()))
+            Poly.zero(ab), 0, 1, ()))
         assert self.reload(entry, doc) is None
 
     @pytest.mark.parametrize("order", ["repeated", "swapped"])

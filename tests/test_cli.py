@@ -373,5 +373,6 @@ class TestCacheAndJobs:
             assert all(type(c) is int
                        for f in basis.forms for c in f.terms.values())
             assert all(type(x) is int for cert in basis.certificates
-                       for nums in (cert.r_nums, *(s[2] for s in cert.s_rows))
+                       for nums in (cert.r_rows()[1],
+                                     *(s[2] for s in cert.s_rows))
                        for x in nums)

@@ -27,9 +27,8 @@ from e8jacobi.serialize import (certificate_from_json, certificate_to_json,
                                 fraction_to_str, poly_to_json)
 
 from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
-                     certificate_from_parts, certificate_identity_reference,
-                     certify_reference, dense, drop_e4,
-                     index_multisets_reference, m16_5_pair,
+                     certificate_identity_reference, certify_reference,
+                     dense, drop_e4, index_multisets_reference, m16_5_pair,
                      m26_7_generator, one_shape, remainder,
                      remainders_reference, s_parts,
                      second_power_form, span_basis, spans_equal,
@@ -83,8 +82,8 @@ class TestCertificates:
             basis = jacobi_basis(k, m)
             store.save(k, m, basis)
             certs = [*basis.certificates, *map(certify, basis.forms),
-                     *(certificate_from_json(certificate_to_json(c))
-                       for c in basis.certificates),
+                     *(certificate_from_json(certificate_to_json(c), f)
+                       for f, c in zip(basis.forms, basis.certificates)),
                      *store.load(k, m).certificates]
             if basis.forms:
                 combination = Poly.zero(ab)
@@ -116,46 +115,29 @@ class TestCertificates:
         assert checked == 248
 
     def test_tampered_certificates_fail(self):
+        """A changed witness fails; R is not part of it (a changed R is
+        a document test, `test_serialize.TestChangedRemainder`)."""
         form = jacobi_basis(-26, 7).forms[0]
         cert = certify(form)
         assert cert.n == sub_ab_to_AB(form).delta_pow == 5
         assert certificate_identity(form, cert)
         # n below the true value leaves a Delta denominator; n above it
         # multiplies the image by Delta
-        def altered(n=cert.n, r=remainder(cert)):
-            return certificate_from_parts(n, s_parts(cert), r)
+        def altered(n=cert.n, s_rows=cert.s_rows):
+            return Certificate(form, n, cert.den, s_rows)
 
         assert not certificate_identity(form, altered(n=cert.n - 1))
         assert not certificate_identity(form, altered(n=cert.n + 1))
-        terms = dict(remainder(cert).terms)
-        mon = max(terms)
-        terms[mon] += 1
-        assert not certificate_identity(form, altered(r=Poly(AB, terms)))
         with pytest.raises(ValueError):
             certificate_identity(form, altered(n=-1))
         # S_1 moved to l = 2, and the S part dropped
-        ((l, s_1),) = s_parts(cert)
-        assert not certificate_identity(form, certificate_from_parts(
-            cert.n, ((l + 1, s_1),), remainder(cert)))
-        assert not certificate_identity(form, certificate_from_parts(
-            cert.n, (), remainder(cert)))
-        # a basis certificate whose n is above the image's Delta power,
-        # so the check multiplies the image by Delta, with one R
-        # numerator changed
-        basis = jacobi_basis(-20, 6)
-        form, cert = basis.forms[3], basis.certificates[3]
-        image = sub_ab_to_AB(form)
-        assert (cert.n, image.delta_pow, image.e4_pow) == (5, 4, 1)
-        assert [l for l, _ in s_parts(cert)] == [1]
-        assert certificate_identity(form, cert)
-        for i in (0, len(cert.r_nums) - 1):
-            r_nums = list(cert.r_nums)
-            r_nums[i] += 1
-            assert not certificate_identity(form, Certificate(
-                cert.n, cert.den, cert.r_mons, r_nums, cert.s_rows))
+        ((l, mons, nums),) = cert.s_rows
+        assert not certificate_identity(form,
+                                        altered(s_rows=((l + 1, mons, nums),)))
+        assert not certificate_identity(form, altered(s_rows=()))
         # the zero form and its empty certificate
         zero = Poly.zero(ab)
-        empty = certificate_from_parts(0, (), Poly.zero(AB))
+        empty = Certificate(zero, 0, 1, ())
         assert certificate_to_json(certify(zero)) == \
             certificate_to_json(empty)
         assert certificate_identity(zero, empty)
@@ -171,11 +153,12 @@ class TestCertificates:
         assert remainder(cert) == p16_5() * Poly.gen(AB, "A1") \
             * Poly.gen(AB, "A4")
         assert certificate_identity(x, cert)
+        ((_, mons, nums),) = cert.s_rows
         for l in (1, 3):
-            assert not certificate_identity(x, certificate_from_parts(
-                0, ((l, Poly.const(S_ALPHABET, 1)),), remainder(cert)))
-        assert not certificate_identity(x, certificate_from_parts(
-            1, s_parts(cert), remainder(cert)))
+            assert not certificate_identity(x, Certificate(
+                x, 0, cert.den, ((l, mons, nums),)))
+        assert not certificate_identity(x, Certificate(x, 1, cert.den,
+                                                       cert.s_rows))
 
     def test_meromorphic_generators_rejected(self):
         for name in ("a2", "a3", "b2"):
@@ -254,16 +237,16 @@ class TestCertificateColumns:
             qs, r = e4_split(num.terms, p)
             parts = tuple((l, drop_e4(q.divexact(P ** l)))
                           for l, q in enumerate(qs, 1) if q)
-            expected.append(certificate_from_parts(n, parts, Poly(AB, r)))
-        assert [certificate_to_json(c) for c in basis.certificates] == \
-            [certificate_to_json(c) for c in expected]
+            expected.append((n, parts, Poly(AB, r)))
+        assert [(c.n, s_parts(c), remainder(c))
+                for c in basis.certificates] == expected
         assert all(type(a) is int for cert in basis.certificates
-                   for a in [cert.den, *cert.r_nums,
+                   for a in [cert.den, *cert.r_rows()[1],
                              *(a for _, _, nums in cert.s_rows
                                for a in nums)])
         assert len(expected) == jacobi_dim(*target)
         assert expected or target == (-20, 4)
-        assert any(s_parts(cert) for cert in expected) == \
+        assert any(parts for _, parts, _ in expected) == \
             (target == (-26, 8))
 
 
@@ -291,12 +274,11 @@ class TestDerivedRemainder:
 
     def test_stores_no_remainder(self):
         basis = jacobi_basis(-26, 8)
+        assert Certificate.__slots__ == ("form", "n", "den", "s_rows")
         for form, cert in zip(basis.forms, basis.certificates):
-            assert cert.form is form and cert._r is None
-            first, again = cert.r_mons, cert.r_mons
-            assert first == again and first is not again
-            assert cert.r_nums == cert.r_nums
-            assert cert._r is None and not hasattr(cert, "__dict__")
+            assert cert.form is form and not hasattr(cert, "__dict__")
+            first, again = cert.r_rows(), cert.r_rows()
+            assert first == again and first[0] is not again[0]
 
     @pytest.fixture
     def with_s_part(self):
@@ -306,22 +288,39 @@ class TestDerivedRemainder:
                     if c.s_rows)
 
     def test_den_leaving_remainder_not_integral(self, with_s_part):
-        form, cert = with_s_part
-        bad = Certificate.of_form(form, cert.n, 1, cert.s_rows)
-        for read in (Certificate.r_rows, lambda c: c.r_mons,
-                     lambda c: c.r_nums):
+        """den 1 leaves R not integral, on a certificate with an S part
+        (whose S rows then fail too) and on one of J_{-16,5} without:
+        there only the integrality check fails the identity."""
+        plain = jacobi_basis(-16, 5)
+        for form, cert in (with_s_part,
+                           (plain.forms[0], plain.certificates[0])):
+            assert cert.den > 1
+            bad = Certificate(form, cert.n, 1, cert.s_rows)
             with pytest.raises(ConsistencyError, match="not integral"):
-                read(bad)
+                bad.r_rows()
+            assert not certificate_identity(form, bad)
+            assert not certificate_identity_reference(form, bad)
 
     def test_delta_power_below_the_forms(self, with_s_part):
         form, cert = with_s_part
         q = _int_image(form)[3]
         assert q == cert.n
-        bad = Certificate.of_form(form, q - 1, cert.den, cert.s_rows)
+        bad = Certificate(form, q - 1, cert.den, cert.s_rows)
         with pytest.raises(ConsistencyError, match="Delta power"):
             bad.r_rows()
-        with pytest.raises(ConsistencyError, match="Delta power"):
-            certificate_identity(form, bad)
+        assert certificate_identity(form, bad) is False
+
+    def test_delta_cancelled_matches_reference(self):
+        """Each pool certificate whose n is below the Delta power of its
+        form's monomial images (`certify` cancelled Delta from the image)
+        derives the R of `certify_reference`."""
+        cancelled = [(form, cert) for form, cert in identity_pool()
+                     if cert.n < _int_image(form)[3]]
+        assert len(cancelled) >= 2
+        for form, cert in cancelled:
+            n, den, parts, r = certify_reference(form)
+            assert (cert.n, cert.den, s_parts(cert)) == (n, den, parts)
+            assert remainder(cert) == r
 
 
 class TestIntegerCertify:
@@ -334,8 +333,9 @@ class TestIntegerCertify:
         if isinstance(want, Rejection):
             assert got == want
             return
-        assert certificate_to_json(got) == certificate_to_json(want)
-        assert (got.den, got.n) == (want.den, want.n)
+        n, den, parts, r = want
+        assert (got.n, got.den, s_parts(got)) == (n, den, parts)
+        assert remainder(got) == r
 
     def test_every_target_of_index_5(self):
         """Each basis form of index <= 5, and per target one integer
@@ -382,18 +382,15 @@ def identity_pool():
     return pool
 
 
-TAMPERINGS = ["none", "r", "s", "den", "n", "l", "drop"]
+TAMPERINGS = ["none", "s", "den", "n", "l", "drop"]
 
 
 def tampered(cert, kind, data):
     """`cert` with one change of the given kind, drawn from `data`."""
-    n, den, r_nums, s_rows = cert.n, cert.den, cert.r_nums, cert.s_rows
+    n, den, s_rows = cert.n, cert.den, cert.s_rows
     s_at = [i for i, (_, _, nums) in enumerate(s_rows) if any(nums)]
     step = data.draw(st.sampled_from([-1, 1]))
-    if kind == "r" and r_nums:
-        r_nums = list(r_nums)
-        r_nums[data.draw(st.integers(0, len(r_nums) - 1))] += step
-    elif kind == "s" and s_at:
+    if kind == "s" and s_at:
         i = data.draw(st.sampled_from(s_at))
         l, mons, nums = s_rows[i]
         nums = list(nums)
@@ -401,7 +398,8 @@ def tampered(cert, kind, data):
             [j for j, a in enumerate(nums) if a]))] += step
         s_rows = s_rows[:i] + ((l, mons, nums),) + s_rows[i + 1:]
     elif kind == "den":
-        den *= 2
+        den = den * 2 if step > 0 else den // data.draw(
+            st.sampled_from([d for d in range(2, 13) if den % d == 0] or [1]))
     elif kind == "n":
         n += step
     elif kind in ("l", "drop") and s_at:
@@ -409,7 +407,7 @@ def tampered(cert, kind, data):
         l, mons, nums = s_rows[i]
         moved = ((l + step, mons, nums),) if kind == "l" else ()
         s_rows = s_rows[:i] + moved + s_rows[i + 1:]
-    return Certificate(n, den, cert.r_mons, r_nums, s_rows)
+    return Certificate(cert.form, n, den, s_rows)
 
 
 def outcome(check, form, cert):
@@ -423,7 +421,7 @@ class TestIdentityProperty:
     def test_pool_has_both_lift_branches(self):
         """The pool lifts the form's columns to the certificate's n
         (n above the columns' Delta power d: basis certificates) and
-        lifts the certificate's side by Delta^(d - n) (n below d:
+        cancels Delta from the image down to Delta^n (n below d:
         certificates whose terms cancel a Delta)."""
         gaps = {cert.n - _int_image(form)[3] for form, cert
                 in identity_pool()}
@@ -438,7 +436,7 @@ class TestIdentityProperty:
 
     def test_empty_s_part_skipped(self):
         """An all-zero S part adds nothing to the equation, so a
-        certificate built by hand that lists one at l = 20 still checks,
+        certificate that lists one at l = 20 still checks,
         without building P^20 (38 s at index 5 when it was built).  Read
         from JSON, the part is left out."""
         basis = jacobi_basis(-16, 5)
@@ -447,9 +445,9 @@ class TestIdentityProperty:
         doc = certificate_to_json(cert)
         doc["s_parts"].append({"l": 20,
                                "poly": poly_to_json(Poly.zero(S_ALPHABET))})
-        assert certificate_from_json(doc).s_rows == cert.s_rows
+        assert certificate_from_json(doc, form).s_rows == cert.s_rows
         zero_s = (0,) * len(S_ALPHABET)
-        padded = Certificate(cert.n, cert.den, cert.r_mons, cert.r_nums,
+        padded = Certificate(form, cert.n, cert.den,
                              cert.s_rows + ((20, [zero_s], [0]),))
         built = construct._p_power.cache_info().currsize
         start = perf_counter()
@@ -461,8 +459,9 @@ class TestIdentityProperty:
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_reference(self, pick, kind, data):
         """On the pool, the integer identity equals the Fraction reference
-        under one random change: an R or S numerator +-1, den times 2,
-        n +- 1, an S_l moved to l +- 1 or dropped."""
+        of the witness under one random change: an S numerator +-1, den
+        times 2 or divided by one of its divisors up to 12, n +- 1, an
+        S_l moved to l +- 1 or dropped."""
         pool = identity_pool()
         form, cert = pool[pick % len(pool)]
         if kind == "none":
@@ -473,9 +472,8 @@ class TestIdentityProperty:
 
 
 class TestSharedImage:
-    """`certify` and `certificate_identity` share one image per form
-    object, and with no S part and n the image's Delta power the
-    identity compares R with the image term by term."""
+    """`certify`, `certificate_identity` and the certificate's derived R
+    share one image per form object."""
 
     @pytest.fixture
     def count_images(self, monkeypatch):
@@ -491,10 +489,17 @@ class TestSharedImage:
         return Poly(ab, dict(form.terms))
 
     def test_one_image_per_form(self, count_images):
-        for form in jacobi_basis(-26, 8).forms[:3]:
+        """`certify`, then the identity, then the JSON document with the
+        derived R: one image for each fresh form object, also where
+        `certify` cancels a Delta."""
+        forms = [*jacobi_basis(-26, 8).forms[:3],
+                 delta_poly(ab) * m26_7_generator()]
+        for form in forms:
             form = self.fresh(form)
-            assert certificate_identity(form, certify(form))
-        assert count_images == [0] * 3
+            cert = certify(form)
+            assert certificate_identity(form, cert)
+            certificate_to_json(cert)
+        assert count_images == [0] * 4
 
     def test_lift_above_the_image_then_certify(self):
         """An image built for a Delta power above the form's own does not
@@ -503,104 +508,36 @@ class TestSharedImage:
         want = certificate_to_json(certify(self.fresh(form)))
         q = _int_image(form)[3]
         cert = certify(form)
-        lifted = Certificate(q + 2, cert.den, cert.r_mons, cert.r_nums,
-                             cert.s_rows)
-        assert not certificate_identity(form, lifted)
+        lifted = Certificate(form, q + 2, cert.den, cert.s_rows)
+        assert certificate_identity(form, lifted) == \
+            certificate_identity_reference(form, lifted)
         assert _int_image(form, q + 2)[3] == q + 2
         assert certificate_to_json(certify(form)) == want
         assert _int_image(form)[3] == q
 
-    @pytest.fixture
-    def fast_case(self):
-        """A J_{-16,5} form and its certificate, which has no S part and
-        the Delta power of the image: the term-by-term case."""
-        form = self.fresh(jacobi_basis(-16, 5).forms[0])
-        cert = certify(form)
-        assert not s_parts(cert) and len(cert.r_mons) >= 2
-        assert cert.n == _int_image(form, cert.n)[3]
-        assert certificate_identity(form, cert)
-        return form, cert
-
-    @staticmethod
-    def with_r(cert, mons, nums, n=None):
-        return Certificate(cert.n if n is None else n, cert.den, mons, nums,
-                           cert.s_rows)
-
-    def test_fast_path_rejects_changed_numerators(self, fast_case):
-        form, cert = fast_case
-        for i in (0, len(cert.r_nums) - 1):
-            for step in (-1, 1):
-                nums = list(cert.r_nums)
-                nums[i] += step
-                bad = self.with_r(cert, cert.r_mons, nums)
-                assert not certificate_identity(form, bad)
-                assert not certificate_identity_reference(form, bad)
-
-    def test_fast_path_rejects_added_or_dropped_monomials(self, fast_case):
-        form, cert = fast_case
-        mons, nums = cert.r_mons, cert.r_nums
-        # E6 times a monomial of R has another weight, so it is not in R
-        extra = (mons[0][0], mons[0][1] + 1) + mons[0][2:]
-        for bad in (self.with_r(cert, mons + [extra], nums + [1]),
-                    self.with_r(cert, mons[:-1], nums[:-1]),
-                    self.with_r(cert, mons[1:], nums[1:])):
-            assert not certificate_identity(form, bad)
-            assert not certificate_identity_reference(form, bad)
-
-    def test_fast_path_rejects_repeated_monomials(self, fast_case):
-        """A monomial listed twice: once more at the end, or in place of
-        another monomial with its own numerator, which leaves the count
-        of nonzero numerators equal to the number of image terms."""
-        form, cert = fast_case
-        mons, nums = cert.r_mons, cert.r_nums
-        for bad in (self.with_r(cert, mons + mons[:1], nums + nums[:1]),
-                    self.with_r(cert, mons[:1] + mons[:1] + mons[2:],
-                                nums[:1] + nums[:1] + nums[2:])):
-            assert not certificate_identity(form, bad)
-
-    def test_fast_path_rejects_other_delta_powers(self, fast_case):
-        form, cert = fast_case
-        for n in (cert.n - 1, cert.n + 1):
-            bad = self.with_r(cert, cert.r_mons, cert.r_nums, n)
-            assert not certificate_identity(form, bad)
-            assert not certificate_identity_reference(form, bad)
-
 
 class TestRepeatedMonomial:
-    """An R monomial listed twice.  Both paths of `certificate_identity`
-    read the nonzero numerators only: a repeat with numerator 0 changes
-    nothing, and one with a nonzero numerator fails the check, on the
-    general path (a J_{-26,8} form with an S part) and on the term-by-term
-    path (a J_{-16,5} form's S-free certificate from `certify`)."""
-
-    @staticmethod
-    def case(path):
-        if path == "s_part":
-            basis = jacobi_basis(-26, 8)
-            return next((f, c) for f, c in zip(basis.forms,
-                                               basis.certificates)
-                        if s_parts(c))
-        form = jacobi_basis(-16, 5).forms[0]
-        cert = certify(form)
-        assert not s_parts(cert) and cert.n == _int_image(form, cert.n)[3]
-        return form, cert
+    """An S monomial listed twice: the identity reads the nonzero
+    numerators only, so a repeat with numerator 0 changes nothing, and
+    one with a nonzero numerator fails the check (a J_{-26,8} form with
+    an S part)."""
 
     @pytest.mark.parametrize("repeat, holds", [("append_zero", True),
                                                ("prepend_zero", True),
                                                ("append_own", False)])
-    @pytest.mark.parametrize("path", ["s_part", "s_free"])
-    def test_repeat(self, path, repeat, holds):
-        form, cert = self.case(path)
-        assert certificate_identity(form, cert)
-        i = next(i for i, x in enumerate(cert.r_nums) if x)
-        mon, x = cert.r_mons[i], cert.r_nums[i]
+    def test_repeat_in_s_row(self, repeat, holds):
+        basis = jacobi_basis(-26, 8)
+        form, cert = next((f, c) for f, c in zip(basis.forms,
+                                                 basis.certificates)
+                          if c.s_rows)
+        (l, mons, nums), = cert.s_rows
         if repeat == "prepend_zero":
-            mons, nums = [mon] + cert.r_mons, [0] + cert.r_nums
+            mons, nums = mons[:1] + mons, [0] + nums
         else:
-            mons = cert.r_mons + [mon]
-            nums = cert.r_nums + [x if repeat == "append_own" else 0]
+            mons = mons + mons[:1]
+            nums = nums + [nums[0] if repeat == "append_own" else 0]
         assert certificate_identity(form, Certificate(
-            cert.n, cert.den, mons, nums, cert.s_rows)) is holds
+            form, cert.n, cert.den, ((l, mons, nums),))) is holds
 
 
 class TestCertifyProperty:

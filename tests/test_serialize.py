@@ -1,19 +1,21 @@
 """JSON serialization round-trips and error handling."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from e8jacobi.construct import (Certificate, certificate_identity, certify,
-                                jacobi_basis, profile_weights)
+from e8jacobi.construct import (certificate_identity, certify, jacobi_basis,
+                                profile_weights)
+from e8jacobi.generators import sub_ab_to_AB
 from e8jacobi.grading import AB, Poly, S_ALPHABET, ab
 from e8jacobi.serialize import (SerializationError, basis_from_json,
                                 basis_to_json, certificate_from_json,
                                 certificate_to_json, fraction_from_str,
                                 fraction_to_str, poly_from_compact,
                                 poly_from_json, poly_to_compact, poly_to_json,
-                                result_document)
+                                result_document, _row_doc)
 
 from helpers import build, m16_5_pair, remainder, s_parts
 
@@ -73,8 +75,9 @@ class TestPoly:
 
 class TestCertificateAndBasis:
     def test_certificate_round_trip(self):
-        cert = certify(m16_5_pair()[0])
-        back = certificate_from_json(certificate_to_json(cert))
+        form = m16_5_pair()[0]
+        cert = certify(form)
+        back = certificate_from_json(certificate_to_json(cert), form)
         assert back.n == cert.n
         assert s_parts(back) == s_parts(cert)
         assert remainder(back) == remainder(cert)
@@ -111,7 +114,7 @@ class TestCertificateRows:
                 basis = jacobi_basis(k, m)
                 for form, cert in zip(basis.forms, basis.certificates):
                     doc = certificate_to_json(cert)
-                    back = certificate_from_json(json.loads(text(doc)))
+                    back = certificate_from_json(json.loads(text(doc)), form)
                     assert text(certificate_to_json(back)) == text(doc)
                     assert certificate_identity(form, back)
                     checked += 1
@@ -120,28 +123,38 @@ class TestCertificateRows:
     def test_zero_s_row_omitted(self):
         """Four certificates of J_{-12,5} hold no S_1 row, as S_1 is zero
         there; the fifth S_1 is nonzero."""
-        certs = jacobi_basis(-12, 5).certificates
+        basis = jacobi_basis(-12, 5)
+        certs = basis.certificates
         assert [[l for l, _, _ in c.s_rows] for c in certs] == \
             [[]] * 4 + [[1]]
         docs = [certificate_to_json(c) for c in certs]
         assert [[p["l"] for p in d["s_parts"]] for d in docs] == \
             [[]] * 4 + [[1]]
-        back = certificate_from_json(docs[0])
+        back = certificate_from_json(docs[0], basis.forms[0])
         assert back.s_rows == () and back.n == certs[0].n == 3
 
     def test_lowest_terms_descending(self):
         """Numerators over den 12 as reduced "num/den", zeros left out and
         terms in descending monomial order (E4 before E6)."""
         e4, e6, a1 = [tuple(int(i == j) for j in range(11)) for i in range(3)]
-        cert = Certificate(1, 12, [e6, a1, e4], [3, 0, -8],
-                           ((1, [(2,) + (0,) * 9], [6]), (2, [e6[1:]], [0])))
-        assert certificate_to_json(cert) == {
-            "n": 1,
-            "s_parts": [{"l": 1, "poly": {"alphabet": "S", "terms": [
-                {"exponents": {"E6": 2}, "coefficient": "1/2"}]}}],
-            "remainder": {"alphabet": "AB", "terms": [
+        assert _row_doc(AB, [e6, a1, e4], [3, 0, -8], 12) == {
+            "alphabet": "AB", "terms": [
                 {"exponents": {"E4": 1}, "coefficient": "-2/3"},
-                {"exponents": {"E6": 1}, "coefficient": "1/4"}]}}
+                {"exponents": {"E6": 1}, "coefficient": "1/4"}]}
+
+    def test_zero_s_part_left_out(self):
+        """A certificate of J_{-26,7} (den > 1) with an all-zero S_2 row
+        added writes the same document: its S_1 and R in lowest terms."""
+        form = jacobi_basis(-26, 7).forms[0]
+        cert = certify(form)
+        doc = certificate_to_json(cert)
+        assert cert.den > 1 and [p["l"] for p in doc["s_parts"]] == [1]
+        cert.s_rows += ((2, cert.s_rows[0][1][:1], [0]),)
+        assert certificate_to_json(cert) == doc
+        for poly in [doc["remainder"], *(p["poly"] for p in doc["s_parts"])]:
+            for term in poly["terms"]:
+                num, den = map(int, term["coefficient"].split("/"))
+                assert den > 0 and math.gcd(num, den) == 1
 
 
 @pytest.fixture
@@ -154,6 +167,12 @@ def basis_doc():
 def pair_doc():
     """J_{-16,5}: two forms."""
     return json.loads(text(basis_to_json(jacobi_basis(-16, 5))))
+
+
+@pytest.fixture
+def form_26_7():
+    """The form of `basis_doc`."""
+    return jacobi_basis(-26, 7).forms[0]
 
 
 def ab_poly_doc():
@@ -170,7 +189,7 @@ class TestReaderRejects:
         ("certificates", 0, "remainder"),
         ("certificates", 0, "s_parts", 0, "l"),
         ("certificates", 0, "s_parts", 0, "poly"), ("dimension",)])
-    def test_missing_key(self, basis_doc, path):
+    def test_missing_key(self, basis_doc, form_26_7, path):
         holder = basis_doc
         for key in path[:-1]:
             holder = holder[key]
@@ -179,43 +198,43 @@ class TestReaderRejects:
             basis_from_json(basis_doc)
         if path[0] == "certificates" and len(path) > 2:
             with pytest.raises(SerializationError):
-                certificate_from_json(basis_doc["certificates"][0])
+                certificate_from_json(basis_doc["certificates"][0], form_26_7)
 
     @pytest.mark.parametrize("n", ["x", -1, 2.0, True, None])
-    def test_delta_power_not_an_int_at_least_0(self, basis_doc, n):
+    def test_delta_power_not_an_int_at_least_0(self, basis_doc, form_26_7, n):
         basis_doc["certificates"][0]["n"] = n
         with pytest.raises(SerializationError, match="Delta power"):
-            certificate_from_json(basis_doc["certificates"][0])
+            certificate_from_json(basis_doc["certificates"][0], form_26_7)
         with pytest.raises(SerializationError, match="Delta power"):
             basis_from_json(basis_doc)
 
     @pytest.mark.parametrize("ls", [[0], [-1], ["1"], [1.0], [True],
                                     [1, 1]])
-    def test_l_not_an_int_at_least_1_once(self, basis_doc, ls):
+    def test_l_not_an_int_at_least_1_once(self, basis_doc, form_26_7, ls):
         cert = basis_doc["certificates"][0]
         (part,) = cert["s_parts"]
         cert["s_parts"] = [dict(part, l=l) for l in ls]
         with pytest.raises(SerializationError, match="the l of each S part"):
-            certificate_from_json(cert)
+            certificate_from_json(cert, form_26_7)
         with pytest.raises(SerializationError):
             basis_from_json(basis_doc)
 
-    def test_remainder_not_over_AB(self, basis_doc):
+    def test_remainder_not_over_AB(self, basis_doc, form_26_7):
         # read positionally, b1 over ab would be A4 over AB
         cert = basis_doc["certificates"][0]
         for doc in (ab_poly_doc(), cert["s_parts"][0]["poly"]):
             cert["remainder"] = doc
             with pytest.raises(SerializationError,
                                match="remainder is over (ab|S), not over AB"):
-                certificate_from_json(cert)
+                certificate_from_json(cert, form_26_7)
 
-    def test_s_part_not_over_S(self, basis_doc):
+    def test_s_part_not_over_S(self, basis_doc, form_26_7):
         cert = basis_doc["certificates"][0]
         for doc in (ab_poly_doc(), cert["remainder"]):
             cert["s_parts"][0]["poly"] = doc
             with pytest.raises(SerializationError,
                                match="S part 1 is over (ab|AB), not over S"):
-                certificate_from_json(cert)
+                certificate_from_json(cert, form_26_7)
 
     def test_form_not_over_ab(self, basis_doc):
         basis_doc["forms"][0] = basis_doc["certificates"][0]["remainder"]
@@ -271,11 +290,12 @@ class TestReaderRejects:
 
     def test_forms_swapped(self, pair_doc):
         """Both forms of J_{-16,5} have the target's bidegree; only the
-        certificates tell them apart."""
+        certificates tell them apart: the first certificate's R is not
+        the one the second form gives."""
         pair_doc["forms"].reverse()
         with pytest.raises(SerializationError,
-                           match=r"certificate 0 of J_\(-16, 5\) does not "
-                                 "certify its form"):
+                           match="the remainder is not the one its form "
+                                 "gives"):
             basis_from_json(pair_doc)
 
     def test_s_part_power_above_index(self, pair_doc):
@@ -294,6 +314,53 @@ class TestReaderRejects:
         with pytest.raises(SerializationError,
                            match="GradingError: inhomogeneous polynomial"):
             basis_from_json(pair_doc)
+
+
+class TestChangedRemainder:
+    """A certificate document whose R is not the one its form gives at
+    its n and den: `certificate_from_json` and `basis_from_json` raise
+    SerializationError.  J_{-26,7}'s certificate has an S part,
+    J_{-16,5}'s have none, and the fourth of J_{-20,6} has an n above
+    its image's Delta power, so its R is derived from the lifted
+    image."""
+
+    @staticmethod
+    def changed(cert, change):
+        """The certificate document `cert` with its R or n changed."""
+        terms = cert["remainder"]["terms"]
+        if change in ("numerator_up", "numerator_down"):
+            c = fraction_from_str(terms[-1]["coefficient"])
+            c += Fraction(1 if change == "numerator_up" else -1,
+                          c.denominator)
+            terms[-1]["coefficient"] = fraction_to_str(c)
+        elif change == "term_dropped":
+            del terms[0]
+        elif change == "term_added":
+            # E6 times R's first monomial is not in R
+            exps = dict(terms[0]["exponents"])
+            exps["E6"] = exps.get("E6", 0) + 1
+            terms.append({"exponents": exps, "coefficient": "1/1"})
+        else:
+            cert["n"] += 1 if change == "n_up" else -1
+
+    @pytest.mark.parametrize("change", ["numerator_up", "numerator_down",
+                                        "term_dropped", "term_added", "n_up",
+                                        "n_down"])
+    @pytest.mark.parametrize("target, i", [((-26, 7), 0), ((-16, 5), 0),
+                                           ((-20, 6), 3)],
+                             ids=["s_part", "s_free", "n_above"])
+    def test_refused(self, target, i, change):
+        basis = jacobi_basis(*target)
+        doc = json.loads(text(basis_to_json(basis)))
+        assert basis_from_json(doc).forms == basis.forms
+        if target == (-20, 6):
+            form, cert = basis.forms[i], basis.certificates[i]
+            assert cert.n > sub_ab_to_AB(form).delta_pow
+        self.changed(doc["certificates"][i], change)
+        with pytest.raises(SerializationError, match="remainder"):
+            certificate_from_json(doc["certificates"][i], basis.forms[i])
+        with pytest.raises(SerializationError, match="remainder"):
+            basis_from_json(doc)
 
 
 class TestResultDocument:

@@ -1,14 +1,16 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (about 78 s on one core of a 2-core VM:
-1.6 s to build the bases, 19 s for the digests, mostly `basis_to_json`,
-which derives each certificate's R from its form's image, 9.3 s for the
-certificate checks, which run in integers, 17 s for the shape checks,
-which derive each R again, 16 s for the cache round trip, again mostly
-`basis_to_json`, 0.3 s for the numeric check, 0.7 s for the span
-outputs and 14 s for the lowest weights below, nearly all of it the
-bases of m = 16 and 17; the process peaks at about 380 MB, because the
-bases and images built before the lowest weights are dropped first):
+Run from the repository root (about 72 s on one core of a 2-core VM:
+1.8 s to build the bases, 18 s for the digests, mostly `basis_to_json`,
+which derives each certificate's R from its form's image, 6.1 s for the
+certificate checks, which run in integers, 8.4 s for the shape checks,
+nearly all on the reloaded bases (a built certificate's shape is
+checked right after its identity, so its R reuses that image), 17 s for
+the cache round trip, again mostly `basis_to_json`, 0.3 s for the
+numeric check, 0.8 s for the span outputs and 18 s for the lowest
+weights below, nearly all of it the bases of m = 16 and 17; the process
+peaks at about 380 MB, because the bases and images built before the
+lowest weights are dropped first):
 
     PYTHONPATH=src python tools/check_golden.py
 
@@ -127,17 +129,22 @@ def main() -> int:
         start = perf_counter()
         if digest(basis_to_json(basis)) != golden["digests"].get(key):
             failures.append("basis digest of J_{%d,%d}" % (k, m))
-        middle = perf_counter()
+        seconds["digests"] += perf_counter() - start
+        # the identity builds the form's image, and the shape check's
+        # read of R right after it reuses that image
         for i, (form, cert) in enumerate(zip(basis.forms,
                                              basis.certificates)):
+            start = perf_counter()
             if certificate_identity(form, cert):
                 certified += 1
             else:
                 failures.append("certificate %d of J_{%d,%d}" % (i, k, m))
-        seconds["digests"] += middle - start
-        seconds["identities"] += perf_counter() - middle
-        seconds["shapes"] += check_shapes("J_{%d,%d}" % (k, m), basis,
-                                          failures)
+            middle = perf_counter()
+            if not one_shape(cert):
+                failures.append("shape of certificate %d of J_{%d,%d}"
+                                % (i, k, m))
+            seconds["identities"] += middle - start
+            seconds["shapes"] += perf_counter() - middle
 
     start = perf_counter()
     shapes = 0.0
