@@ -254,7 +254,10 @@ def basis_to_text(basis: JacobiBasis) -> str:
                                              for l in ls):
             raise CacheError("S_l powers %s at index %d"
                              % (ls, target.index))
-        if c.form != form:
+        # `is` first: the construction gives each certificate its own
+        # form, and comparing equal forms term by term would double the
+        # time of this function on the index <= 8 bases
+        if c.form is not form and c.form != form:
             raise CacheError("a certificate of another form")
         rows.append([c.n, c.den, {l: _row(s_index.setdefault(l, {}),
                                           mons, nums)
