@@ -27,15 +27,15 @@ None for an entry it cannot read (a directory in its place, JSON nested
 too deeply to parse) and for any entry not shaped like one that `save`
 writes: a row whose positions and values differ in length, a position
 out of range or repeated, a value of 0, an entry that is not an int, a
-denominator <= 0, a Delta power below that of its form's image (so
-below 0), ls of "s_mons" not strictly ascending from 1 or one above
-index/5, a monomial listed twice in one S_l list, a certificate count
-other than the form count, and forms other than nonzero primitive ones,
-each positive at its lead (its smallest position), the leads strictly
-ascending and no form nonzero at another form's lead.  `save` raises
-CacheError, and writes nothing, for a basis whose entry `load` would
-miss, for a certificate of another form than the one at its position,
-and for an entry the file system refuses.
+Delta power below that of its form's image, ls of "s_mons" not strictly
+ascending from 1 or one above index/5, a monomial listed twice in one
+S_l list, a certificate count other than the form count, forms other
+than nonzero primitive ones, each positive at its lead (its smallest
+position), the leads strictly ascending and no form nonzero at another
+form's lead, and a witness that `Certificate` refuses (a den < 1).
+`save` raises CacheError, and writes nothing, for a basis whose entry
+`load` would miss, for a certificate of another form than the one at
+its position, and for an entry the file system refuses.
 """
 
 from __future__ import annotations
@@ -131,19 +131,6 @@ def _check_echelon(rows) -> None:
         raise ValueError("forms not in echelon form")
 
 
-def _row(index: dict, mons: list, nums: list) -> list:
-    """The sparse row of `nums` over `mons`, each monomial at its position
-    in `index`, where a monomial not yet listed goes last; CacheError
-    unless the numerators are nonzero, one per monomial, each monomial
-    listed once."""
-    positions = [index.setdefault(mon, len(index)) for mon in mons]
-    if len(nums) != len(positions) or 0 in nums \
-            or len(set(positions)) < len(positions):
-        raise CacheError("an S row with a zero numerator or a monomial "
-                         "listed twice")
-    return [positions, nums]
-
-
 class DiskStore:
     def __init__(self, root: str):
         self.root = root
@@ -208,7 +195,7 @@ def basis_from_text(k: int, m: int, text: str) -> JacobiBasis:
     for form, (positions, _), (n, den, s_part_rows) in zip(
             forms, doc["forms"], doc["certificates"]):
         _ints([n, den], 2)
-        if n < max(map(powers.__getitem__, positions)) or den <= 0 \
+        if n < max(map(powers.__getitem__, positions)) \
                 or len(s_part_rows) != len(s_mons):
             raise ValueError("malformed certificate")
         s_rows = [(l, *_terms(row, mons_l))
@@ -223,11 +210,11 @@ def basis_to_text(basis: JacobiBasis) -> str:
 
     CacheError for a basis whose entry `load` would miss: forms not in
     the echelon shape of `_check_echelon`, a certificate count other than
-    the form count, a den <= 0, a Delta power below that of its form's
-    image, an S_l with l < 1, listed twice or with 5l above the index,
-    and an S row with a zero numerator or a monomial listed twice.  Also
-    for a certificate whose form is not the basis form at its position:
-    `load` builds each certificate over the form at its position."""
+    the form count, a Delta power below that of its form's image and an
+    S_l with 5l above the index (the rest of a certificate's shape is
+    its type's).  Also for a certificate whose form is not the basis
+    form at its position: `load` builds each certificate over the form
+    at its position."""
     target = basis.target
     pos = {mon: i for i, mon in enumerate(enumerate_monomials(ab, target))}
     powers = _delta_powers(target)
@@ -246,22 +233,22 @@ def basis_to_text(basis: JacobiBasis) -> str:
     for form, (positions, _), c in zip(basis.forms, forms,
                                        basis.certificates):
         q = max(map(powers.__getitem__, positions))
-        if c.den <= 0 or c.n < q:
-            raise CacheError("a certificate with den %d, or Delta power %d "
-                             "below its form's %d" % (c.den, c.n, q))
-        ls = [l for l, _, _ in c.s_rows]
-        if len(set(ls)) < len(ls) or not all(0 < 5 * l <= target.index
-                                             for l in ls):
-            raise CacheError("S_l powers %s at index %d"
-                             % (ls, target.index))
+        top = c.s_rows[-1][0] if c.s_rows else 0    # l ascends
+        if c.n < q or 5 * top > target.index:
+            raise CacheError("a certificate with Delta power %d below its "
+                             "form's %d, or S_%d at index %d"
+                             % (c.n, q, top, target.index))
         # `is` first: the construction gives each certificate its own
         # form, and comparing equal forms term by term would double the
         # time of this function on the index <= 8 bases
         if c.form is not form and c.form != form:
             raise CacheError("a certificate of another form")
-        rows.append([c.n, c.den, {l: _row(s_index.setdefault(l, {}),
-                                          mons, nums)
-                                  for l, mons, nums in c.s_rows}])
+        # each S row at the positions of its monomials in the list at its
+        # l, where a monomial not yet listed goes last
+        rows.append([c.n, c.den, {
+            l: [[index.setdefault(mon, len(index)) for mon in mons], nums]
+            for l, mons, nums in c.s_rows
+            for index in [s_index.setdefault(l, {})]}])
     ls = sorted(s_index)
     for row in rows:
         row[2] = [row[2].get(l, [[], []]) for l in ls]

@@ -34,26 +34,39 @@ class ConsistencyError(RuntimeError):
     """An internal mathematical invariant failed; results are unusable."""
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class Certificate:
     """Witness that `form` is a Jacobi form: with P the weight-16 index-5
     form, Delta^n * (form over AB) = sum_l P^l S_l / E4^l + R, every S_l
     free of E4.
 
-    It holds the form, n, the one positive denominator `den` and the
-    S_l, in integers: each (l, mons, nums) of `s_rows`, l ascending, is
-    S_l over S as its monomials and their numerators over den.  Every
-    certificate the library builds lists each monomial once, nonzero
-    numerators only, and only the S_l that are not zero.  R is fixed by
-    the form, n and the S_l, so it is not held: `r_rows()` derives it
-    from the form on every read (`_remainder`), as R's monomials,
-    descending, and their numerators over den.
-    `serialize` writes R and the S_l as fractions.
+    It holds the form, n, the one denominator `den` and the S_l, in
+    integers: each (l, mons, nums) of `s_rows` is S_l over S as its
+    monomials and their numerators over den.  Its shape is checked here
+    and nowhere else, and no field can be reassigned: n >= 0, den >= 1,
+    the l strictly ascending from 1, each row non-empty (an S_l that is
+    zero is left out), one nonzero numerator per monomial and no
+    monomial twice; ValueError otherwise.  R is fixed by the form, n and
+    the S_l, so it is not held: `r_rows()` derives it from the form on
+    every read (`_remainder`), as R's monomials, descending, and their
+    numerators over den.  `serialize` writes R and the S_l as fractions.
     """
 
-    __slots__ = ("form", "n", "den", "s_rows")
+    form: Poly
+    n: int
+    den: int
+    s_rows: tuple
 
-    def __init__(self, form: Poly, n: int, den: int, s_rows: tuple):
-        self.form, self.n, self.den, self.s_rows = form, n, den, s_rows
+    def __post_init__(self):
+        if self.n < 0 or self.den < 1:
+            raise ValueError("certificate Delta power %d < 0 or den %d < 1"
+                             % (self.n, self.den))
+        last = 0
+        for l, mons, nums in self.s_rows:   # most certificates have none
+            if l <= last or not nums or len(mons) != len(nums) \
+                    or 0 in nums or len(set(mons)) < len(mons):
+                raise ValueError("malformed S row at l = %r" % (l,))
+            last = l
 
     def r_rows(self) -> tuple:
         """(R's monomials, their numerators), derived from the form."""
@@ -199,8 +212,7 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
 
     # Each certificate is the form's witness: n, the den g * L and the
     # S_l, each read straight off the vector, as each S_l monomial has
-    # one column (see `Certificate`).  Each S_l keeps its nonzero terms
-    # only, and an S_l that is zero is left out.
+    # one column, in the shape that `Certificate` requires.
     forms: List[Poly] = []
     certificates: List[Certificate] = []
     for vec in space.basis:
@@ -278,18 +290,15 @@ def certificate_identity(form: Poly, cert: Certificate) -> bool:
     `_image`: for the n of a `certify` certificate, the image that
     `certify` built for the same form object.  With Q_l the E4^(a-l)
     slice of T and S_l the numerators of the S row at l over den, the
-    witness holds when den Q_l == L P^l S_l for every l <= a, each
-    nonzero S_l has 1 <= l <= a and den R is integral, R the slices of
-    E4 exponent >= a over L.  A monomial listed twice in an S row with
-    nonzero numerators, an l listed twice, a den < 1 and an n from which
-    Delta cannot be cancelled down to the image's all fail the check.
-    ValueError for n < 0.
+    witness holds when den Q_l == L P^l S_l for every l <= a, no S_l
+    has l above a and den R is integral, R the slices of E4 exponent
+    >= a over L.  An n from which Delta cannot be cancelled down to the
+    image's fails the check.  The shape of the witness is the type's
+    (`Certificate`).
     """
-    if cert.n < 0:
-        raise ValueError("certificate Delta power must be >= 0")
     image = _image(form, cert.n)
     den = cert.den
-    if image is None or den < 1:
+    if image is None:
         return False
     terms, L, a = image
     qs: Dict[int, dict] = {}
@@ -299,12 +308,9 @@ def certificate_identity(form: Poly, cert: Certificate) -> bool:
         elif c * den % L:
             return False
     for l, mons, nums in cert.s_rows:
-        s_l = {(0,) + m: x * L for m, x in zip(mons, nums) if x}
-        if not s_l:
-            continue
-        q_l = qs.pop(l, None)
-        if q_l is None or len(s_l) + nums.count(0) < len(nums) or \
-                q_l != (Poly(AB, s_l) * _p_power(l)).terms:
+        q_l = qs.pop(l, None)   # None for l above a: P^l is not built
+        s_l = Poly(AB, {(0,) + m: x * L for m, x in zip(mons, nums)})
+        if q_l is None or q_l != (s_l * _p_power(l)).terms:
             return False
     return not qs
 

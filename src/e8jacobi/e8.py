@@ -1,5 +1,5 @@
-"""E8 root data: simple roots, fundamental weights, Weyl orbits and the
-W(D8)-orbits into which they split.
+"""E8 root data: simple roots, fundamental weights and the W(D8)-orbits
+into which the Weyl orbits of the weights split.
 
 All vectors live in the orthonormal basis of R^8 and are stored with
 coordinates doubled so that everything is an exact integer (the E8
@@ -8,7 +8,6 @@ lattice contains half-integer vectors).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from typing import List, Tuple
 
@@ -41,11 +40,6 @@ FUNDAMENTAL_WEIGHTS: Tuple[Vec2, ...] = (
 WEYL_GROUP_ORDER = 696729600
 
 
-def dot2(v: Vec2, w: Vec2) -> Fraction:
-    """True inner product of two doubled vectors."""
-    return Fraction(sum(a * b for a, b in zip(v, w)), 4)
-
-
 def reflect(v: Vec2, alpha: Vec2) -> Vec2:
     """Reflection in the hyperplane of a root (all roots have norm 2):
     v -> v - (v . alpha) alpha."""
@@ -71,14 +65,6 @@ def _closure(j: int, roots, image) -> Tuple[Vec2, ...]:
                     nxt.append(w)
         frontier = nxt
     return tuple(sorted(seen))
-
-
-@cache
-def weyl_orbit(j: int) -> Tuple[Vec2, ...]:
-    """Orbit of the j-th fundamental weight (1-based) under the Weyl
-    group, sorted, by closure under the reflections in the simple roots;
-    built once per j and kept, as exact integer data."""
-    return _closure(j, SIMPLE_ROOTS, lambda v: v)
 
 
 def d8_dominant(v: Vec2) -> Vec2:

@@ -201,10 +201,10 @@ class Poly:
     # -- arithmetic ---------------------------------------------------
 
     def _check_alphabet(self, other: "Poly"):
-        if self.alphabet is not other.alphabet:
-            if self.alphabet.fingerprint() != other.alphabet.fingerprint():
-                raise AlphabetMismatchError(
-                    "%s vs %s" % (self.alphabet.name, other.alphabet.name))
+        if self.alphabet is not other.alphabet \
+                and self.alphabet != other.alphabet:
+            raise AlphabetMismatchError(
+                "%s vs %s" % (self.alphabet.name, other.alphabet.name))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -297,7 +297,8 @@ class Poly:
             other = Poly.const(self.alphabet, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self.alphabet.fingerprint() == other.alphabet.fingerprint()
+        return ((self.alphabet is other.alphabet
+                 or self.alphabet == other.alphabet)
                 and self.terms == other.terms)
 
     def __hash__(self):

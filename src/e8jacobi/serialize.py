@@ -111,12 +111,12 @@ def poly_from_json(doc: dict) -> Poly:
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    """R and each S_l that is not all zero, from the integer rows; R is
-    derived from the certificate's form here, once."""
+    """R and each S_l, from the integer rows; R is derived from the
+    certificate's form here, once."""
     den = cert.den
     return {"n": cert.n,
             "s_parts": [{"l": l, "poly": _row_doc(S_ALPHABET, mons, nums, den)}
-                        for l, mons, nums in cert.s_rows if any(nums)],
+                        for l, mons, nums in cert.s_rows],
             "remainder": _row_doc(AB, *cert.r_rows(), den)}
 
 
@@ -132,30 +132,34 @@ def certificate_from_json(doc: dict, form: Poly) -> Certificate:
     """Inverse of `certificate_to_json`: the certificate of `form` over
     the lcm of the document's denominators, S parts ascending in l and
     those that are zero left out.  Raises SerializationError on a
-    missing key, an n that is not an int >= 0, S part powers l that are
-    not distinct ints >= 1, a remainder not over AB, an S part not over
-    S, and a remainder other than the one derived from the form at the
+    missing key, an n or an S part power l that is not an int, a
+    remainder not over AB, an S part not over S, a witness that
+    `Certificate` refuses (n < 0, an l below 1 or listed twice) and a
+    remainder other than the one derived from the form at the
     document's n and den, or none derivable there."""
     try:
         n, r_doc = doc["n"], doc["remainder"]
         parts = [(p["l"], p["poly"]) for p in doc["s_parts"]]
     except (KeyError, TypeError) as exc:
         raise _malformed("certificate", exc)
-    if type(n) is not int or n < 0:
-        raise SerializationError("Delta power %r is not an int >= 0" % (n,))
     ls = [l for l, _ in parts]
-    if any(type(l) is not int or l < 1 for l in ls) or len(set(ls)) < len(ls):
-        raise SerializationError("the l of each S part must be an int >= 1, "
-                                 "listed once: %r" % (ls,))
+    if any(type(x) is not int for x in [n, *ls]):
+        raise SerializationError("Delta power %r and the l of each S part "
+                                 "%r are not all ints" % (n, ls))
     r = _poly_over(r_doc, AB, "remainder")
     s_polys = [(l, _poly_over(p, S_ALPHABET, "S part %d" % l))
                for l, p in parts]
     den = lcm(*(c.denominator for p in [r, *(s for _, s in s_polys)]
                 for c in p.terms.values()))
-    cert = Certificate(form, n, den, tuple(
-        (l, list(s.terms), [c.numerator * (den // c.denominator)
-                            for c in s.terms.values()])
-        for l, s in sorted(s_polys, key=itemgetter(0)) if s.terms))
+    try:
+        cert = Certificate(form, n, den, tuple(
+            (l, list(s.terms), [c.numerator * (den // c.denominator)
+                                for c in s.terms.values()])
+            for l, s in sorted(s_polys, key=itemgetter(0)) if s.terms))
+    except ValueError as exc:
+        raise SerializationError("Delta power %d and the l of each S part "
+                                 "%r make no certificate: %s"
+                                 % (n, ls, exc)) from None
     try:
         mons, nums = cert.r_rows()
     except ConsistencyError as exc:

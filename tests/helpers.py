@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 import mpmath
@@ -9,7 +10,7 @@ from mpmath import mp
 
 from e8jacobi.ansatz import build_ansatz, enumerate_monomials
 from e8jacobi.construct import Rejection
-from e8jacobi.e8 import weyl_orbit
+from e8jacobi.e8 import SIMPLE_ROOTS, _closure
 from e8jacobi.generators import (_lifted_columns, e4_split,
                                  holomorphic_images, p12_5_over_ab, p16_5,
                                  sub_ab_to_AB)
@@ -361,6 +362,19 @@ def theta_fixed_loop(half_powers, table, n_max):
          (evens_i[0] + evens_i[1]) >> wp),
         ((one - evens_r[0] + evens_r[1]) >> wp,
          (-evens_i[0] + evens_i[1]) >> wp))
+
+
+def dot2(v, w):
+    """True inner product of two doubled vectors (`e8.Vec2`)."""
+    return Fraction(sum(a * b for a, b in zip(v, w)), 4)
+
+
+@cache
+def weyl_orbit(j):
+    """Orbit of the j-th fundamental weight (1-based) under the Weyl
+    group, sorted, by closure under the reflections in the simple roots;
+    built once per j and kept, as exact integer data."""
+    return _closure(j, SIMPLE_ROOTS, lambda v: v)
 
 
 def orbit_character_loop(j, z, ctx):

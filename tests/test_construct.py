@@ -1,6 +1,7 @@
 """End-to-end construction: bases, certificates, profiles, subalgebra."""
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -128,8 +129,6 @@ class TestCertificates:
 
         assert not certificate_identity(form, altered(n=cert.n - 1))
         assert not certificate_identity(form, altered(n=cert.n + 1))
-        with pytest.raises(ValueError):
-            certificate_identity(form, altered(n=-1))
         # S_1 moved to l = 2, and the S part dropped
         ((l, mons, nums),) = cert.s_rows
         assert not certificate_identity(form,
@@ -386,35 +385,35 @@ TAMPERINGS = ["none", "s", "den", "n", "l", "drop"]
 
 
 def tampered(cert, kind, data):
-    """`cert` with one change of the given kind, drawn from `data`."""
+    """The fields (n, den, s_rows) of `cert` with one change of the given
+    kind, drawn from `data`."""
     n, den, s_rows = cert.n, cert.den, cert.s_rows
-    s_at = [i for i, (_, _, nums) in enumerate(s_rows) if any(nums)]
     step = data.draw(st.sampled_from([-1, 1]))
-    if kind == "s" and s_at:
-        i = data.draw(st.sampled_from(s_at))
+    if kind in ("s", "l", "drop") and s_rows:
+        i = data.draw(st.sampled_from(range(len(s_rows))))
         l, mons, nums = s_rows[i]
-        nums = list(nums)
-        nums[data.draw(st.sampled_from(
-            [j for j, a in enumerate(nums) if a]))] += step
-        s_rows = s_rows[:i] + ((l, mons, nums),) + s_rows[i + 1:]
+        if kind == "s":
+            nums = list(nums)
+            nums[data.draw(st.sampled_from(range(len(nums))))] += step
+            changed = ((l, mons, nums),)
+        else:
+            changed = ((l + step, mons, nums),) if kind == "l" else ()
+        s_rows = s_rows[:i] + changed + s_rows[i + 1:]
     elif kind == "den":
         den = den * 2 if step > 0 else den // data.draw(
             st.sampled_from([d for d in range(2, 13) if den % d == 0] or [1]))
     elif kind == "n":
         n += step
-    elif kind in ("l", "drop") and s_at:
-        i = data.draw(st.sampled_from(s_at))
-        l, mons, nums = s_rows[i]
-        moved = ((l + step, mons, nums),) if kind == "l" else ()
-        s_rows = s_rows[:i] + moved + s_rows[i + 1:]
-    return Certificate(cert.form, n, den, s_rows)
+    return n, den, s_rows
 
 
-def outcome(check, form, cert):
-    try:
-        return check(form, cert)
-    except ValueError:
-        return "ValueError"
+def shape_holds(n, den, s_rows):
+    """Reference of the shape that `Certificate` requires of a witness."""
+    ls = [l for l, _, _ in s_rows]
+    return n >= 0 and den >= 1 and ls == sorted(set(ls)) \
+        and min(ls, default=1) >= 1 \
+        and all(nums and len(mons) == len(set(mons)) == len(nums)
+                and 0 not in nums for _, mons, nums in s_rows)
 
 
 class TestIdentityProperty:
@@ -435,10 +434,9 @@ class TestIdentityProperty:
             assert certificate_identity_reference(form, cert)
 
     def test_empty_s_part_skipped(self):
-        """An all-zero S part adds nothing to the equation, so a
-        certificate that lists one at l = 20 still checks,
-        without building P^20 (38 s at index 5 when it was built).  Read
-        from JSON, the part is left out."""
+        """An all-zero S part read from JSON is left out.  An S part at
+        l = 20, above the E4 power of the image, fails the check without
+        building P^20 (38 s at index 5 when it was built)."""
         basis = jacobi_basis(-16, 5)
         form, cert = basis.forms[0], basis.certificates[0]
         assert certificate_identity(form, cert)
@@ -448,27 +446,33 @@ class TestIdentityProperty:
         assert certificate_from_json(doc, form).s_rows == cert.s_rows
         zero_s = (0,) * len(S_ALPHABET)
         padded = Certificate(form, cert.n, cert.den,
-                             cert.s_rows + ((20, [zero_s], [0]),))
+                             cert.s_rows + ((20, [zero_s], [1]),))
         built = construct._p_power.cache_info().currsize
         start = perf_counter()
-        assert certificate_identity(form, padded)
+        assert certificate_identity(form, padded) is False
         assert perf_counter() - start < 1.0
         assert construct._p_power.cache_info().currsize == built
 
     @given(st.integers(0, 10 ** 6), st.sampled_from(TAMPERINGS), st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_reference(self, pick, kind, data):
-        """On the pool, the integer identity equals the Fraction reference
-        of the witness under one random change: an S numerator +-1, den
-        times 2 or divided by one of its divisors up to 12, n +- 1, an
-        S_l moved to l +- 1 or dropped."""
+        """On the pool, under one random change of the witness (an S
+        numerator +-1, den times 2 or divided by one of its divisors up
+        to 12, n +- 1, an S_l moved to l +- 1 or dropped): ValueError
+        from `Certificate` exactly when the change breaks the shape, and
+        otherwise the integer identity equals the Fraction reference."""
         pool = identity_pool()
         form, cert = pool[pick % len(pool)]
         if kind == "none":
             assert certificate_identity(form, cert)
-        cert = tampered(cert, kind, data)
-        assert outcome(certificate_identity, form, cert) == \
-            outcome(certificate_identity_reference, form, cert)
+        n, den, s_rows = tampered(cert, kind, data)
+        if not shape_holds(n, den, s_rows):
+            with pytest.raises(ValueError):
+                Certificate(cert.form, n, den, s_rows)
+            return
+        cert = Certificate(cert.form, n, den, s_rows)
+        assert certificate_identity(form, cert) == \
+            certificate_identity_reference(form, cert)
 
 
 class TestSharedImage:
@@ -516,28 +520,51 @@ class TestSharedImage:
         assert _int_image(form)[3] == q
 
 
-class TestRepeatedMonomial:
-    """An S monomial listed twice: the identity reads the nonzero
-    numerators only, so a repeat with numerator 0 changes nothing, and
-    one with a nonzero numerator fails the check (a J_{-26,8} form with
-    an S part)."""
+class TestCertificateShape:
+    """`Certificate` refuses a witness of another shape, each fault a
+    change to the certificate of a J_{-26,8} form with an S_1 part."""
 
-    @pytest.mark.parametrize("repeat, holds", [("append_zero", True),
-                                               ("prepend_zero", True),
-                                               ("append_own", False)])
-    def test_repeat_in_s_row(self, repeat, holds):
+    @pytest.fixture
+    def parts(self):
         basis = jacobi_basis(-26, 8)
-        form, cert = next((f, c) for f, c in zip(basis.forms,
-                                                 basis.certificates)
-                          if c.s_rows)
-        (l, mons, nums), = cert.s_rows
-        if repeat == "prepend_zero":
-            mons, nums = mons[:1] + mons, [0] + nums
-        else:
-            mons = mons + mons[:1]
-            nums = nums + [nums[0] if repeat == "append_own" else 0]
-        assert certificate_identity(form, Certificate(
-            form, cert.n, cert.den, ((l, mons, nums),))) is holds
+        cert = next(c for c in basis.certificates if c.s_rows)
+        (_, mons, nums), = cert.s_rows
+        return cert, mons, nums
+
+    @pytest.mark.parametrize("fault", [
+        "n_negative", "den_zero", "den_negative", "l_zero", "l_twice",
+        "l_descending", "empty_row", "zero_numerator", "monomial_twice",
+        "length_mismatch"])
+    def test_refused(self, parts, fault):
+        cert, mons, nums = parts
+        fields = {"n": cert.n, "den": cert.den,
+                  "s_rows": ((1, mons, nums), (2, mons, nums))}
+        Certificate(cert.form, **fields)    # the shape holds without it
+        change = {
+            "n_negative": {"n": -1},
+            "den_zero": {"den": 0},
+            "den_negative": {"den": -cert.den},
+            "l_zero": {"s_rows": ((0, mons, nums),)},
+            "l_twice": {"s_rows": ((1, mons, nums),) * 2},
+            "l_descending": {"s_rows": fields["s_rows"][::-1]},
+            "empty_row": {"s_rows": ((1, [], []),)},
+            "zero_numerator": {"s_rows": ((1, mons, [0, *nums[1:]]),)},
+            "monomial_twice": {"s_rows": ((1, mons + mons[:1],
+                                           nums + nums[:1]),)},
+            "length_mismatch": {"s_rows": ((1, mons, nums[:-1]),)},
+        }[fault]
+        with pytest.raises(ValueError):
+            Certificate(cert.form, **{**fields, **change})
+
+    def test_fields_frozen(self, parts):
+        cert, mons, nums = parts
+        for field, value in [("form", cert.form), ("n", cert.n + 1),
+                             ("den", cert.den), ("s_rows", ())]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(cert, field, value)
+        with pytest.raises(FrozenInstanceError):
+            cert.s_rows += ((2, mons, nums),)
+        assert cert.s_rows == ((1, mons, nums),)
 
 
 class TestCertifyProperty:

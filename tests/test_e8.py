@@ -4,7 +4,9 @@ import pytest
 
 from e8jacobi.e8 import (FUNDAMENTAL_WEIGHTS, SIMPLE_ROOTS,
                          WEYL_GROUP_ORDER, d8_dominant, d8_representatives,
-                         dot2, e8_vectors_of_norm, reflect, weyl_orbit)
+                         e8_vectors_of_norm, reflect)
+
+from helpers import dot2, weyl_orbit
 
 
 class TestRootData:

@@ -10,7 +10,7 @@ from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.construct import jacobi_basis, profile_weights
 from e8jacobi.generators import (_lifted_columns, meromorphic_images,
                                  p16_5, sub_ab_to_AB)
-from e8jacobi.grading import (AB, AlphabetMismatchError, BiDegree,
+from e8jacobi.grading import (AB, Alphabet, AlphabetMismatchError, BiDegree,
                               GradingError, Frac, ParamPoly, Poly,
                               S_ALPHABET, ab,
                               cancel_delta, delta_poly)
@@ -64,6 +64,19 @@ class TestPoly:
     def test_alphabet_guard(self):
         with pytest.raises(AlphabetMismatchError):
             E4 * Poly.gen(ab, "b1")
+
+    def test_alphabets_compare_by_value(self):
+        """A polynomial over an equal copy of ab is the same polynomial;
+        AB and S differ, also on the same terms."""
+        copy = Alphabet(ab.name, ab.symbols, ab.degrees)
+        b1 = Poly.gen(ab, "b1")
+        b1_copy = Poly(copy, dict(b1.terms))
+        assert copy is not ab and b1_copy == b1 and b1 == b1_copy
+        assert (b1_copy * b1).terms == (b1 * b1).terms
+        one = {(0,) * len(AB): 1}
+        assert Poly(AB, one) != Poly(S_ALPHABET, one)
+        with pytest.raises(AlphabetMismatchError):
+            Poly(AB, one) * Poly(S_ALPHABET, one)
 
     def test_ring_identities(self):
         p = 2 * E4 ** 3 * A2 - 7 * E6 ** 2 * A2 + 3 * E4 ** 2 * A1 ** 2

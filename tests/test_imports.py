@@ -94,8 +94,6 @@ READ_OUTSIDE_SRC = {
     "Poly.monomial": "README library API",
     "Poly.gen_exponent_range": "README library API",
     "basis_from_json": "README library API: reads a basis document back",
-    "dot2": "test reference: the pairing the E8 root tests check",
-    "weyl_orbit": "test reference for orbit_character",
     "holomorphic_images": "test reference: the table the roundtrips invert",
     "p12_5_over_ab": "test reference: criterion 7's weight-12 form",
     "echelonize": "pinned by perfbench/spans.py; span_basis reference",

@@ -19,7 +19,7 @@ from e8jacobi.oracle import (ComplexSample, EvalContext, NearSingularError,
                              _gauss_table, _raw, _theta_bound,
                              _theta_fixed, _theta_guard_bits)
 
-from helpers import orbit_character_loop, theta_fixed_loop
+from helpers import orbit_character_loop, theta_fixed_loop, weyl_orbit
 
 CTX = EvalContext()
 TAU = mpc("0.13", "1.07")
@@ -533,7 +533,6 @@ class TestOrbitCharacters:
 
     @pytest.mark.parametrize("j", [1, 2, 7, 8])
     def test_matches_naive_sum(self, j):
-        from e8jacobi.e8 import weyl_orbit
         z = _z_generic(21)
         value = orbit_character(j, z, CTX)
         with mp.workdps(CTX.work_digits):
@@ -570,7 +569,6 @@ class TestOrbitCharacters:
             assert _rel(orbit_character(j, zr, CTX), w) < 1e-45, alpha
 
     def test_builds_no_weyl_orbit(self):
-        from e8jacobi.e8 import weyl_orbit
         size = weyl_orbit.cache_info().currsize
         for j in range(1, 9):
             orbit_character(j, _z_generic(23), EvalContext())

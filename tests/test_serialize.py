@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from e8jacobi.construct import (certificate_identity, certify, jacobi_basis,
-                                profile_weights)
+from e8jacobi.construct import (Certificate, certificate_identity, certify,
+                                jacobi_basis, profile_weights)
 from e8jacobi.generators import sub_ab_to_AB
 from e8jacobi.grading import AB, Poly, S_ALPHABET, ab
 from e8jacobi.serialize import (SerializationError, basis_from_json,
@@ -143,14 +143,15 @@ class TestCertificateRows:
                 {"exponents": {"E6": 1}, "coefficient": "1/4"}]}
 
     def test_zero_s_part_left_out(self):
-        """A certificate of J_{-26,7} (den > 1) with an all-zero S_2 row
-        added writes the same document: its S_1 and R in lowest terms."""
+        """A certificate of J_{-26,7} (den > 1) cannot take an all-zero
+        S_2 row, so its document holds S_1 and R, in lowest terms."""
         form = jacobi_basis(-26, 7).forms[0]
         cert = certify(form)
         doc = certificate_to_json(cert)
         assert cert.den > 1 and [p["l"] for p in doc["s_parts"]] == [1]
-        cert.s_rows += ((2, cert.s_rows[0][1][:1], [0]),)
-        assert certificate_to_json(cert) == doc
+        with pytest.raises(ValueError):
+            Certificate(form, cert.n, cert.den,
+                        cert.s_rows + ((2, cert.s_rows[0][1][:1], [0]),))
         for poly in [doc["remainder"], *(p["poly"] for p in doc["s_parts"])]:
             for term in poly["terms"]:
                 num, den = map(int, term["coefficient"].split("/"))

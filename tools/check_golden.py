@@ -59,11 +59,12 @@ from time import perf_counter
 
 from e8jacobi import cli
 from e8jacobi.cache import DiskStore
-from e8jacobi.construct import (certificate_identity, clear_cache,
-                                jacobi_basis, lb_analysis, profile_weights)
+from e8jacobi.construct import (JacobiBasis, certificate_identity,
+                                clear_cache, jacobi_basis, lb_analysis,
+                                profile_weights)
 from e8jacobi.generators import _lifted_terms
 from e8jacobi.oracle import EvalContext, check_axioms
-from e8jacobi.serialize import basis_to_json
+from e8jacobi.serialize import basis_to_json, certificate_to_json
 
 HERE = Path(__file__).resolve().parent
 # the certificate shape check is the tests' own
@@ -81,14 +82,21 @@ def digest(doc) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def check_shapes(what: str, basis, failures) -> float:
-    """Seconds to check the shape of every certificate of `basis`, whose
-    failures name it as `what`."""
-    start = perf_counter()
+def reloaded_digest(what: str, basis, failures) -> tuple:
+    """(the digest of `basis_to_json(basis)`, seconds of the shape
+    checks): each certificate's document is written and its shape
+    checked right after, so that both read R off one image; a failure
+    names the basis as `what`."""
+    docs, shapes = [], 0.0
     for i, cert in enumerate(basis.certificates):
+        docs.append(certificate_to_json(cert))
+        start = perf_counter()
         if not one_shape(cert):
             failures.append("shape of certificate %d of %s" % (i, what))
-    return perf_counter() - start
+        shapes += perf_counter() - start
+    doc = basis_to_json(JacobiBasis(basis.target, basis.forms, []))
+    doc["certificates"] = docs
+    return digest(doc), shapes
 
 
 def run(argv, failures) -> str:
@@ -154,12 +162,12 @@ def main() -> int:
             k, m = map(int, key.split(","))
             store.save(k, m, jacobi_basis(k, m))
             loaded = store.load(k, m)
-            if loaded is None or digest(basis_to_json(loaded)) \
-                    != golden["digests"].get(key):
+            got, seconds_shapes = (None, 0.0) if loaded is None else \
+                reloaded_digest("reloaded J_{%d,%d}" % (k, m), loaded,
+                                failures)
+            shapes += seconds_shapes
+            if loaded is None or got != golden["digests"].get(key):
                 failures.append("cache entry of J_{%d,%d}" % (k, m))
-            if loaded is not None:
-                shapes += check_shapes("reloaded J_{%d,%d}" % (k, m),
-                                       loaded, failures)
         store_bytes = sum(entry.stat().st_size for entry in os.scandir(root))
     seconds["shapes"] += shapes
     seconds["cache"] = perf_counter() - start - shapes
