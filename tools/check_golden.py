@@ -1,16 +1,16 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (about 72 s on one core of a 2-core VM:
-1.8 s to build the bases, 18 s for the digests, mostly `basis_to_json`,
-which derives each certificate's R from its form's image, 6.1 s for the
-certificate checks, which run in integers, 8.4 s for the shape checks,
-nearly all on the reloaded bases (a built certificate's shape is
-checked right after its identity, so its R reuses that image), 17 s for
-the cache round trip, again mostly `basis_to_json`, 0.3 s for the
-numeric check, 0.8 s for the span outputs and 18 s for the lowest
-weights below, nearly all of it the bases of m = 16 and 17; the process
-peaks at about 380 MB, because the bases and images built before the
-lowest weights are dropped first):
+Run from the repository root (about 50 s on one core of a 2-core VM:
+1.1 s to build the bases, 12 s for the digests, mostly `basis_to_json`,
+which derives each certificate's R from its form's image, 3.8 s for the
+certificate checks, which run in integers, 2.5 s for the shape checks
+(a built certificate's shape is checked right after its identity, and
+a reloaded one's right after its document is written, so its R reuses
+that image), 14 s for the cache round trip, again mostly writing the
+documents, 0.2 s for the numeric check, 0.7 s for the span outputs and
+15 s for the lowest weights below, nearly all of it the bases of m = 16
+and 17; the process peaks at about 380 MB, because the bases and images
+built before the lowest weights are dropped first):
 
     PYTHONPATH=src python tools/check_golden.py
 
