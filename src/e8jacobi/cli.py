@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: dim, basis, profile, module-gens, lb, certify, verify,
-tables.  Default output is human-readable text; --format json emits a
-schema-versioned result document.  Exit codes: 0 success, 1 mathematical
-inconsistency, 2 usage error.
+tables.  Every command builds the bases it reads lazily, in this
+process, through `jacobi_basis`.  Default output is human-readable text;
+--format json emits a schema-versioned result document.  Exit codes: 0
+success, 1 mathematical inconsistency, 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ import math
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import construct
-from .cache import CacheError, DiskStore, basis_from_text, basis_to_text
+from .cache import CacheError, DiskStore
 from .construct import (ConsistencyError, Rejection, certificate_identity,
                         certify, index_profile, jacobi_basis, lb_analysis,
-                        module_generators, rank_series, seed_cache)
+                        module_generators, rank_series)
 from .grading import AlphabetMismatchError, GradingError
 from .serialize import (basis_to_json, certificate_to_json, poly_from_json,
                         poly_to_json, result_document)
@@ -66,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "construction, module tables and numeric verification.")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--cache-dir", default=os.environ.get(ENV_CACHE_DIR))
-    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
-                        help="parallel workers for independent "
-                             "(weight, index) tasks")
+    # accepted only as 1: the benchmark harness still passes --jobs 1
+    parser.add_argument("--jobs", type=int, choices=(1,), default=1,
+                        help=argparse.SUPPRESS)
     # a string default goes through `type` like a command-line value
     parser.add_argument("--precision", type=_int_at_least(1),
                         default=os.environ.get(ENV_PRECISION, "50"),
@@ -113,37 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _profile_targets(m: int) -> List[Tuple[int, int]]:
-    return [(k, m) for k in construct.profile_weights(m)]
-
-
-def _compute_one(target: Tuple[int, int]) -> Tuple[int, int, str]:
-    k, m = target
-    return k, m, basis_to_text(jacobi_basis(k, m))
-
-
-def _precompute(targets: List[Tuple[int, int]], jobs: int) -> None:
-    """Fill the in-process basis cache, optionally in parallel.
-
-    The pool has no more workers than targets or CPUs: under the fork
-    start method it starts all of them up front.  Workers ship results
-    in the integer-row text of the disk cache, so the parent
-    re-materializes them over its own canonical alphabet objects with the
-    same int coefficients and certificate rows as a sequential run, whose
-    outputs they match byte for byte.
-    """
-    workers = min(jobs, len(targets), os.cpu_count() or 1)
-    if workers <= 1:
-        for k, m in targets:
-            jacobi_basis(k, m)
-        return
-    # here, not at the top: a sequential run never needs multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for k, m, text in pool.map(_compute_one, targets):
-            seed_cache(k, m, basis_from_text(k, m, text))
-
-
 def _profile_poly_str(d: Dict[int, int]) -> str:
     """Render sum_k d_k x^k, weight ascending, as in 'x^-4 + x^-2 + 1'."""
     parts = []
@@ -183,14 +153,12 @@ def _cmd_basis(args, out) -> dict:
 
 
 def _cmd_profile(args, out) -> dict:
-    _precompute(_profile_targets(args.index), args.jobs)
     payload = _profile_payload(args.index)
     print(payload["polynomial"], file=out)
     return payload
 
 
 def _cmd_module_gens(args, out) -> dict:
-    _precompute(_profile_targets(args.index), args.jobs)
     gens = module_generators(args.index)
     payload = {"index": args.index, "generators": []}
     for k, forms in gens:
@@ -202,8 +170,6 @@ def _cmd_module_gens(args, out) -> dict:
 
 
 def _cmd_lb(args, out) -> dict:
-    _precompute([(-4 * m, m) for m in range(1, args.max_index + 1)],
-                args.jobs)
     report = lb_analysis(args.max_index)
     print("m   dim J_{-4m,m}  new generators  relations", file=out)
     for m in range(1, args.max_index + 1):
@@ -271,10 +237,6 @@ def _cmd_verify(args, out) -> dict:
 
 
 def _cmd_tables(args, out) -> dict:
-    targets = []
-    for m in range(1, args.max_index + 1):
-        targets.extend(_profile_targets(m))
-    _precompute(targets, args.jobs)
     profiles = []
     for m in range(1, args.max_index + 1):
         payload = _profile_payload(m)

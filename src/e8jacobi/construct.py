@@ -138,10 +138,6 @@ def set_disk_store(store) -> None:
     _DISK_STORE = store
 
 
-def seed_cache(k: int, m: int, basis: JacobiBasis) -> None:
-    _BASIS_CACHE.setdefault((k, m), basis)
-
-
 def clear_cache() -> None:
     _BASIS_CACHE.clear()
 

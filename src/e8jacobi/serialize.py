@@ -63,10 +63,9 @@ def poly_to_json(p: Poly) -> dict:
 
 
 def _row_doc(alphabet: Alphabet, mons: list, nums: list, den: int) -> dict:
-    """`poly_to_json` of the sum of nums[i]/den * mons[i]."""
+    """`poly_to_json` of the sum of nums[i]/den * mons[i], nums nonzero."""
     terms = []
-    for exps, a in sorted([t for t in zip(mons, nums) if t[1]],
-                          key=itemgetter(0), reverse=True):
+    for exps, a in sorted(zip(mons, nums), key=itemgetter(0), reverse=True):
         g = gcd(a, den)
         terms.append((exps, "%d/%d" % (a // g, den // g)))
     return _poly_doc(alphabet, terms)

@@ -9,7 +9,7 @@ import mpmath
 from mpmath import mp
 
 from e8jacobi.ansatz import build_ansatz, enumerate_monomials
-from e8jacobi.construct import Rejection
+from e8jacobi.construct import Rejection, profile_weights
 from e8jacobi.e8 import SIMPLE_ROOTS, _closure
 from e8jacobi.generators import (_lifted_columns, e4_split,
                                  holomorphic_images, p12_5_over_ab, p16_5,
@@ -24,6 +24,12 @@ from e8jacobi.oracle import _from_fixed, _to_fixed
 def dense(vec, n):
     """The sparse vector {column: int} as a list of its n entries."""
     return [vec.get(j, 0) for j in range(n)]
+
+
+def profile_targets(m):
+    """The (weight, index) targets of the index-m profile, weight
+    ascending."""
+    return [(k, m) for k in profile_weights(m)]
 
 
 def enumerate_monomials_reference(alphabet, target):
@@ -200,26 +206,19 @@ def certify_reference(form):
 def certificate_identity_reference(form, cert):
     """Reference `certificate_identity` in Fraction polynomials, from the
     witness alone: the image N/(E4^a Delta^d) in lowest terms by
-    `sub_ab_to_AB`, False when n < d or den < 1, and otherwise
-    Delta^(n-d) N, split by `e4_split` at a into the Q_l and R, holds
-    exactly when every l >= 1 has Q_l == P^l S_l (a part missing is
-    zero), no l is listed twice or is below 1, and den R has integer
-    coefficients."""
-    if cert.n < 0:
-        raise ValueError("certificate Delta power must be >= 0")
+    `sub_ab_to_AB`, False when n < d, and otherwise Delta^(n-d) N, split
+    by `e4_split` at a into the Q_l and R, holds exactly when every
+    l >= 1 has Q_l == P^l S_l (a part missing is zero) and den R has
+    integer coefficients."""
     image = sub_ab_to_AB(form)
     gap = cert.n - image.delta_pow
-    if gap < 0 or cert.den < 1:
+    if gap < 0:
         return False
-    parts = s_parts(cert)
-    ls = [l for l, _ in parts]
-    if len(set(ls)) < len(ls) or min(ls, default=1) < 1:
-        return False
+    parts = dict(s_parts(cert))
     num = image.num * delta_poly(AB) ** gap if gap else image.num
     qs, r = e4_split(num.terms, image.e4_pow)
-    if max(ls, default=0) > len(qs):
+    if max(parts, default=0) > len(qs):
         return False
-    parts = dict(parts)
     for l, q_l in enumerate(qs, 1):
         s_l = parts.get(l, Poly.zero(S_ALPHABET))
         if q_l != p16_5() ** l * Poly(AB, {(0,) + m: c for m, c

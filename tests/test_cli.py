@@ -1,17 +1,16 @@
-"""Command-line interface: outputs, exit codes, cache and parallelism."""
+"""Command-line interface: outputs, exit codes, cache and `--jobs`."""
 
-import concurrent.futures
 import json
 
 import pytest
 
-from e8jacobi import cli, construct
+from e8jacobi import construct
 from e8jacobi.cli import main
 from e8jacobi.construct import certify, clear_cache
 from e8jacobi.grading import Poly, ab
 from e8jacobi.serialize import poly_to_json
 
-from helpers import m26_7_generator, rows, second_power_form
+from helpers import m26_7_generator, second_power_form
 
 
 @pytest.fixture(autouse=True)
@@ -152,8 +151,10 @@ class TestExitCodes:
         (["tables", "--max-index", "0"], "must be >= 1, got 0"),
         (["tables", "--max-index", "-3"], "must be >= 1, got -3"),
         (["module-gens", "0"], "must be >= 1, got 0"),
-        (["--jobs", "0", "dim", "4", "1"], "must be >= 1, got 0"),
-        (["--jobs", "-5", "dim", "4", "1"], "must be >= 1, got -5"),
+        (["--jobs", "0", "dim", "4", "1"],
+         "invalid choice: 0 (choose from 1)"),
+        (["--jobs", "2", "dim", "4", "1"],
+         "invalid choice: 2 (choose from 1)"),
     ])
     def test_out_of_range_index_is_2(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)
@@ -316,63 +317,17 @@ class TestCacheAndJobs:
         assert line.startswith("e8jacobi: error: cannot write cache entry %s"
                                % entry)
 
-    def test_jobs_output_identical(self, capsys):
-        code1, doc1, _ = run_json(capsys, "--jobs", "1", "profile", "4")
+    def test_jobs_hidden_from_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--cache-dir" in out and "--jobs" not in out
+
+    def test_jobs_1_output_identical(self, capsys):
+        """--jobs is accepted as 1 only, for old callers, and changes
+        nothing."""
+        with_jobs = run_cli(capsys, "--jobs", "1", "profile", "4")
         clear_cache()
-        code2, doc2, _ = run_json(capsys, "--jobs", "2", "profile", "4")
-        assert code1 == code2 == 0
-        doc1.pop("elapsed_seconds")
-        doc2.pop("elapsed_seconds")
-        assert doc1 == doc2
-
-    @pytest.mark.parametrize("jobs, cpus, workers", [
-        (500, 64, 8),       # no more workers than the 8 targets
-        (4, 2, 2),          # nor than CPUs
-        (3, 64, 3),
-        (8, None, None),    # one CPU, or none known: no pool
-        (1, 64, None),
-    ])
-    def test_pool_size(self, capsys, monkeypatch, jobs, cpus, workers):
-        sizes = []
-
-        class RecordingPool:
-            """Records the pool size and maps in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        code, out, _ = run_cli(capsys, "--jobs", str(jobs), "profile", "3")
-        assert (code, out) == (0, "x^-8 + x^-6 + x^-4 + x^-2 + 1\n")
-        assert sizes == ([] if workers is None else [workers])
-
-    def test_jobs_bases_integer_native(self, capsys):
-        # the bases a parallel run seeds hold the int coefficients and the
-        # certificate rows of a sequential run
-        code, _, _ = run_cli(capsys, "--jobs", "2", "profile", "5")
-        assert code == 0
-        parallel = construct.jacobi_basis(-16, 5)
-        clear_cache()
-        sequential = construct.jacobi_basis(-16, 5)
-        assert parallel is not sequential
-        assert parallel.forms == sequential.forms
-        assert list(map(rows, parallel.certificates)) == \
-            list(map(rows, sequential.certificates))
-        for basis in (parallel, sequential):
-            assert all(type(c) is int
-                       for f in basis.forms for c in f.terms.values())
-            assert all(type(x) is int for cert in basis.certificates
-                       for nums in (cert.r_rows()[1],
-                                     *(s[2] for s in cert.s_rows))
-                       for x in nums)
+        assert run_cli(capsys, "profile", "4") == with_jobs
+        assert with_jobs[0] == 0

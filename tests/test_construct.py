@@ -14,7 +14,6 @@ from mpmath import mpc
 from e8jacobi import construct, generators
 from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.cache import DiskStore
-from e8jacobi.cli import _profile_targets
 from e8jacobi.construct import (Certificate, ConsistencyError, Rejection,
                                 certificate_identity, certify, clear_cache,
                                 index_profile, jacobi_basis, jacobi_dim,
@@ -30,18 +29,18 @@ from e8jacobi.serialize import (certificate_from_json, certificate_to_json,
 from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
                      certificate_identity_reference, certify_reference,
                      dense, drop_e4, index_multisets_reference, m16_5_pair,
-                     m26_7_generator, one_shape, remainder,
-                     remainders_reference, s_parts,
+                     m26_7_generator, one_shape, profile_targets,
+                     remainder, remainders_reference, s_parts,
                      second_power_form, span_basis, spans_equal,
                      system_rows_reference)
 
 # every target of index 1..5 in its profile weight range (143 forms)
-PROFILE_TARGETS = [t for m in range(1, 6) for t in _profile_targets(m)]
+PROFILE_TARGETS = [t for m in range(1, 6) for t in profile_targets(m)]
 # the ones with at least one monomial, so that one can be added
 AMBIENT_TARGETS = [(k, m) for k, m in PROFILE_TARGETS
                    if enumerate_monomials(ab, BiDegree(k, m))]
 # the index-6 target with the most monomials
-LARGEST_6 = max(_profile_targets(6),
+LARGEST_6 = max(profile_targets(6),
                 key=lambda t: len(enumerate_monomials(ab, BiDegree(*t))))
 
 
@@ -79,7 +78,7 @@ class TestCertificates:
         Over every target of index <= 6."""
         store = DiskStore(str(tmp_path))
         rng = random.Random(30)
-        for k, m in [t for m in range(7) for t in _profile_targets(m)]:
+        for k, m in [t for m in range(7) for t in profile_targets(m)]:
             basis = jacobi_basis(k, m)
             store.save(k, m, basis)
             certs = [*basis.certificates, *map(certify, basis.forms),
@@ -108,7 +107,7 @@ class TestCertificates:
 
     def test_index_6_certificates_hold(self):
         checked = 0
-        for k, m in _profile_targets(6):
+        for k, m in profile_targets(6):
             basis = jacobi_basis(k, m)
             for form, cert in zip(basis.forms, basis.certificates):
                 assert certificate_identity(form, cert), (k, m)
@@ -250,7 +249,7 @@ class TestCertificateColumns:
 
 
 # every target of index 1..8 in its profile weight range (1,776 forms)
-INDEX_8_TARGETS = [t for m in range(1, 9) for t in _profile_targets(m)]
+INDEX_8_TARGETS = [t for m in range(1, 9) for t in profile_targets(m)]
 
 
 class TestDerivedRemainder:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from e8jacobi.ansatz import enumerate_monomials
-from e8jacobi.cli import _profile_targets
 from e8jacobi import generators
 from e8jacobi.construct import jacobi_basis
 from e8jacobi.generators import (_int_image, _lifted_columns, _lifted_terms,
@@ -17,11 +16,11 @@ from e8jacobi.generators import (_int_image, _lifted_columns, _lifted_terms,
 from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab, delta_poly
 
 from helpers import (build, expand_column, frac_bidegree, frac_product,
-                     frac_sum, normalized_by_trial_division)
+                     frac_sum, normalized_by_trial_division, profile_targets)
 
 # every target of index 1..4 in its profile weight range with monomials
 SMALL_TARGETS = [(k, m) for i in range(1, 5)
-                 for k, m in _profile_targets(i)
+                 for k, m in profile_targets(i)
                  if enumerate_monomials(ab, BiDegree(k, m))]
 
 

@@ -1,6 +1,7 @@
-"""Every name a library module imports is used by that module, and
-every function, class and method the library defines is read by the
-library itself, unless `READ_OUTSIDE_SRC` lists it with its reason.
+"""Every name a library module imports is used by that module, no
+module imports a way to run work outside its own thread, and every
+function, class and method the library defines is read by the library
+itself, unless `READ_OUTSIDE_SRC` lists it with its reason.
 
 `__init__.py` is left out of the import check: its imports are the
 package's re-exports.
@@ -60,6 +61,33 @@ def test_no_unused_imports(path):
                     if name not in used)
     assert not unused, "%s imports unused %s" % (path.name,
                                                  ", ".join(unused))
+
+
+def imported_modules(tree):
+    """Top-level package of each absolute import -> line of the import,
+    imports inside functions included."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out[node.module.partition(".")[0]] = node.lineno
+    return out
+
+
+# the construction is exact and single-process: no pool, thread or child
+CONCURRENCY = {"concurrent", "multiprocessing", "threading", "subprocess"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_single_process(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = sorted("%s (line %d)" % (name, line)
+                   for name, line in imported_modules(tree).items()
+                   if name in CONCURRENCY)
+    assert not found, "%s imports %s" % (path.name, ", ".join(found))
 
 
 def defined_names(tree):

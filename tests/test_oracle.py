@@ -568,12 +568,6 @@ class TestOrbitCharacters:
                 zr = _reflect_complex(z, alpha)
             assert _rel(orbit_character(j, zr, CTX), w) < 1e-45, alpha
 
-    def test_builds_no_weyl_orbit(self):
-        size = weyl_orbit.cache_info().currsize
-        for j in range(1, 9):
-            orbit_character(j, _z_generic(23), EvalContext())
-        assert weyl_orbit.cache_info().currsize == size
-
     @pytest.mark.parametrize("length", [7, 9])
     def test_z_of_wrong_length_raises(self, length):
         z = _z_generic(24) + _z_generic(25)

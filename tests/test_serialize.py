@@ -134,13 +134,14 @@ class TestCertificateRows:
         assert back.s_rows == () and back.n == certs[0].n == 3
 
     def test_lowest_terms_descending(self):
-        """Numerators over den 12 as reduced "num/den", zeros left out and
-        terms in descending monomial order (E4 before E6)."""
+        """Nonzero numerators over den 12 as reduced "num/den", terms in
+        descending monomial order (E4, E6, then A1)."""
         e4, e6, a1 = [tuple(int(i == j) for j in range(11)) for i in range(3)]
-        assert _row_doc(AB, [e6, a1, e4], [3, 0, -8], 12) == {
+        assert _row_doc(AB, [e6, a1, e4], [3, 6, -8], 12) == {
             "alphabet": "AB", "terms": [
                 {"exponents": {"E4": 1}, "coefficient": "-2/3"},
-                {"exponents": {"E6": 1}, "coefficient": "1/4"}]}
+                {"exponents": {"E6": 1}, "coefficient": "1/4"},
+                {"exponents": {"A1": 1}, "coefficient": "1/2"}]}
 
     def test_zero_s_part_left_out(self):
         """A certificate of J_{-26,7} (den > 1) cannot take an all-zero
