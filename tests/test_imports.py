@@ -3,7 +3,7 @@ module imports a way to run work outside its own thread, and every
 function, class and method the library defines is read by the library
 itself, unless `READ_OUTSIDE_SRC` lists it with its reason.
 
-`__init__.py` is left out of the import check: its imports are the
+`__init__.py` is left out of the unused-import check: its imports are the
 package's re-exports.
 """
 
