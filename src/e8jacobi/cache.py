@@ -7,7 +7,7 @@ change to the generator tables or the result format invalidates stale
 entries automatically.  Writes are atomic: a temporary file in the same
 directory is renamed into place.
 
-Format 5 stores each certificate's witness only, as sparse integer
+Format 6 stores each certificate's witness only, as sparse integer
 rows, one JSON object per entry; a row is [positions, values], its
 nonzero values at distinct positions in a monomial list:
 
@@ -16,26 +16,30 @@ nonzero values at distinct positions in a monomial list:
 - "s_mons": [l, S exponent vectors] for each S_l, l ascending, each
   vector listed once, in order of first appearance;
 - "certificates": [n, den, [S_l's numerators for each l of "s_mons"]]
-  per form, every numerator over the one den, [[], []] where a
-  certificate has no S_l.
+  per form, every numerator over den, the S_l's lowest common
+  denominator (1 without S_l), [[], []] where a certificate has none.
 
 No entry holds R: it is fixed by the form, n and the S_l, and `load`
 builds each certificate over its reloaded form (`Certificate`), which
 derives R when it is read, so no stale R can come back from disk.
-`load` maps each row back to the certificate's own lists.  It returns
-None for an entry it cannot read (a directory in its place, JSON nested
-too deeply to parse) and for any entry not shaped like one that `save`
-writes: a row whose positions and values differ in length, a position
-out of range or repeated, a value of 0, an entry that is not an int, a
-Delta power below that of its form's image, ls of "s_mons" not strictly
-ascending from 1 or one above index/5, a monomial listed twice in one
-S_l list, a certificate count other than the form count, forms other
-than nonzero primitive ones, each positive at its lead (its smallest
-position), the leads strictly ascending and no form nonzero at another
-form's lead, and a witness that `Certificate` refuses (a den < 1).
-`save` raises CacheError, and writes nothing, for a basis whose entry
-`load` would miss, for a certificate of another form than the one at
-its position, and for an entry the file system refuses.
+`load` maps each row back to the certificate's own lists and runs
+`certificate_identity` on each certificate with an S_l, so no stored
+den or S numerator comes back wrong; it does not see S rows dropped
+whole, an n raised or a form left out (the sha256 key covers stale
+entries).  It returns None for an entry it cannot read (a directory in
+its place, JSON nested too deeply to parse) and for any entry not
+shaped like one that `save` writes: a row whose positions and values
+differ in length, a position out of range or repeated, a value of 0, an
+entry that is not an int, a Delta power below that of its form's image,
+ls of "s_mons" not strictly ascending from 1 or one above index/5, a
+monomial listed twice in one S_l list, a certificate count other than
+the form count, forms other than nonzero primitive ones, each positive
+at its lead (its smallest position), the leads strictly ascending and
+no form nonzero at another form's lead, a witness that `Certificate`
+refuses (a den < 1 or one sharing a factor with every S numerator) and
+S rows that do not certify their form.  `save` raises CacheError, and
+writes nothing, for a basis whose entry `load` would miss for its
+shape, and for an entry the file system refuses.
 """
 
 from __future__ import annotations
@@ -51,12 +55,12 @@ from typing import List, Optional
 
 from .ansatz import enumerate_monomials
 from .construct import (Certificate, JacobiBasis, SCHEMA_VERSION,
-                        coefficient_row)
+                        certificate_identity, coefficient_row)
 from .generators import _rest_powers, meromorphic_images, p16_5
 from .grading import AB, BiDegree, Poly, S_ALPHABET, ab
 from .serialize import poly_to_compact
 
-CACHE_FORMAT = 5
+CACHE_FORMAT = 6
 _INT = {int}
 
 
@@ -174,10 +178,11 @@ class DiskStore:
 
 
 def basis_from_text(k: int, m: int, text: str) -> JacobiBasis:
-    """The basis of weight k and index m from its format-5 JSON text,
+    """The basis of weight k and index m from its format-6 JSON text,
     each certificate over its form; KeyError, TypeError or ValueError
-    when the text is not shaped like what `basis_to_text` writes,
-    RecursionError when it nests too deep to parse."""
+    when the text is not shaped like what `basis_to_text` writes or a
+    certificate with an S_l does not certify its form, RecursionError
+    when it nests too deep to parse."""
     target = BiDegree(k, m)
     doc = json.loads(text)
     mons = enumerate_monomials(ab, target)
@@ -200,21 +205,20 @@ def basis_from_text(k: int, m: int, text: str) -> JacobiBasis:
             raise ValueError("malformed certificate")
         s_rows = [(l, *_terms(row, mons_l))
                   for (l, mons_l), row in zip(s_mons, s_part_rows)]
-        certs.append(Certificate(form, n, den,
-                                 tuple(s for s in s_rows if s[2])))
-    return JacobiBasis(target, forms, certs)
+        cert = Certificate(form, n, den, tuple(s for s in s_rows if s[2]))
+        if cert.s_rows and not certificate_identity(form, cert):
+            raise ValueError("S rows that do not certify their form")
+        certs.append(cert)
+    return JacobiBasis(target, certs)
 
 
 def basis_to_text(basis: JacobiBasis) -> str:
-    """The format-5 JSON text of `basis` (see the module docstring).
+    """The format-6 JSON text of `basis` (see the module docstring).
 
-    CacheError for a basis whose entry `load` would miss: forms not in
-    the echelon shape of `_check_echelon`, a certificate count other than
-    the form count, a Delta power below that of its form's image and an
-    S_l with 5l above the index (the rest of a certificate's shape is
-    its type's).  Also for a certificate whose form is not the basis
-    form at its position: `load` builds each certificate over the form
-    at its position."""
+    CacheError for a basis whose entry `load` would miss for its shape:
+    forms not in the echelon shape of `_check_echelon`, a Delta power
+    below that of its form's image and an S_l with 5l above the index
+    (the rest of a certificate's shape is its type's)."""
     target = basis.target
     pos = {mon: i for i, mon in enumerate(enumerate_monomials(ab, target))}
     powers = _delta_powers(target)
@@ -225,24 +229,15 @@ def basis_to_text(basis: JacobiBasis) -> str:
         _check_echelon(forms)
     except ValueError as exc:
         raise CacheError("not a basis in echelon form: %s" % exc) from None
-    if len(basis.certificates) != len(forms):
-        raise CacheError("%d certificates for %d forms"
-                         % (len(basis.certificates), len(forms)))
     s_index: dict = {}
     rows = []
-    for form, (positions, _), c in zip(basis.forms, forms,
-                                       basis.certificates):
+    for (positions, _), c in zip(forms, basis.certificates):
         q = max(map(powers.__getitem__, positions))
         top = c.s_rows[-1][0] if c.s_rows else 0    # l ascends
         if c.n < q or 5 * top > target.index:
             raise CacheError("a certificate with Delta power %d below its "
                              "form's %d, or S_%d at index %d"
                              % (c.n, q, top, target.index))
-        # `is` first: the construction gives each certificate its own
-        # form, and comparing equal forms term by term would double the
-        # time of this function on the index <= 8 bases
-        if c.form is not form and c.form != form:
-            raise CacheError("a certificate of another form")
         # each S row at the positions of its monomials in the list at its
         # l, where a monomial not yet listed goes last
         rows.append([c.n, c.den, {

@@ -6,9 +6,10 @@ substitution to the holomorphic side, clear the Delta denominator, split
 off the E4-denominator parts, demand that each such part be the matching
 power of the distinguished weight-16 index-5 form times an E4-free
 polynomial, and solve the resulting homogeneous linear system exactly.
-Each surviving basis form carries a certificate witnessing membership:
-integer rows of its S_l parts, its remainder derived from the form when
-read (see `Certificate`).
+Each surviving basis form carries a certificate witnessing membership,
+and the basis is its certificates: the form, integer rows of its S_l
+parts over their lowest common denominator, and its remainder derived
+from the form when read (see `Certificate`).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from functools import cache
 from itertools import compress
 from math import gcd, lcm
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .ansatz import build_ansatz, enumerate_monomials
-from .generators import _int_image, _lifted_columns, e4_split, p16_5
-from .grading import AB, BiDegree, Poly, S_ALPHABET, ab, cancel_delta
+from .generators import _image, _lifted_columns, e4_split, p16_5
+from .grading import AB, BiDegree, Poly, S_ALPHABET, ab
 from .kernels import echelon, extend
 from .linsolve import LinearSystem, nullspace
 
@@ -42,14 +43,15 @@ class Certificate:
 
     It holds the form, n, the one denominator `den` and the S_l, in
     integers: each (l, mons, nums) of `s_rows` is S_l over S as its
-    monomials and their numerators over den.  Its shape is checked here
-    and nowhere else, and no field can be reassigned: n >= 0, den >= 1,
-    the l strictly ascending from 1, each row non-empty (an S_l that is
-    zero is left out), one nonzero numerator per monomial and no
-    monomial twice; ValueError otherwise.  R is fixed by the form, n and
-    the S_l, so it is not held: `r_rows()` derives it from the form on
-    every read (`_remainder`), as R's monomials, descending, and their
-    numerators over den.  `serialize` writes R and the S_l as fractions.
+    monomials and their numerators over den, and den is the lowest
+    common denominator of the S_l, so 1 when there is none.  Its shape
+    is checked here and nowhere else, and no field can be reassigned:
+    n >= 0, den >= 1, the l strictly ascending from 1, each row
+    non-empty (an S_l that is zero is left out), one nonzero numerator
+    per monomial, no monomial twice and no factor common to den and
+    every numerator; ValueError otherwise.  R is fixed by the form, n
+    and the S_l, so it is not held: `r_rows()` derives it from the form
+    on every read.  `serialize` writes R and the S_l as fractions.
     """
 
     form: Poly
@@ -67,46 +69,30 @@ class Certificate:
                     or 0 in nums or len(set(mons)) < len(mons):
                 raise ValueError("malformed S row at l = %r" % (l,))
             last = l
+        if gcd(self.den, *(x for _, _, nums in self.s_rows
+                           for x in nums)) != 1:
+            raise ValueError("den %d is not the lowest common denominator "
+                             "of the S rows" % self.den)
 
-    def r_rows(self) -> tuple:
-        """(R's monomials, their numerators), derived from the form."""
-        return _remainder(self.form, self.n, self.den)
-
-
-def _image(form: Poly, n: int) -> Optional[Tuple[dict, int, int]]:
-    """(terms, L, a): the image of `form` as `int` terms T over
-    L E4^a Delta^n (`generators._int_image`), or None when n is below
-    the Delta power of its lowest terms.  Above the largest Delta power
-    d of the form's monomial images the image is lifted to Delta^n;
-    below d, Delta is cancelled from T (`cancel_delta`) down to n."""
-    terms, L, a, dl = _int_image(form, n)
-    k, terms = cancel_delta(terms, dl - n)
-    return (terms, L, a) if dl - k == n else None
-
-
-def _remainder(form: Poly, n: int, den: int) -> Tuple[list, list]:
-    """R of the certificate of `form` at Delta power n over den, as its
-    monomials, descending, and their numerators: the terms of the image
-    T/(L E4^a Delta^n) (`_image`) at E4 exponent >= a, shifted down by
-    a, each times den / L.  The terms below a are the E4^(a-l) Q_l that
-    the S_l account for.  ConsistencyError when Delta cannot be
-    cancelled from the image down to Delta^n or den R is not integral."""
-    image = _image(form, n)
-    if image is None:
-        raise ConsistencyError("certificate Delta power %d is below the "
-                               "image's" % n)
-    terms, L, a = image
-    mons, nums = [], []
-    for mon in sorted(terms, reverse=True):
-        if mon[0] < a:
-            break
-        x, rest = divmod(terms[mon] * den, L)
-        if rest:
-            raise ConsistencyError("remainder not integral over the "
-                                   "certificate denominator %d" % den)
-        mons.append((mon[0] - a,) + mon[1:])
-        nums.append(x)
-    return mons, nums
+    def r_rows(self) -> Tuple[list, list, int]:
+        """(R's monomials, descending, their numerators, L): the terms of
+        the form's image T/(L E4^a Delta^n) (`generators._image`) at E4
+        exponent >= a, shifted down by a, over the image's own L.  The
+        terms below a are the E4^(a-l) Q_l that the S_l account for.
+        ConsistencyError when Delta cannot be cancelled from the image
+        down to Delta^n."""
+        image = _image(self.form, self.n)
+        if image is None:
+            raise ConsistencyError("certificate Delta power %d is below "
+                                   "the image's" % self.n)
+        terms, L, a, _ = image
+        mons, nums = [], []
+        for mon in sorted(terms, reverse=True):
+            if mon[0] < a:
+                break
+            mons.append((mon[0] - a,) + mon[1:])
+            nums.append(terms[mon])
+        return mons, nums, L
 
 
 @dataclass(frozen=True)
@@ -119,13 +105,19 @@ class Rejection:
 
 @dataclass
 class JacobiBasis:
+    """The forms of a target, echelonized, primitive-integer, over ab,
+    as the certificates that hold them, in order."""
+
     target: BiDegree
-    forms: List[Poly]                 # echelonized, primitive-integer, over ab
     certificates: List[Certificate]
 
     @property
+    def forms(self) -> List[Poly]:
+        return [c.form for c in self.certificates]
+
+    @property
     def dimension(self) -> int:
-        return len(self.forms)
+        return len(self.certificates)
 
 
 _BASIS_CACHE: Dict[Tuple[int, int], JacobiBasis] = {}
@@ -167,7 +159,7 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
     target = BiDegree(k, m)
     ansatz = build_ansatz(ab, target)
     if ansatz.is_zero():
-        return JacobiBasis(target, [], [])
+        return JacobiBasis(target, [])
 
     # Over the common denominator E4^p Delta^n the system reads
     # sum_j c_j column_j = E4^p R + sum_l E4^(p-l) P^l S_l, and every
@@ -206,10 +198,10 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
     rows = [q[mon] for q in qs for mon in sorted(q, reverse=True)]
     space = nullspace(LinearSystem(n_cols, rows))
 
-    # Each certificate is the form's witness: n, the den g * L and the
-    # S_l, each read straight off the vector, as each S_l monomial has
-    # one column, in the shape that `Certificate` requires.
-    forms: List[Poly] = []
+    # Each certificate is the form's witness: n and the S_l, each read
+    # straight off the vector, as each S_l monomial has one column, over
+    # g * L, in the shape that `Certificate` requires: g * L and the S
+    # numerators divided by their gcd.
     certificates: List[Certificate] = []
     for vec in space.basis:
         c_part = [(j, x) for j, x in vec.items() if j < n_c]
@@ -225,12 +217,12 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
         form = ansatz.substitute({j: x // g for j, x in c_part})
         s_rows = [(l, mons, [vec.get(j, 0) for j in range(*cols)])
                   for l, mons, cols in s_cols]
-        forms.append(form)
+        h = gcd(g * L, *(x for _, _, nums in s_rows for x in nums))
         certificates.append(Certificate(
-            form, n, g * L,
-            tuple((l, list(compress(mons, nums)), list(filter(None, nums)))
+            form, n, g * L // h,
+            tuple((l, list(compress(mons, nums)), [x // h for x in nums if x])
                   for l, mons, nums in s_rows if any(nums))))
-    return JacobiBasis(target, forms, certificates)
+    return JacobiBasis(target, certificates)
 
 
 def jacobi_dim(k: int, m: int) -> int:
@@ -242,20 +234,19 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
 
     Succeeds iff every E4-denominator part is exactly divisible by the
     matching power of the weight-16 index-5 form; a Rejection names the
-    first failing denominator power.  The image's `int` terms over L
-    (`generators._int_image`, kept for `certificate_identity` and the
-    certificate's R) lose their Delta factors (`cancel_delta`) and are
-    split by E4 exponent into R's terms and the Q_l.  Each nonzero Q_l
-    divided by P^l, the one step in Fractions, gives the row of S_l: its
-    quotient's monomials with the E4 exponent (0) dropped, and its
-    coefficients over L as numerators over `den`, the lcm of the reduced
-    denominators of R and every S_l.  The certificate is the witness
-    over `form` at the Delta power left; its R is derived when read.
+    first failing denominator power.  The image's `int` terms over L,
+    with every Delta factor cancelled (`generators._image`, kept for
+    `certificate_identity` and the certificate's R), are split by E4
+    exponent into R's terms and the Q_l.  Each nonzero Q_l divided by
+    P^l, the one step in Fractions, gives the row of S_l: its quotient's
+    monomials with the E4 exponent (0) dropped, and its coefficients
+    over L as numerators over `den`, the lcm of the reduced denominators
+    of every S_l.  The certificate is the witness over `form` at the
+    Delta power left; its R is derived when read.
     """
     form.bidegree()  # raises on inhomogeneous input
-    terms, L, e4, dl = _int_image(form)
-    k, terms = cancel_delta(terms, dl)
-    qs, r = e4_split(terms, e4)
+    terms, L, e4, n = _image(form)
+    qs, _ = e4_split(terms, e4)
     s_rows = []
     for l, q_l in enumerate(qs, 1):
         if q_l:
@@ -264,10 +255,9 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
                 return Rejection(l)
             s_rows.append((l, [m[1:] for m in s_l.terms],
                            [Fraction(c, L) for c in s_l.terms.values()]))
-    den = lcm(L // gcd(L, *r.values()),
-              *(c.denominator for _, _, s in s_rows for c in s))
+    den = lcm(*(c.denominator for _, _, s in s_rows for c in s))
     return Certificate(
-        form, dl - k, den,
+        form, n, den,
         tuple((l, mons, [c.numerator * (den // c.denominator) for c in s])
               for l, mons, s in s_rows))
 
@@ -283,26 +273,24 @@ def certificate_identity(form: Poly, cert: Certificate) -> bool:
     certifies `form`, in integers; `cert.form` and R are not read.
 
     The image of `form` is T/(L E4^a Delta^n), the `int` terms of
-    `_image`: for the n of a `certify` certificate, the image that
-    `certify` built for the same form object.  With Q_l the E4^(a-l)
-    slice of T and S_l the numerators of the S row at l over den, the
-    witness holds when den Q_l == L P^l S_l for every l <= a, no S_l
-    has l above a and den R is integral, R the slices of E4 exponent
-    >= a over L.  An n from which Delta cannot be cancelled down to the
-    image's fails the check.  The shape of the witness is the type's
-    (`Certificate`).
+    `generators._image`: for the n of a `certify` certificate, the image
+    that `certify` built for the same form object.  With Q_l the
+    E4^(a-l) slice of T and S_l the numerators of the S row at l over
+    den, the witness holds when den Q_l == L P^l S_l for every l <= a
+    and no S_l has l above a.  R, the slices of E4 exponent >= a over
+    L, is a polynomial whatever the witness, so it is not checked.  An
+    n from which Delta cannot be cancelled down to the image's fails
+    the check.  The shape of the witness is the type's (`Certificate`).
     """
     image = _image(form, cert.n)
-    den = cert.den
     if image is None:
         return False
-    terms, L, a = image
+    terms, L, a, _ = image
+    den = cert.den
     qs: Dict[int, dict] = {}
     for m, c in terms.items():
         if m[0] < a:
             qs.setdefault(a - m[0], {})[(0,) + m[1:]] = c * den
-        elif c * den % L:
-            return False
     for l, mons, nums in cert.s_rows:
         q_l = qs.pop(l, None)   # None for l above a: P^l is not built
         s_l = Poly(AB, {(0,) + m: x * L for m, x in zip(mons, nums)})

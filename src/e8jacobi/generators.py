@@ -27,16 +27,15 @@ terms of its index part with the E4 and E6 shifts of its monomial, and
 the construction reads its linear system straight off those columns
 without expanding them.  `_int_image` adds them up in integers,
 weighted by a concrete polynomial's coefficients, into one dict of `int`
-terms over one integer L, and keeps the last one: `sub_ab_to_AB` and
-`construct.certify` start from it, and `construct.certificate_identity`
-and every certificate's remainder, which is derived from its form's
-image, reuse the image `certify` built for the same form.  The sum may
-be divisible by E4 and by Delta.  `sub_ab_to_AB` cancels both from the
-integer terms (Delta by `grading.cancel_delta`, with no polynomial
-division) before the terms become Fractions; `certify` cancels Delta
-the same way, and the identity and the remainder cancel it down to the
-certificate's Delta power.  No other fraction is brought to lowest
-terms.
+terms over one integer L.  The sum may be divisible by E4 and by Delta.
+`_image` cancels Delta from the integer terms (`grading.cancel_delta`,
+with no polynomial division), as far as it goes or down to a given
+power, and keeps the last image: `sub_ab_to_AB` and `construct.certify`
+start from it, and `construct.certificate_identity` and every
+certificate's remainder, which is derived from its form's image, reuse
+the image `certify` built for the same form.  `sub_ab_to_AB` also
+cancels E4 before the terms become Fractions.  No other fraction is
+brought to lowest terms.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .grading import (AB, AlphabetMismatchError, Frac, Poly, ab, cancel_delta,
                       delta_poly)
@@ -330,10 +329,6 @@ def _lifted_columns(mons, lift: int = 0) -> Tuple[list, int, int]:
              for a, b, rest, p, q in items], e4, dl)
 
 
-# (form, q, image) of the last `_int_image` call; see its docstring
-_last_image: tuple = (None, 0, None)
-
-
 def _int_image(p: Poly, lift: int = 0) -> Tuple[dict, int, int, int]:
     """p's image over AB as (terms, L, e4_pow, delta_pow), not reduced:
     nonzero `int` terms over L E4^e4_pow Delta^delta_pow, with delta_pow
@@ -341,17 +336,10 @@ def _int_image(p: Poly, lift: int = 0) -> Tuple[dict, int, int, int]:
     Each weight, p's coefficient v over its column's den, is the int
     pair (v.numerator, v.denominator den), L is the lcm of their reduced
     denominators, and the columns' terms times their weights over L are
-    added into one dict.  The last image is memoised, held with its
-    form: a call on the same object (compared with `is`) at the same
-    delta_pow returns it again, so callers must not mutate the terms.
-    A polynomial over another alphabet raises AlphabetMismatchError."""
-    global _last_image
+    added into one dict.  A polynomial over another alphabet raises
+    AlphabetMismatchError."""
     if p.alphabet != ab:
         raise AlphabetMismatchError("not over ab: %s" % p.alphabet.name)
-    form, q, image = _last_image
-    if form is p and max(lift, q) == image[3]:
-        return image
-    q = max((_rest_powers(m[2:])[1] for m in p.terms), default=0)
     columns, e4, dl = _lifted_columns(p.terms, lift)
     weights = [(v.numerator, v.denominator * column[2])
                for column, v in zip(columns, p.terms.values())]
@@ -362,25 +350,50 @@ def _int_image(p: Poly, lift: int = 0) -> Tuple[dict, int, int, int]:
         for e4_exp, e6_exp, tail, c in terms:
             key = (e4_exp + s4, e6_exp + b) + tail
             out[key] = out.get(key, 0) + c * w
-    image = {key: c for key, c in out.items() if c}, L, e4, dl
-    _last_image = (p, q, image)
+    return {key: c for key, c in out.items() if c}, L, e4, dl
+
+
+# (form, n asked, image) of the last `_image` call that found an image
+_last_image: tuple = (None, None, None)
+
+
+def _image(p: Poly, n: Optional[int] = None
+           ) -> Optional[Tuple[dict, int, int, int]]:
+    """(terms, L, a, n'): p's image as `int` terms T over
+    L E4^a Delta^n' (`_int_image`), with Delta cancelled from T
+    (`cancel_delta`) down to n, or as far as it goes when n is None;
+    None when a given n is not reached.  Above the largest Delta power
+    of p's monomial images the image is lifted to Delta^n instead.  The
+    last image is memoised, held with its form: a call on the same
+    object (compared with `is`) for the n asked or the n' found returns
+    it again, so callers must not mutate the terms."""
+    global _last_image
+    form, asked, image = _last_image
+    if form is p and n in (asked, image[3]):
+        return image
+    terms, L, a, dl = _int_image(p, n or 0)
+    k, terms = cancel_delta(terms, dl if n is None else dl - n)
+    if n is not None and dl - k != n:
+        return None
+    image = terms, L, a, dl - k
+    _last_image = (p, n, image)
     return image
 
 
 def sub_ab_to_AB(p: Poly) -> Frac:
     """Replace every meromorphic generator by its holomorphic-side image,
-    in lowest terms: the common power of E4 is read off the exponents of
-    `_int_image`'s terms and Delta is cancelled from them by
-    `cancel_delta`; each remaining term then becomes a Fraction over L.
+    in lowest terms: Delta is cancelled by `_image`, and the common power
+    of E4 is read off the exponents of its terms (dividing by Delta
+    leaves it as it is); each term then becomes a Fraction over L.
     """
-    out, L, e4, dl = _int_image(p)
+    out, L, e4, dl = _image(p)
     if not out:
         return Frac(Poly.zero(AB), 0, 0)
     k4 = min(e4, min(key[0] for key in out))
-    k, out = cancel_delta(out, dl)
     return Frac(Poly(AB, {(key[0] - k4,) + key[1:]: Fraction(c, L)
                           for key, c in out.items()}),
-                e4 - k4, dl - k)
+                e4 - k4, dl)
+
 
 def e4_split(terms: Dict[tuple, int], p: int) -> Tuple[List[Poly], dict]:
     """Decompose num/E4^p over AB, num given by its nonzero terms, as

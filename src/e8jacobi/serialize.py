@@ -111,12 +111,12 @@ def poly_from_json(doc: dict) -> Poly:
 
 def certificate_to_json(cert: Certificate) -> dict:
     """R and each S_l, from the integer rows; R is derived from the
-    certificate's form here, once."""
-    den = cert.den
+    certificate's form here, once, over its image's own L."""
     return {"n": cert.n,
-            "s_parts": [{"l": l, "poly": _row_doc(S_ALPHABET, mons, nums, den)}
+            "s_parts": [{"l": l,
+                         "poly": _row_doc(S_ALPHABET, mons, nums, cert.den)}
                         for l, mons, nums in cert.s_rows],
-            "remainder": _row_doc(AB, *cert.r_rows(), den)}
+            "remainder": _row_doc(AB, *cert.r_rows())}
 
 
 def _poly_over(doc, alphabet: Alphabet, what: str) -> Poly:
@@ -129,13 +129,13 @@ def _poly_over(doc, alphabet: Alphabet, what: str) -> Poly:
 
 def certificate_from_json(doc: dict, form: Poly) -> Certificate:
     """Inverse of `certificate_to_json`: the certificate of `form` over
-    the lcm of the document's denominators, S parts ascending in l and
+    the lcm of the S parts' denominators, S parts ascending in l and
     those that are zero left out.  Raises SerializationError on a
     missing key, an n or an S part power l that is not an int, a
     remainder not over AB, an S part not over S, a witness that
     `Certificate` refuses (n < 0, an l below 1 or listed twice) and a
     remainder other than the one derived from the form at the
-    document's n and den, or none derivable there."""
+    document's n, or none derivable there."""
     try:
         n, r_doc = doc["n"], doc["remainder"]
         parts = [(p["l"], p["poly"]) for p in doc["s_parts"]]
@@ -148,8 +148,7 @@ def certificate_from_json(doc: dict, form: Poly) -> Certificate:
     r = _poly_over(r_doc, AB, "remainder")
     s_polys = [(l, _poly_over(p, S_ALPHABET, "S part %d" % l))
                for l, p in parts]
-    den = lcm(*(c.denominator for p in [r, *(s for _, s in s_polys)]
-                for c in p.terms.values()))
+    den = lcm(*(c.denominator for _, s in s_polys for c in s.terms.values()))
     try:
         cert = Certificate(form, n, den, tuple(
             (l, list(s.terms), [c.numerator * (den // c.denominator)
@@ -160,11 +159,11 @@ def certificate_from_json(doc: dict, form: Poly) -> Certificate:
                                  "%r make no certificate: %s"
                                  % (n, ls, exc)) from None
     try:
-        mons, nums = cert.r_rows()
+        mons, nums, L = cert.r_rows()
     except ConsistencyError as exc:
         raise SerializationError("no remainder of the form at Delta power "
-                                 "%d over %d: %s" % (n, den, exc)) from None
-    if r != Poly(AB, {m: Fraction(x, den) for m, x in zip(mons, nums)}):
+                                 "%d: %s" % (n, exc)) from None
+    if r != Poly(AB, {m: Fraction(x, L) for m, x in zip(mons, nums)}):
         raise SerializationError("the remainder is not the one its form "
                                  "gives at Delta power %d" % n)
     return cert
@@ -212,7 +211,7 @@ def basis_from_json(doc: dict) -> JacobiBasis:
         if not certificate_identity(form, cert):
             raise SerializationError("certificate %d of J_%s does not "
                                      "certify its form" % (i, tuple(target)))
-    return JacobiBasis(target, forms, certs)
+    return JacobiBasis(target, certs)
 
 
 # Compact positional encoding, used for the digest of the generator

@@ -145,35 +145,38 @@ def frac_bidegree(f):
 
 
 def rows(cert):
-    """n, den, R's two lists and the S rows of `cert`: all of what it
-    certifies, R as derived from its form, read once."""
+    """n, den, R's lists and its L, and the S rows of `cert`: all of what
+    it certifies, R as derived from its form, read once."""
     return (cert.n, cert.den, *cert.r_rows(), cert.s_rows)
 
 
 def s_parts(cert):
-    """(l, S_l over S) for each row of `cert` that is not all zero, as
-    Fraction polynomials."""
+    """(l, S_l over S) for each row of `cert`, as Fraction polynomials."""
     return tuple((l, Poly(S_ALPHABET, {m: Fraction(a, cert.den)
-                                       for m, a in zip(mons, nums) if a}))
-                 for l, mons, nums in cert.s_rows if any(nums))
+                                       for m, a in zip(mons, nums)}))
+                 for l, mons, nums in cert.s_rows)
 
 
 def one_shape(cert):
     """Whether `cert` has the shape of every certificate the library
     builds: R and each S_l list each monomial once with a nonzero
-    numerator, and the S_l come at strictly ascending l, each with a
-    term.  R is read once."""
+    numerator, the S_l come at strictly ascending l, each with a term,
+    and den is the S_l's lowest common denominator, 1 when there is
+    none.  R is read once."""
     ls = [l for l, _, _ in cert.s_rows]
-    rows = [cert.r_rows(), *((m, x) for _, m, x in cert.s_rows)]
+    r_mons, r_nums, _ = cert.r_rows()
+    rows = [(r_mons, r_nums), *((m, x) for _, m, x in cert.s_rows)]
     return ls == sorted(set(ls)) and all(x for _, _, x in cert.s_rows) \
         and all(len(mons) == len(set(mons)) == len(nums) and 0 not in nums
-                for mons, nums in rows)
+                for mons, nums in rows) \
+        and cert.den == lcm(*(c.denominator for _, s in s_parts(cert)
+                              for c in s.terms.values()))
 
 
 def remainder(cert):
     """R of `cert` over AB, as a Fraction polynomial, read once."""
-    return Poly(AB, {m: Fraction(a, cert.den)
-                     for m, a in zip(*cert.r_rows()) if a})
+    mons, nums, L = cert.r_rows()
+    return Poly(AB, {m: Fraction(a, L) for m, a in zip(mons, nums)})
 
 
 def drop_e4(p):
@@ -187,7 +190,7 @@ def certify_reference(form):
     terms by `sub_ab_to_AB`, split by `e4_split`, and each nonzero Q_l
     divided by P^l with `Poly.divexact`.  A Rejection, or (n, den, the
     parts (l, S_l over S), R over AB), den the lcm of the denominators
-    of R and the S_l."""
+    of the S_l."""
     frac = sub_ab_to_AB(form)
     qs, r = e4_split(frac.num.terms, frac.e4_pow)
     parts = []
@@ -197,10 +200,9 @@ def certify_reference(form):
             if s_l is None:
                 return Rejection(l)
             parts.append((l, drop_e4(s_l)))
-    r = Poly(AB, r)
-    den = lcm(*(Fraction(c).denominator for p in [r, *(s for _, s in parts)]
-                for c in p.terms.values()))
-    return frac.delta_pow, den, tuple(parts), r
+    den = lcm(*(Fraction(c).denominator for _, s in parts
+                for c in s.terms.values()))
+    return frac.delta_pow, den, tuple(parts), Poly(AB, r)
 
 
 def certificate_identity_reference(form, cert):
@@ -208,15 +210,15 @@ def certificate_identity_reference(form, cert):
     witness alone: the image N/(E4^a Delta^d) in lowest terms by
     `sub_ab_to_AB`, False when n < d, and otherwise Delta^(n-d) N, split
     by `e4_split` at a into the Q_l and R, holds exactly when every
-    l >= 1 has Q_l == P^l S_l (a part missing is zero) and den R has
-    integer coefficients."""
+    l >= 1 has Q_l == P^l S_l (a part missing is zero); R is not
+    read."""
     image = sub_ab_to_AB(form)
     gap = cert.n - image.delta_pow
     if gap < 0:
         return False
     parts = dict(s_parts(cert))
     num = image.num * delta_poly(AB) ** gap if gap else image.num
-    qs, r = e4_split(num.terms, image.e4_pow)
+    qs, _ = e4_split(num.terms, image.e4_pow)
     if max(parts, default=0) > len(qs):
         return False
     for l, q_l in enumerate(qs, 1):
@@ -224,7 +226,7 @@ def certificate_identity_reference(form, cert):
         if q_l != p16_5() ** l * Poly(AB, {(0,) + m: c for m, c
                                            in s_l.terms.items()}):
             return False
-    return all((c * cert.den).denominator == 1 for c in r.values())
+    return True
 
 
 def remainders_reference(basis):
@@ -232,9 +234,9 @@ def remainders_reference(basis):
     integer column pass over the image columns that the construction
     made before R was derived from the form: each column's terms at E4
     exponent e >= p go, at exponent e - p, to R's part of the column,
-    and each form's numerators over its certificate's den g L accumulate
-    over the columns of its monomials, g = den / L.  One dict
-    {AB monomial: nonzero numerator} per certificate."""
+    and each form's numerators over the columns' lcm L accumulate over
+    the columns of its monomials.  One dict {AB monomial: nonzero
+    Fraction} per certificate."""
     ansatz = build_ansatz(ab, basis.target)
     columns, p, _ = _lifted_columns(ansatz.terms)
     L = lcm(*{den for _, _, den, _ in columns})
@@ -249,16 +251,14 @@ def remainders_reference(basis):
         r_cols[mon] = (L // den, positions, nums)
     r_mons = list(r_pos)
     out = []
-    for form, cert in zip(basis.forms, basis.certificates):
-        g, rest = divmod(cert.den, L)
-        assert not rest
+    for form in basis.forms:
         acc = [0] * len(r_mons)
         for mon, c in form.terms.items():
             scale, positions, nums = r_cols[mon]
-            x = g * int(c) * scale
+            x = int(c) * scale
             for pos, a in zip(positions, nums):
                 acc[pos] += x * a
-        out.append({mon: a for mon, a in zip(r_mons, acc) if a})
+        out.append({mon: Fraction(a, L) for mon, a in zip(r_mons, acc) if a})
     return out
 
 

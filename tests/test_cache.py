@@ -130,10 +130,9 @@ class TestDiskStore:
 
 class TestSaveRefuses:
     """`save` raises CacheError and writes nothing for a basis whose entry
-    `load` would miss, or that holds a certificate of another form than
-    the one at its position: each case changes one certificate of
-    J_{-26,8} that has an S part, or its forms.  A certificate of another
-    shape cannot be built (ValueError), so no such basis reaches `save`."""
+    `load` would miss for its shape: each case changes one certificate of
+    J_{-26,8} that has an S part.  A certificate of another shape cannot
+    be built (ValueError), so no such basis reaches `save`."""
 
     TARGET = (-26, 8)
     SHAPE_FAULTS = ("zero_s_numerator", "s_monomial_twice", "s_power_zero",
@@ -141,9 +140,9 @@ class TestSaveRefuses:
 
     def changed(self, fault):
         basis = jacobi_basis(*self.TARGET)
-        forms, certs = list(basis.forms), list(basis.certificates)
+        certs = list(basis.certificates)
         i = next(i for i, c in enumerate(certs) if c.s_rows)
-        form, cert = forms[i], certs[i]
+        cert = certs[i]
         (l, mons, nums), = cert.s_rows
         n, den, s_rows = cert.n, cert.den, cert.s_rows
         if fault == "zero_s_numerator":
@@ -160,43 +159,20 @@ class TestSaveRefuses:
         elif fault == "n_negative":
             n = -1
         elif fault == "n_below_the_forms":
-            n = _int_image(form)[3] - 1
-        elif fault == "other_form":
-            # an equal copy of the form is its form; another form is not
-            form = forms[i - 1]
-        elif fault == "forms_swapped":
-            forms[:2] = forms[1::-1]
-        elif fault == "certificate_missing":
-            del certs[-1]
-        if fault not in ("forms_swapped", "certificate_missing"):
-            certs[i] = Certificate(form, n, den, s_rows)
-        return JacobiBasis(basis.target, forms, certs)
+            n = _int_image(cert.form)[3] - 1
+        certs[i] = Certificate(cert.form, n, den, s_rows)
+        return JacobiBasis(basis.target, certs)
 
     @pytest.mark.parametrize("fault", [
         "zero_s_numerator", "s_monomial_twice", "s_power_above_index",
         "s_power_zero", "s_power_twice", "den_zero", "den_negative",
-        "n_negative", "n_below_the_forms", "other_form", "forms_swapped",
-        "certificate_missing"])
+        "n_negative", "n_below_the_forms"])
     def test_refused(self, tmp_path, fault):
         store = DiskStore(str(tmp_path))
         with pytest.raises(ValueError if fault in self.SHAPE_FAULTS
                            else CacheError):
             store.save(*self.TARGET, self.changed(fault))
         assert os.listdir(tmp_path) == []
-
-    def test_certificate_over_an_equal_form(self, tmp_path):
-        # a certificate over an equal copy of its form saves, and loads
-        # back over the stored form
-        store = DiskStore(str(tmp_path))
-        basis = self.changed("unchanged")
-        cert = basis.certificates[0]
-        basis.certificates[0] = Certificate(
-            Poly(ab, dict(basis.forms[0].terms)), cert.n, cert.den,
-            cert.s_rows)
-        store.save(*self.TARGET, basis)
-        loaded = store.load(*self.TARGET)
-        assert list(map(rows, loaded.certificates)) == \
-            list(map(rows, basis.certificates))
 
 
 def v1_document(basis):
@@ -214,7 +190,7 @@ def v2_document(basis):
     over one list of the remainder monomials and one per S_l, each the
     union of the certificates' own lists."""
     certs = basis.certificates
-    r_terms = [dict(zip(*c.r_rows())) for c in certs]
+    r_terms = [dict(zip(*c.r_rows()[:2])) for c in certs]
     s_terms = [{l: dict(zip(mons, nums)) for l, mons, nums in c.s_rows}
                for c in certs]
     r_mons = list(dict.fromkeys(chain.from_iterable(r_terms)))
@@ -256,7 +232,7 @@ class Entry:
 
 class TestFormat2(Entry):
     """The malformed-entry cases of format 2, each on the sparse rows of
-    format 5: every one makes `load` miss rather than return a wrong
+    format 6: every one makes `load` miss rather than return a wrong
     basis.  A row of the wrong length reaches past its monomials, or has
     fewer values than positions: `zip` would truncate it silently."""
 
@@ -387,7 +363,7 @@ def row_length(doc, where):
 
 
 class TestSparseRows(Entry):
-    """A format-5 row is [positions, values]: nonzero int values at
+    """A format-6 row is [positions, values]: nonzero int values at
     distinct int positions within its monomials, in any order.  Each way
     to break that makes `load` miss."""
 
@@ -427,13 +403,14 @@ class TestSparseRows(Entry):
         assert self.reload(entry, doc) is None
 
     def test_format_2_entry_is_never_read(self, entry, monkeypatch):
-        """Format 2's, 3's and 4's entries have other names, and format
-        2's document, put where the format-5 entry goes, misses.  (A
-        format-4 document would miss too: its certificate rows hold R.)"""
+        """Format 2's to 5's entries have other names, and format 2's
+        document, put where the format-6 entry goes, misses.  (A format-4
+        document would miss too: its certificate rows hold R.  Format 5
+        had format 6's layout, but a den over R as well as the S_l.)"""
         store = entry[0]
         digest = store._digest(*self.TARGET)
-        assert cache.CACHE_FORMAT == 5
-        for old in (2, 3, 4):
+        assert cache.CACHE_FORMAT == 6
+        for old in (2, 3, 4, 5):
             monkeypatch.setattr(cache, "CACHE_FORMAT", old)
             assert store._digest(*self.TARGET) != digest
         monkeypatch.undo()
@@ -504,3 +481,36 @@ class TestNotABasis(Entry):
         assert [l for l, _ in doc["s_mons"]] == [1]
         doc["s_mons"][0][0] = 2
         assert self.reload(entry, doc) is None
+
+
+class TestWitnessVerified(Entry):
+    """`load` runs the identity on every certificate with an S part, so
+    a stored den or S numerator that is wrong makes it miss, though the
+    shape of the witness holds.  Certificate 7 of J_{-26,8} has an S_1
+    part over den 373248 with odd numerators, so neither den 1 nor den
+    doubled shares a factor with them."""
+
+    @pytest.mark.parametrize("change", ["den_one", "den_doubled",
+                                        "numerator_up"])
+    def test_corrupted_witness_misses(self, entry, change):
+        doc = entry[2]
+        cert = doc["certificates"][7]
+        s_row = cert[2][0]
+        assert s_row[0] and cert[1] == 373248
+        if change == "den_one":
+            cert[1] = 1
+        elif change == "den_doubled":
+            cert[1] *= 2
+        else:
+            s_row[1][0] += 1
+        assert self.reload(entry, doc) is None
+
+    def test_only_certificates_with_s_parts_run(self, entry, monkeypatch):
+        """Of the twelve certificates, the four with an S part are
+        checked, and the entry loads."""
+        checked = []
+        monkeypatch.setattr(cache, "certificate_identity",
+                            lambda form, cert: checked.append(cert)
+                            or certificate_identity(form, cert))
+        assert self.reload(entry, entry[2]) is not None
+        assert [bool(c.s_rows) for c in checked] == [True] * 4

@@ -128,11 +128,11 @@ class TestCertificates:
 
         assert not certificate_identity(form, altered(n=cert.n - 1))
         assert not certificate_identity(form, altered(n=cert.n + 1))
-        # S_1 moved to l = 2, and the S part dropped
+        # S_1 moved to l = 2, and the S part dropped (den 1 with it)
         ((l, mons, nums),) = cert.s_rows
         assert not certificate_identity(form,
                                         altered(s_rows=((l + 1, mons, nums),)))
-        assert not certificate_identity(form, altered(s_rows=()))
+        assert not certificate_identity(form, Certificate(form, cert.n, 1, ()))
         # the zero form and its empty certificate
         zero = Poly.zero(ab)
         empty = Certificate(zero, 0, 1, ())
@@ -266,9 +266,10 @@ class TestDerivedRemainder:
             store.save(k, m, basis)
             for certs in (basis.certificates, store.load(k, m).certificates):
                 got = [cert.r_rows() for cert in certs]
-                assert [dict(zip(*r)) for r in got] == want, (k, m)
+                assert [{mon: Fraction(x, L) for mon, x in zip(mons, nums)}
+                        for mons, nums, L in got] == want, (k, m)
                 assert all(mons == sorted(mons, reverse=True)
-                           for mons, _ in got)
+                           for mons, _, _ in got)
 
     def test_stores_no_remainder(self):
         basis = jacobi_basis(-26, 8)
@@ -285,17 +286,16 @@ class TestDerivedRemainder:
         return next((f, c) for f, c in zip(basis.forms, basis.certificates)
                     if c.s_rows)
 
-    def test_den_leaving_remainder_not_integral(self, with_s_part):
-        """den 1 leaves R not integral, on a certificate with an S part
-        (whose S rows then fail too) and on one of J_{-16,5} without:
-        there only the integrality check fails the identity."""
-        plain = jacobi_basis(-16, 5)
-        for form, cert in (with_s_part,
-                           (plain.forms[0], plain.certificates[0])):
-            assert cert.den > 1
-            bad = Certificate(form, cert.n, 1, cert.s_rows)
-            with pytest.raises(ConsistencyError, match="not integral"):
-                bad.r_rows()
+    def test_remainder_free_of_den(self, with_s_part):
+        """R is over its image's own L, whatever den: on a certificate
+        with an S part, den 1, den doubled and den times a prime that
+        divides no numerator each derive the same R without raising,
+        and each fails the identity, through the S rows."""
+        form, cert = with_s_part
+        want = cert.r_rows()
+        for den in (1, 2 * cert.den, 1000003 * cert.den):
+            bad = Certificate(form, cert.n, den, cert.s_rows)
+            assert bad.r_rows() == want
             assert not certificate_identity(form, bad)
             assert not certificate_identity_reference(form, bad)
 
@@ -412,7 +412,8 @@ def shape_holds(n, den, s_rows):
     return n >= 0 and den >= 1 and ls == sorted(set(ls)) \
         and min(ls, default=1) >= 1 \
         and all(nums and len(mons) == len(set(mons)) == len(nums)
-                and 0 not in nums for _, mons, nums in s_rows)
+                and 0 not in nums for _, mons, nums in s_rows) \
+        and gcd(den, *(x for _, _, nums in s_rows for x in nums)) == 1
 
 
 class TestIdentityProperty:
@@ -531,9 +532,9 @@ class TestCertificateShape:
         return cert, mons, nums
 
     @pytest.mark.parametrize("fault", [
-        "n_negative", "den_zero", "den_negative", "l_zero", "l_twice",
-        "l_descending", "empty_row", "zero_numerator", "monomial_twice",
-        "length_mismatch"])
+        "n_negative", "den_zero", "den_negative", "den_common_factor",
+        "den_without_s_rows", "l_zero", "l_twice", "l_descending",
+        "empty_row", "zero_numerator", "monomial_twice", "length_mismatch"])
     def test_refused(self, parts, fault):
         cert, mons, nums = parts
         fields = {"n": cert.n, "den": cert.den,
@@ -543,6 +544,9 @@ class TestCertificateShape:
             "n_negative": {"n": -1},
             "den_zero": {"den": 0},
             "den_negative": {"den": -cert.den},
+            "den_common_factor": {"den": 3 * cert.den, "s_rows": (
+                (1, mons, [3 * x for x in nums]),)},
+            "den_without_s_rows": {"s_rows": ()},
             "l_zero": {"s_rows": ((0, mons, nums),)},
             "l_twice": {"s_rows": ((1, mons, nums),) * 2},
             "l_descending": {"s_rows": fields["s_rows"][::-1]},
@@ -566,7 +570,30 @@ class TestCertificateShape:
         assert cert.s_rows == ((1, mons, nums),)
 
 
+@cache
+def s_part_targets():
+    """The targets of index <= 6 with a basis certificate that has an S
+    part."""
+    return [t for m in range(1, 7) for t in profile_targets(m)
+            if any(c.s_rows for c in jacobi_basis(*t).certificates)]
+
+
 class TestCertifyProperty:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_canonical_den_on_combinations(self, data):
+        """certify on an integer combination of the basis forms of an
+        index <= 6 target with an S part gives a certificate whose den
+        is its S rows' lowest common denominator (`one_shape`), and
+        that certificate holds."""
+        k, m = data.draw(st.sampled_from(s_part_targets()))
+        x = Poly.zero(ab)
+        for form in jacobi_basis(k, m).forms:
+            x = x + form.scale(data.draw(st.integers(-5, 5)))
+        cert = certify(x)
+        assert isinstance(cert, Certificate) and one_shape(cert)
+        assert certificate_identity(x, cert)
+
     @given(st.sampled_from(AMBIENT_TARGETS), st.data())
     @settings(max_examples=40, deadline=None)
     def test_certifies_exactly_the_span(self, target, data):

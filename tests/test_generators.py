@@ -9,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi import generators
 from e8jacobi.construct import jacobi_basis
-from e8jacobi.generators import (_int_image, _lifted_columns, _lifted_terms,
-                                 _rest_powers, e4_split, holomorphic_images,
-                                 meromorphic_images, p12_5_over_ab, p16_5,
-                                 sub_ab_to_AB)
+from e8jacobi.generators import (_image, _int_image, _lifted_columns,
+                                 _lifted_terms, _rest_powers, e4_split,
+                                 holomorphic_images, meromorphic_images,
+                                 p12_5_over_ab, p16_5, sub_ab_to_AB)
 from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab, delta_poly
 
 from helpers import (build, expand_column, frac_bidegree, frac_product,
-                     frac_sum, normalized_by_trial_division, profile_targets)
+                     frac_sum, m26_7_generator, normalized_by_trial_division,
+                     profile_targets)
 
 # every target of index 1..4 in its profile weight range with monomials
 SMALL_TARGETS = [(k, m) for i in range(1, 5)
@@ -211,40 +212,47 @@ class TestIntImage:
         want = naive_image(x)
         assert normalized_by_trial_division(num, e4, dl) == want
 
-    def test_memo_serves_only_the_same_object(self, monkeypatch):
-        """The memo compares by identity: an equal copy, or another form,
-        is built anew, and the same object at the same Delta power is
-        served the same image."""
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The lift of each image built from the columns, with the memo
+        emptied first."""
         built = []
         monkeypatch.setattr(generators, "_lifted_columns",
                             lambda mons, lift=0: built.append(lift)
                             or _lifted_columns(mons, lift))
-        monkeypatch.setattr(generators, "_last_image", (None, 0, None))
+        monkeypatch.setattr(generators, "_last_image", (None, None, None))
+        return built
+
+    def test_memo_serves_only_the_same_object(self, built):
+        """The memo of `_image` compares by identity: an equal copy, or
+        another form, is built anew, and the same object at the same
+        Delta power is served the same image."""
         form, other = jacobi_basis(-16, 5).forms
         copy = Poly(ab, dict(form.terms))
-        image = _int_image(form)
-        assert _int_image(form) is image
-        assert _int_image(copy) == image and _int_image(copy) is not image
-        assert _int_image(other) != image
-        assert _int_image(form) == image
+        image = _image(form)
+        assert _image(form) is image
+        assert _image(copy) == image and _image(copy) is not image
+        assert _image(other) != image
+        assert _image(form) == image
         assert len(built) == 4
 
-    def test_memo_keyed_by_delta_power(self, monkeypatch):
-        """A call reuses the memo only at the same effective Delta power
-        max(lift, q): any lift up to q at once, a lift above q anew, and
-        after it lift 0 anew too, at q again."""
-        built = []
-        monkeypatch.setattr(generators, "_lifted_columns",
-                            lambda mons, lift=0: built.append(lift)
-                            or _lifted_columns(mons, lift))
-        form = Poly(ab, dict(jacobi_basis(-16, 5).forms[0].terms))
+    def test_memo_keyed_by_delta_power(self, built):
+        """`_image(form)` cancels a Delta from delta * m26_7 and finds n';
+        a call for n' or for no n is then served at once.  A call for n'
+        + 2 lifts the columns anew and is served again for n' + 2, a
+        call for n' - 1 is not reached (None), and no n builds anew."""
+        form = delta_poly(ab) * m26_7_generator()
         q = _int_image(form)[3]
-        assert q > 0
-        assert [_int_image(form, lift)[3] for lift in range(q + 1)] == \
-            [q] * (q + 1)
-        assert _int_image(form, q + 2)[3] == q + 2
-        assert _int_image(form)[3] == q
-        assert built == [0, q + 2, 0]
+        built.clear()
+        image = _image(form)
+        n = image[3]
+        assert n == q - 1
+        assert _image(form, n) is image and _image(form) is image
+        lifted = _image(form, n + 2)
+        assert lifted[3] == n + 2 and _image(form, n + 2) is lifted
+        assert _image(form, n - 1) is None
+        assert _image(form) == image
+        assert built == [0, n + 2, n - 1, 0]
 
 
 def index_parts(max_index):

@@ -1,15 +1,17 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (about 50 s on one core of a 2-core VM:
-1.1 s to build the bases, 12 s for the digests, mostly `basis_to_json`,
-which derives each certificate's R from its form's image, 3.8 s for the
-certificate checks, which run in integers, 2.5 s for the shape checks
-(a built certificate's shape is checked right after its identity, and
-a reloaded one's right after its document is written, so its R reuses
-that image), 14 s for the cache round trip, again mostly writing the
-documents, 0.2 s for the numeric check, 0.7 s for the span outputs and
-15 s for the lowest weights below, nearly all of it the bases of m = 16
-and 17; the process peaks at about 380 MB, because the bases and images
+Run from the repository root (about 62 s on one core of a 2-core VM,
+where the code before cache format 6 took about 64 s: 1.8 s to build
+the bases, 15 s for the digests, mostly `basis_to_json`, which derives
+each certificate's R from its form's image, 5.0 s for the certificate
+checks, which run in integers, 2.5 s for the shape checks (a built
+certificate's shape is checked right after its identity, and a reloaded
+one's right after its document is written, so its R reuses that
+image), 17 s for the cache round trip, mostly writing the documents and
+the identities that loading runs on the 893 certificates with an S
+part, 0.3 s for the numeric check, 0.9 s for the span outputs and 19 s
+for the lowest weights below, nearly all of it the bases of m = 16 and
+17; the process peaks at about 380 MB, because the bases and images
 built before the lowest weights are dropped first):
 
     PYTHONPATH=src python tools/check_golden.py
@@ -42,8 +44,8 @@ claim of a generator of weight -4m at each such index.
 
 Prints one line per mismatch and a summary; exits 0 when everything
 matches and 1 otherwise.  The seconds of each part, the bytes of the
-temporary store's entries (1,323,077 in cache format 5) and the
-process's peak RSS go to stderr.
+temporary store's entries (1,219,657 in cache format 6, 1,323,077 in
+format 5) and the process's peak RSS go to stderr.
 """
 
 import contextlib
@@ -59,12 +61,12 @@ from time import perf_counter
 
 from e8jacobi import cli
 from e8jacobi.cache import DiskStore
-from e8jacobi.construct import (JacobiBasis, certificate_identity,
-                                clear_cache, jacobi_basis, lb_analysis,
-                                profile_weights)
+from e8jacobi.construct import (certificate_identity, clear_cache,
+                                jacobi_basis, lb_analysis, profile_weights)
 from e8jacobi.generators import _lifted_terms
 from e8jacobi.oracle import EvalContext, check_axioms
-from e8jacobi.serialize import basis_to_json, certificate_to_json
+from e8jacobi.serialize import (basis_to_json, certificate_to_json,
+                                 poly_to_json)
 
 HERE = Path(__file__).resolve().parent
 # the certificate shape check is the tests' own
@@ -94,9 +96,11 @@ def reloaded_digest(what: str, basis, failures) -> tuple:
         if not one_shape(cert):
             failures.append("shape of certificate %d of %s" % (i, what))
         shapes += perf_counter() - start
-    doc = basis_to_json(JacobiBasis(basis.target, basis.forms, []))
-    doc["certificates"] = docs
-    return digest(doc), shapes
+    target = basis.target
+    return digest({"weight": target.weight, "index": target.index,
+                   "dimension": basis.dimension,
+                   "forms": list(map(poly_to_json, basis.forms)),
+                   "certificates": docs}), shapes
 
 
 def run(argv, failures) -> str:
