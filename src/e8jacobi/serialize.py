@@ -2,12 +2,13 @@
 
 This is the output boundary where coefficients become text: every
 coefficient is an exact "num/den" string in lowest terms (an int n is
-"n/1"), and a certificate's text is written from its integer rows and
-read back into them.  Documents meant for humans use named exponent
-maps ({"E4": 2, "b5": 1}), terms in descending monomial order.  The
-compact positional form ([exponents, "num/den"] pairs) now only
-feeds the cache key's digest of the generator tables; the cache entries
-themselves store integer rows (see e8jacobi.cache).
+"n/1"), and a certificate's text is written from its integer rows (R
+over its image's L, the S_l over den) and read back into them, so no
+byte depends on either denominator.  Documents meant for humans use
+named exponent maps ({"E4": 2, "b5": 1}), terms in descending monomial
+order.  The compact positional form ([exponents, "num/den"] pairs) now
+only feeds the cache key's digest of the generator tables; the cache
+entries themselves store integer rows (see e8jacobi.cache).
 """
 
 from __future__ import annotations
