@@ -76,12 +76,12 @@ class Certificate:
 
     def r_rows(self) -> Tuple[list, list, int]:
         """(R's monomials, descending, their numerators, L): the terms of
-        the form's image T/(L E4^a Delta^n) (`generators._image`) at E4
-        exponent >= a, shifted down by a, over the image's own L.  The
-        terms below a are the E4^(a-l) Q_l that the S_l account for.
-        ConsistencyError when Delta cannot be cancelled from the image
-        down to Delta^n."""
-        image = _image(self.form, self.n)
+        the form's full image T/(L E4^a Delta^n) (`generators._image`
+        with no cut) at E4 exponent >= a, shifted down by a, over the
+        image's own L.  The terms below a are the E4^(a-l) Q_l that the
+        S_l account for.  ConsistencyError when Delta cannot be
+        cancelled from the image down to Delta^n."""
+        image = _image(self.form, self.n, full=True)
         if image is None:
             raise ConsistencyError("certificate Delta power %d is below "
                                    "the image's" % self.n)
@@ -169,7 +169,9 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
     # scaling each column to L makes every row integer (the S_l columns
     # absorb L).  Each term is split by its E4 exponent e (E4 leads AB):
     # e < p goes, E4 stripped, into the rows of Q_{p-e}, and e >= p only
-    # into R, which the system leaves free and no row holds.  Then each
+    # into R, which the system leaves free and no row holds, so a
+    # column's loop stops at its first term at p (its terms ascend in
+    # E4 exponent, see `generators._lifted_terms`).  Then each
     # monomial s of each nonempty S_l ansatz is the column -P^l s, all
     # of it at E4 exponent p - l, so in Q_l's rows.
     columns, p, n = _lifted_columns(ansatz.terms)
@@ -179,8 +181,9 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
         scale = L // den
         for e4, e6, tail, c in terms:
             e = e4 + s4
-            if e < p:
-                qs[p - e - 1].setdefault((e6 + s6,) + tail, {})[j] = c * scale
+            if e >= p:
+                break
+            qs[p - e - 1].setdefault((e6 + s6,) + tail, {})[j] = c * scale
     n_c = n_cols = len(columns)
     s_cols = []
     for l in range(1, p + 1):
@@ -234,10 +237,13 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
 
     Succeeds iff every E4-denominator part is exactly divisible by the
     matching power of the weight-16 index-5 form; a Rejection names the
-    first failing denominator power.  The image's `int` terms over L,
-    with every Delta factor cancelled (`generators._image`, kept for
-    `certificate_identity` and the certificate's R), are split by E4
-    exponent into R's terms and the Q_l.  Each nonzero Q_l divided by
+    first failing denominator power.  The image's `int` terms over L
+    below E4^a, with every Delta factor cancelled (`generators._image`,
+    kept for `certificate_identity`: a nonzero value at a point of
+    Delta = 0 proves in O(monomials) that there is none, and otherwise
+    the image is summed whole and Delta cancelled from it), are split by
+    E4 exponent into the Q_l; R, the terms from E4^a on, is not summed
+    when there is no Delta to cancel.  Each nonzero Q_l divided by
     P^l, the one step in Fractions, gives the row of S_l: its quotient's
     monomials with the E4 exponent (0) dropped, and its coefficients
     over L as numerators over `den`, the lcm of the reduced denominators
@@ -273,14 +279,17 @@ def certificate_identity(form: Poly, cert: Certificate) -> bool:
     certifies `form`, in integers; `cert.form` and R are not read.
 
     The image of `form` is T/(L E4^a Delta^n), the `int` terms of
-    `generators._image`: for the n of a `certify` certificate, the image
-    that `certify` built for the same form object.  With Q_l the
-    E4^(a-l) slice of T and S_l the numerators of the S row at l over
-    den, the witness holds when den Q_l == L P^l S_l for every l <= a
-    and no S_l has l above a.  R, the slices of E4 exponent >= a over
-    L, is a polynomial whatever the witness, so it is not checked.  An
-    n from which Delta cannot be cancelled down to the image's fails
-    the check.  The shape of the witness is the type's (`Certificate`).
+    `generators._image` below E4^a: for the n of a `certify`
+    certificate, the image that `certify` built for the same form
+    object.  With Q_l the E4^(a-l) slice of T and S_l the numerators of
+    the S row at l over den, the witness holds when
+    den Q_l == L P^l S_l for every l <= a and no S_l has l above a.  R,
+    the slices of E4 exponent >= a over L, is a polynomial whatever the
+    witness, so it is neither summed nor checked.  An n at or above the
+    Delta power of the form's monomial images needs no cancelling, so
+    no test at a point; an n from which Delta cannot be cancelled down
+    to the image's fails the check.  The shape of the witness is the
+    type's (`Certificate`).
     """
     image = _image(form, cert.n)
     if image is None:

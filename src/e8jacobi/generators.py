@@ -20,20 +20,38 @@ the denominator exponents add, with no check.  So the E4 and Delta
 powers of an index-part image come by exponent arithmetic
 (`_rest_powers`), and only the lifted images are memoised: each
 index part's numerator times a power of Delta, as `int` terms over one
-integer denominator (`_lifted_terms`).
+integer denominator, in ascending E4 exponent (`_lifted_terms`), so a
+reader that needs only the terms below some E4 power stops at the
+first one at it.
 `_lifted_columns` gives the images of a list of monomials over one
 common denominator, one column per monomial: a column is the memoised
 terms of its index part with the E4 and E6 shifts of its monomial, and
 the construction reads its linear system straight off those columns
-without expanding them.  `_int_image` adds them up in integers,
-weighted by a concrete polynomial's coefficients, into one dict of `int`
-terms over one integer L.  The sum may be divisible by E4 and by Delta.
-`_image` cancels Delta from the integer terms (`grading.cancel_delta`,
-with no polynomial division), as far as it goes or down to a given
-power, and keeps the last image: `sub_ab_to_AB` and `construct.certify`
-start from it, and `construct.certificate_identity` and every
-certificate's remainder, which is derived from its form's image, reuse
-the image `certify` built for the same form.  `sub_ab_to_AB` also
+without expanding them, each column up to the E4 power of the common
+denominator.  `_sum_columns`, the one summing loop, adds them up in
+integers, weighted by a concrete polynomial's coefficients, into one
+dict of `int` terms over one integer L, all of them or those below a
+cut.  The sum may be divisible by E4 and by Delta.
+
+Membership reads only the terms below E4^a, a the E4 power of the
+denominator: the E4^(a-l) Q_l that must be P^l S_l.  R, the rest and
+nearly all of the image (8,130 of the 8,196 terms of the basis forms of
+index <= 6), is read only when a certificate's remainder is.  So `_image` sums the columns up to E4^a
+unless it is asked for the full image (`sub_ab_to_AB`, R), and it
+settles the Delta power without the terms above.  Delta vanishes at
+E4 = s^2, E6 = s^3; at such a point, with fixed values of A1..B6, mod a
+prime, the value of the sum T is a sum over the form's monomials, since
+evaluation is a ring map (`_off_delta`).  Were T divisible by Delta,
+its value there would be 0, so a nonzero value proves that there is no
+Delta to cancel.  A zero value proves nothing: T is then summed whole
+and Delta cancelled from it (`grading.cancel_delta`, with no polynomial
+division), as far as it goes or down to a given power, so correctness
+never rests on the point.  At or above the columns' own Delta power
+there is nothing to cancel and no test to make.  `_image` keeps the
+last image: `construct.certify` starts from it,
+`construct.certificate_identity` reuses the image `certify` built for
+the same form, and a certificate's remainder, derived from its form's
+image, is the same columns summed with no cut.  `sub_ab_to_AB` also
 cancels E4 before the terms become Fractions.  No other fraction is
 brought to lowest terms.
 """
@@ -42,7 +60,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, lcm
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .grading import (AB, AlphabetMismatchError, Frac, Poly, ab, cancel_delta,
@@ -291,7 +310,8 @@ def _lifted_terms(rest: tuple, gap: int) -> Tuple[int, list]:
     """The normalized numerator of a2^.. b6^.. times Delta^gap as
     (den, terms): the product of the generators' numerator powers, over
     den, the lcm of the coefficient denominators; each term is
-    (E4 exponent, E6 exponent, tail, int numerator over den)."""
+    (E4 exponent, E6 exponent, tail, int numerator over den), the terms
+    in ascending E4 exponent."""
     den, num = 1, Poly(AB, {(0,) * len(AB): 1})
     for symbol, e in zip(_INDEX_SYMBOLS, rest):
         if e:
@@ -302,8 +322,9 @@ def _lifted_terms(rest: tuple, gap: int) -> Tuple[int, list]:
         num = num * _delta_power(gap)
         den *= 1728 ** gap
     g = gcd(den, *num.terms.values())
-    return den // g, [(m[0], m[1], m[2:], c // g)
-                      for m, c in num.terms.items()]
+    terms = [(m[0], m[1], m[2:], c // g) for m, c in num.terms.items()]
+    terms.sort(key=itemgetter(0))
+    return den // g, terms
 
 
 def _lifted_columns(mons, lift: int = 0) -> Tuple[list, int, int]:
@@ -329,54 +350,155 @@ def _lifted_columns(mons, lift: int = 0) -> Tuple[list, int, int]:
              for a, b, rest, p, q in items], e4, dl)
 
 
-def _int_image(p: Poly, lift: int = 0) -> Tuple[dict, int, int, int]:
-    """p's image over AB as (terms, L, e4_pow, delta_pow), not reduced:
-    nonzero `int` terms over L E4^e4_pow Delta^delta_pow, with delta_pow
-    = max(lift, q), q the largest Delta power of p's monomial images.
-    Each weight, p's coefficient v over its column's den, is the int
-    pair (v.numerator, v.denominator den), L is the lcm of their reduced
-    denominators, and the columns' terms times their weights over L are
-    added into one dict.  A polynomial over another alphabet raises
-    AlphabetMismatchError."""
+def _weighted_columns(p: Poly, lift: int) -> Tuple[list, int, int, int]:
+    """(columns, L, e4_pow, delta_pow): p's `_lifted_columns`, each with
+    the int weight w in place of its den, so that p's image is the sum
+    of the columns' terms times their weights over
+    L E4^e4_pow Delta^delta_pow, with delta_pow = max(lift, q), q the
+    largest Delta power of p's monomial images.  The weight of p's
+    coefficient v over its column's den is the int pair (v.numerator,
+    v.denominator den), L is the lcm of their reduced denominators and
+    w = v.numerator L / (v.denominator den).  A polynomial over another
+    alphabet raises AlphabetMismatchError."""
     if p.alphabet != ab:
         raise AlphabetMismatchError("not over ab: %s" % p.alphabet.name)
     columns, e4, dl = _lifted_columns(p.terms, lift)
     weights = [(v.numerator, v.denominator * column[2])
                for column, v in zip(columns, p.terms.values())]
     L = lcm(*(den // gcd(num, den) for num, den in weights))
+    return ([(s4, b, num * L // den, terms) for (s4, b, _, terms), (num, den)
+             in zip(columns, weights)], L, e4, dl)
+
+
+def _sum_columns(columns: list, cut: float = inf) -> dict:
+    """The nonzero `int` terms of the weighted columns' sum at E4 exponent
+    below `cut` (all of them by default): each column's terms ascend in
+    E4 exponent, so its loop stops at the first one at the cut."""
     out: dict = {}
-    for (s4, b, _, terms), (num, den) in zip(columns, weights):
-        w = num * L // den
+    for s4, b, w, terms in columns:
+        stop = cut - s4
         for e4_exp, e6_exp, tail, c in terms:
+            if e4_exp >= stop:
+                break
             key = (e4_exp + s4, e6_exp + b) + tail
             out[key] = out.get(key, 0) + c * w
-    return {key: c for key, c in out.items() if c}, L, e4, dl
+    return {key: c for key, c in out.items() if c}
 
 
-# (form, n asked, image) of the last `_image` call that found an image
+# The point of the Delta test: E4 = s^2 and E6 = s^3, where
+# Delta = (E4^3 - E6^2)/1728 vanishes, and fixed values of A1..B6, all
+# mod the prime 2^61 - 1 (digits of gamma, pi, e and square roots).
+_PRIME = (1 << 61) - 1
+_S = 57721566490
+_TAIL = (31415926535, 27182818284, 14142135623, 17320508075, 22360679774,
+         16180339887, 26457513110, 31622776601, 24494897427)
+
+
+@cache
+def _numerator_values() -> tuple:
+    """The value at the point of each of the generators a2..b6's
+    numerators over AB.  Every coefficient denominator of the tables
+    divides a power of 6, so it is a unit mod the prime."""
+    images = meromorphic_images()
+    values = []
+    for symbol in _INDEX_SYMBOLS:
+        total = 0
+        for m, c in images[symbol].num.terms.items():
+            x = c.numerator * pow(c.denominator, -1, _PRIME) \
+                * pow(_S, 2 * m[0] + 3 * m[1], _PRIME)
+            for t, e in zip(_TAIL, m[2:]):
+                x = x * pow(t, e, _PRIME) % _PRIME
+            total += x
+        values.append(total % _PRIME)
+    return tuple(values)
+
+
+@cache
+def _part_value(rest: tuple) -> int:
+    """The value at the point of the normalized numerator of
+    a2^.. b6^.., N/den with N the terms of its `_lifted_terms` at gap 0:
+    the product of its generators' numerator values, so independent of
+    N's terms."""
+    value = 1
+    for v, e in zip(_numerator_values(), rest):
+        value = value * pow(v, e, _PRIME) % _PRIME
+    return value
+
+
+def _off_delta(p: Poly, L: int, e4: int, dl: int) -> bool:
+    """Whether the value at the point of T, the numerator of p's image
+    over L E4^e4 Delta^dl, is nonzero, which proves that Delta does not
+    divide T.
+
+    Evaluation at the point is a ring map, and T is the sum over p's
+    monomials E4^a E6^b (index part), with coefficient v, of
+    L v E4^(a + e4 - p') E6^b N/den Delta^(dl - q), N/den, p' and q the
+    normalized numerator and the powers of the index part's image.  So
+    T's value is the sum, over the monomials with q = dl (Delta^(dl - q)
+    is 0 at the point otherwise), of the product of the int L v,
+    s^(2(a + e4 - p') + 3b) and the part's value (`_part_value`): O(1)
+    per monomial, whatever the image's size.  If Delta divided T, T
+    would be (E4^3 - E6^2) U with U integral (Gauss's lemma, as
+    E4^3 - E6^2 is primitive), and its value would be 0."""
+    total = 0
+    for m, v in p.terms.items():
+        p4, q = _rest_powers(m[2:])
+        if q == dl:
+            total += v.numerator * (L // v.denominator) \
+                * pow(_S, 2 * (m[0] + e4 - p4) + 3 * m[1], _PRIME) \
+                * _part_value(m[2:])
+    return total % _PRIME != 0
+
+
+# (form, n asked, (image, weighted columns)) of the last `_image` call
+# that found an image; the columns are kept while the image is cut
 _last_image: tuple = (None, None, None)
 
 
-def _image(p: Poly, n: Optional[int] = None
+def _image(p: Poly, n: Optional[int] = None, full: bool = False
            ) -> Optional[Tuple[dict, int, int, int]]:
     """(terms, L, a, n'): p's image as `int` terms T over
-    L E4^a Delta^n' (`_int_image`), with Delta cancelled from T
-    (`cancel_delta`) down to n, or as far as it goes when n is None;
-    None when a given n is not reached.  Above the largest Delta power
-    of p's monomial images the image is lifted to Delta^n instead.  The
-    last image is memoised, held with its form: a call on the same
+    L E4^a Delta^n', with Delta cancelled from T down to n, or as far as
+    it goes when n is None; None when a given n is not reached.  Above
+    the largest Delta power of p's monomial images the image is lifted
+    to Delta^n instead.
+
+    Unless `full` is set, T holds only its terms below E4^a, the
+    E4^(a-l) Q_l that membership reads (`construct.certify`,
+    `construct.certificate_identity`), whenever the Delta power comes
+    without the terms above: an n at or above the columns' Delta power
+    needs no cancelling, and a nonzero value of T at a point of
+    Delta = 0 (`_off_delta`) proves that there is none to cancel.
+    Otherwise, and when `full` is set, T is summed whole, Delta is
+    cancelled from it (`cancel_delta`) and the full image is returned.
+
+    The last image is memoised, held with its form: a call on the same
     object (compared with `is`) for the n asked or the n' found returns
-    it again, so callers must not mutate the terms."""
+    it again, and a full one serves a call for the cut one; the full
+    image of a cut one is the sum of the same columns with no cut.
+    Callers must not mutate the terms."""
     global _last_image
-    form, asked, image = _last_image
-    if form is p and n in (asked, image[3]):
+    form, asked, held = _last_image
+    if form is p and n in (asked, held[0][3]):
+        image, columns = held
+        if columns is None or not full:
+            return image
+        image = (_sum_columns(columns), *image[1:])
+        _last_image = (p, asked, (image, None))
         return image
-    terms, L, a, dl = _int_image(p, n or 0)
-    k, terms = cancel_delta(terms, dl if n is None else dl - n)
+    columns, L, a, dl = _weighted_columns(p, n or 0)
+    if not full and (n == dl or _off_delta(p, L, a, dl)):
+        if n not in (None, dl):
+            return None
+        image = (_sum_columns(columns, a), L, a, dl)
+        _last_image = (p, n, (image, columns))
+        return image
+    k, terms = cancel_delta(_sum_columns(columns),
+                            dl if n is None else dl - n)
     if n is not None and dl - k != n:
         return None
     image = terms, L, a, dl - k
-    _last_image = (p, n, image)
+    _last_image = (p, n, (image, None))
     return image
 
 
@@ -386,7 +508,7 @@ def sub_ab_to_AB(p: Poly) -> Frac:
     of E4 is read off the exponents of its terms (dividing by Delta
     leaves it as it is); each term then becomes a Fraction over L.
     """
-    out, L, e4, dl = _image(p)
+    out, L, e4, dl = _image(p, full=True)
     if not out:
         return Frac(Poly.zero(AB), 0, 0)
     k4 = min(e4, min(key[0] for key in out))

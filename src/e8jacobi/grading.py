@@ -288,9 +288,27 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base if e > 1 else base
+            base = base.square() if e > 1 else base
             e >>= 1
         return result
+
+    def square(self) -> "Poly":
+        """self * self, each unordered pair of terms multiplied once: the
+        products of terms i < j, doubled, plus the squares of the terms,
+        so n(n+1)/2 products for n terms instead of n^2."""
+        items = list(self.terms.items())
+        out: dict = {}
+        for i, (m1, c1) in enumerate(items):
+            for m2, c2 in items[i + 1:]:
+                m = tuple(map(add, m1, m2))
+                s = out.get(m)
+                out[m] = c1 * c2 if s is None else s + c1 * c2
+        out = {m: 2 * c for m, c in out.items()}
+        for m1, c1 in items:
+            m = tuple(map(add, m1, m1))
+            s = out.get(m)
+            out[m] = c1 * c1 if s is None else s + c1 * c1
+        return Poly(self.alphabet, out)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

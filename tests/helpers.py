@@ -11,11 +11,12 @@ from mpmath import mp
 from e8jacobi.ansatz import build_ansatz, enumerate_monomials
 from e8jacobi.construct import Rejection, profile_weights
 from e8jacobi.e8 import SIMPLE_ROOTS, _closure
-from e8jacobi.generators import (_lifted_columns, e4_split,
+from e8jacobi.generators import (_lifted_columns, _sum_columns,
+                                 _weighted_columns, e4_split,
                                  holomorphic_images, p12_5_over_ab, p16_5,
                                  sub_ab_to_AB)
 from e8jacobi.grading import (AB, BiDegree, Frac, ParamPoly, Poly,
-                              S_ALPHABET, ab, delta_poly)
+                              S_ALPHABET, ab, cancel_delta, delta_poly)
 from e8jacobi.linsolve import (LinearSystem, coefficient_equations,
                                echelonize, primitive_vector)
 from e8jacobi.oracle import _from_fixed, _to_fixed
@@ -227,6 +228,73 @@ def certificate_identity_reference(form, cert):
                                            in s_l.terms.items()}):
             return False
     return True
+
+
+def int_image(form, lift=0):
+    """The whole image of `form` over AB as (terms, L, e4_pow,
+    delta_pow), not reduced: the sum of its weighted columns with no
+    cut, nonzero `int` terms over L E4^e4_pow Delta^delta_pow, with
+    delta_pow the larger of `lift` and the largest Delta power of its
+    monomial images."""
+    columns, L, e4, dl = _weighted_columns(form, lift)
+    return _sum_columns(columns), L, e4, dl
+
+
+def full_image(form, n=None):
+    """Reference `generators._image` with no cut and no test at a point:
+    the whole image (`int_image`), lifted to Delta^n when n is above
+    its Delta power, with Delta cancelled by `cancel_delta` down to n,
+    or as far as it goes when n is None.  (terms, L, a, n'), or None
+    when a given n is not reached."""
+    terms, L, a, dl = int_image(form, n or 0)
+    k, terms = cancel_delta(terms, dl if n is None else dl - n)
+    if n is not None and dl - k != n:
+        return None
+    return terms, L, a, dl - k
+
+
+def certify_full_reference(form):
+    """Reference `certify` on the whole image (`full_image`), in the same
+    integer steps: a Rejection, or (n, den, ((l, {S monomial: numerator
+    over den}), ...)) with l ascending."""
+    terms, L, a, n = full_image(form)
+    qs, _ = e4_split(terms, a)
+    parts = []
+    for l, q_l in enumerate(qs, 1):
+        if q_l:
+            s_l = q_l.divexact(p16_5() ** l)
+            if s_l is None:
+                return Rejection(l)
+            parts.append((l, {m[1:]: Fraction(c, L)
+                              for m, c in s_l.terms.items()}))
+    den = lcm(*(c.denominator for _, s in parts for c in s.values()))
+    return n, den, tuple((l, {m: int(c * den) for m, c in s.items()})
+                         for l, s in parts)
+
+
+def certificate_rows(cert):
+    """A `certify` result in the shape of `certify_full_reference`."""
+    if isinstance(cert, Rejection):
+        return cert
+    return cert.n, cert.den, tuple((l, dict(zip(mons, nums)))
+                                   for l, mons, nums in cert.s_rows)
+
+
+def identity_full_reference(form, cert):
+    """Reference `certificate_identity` on the whole image at cert.n
+    (`full_image`): False when Delta cannot be cancelled down to it, and
+    otherwise whether den Q_l == L P^l S_l for every l, where an S_l
+    above the image's E4 power meets a zero Q_l."""
+    image = full_image(form, cert.n)
+    if image is None:
+        return False
+    terms, L, a, _ = image
+    qs, _ = e4_split(terms, a)
+    parts = {l: Poly(AB, {(0,) + m: x * L for m, x in zip(mons, nums)})
+             for l, mons, nums in cert.s_rows}
+    return max(parts, default=0) <= len(qs) and all(
+        q_l.scale(cert.den) == parts.get(l, Poly.zero(AB)) * p16_5() ** l
+        for l, q_l in enumerate(qs, 1))
 
 
 def remainders_reference(basis):

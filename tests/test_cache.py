@@ -12,12 +12,12 @@ from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.cache import CacheError, DiskStore
 from e8jacobi.construct import (Certificate, JacobiBasis,
                                 certificate_identity, jacobi_basis)
-from e8jacobi.generators import _int_image, meromorphic_images
+from e8jacobi.generators import meromorphic_images
 from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab
 from e8jacobi.serialize import (basis_from_json, basis_to_json,
                                 certificate_to_json, poly_to_compact)
 
-from helpers import remainder, rows, s_parts
+from helpers import int_image, remainder, rows, s_parts
 
 
 @pytest.fixture
@@ -159,7 +159,7 @@ class TestSaveRefuses:
         elif fault == "n_negative":
             n = -1
         elif fault == "n_below_the_forms":
-            n = _int_image(cert.form)[3] - 1
+            n = int_image(cert.form)[3] - 1
         certs[i] = Certificate(cert.form, n, den, s_rows)
         return JacobiBasis(basis.target, certs)
 
@@ -296,7 +296,7 @@ class TestFormat2(Entry):
         # R would not be derivable over the form's image
         doc = entry[2]
         form = jacobi_basis(*self.TARGET).forms[0]
-        doc["certificates"][0][0] = _int_image(form)[3] - 1
+        doc["certificates"][0][0] = int_image(form)[3] - 1
         assert self.reload(entry, doc) is None
 
     @pytest.mark.parametrize("key", ["forms", "certificates"])

@@ -18,8 +18,8 @@ from e8jacobi.construct import (Certificate, ConsistencyError, Rejection,
                                 certificate_identity, certify, clear_cache,
                                 index_profile, jacobi_basis, jacobi_dim,
                                 lb_analysis, module_generators, rank_series)
-from e8jacobi.generators import (_int_image, _lifted_columns, e4_split,
-                                 p16_5, sub_ab_to_AB)
+from e8jacobi.generators import (_lifted_columns, e4_split, p16_5,
+                                 sub_ab_to_AB)
 from e8jacobi.grading import AB, BiDegree, Poly, S_ALPHABET, ab, delta_poly
 from e8jacobi.linsolve import nullspace
 from e8jacobi.oracle import ComplexSample, EvalContext, eval_poly
@@ -27,8 +27,10 @@ from e8jacobi.serialize import (certificate_from_json, certificate_to_json,
                                 fraction_to_str, poly_to_json)
 
 from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
-                     certificate_identity_reference, certify_reference,
-                     dense, drop_e4, index_multisets_reference, m16_5_pair,
+                     certificate_identity_reference, certificate_rows,
+                     certify_full_reference, certify_reference, dense,
+                     drop_e4, identity_full_reference, int_image,
+                     index_multisets_reference, m16_5_pair,
                      m26_7_generator, one_shape, profile_targets,
                      remainder, remainders_reference, s_parts,
                      second_power_form, span_basis, spans_equal,
@@ -163,6 +165,13 @@ class TestCertificates:
             result = certify(Poly.gen(ab, name))
             assert isinstance(result, Rejection)
             assert result.failing_l >= 1
+
+    def test_powers_of_b6_rejected(self):
+        """b6^3 and b6^4, whose images raise the b6 numerator (932 terms
+        squared) to the 3rd and 4th power, fail at the first power."""
+        b6 = Poly.gen(ab, "b6")
+        assert certify(b6 ** 3) == Rejection(1)
+        assert certify(b6 ** 4) == Rejection(1)
 
     def test_products_of_forms_are_forms(self):
         f = jacobi_basis(4, 1).forms[0]
@@ -301,7 +310,7 @@ class TestDerivedRemainder:
 
     def test_delta_power_below_the_forms(self, with_s_part):
         form, cert = with_s_part
-        q = _int_image(form)[3]
+        q = int_image(form)[3]
         assert q == cert.n
         bad = Certificate(form, q - 1, cert.den, cert.s_rows)
         with pytest.raises(ConsistencyError, match="Delta power"):
@@ -313,7 +322,7 @@ class TestDerivedRemainder:
         form's monomial images (`certify` cancelled Delta from the image)
         derives the R of `certify_reference`."""
         cancelled = [(form, cert) for form, cert in identity_pool()
-                     if cert.n < _int_image(form)[3]]
+                     if cert.n < int_image(form)[3]]
         assert len(cancelled) >= 2
         for form, cert in cancelled:
             n, den, parts, r = certify_reference(form)
@@ -422,7 +431,7 @@ class TestIdentityProperty:
         (n above the columns' Delta power d: basis certificates) and
         cancels Delta from the image down to Delta^n (n below d:
         certificates whose terms cancel a Delta)."""
-        gaps = {cert.n - _int_image(form)[3] for form, cert
+        gaps = {cert.n - int_image(form)[3] for form, cert
                 in identity_pool()}
         assert min(gaps) < 0 < max(gaps)
         assert any(l == 2 for _, cert in identity_pool()
@@ -510,14 +519,104 @@ class TestSharedImage:
         serve a later `certify` of the same object."""
         form = self.fresh(jacobi_basis(-16, 5).forms[0])
         want = certificate_to_json(certify(self.fresh(form)))
-        q = _int_image(form)[3]
+        q = int_image(form)[3]
         cert = certify(form)
         lifted = Certificate(form, q + 2, cert.den, cert.s_rows)
         assert certificate_identity(form, lifted) == \
             certificate_identity_reference(form, lifted)
-        assert _int_image(form, q + 2)[3] == q + 2
+        assert int_image(form, q + 2)[3] == q + 2
         assert certificate_to_json(certify(form)) == want
-        assert _int_image(form)[3] == q
+        assert int_image(form)[3] == q
+
+
+@cache
+def cut_inputs():
+    """Forms for the cut image: every basis form of index <= 5, a seeded
+    integer combination of the forms of each target of dimension >= 2,
+    with and without an added monomial, Delta and Delta^2 times a few
+    forms (Delta cancels: the full image's path), `second_power_form`
+    and the nine meromorphic generators."""
+    rng = random.Random(38)
+    forms = []
+    for k, m in PROFILE_TARGETS:
+        basis = jacobi_basis(k, m).forms
+        forms += basis
+        if len(basis) >= 2:
+            combo = Poly.zero(ab)
+            for form in basis:
+                combo = combo + form.scale(rng.randint(-9, 9))
+            mon = rng.choice(enumerate_monomials(ab, BiDegree(k, m)))
+            forms += [combo, combo + Poly.monomial(ab, mon, 1)]
+    delta = delta_poly(ab)
+    for form in (*jacobi_basis(-16, 5).forms, m26_7_generator(),
+                 jacobi_basis(-8, 3).forms[0]):
+        forms += [delta * form, delta ** 2 * form]
+    forms.append(second_power_form())
+    forms += [Poly.gen(ab, name) for name in
+              ("a2", "a3", "a4", "b1", "b2", "b3", "b4", "b5", "b6")]
+    return forms
+
+
+def fresh(form):
+    """An equal copy of `form` that no image memo has seen."""
+    return Poly(ab, dict(form.terms))
+
+
+class TestCutCertify:
+    """`certify` and `certificate_identity` read only the image below
+    E4^a, and decide at a point of Delta = 0 whether there is a Delta to
+    cancel; both agree with the same steps on the whole image."""
+
+    def test_certify_matches_the_full_image(self):
+        results = [certify(fresh(form)) for form in cut_inputs()]
+        assert [certificate_rows(r) for r in results] == \
+            [certify_full_reference(form) for form in cut_inputs()]
+        # both kinds of result, and certificates whose image lost a Delta
+        assert any(isinstance(r, Rejection) for r in results)
+        assert any(isinstance(r, Certificate) and r.s_rows for r in results)
+        assert any(isinstance(r, Certificate)
+                   and r.n < int_image(form)[3]
+                   for form, r in zip(cut_inputs(), results))
+
+    def test_identity_matches_the_full_image(self):
+        """At the certificate's n, where it holds, and at one below and
+        one above, for each form that certifies."""
+        checked = 0
+        for form in cut_inputs():
+            cert = certify(form)
+            if isinstance(cert, Rejection):
+                continue
+            assert certificate_identity(fresh(form), cert)
+            for n in range(max(cert.n - 1, 0), cert.n + 2):
+                moved = Certificate(cert.form, n, cert.den, cert.s_rows)
+                assert certificate_identity(fresh(form), moved) == \
+                    identity_full_reference(form, moved)
+                checked += 1
+        assert checked > 400
+
+    def test_always_maybe_gives_identical_certificates(self, monkeypatch):
+        """With the point's answer replaced by "maybe" everywhere, every
+        image is summed whole and Delta is cancelled from it, and every
+        certificate (with its derived R), rejection and identity comes
+        out the same."""
+        def outcomes():
+            out = []
+            for form in cut_inputs():
+                form = fresh(form)
+                cert = certify(form)
+                out.append(cert if isinstance(cert, Rejection) else
+                           (certificate_to_json(cert),
+                            certificate_identity(fresh(form), cert)))
+            return out
+
+        answers = []
+        proof = generators._off_delta
+        monkeypatch.setattr(generators, "_off_delta", lambda *args:
+                            answers.append(proof(*args)) or answers[-1])
+        want = outcomes()
+        assert True in answers and False in answers
+        monkeypatch.setattr(generators, "_off_delta", lambda *args: False)
+        assert outcomes() == want
 
 
 class TestCertificateShape:

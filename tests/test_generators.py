@@ -9,15 +9,18 @@ from hypothesis import given, settings, strategies as st
 from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi import generators
 from e8jacobi.construct import jacobi_basis
-from e8jacobi.generators import (_image, _int_image, _lifted_columns,
-                                 _lifted_terms, _rest_powers, e4_split,
+from e8jacobi.generators import (_PRIME, _S, _TAIL, _image, _lifted_columns,
+                                 _lifted_terms, _off_delta, _part_value,
+                                 _rest_powers, _sum_columns,
+                                 _weighted_columns, e4_split,
                                  holomorphic_images, meromorphic_images,
                                  p12_5_over_ab, p16_5, sub_ab_to_AB)
-from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab, delta_poly
+from e8jacobi.grading import (AB, BiDegree, Frac, Poly, ab, cancel_delta,
+                              delta_poly)
 
 from helpers import (build, expand_column, frac_bidegree, frac_product,
-                     frac_sum, m26_7_generator, normalized_by_trial_division,
-                     profile_targets)
+                     frac_sum, full_image, int_image, m26_7_generator,
+                     normalized_by_trial_division, profile_targets)
 
 # every target of index 1..4 in its profile weight range with monomials
 SMALL_TARGETS = [(k, m) for i in range(1, 5)
@@ -203,7 +206,7 @@ class TestIntImage:
         for mon in data.draw(st.lists(st.sampled_from(
                 enumerate_monomials(ab, BiDegree(k, m))), max_size=3)):
             x = x + Poly.monomial(ab, mon, data.draw(fractions))
-        terms, L, e4, dl = _int_image(x)
+        terms, L, e4, dl = int_image(x)
         columns = _lifted_columns(x.terms)[0]
         assert L == lcm(*(Fraction(v, column[2]).denominator
                           for column, v in zip(columns, x.terms.values())))
@@ -242,7 +245,7 @@ class TestIntImage:
         + 2 lifts the columns anew and is served again for n' + 2, a
         call for n' - 1 is not reached (None), and no n builds anew."""
         form = delta_poly(ab) * m26_7_generator()
-        q = _int_image(form)[3]
+        q = int_image(form)[3]
         built.clear()
         image = _image(form)
         n = image[3]
@@ -306,6 +309,108 @@ class TestIndexPartImages:
         for part in index_parts(4):
             assert lifted_poly(part, gap) == part_image(part).num * lift, \
                 part
+
+
+def value_at_point(terms):
+    """The `_lifted_terms` terms' polynomial at the point of the Delta
+    test, term by term, mod the prime."""
+    total = 0
+    for e4, e6, tail, c in terms:
+        x = c * pow(_S, 2 * e4 + 3 * e6, _PRIME)
+        for t, e in zip(_TAIL, tail):
+            x = x * pow(t, e, _PRIME)
+        total += x
+    return total % _PRIME
+
+
+@st.composite
+def random_form(draw, targets=SMALL_TARGETS):
+    """An integer combination of the basis forms of a small target plus
+    up to three of its monomials, times Delta or Delta^2 or not."""
+    k, m = draw(st.sampled_from(targets))
+    x = Poly.zero(ab)
+    for form in jacobi_basis(k, m).forms:
+        x = x + form.scale(draw(st.integers(-5, 5)))
+    for mon in draw(st.lists(st.sampled_from(
+            enumerate_monomials(ab, BiDegree(k, m))), max_size=3)):
+        x = x + Poly.monomial(ab, mon, draw(st.integers(-9, 9)))
+    return x * delta_poly(ab) ** draw(st.sampled_from([0, 0, 1, 2]))
+
+
+class TestCutImage:
+    """`_image` sums only the terms below E4^a unless it is asked for the
+    full image, and proves at a point of Delta = 0 that there is no
+    Delta to cancel before it sums at all."""
+
+    def test_part_values_are_the_ring_map(self):
+        """The value of each index part of index <= 4, built from its
+        generators' values, times its den, is the value of its
+        `_lifted_terms` at gap 0 term by term; lifted by Delta, every
+        part is 0 at the point."""
+        for part in index_parts(4):
+            den, terms = _lifted_terms(part, 0)
+            assert den * _part_value(part) % _PRIME == \
+                value_at_point(terms) != 0, part
+            assert value_at_point(_lifted_terms(part, 1)[1]) == 0, part
+
+    @given(random_form(), st.sampled_from([0, 1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_cut_sum_is_the_full_sum_below_a(self, x, lift):
+        """The weighted columns summed up to the cut at E4^a are the full
+        sum's terms below E4^a, and the full sum is the whole image."""
+        columns, L, a, dl = _weighted_columns(x, lift)
+        full = _sum_columns(columns)
+        assert _sum_columns(columns, a) == \
+            {mon: c for mon, c in full.items() if mon[0] < a}
+        assert (full, L, a, dl) == int_image(x, lift)
+
+    @given(random_form())
+    @settings(max_examples=60, deadline=None)
+    def test_cut_image_is_the_full_image_below_a(self, x):
+        """On random forms, with a Delta to cancel or not: the cut image
+        (n None, then n' + 1 and n' - 1 for the n' found) has the terms
+        of the reference full image below E4^a and the same L, a and n',
+        or is None with it.  Where the point proves that there is no
+        Delta to cancel it has no other term; otherwise it is the full
+        image.  The full image of the same object, summed from the cut
+        one's columns, is the reference."""
+        proven = _off_delta(x, *_weighted_columns(x, 0)[1:])
+        want = full_image(x)
+        got = _image(x)
+        assert got[1:] == want[1:]
+        assert got[0] == ({mon: c for mon, c in want[0].items()
+                           if mon[0] < want[2]} if proven else want[0])
+        assert _image(x, full=True) == want
+        n = want[3]
+        for asked in (n + 1, n - 1):
+            got, want = _image(x, asked), full_image(x, asked)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[1:] == want[1:]
+                assert {mon: c for mon, c in got[0].items()
+                        if mon[0] < got[2]} == \
+                    {mon: c for mon, c in want[0].items() if mon[0] < got[2]}
+
+    @given(random_form())
+    @settings(max_examples=60, deadline=None)
+    def test_a_nonzero_value_is_a_proof(self, x):
+        """When `_off_delta` answers yes, `cancel_delta` finds no Delta in
+        the full image; a form times Delta always answers no."""
+        terms, L, a, dl = int_image(x)
+        if _off_delta(x, L, a, dl):
+            assert cancel_delta(terms, dl)[0] == 0
+        y = x * delta_poly(ab)
+        _, L, a, dl = int_image(y)
+        assert not _off_delta(y, L, a, dl)
+
+    def test_basis_forms_take_the_proof(self):
+        """Every basis form of index <= 5 is proven free of Delta at the
+        point, so `certify` sums none of its R."""
+        for m in range(1, 6):
+            for k, _ in profile_targets(m):
+                for form in jacobi_basis(k, m).forms:
+                    _, L, a, dl = _weighted_columns(form, 0)
+                    assert _off_delta(form, L, a, dl), (k, m)
 
 
 class TestP165:

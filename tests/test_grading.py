@@ -187,6 +187,27 @@ class TestPolyProperties:
         assert all(type(c) in (int, Fraction)
                    for c in quotient.terms.values())
 
+    @given(st.dictionaries(_exponents, _coefficients | _small.filter(bool),
+                           max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_square_is_the_product(self, terms):
+        """`square` multiplies each unordered pair of terms once and gives
+        p * p, int coefficients staying int."""
+        p = Poly(AB, terms)
+        assert p.square().terms == (p * p).terms
+        assert all(type(c) is int for c in p.square().terms.values()
+                   if all(type(a) is int for a in terms.values()))
+
+    def test_square_cancels(self):
+        """The E4^2 E6^2 terms of (E4^2 - E6^2/2 + E4 E6)^2, one from the
+        pair of the first two terms and one from the third squared,
+        cancel."""
+        p = Poly(AB, {(2, 0) + (0,) * 9: 1, (0, 2) + (0,) * 9: Fraction(-1, 2),
+                      (1, 1) + (0,) * 9: 1})
+        assert p.square() == p * p
+        assert (2, 2) + (0,) * 9 not in p.square().terms
+        assert len(p.square()) == 4
+
     @given(homogeneous_poly(), homogeneous_poly())
     @settings(max_examples=50, deadline=None)
     def test_multiplication_commutes(self, p, q):
