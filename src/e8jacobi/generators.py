@@ -36,9 +36,10 @@ cut.  The sum may be divisible by E4 and by Delta.
 Membership reads only the terms below E4^a, a the E4 power of the
 denominator: the E4^(a-l) Q_l that must be P^l S_l.  R, the rest and
 nearly all of the image (8,130 of the 8,196 terms of the basis forms of
-index <= 6), is read only when a certificate's remainder is.  So `_image` sums the columns up to E4^a
-unless it is asked for the full image (`sub_ab_to_AB`, R), and it
-settles the Delta power without the terms above.  Delta vanishes at
+index <= 6), is read only when a certificate's remainder is.  So
+`_image` sums the columns up to E4^a unless it is asked for the full
+image (`sub_ab_to_AB`, R), and it settles the Delta power without the
+terms above.  Delta vanishes at
 E4 = s^2, E6 = s^3; at such a point, with fixed values of A1..B6, mod a
 prime, the value of the sum T is a sum over the form's monomials, since
 evaluation is a ring map (`_off_delta`).  Were T divisible by Delta,

@@ -1,18 +1,20 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (about 62 s on one core of a 2-core VM,
-where the code before cache format 6 took about 64 s: 1.8 s to build
-the bases, 15 s for the digests, mostly `basis_to_json`, which derives
-each certificate's R from its form's image, 5.0 s for the certificate
-checks, which run in integers, 2.5 s for the shape checks (a built
-certificate's shape is checked right after its identity, and a reloaded
-one's right after its document is written, so its R reuses that
-image), 17 s for the cache round trip, mostly writing the documents and
-the identities that loading runs on the 893 certificates with an S
-part, 0.3 s for the numeric check, 0.9 s for the span outputs and 19 s
-for the lowest weights below, nearly all of it the bases of m = 16 and
-17; the process peaks at about 380 MB, because the bases and images
-built before the lowest weights are dropped first):
+Run from the repository root (42-43 s on one core of a 2-core VM, two
+runs, where the code that summed every identity's whole image took
+38-46 s: about 1 s to build the bases, 10-12 s for the digests, mostly
+`basis_to_json`, which derives each certificate's R from its form's
+image, 5-6 s for the shape checks, which read R and so sum each form's
+whole image, 0.1 s for the certificate checks right after them, which
+run in integers on the same image (a reloaded certificate's shape is
+checked right after its document is written, so its R reuses that
+image), 10-13 s for the cache round trip, mostly writing the documents
+and the identities that loading runs, on the image below E4^a, on the
+893 certificates with an S part, 0.2 s for the numeric check, 0.5 s
+for the span outputs and 12-13 s for the lowest weights below, nearly
+all of it the bases of m = 16 and 17; the process peaks at about
+380 MB, because the bases and images built before the lowest weights
+are dropped first):
 
     PYTHONPATH=src python tools/check_golden.py
 
