@@ -23,7 +23,8 @@ from operator import add
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .ansatz import build_ansatz, enumerate_monomials
-from .generators import _image, _lifted_columns, e4_split, p16_5
+from .generators import (_image, _lifted_columns, _rest_powers, e4_split,
+                         p16_5)
 from .grading import AB, BiDegree, Poly, S_ALPHABET, ab
 from .kernels import echelon, extend
 from .linsolve import LinearSystem, nullspace
@@ -172,9 +173,11 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
     # into R, which the system leaves free and no row holds, so a
     # column's loop stops at its first term at p (its terms ascend in
     # E4 exponent, see `generators._lifted_terms`).  Then each
-    # monomial s of each nonempty S_l ansatz is the column -P^l s, all
-    # of it at E4 exponent p - l, so in Q_l's rows.
-    columns, p, n = _lifted_columns(ansatz.terms)
+    # monomial s of each nonempty S_l ansatz (`s_ansatz`), l <= p, is
+    # the column -P^l s, all of it at E4 exponent p - l, so in Q_l's
+    # rows.
+    n, s_mons = s_ansatz(target)
+    columns, p, _ = _lifted_columns(ansatz.terms)    # over E4^p Delta^n
     L = lcm(*{den for _, _, den, _ in columns})
     qs: List[Dict[tuple, Dict[int, int]]] = [{} for _ in range(p)]
     for j, (s4, s6, den, terms) in enumerate(columns):
@@ -186,17 +189,16 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
             qs[p - e - 1].setdefault((e6 + s6,) + tail, {})[j] = c * scale
     n_c = n_cols = len(columns)
     s_cols = []
-    for l in range(1, p + 1):
-        mons = list(build_ansatz(
-            S_ALPHABET, BiDegree(k + 12 * n - 12 * l, m - 5 * l)).terms)
-        if mons:
-            p_l = [(mon[1:], c) for mon, c in _p_power(l).terms.items()]
-            q = qs[l - 1]
-            for j, s in enumerate(mons, n_cols):
-                for mon, c in p_l:
-                    q.setdefault(tuple(map(add, s, mon)), {})[j] = -c
-            s_cols.append((l, mons, (n_cols, n_cols + len(mons))))
-            n_cols += len(mons)
+    for l, mons in s_mons.items():
+        if l > p:
+            break
+        p_l = [(mon[1:], c) for mon, c in _p_power(l).terms.items()]
+        q = qs[l - 1]
+        for j, s in enumerate(mons, n_cols):
+            for mon, c in p_l:
+                q.setdefault(tuple(map(add, s, mon)), {})[j] = -c
+        s_cols.append((l, mons, (n_cols, n_cols + len(mons))))
+        n_cols += len(mons)
     # Q_l's rows in descending monomial order, l ascending
     rows = [q[mon] for q in qs for mon in sorted(q, reverse=True)]
     space = nullspace(LinearSystem(n_cols, rows))
@@ -226,6 +228,24 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
             tuple((l, list(compress(mons, nums)), [x // h for x in nums if x])
                   for l, mons, nums in s_rows if any(nums))))
     return JacobiBasis(target, certificates)
+
+
+@cache
+def s_ansatz(target: BiDegree) -> Tuple[int, Dict[int, List[tuple]]]:
+    """(n, {l: monomials}), memoised, so not to be mutated: the Delta
+    power n of every certificate of `target` that `_compute_basis`
+    builds, the largest Delta power among the images of the target's
+    monomials over ab (`_lifted_columns`'s), and for each l >= 1 with a
+    nonempty S_l ansatz, the monomials of S_l over S at bidegree
+    (k + 12n - 12l, m - 5l), in `enumerate_monomials` order, l
+    ascending: the S columns of its system are those at l at most its
+    E4 power.  The ansatz is empty where 5l > m."""
+    k, m = target
+    n = max((_rest_powers(mon[2:])[1]
+             for mon in enumerate_monomials(ab, target)), default=0)
+    return n, {l: mons for l in range(1, m // 5 + 1)
+               if (mons := enumerate_monomials(
+                   S_ALPHABET, BiDegree(k + 12 * n - 12 * l, m - 5 * l)))}
 
 
 def jacobi_dim(k: int, m: int) -> int:
@@ -348,9 +368,6 @@ def index_profile(m: int) -> IndexProfile:
     the weights of `profile_weights(m)`, checked against its rank."""
     if m < 1:
         raise ValueError("index must be >= 1")
-    # all generator weights are even, so odd weights carry no monomials
-    if any(d.weight % 2 for d in ab.degrees):
-        raise ConsistencyError("generator of odd weight in the alphabet")
     weights = profile_weights(m)
     # every weight below the range has dimension 0
     dims = {k: jacobi_dim(k, m) for k in weights}

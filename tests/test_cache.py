@@ -11,9 +11,10 @@ from e8jacobi import cache
 from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.cache import CacheError, DiskStore
 from e8jacobi.construct import (Certificate, JacobiBasis,
-                                certificate_identity, jacobi_basis)
-from e8jacobi.generators import meromorphic_images
-from e8jacobi.grading import AB, BiDegree, Frac, Poly, ab
+                                certificate_identity, certify, jacobi_basis,
+                                profile_weights)
+from e8jacobi.generators import _lifted_columns, meromorphic_images
+from e8jacobi.grading import AB, BiDegree, Frac, Poly, S_ALPHABET, ab
 from e8jacobi.serialize import (basis_from_json, basis_to_json,
                                 certificate_to_json, poly_to_compact)
 
@@ -42,10 +43,30 @@ class TestDiskStore:
                 list(map(rows, basis.certificates))
         assert any(s_parts(c) for c in loaded.certificates)
 
+    def test_round_trip_of_every_target_to_index_6(self, tmp_path):
+        # the same certificates, in order: the form, n, den and the S rows
+        # with their monomials and numerators in the construction's order;
+        # every n is the target's, the Delta power of its monomial images
+        store = DiskStore(str(tmp_path))
+        with_s = 0
+        for m in range(1, 7):
+            for k in profile_weights(m):
+                basis = jacobi_basis(k, m)
+                n = _lifted_columns(
+                    enumerate_monomials(ab, basis.target))[2]
+                store.save(k, m, basis)
+                loaded = store.load(k, m)
+                assert [(c.form, c.n, c.den, c.s_rows)
+                        for c in loaded.certificates] == \
+                    [(c.form, n, c.den, c.s_rows)
+                     for c in basis.certificates], (k, m)
+                with_s += sum(bool(c.s_rows) for c in basis.certificates)
+        assert with_s == 11
+
     def test_round_trip_of_unshared_certificates(self, tmp_path):
         # certificates read from JSON list their terms in descending
-        # monomial order, not in the construction's; the entry lists each
-        # monomial once all the same
+        # monomial order, not in the construction's; the entry keeps each
+        # certificate's own order
         store = DiskStore(str(tmp_path))
         basis = basis_from_json(basis_to_json(jacobi_basis(-26, 8)))
         store.save(-26, 8, basis)
@@ -130,9 +151,11 @@ class TestDiskStore:
 
 class TestSaveRefuses:
     """`save` raises CacheError and writes nothing for a basis whose entry
-    `load` would miss for its shape: each case changes one certificate of
-    J_{-26,8} that has an S part.  A certificate of another shape cannot
-    be built (ValueError), so no such basis reaches `save`."""
+    `load` would miss for its shape or that format 7 cannot hold (an n
+    other than the target's, an S monomial outside its ansatz): each case
+    changes one certificate of J_{-26,8} that has an S part.  A
+    certificate of another shape cannot be built (ValueError), so no such
+    basis reaches `save`."""
 
     TARGET = (-26, 8)
     SHAPE_FAULTS = ("zero_s_numerator", "s_monomial_twice", "s_power_zero",
@@ -160,18 +183,36 @@ class TestSaveRefuses:
             n = -1
         elif fault == "n_below_the_forms":
             n = int_image(cert.form)[3] - 1
+        elif fault == "n_raised":
+            n += 1
+        elif fault == "s_monomial_outside":
+            # E6 (the first of S) once more: another bidegree
+            s_rows = ((l, [(mons[0][0] + 1,) + mons[0][1:], *mons[1:]],
+                       nums),)
         certs[i] = Certificate(cert.form, n, den, s_rows)
         return JacobiBasis(basis.target, certs)
 
     @pytest.mark.parametrize("fault", [
         "zero_s_numerator", "s_monomial_twice", "s_power_above_index",
         "s_power_zero", "s_power_twice", "den_zero", "den_negative",
-        "n_negative", "n_below_the_forms"])
+        "n_negative", "n_below_the_forms", "n_raised", "s_monomial_outside"])
     def test_refused(self, tmp_path, fault):
         store = DiskStore(str(tmp_path))
         with pytest.raises(ValueError if fault in self.SHAPE_FAULTS
                            else CacheError):
             store.save(*self.TARGET, self.changed(fault))
+        assert os.listdir(tmp_path) == []
+
+    def test_certificates_of_certify_refused(self, tmp_path):
+        # `certify` cancels Delta as far as each form's image goes: four
+        # of the twelve forms at n = 5, below the target's 6
+        basis = jacobi_basis(*self.TARGET)
+        certs = [certify(f) for f in basis.forms]
+        assert [c.n for c in certs].count(5) == 4
+        assert {c.n for c in basis.certificates} == {6}
+        store = DiskStore(str(tmp_path))
+        with pytest.raises(CacheError, match="Delta power 5"):
+            store.save(*self.TARGET, JacobiBasis(basis.target, certs))
         assert os.listdir(tmp_path) == []
 
 
@@ -232,15 +273,19 @@ class Entry:
 
 class TestFormat2(Entry):
     """The malformed-entry cases of format 2, each on the sparse rows of
-    format 6: every one makes `load` miss rather than return a wrong
+    format 7: every one makes `load` miss rather than return a wrong
     basis.  A row of the wrong length reaches past its monomials, or has
     fewer values than positions: `zip` would truncate it silently."""
 
     def test_entry_holds_integer_rows(self, entry):
+        # no n, no R and no monomial list of its own: a certificate is
+        # [den, [l, positions, values], ...]
         _, _, doc = entry
         basis = jacobi_basis(*self.TARGET)
+        assert sorted(doc) == ["certificates", "forms"]
         assert len(doc["forms"]) == len(doc["certificates"]) == 12
-        assert doc["s_mons"] and "r_mons" not in doc
+        assert [len(c) for c in doc["certificates"]] == \
+            [1 + len(c.s_rows) for c in basis.certificates]
         assert list(map(rows, self.reload(entry, doc).certificates)) == \
             list(map(rows, basis.certificates))
 
@@ -263,17 +308,20 @@ class TestFormat2(Entry):
         assert self.reload(entry, doc) is None
 
     @pytest.mark.parametrize("value", ["1", 1.0, True, None, [1]])
-    @pytest.mark.parametrize("where", ["form", "numerator", "den", "n"])
+    @pytest.mark.parametrize("where", ["form", "numerator", "den", "l"])
     def test_entry_not_an_int(self, entry, where, value):
-        # the numerator is an S_l numerator: no entry holds R
+        # the numerator is an S_l numerator: no entry holds R; an l of
+        # 1.0 or True would find the S_1 ansatz
         doc = entry[2]
         cert = with_s_part(doc)
         if where == "form":
             doc["forms"][0][1][0] = value
         elif where == "numerator":
-            cert[2][0][1][0] = value
+            cert[1][2][0] = value
+        elif where == "den":
+            cert[0] = value
         else:
-            cert[["n", "den"].index(where)] = value
+            cert[1][0] = value
         assert self.reload(entry, doc) is None
 
     @pytest.mark.parametrize("sign", [0, -1])
@@ -282,21 +330,9 @@ class TestFormat2(Entry):
         # zero den keeps the numerators, which may not be 0
         doc = entry[2]
         cert = with_s_part(doc)
-        cert[1] *= sign
+        cert[0] *= sign
         if sign:
-            cert[2][0][1] = [sign * a for a in cert[2][0][1]]
-        assert self.reload(entry, doc) is None
-
-    def test_negative_delta_power(self, entry):
-        doc = entry[2]
-        doc["certificates"][0][0] = -1
-        assert self.reload(entry, doc) is None
-
-    def test_delta_power_below_the_forms(self, entry):
-        # R would not be derivable over the form's image
-        doc = entry[2]
-        form = jacobi_basis(*self.TARGET).forms[0]
-        doc["certificates"][0][0] = int_image(form)[3] - 1
+            cert[1][2] = [sign * a for a in cert[1][2]]
         assert self.reload(entry, doc) is None
 
     @pytest.mark.parametrize("key", ["forms", "certificates"])
@@ -305,31 +341,16 @@ class TestFormat2(Entry):
         doc[key].pop()
         assert self.reload(entry, doc) is None
 
-    def test_s_part_count_mismatch(self, entry):
-        doc = entry[2]
-        doc["certificates"][0][2].pop()
-        assert self.reload(entry, doc) is None
-
     @pytest.mark.parametrize("l", [0, -1, "repeat"])
     def test_s_part_power_not_valid(self, entry, l):
-        # each certificate's S_l rows stay aligned with "s_mons", so only
-        # the l itself is wrong
+        # the row is one over the S_1 ansatz, so only the l is wrong: no
+        # S_l ansatz at l < 1, and the l strictly ascend
         doc = entry[2]
+        cert = with_s_part(doc)
         if l == "repeat":
-            doc["s_mons"].append(doc["s_mons"][0])
-            for cert in doc["certificates"]:
-                cert[2].append(cert[2][0])
+            cert.append(cert[1])
         else:
-            doc["s_mons"][0][0] = l
-        assert self.reload(entry, doc) is None
-
-    @pytest.mark.parametrize("where", ["s_part"])
-    def test_repeated_monomial(self, entry, where):
-        # the first monomial listed again, past every stored position:
-        # read as a dict, the repeat would hide that monomial's numerators
-        doc = entry[2]
-        mons = doc["s_mons"][0][1]
-        mons.append(mons[0])
+            cert[1][0] = l
         assert self.reload(entry, doc) is None
 
     def test_format_1_document_misses(self, entry):
@@ -339,15 +360,17 @@ class TestFormat2(Entry):
 
 def sparse_rows(doc, where):
     """The [positions, values] rows of the kind `where` in `doc`: every
-    form or every certificate's first S_l."""
+    form or the first S row of every certificate that has one, each
+    holding the document's own position and value lists."""
     if where == "form":
         return doc["forms"]
-    return [c[2][0] for c in doc["certificates"]]
+    return [c[1][1:] for c in doc["certificates"] if len(c) > 1]
 
 
 def with_s_part(doc):
-    """The first certificate row of `doc` whose first S_l is not zero."""
-    return next(c for c in doc["certificates"] if c[2][0][0])
+    """The first certificate of `doc` with an S row, [den, [l, positions,
+    values], ...]."""
+    return next(c for c in doc["certificates"] if len(c) > 1)
 
 
 def sparse_row(doc, where):
@@ -356,14 +379,17 @@ def sparse_row(doc, where):
 
 
 def row_length(doc, where):
-    """The number of monomials that a row of the kind `where` spans."""
+    """The number of monomials that a row of the kind `where` spans: the
+    target's, or those of S_1's ansatz, at weight k + 12n - 12 and index
+    m - 5 with J_{-26,8}'s n = 6."""
+    k, m = Entry.TARGET
     if where == "form":
-        return len(enumerate_monomials(ab, BiDegree(*Entry.TARGET)))
-    return len(doc["s_mons"][0][1])
+        return len(enumerate_monomials(ab, BiDegree(k, m)))
+    return len(enumerate_monomials(S_ALPHABET, BiDegree(k + 60, m - 5)))
 
 
 class TestSparseRows(Entry):
-    """A format-6 row is [positions, values]: nonzero int values at
+    """A format-7 row is [positions, values]: nonzero int values at
     distinct int positions within its monomials, in any order.  Each way
     to break that makes `load` miss."""
 
@@ -403,14 +429,15 @@ class TestSparseRows(Entry):
         assert self.reload(entry, doc) is None
 
     def test_format_2_entry_is_never_read(self, entry, monkeypatch):
-        """Format 2's to 5's entries have other names, and format 2's
-        document, put where the format-6 entry goes, misses.  (A format-4
+        """Format 2's to 6's entries have other names, and format 2's
+        document, put where the format-7 entry goes, misses.  (A format-4
         document would miss too: its certificate rows hold R.  Format 5
-        had format 6's layout, but a den over R as well as the S_l.)"""
+        had format 6's layout, but a den over R as well as the S_l, and
+        format 6 stored n and each entry's S monomials.)"""
         store = entry[0]
         digest = store._digest(*self.TARGET)
-        assert cache.CACHE_FORMAT == 6
-        for old in (2, 3, 4, 5):
+        assert cache.CACHE_FORMAT == 7
+        for old in (2, 3, 4, 5, 6):
             monkeypatch.setattr(cache, "CACHE_FORMAT", old)
             assert store._digest(*self.TARGET) != digest
         monkeypatch.undo()
@@ -441,9 +468,7 @@ class TestNotABasis(Entry):
     def test_zero_form(self, entry):
         # an all-zero certificate passes `certificate_identity` for it
         doc = entry[2]
-        n, den, s_part_rows = doc["certificates"][0]
-        self.append_form(doc, [[], []],
-                         [n, den, [[[], []]] * len(s_part_rows)])
+        self.append_form(doc, [[], []], [1])
         assert certificate_identity(Poly.zero(ab), Certificate(
             Poly.zero(ab), 0, 1, ()))
         assert self.reload(entry, doc) is None
@@ -476,10 +501,12 @@ class TestNotABasis(Entry):
         assert self.reload(entry, doc) is None
 
     def test_s_part_power_above_index(self, entry):
-        # index 8 takes S_1 only; l = 2 is still ascending from 1
+        # index 8 takes S_1 only, and S_2's ansatz is empty; l = 2 is
+        # still ascending from 1
         doc = entry[2]
-        assert [l for l, _ in doc["s_mons"]] == [1]
-        doc["s_mons"][0][0] = 2
+        assert [row[0] for c in doc["certificates"] for row in c[1:]] \
+            == [1] * 4
+        with_s_part(doc)[1][0] = 2
         assert self.reload(entry, doc) is None
 
 
@@ -495,15 +522,27 @@ class TestWitnessVerified(Entry):
     def test_corrupted_witness_misses(self, entry, change):
         doc = entry[2]
         cert = doc["certificates"][7]
-        s_row = cert[2][0]
-        assert s_row[0] and cert[1] == 373248
+        assert len(cert) == 2 and cert[0] == 373248
         if change == "den_one":
-            cert[1] = 1
+            cert[0] = 1
         elif change == "den_doubled":
-            cert[1] *= 2
+            cert[0] *= 2
         else:
-            s_row[1][0] += 1
+            cert[1][2][0] += 1
         assert self.reload(entry, doc) is None
+
+    def test_changed_form_coefficient_misses(self, entry, monkeypatch):
+        """Form 7's coefficient at its last position, not its lead, plus
+        1: the entry keeps its shape, as it loads with the identity
+        patched out, and the identity makes the load miss."""
+        doc = entry[2]
+        positions, values = doc["forms"][7]
+        assert len(doc["certificates"][7]) == 2
+        values[positions.index(max(positions))] += 1
+        assert self.reload(entry, doc) is None
+        monkeypatch.setattr(cache, "certificate_identity",
+                            lambda form, cert: True)
+        assert self.reload(entry, doc) is not None
 
     def test_only_certificates_with_s_parts_run(self, entry, monkeypatch):
         """Of the twelve certificates, the four with an S part are

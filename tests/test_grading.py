@@ -46,6 +46,13 @@ class TestBiDegree:
                               "b1", "b2", "b3", "b4", "b5", "b6")
         assert S_ALPHABET.symbols == AB.symbols[1:]
 
+    def test_every_weight_is_even(self):
+        # so odd weights carry no monomials, and the index profiles
+        # (`profile_weights`) run over even weights only
+        for alphabet in (ab, AB):
+            assert [d.weight % 2 for d in alphabet.degrees] == \
+                [0] * len(alphabet)
+
 
 class TestPoly:
     def test_constructors(self):

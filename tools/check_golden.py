@@ -1,20 +1,21 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (42-43 s on one core of a 2-core VM, two
-runs, where the code that summed every identity's whole image took
-38-46 s: about 1 s to build the bases, 10-12 s for the digests, mostly
-`basis_to_json`, which derives each certificate's R from its form's
-image, 5-6 s for the shape checks, which read R and so sum each form's
-whole image, 0.1 s for the certificate checks right after them, which
-run in integers on the same image (a reloaded certificate's shape is
-checked right after its document is written, so its R reuses that
-image), 10-13 s for the cache round trip, mostly writing the documents
-and the identities that loading runs, on the image below E4^a, on the
-893 certificates with an S part, 0.2 s for the numeric check, 0.5 s
-for the span outputs and 12-13 s for the lowest weights below, nearly
-all of it the bases of m = 16 and 17; the process peaks at about
-380 MB, because the bases and images built before the lowest weights
-are dropped first):
+Run from the repository root (47.6-47.8 s on a 2-core VM, two runs,
+where the code that wrote every basis's documents before checking the
+shapes took 55.8 s, one run, its shape checks 7.4 s: each certificate's
+full image was summed twice).  Each certificate, as built and again as
+reloaded from a store, has its document written, its shape checked
+and its identity run, in that order, so that all three read one image
+of its form, summed once.  The parts: about 1 s to build the bases,
+13 s for the digests, mostly the documents, which derive each
+certificate's R from its form's full image, 2.1 s for the shape checks,
+0.2 s for the identities, 14 s for the cache round trip, mostly the
+reloaded documents and the identities that loading runs, on the image
+below E4^a, on the 893 certificates with an S part, 0.2-0.3 s for the
+numeric check, 0.5-0.7 s for the span outputs and 15.5-16.4 s for the
+lowest weights below, nearly all of it the bases of m = 16 and 17; the
+process peaks at about 380 MB, because the bases and images built
+before the lowest weights are dropped first:
 
     PYTHONPATH=src python tools/check_golden.py
 
@@ -28,9 +29,9 @@ mismatch means the construction's output changed.  The script also runs
 those bases through a `DiskStore` in a temporary directory and compares
 the digest of each reloaded entry with the golden one, and checks one
 form of J_{-40,10} numerically against the Jacobi-form axioms.  It
-checks the shape of each of those certificates as built and again as
-reloaded (`one_shape` of `tests/helpers.py`), a failure again a
-mismatch.
+checks the shape (`one_shape` of `tests/helpers.py`) and runs the
+identity of each of those certificates as built and again as reloaded,
+a failure again a mismatch.
 
 `golden_spans.json` holds the sha256 of the stdout of `e8jacobi
 module-gens m` for m = 1..9 and of `e8jacobi lb 12`, the commands whose
@@ -46,8 +47,8 @@ claim of a generator of weight -4m at each such index.
 
 Prints one line per mismatch and a summary; exits 0 when everything
 matches and 1 otherwise.  The seconds of each part, the bytes of the
-temporary store's entries (1,219,657 in cache format 6, 1,323,077 in
-format 5) and the process's peak RSS go to stderr.
+temporary store's entries (1,113,628 in cache format 7, 1,219,657 in
+format 6) and the process's peak RSS go to stderr.
 """
 
 import contextlib
@@ -86,23 +87,37 @@ def digest(doc) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def reloaded_digest(what: str, basis, failures) -> tuple:
-    """(the digest of `basis_to_json(basis)`, seconds of the shape
-    checks): each certificate's document is written and its shape
-    checked right after, so that both read R off one image; a failure
-    names the basis as `what`."""
-    docs, shapes = [], 0.0
+def checked_digest(what: str, basis, failures, seconds, part) -> tuple:
+    """(the digest of `basis_to_json(basis)`, the count of its
+    certificates whose identity holds): per certificate, its document is
+    written, its shape is checked and its identity is run, in that
+    order, so that all three read one image of its form, summed once; a
+    failure names the basis as `what`.  The seconds of the document go
+    to `seconds[part]`, those of the checks to "shapes" and
+    "identities"."""
+    docs, certified = [], 0
     for i, cert in enumerate(basis.certificates):
-        docs.append(certificate_to_json(cert))
         start = perf_counter()
+        docs.append(certificate_to_json(cert))
+        shape = perf_counter()
         if not one_shape(cert):
             failures.append("shape of certificate %d of %s" % (i, what))
-        shapes += perf_counter() - start
+        identity = perf_counter()
+        if certificate_identity(cert.form, cert):
+            certified += 1
+        else:
+            failures.append("certificate %d of %s" % (i, what))
+        seconds[part] += shape - start
+        seconds["shapes"] += identity - shape
+        seconds["identities"] += perf_counter() - identity
+    start = perf_counter()
     target = basis.target
-    return digest({"weight": target.weight, "index": target.index,
-                   "dimension": basis.dimension,
-                   "forms": list(map(poly_to_json, basis.forms)),
-                   "certificates": docs}), shapes
+    got = digest({"weight": target.weight, "index": target.index,
+                  "dimension": basis.dimension,
+                  "forms": list(map(poly_to_json, basis.forms)),
+                  "certificates": docs})
+    seconds[part] += perf_counter() - start
+    return got, certified
 
 
 def run(argv, failures) -> str:
@@ -136,48 +151,28 @@ def main() -> int:
                for k in profile_weights(m)]
     if sorted(targets) != sorted(golden["digests"]):
         failures.append("targets differ from the golden file's")
+    # each basis is checked as built and again as reloaded from a store
     certified = 0
-    for key in targets:
-        k, m = map(int, key.split(","))
-        basis = jacobi_basis(k, m)
-        start = perf_counter()
-        if digest(basis_to_json(basis)) != golden["digests"].get(key):
-            failures.append("basis digest of J_{%d,%d}" % (k, m))
-        seconds["digests"] += perf_counter() - start
-        # the shape check's read of R builds the form's full image, and
-        # the identity right after it, which reads the terms below E4^a,
-        # reuses that image
-        for i, (form, cert) in enumerate(zip(basis.forms,
-                                             basis.certificates)):
-            start = perf_counter()
-            if not one_shape(cert):
-                failures.append("shape of certificate %d of J_{%d,%d}"
-                                % (i, k, m))
-            middle = perf_counter()
-            if certificate_identity(form, cert):
-                certified += 1
-            else:
-                failures.append("certificate %d of J_{%d,%d}" % (i, k, m))
-            seconds["shapes"] += middle - start
-            seconds["identities"] += perf_counter() - middle
-
-    start = perf_counter()
-    shapes = 0.0
     with tempfile.TemporaryDirectory() as root:
         store = DiskStore(root)
         for key in targets:
             k, m = map(int, key.split(","))
-            store.save(k, m, jacobi_basis(k, m))
+            what = "J_{%d,%d}" % (k, m)
+            basis = jacobi_basis(k, m)
+            got, ok = checked_digest(what, basis, failures, seconds,
+                                     "digests")
+            certified += ok
+            if got != golden["digests"].get(key):
+                failures.append("basis digest of " + what)
+            start = perf_counter()
+            store.save(k, m, basis)
             loaded = store.load(k, m)
-            got, seconds_shapes = (None, 0.0) if loaded is None else \
-                reloaded_digest("reloaded J_{%d,%d}" % (k, m), loaded,
-                                failures)
-            shapes += seconds_shapes
-            if loaded is None or got != golden["digests"].get(key):
-                failures.append("cache entry of J_{%d,%d}" % (k, m))
+            seconds["cache"] += perf_counter() - start
+            if loaded is None or checked_digest(
+                    "reloaded " + what, loaded, failures, seconds,
+                    "cache")[0] != golden["digests"].get(key):
+                failures.append("cache entry of " + what)
         store_bytes = sum(entry.stat().st_size for entry in os.scandir(root))
-    seconds["shapes"] += shapes
-    seconds["cache"] = perf_counter() - start - shapes
 
     start = perf_counter()
     form = jacobi_basis(-40, 10).forms[0]
