@@ -159,9 +159,6 @@ def jacobi_basis(k: int, m: int) -> JacobiBasis:
 def _compute_basis(k: int, m: int) -> JacobiBasis:
     target = BiDegree(k, m)
     ansatz = build_ansatz(ab, target)
-    if ansatz.is_zero():
-        return JacobiBasis(target, [])
-
     # Over the common denominator E4^p Delta^n the system reads
     # sum_j c_j column_j = E4^p R + sum_l E4^(p-l) P^l S_l, and every
     # row is read off integer columns in one pass.  Ansatz column j is
@@ -430,8 +427,6 @@ def module_generators(m: int) -> List[Tuple[int, List[Poly]]]:
     out = []
     for k in profile_weights(m):
         basis_k = jacobi_basis(k, m)
-        if not basis_k.forms:
-            continue
         mons = enumerate_monomials(ab, BiDegree(k, m))
         old = [e4 * f for f in jacobi_basis(k - 4, m).forms] \
             + [e6 * f for f in jacobi_basis(k - 6, m).forms]

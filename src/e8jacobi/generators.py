@@ -49,10 +49,10 @@ and Delta cancelled from it (`grading.cancel_delta`, with no polynomial
 division), as far as it goes or down to a given power, so correctness
 never rests on the point.  At or above the columns' own Delta power
 there is nothing to cancel and no test to make.  `_image` keeps the
-last image: `construct.certify` starts from it,
-`construct.certificate_identity` reuses the image `certify` built for
-the same form, and a certificate's remainder, derived from its form's
-image, is the same columns summed with no cut.  `sub_ab_to_AB` also
+last image and serves it by one rule: to the same form object, at the
+image's own Delta power, and a cut image only to a cut call.  So
+`certificate_identity` reuses `certify`'s image, and R sums the columns
+anew unless `certify` cancelled a Delta.  `sub_ab_to_AB` also
 cancels E4 before the terms become Fractions.  No other fraction is
 brought to lowest terms.
 """
@@ -451,8 +451,9 @@ def _off_delta(p: Poly, L: int, e4: int, dl: int) -> bool:
     return total % _PRIME != 0
 
 
-# (form, n asked, (image, weighted columns)) of the last `_image` call
-# that found an image; the columns are kept while the image is cut
+# (form, image, full) of the last `_image` call that found an image:
+# served again only to the same form object at the image's own Delta
+# power, and a cut image only to a call for a cut one
 _last_image: tuple = (None, None, None)
 
 
@@ -473,33 +474,27 @@ def _image(p: Poly, n: Optional[int] = None, full: bool = False
     Otherwise, and when `full` is set, T is summed whole, Delta is
     cancelled from it (`cancel_delta`) and the full image is returned.
 
-    The last image is memoised, held with its form: a call on the same
-    object (compared with `is`) for the n asked or the n' found returns
-    it again, and a full one serves a call for the cut one; the full
-    image of a cut one is the sum of the same columns with no cut.
-    Callers must not mutate the terms."""
+    The last image is memoised with its form and served again by one
+    rule: to the same object (compared with `is`), for n = n', and
+    either held full or asked for cut.  Any other call, n None included,
+    builds anew.  Callers must not mutate the terms."""
     global _last_image
-    form, asked, held = _last_image
-    if form is p and n in (asked, held[0][3]):
-        image, columns = held
-        if columns is None or not full:
-            return image
-        image = (_sum_columns(columns), *image[1:])
-        _last_image = (p, asked, (image, None))
+    form, image, held_full = _last_image
+    if form is p and n == image[3] and (held_full or not full):
         return image
     columns, L, a, dl = _weighted_columns(p, n or 0)
     if not full and (n == dl or _off_delta(p, L, a, dl)):
         if n not in (None, dl):
             return None
         image = (_sum_columns(columns, a), L, a, dl)
-        _last_image = (p, n, (image, columns))
+        _last_image = (p, image, False)
         return image
     k, terms = cancel_delta(_sum_columns(columns),
                             dl if n is None else dl - n)
     if n is not None and dl - k != n:
         return None
     image = terms, L, a, dl - k
-    _last_image = (p, n, (image, None))
+    _last_image = (p, image, True)
     return image
 
 

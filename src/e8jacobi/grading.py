@@ -409,9 +409,6 @@ class ParamPoly:
         self.alphabet = alphabet
         self.terms = {m: dict(lf) for m, lf in terms.items() if lf}
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def mul_poly(self, p: Poly) -> "ParamPoly":
         """Multiply by a concrete polynomial over the same alphabet; its
         integral coefficients multiply as `int`s."""

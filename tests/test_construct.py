@@ -485,8 +485,10 @@ class TestIdentityProperty:
 
 
 class TestSharedImage:
-    """`certify`, `certificate_identity` and the certificate's derived R
-    share one image per form object."""
+    """`certify` and `certificate_identity` share one image per form
+    object; the memo serves it to the same object at its own Delta power
+    only, and a cut image only to a cut call, so the derived R sums the
+    full image once more unless `certify` built it."""
 
     @pytest.fixture
     def count_images(self, monkeypatch):
@@ -503,16 +505,19 @@ class TestSharedImage:
 
     def test_one_image_per_form(self, count_images):
         """`certify`, then the identity, then the JSON document with the
-        derived R: one image for each fresh form object, also where
-        `certify` cancels a Delta."""
+        derived R: one image for `certify` and the identity of each fresh
+        form object and one more, full, for R at the certificate's n, but
+        where `certify` cancels a Delta and so built the full image."""
         forms = [*jacobi_basis(-26, 8).forms[:3],
                  delta_poly(ab) * m26_7_generator()]
-        for form in forms:
+        want = []
+        for i, form in enumerate(forms):
             form = self.fresh(form)
             cert = certify(form)
             assert certificate_identity(form, cert)
             certificate_to_json(cert)
-        assert count_images == [0] * 4
+            want += [0] if i == 3 else [0, cert.n]
+        assert count_images == want
 
     def test_lift_above_the_image_then_certify(self):
         """An image built for a Delta power above the form's own does not

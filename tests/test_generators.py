@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi import generators
-from e8jacobi.construct import jacobi_basis
+from e8jacobi.construct import certify, jacobi_basis
 from e8jacobi.generators import (_PRIME, _S, _TAIL, _image, _lifted_columns,
                                  _lifted_terms, _off_delta, _part_value,
                                  _rest_powers, _sum_columns,
@@ -227,35 +227,54 @@ class TestIntImage:
         return built
 
     def test_memo_serves_only_the_same_object(self, built):
-        """The memo of `_image` compares by identity: an equal copy, or
-        another form, is built anew, and the same object at the same
-        Delta power is served the same image."""
+        """The memo of `_image` compares by identity: after `certify`,
+        `_image(form, n')` is the held image, while an equal copy, another
+        form and a call with no n, a second `certify` included, are
+        built anew."""
         form, other = jacobi_basis(-16, 5).forms
         copy = Poly(ab, dict(form.terms))
-        image = _image(form)
-        assert _image(form) is image
-        assert _image(copy) == image and _image(copy) is not image
-        assert _image(other) != image
-        assert _image(form) == image
-        assert len(built) == 4
+        n = certify(form).n
+        held = generators._last_image[1]
+        assert _image(form, n) is held and built == [0]
+        assert _image(copy, n) == held and _image(copy, n) is not held
+        assert _image(other, n) != held
+        assert _image(form) == held and _image(form) == held
+        certify(form)
+        assert built == [0, n, n, 0, 0, 0]
 
     def test_memo_keyed_by_delta_power(self, built):
-        """`_image(form)` cancels a Delta from delta * m26_7 and finds n';
-        a call for n' or for no n is then served at once.  A call for n'
-        + 2 lifts the columns anew and is served again for n' + 2, a
-        call for n' - 1 is not reached (None), and no n builds anew."""
-        form = delta_poly(ab) * m26_7_generator()
-        q = int_image(form)[3]
-        built.clear()
-        image = _image(form)
-        n = image[3]
-        assert n == q - 1
-        assert _image(form, n) is image and _image(form) is image
-        lifted = _image(form, n + 2)
-        assert lifted[3] == n + 2 and _image(form, n + 2) is lifted
+        """After `certify`, `_image(form, n')` is the held image, n' the
+        certificate's Delta power; n' + 1 lifts the columns anew and is
+        then served, n' - 1 is not reached (None), and n' is built anew
+        as the memo holds the lifted image."""
+        form = m26_7_generator()
+        n = certify(form).n
+        held = generators._last_image[1]
+        assert _image(form, n) is held
+        lifted = _image(form, n + 1)
+        assert lifted[3] == n + 1 and _image(form, n + 1) is lifted
         assert _image(form, n - 1) is None
-        assert _image(form) == image
-        assert built == [0, n + 2, n - 1, 0]
+        assert _image(form, n) == held
+        assert built == [0, n + 1, n - 1, n]
+
+    def test_full_image_serves_a_cut_call(self, built):
+        """A full image serves a cut call at its n', and a cut image does
+        not serve a full call: that sums the columns anew.  Where
+        `certify` cancels a Delta it holds the full image, which serves
+        the full call for the certificate's R."""
+        form = m26_7_generator()
+        cut = _image(form)
+        n = cut[3]
+        full = _image(form, n, full=True)
+        assert _image(form, n, full=True) is full and _image(form, n) is full
+        assert built == [0, n]
+        assert full == full_image(form, n) and set(cut[0]) < set(full[0])
+        form = delta_poly(ab) * form
+        built.clear()
+        n = certify(form).n
+        full = generators._last_image[1]
+        assert _image(form, n, full=True) is full and _image(form, n) is full
+        assert built == [0] and full == full_image(form, n)
 
 
 def index_parts(max_index):

@@ -8,14 +8,14 @@ reloaded from a store, has its document written, its shape checked
 and its identity run, in that order, so that all three read one image
 of its form, summed once.  The parts: about 1 s to build the bases,
 13 s for the digests, mostly the documents, which derive each
-certificate's R from its form's full image, 2.1 s for the shape checks,
-0.2 s for the identities, 14 s for the cache round trip, mostly the
-reloaded documents and the identities that loading runs, on the image
-below E4^a, on the 893 certificates with an S part, 0.2-0.3 s for the
-numeric check, 0.5-0.7 s for the span outputs and 15.5-16.4 s for the
-lowest weights below, nearly all of it the bases of m = 16 and 17; the
-process peaks at about 380 MB, because the bases and images built
-before the lowest weights are dropped first:
+certificate's R from its form's full image, 2.1-2.3 s for the shape
+checks, 0.2 s for the identities, 14 s for the cache round trip, mostly
+the reloaded documents and the identities that loading runs, on the
+image below E4^a, on the 893 certificates with an S part, 0.2-0.3 s for
+the numeric check, 0.5-0.7 s for the span and certify outputs and
+15-18 s for the lowest weights below, nearly all of it the bases of
+m = 16 and 17; the process peaks at about 380 MB, because the bases and
+images built before the lowest weights are dropped first:
 
     PYTHONPATH=src python tools/check_golden.py
 
@@ -37,6 +37,16 @@ a failure again a mismatch.
 module-gens m` for m = 1..9 and of `e8jacobi lb 12`, the commands whose
 generators come from spans and complements of bases; the script runs
 them in process and compares.
+
+`golden_certify.json` holds the sha256 of the stdout of `e8jacobi
+certify FILE`, as text and as `--format json` without its
+`elapsed_seconds` line, for three inputs: the form of certificate 7 of
+J_{-26,8}, which has an S part; Delta times the first form of
+J_{-26,7}, from which `certify` cancels a Delta (n = 4) through the full
+image; and b1, which `certify` rejects at l = 1.  The script writes each
+input to `form.json` in a temporary working directory, so that the JSON
+`target` is the same on every run, and runs the six commands in process
+with the span outputs.
 
 `golden_lowest.json` holds, for the lowest weights -4m of m = 1..17,
 dim J_{-4m,m}, the new-generator and relation counts of
@@ -67,6 +77,7 @@ from e8jacobi.cache import DiskStore
 from e8jacobi.construct import (certificate_identity, clear_cache,
                                 jacobi_basis, lb_analysis, profile_weights)
 from e8jacobi.generators import _lifted_terms, _part_value
+from e8jacobi.grading import Poly, ab, delta_poly
 from e8jacobi.oracle import EvalContext, check_axioms
 from e8jacobi.serialize import (basis_to_json, certificate_to_json,
                                  poly_to_json)
@@ -79,6 +90,7 @@ from helpers import one_shape  # noqa: E402
 GOLDEN = HERE / "golden_index10.json"
 GOLDEN_SPANS = HERE / "golden_spans.json"
 GOLDEN_LOWEST = HERE / "golden_lowest.json"
+GOLDEN_CERTIFY = HERE / "golden_certify.json"
 MAX_INDEX = 10
 
 
@@ -128,6 +140,22 @@ def run(argv, failures) -> str:
     if code != 0:
         failures.append("%s exited %d" % (" ".join(argv), code))
     return text.getvalue()
+
+
+def certify_inputs() -> dict:
+    """The inputs of `golden_certify.json`, by name."""
+    return {"s_part": jacobi_basis(-26, 8).certificates[7].form,
+            "delta": delta_poly(ab) * jacobi_basis(-26, 7).forms[0],
+            "b1": Poly.gen(ab, "b1")}
+
+
+def certify_digest(fmt: str, failures) -> str:
+    """The sha256 of the stdout of `e8jacobi --format fmt certify
+    form.json`, without its `elapsed_seconds` line."""
+    text = run(["--format", fmt, "certify", "form.json"], failures)
+    text = "".join(line for line in text.splitlines(True)
+                   if not line.startswith('  "elapsed_seconds": '))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main() -> int:
@@ -189,6 +217,14 @@ def main() -> int:
             got = run([command, arg], failures)
             if hashlib.sha256(got.encode()).hexdigest() != want:
                 failures.append("stdout of %s %s" % (command, arg))
+    golden_certify = json.loads(GOLDEN_CERTIFY.read_text())
+    with tempfile.TemporaryDirectory() as root, contextlib.chdir(root):
+        for name, form in certify_inputs().items():
+            Path("form.json").write_text(json.dumps(poly_to_json(form)))
+            for fmt, want in golden_certify[name].items():
+                if certify_digest(fmt, failures) != want:
+                    failures.append("stdout of --format %s certify %s"
+                                    % (fmt, name))
     seconds["spans"] = perf_counter() - start
 
     # the chain below needs none of the bases and images built so far
@@ -223,9 +259,10 @@ def main() -> int:
     for line in failures:
         print("MISMATCH", line)
     print("%d targets, %d profiles, %d certificates, 1 numeric check, "
-          "%d span outputs, %d lowest weights: %s"
+          "%d span outputs, %d certify outputs, %d lowest weights: %s"
           % (len(targets), MAX_INDEX, certified,
-             sum(map(len, spans.values())), top,
+             sum(map(len, spans.values())),
+             sum(map(len, golden_certify.values())), top,
              "%d mismatches" % len(failures) if failures else "ok"))
     return 1 if failures else 0
 
