@@ -428,8 +428,9 @@ def module_generators(m: int) -> List[Tuple[int, List[Poly]]]:
     for k in profile_weights(m):
         basis_k = jacobi_basis(k, m)
         mons = enumerate_monomials(ab, BiDegree(k, m))
-        old = [e4 * f for f in jacobi_basis(k - 4, m).forms] \
-            + [e6 * f for f in jacobi_basis(k - 6, m).forms]
+        # below the range every dimension is 0, so nothing is built there
+        old = [g * f for g, j in ((e4, k - 4), (e6, k - 6))
+               if j in profile.dims for f in jacobi_basis(j, m).forms]
         _, gens = _complement(basis_k.forms, old, mons)
         if len(gens) != profile.d.get(k, 0):
             raise ConsistencyError(

@@ -6,9 +6,12 @@ coefficient is an exact "num/den" string in lowest terms (an int n is
 over its image's L, the S_l over den) and read back into them, so no
 byte depends on either denominator.  Documents meant for humans use
 named exponent maps ({"E4": 2, "b5": 1}), terms in descending monomial
-order.  The compact positional form ([exponents, "num/den"] pairs) now
-only feeds the cache key's digest of the generator tables; the cache
-entries themselves store integer rows (see e8jacobi.cache).
+order.  A document shares one exponent map per monomial (alphabet and
+exponent vector) among all its terms, so copy it before you mutate it,
+as with json.loads(json.dumps(doc)).  The compact positional form
+([exponents, "num/den"] pairs) now only feeds the cache key's digest of
+the generator tables; the cache entries themselves store integer rows
+(see e8jacobi.cache).
 """
 
 from __future__ import annotations
@@ -49,27 +52,33 @@ def _lookup_alphabet(name: str) -> Alphabet:
         raise SerializationError("unknown alphabet %r" % name)
 
 
-def _poly_doc(alphabet: Alphabet, terms) -> dict:
-    """The document of (exponent vector, "num/den") pairs, descending."""
+def _poly_doc(alphabet: Alphabet, terms, memo=None) -> dict:
+    """The document of (exponent vector, "num/den") pairs, descending;
+    `memo` holds its document's exponent maps, by alphabet name."""
     symbols = alphabet.symbols
-    return {"alphabet": alphabet.name,
-            "terms": [{"exponents": {s: e for s, e in zip(symbols, exps)
-                                     if e},
-                       "coefficient": coeff} for exps, coeff in terms]}
+    maps = ({} if memo is None else memo).setdefault(alphabet.name, {})
+    docs = []
+    for exps, coeff in terms:
+        named = maps.get(exps)
+        if named is None:
+            named = maps[exps] = {s: e for s, e in zip(symbols, exps) if e}
+        docs.append({"exponents": named, "coefficient": coeff})
+    return {"alphabet": alphabet.name, "terms": docs}
 
 
-def poly_to_json(p: Poly) -> dict:
+def poly_to_json(p: Poly, memo=None) -> dict:
     return _poly_doc(p.alphabet, ((exps, fraction_to_str(c))
-                                  for exps, c in p.sorted_terms()))
+                                  for exps, c in p.sorted_terms()), memo)
 
 
-def _row_doc(alphabet: Alphabet, mons: list, nums: list, den: int) -> dict:
+def _row_doc(alphabet: Alphabet, mons: list, nums: list, den: int,
+             memo=None) -> dict:
     """`poly_to_json` of the sum of nums[i]/den * mons[i], nums nonzero."""
     terms = []
     for exps, a in sorted(zip(mons, nums), key=itemgetter(0), reverse=True):
         g = gcd(a, den)
         terms.append((exps, "%d/%d" % (a // g, den // g)))
-    return _poly_doc(alphabet, terms)
+    return _poly_doc(alphabet, terms, memo)
 
 
 def _malformed(what: str, exc: Exception) -> SerializationError:
@@ -110,14 +119,16 @@ def poly_from_json(doc: dict) -> Poly:
     return Poly(alphabet, terms)
 
 
-def certificate_to_json(cert: Certificate) -> dict:
+def certificate_to_json(cert: Certificate, memo=None) -> dict:
     """R and each S_l, from the integer rows; R is derived from the
-    certificate's form here, once, over its image's own L."""
+    certificate's form here, once, over its image's own L.  `memo` is
+    the exponent maps of the document that holds this one, if any."""
+    memo = {} if memo is None else memo
     return {"n": cert.n,
-            "s_parts": [{"l": l,
-                         "poly": _row_doc(S_ALPHABET, mons, nums, cert.den)}
+            "s_parts": [{"l": l, "poly": _row_doc(S_ALPHABET, mons, nums,
+                                                  cert.den, memo)}
                         for l, mons, nums in cert.s_rows],
-            "remainder": _row_doc(AB, *cert.r_rows())}
+            "remainder": _row_doc(AB, *cert.r_rows(), memo)}
 
 
 def _poly_over(doc, alphabet: Alphabet, what: str) -> Poly:
@@ -171,11 +182,12 @@ def certificate_from_json(doc: dict, form: Poly) -> Certificate:
 
 
 def basis_to_json(basis: JacobiBasis) -> dict:
+    memo = {}
     return {"weight": basis.target.weight,
             "index": basis.target.index,
             "dimension": basis.dimension,
-            "forms": [poly_to_json(f) for f in basis.forms],
-            "certificates": [certificate_to_json(c)
+            "forms": [poly_to_json(f, memo) for f in basis.forms],
+            "certificates": [certificate_to_json(c, memo)
                              for c in basis.certificates]}
 
 

@@ -180,6 +180,42 @@ def remainder(cert):
     return Poly(AB, {m: Fraction(a, L) for m, a in zip(mons, nums)})
 
 
+def poly_doc_reference(alphabet, terms):
+    """The per-term writer of a polynomial document: a new exponent map
+    for every (exponent vector, "num/den") pair, descending."""
+    symbols = alphabet.symbols
+    return {"alphabet": alphabet.name,
+            "terms": [{"exponents": {s: e for s, e in zip(symbols, exps)
+                                     if e},
+                       "coefficient": coeff} for exps, coeff in terms]}
+
+
+def row_doc_reference(alphabet, mons, nums, den):
+    """`poly_doc_reference` of the sum of nums[i]/den * mons[i]."""
+    terms = []
+    for exps, a in sorted(zip(mons, nums), reverse=True):
+        g = math.gcd(a, den)
+        terms.append((exps, "%d/%d" % (a // g, den // g)))
+    return poly_doc_reference(alphabet, terms)
+
+
+def basis_to_json_reference(basis):
+    """`basis_to_json` written term by term, each exponent map its own."""
+    return {"weight": basis.target.weight,
+            "index": basis.target.index,
+            "dimension": basis.dimension,
+            "forms": [poly_doc_reference(f.alphabet, (
+                (exps, "%d/%d" % (c.numerator, c.denominator))
+                for exps, c in f.sorted_terms())) for f in basis.forms],
+            "certificates": [
+                {"n": c.n,
+                 "s_parts": [{"l": l, "poly": row_doc_reference(
+                     S_ALPHABET, mons, nums, c.den)}
+                     for l, mons, nums in c.s_rows],
+                 "remainder": row_doc_reference(AB, *c.r_rows())}
+                for c in basis.certificates]}
+
+
 def drop_e4(p):
     """p over AB, free of E4, as a polynomial over S."""
     assert all(m[0] == 0 for m in p.terms)

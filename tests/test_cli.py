@@ -6,7 +6,7 @@ import pytest
 
 from e8jacobi import construct
 from e8jacobi.cli import main
-from e8jacobi.construct import certify, clear_cache
+from e8jacobi.construct import certify, clear_cache, profile_weights
 from e8jacobi.grading import Poly, ab
 from e8jacobi.serialize import poly_to_json
 
@@ -316,6 +316,16 @@ class TestCacheAndJobs:
         (line,) = err.splitlines()
         assert line.startswith("e8jacobi: error: cannot write cache entry %s"
                                % entry)
+
+    def test_module_gens_stores_only_its_range(self, capsys, tmp_path):
+        """`module-gens m` stores one entry per weight of
+        `profile_weights(m)`, none for the empty weights below it."""
+        cache = tmp_path / "cache"
+        for m in range(1, 5):
+            assert run_cli(capsys, "--cache-dir", str(cache),
+                           "module-gens", str(m))[0] == 0
+        assert len(list(cache.iterdir())) == \
+            sum(len(profile_weights(m)) for m in range(1, 5)) == 30
 
     def test_jobs_hidden_from_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,8 @@ from e8jacobi.serialize import (SerializationError, basis_from_json,
                                 poly_from_json, poly_to_compact, poly_to_json,
                                 result_document, _row_doc)
 
-from helpers import build, m16_5_pair, remainder, s_parts
+from helpers import (basis_to_json_reference, build, m16_5_pair,
+                     remainder, s_parts)
 
 
 class TestFractions:
@@ -157,6 +158,55 @@ class TestCertificateRows:
             for term in poly["terms"]:
                 num, den = map(int, term["coefficient"].split("/"))
                 assert den > 0 and math.gcd(num, den) == 1
+
+
+def polys(doc):
+    """The polynomial documents of a basis document, forms last."""
+    for cert in doc["certificates"]:
+        yield cert["remainder"]
+        yield from (p["poly"] for p in cert["s_parts"])
+    yield from doc["forms"]
+
+
+class TestSharedExponentMaps:
+    """A document holds one exponent map per monomial, shared by all its
+    terms; JSON writes a shared map as it writes a copy."""
+
+    def test_same_text_as_the_per_term_writer(self):
+        """The canonical text of the golden digests, at every target of
+        index <= 6 and at J_{0,8}."""
+        def canonical(doc):
+            return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        targets = [(k, m) for m in range(1, 7) for k in profile_weights(m)]
+        for k, m in targets + [(0, 8)]:
+            basis = jacobi_basis(k, m)
+            assert canonical(basis_to_json(basis)) == \
+                canonical(basis_to_json_reference(basis)), (k, m)
+
+    def test_one_map_per_monomial_per_call(self):
+        """At J_{0,8} the terms repeat their monomials; each monomial's
+        terms hold one map.  A second call builds maps of its own."""
+        basis = jacobi_basis(0, 8)
+        first, second = basis_to_json(basis), basis_to_json(basis)
+        maps, terms = {}, 0
+        for poly in polys(first):
+            for term in poly["terms"]:
+                key = (poly["alphabet"], *sorted(term["exponents"].items()))
+                assert maps.setdefault(key, term["exponents"]) \
+                    is term["exponents"]
+                terms += 1
+        assert terms > 10 * len(maps)
+        assert not {id(m) for m in maps.values()} & {
+            id(t["exponents"]) for p in polys(second) for t in p["terms"]}
+
+    def test_maps_kept_apart_by_alphabet(self):
+        """One exponent vector over ab and over AB, written with one
+        memo: each term names its own alphabet's symbol."""
+        memo, exps = {}, tuple(int(i == 2) for i in range(11))
+        docs = [poly_to_json(Poly(a, {exps: Fraction(1)}), memo)
+                for a in (ab, AB)]
+        assert [d["terms"][0]["exponents"] for d in docs] == \
+            [{"a2": 1}, {"A1": 1}]
 
 
 @pytest.fixture

@@ -1,20 +1,21 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (47.6-47.8 s on a 2-core VM, two runs,
-where the code that wrote every basis's documents before checking the
-shapes took 55.8 s, one run, its shape checks 7.4 s: each certificate's
-full image was summed twice).  Each certificate, as built and again as
-reloaded from a store, has its document written, its shape checked
+Run from the repository root (40-53 s on a 2-core VM, five runs,
+where the code that built a new exponent map for every term of a
+document took 50-60 s, three runs).  Each certificate, as built and again
+as reloaded from a store, has its document written, its shape checked
 and its identity run, in that order, so that all three read one image
-of its form, summed once.  The parts: about 1 s to build the bases,
-13 s for the digests, mostly the documents, which derive each
-certificate's R from its form's full image, 2.1-2.3 s for the shape
-checks, 0.2 s for the identities, 14 s for the cache round trip, mostly
-the reloaded documents and the identities that loading runs, on the
-image below E4^a, on the 893 certificates with an S part, 0.2-0.3 s for
-the numeric check, 0.5-0.7 s for the span and certify outputs and
-15-18 s for the lowest weights below, nearly all of it the bases of
-m = 16 and 17; the process peaks at about 380 MB, because the bases and
+of its form, summed once; each basis's documents share one exponent map
+per monomial, as `basis_to_json`'s do.  The parts: about 1 s to build
+the bases, 9-14 s for the digests (14-17 s with a map per term), mostly
+the documents, which derive each certificate's R from its form's full
+image, 1.7-2.5 s for the shape checks, 0.2 s for the identities,
+10-15 s for the cache round trip (15-18 s), mostly the reloaded
+documents and the identities that loading runs, on the image below
+E4^a, on the 893 certificates with an S part, 0.2-0.3 s for the numeric
+check, 0.8-1.3 s for the span, certify and basis outputs and 15-18 s
+for the lowest weights below, nearly all of it the bases of m = 16 and
+17; the process peaks at 365-370 MB (382 MB), because the bases and
 images built before the lowest weights are dropped first:
 
     PYTHONPATH=src python tools/check_golden.py
@@ -47,6 +48,11 @@ image; and b1, which `certify` rejects at l = 1.  The script writes each
 input to `form.json` in a temporary working directory, so that the JSON
 `target` is the same on every run, and runs the six commands in process
 with the span outputs.
+
+`golden_basis.json` holds the sha256 of the stdout of `e8jacobi
+--format json basis k m`, without its `elapsed_seconds` line, for
+J_{-26,8} and J_{0,8}; the script runs both in process with the span
+outputs.
 
 `golden_lowest.json` holds, for the lowest weights -4m of m = 1..17,
 dim J_{-4m,m}, the new-generator and relation counts of
@@ -91,6 +97,7 @@ GOLDEN = HERE / "golden_index10.json"
 GOLDEN_SPANS = HERE / "golden_spans.json"
 GOLDEN_LOWEST = HERE / "golden_lowest.json"
 GOLDEN_CERTIFY = HERE / "golden_certify.json"
+GOLDEN_BASIS = HERE / "golden_basis.json"
 MAX_INDEX = 10
 
 
@@ -103,14 +110,15 @@ def checked_digest(what: str, basis, failures, seconds, part) -> tuple:
     """(the digest of `basis_to_json(basis)`, the count of its
     certificates whose identity holds): per certificate, its document is
     written, its shape is checked and its identity is run, in that
-    order, so that all three read one image of its form, summed once; a
-    failure names the basis as `what`.  The seconds of the document go
-    to `seconds[part]`, those of the checks to "shapes" and
-    "identities"."""
-    docs, certified = [], 0
+    order, so that all three read one image of its form, summed once;
+    the documents share one exponent map per monomial, as in
+    `basis_to_json`.  A failure names the basis as `what`.  The seconds
+    of the document go to `seconds[part]`, those of the checks to
+    "shapes" and "identities"."""
+    docs, certified, memo = [], 0, {}
     for i, cert in enumerate(basis.certificates):
         start = perf_counter()
-        docs.append(certificate_to_json(cert))
+        docs.append(certificate_to_json(cert, memo))
         shape = perf_counter()
         if not one_shape(cert):
             failures.append("shape of certificate %d of %s" % (i, what))
@@ -126,7 +134,7 @@ def checked_digest(what: str, basis, failures, seconds, part) -> tuple:
     target = basis.target
     got = digest({"weight": target.weight, "index": target.index,
                   "dimension": basis.dimension,
-                  "forms": list(map(poly_to_json, basis.forms)),
+                  "forms": [poly_to_json(f, memo) for f in basis.forms],
                   "certificates": docs})
     seconds[part] += perf_counter() - start
     return got, certified
@@ -149,10 +157,10 @@ def certify_inputs() -> dict:
             "b1": Poly.gen(ab, "b1")}
 
 
-def certify_digest(fmt: str, failures) -> str:
-    """The sha256 of the stdout of `e8jacobi --format fmt certify
-    form.json`, without its `elapsed_seconds` line."""
-    text = run(["--format", fmt, "certify", "form.json"], failures)
+def stdout_digest(argv, failures) -> str:
+    """The sha256 of the stdout of `e8jacobi ARGV`, without its
+    `elapsed_seconds` line."""
+    text = run(argv, failures)
     text = "".join(line for line in text.splitlines(True)
                    if not line.startswith('  "elapsed_seconds": '))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -222,9 +230,15 @@ def main() -> int:
         for name, form in certify_inputs().items():
             Path("form.json").write_text(json.dumps(poly_to_json(form)))
             for fmt, want in golden_certify[name].items():
-                if certify_digest(fmt, failures) != want:
+                if stdout_digest(["--format", fmt, "certify", "form.json"],
+                                 failures) != want:
                     failures.append("stdout of --format %s certify %s"
                                     % (fmt, name))
+    golden_basis = json.loads(GOLDEN_BASIS.read_text())
+    for args, want in golden_basis.items():
+        if stdout_digest(["--format", "json", "basis", *args.split()],
+                         failures) != want:
+            failures.append("stdout of --format json basis " + args)
     seconds["spans"] = perf_counter() - start
 
     # the chain below needs none of the bases and images built so far
@@ -259,10 +273,11 @@ def main() -> int:
     for line in failures:
         print("MISMATCH", line)
     print("%d targets, %d profiles, %d certificates, 1 numeric check, "
-          "%d span outputs, %d certify outputs, %d lowest weights: %s"
+          "%d span outputs, %d certify outputs, %d basis outputs, "
+          "%d lowest weights: %s"
           % (len(targets), MAX_INDEX, certified,
              sum(map(len, spans.values())),
-             sum(map(len, golden_certify.values())), top,
+             sum(map(len, golden_certify.values())), len(golden_basis), top,
              "%d mismatches" % len(failures) if failures else "ok"))
     return 1 if failures else 0
 
