@@ -1,15 +1,15 @@
 """End-to-end construction of Weyl invariant E8 weak Jacobi forms.
 
-The pipeline for a given (weight, index): build the most general
-polynomial ansatz over the meromorphic alphabet, push it through the
-substitution to the holomorphic side, clear the Delta denominator, split
-off the E4-denominator parts, demand that each such part be the matching
-power of the distinguished weight-16 index-5 form times an E4-free
-polynomial, and solve the resulting homogeneous linear system exactly.
-Each surviving basis form carries a certificate witnessing membership,
-and the basis is its certificates: the form, integer rows of its S_l
+The pipeline for a given (weight, index) runs in three stages.  `system`
+builds the most general polynomial ansatz over the meromorphic alphabet,
+pushes it through the substitution to the holomorphic side, clears the
+Delta denominator, splits off the E4-denominator parts and demands that
+each be the matching power of the weight-16 index-5 form times an
+E4-free polynomial: one homogeneous integer system.  `nullspace` solves
+it exactly.  The certificates are read off its basis, one per form, in
+one normal form (`Certificate.of`): the form, integer rows of its S_l
 parts over their lowest common denominator, and its remainder derived
-from the form when read (see `Certificate`).
+from the form when read.  The basis is its certificates.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import compress
 from math import gcd, lcm
 from operator import add
 from typing import Dict, List, Sequence, Tuple, Union
@@ -25,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 from .ansatz import build_ansatz, enumerate_monomials
 from .generators import (_image, _lifted_columns, _rest_powers, e4_split,
                          p16_5)
-from .grading import AB, BiDegree, Poly, S_ALPHABET, ab
+from .grading import AB, BiDegree, ParamPoly, Poly, S_ALPHABET, ab
 from .kernels import echelon, extend
 from .linsolve import LinearSystem, nullspace
 
@@ -74,6 +73,18 @@ class Certificate:
                            for x in nums)) != 1:
             raise ValueError("den %d is not the lowest common denominator "
                              "of the S rows" % self.den)
+
+    @classmethod
+    def of(cls, form: Poly, n: int, rows) -> "Certificate":
+        """The certificate of `form` at Delta power n whose S_l are
+        `rows`, each (l, monomials, their rational values), l ascending:
+        den is the lcm of the values' denominators, and zero values, and
+        rows left with none, are dropped."""
+        den = lcm(*(v.denominator for _, _, vals in rows for v in vals))
+        return cls(form, n, den, tuple(
+            (l, [mon for mon, v in zip(mons, vals) if v],
+             [v.numerator * (den // v.denominator) for v in vals if v])
+            for l, mons, vals in rows if any(vals)))
 
     def r_rows(self) -> Tuple[list, list, int]:
         """(R's monomials, descending, their numerators, L): the terms of
@@ -156,8 +167,11 @@ def jacobi_basis(k: int, m: int) -> JacobiBasis:
     return basis
 
 
-def _compute_basis(k: int, m: int) -> JacobiBasis:
-    target = BiDegree(k, m)
+def system(target: BiDegree) -> Tuple[ParamPoly, int, int, list, LinearSystem]:
+    """(ansatz, n, L, s_cols, system): the integer system of `target`,
+    its columns the ansatz's, then those of each S_l that s_cols lists
+    as (l, monomials, (start, stop)), l ascending; n is the Delta power
+    of its certificates and L the common den of its ansatz columns."""
     ansatz = build_ansatz(ab, target)
     # Over the common denominator E4^p Delta^n the system reads
     # sum_j c_j column_j = E4^p R + sum_l E4^(p-l) P^l S_l, and every
@@ -184,7 +198,7 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
             if e >= p:
                 break
             qs[p - e - 1].setdefault((e6 + s6,) + tail, {})[j] = c * scale
-    n_c = n_cols = len(columns)
+    n_cols = len(columns)
     s_cols = []
     for l, mons in s_mons.items():
         if l > p:
@@ -198,14 +212,18 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
         n_cols += len(mons)
     # Q_l's rows in descending monomial order, l ascending
     rows = [q[mon] for q in qs for mon in sorted(q, reverse=True)]
-    space = nullspace(LinearSystem(n_cols, rows))
+    return ansatz, n, L, s_cols, LinearSystem(n_cols, rows)
 
-    # Each certificate is the form's witness: n and the S_l, each read
-    # straight off the vector, as each S_l monomial has one column, over
-    # g * L, in the shape that `Certificate` requires: g * L and the S
-    # numerators divided by their gcd.
+
+def _compute_basis(k: int, m: int) -> JacobiBasis:
+    """The certificates read off `nullspace(system(target))`: each is a
+    form's witness, n and the S_l read straight off its vector over
+    g * L, as each S_l monomial has one column."""
+    target = BiDegree(k, m)
+    ansatz, n, L, s_cols, linear = system(target)
+    n_c = len(ansatz.terms)
     certificates: List[Certificate] = []
-    for vec in space.basis:
+    for vec in nullspace(linear).basis:
         c_part = [(j, x) for j, x in vec.items() if j < n_c]
         # d is determined by c, so a solution vanishing on the c-block
         # means the projection onto c would lose dimensions.
@@ -217,26 +235,22 @@ def _compute_basis(k: int, m: int) -> JacobiBasis:
         # vec leads with a positive entry in the c-block, so the form
         # c / g is primitive with positive leading coefficient.
         form = ansatz.substitute({j: x // g for j, x in c_part})
-        s_rows = [(l, mons, [vec.get(j, 0) for j in range(*cols)])
-                  for l, mons, cols in s_cols]
-        h = gcd(g * L, *(x for _, _, nums in s_rows for x in nums))
-        certificates.append(Certificate(
-            form, n, g * L // h,
-            tuple((l, list(compress(mons, nums)), [x // h for x in nums if x])
-                  for l, mons, nums in s_rows if any(nums))))
+        certificates.append(Certificate.of(form, n, [
+            (l, mons, [Fraction(vec.get(j, 0), g * L) for j in range(*cols)])
+            for l, mons, cols in s_cols]))
     return JacobiBasis(target, certificates)
 
 
 @cache
 def s_ansatz(target: BiDegree) -> Tuple[int, Dict[int, List[tuple]]]:
     """(n, {l: monomials}), memoised, so not to be mutated: the Delta
-    power n of every certificate of `target` that `_compute_basis`
-    builds, the largest Delta power among the images of the target's
-    monomials over ab (`_lifted_columns`'s), and for each l >= 1 with a
-    nonempty S_l ansatz, the monomials of S_l over S at bidegree
-    (k + 12n - 12l, m - 5l), in `enumerate_monomials` order, l
-    ascending: the S columns of its system are those at l at most its
-    E4 power.  The ansatz is empty where 5l > m."""
+    power n of every certificate of `target` that `system` gives, the
+    largest Delta power among the images of the target's monomials over
+    ab (`_lifted_columns`'s), and for each l >= 1 with a nonempty S_l
+    ansatz, the monomials of S_l over S at bidegree (k + 12n - 12l,
+    m - 5l), in `enumerate_monomials` order, l ascending: the S columns
+    of its system are those at l at most its E4 power.  The ansatz is
+    empty where 5l > m."""
     k, m = target
     n = max((_rest_powers(mon[2:])[1]
              for mon in enumerate_monomials(ab, target)), default=0)
@@ -263,9 +277,9 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
     when there is no Delta to cancel.  Each nonzero Q_l divided by
     P^l, the one step in Fractions, gives the row of S_l: its quotient's
     monomials with the E4 exponent (0) dropped, and its coefficients
-    over L as numerators over `den`, the lcm of the reduced denominators
-    of every S_l.  The certificate is the witness over `form` at the
-    Delta power left; its R is derived when read.
+    over L.  The certificate is the witness over `form` at the Delta
+    power left, in the normal form of `Certificate.of`; its R is derived
+    when read.
     """
     form.bidegree()  # raises on inhomogeneous input
     terms, L, e4, n = _image(form)
@@ -278,11 +292,7 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
                 return Rejection(l)
             s_rows.append((l, [m[1:] for m in s_l.terms],
                            [Fraction(c, L) for c in s_l.terms.values()]))
-    den = lcm(*(c.denominator for _, _, s in s_rows for c in s))
-    return Certificate(
-        form, n, den,
-        tuple((l, mons, [c.numerator * (den // c.denominator) for c in s])
-              for l, mons, s in s_rows))
+    return Certificate.of(form, n, s_rows)
 
 
 @cache

@@ -398,7 +398,7 @@ class ParamPoly:
 
     An unknown is a column position (see `ansatz.build_ansatz`).  Only
     the basis forms, sparse nullspace vectors, go through `substitute`;
-    `construct._compute_basis` builds its rows straight from the
+    `construct.system` builds the construction's rows straight from the
     memoised monomial images (`generators._lifted_columns`) and the
     terms of P^l.  `mul_poly` and `linsolve.coefficient_equations`
     are the reference those rows are tested against; a linear form

@@ -1,11 +1,11 @@
 """Exact integer linear algebra for coefficient matching.
 
 Systems are homogeneous, and an unknown is a column position: a row maps
-columns to `int` coefficients.  `construct._compute_basis` builds its
-rows from integer columns; `coefficient_equations`, which matches the
-coefficients of two parametric polynomials, is the reference it is
-tested against.  `nullspace` reduces them with `kernels.echelon` and
-returns a canonical basis, whatever the order of the rows: reduced
+columns to `int` coefficients.  `construct.system` builds the
+construction's rows from integer columns; `coefficient_equations`, which
+matches the coefficients of two parametric polynomials, is the reference
+they are tested against.  `nullspace` reduces them with `kernels.echelon`
+and returns a canonical basis, whatever the order of the rows: reduced
 echelon form over the column order, scaled to primitive integer vectors
 with positive leading entry, each kept in the rows' sparse form, a dict
 of its nonzeros in ascending column order.

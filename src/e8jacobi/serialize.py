@@ -16,8 +16,9 @@ the generator tables; the cache entries themselves store integer rows
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 from typing import Dict
 
@@ -38,11 +39,11 @@ def fraction_to_str(c: Rational) -> str:
 
 
 def fraction_from_str(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    try:
-        return Fraction(int(num), int(den) if den else 1)
-    except ValueError:
-        raise SerializationError("%r is not an integer num/den" % s) from None
+    """ASCII "num/den" or "num" as a Fraction, a sign only as num's "-"."""
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s)
+    if match is None:
+        raise SerializationError("%r is not an integer num/den" % s)
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def _lookup_alphabet(name: str) -> Alphabet:
@@ -140,14 +141,13 @@ def _poly_over(doc, alphabet: Alphabet, what: str) -> Poly:
 
 
 def certificate_from_json(doc: dict, form: Poly) -> Certificate:
-    """Inverse of `certificate_to_json`: the certificate of `form` over
-    the lcm of the S parts' denominators, S parts ascending in l and
-    those that are zero left out.  Raises SerializationError on a
-    missing key, an n or an S part power l that is not an int, a
-    remainder not over AB, an S part not over S, a witness that
-    `Certificate` refuses (n < 0, an l below 1 or listed twice) and a
-    remainder other than the one derived from the form at the
-    document's n, or none derivable there."""
+    """Inverse of `certificate_to_json`: the certificate of `form`
+    (`Certificate.of`), S parts ascending in l.  Raises
+    SerializationError on a missing key, an n or an S part power l that
+    is not an int, a remainder not over AB, an S part not over S, a
+    witness that `Certificate` refuses (n < 0, an l below 1 or listed
+    twice) and a remainder other than the one derived from the form at
+    the document's n, or none derivable there."""
     try:
         n, r_doc = doc["n"], doc["remainder"]
         parts = [(p["l"], p["poly"]) for p in doc["s_parts"]]
@@ -160,12 +160,10 @@ def certificate_from_json(doc: dict, form: Poly) -> Certificate:
     r = _poly_over(r_doc, AB, "remainder")
     s_polys = [(l, _poly_over(p, S_ALPHABET, "S part %d" % l))
                for l, p in parts]
-    den = lcm(*(c.denominator for _, s in s_polys for c in s.terms.values()))
     try:
-        cert = Certificate(form, n, den, tuple(
-            (l, list(s.terms), [c.numerator * (den // c.denominator)
-                                for c in s.terms.values()])
-            for l, s in sorted(s_polys, key=itemgetter(0)) if s.terms))
+        cert = Certificate.of(form, n, [
+            (l, list(s.terms), list(s.terms.values()))
+            for l, s in sorted(s_polys, key=itemgetter(0))])
     except ValueError as exc:
         raise SerializationError("Delta power %d and the l of each S part "
                                  "%r make no certificate: %s"

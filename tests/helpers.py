@@ -374,8 +374,8 @@ def expand_column(column):
 
 
 def system_rows_reference(k, m):
-    """Reference for the linear system that `construct._compute_basis`
-    hands to `nullspace`, as (system, the l of each S_l block).
+    """Reference for the linear system that `construct.system` builds,
+    as (system, the l of each S_l block).
 
     The ansatz's image columns are expanded, scaled to the lcm L of their
     dens and split by E4 exponent into the parametric polynomials Q_l

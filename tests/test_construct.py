@@ -184,17 +184,9 @@ class TestCertificates:
 
 
 class TestIntegerStage:
-    def test_equations_and_solutions_are_ints(self, monkeypatch):
-        seen = []
-
-        def recording(system):
-            space = nullspace(system)
-            seen.append((system, space))
-            return space
-
-        monkeypatch.setattr(construct, "nullspace", recording)
-        construct._compute_basis(-16, 5)
-        ((system, space),) = seen
+    def test_equations_and_solutions_are_ints(self):
+        *_, system = construct.system(BiDegree(-16, 5))
+        space = nullspace(system)
         assert system.rows and space.dimension == 2
         assert all(type(c) is int for row in system.rows for c in row.values())
         assert all(type(x) is int for vec in space.basis
@@ -204,20 +196,33 @@ class TestIntegerStage:
                                                 ((-24, 5), [1]),
                                                 ((-8, 2), [])],
                              ids=["m48_10", "m24_5", "m8_2"])
-    def test_rows_match_reference(self, target, blocks, monkeypatch):
-        """The system handed to `nullspace` equals, row for row, the one
-        built from expanded columns, `ParamPoly.mul_poly` and
+    def test_rows_match_reference(self, target, blocks):
+        """The system that `construct.system` builds equals, row for row,
+        the one built from expanded columns, `ParamPoly.mul_poly` and
         `coefficient_equations`."""
-        seen = []
-
-        def recording(system):
-            seen.append(system)
-            return nullspace(system)
-
-        monkeypatch.setattr(construct, "nullspace", recording)
-        construct._compute_basis(*target)
-        (system,) = seen
+        *_, system = construct.system(BiDegree(*target))
         assert (system, blocks) == system_rows_reference(*target)
+
+    def test_sizes_to_index_8(self):
+        """Over the 98 targets of index 1..8: 27 empty bases, 2,816
+        ansatz and 63 S columns, 1,595 rows of rank 1,103, no input
+        coefficient above 45 bits, and 1,776 forms, columns less rank."""
+        empty = columns = s_columns = rows = rank = bits = forms = 0
+        for target in INDEX_8_TARGETS:
+            ansatz, _, _, _, system = construct.system(BiDegree(*target))
+            space = nullspace(system)
+            empty += not space.basis
+            columns += len(ansatz.terms)
+            s_columns += system.n - len(ansatz.terms)
+            rows += len(system.rows)
+            rank += space.rank
+            bits = max([bits, *(abs(c).bit_length() for row in system.rows
+                                for c in row.values())])
+            forms += space.dimension
+        assert len(INDEX_8_TARGETS) == 98
+        assert (empty, columns, s_columns, rows, rank, forms) == \
+            (27, 2816, 63, 1595, 1103, 1776)
+        assert bits <= 45 and forms == columns + s_columns - rank
 
 
 class TestCertificateColumns:
@@ -672,6 +677,31 @@ class TestCertificateShape:
         with pytest.raises(FrozenInstanceError):
             cert.s_rows += ((2, mons, nums),)
         assert cert.s_rows == ((1, mons, nums),)
+
+
+class TestNormalForm:
+    @given(st.integers(1, 30), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_of_divides_by_the_gcd(self, h0, data):
+        """`Certificate.of` on int numerators over one d, zeros and
+        all-zero rows among them, is the ints over d divided by
+        h = gcd(d, numerators): den d // h, the nonzero x // h, and the
+        rows with none dropped."""
+        d = h0 * data.draw(st.integers(1, 30))
+        xs = st.just(0) | st.integers(-30, 30).map(lambda x: h0 * x)
+        rows = [(l, [(l, i) for i in range(len(nums))], nums)
+                for l, nums in enumerate(data.draw(st.lists(
+                    st.lists(xs, min_size=1, max_size=4), max_size=3)), 1)]
+        form = Poly.const(ab, 1)
+        cert = Certificate.of(form, 2, [
+            (l, mons, [Fraction(x, d) for x in nums])
+            for l, mons, nums in rows])
+        h = gcd(d, *(x for _, _, nums in rows for x in nums))
+        assert (cert.form, cert.n, cert.den) == (form, 2, d // h)
+        assert cert.s_rows == tuple(
+            (l, [mon for mon, x in zip(mons, nums) if x],
+             [x // h for x in nums if x])
+            for l, mons, nums in rows if any(nums))
 
 
 @cache

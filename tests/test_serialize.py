@@ -333,7 +333,9 @@ class TestReaderRejects:
                                  r"in J_\(-16, 5\)"):
             basis_from_json(pair_doc)
 
-    @pytest.mark.parametrize("coefficient", ["x", "1.5", "1/x", "1/2/3"])
+    @pytest.mark.parametrize("coefficient", [
+        "x", "1.5", "1/x", "1/2/3", "3/", " 3/4 ", "1_000/1", "\u0663/1",
+        "3/-4", "+3/4"])
     def test_coefficient_not_an_integer_fraction(self, coefficient):
         term = {"exponents": {"b1": 1}, "coefficient": coefficient}
         with pytest.raises(SerializationError,
