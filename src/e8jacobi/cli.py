@@ -2,9 +2,13 @@
 
 Subcommands: dim, basis, profile, module-gens, lb, certify, verify,
 tables.  Every command builds the bases it reads lazily, in this
-process, through `jacobi_basis`.  Default output is human-readable text;
---format json emits a schema-versioned result document.  Exit codes: 0
-success, 1 mathematical inconsistency, 2 usage error.
+process, through `jacobi_basis`.  Exit codes: 0 success, 1 mathematical
+inconsistency, 2 usage error.
+
+Each command `_cmd_NAME(args, as_json)` builds one output: its text
+lines, or under --format json the payload that `main` wraps in the
+schema-versioned `result_document`.  `main` writes it once the command
+has returned, so a command that raises leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -137,54 +141,52 @@ def _profile_payload(m: int) -> dict:
             "polynomial": _profile_poly_str(profile.d)}
 
 
-def _cmd_dim(args, out) -> dict:
+def _cmd_dim(args, as_json):
     d = jacobi_basis(args.weight, args.index).dimension
-    print(d, file=out)
-    return {"dimension": d}
+    return {"dimension": d} if as_json else [str(d)]
 
 
-def _cmd_basis(args, out) -> dict:
+def _cmd_basis(args, as_json):
     basis = jacobi_basis(args.weight, args.index)
-    print("dim J_{%d,%d} = %d" % (args.weight, args.index, basis.dimension),
-          file=out)
-    for i, form in enumerate(basis.forms):
-        print("form %d: %s" % (i + 1, form), file=out)
-    return basis_to_json(basis)
+    if as_json:
+        return basis_to_json(basis)
+    return ["dim J_{%d,%d} = %d" % (args.weight, args.index,
+                                    basis.dimension)] + \
+        ["form %d: %s" % (i, form) for i, form in enumerate(basis.forms, 1)]
 
 
-def _cmd_profile(args, out) -> dict:
+def _cmd_profile(args, as_json):
     payload = _profile_payload(args.index)
-    print(payload["polynomial"], file=out)
-    return payload
+    return payload if as_json else [payload["polynomial"]]
 
 
-def _cmd_module_gens(args, out) -> dict:
-    gens = module_generators(args.index)
-    payload = {"index": args.index, "generators": []}
-    for k, forms in gens:
-        for form in forms:
-            print("weight %d: %s" % (k, form), file=out)
-            payload["generators"].append(
-                {"weight": k, "form": poly_to_json(form)})
-    return payload
+def _cmd_module_gens(args, as_json):
+    gens = [(k, form) for k, forms in module_generators(args.index)
+            for form in forms]
+    if as_json:
+        return {"index": args.index,
+                "generators": [{"weight": k, "form": poly_to_json(form)}
+                               for k, form in gens]}
+    return ["weight %d: %s" % gen for gen in gens]
 
 
-def _cmd_lb(args, out) -> dict:
+def _cmd_lb(args, as_json):
     report = lb_analysis(args.max_index)
-    print("m   dim J_{-4m,m}  new generators  relations", file=out)
-    for m in range(1, args.max_index + 1):
-        print("%-3d %-14d %-15d %d"
-              % (m, report.lb_dims[m], len(report.lb_gens[m]),
-                 report.relation_counts[m]), file=out)
-    return {"max_index": args.max_index,
-            "lb_dims": {str(m): v for m, v in report.lb_dims.items()},
-            "generator_counts": {str(m): v for m, v in
-                                 report.generator_counts.items()},
-            "relation_counts": {str(m): v for m, v in
-                                report.relation_counts.items()}}
+    if as_json:
+        return {"max_index": args.max_index,
+                "lb_dims": {str(m): v for m, v in report.lb_dims.items()},
+                "generator_counts": {str(m): v for m, v in
+                                     report.generator_counts.items()},
+                "relation_counts": {str(m): v for m, v in
+                                    report.relation_counts.items()}}
+    return ["m   dim J_{-4m,m}  new generators  relations"] + [
+        "%-3d %-14d %-15d %d" % (m, report.lb_dims[m],
+                                 len(report.lb_gens[m]),
+                                 report.relation_counts[m])
+        for m in range(1, args.max_index + 1)]
 
 
-def _cmd_certify(args, out) -> dict:
+def _cmd_certify(args, as_json):
     try:
         with open(args.file) as fh:
             form = poly_from_json(json.load(fh))
@@ -196,17 +198,19 @@ def _cmd_certify(args, out) -> dict:
     except (AlphabetMismatchError, GradingError) as exc:
         raise UsageError("cannot certify %s: %s" % (args.file, exc))
     if isinstance(result, Rejection):
-        print("rejected: divisibility fails at denominator power %d"
-              % result.failing_l, file=out)
-        return {"certified": False, "failing_l": result.failing_l}
+        if as_json:
+            return {"certified": False, "failing_l": result.failing_l}
+        return ["rejected: divisibility fails at denominator power %d"
+                % result.failing_l]
     if not certificate_identity(form, result):
         raise ConsistencyError("certificate identity re-check failed")
-    print("certified: Delta power %d, %d E4-part(s)"
-          % (result.n, len(result.s_rows)), file=out)
-    return {"certified": True, "certificate": certificate_to_json(result)}
+    if as_json:
+        return {"certified": True, "certificate": certificate_to_json(result)}
+    return ["certified: Delta power %d, %d E4-part(s)"
+            % (result.n, len(result.s_rows))]
 
 
-def _cmd_verify(args, out) -> dict:
+def _cmd_verify(args, as_json):
     from .oracle import EvalContext, check_axioms
     basis = jacobi_basis(args.weight, args.index)
     ctx = EvalContext(precision=args.precision)
@@ -217,32 +221,29 @@ def _cmd_verify(args, out) -> dict:
     for i, form in enumerate(basis.forms):
         rep = check_axioms(form, args.weight, args.index, args.samples, ctx,
                            seed=i)
-        passed = rep.passed(threshold)
-        print("form %d: quasi-periodicity %.2e, modular S %.2e, T %.2e, "
-              "Weyl %.2e, regular %s -> %s"
-              % (i + 1, rep.quasi_periodicity, rep.modular_s, rep.modular_t,
-                 rep.weyl, rep.regular, "ok" if passed else "FAIL"), file=out)
         reports.append({"form": i + 1,
                         "quasi_periodicity": rep.quasi_periodicity,
                         "modular_s": rep.modular_s,
                         "modular_t": rep.modular_t,
                         "weyl": rep.weyl,
                         "regular": rep.regular,
-                        "passed": passed})
-    if not basis.forms:
-        print("empty basis; nothing to verify", file=out)
+                        "passed": rep.passed(threshold)})
     if not all(r["passed"] for r in reports):
         raise ConsistencyError("oracle residuals exceed tolerance")
-    return {"dimension": basis.dimension, "reports": reports}
+    if as_json:
+        return {"dimension": basis.dimension, "reports": reports}
+    # a form that fails has raised above, so every line reads "ok"
+    return ["form %(form)d: quasi-periodicity %(quasi_periodicity).2e, "
+            "modular S %(modular_s).2e, T %(modular_t).2e, Weyl %(weyl).2e, "
+            "regular %(regular)s -> ok" % r for r in reports] \
+        or ["empty basis; nothing to verify"]
 
 
-def _cmd_tables(args, out) -> dict:
-    profiles = []
-    for m in range(1, args.max_index + 1):
-        payload = _profile_payload(m)
-        print("P^w_%d = %s" % (m, payload["polynomial"]), file=out)
-        profiles.append(payload)
-    return {"max_index": args.max_index, "profiles": profiles}
+def _cmd_tables(args, as_json):
+    profiles = [_profile_payload(m) for m in range(1, args.max_index + 1)]
+    if as_json:
+        return {"max_index": args.max_index, "profiles": profiles}
+    return ["P^w_%d = %s" % (p["index"], p["polynomial"]) for p in profiles]
 
 
 _COMMANDS = {
@@ -270,24 +271,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        import io
         if args.cache_dir:
             try:
                 construct.set_disk_store(DiskStore(args.cache_dir))
             except OSError as exc:
                 raise UsageError("cannot use --cache-dir %s: %s"
                                  % (args.cache_dir, exc.strerror or exc))
+        as_json = args.format == "json"
         start = time.perf_counter()
-        text = io.StringIO()
-        payload = _COMMANDS[args.command](args, text)
-        elapsed = time.perf_counter() - start
-        if args.format == "json":
-            doc = result_document(args.command, _target_echo(args), payload,
-                                  elapsed)
+        output = _COMMANDS[args.command](args, as_json)
+        if as_json:
+            doc = result_document(args.command, _target_echo(args), output,
+                                  time.perf_counter() - start)
             json.dump(doc, sys.stdout, indent=2, sort_keys=True)
             sys.stdout.write("\n")
         else:
-            sys.stdout.write(text.getvalue())
+            sys.stdout.write("".join(line + "\n" for line in output))
         return 0
     except (UsageError, CacheError) as exc:
         print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from e8jacobi import construct
+from e8jacobi import cli, construct, oracle
 from e8jacobi.cli import main
 from e8jacobi.construct import certify, clear_cache, profile_weights
 from e8jacobi.grading import Poly, ab
+from e8jacobi.oracle import AxiomReport
 from e8jacobi.serialize import poly_to_json
 
 from helpers import m26_7_generator, second_power_form
@@ -112,6 +113,51 @@ class TestJsonOutput:
         assert doc["generator_counts"] == {"-4": 1, "-2": 1, "0": 1}
         assert doc["rank"] == 3
         assert doc["polynomial"] == "x^-4 + x^-2 + 1"
+
+
+class TestOneOutput:
+    """Each format builds only its own output: text runs write no JSON
+    document, and JSON runs render no polynomial as text."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["basis", "-16", "5"],
+         "dim J_{-16,5} = 2\n"
+         "form 1: 2*E4^2*b5 + 12*E4*a3*b2 + -48*E4*a4*b1 + -1*E6*a2*a3 "
+         "+ 72*a2^2*b1\n"
+         "form 2: 36*E4*a2*b3 + -108*E4*a3*b2 + 360*E4*a4*b1 + 5*E6*a2*a3 "
+         "+ -360*a2^2*b1\n"),
+        (["certify", "form.json"], "certified: Delta power 5, 1 E4-part(s)\n"),
+        (["module-gens", "2"],
+         "weight -4: E4*a2\n"
+         "weight -2: 36*E4*b2 + 5*E6*a2\n"
+         "weight 0: E6*b2 + -90*b1^2\n"),
+    ], ids=["basis", "certify", "module-gens"])
+    def test_text_builds_no_document(self, capsys, tmp_path, monkeypatch,
+                                     argv, text):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "form.json").write_text(
+            json.dumps(poly_to_json(m26_7_generator())))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a text run built a JSON document")
+
+        for name in ("basis_to_json", "certificate_to_json", "poly_to_json"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert run_cli(capsys, *argv) == (0, text, "")
+
+    @pytest.mark.parametrize("argv", [["basis", "-16", "5"],
+                                      ["module-gens", "2"]],
+                             ids=["basis", "module-gens"])
+    def test_json_renders_no_text(self, capsys, monkeypatch, argv):
+        code, want, err = run_json(capsys, *argv)
+
+        def refuse(self):
+            raise AssertionError("a JSON run rendered a polynomial as text")
+
+        monkeypatch.setattr(Poly, "__repr__", refuse)
+        got_code, got, got_err = run_json(capsys, *argv)
+        del want["elapsed_seconds"], got["elapsed_seconds"]
+        assert (got_code, got, got_err) == (code, want, err) == (0, want, "")
 
 
 class TestExitCodes:
@@ -276,6 +322,20 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "3", "7")
         assert code == 0
         assert "empty basis" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nothing_printed_after_an_inconsistency(self, capsys,
+                                                    monkeypatch, fmt):
+        """The first form passes and the second fails: the run exits 1
+        with nothing on stdout, not the first form's line."""
+        reports = iter([AxiomReport(-16, 5, 1e-50, 1e-50, 1e-50, 0.0, True),
+                        AxiomReport(-16, 5, 1e-3, 1e-50, 1e-50, 0.0, True)])
+        monkeypatch.setattr(oracle, "check_axioms",
+                            lambda *args, **kwargs: next(reports))
+        assert run_cli(capsys, "--format", fmt, "verify", "-16", "5",
+                       "--samples", "1") == \
+            (1, "", "inconsistency: oracle residuals exceed tolerance\n")
+        assert next(reports, None) is None
 
 
 class TestCacheAndJobs:

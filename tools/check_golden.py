@@ -52,7 +52,8 @@ with the span outputs.
 `golden_basis.json` holds the sha256 of the stdout of `e8jacobi
 --format json basis k m`, without its `elapsed_seconds` line, for
 J_{-26,8} and J_{0,8}; the script runs both in process with the span
-outputs.
+outputs.  These 18 CLI outputs are compared by `check_cli_outputs` of
+`tests/helpers.py`, which the test suite runs too.
 
 `golden_lowest.json` holds, for the lowest weights -4m of m = 1..17,
 dim J_{-4m,m}, the new-generator and relation counts of
@@ -67,9 +68,6 @@ temporary store's entries (1,113,628 in cache format 7, 1,219,657 in
 format 6) and the process's peak RSS go to stderr.
 """
 
-import contextlib
-import hashlib
-import io
 import json
 import os
 import resource
@@ -78,32 +76,22 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from e8jacobi import cli
 from e8jacobi.cache import DiskStore
 from e8jacobi.construct import (certificate_identity, clear_cache,
                                 jacobi_basis, lb_analysis, profile_weights)
 from e8jacobi.generators import _lifted_terms, _part_value
-from e8jacobi.grading import Poly, ab, delta_poly
 from e8jacobi.oracle import EvalContext, check_axioms
 from e8jacobi.serialize import (basis_to_json, certificate_to_json,
                                  poly_to_json)
 
 HERE = Path(__file__).resolve().parent
-# the certificate shape check is the tests' own
+# the certificate shape check and the CLI digests are the tests' own
 sys.path.insert(0, str(HERE.parent / "tests"))
-from helpers import one_shape  # noqa: E402
+from helpers import check_cli_outputs, digest, one_shape, run  # noqa: E402
 
 GOLDEN = HERE / "golden_index10.json"
-GOLDEN_SPANS = HERE / "golden_spans.json"
 GOLDEN_LOWEST = HERE / "golden_lowest.json"
-GOLDEN_CERTIFY = HERE / "golden_certify.json"
-GOLDEN_BASIS = HERE / "golden_basis.json"
 MAX_INDEX = 10
-
-
-def digest(doc) -> str:
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def checked_digest(what: str, basis, failures, seconds, part) -> tuple:
@@ -138,32 +126,6 @@ def checked_digest(what: str, basis, failures, seconds, part) -> tuple:
                   "certificates": docs})
     seconds[part] += perf_counter() - start
     return got, certified
-
-
-def run(argv, failures) -> str:
-    """The stdout of the CLI on `argv`; a nonzero exit is a mismatch."""
-    text = io.StringIO()
-    with contextlib.redirect_stdout(text):
-        code = cli.main(argv)
-    if code != 0:
-        failures.append("%s exited %d" % (" ".join(argv), code))
-    return text.getvalue()
-
-
-def certify_inputs() -> dict:
-    """The inputs of `golden_certify.json`, by name."""
-    return {"s_part": jacobi_basis(-26, 8).certificates[7].form,
-            "delta": delta_poly(ab) * jacobi_basis(-26, 7).forms[0],
-            "b1": Poly.gen(ab, "b1")}
-
-
-def stdout_digest(argv, failures) -> str:
-    """The sha256 of the stdout of `e8jacobi ARGV`, without its
-    `elapsed_seconds` line."""
-    text = run(argv, failures)
-    text = "".join(line for line in text.splitlines(True)
-                   if not line.startswith('  "elapsed_seconds": '))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main() -> int:
@@ -219,26 +181,7 @@ def main() -> int:
     seconds["numeric check"] = perf_counter() - start
 
     start = perf_counter()
-    spans = json.loads(GOLDEN_SPANS.read_text())
-    for command, runs in sorted(spans.items()):
-        for arg, want in runs.items():
-            got = run([command, arg], failures)
-            if hashlib.sha256(got.encode()).hexdigest() != want:
-                failures.append("stdout of %s %s" % (command, arg))
-    golden_certify = json.loads(GOLDEN_CERTIFY.read_text())
-    with tempfile.TemporaryDirectory() as root, contextlib.chdir(root):
-        for name, form in certify_inputs().items():
-            Path("form.json").write_text(json.dumps(poly_to_json(form)))
-            for fmt, want in golden_certify[name].items():
-                if stdout_digest(["--format", fmt, "certify", "form.json"],
-                                 failures) != want:
-                    failures.append("stdout of --format %s certify %s"
-                                    % (fmt, name))
-    golden_basis = json.loads(GOLDEN_BASIS.read_text())
-    for args, want in golden_basis.items():
-        if stdout_digest(["--format", "json", "basis", *args.split()],
-                         failures) != want:
-            failures.append("stdout of --format json basis " + args)
+    outputs = check_cli_outputs(failures)
     seconds["spans"] = perf_counter() - start
 
     # the chain below needs none of the bases and images built so far
@@ -273,11 +216,8 @@ def main() -> int:
     for line in failures:
         print("MISMATCH", line)
     print("%d targets, %d profiles, %d certificates, 1 numeric check, "
-          "%d span outputs, %d certify outputs, %d basis outputs, "
-          "%d lowest weights: %s"
-          % (len(targets), MAX_INDEX, certified,
-             sum(map(len, spans.values())),
-             sum(map(len, golden_certify.values())), len(golden_basis), top,
+          "%d CLI outputs, %d lowest weights: %s"
+          % (len(targets), MAX_INDEX, certified, outputs, top,
              "%d mismatches" % len(failures) if failures else "ok"))
     return 1 if failures else 0
 
