@@ -298,7 +298,7 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
 @cache
 def _p_power(l: int) -> Poly:
     """P^l over AB, P the weight-16 index-5 form, with int coefficients."""
-    return Poly(AB, {m: c.numerator for m, c in (p16_5() ** l).terms.items()})
+    return p16_5() ** l
 
 
 def certificate_identity(form: Poly, cert: Certificate) -> bool:

@@ -2,9 +2,11 @@
 
 Everything here is exact: coefficients are arbitrary-precision integers
 or rationals (`int` or `fractions.Fraction`), exponents are plain
-integers.  A polynomial is a sparse mapping from exponent vectors to
-nonzero coefficients.  All values are immutable after construction and
-all operations are pure.
+integers.  The coefficient rule: an `int` stays an `int` through `+`,
+`-`, `*`, `**`, `square` and `scale`, until a division (`/`, `divexact`)
+or a transcribed denominator makes it a `Fraction`.  A polynomial is a
+sparse mapping from exponent vectors to nonzero coefficients.  All values
+are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -117,18 +119,19 @@ S_ALPHABET = _alphabet("S", ["E6", "A1", "A2", "A3", "A4", "A5",
                              "B2", "B3", "B4", "B6"])
 
 
-def _as_fraction(c: Rational) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _exact(c) -> Rational:
+    """An int (not a bool) or a Fraction as it is, else an exact Fraction."""
+    return c if type(c) is int or isinstance(c, Fraction) else Fraction(c)
 
 
 class Poly:
     """Sparse polynomial over a fixed alphabet with exact rational coefficients.
 
     Terms map exponent tuples to nonzero coefficients, each an `int` or a
-    `Fraction`: the basis forms keep the `int`s of their primitive
-    integer vectors, and arithmetic mixes the two exactly.  An `int` and
-    the equal `Fraction` compare and hash alike, so equality and hashing
-    do not depend on which one a term holds.  The canonical term
+    `Fraction`: `gen` holds the `int` 1, and an `int` stays one until a
+    division or a transcribed denominator (the module's coefficient rule).
+    An `int` and the equal `Fraction` compare, hash and print alike, so
+    no result depends on which one a term holds.  The canonical term
     order is descending exponent-vector lex in alphabet order (all
     polynomials handled here are bigrade-homogeneous, so the graded part
     of the order is trivial within one polynomial).
@@ -148,7 +151,7 @@ class Poly:
 
     @classmethod
     def const(cls, alphabet: Alphabet, c: Rational) -> "Poly":
-        c = _as_fraction(c)
+        c = _exact(c)
         if not c:
             return cls.zero(alphabet)
         return cls(alphabet, {(0,) * len(alphabet): c})
@@ -157,11 +160,11 @@ class Poly:
     def gen(cls, alphabet: Alphabet, symbol: str) -> "Poly":
         exps = [0] * len(alphabet)
         exps[alphabet.position(symbol)] = 1
-        return cls(alphabet, {tuple(exps): Fraction(1)})
+        return cls(alphabet, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, alphabet: Alphabet, exps: tuple, c: Rational = 1) -> "Poly":
-        return cls(alphabet, {tuple(exps): _as_fraction(c)})
+        return cls(alphabet, {tuple(exps): _exact(c)})
 
     # -- basic queries ------------------------------------------------
 
@@ -247,7 +250,7 @@ class Poly:
         return (-self) + other
 
     def scale(self, c: Rational) -> "Poly":
-        c = _as_fraction(c)
+        c = _exact(c)
         if not c:
             return Poly.zero(self.alphabet)
         return Poly(self.alphabet, {m: c * v for m, v in self.terms.items()})
@@ -277,12 +280,11 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, c: Rational):
-        return self.scale(Fraction(1, 1) / _as_fraction(c))
+        return self.scale(Fraction(1, 1) / _exact(c))
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power")
-        # an int 1, so that a polynomial with int coefficients stays int
         result = Poly(self.alphabet, {(0,) * len(self.alphabet): 1})
         base = self
         while e:
@@ -401,8 +403,8 @@ class ParamPoly:
     `construct.system` builds the construction's rows straight from the
     memoised monomial images (`generators._lifted_columns`) and the
     terms of P^l.  `mul_poly` and `linsolve.coefficient_equations`
-    are the reference those rows are tested against; a linear form
-    multiplied by a polynomial with integral coefficients stays `int`.
+    are the reference those rows are tested against; int coefficients
+    multiply as ints.
     """
 
     def __init__(self, alphabet: Alphabet, terms: Mapping[tuple, LinForm]):
@@ -410,13 +412,11 @@ class ParamPoly:
         self.terms = {m: dict(lf) for m, lf in terms.items() if lf}
 
     def mul_poly(self, p: Poly) -> "ParamPoly":
-        """Multiply by a concrete polynomial over the same alphabet; its
-        integral coefficients multiply as `int`s."""
-        coeffs = [(m2, c.numerator if c.denominator == 1 else c)
-                  for m2, c in p.terms.items()]
+        """Multiply by a concrete polynomial over the same alphabet; int
+        coefficients multiply as ints."""
         out: dict = {}
         for m1, lf in self.terms.items():
-            for m2, c in coeffs:
+            for m2, c in p.terms.items():
                 acc = out.setdefault(tuple(a + b for a, b in zip(m1, m2)), {})
                 for j, v in lf.items():
                     s = acc.get(j, 0) + c * v

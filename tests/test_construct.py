@@ -808,7 +808,7 @@ def fraction_complement(candidates, span_forms, mons):
     def reduced(form):
         vec = [Fraction(0)] * len(mons)
         for mon, c in form.terms.items():
-            vec[pos[mon]] = c
+            vec[pos[mon]] = Fraction(c)
         for lead, row in rows:
             if vec[lead]:
                 c = vec[lead]

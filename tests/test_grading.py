@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from e8jacobi.ansatz import enumerate_monomials
-from e8jacobi.construct import jacobi_basis, profile_weights
+from e8jacobi.construct import _p_power, jacobi_basis, profile_weights
 from e8jacobi.generators import (_lifted_columns, meromorphic_images,
                                  p16_5, sub_ab_to_AB)
 from e8jacobi.grading import (AB, Alphabet, AlphabetMismatchError, BiDegree,
                               GradingError, Frac, ParamPoly, Poly,
                               S_ALPHABET, ab,
                               cancel_delta, delta_poly)
+from e8jacobi.serialize import poly_to_json
 
 from helpers import expand_column, normalized_by_trial_division
 
@@ -109,6 +110,28 @@ class TestPoly:
         assert q.terms == {one: Fraction(3, 2)}
         assert type(q.terms[one]) is Fraction
 
+    def test_int_coefficients_stay_int(self):
+        """The coefficient rule: ints stay ints through every ring
+        operation and `scale`; a division, or a coefficient that is
+        neither an int nor a Fraction, gives exact Fractions."""
+        def holds(p, kind):
+            return bool(p) and all(type(c) is kind for c in p.terms.values())
+
+        e = (0, 2) + (0,) * 9
+        p = 2 * E4 ** 3 * A2 - 7 * E6 ** 2 * A2 + 3 * E4 ** 2 * A1 ** 2
+        q = E4 ** 2 * A1 ** 2 - 4 * E6 ** 2 * A2
+        ints = [E4, Poly.const(AB, 3), Poly.monomial(AB, e, 2), p.scale(5),
+                p + q, p - q, p * q, p ** 3, p.square(), p16_5(),
+                _p_power(2)]
+        assert all(holds(r, int) for r in ints)
+        assert holds(p / 9, Fraction)
+        assert holds((6 * E4 ** 2 * A1).divexact(2 * E4), Fraction)
+        assert Poly.const(AB, 0.5).terms == {(0,) * len(AB): Fraction(1, 2)}
+        assert holds(Poly.monomial(AB, e, True), Fraction)
+        forms = jacobi_basis(-16, 5).forms
+        assert forms and all(holds(Poly.gen(ab, "E4") * f, int)
+                             for f in forms)
+
     def test_delta_poly(self):
         d = delta_poly(AB)
         assert 1728 * d == E4 ** 3 - E6 ** 2
@@ -158,6 +181,7 @@ def divexact_by_rescan(num, d):
 # multi-term divisors: Delta, P_{16,5} and the numerator of a2
 DIVISORS = [delta_poly(AB), p16_5(), E4 * A2 - A1 ** 2]
 _exponents = st.tuples(*[st.integers(0, 2)] * len(AB))
+_ab_exponents = st.tuples(*[st.integers(0, 2)] * len(ab))
 _coefficients = st.builds(Fraction, _small.filter(bool), st.integers(1, 9))
 
 
@@ -214,6 +238,24 @@ class TestPolyProperties:
         assert p.square() == p * p
         assert (2, 2) + (0,) * 9 not in p.square().terms
         assert len(p.square()) == 4
+
+    @given(st.dictionaries(_ab_exponents, _small.filter(bool), min_size=1,
+                           max_size=4),
+           st.dictionaries(_ab_exponents, _small.filter(bool), min_size=1,
+                           max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_int_and_fraction_coefficients_agree(self, p_terms, q_terms):
+        """An int polynomial and its copy with the equal Fractions give
+        equal products, squares and quotients, the same JSON document
+        and the same text."""
+        p, q = Poly(ab, p_terms), Poly(ab, q_terms)
+        fp, fq = (Poly(ab, {m: Fraction(c) for m, c in r.terms.items()})
+                  for r in (p, q))
+        for r, fr in ((p * q, fp * fq), (p ** 2, fp ** 2),
+                      ((p * q) / 7, (fp * fq) / 7)):
+            assert r == fr
+            assert poly_to_json(r) == poly_to_json(fr)
+            assert repr(r) == repr(fr)
 
     @given(homogeneous_poly(), homogeneous_poly())
     @settings(max_examples=50, deadline=None)
