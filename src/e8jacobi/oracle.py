@@ -70,12 +70,16 @@ _LADDER_CACHE_SIZE = 48         # coordinates whose ladders a context keeps
 class EvalContext:
     """Numeric evaluation context: the working precision in decimal
     digits, its only setting (evaluations run at `work_digits`, that plus
-    a fixed guard), four caches and four counters.
+    a fixed guard), five caches and four counters.
 
-    Two caches are keyed by exact `_mpc_` values and grow with the
-    points evaluated: `theta` values per (z, tau), and generator and E8
+    Three caches are keyed by exact `_mpc_` values and grow with the
+    points evaluated: `theta` values per (z, tau), generator and E8
     theta values per sample (`ComplexSample.key`) with (E4, E6, Delta)
-    as one entry per tau (`modular_forms`).  `_half_cache` holds the
+    as one entry per tau (`modular_forms`), and `_scaled_z`, the
+    coordinates m z of the generators' theta expressions per exact
+    (z, m) (`_scaled`), so that every E8 theta key of one m z shares its
+    `_mpc_` pairs; the distinct (z, m) pairs bound it, five multipliers
+    per base point.  `_half_cache` holds the
     power ladders of y^{+-h/2} = e^{+-pi i h z} per exact coordinate z
     (`_Ladder`), each at the most bits asked for so far, and keeps the
     `_LADDER_CACHE_SIZE` coordinates used last.  The Gauss table is the
@@ -97,6 +101,8 @@ class EvalContext:
                                             repr=False)
     _half_cache: Dict[tuple, "_Ladder"] = field(default_factory=dict,
                                                 repr=False)
+    _scaled_z: Dict[tuple, Tuple[mpmath.mpc, ...]] = field(
+        default_factory=dict, repr=False)
     _gauss_table: Optional["_GaussTable"] = field(default=None, init=False,
                                                   repr=False)
     theta_kernel_calls: int = field(default=0, init=False)
@@ -511,8 +517,22 @@ def theta_E8(sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
     return value
 
 
-def _scaled(sample: ComplexSample, tau, z_mult: int) -> ComplexSample:
-    return ComplexSample(tau, tuple(z_mult * zj for zj in sample.z))
+def _scaled(sample: ComplexSample, tau, m: int,
+            ctx: EvalContext) -> ComplexSample:
+    """The sample (tau, m z), with m z read from the context's `_scaled_z`.
+
+    A miss multiplies the exact coordinates once, at the working digits;
+    a product that rounds to the coordinates themselves (m = 1) keeps
+    their `_mpc_` pairs."""
+    zs = sample.key[1]
+    mz = ctx._scaled_z.get((zs, m))
+    if mz is None:
+        with mp.workdps(ctx.work_digits):
+            mz = tuple(m * mp.make_mpc(zj) for zj in zs)
+        if tuple(x._mpc_ for x in mz) == zs:
+            mz = tuple(map(mp.make_mpc, zs))
+        ctx._scaled_z[(zs, m)] = mz
+    return ComplexSample(tau, mz)
 
 
 def eval_AB(name: str, sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
@@ -526,59 +546,51 @@ def eval_AB(name: str, sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
     if cached is not None:
         return cached
     tau = mp.make_mpc(sample.key[0])
+
+    def th(t, m):       # theta_E8 at (t, m z)
+        return theta_E8(_scaled(sample, t, m, ctx), ctx)
+
     with mp.workdps(ctx.work_digits):
         if name == "A1":
             value = theta_E8(sample, ctx)
         elif name == "A4":
-            value = theta_E8(_scaled(sample, tau, 2), ctx)
+            value = th(tau, 2)
         elif name in ("A2", "A3", "A5"):
             m = int(name[1])
-            value = theta_E8(_scaled(sample, m * tau, m), ctx)
+            value = th(m * tau, m)
             for k in range(m):
-                value += (theta_E8(_scaled(sample, (tau + k) / m, 1), ctx)
-                          / m ** 4)
+                value += th((tau + k) / m, 1) / m ** 4
             value *= mp.mpf(m ** 3) / (m ** 3 + 1)
         elif name == "B2":
-            value = (e_j(1, tau, ctx)
-                     * theta_E8(_scaled(sample, 2 * tau, 2), ctx)
-                     + e_j(3, tau, ctx)
-                     * theta_E8(_scaled(sample, tau / 2, 1), ctx) / 16
-                     + e_j(2, tau, ctx)
-                     * theta_E8(_scaled(sample, (tau + 1) / 2, 1), ctx) / 16)
+            value = (e_j(1, tau, ctx) * th(2 * tau, 2)
+                     + e_j(3, tau, ctx) * th(tau / 2, 1) / 16
+                     + e_j(2, tau, ctx) * th((tau + 1) / 2, 1) / 16)
             value *= mp.mpf(32) / 5
         elif name == "B3":
-            value = (h0(tau, ctx) ** 2
-                     * theta_E8(_scaled(sample, 3 * tau, 3), ctx))
+            value = h0(tau, ctx) ** 2 * th(3 * tau, 3)
             for k in range(3):
                 value -= (h0((tau + k) / 3, ctx) ** 2
-                          * theta_E8(_scaled(sample, (tau + k) / 3, 1), ctx)
-                          / 243)
+                          * th((tau + k) / 3, 1) / 243)
             value *= mp.mpf(81) / 80
         elif name == "B4":
             t4 = theta0(4, 2 * tau, ctx) ** 4
-            value = (t4 * theta_E8(_scaled(sample, 4 * tau, 4), ctx)
-                     - t4 * theta_E8(_scaled(sample, tau + mp.mpf(1) / 2, 2),
-                                     ctx) / 16)
+            value = (t4 * th(4 * tau, 4)
+                     - t4 * th(tau + mp.mpf(1) / 2, 2) / 16)
             for k in range(4):
                 value -= (theta0(2, (tau + k) / 2, ctx) ** 4
-                          * theta_E8(_scaled(sample, (tau + k) / 4, 1), ctx)
-                          / (4 * 256))
+                          * th((tau + k) / 4, 1) / (4 * 256))
             value *= mp.mpf(16) / 15
         elif name == "B6":
-            value = (h0(tau, ctx) ** 2
-                     * theta_E8(_scaled(sample, 6 * tau, 6), ctx))
+            value = h0(tau, ctx) ** 2 * th(6 * tau, 6)
             for k in range(2):
                 value += (h0(tau + k, ctx) ** 2
-                          * theta_E8(_scaled(sample, (3 * tau + 3 * k) / 2, 3),
-                                     ctx) / 16)
+                          * th((3 * tau + 3 * k) / 2, 3) / 16)
             for k in range(3):
                 value -= (h0((tau + k) / 3, ctx) ** 2
-                          * theta_E8(_scaled(sample, (2 * tau + 2 * k) / 3, 2),
-                                     ctx) / 243)
+                          * th((2 * tau + 2 * k) / 3, 2) / 243)
             for k in range(6):
                 value -= (h0((tau + k) / 3, ctx) ** 2
-                          * theta_E8(_scaled(sample, (tau + k) / 6, 1), ctx)
-                          / (3 * 1296))
+                          * th((tau + k) / 6, 1) / (3 * 1296))
             value *= mp.mpf(9) / 10
         else:
             raise ValueError("unknown holomorphic generator %r" % name)
@@ -744,7 +756,9 @@ def q_laurent_probe(form: Poly, z: Sequence[complex], ctx: EvalContext,
                     count: int = 16) -> Dict[int, mpmath.mpc]:
     """Approximate q-Laurent coefficients c_{-2}..c_{+2} of the form at
     fixed z, by a discrete Fourier transform over `count` points on the
-    circle |q| = radius.  The form is evaluated by `eval_poly`.
+    circle |q| = radius.  The form is evaluated by `eval_poly`, and the
+    `count` roots of unity e^{-2 pi i j / count} are computed once: c_t
+    reads root t j mod count at point j.
 
     The transform aliases: it returns c_t + sum_{k != 0} c_{t + k count}
     r^{k count} with r = radius, so the error of c_t is led by
@@ -762,11 +776,12 @@ def q_laurent_probe(form: Poly, z: Sequence[complex], ctx: EvalContext,
         for j in range(count):
             tau = mp.mpf(j) / count + mp.mpc(0, 1) * im_tau
             values.append(eval_poly(form, ComplexSample(tau, tuple(z)), ctx))
+        roots = [mpmath.expjpi(mp.mpf(-2 * j) / count) for j in range(count)]
         coeffs = {}
         for t in range(-2, 3):
             acc = mp.mpc(0)
             for j, v in enumerate(values):
-                acc += v * mpmath.expjpi(mp.mpf(-2 * t * j) / count)
+                acc += v * roots[t * j % count]
             coeffs[t] = acc / (count * mp.mpf(radius) ** t)
         return coeffs
 

@@ -27,7 +27,8 @@ from e8jacobi.grading import (AB, BiDegree, Frac, ParamPoly, Poly,
                               S_ALPHABET, ab, cancel_delta, delta_poly)
 from e8jacobi.linsolve import (LinearSystem, coefficient_equations,
                                echelonize, primitive_vector)
-from e8jacobi.oracle import _from_fixed, _to_fixed
+from e8jacobi.oracle import (ComplexSample, _from_fixed, _to_fixed,
+                             eval_poly)
 from e8jacobi.serialize import poly_to_json
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -535,6 +536,23 @@ def orbit_character_loop(j, z, ctx):
             total_i += prefix_i[8]
             previous = v
         return _from_fixed(total_r, total_i, wp)
+
+
+def q_laurent_probe_loop(form, z, ctx, radius, count):
+    """Reference q-Laurent probe: the DFT of `q_laurent_probe` with one
+    exponential e^{-2 pi i t j / count} per coefficient t and point j."""
+    with mp.workdps(ctx.work_digits):
+        im_tau = -mpmath.log(mpmath.mpf(radius)) / (2 * mpmath.pi)
+        values = [eval_poly(form, ComplexSample(
+            mp.mpf(j) / count + mp.mpc(0, 1) * im_tau, tuple(z)), ctx)
+            for j in range(count)]
+        coeffs = {}
+        for t in range(-2, 3):
+            acc = mp.mpc(0)
+            for j, v in enumerate(values):
+                acc += v * mpmath.expjpi(mp.mpf(-2 * t * j) / count)
+            coeffs[t] = acc / (count * mp.mpf(radius) ** t)
+        return coeffs
 
 
 def digest(doc) -> str:

@@ -16,10 +16,11 @@ from e8jacobi.oracle import (ComplexSample, EvalContext, NearSingularError,
                              eval_poly, modular_forms, orbit_character,
                              probe_is_regular, q_laurent_probe, theta,
                              theta_E8, _GaussTable, _LADDER_CACHE_SIZE,
-                             _gauss_table, _raw, _theta_bound,
+                             _gauss_table, _raw, _scaled, _theta_bound,
                              _theta_fixed, _theta_guard_bits)
 
-from helpers import orbit_character_loop, theta_fixed_loop, weyl_orbit
+from helpers import (orbit_character_loop, q_laurent_probe_loop,
+                     theta_fixed_loop, weyl_orbit)
 
 CTX = EvalContext()
 TAU = mpc("0.13", "1.07")
@@ -452,6 +453,43 @@ class TestCacheKeys:
                 assert abs(e4 - ref_e4) / abs(ref_e4) <= bound
                 assert abs(delta - ref_delta) / abs(ref_delta) <= bound
 
+    def test_scaled_coordinates_are_the_products_built_once(self):
+        # m z is the product at the working precision, as multiplying the
+        # mpc coordinates gives it, built once per (z, m); at m = 1 it
+        # keeps the coordinates' own pairs unless rounding moves them.
+        # The 2^-185 only the working precision (~200 bits) keeps.
+        ctx = EvalContext()
+        z = _z_generic()
+        with mp.workprec(400):
+            fine = tuple(zj + mpc(0, mp.mpf(2) ** -185 + mp.mpf(2) ** -300)
+                         for zj in z)
+        sample = ComplexSample(TAU, z)
+        with mp.workdps(ctx.work_digits):
+            for zs in (z, fine):
+                for m in (1, 2, 3, 4, 6):
+                    got = _scaled(ComplexSample(TAU, zs), TAU, m, ctx)
+                    assert got.key == ComplexSample(
+                        TAU, tuple(m * zj for zj in zs)).key
+                    again = _scaled(ComplexSample(TAU + 1, zs), TAU, m, ctx)
+                    assert all(a is b for a, b in zip(got.key[1],
+                                                      again.key[1]))
+        assert len(ctx._scaled_z) == 10
+        assert all(a is b for a, b in
+                   zip(_scaled(sample, TAU, 1, ctx).key[1], sample.key[1]))
+        assert _scaled(ComplexSample(TAU, fine), TAU, 1, ctx).key[1] \
+            != ComplexSample(TAU, fine).key[1]
+
+    def test_theta_e8_keys_share_the_coordinate_pairs(self):
+        # every E8 theta entry of one coordinate tuple holds the same
+        # eight `_mpc_` pairs, whichever generator or tau it came from
+        (form, _) = jacobi_basis(-16, 5).forms
+        ctx = EvalContext()
+        check_axioms(form, -16, 5, 1, ctx, seed=3)
+        coords = [key[2] for key in ctx._gen_cache if key[0] == "theta_E8"]
+        pairs = {id(pair) for zs in coords for pair in zs}
+        assert len(coords) > 8 * len(set(coords))
+        assert len(pairs) <= 8 * len(set(coords))
+
 
 class TestGenerators:
     def test_z_zero_reduction(self):
@@ -596,6 +634,16 @@ class TestProbe:
             expected = (-w[2] / 6 - 4 * w[7] - 8 * w[1] + 528 * w[8]
                         - 79680)
             assert abs(coeffs[0] - expected) < 1e-40
+
+    @pytest.mark.parametrize("count", [16, 32])
+    def test_roots_once_match_the_loop(self, count):
+        form = Poly.gen(ab, "b1")
+        z = _z_generic(12)
+        for radius in (1 / 200, 1 / 20000):
+            coeffs = q_laurent_probe(form, z, CTX, radius, count)
+            loop = q_laurent_probe_loop(form, z, CTX, radius, count)
+            assert {t: c._mpc_ for t, c in coeffs.items()} == \
+                {t: c._mpc_ for t, c in loop.items()}
 
     def test_delta_times_regular_starts_at_q(self):
         from e8jacobi.grading import delta_poly
