@@ -11,10 +11,11 @@ largest factor a term can carry and for the rounding steps, so the
 absolute error of a result stays a few units of 2^-prec.
 
 Theta functions are summed with a derived truncation bound: the
-q^{a^2/2} factors come from one table per tau, shared by the theta
-calls at that tau, and the powers y^{+-h/2} = e^{+-pi i h z} from a
-ladder per coordinate, which the context steps once by multiplication,
-extends on demand and keeps for the coordinates used last.  One kernel
+q^{a^2/2} factors come from a table that each kernel call builds by
+multiplication from one exponential, and the powers y^{+-h/2} =
+e^{+-pi i h z} from a ladder per coordinate, which the context steps
+once by multiplication, extends on demand and keeps for the
+coordinates used last.  One kernel
 call sums all four kinds at any number of coordinates, each of its six
 classes of terms by h mod 4 a C-level dot product of table and ladder
 lists.  The E8 theta function is one kernel call and one integer
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import add, mul, sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -70,7 +71,7 @@ _LADDER_CACHE_SIZE = 48         # coordinates whose ladders a context keeps
 class EvalContext:
     """Numeric evaluation context: the working precision in decimal
     digits, its only setting (evaluations run at `work_digits`, that plus
-    a fixed guard), five caches and four counters.
+    a fixed guard), four caches and three counters.
 
     Three caches are keyed by exact `_mpc_` values and grow with the
     points evaluated: `theta` values per (z, tau), generator and E8
@@ -82,17 +83,15 @@ class EvalContext:
     per base point.  `_half_cache` holds the
     power ladders of y^{+-h/2} = e^{+-pi i h z} per exact coordinate z
     (`_Ladder`), each at the most bits asked for so far, and keeps the
-    `_LADDER_CACHE_SIZE` coordinates used last.  The Gauss table is the
-    one of the last tau that `theta` or `theta_E8` summed at, kept at the
-    most bits a call at that tau needed.
+    `_LADDER_CACHE_SIZE` coordinates used last.  No Gauss table is kept:
+    each kernel call builds its own (`_gauss_powers`).
 
     The counters are plain ints that the kernels add to: the coordinates
     `_theta_fixed` summed the four kinds at, one per `theta` evaluation
     and eight per `theta_E8` sample (`theta_kernel_calls`), the terms n =
     -N..N it summed, 2N + 1 per coordinate (`theta_terms`), the ladders
     stepped from their first power, new or at more bits
-    (`ladder_builds`), and the Gauss tables built
-    (`gauss_table_builds`)."""
+    (`ladder_builds`)."""
 
     precision: int = 50
     _theta_cache: Dict[tuple, Tuple[mpmath.mpc, ...]] = field(
@@ -103,12 +102,9 @@ class EvalContext:
                                                 repr=False)
     _scaled_z: Dict[tuple, Tuple[mpmath.mpc, ...]] = field(
         default_factory=dict, repr=False)
-    _gauss_table: Optional["_GaussTable"] = field(default=None, init=False,
-                                                  repr=False)
     theta_kernel_calls: int = field(default=0, init=False)
     theta_terms: int = field(default=0, init=False)
     ladder_builds: int = field(default=0, init=False)
-    gauss_table_builds: int = field(default=0, init=False)
 
     @property
     def work_digits(self) -> int:
@@ -198,38 +194,27 @@ def _theta_guard_bits(im_tau: float, im_z: float, n_max: int) -> int:
             + 2 * (2 * n_max + 2).bit_length() + 8)
 
 
-class _GaussTable:
-    """g_h = e^{pi i tau h^2 / 4} = q^{a^2/2} at a = h/2, for one tau, as
-    fixed-point parallel int lists `re`, `im` scaled by 2^wp.
+def _gauss_powers(tau: mpmath.mpc, wp: int,
+                  h_max: int) -> Tuple[List[int], List[int]]:
+    """g_h = e^{pi i tau h^2 / 4} = q^{a^2/2} at a = h/2, h = 0..h_max, as
+    fixed-point parallel int lists (re, im) scaled by 2^wp.
 
     Built by integer multiplication from one exponential, g_{h+1} =
-    g_h u^{2h+1} with u = e^{pi i tau / 4}, and extended on demand.  All
-    factors have modulus <= 1, so each step adds at most a few units of
-    2^-wp to the absolute error.  `_gauss_table` replaces the table by
-    one at a larger wp when a call needs more bits, and the kernel uses
-    the table's wp when it has more.
+    g_h u^{2h+1} with u = e^{pi i tau / 4}, the step u^{2h+1} itself
+    stepped by u^2.  All factors have modulus <= 1, so each step adds at
+    most a few units of 2^-wp to the absolute error.
     """
-
-    def __init__(self, tau, wp: int):
-        self.tau = tau
-        self.wp = wp
-        self.re, self.im = [1 << wp], [0]
-        with mp.workprec(wp + 10):
-            u = mpmath.expjpi(tau / 4)
-            self._step = _to_fixed(u, wp)         # u^{2h+1} at h = 0
-            self._u2 = _to_fixed(u * u, wp)
-
-    def upto(self, h_max: int) -> Tuple[List[int], List[int]]:
-        re, im, wp = self.re, self.im, self.wp
-        sr, si = self._step
-        ur, ui = self._u2
-        while len(re) <= h_max:
-            gr, gi = re[-1], im[-1]
-            re.append((gr * sr - gi * si) >> wp)
-            im.append((gr * si + gi * sr) >> wp)
-            sr, si = (sr * ur - si * ui) >> wp, (sr * ui + si * ur) >> wp
-        self._step = (sr, si)
-        return re, im
+    re, im = [1 << wp], [0]
+    with mp.workprec(wp + 10):
+        u = mpmath.expjpi(tau / 4)
+        sr, si = _to_fixed(u, wp)             # u^{2h+1} at h = 0
+        ur, ui = _to_fixed(u * u, wp)
+    for _ in range(h_max):
+        gr, gi = re[-1], im[-1]
+        re.append((gr * sr - gi * si) >> wp)
+        im.append((gr * si + gi * sr) >> wp)
+        sr, si = (sr * ur - si * ui) >> wp, (sr * ui + si * ur) >> wp
+    return re, im
 
 
 class _Ladder:
@@ -300,11 +285,10 @@ def theta(kind: int, z, tau, ctx: EvalContext) -> mpmath.mpc:
             im_tau = to_float(key[1][1])
             im_z = abs(to_float(key[0][1]))
             n_max = _theta_bound(im_tau, im_z, ctx.work_digits)
-            table = _gauss_table(
-                tau, mp.prec + _theta_guard_bits(im_tau, im_z, n_max), ctx)
-            (pairs,) = _theta_fixed((key[0],), table, n_max, ctx)
+            bits = mp.prec + _theta_guard_bits(im_tau, im_z, n_max)
+            wp, (pairs,) = _theta_fixed((key[0],), tau, bits, n_max, ctx)
             values = ctx._theta_cache[key] = tuple(
-                _from_fixed(re, im, table.wp) for re, im in pairs)
+                _from_fixed(re, im, wp) for re, im in pairs)
     return values[kind - 1]
 
 
@@ -329,30 +313,21 @@ def _ladder(z: tuple, wp: int, h_max: int, ctx: EvalContext) -> _Ladder:
     return ladder
 
 
-def _gauss_table(tau: mpmath.mpc, wp: int, ctx: EvalContext) -> _GaussTable:
-    """The context's Gauss table for tau at >= wp bits: the one of the
-    last tau when it fits, else a new one.  wp is rounded up to a
-    multiple of 32, so that calls at one tau share the table."""
-    wp += -wp % 32
-    table = ctx._gauss_table
-    if table is None or table.tau != tau or table.wp < wp:
-        table = ctx._gauss_table = _GaussTable(tau, wp)
-        ctx.gauss_table_builds += 1
-    return table
-
-
-def _theta_fixed(zs: Sequence[tuple], table: _GaussTable, n_max: int,
-                 ctx: EvalContext) -> List[Tuple[Tuple[int, int], ...]]:
-    """(theta1, theta2, theta3, theta4) at (z, table.tau) for each
+def _theta_fixed(zs: Sequence[tuple], tau: mpmath.mpc, wp: int, n_max: int,
+                 ctx: EvalContext) -> Tuple[int, List[tuple]]:
+    """(wp, sums): (theta1, theta2, theta3, theta4) at (z, tau) for each
     coordinate z in `zs` (its `_mpc_` value), as fixed-point pairs (re,
-    im) scaled by 2^wp, wp = table.wp.
+    im) scaled by 2^wp, with wp the bits asked for rounded up to a
+    multiple of 32, so that calls at nearby bits share the coordinates'
+    ladders (`_ladder` reuses a ladder at more bits).
 
     The sums run over n = -N..N (a = n - 1/2 for theta1, theta2), N =
-    `n_max`, so over h = 1..2N+1 with g_h = q^{h^2/8} from the table and
-    y^{+-h/2} from the coordinate's ladder (`_ladder`).  The products
-    g_h y^{+-h/2} fall into six classes by h mod 4: the ups (y^{h/2},
-    h <= 2N-1) and the downs (y^{-h/2}, h <= 2N+1) at h = 1 and 3, and
-    the evens (y^{h/2} + y^{-h/2}, h <= 2N) at h = 2 and 0.  Each class
+    `n_max`, so over h = 1..2N+1 with g_h = q^{h^2/8} from the call's
+    own table (`_gauss_powers`) and y^{+-h/2} from the coordinate's
+    ladder (`_ladder`).  The products g_h y^{+-h/2} fall into six
+    classes by h mod 4: the ups (y^{h/2}, h <= 2N-1) and the downs
+    (y^{-h/2}, h <= 2N+1) at h = 1 and 3, and the evens (y^{h/2} +
+    y^{-h/2}, h <= 2N) at h = 2 and 0.  Each class
     is a complex dot product, summed exactly in C-level `sum(map(mul,
     ...))` by the three-multiplication product (a + ib)(c + id) = (k1 -
     k3) + i (k1 + k2) with k1 = c(a + b), k2 = a(d - c), k3 = b(c + d):
@@ -370,9 +345,9 @@ def _theta_fixed(zs: Sequence[tuple], table: _GaussTable, n_max: int,
     precision plus `_theta_guard_bits`, the absolute error is a few
     units of 2^{-wp} times 2^{guard bits}.
     """
-    wp = table.wp
+    wp += -wp % 32
     top = 2 * n_max + 1
-    re, im = table.upto(top)
+    re, im = _gauss_powers(tau, wp, top)
     sides = []      # a + b, a, b of g_h per class, in the ladder's order
     for start, stop in ((1, top - 1), (3, top - 1), (1, top + 1),
                         (3, top + 1), (2, top), (4, top)):
@@ -400,7 +375,7 @@ def _theta_fixed(zs: Sequence[tuple], table: _GaussTable, n_max: int,
              (u1i + u3i + d1i + d3i) >> shift),
             ((one + e2r + e0r) >> shift, (e2i + e0i) >> shift),
             ((one - e2r + e0r) >> shift, (-e2i + e0i) >> shift)))
-    return out
+    return wp, out
 
 
 def theta0(kind: int, tau, ctx: EvalContext) -> mpmath.mpc:
@@ -476,7 +451,7 @@ def theta_E8(sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
     rounded to an mpc once, the 1/2 folded into the exponent, and cached
     in `_gen_cache` under the sample's exact key.  All eight coordinates
     share tau, the Gauss table and N, taken at the largest |Im z_j|, so
-    the table's slices are taken once per sample; the powers of y of
+    the table is built and sliced once per sample; the powers of y of
     each z_j come from the context's ladders (`_ladder`).
 
     Each |theta_k(z_j, tau)| is at most the sum over a in Z/2 of
@@ -487,8 +462,9 @@ def theta_E8(sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
     units in a product, and each of the 7 shifts of a product 1 unit
     times the factors after it.  wp is the working precision plus
     `_theta_guard_bits` at the largest |Im z_j|, plus sum_j log2 M_j,
-    plus 8 bits for the errors of the 4 products and their sum, so the
-    absolute error stays a few units of 2^-prec.
+    plus 8 bits for the errors of the 4 products and their sum, rounded
+    up by `_theta_fixed` to a multiple of 32, so the absolute error stays
+    a few units of 2^-prec.
     """
     key = ("theta_E8",) + sample.key
     cached = ctx._gen_cache.get(key)
@@ -502,11 +478,9 @@ def theta_E8(sample: ComplexSample, ctx: EvalContext) -> mpmath.mpc:
         n_max = _theta_bound(im_tau, im_z, ctx.work_digits)
         growth = (math.pi * sum(y * y for y in im_zs) / im_tau / math.log(2)
                   + 8 * math.log2(1 + 2 / math.sqrt(im_tau)))
-        table = _gauss_table(
-            mp.make_mpc(tau), mp.prec + _theta_guard_bits(im_tau, im_z, n_max)
-            + math.ceil(growth) + 8, ctx)
-        wp = table.wp
-        kinds = _theta_fixed(zs, table, n_max, ctx)
+        bits = (mp.prec + _theta_guard_bits(im_tau, im_z, n_max)
+                + math.ceil(growth) + 8)
+        wp, kinds = _theta_fixed(zs, mp.make_mpc(tau), bits, n_max, ctx)
         prods = kinds[0]
         for values in kinds[1:]:
             prods = [((ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp)

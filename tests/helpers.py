@@ -27,8 +27,8 @@ from e8jacobi.grading import (AB, BiDegree, Frac, ParamPoly, Poly,
                               S_ALPHABET, ab, cancel_delta, delta_poly)
 from e8jacobi.linsolve import (LinearSystem, coefficient_equations,
                                echelonize, primitive_vector)
-from e8jacobi.oracle import (ComplexSample, _from_fixed, _to_fixed,
-                             eval_poly)
+from e8jacobi.oracle import (ComplexSample, _from_fixed, _gauss_powers,
+                             _to_fixed, eval_poly)
 from e8jacobi.serialize import poly_to_json
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -435,14 +435,14 @@ def spans_equal(forms_a, forms_b, k, m):
     return span_basis(forms_a, k, m) == span_basis(forms_b, k, m)
 
 
-def theta_fixed_loop(half_powers, table, n_max):
+def theta_fixed_loop(half_powers, tau, wp, n_max):
     """Reference theta kernel: (theta1, theta2, theta3, theta4) at (z,
-    table.tau) as fixed-point pairs at scale 2^wp, wp = table.wp, given
-    the pairs of y^{1/2} = e^{pi i z} and y^{-1/2} at that scale, by one
-    loop over h = 1..2N+1 that steps y^{+-h/2} and sums the products
-    g_h y^{+-h/2} term by term, exactly, into buckets by h mod 4."""
-    wp = table.wp
-    g_re, g_im = table.upto(2 * n_max + 1)
+    tau) as fixed-point pairs at scale 2^wp, given the pairs of y^{1/2}
+    = e^{pi i z} and y^{-1/2} at that scale, by one loop over h =
+    1..2N+1 that steps y^{+-h/2} and sums the products g_h y^{+-h/2}
+    term by term, exactly, into buckets by h mod 4; the g_h are the
+    kernel's own (`_gauss_powers`)."""
+    g_re, g_im = _gauss_powers(tau, wp, 2 * n_max + 1)
     (hr, hi), (kr, ki) = half_powers
     ur, ui, dr, di = hr, hi, kr, ki     # y^{h/2}, y^{-h/2} at h = 1
     # by parity of m, for h = 2m + 1 and h = 2m + 2

@@ -1,17 +1,21 @@
 """Frozen outputs: the CLI stdout and basis documents that the golden
-files of `tools/` pin, up to the sizes a tier-1 run affords.
+files of `tools/` pin, up to the sizes a tier-1 run affords, and the
+certificates of every basis those files pin up to index 10.
 
-`tools/check_golden.py` checks all of them, and every basis of index
-<= 10; this file checks every CLI stdout those files hold, the profile
-lines up to index 8 and the basis documents up to index 6.
+`tools/check_golden.py` checks all of the golden data, every basis of
+index <= 10 and its round trip through the disk cache; this file checks
+every CLI stdout those files hold, the profile lines up to index 8, the
+basis documents up to index 6, and the shape and identity of every
+certificate of index <= 10 as built.
 """
 
 import json
 
-from e8jacobi.construct import jacobi_basis
+from e8jacobi.construct import certificate_identity, jacobi_basis
 from e8jacobi.serialize import basis_to_json
 
-from helpers import TOOLS, check_cli_outputs, digest, profile_targets, run
+from helpers import (TOOLS, check_cli_outputs, digest, one_shape,
+                     profile_targets, run)
 
 
 def golden(name):
@@ -40,3 +44,16 @@ def test_basis_documents_to_index_6():
     got = {"%d,%d" % target: digest(basis_to_json(jacobi_basis(*target)))
            for m in range(1, 7) for target in profile_targets(m)}
     assert got == want
+
+
+def test_certificates_to_index_10():
+    checked = 0
+    for m in range(1, 11):
+        for target in profile_targets(m):
+            basis = jacobi_basis(*target)
+            for i, (form, cert) in enumerate(zip(basis.forms,
+                                                 basis.certificates)):
+                assert one_shape(cert), (target, i)
+                assert certificate_identity(form, cert), (target, i)
+                checked += 1
+    assert checked == 6575

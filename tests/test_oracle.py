@@ -15,9 +15,9 @@ from e8jacobi.oracle import (ComplexSample, EvalContext, NearSingularError,
                              delta_value, e_j, eisenstein, eval_AB, eval_ab,
                              eval_poly, modular_forms, orbit_character,
                              probe_is_regular, q_laurent_probe, theta,
-                             theta_E8, _GaussTable, _LADDER_CACHE_SIZE,
-                             _gauss_table, _raw, _scaled, _theta_bound,
-                             _theta_fixed, _theta_guard_bits)
+                             theta_E8, _LADDER_CACHE_SIZE, _gauss_powers,
+                             _raw, _scaled, _theta_bound, _theta_fixed,
+                             _theta_guard_bits)
 
 from helpers import (orbit_character_loop, q_laurent_probe_loop,
                      theta_fixed_loop, weyl_orbit)
@@ -124,8 +124,7 @@ class TestSpecialFunctions:
            st.permutations([1, 2, 3, 4]))
     def test_theta_matches_jtheta_anywhere(self, zs, re_tau, im_tau, order):
         # the regime where too few guard bits show: |Im z| up to 2.7 and
-        # Im tau down to 0.15; both points share tau and one context, so
-        # the second reuses or replaces the first one's Gauss table
+        # Im tau down to 0.15; both points share tau and one context
         ctx = EvalContext()
         tau = mpc(re_tau, im_tau)
         for re_z, im_z in zs:
@@ -334,13 +333,13 @@ class TestThetaE8:
 
 
 def _kernel_table(z, tau, ctx):
-    """N and the context's Gauss table for theta at (z, tau), as `theta`
-    takes them."""
+    """N and wp of the kernel call of `theta` at (z, tau): the bits it
+    asks for, rounded up to a multiple of 32 as `_theta_fixed` does."""
     im_tau, im_z = float(tau.imag), abs(float(z.imag))
     n_max = _theta_bound(im_tau, im_z, ctx.work_digits)
     with mp.workdps(ctx.work_digits):
         wp = mp.prec + _theta_guard_bits(im_tau, im_z, n_max)
-    return n_max, _gauss_table(tau, wp, ctx)
+    return n_max, wp + -wp % 32
 
 
 class TestThetaKernel:
@@ -349,39 +348,37 @@ class TestThetaKernel:
            st.floats(0.15, 3.0), st.sampled_from([30, 50, 80]))
     def test_matches_loop_bit_for_bit(self, re_z, im_z, re_tau, im_tau,
                                       precision):
-        # with the ladder at the table's wp the dot products are the
+        # with the ladder at the call's wp the dot products are the
         # loop's exact sums regrouped; the first call at half the terms
         # makes the second extend the ladder
         ctx = EvalContext(precision)
         z, tau = mpc(re_z, im_z), mpc(re_tau, im_tau)
-        n_max, table = _kernel_table(z, tau, ctx)
+        n_max, wp = _kernel_table(z, tau, ctx)
         for n in (max(1, n_max // 2), n_max):
-            (pairs,) = _theta_fixed((_raw(z),), table, n, ctx)
+            got_wp, (pairs,) = _theta_fixed((_raw(z),), tau, wp, n, ctx)
             ladder = ctx._half_cache[_raw(z)]
-            assert ladder.wp == table.wp
+            assert got_wp == ladder.wp == wp
             half = ((ladder.up_re[1], ladder.up_im[1]),
                     (ladder.down_re[1], ladder.down_im[1]))
-            assert pairs == theta_fixed_loop(half, table, n)
+            assert pairs == theta_fixed_loop(half, tau, wp, n)
         assert ctx.ladder_builds == 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-1.5, 1.5), st.floats(-2.7, 2.7), st.floats(-0.5, 0.5),
            st.floats(0.15, 3.0), st.integers(1, 256))
     def test_ladder_at_more_bits(self, re_z, im_z, re_tau, im_tau, extra):
-        # a ladder stepped for a table at more bits serves a call at
+        # a ladder stepped for a call at more bits serves a call at
         # fewer: the values stay within the 1e-45 of the jtheta tests
         ctx = EvalContext()
         z, tau = mpc(re_z, im_z), mpc(re_tau, im_tau)
-        n_max, table = _kernel_table(z, tau, ctx)
-        _theta_fixed((_raw(z),), _GaussTable(tau, table.wp + extra),
-                     n_max, ctx)
-        (pairs,) = _theta_fixed((_raw(z),), table, n_max, ctx)
-        assert ctx._half_cache[_raw(z)].wp == table.wp + extra
+        n_max, wp = _kernel_table(z, tau, ctx)
+        more, _ = _theta_fixed((_raw(z),), tau, wp + extra, n_max, ctx)
+        got_wp, (pairs,) = _theta_fixed((_raw(z),), tau, wp, n_max, ctx)
+        assert got_wp == wp < more == ctx._half_cache[_raw(z)].wp
         assert ctx.ladder_builds == 1
         for kind, (re, im) in enumerate(pairs, 1):
             with mp.workdps(ctx.work_digits + 20):
-                value = mpc(mp.mpf(re) / 2 ** table.wp,
-                            mp.mpf(im) / 2 ** table.wp)
+                value = mpc(mp.mpf(re) / 2 ** wp, mp.mpf(im) / 2 ** wp)
                 ref = mpmath.jtheta(kind, mpmath.pi * z, mpmath.expjpi(tau))
                 err = abs(value - ref) / max(abs(ref), 1e-12)
             assert err < 1e-45, (kind, z, tau, err)
@@ -396,8 +393,24 @@ class TestThetaKernel:
         assert ctx.theta_kernel_calls == len(ctx._theta_cache) + 8 * samples
         assert ctx.ladder_builds * 10 < ctx.theta_kernel_calls
         assert ctx.theta_terms >= 3 * ctx.theta_kernel_calls
-        assert 0 < ctx.gauss_table_builds <= (len(ctx._theta_cache)
-                                              + samples)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1.5, 1.5), st.floats(-2.7, 2.7), st.floats(-0.5, 0.5),
+           st.floats(0.15, 3.0), st.sampled_from([30, 50, 80]))
+    def test_gauss_powers_within_h_squared_units(self, re_z, im_z, re_tau,
+                                                 im_tau, precision):
+        # the error bound `_theta_guard_bits` charges: each of the h
+        # steps to g_h multiplies by a u^{2k+1} that carries up to k
+        # units of 2^-wp, so g_h is within h^2 units of e^{pi i tau h^2/4}
+        z, tau = mpc(re_z, im_z), mpc(re_tau, im_tau)
+        n_max, wp = _kernel_table(z, tau, EvalContext(precision))
+        re, im = _gauss_powers(tau, wp, 2 * n_max + 1)
+        assert len(re) == len(im) == 2 * n_max + 2
+        with mp.workprec(wp + 40):
+            for h, (gr, gi) in enumerate(zip(re, im)):
+                ref = mpmath.expjpi(tau * h * h / 4)
+                units = abs(mpc(gr, gi) - ref * 2 ** wp)
+                assert units <= 2 * max(1, h * h), (h, units)
 
 
 class TestCacheKeys:
@@ -669,5 +682,13 @@ class TestAxioms:
         # form of index above 5 numerically
         (form,) = jacobi_basis(-36, 9).forms
         rep = check_axioms(form, -36, 9, 1, CTX, seed=0)
+        assert rep.max_residual < 1e-25
+        assert rep.regular
+
+    def test_index_10_form_passes(self):
+        # the first form of J_{-40,10}, at the highest index of the
+        # golden bases, in a context of its own
+        form = jacobi_basis(-40, 10).forms[0]
+        rep = check_axioms(form, -40, 10, 1, EvalContext(), seed=0)
         assert rep.max_residual < 1e-25
         assert rep.regular

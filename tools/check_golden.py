@@ -1,22 +1,23 @@
 """Check the constructions up to index 10 against frozen golden data.
 
-Run from the repository root (40-53 s on a 2-core VM, five runs,
-where the code that built a new exponent map for every term of a
-document took 50-60 s, three runs).  Each certificate, as built and again
-as reloaded from a store, has its document written, its shape checked
-and its identity run, in that order, so that all three read one image
-of its form, summed once; each basis's documents share one exponent map
-per monomial, as `basis_to_json`'s do.  The parts: about 1 s to build
-the bases, 9-14 s for the digests (14-17 s with a map per term), mostly
-the documents, which derive each certificate's R from its form's full
-image, 1.7-2.5 s for the shape checks, 0.2 s for the identities,
-10-15 s for the cache round trip (15-18 s), mostly the reloaded
-documents and the identities that loading runs, on the image below
-E4^a, on the 893 certificates with an S part, 0.2-0.3 s for the numeric
-check, 0.8-1.3 s for the span, certify and basis outputs and 15-18 s
-for the lowest weights below, nearly all of it the bases of m = 16 and
-17; the process peaks at 365-370 MB (382 MB), because the bases and
-images built before the lowest weights are dropped first:
+Run from the repository root (32-35 s on a 2-core VM, three runs; 34 s
+when it also checked each certificate as built and one form
+numerically).  Each certificate as reloaded from a store has its
+document written, its shape checked and its identity run, in that
+order, so that all three read one image of its form, summed once; each
+basis's documents share one exponent map per monomial, as
+`basis_to_json`'s do.  The certificates as built and the numeric check
+of one form of J_{-40,10} are the test suite's (`tests/test_golden.py`,
+`tests/test_oracle.py`).  The parts: about 1 s to build the bases,
+8.5-9.4 s for the digests of the bases as built, mostly the documents,
+which derive each certificate's R from its form's full image, 0.8-0.9 s
+for the shape checks, 0.1 s for the identities, 9.1-9.8 s for the rest
+of the cache round trip, mostly the reloaded documents and the
+identities that loading runs, on the image below E4^a, on the 893
+certificates with an S part, 0.6 s for the span, certify and basis
+outputs and 11-13 s for the lowest weights below, nearly all of it the
+bases of m = 16 and 17; the process peaks at 369-370 MB, because the
+bases and images built before the lowest weights are dropped first:
 
     PYTHONPATH=src python tools/check_golden.py
 
@@ -24,15 +25,12 @@ images built before the lowest weights are dropped first:
 canonical JSON text of `basis_to_json(jacobi_basis(k, m))` for each of
 the 147 targets (k, m) of `e8jacobi tables --max-index 10`, and the
 P^w_m line that command prints for each index.  The data is frozen: a
-mismatch means the construction's output changed.  The script also runs
-`certificate_identity` on every form of those bases with its certificate
-(6,575 forms), counting a failure as a mismatch, writes every one of
-those bases through a `DiskStore` in a temporary directory and compares
-the digest of each reloaded entry with the golden one, and checks one
-form of J_{-40,10} numerically against the Jacobi-form axioms.  It
-checks the shape (`one_shape` of `tests/helpers.py`) and runs the
-identity of each of those certificates as built and again as reloaded,
-a failure again a mismatch.
+mismatch means the construction's output changed.  The script also
+writes every one of those bases through a `DiskStore` in a temporary
+directory, compares the digest of each reloaded entry with the golden
+one, and checks the shape (`one_shape` of `tests/helpers.py`) and runs
+`certificate_identity` on each of the 6,575 reloaded certificates,
+counting a failure as a mismatch.
 
 `golden_spans.json` holds the sha256 of the stdout of `e8jacobi
 module-gens m` for m = 1..9 and of `e8jacobi lb 12`, the commands whose
@@ -80,7 +78,6 @@ from e8jacobi.cache import DiskStore
 from e8jacobi.construct import (certificate_identity, clear_cache,
                                 jacobi_basis, lb_analysis, profile_weights)
 from e8jacobi.generators import _lifted_terms, _part_value
-from e8jacobi.oracle import EvalContext, check_axioms
 from e8jacobi.serialize import (basis_to_json, certificate_to_json,
                                  poly_to_json)
 
@@ -94,15 +91,15 @@ GOLDEN_LOWEST = HERE / "golden_lowest.json"
 MAX_INDEX = 10
 
 
-def checked_digest(what: str, basis, failures, seconds, part) -> tuple:
+def checked_digest(what: str, basis, failures, seconds) -> tuple:
     """(the digest of `basis_to_json(basis)`, the count of its
     certificates whose identity holds): per certificate, its document is
     written, its shape is checked and its identity is run, in that
     order, so that all three read one image of its form, summed once;
     the documents share one exponent map per monomial, as in
     `basis_to_json`.  A failure names the basis as `what`.  The seconds
-    of the document go to `seconds[part]`, those of the checks to
-    "shapes" and "identities"."""
+    of the document go to "cache", those of the checks to "shapes" and
+    "identities"."""
     docs, certified, memo = [], 0, {}
     for i, cert in enumerate(basis.certificates):
         start = perf_counter()
@@ -115,7 +112,7 @@ def checked_digest(what: str, basis, failures, seconds, part) -> tuple:
             certified += 1
         else:
             failures.append("certificate %d of %s" % (i, what))
-        seconds[part] += shape - start
+        seconds["cache"] += shape - start
         seconds["shapes"] += identity - shape
         seconds["identities"] += perf_counter() - identity
     start = perf_counter()
@@ -124,7 +121,7 @@ def checked_digest(what: str, basis, failures, seconds, part) -> tuple:
                   "dimension": basis.dimension,
                   "forms": [poly_to_json(f, memo) for f in basis.forms],
                   "certificates": docs})
-    seconds[part] += perf_counter() - start
+    seconds["cache"] += perf_counter() - start
     return got, certified
 
 
@@ -133,8 +130,7 @@ def main() -> int:
     failures = []
 
     seconds = dict.fromkeys(["tables", "digests", "identities", "shapes",
-                             "cache", "numeric check", "spans", "lowest"],
-                            0.0)
+                             "cache", "spans", "lowest"], 0.0)
     start = perf_counter()
     text = run(["tables", "--max-index", str(MAX_INDEX)], failures)
     seconds["tables"] = perf_counter() - start
@@ -149,7 +145,8 @@ def main() -> int:
                for k in profile_weights(m)]
     if sorted(targets) != sorted(golden["digests"]):
         failures.append("targets differ from the golden file's")
-    # each basis is checked as built and again as reloaded from a store
+    # each basis is digested as built, and checked in full as reloaded
+    # from a store; the tests check its certificates as built
     certified = 0
     with tempfile.TemporaryDirectory() as root:
         store = DiskStore(root)
@@ -157,28 +154,20 @@ def main() -> int:
             k, m = map(int, key.split(","))
             what = "J_{%d,%d}" % (k, m)
             basis = jacobi_basis(k, m)
-            got, ok = checked_digest(what, basis, failures, seconds,
-                                     "digests")
-            certified += ok
-            if got != golden["digests"].get(key):
+            start = perf_counter()
+            if digest(basis_to_json(basis)) != golden["digests"].get(key):
                 failures.append("basis digest of " + what)
+            seconds["digests"] += perf_counter() - start
             start = perf_counter()
             store.save(k, m, basis)
             loaded = store.load(k, m)
             seconds["cache"] += perf_counter() - start
-            if loaded is None or checked_digest(
-                    "reloaded " + what, loaded, failures, seconds,
-                    "cache")[0] != golden["digests"].get(key):
+            got, ok = (None, 0) if loaded is None else checked_digest(
+                "reloaded " + what, loaded, failures, seconds)
+            certified += ok
+            if got != golden["digests"].get(key):
                 failures.append("cache entry of " + what)
         store_bytes = sum(entry.stat().st_size for entry in os.scandir(root))
-
-    start = perf_counter()
-    form = jacobi_basis(-40, 10).forms[0]
-    rep = check_axioms(form, -40, 10, 1, EvalContext(), seed=0)
-    if not (rep.max_residual < 1e-25 and rep.regular):
-        failures.append("J_{-40,10} form 1: residual %.2e, regular %s"
-                        % (rep.max_residual, rep.regular))
-    seconds["numeric check"] = perf_counter() - start
 
     start = perf_counter()
     outputs = check_cli_outputs(failures)
@@ -215,7 +204,7 @@ def main() -> int:
 
     for line in failures:
         print("MISMATCH", line)
-    print("%d targets, %d profiles, %d certificates, 1 numeric check, "
+    print("%d targets, %d profiles, %d reloaded certificates, "
           "%d CLI outputs, %d lowest weights: %s"
           % (len(targets), MAX_INDEX, certified, outputs, top,
              "%d mismatches" % len(failures) if failures else "ok"))
