@@ -13,10 +13,10 @@ absolute error of a result stays a few units of 2^-prec.
 Theta functions are summed with a derived truncation bound: the
 q^{a^2/2} factors come from a table that each kernel call builds by
 multiplication from one exponential, and the powers y^{+-h/2} =
-e^{+-pi i h z} from a ladder per coordinate, which the context steps
-once by multiplication, extends on demand and keeps for the
-coordinates used last.  One kernel
-call sums all four kinds at any number of coordinates, each of its six
+e^{+-pi i h z} from a ladder per coordinate, which holds them only in
+the kernel's classes, steps each new power once by multiplication from
+the last, and is kept for the coordinates used last.  One kernel call
+sums all four kinds at any number of coordinates, each of its six
 classes of terms by h mod 4 a C-level dot product of table and ladder
 lists.  The E8 theta function is one kernel call and one integer
 product per sample: the four kinds at each of the eight coordinates
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Dict, List, Sequence, Tuple
 
 import mpmath
@@ -82,8 +82,9 @@ class EvalContext:
     `_mpc_` pairs; the distinct (z, m) pairs bound it, five multipliers
     per base point.  `_half_cache` holds the
     power ladders of y^{+-h/2} = e^{+-pi i h z} per exact coordinate z
-    (`_Ladder`), each at the most bits asked for so far, and keeps the
-    `_LADDER_CACHE_SIZE` coordinates used last.  No Gauss table is kept:
+    (`_Ladder`), each at the most bits asked for so far and held as the
+    kernel's class lists only, and keeps the `_LADDER_CACHE_SIZE`
+    coordinates used last.  No Gauss table is kept:
     each kernel call builds its own (`_gauss_powers`).
 
     The counters are plain ints that the kernels add to: the coordinates
@@ -217,53 +218,58 @@ def _gauss_powers(tau: mpmath.mpc, wp: int,
     return re, im
 
 
+def _half_steps(z: tuple, wp: int) -> Tuple[int, int, int, int]:
+    """(re, im) of e^{pi i z} and of e^{-pi i z}, for a coordinate z (its
+    `_mpc_` value), scaled by 2^wp: each exponential computed at wp + 10
+    bits and truncated, like `_to_fixed`."""
+    with mp.workprec(wp + 10):
+        half = mpmath.expjpi(mp.make_mpc(z))
+        return _to_fixed(half, wp) + _to_fixed(1 / half, wp)
+
+
 class _Ladder:
     """The power ladder of one coordinate z: y^{h/2} = e^{pi i h z} (the
-    ups) and y^{-h/2} (the downs) for h = 0, 1, ..., as parallel int
-    lists (re, im) scaled by 2^wp.
+    ups) and y^{-h/2} (the downs) for h = 1..size - 1, scaled by 2^wp,
+    held only as what `_theta_fixed` reads.
 
-    y^{+-1/2} is one exponential each, computed at wp + 10 bits and
-    truncated, like `_to_fixed`; every further power is one product with
-    it shifted right by wp, and `upto` extends the lists on demand.
-    `classes` holds what `_theta_fixed` reads, for the ups at h = 1 and 3
-    mod 4, the downs at h = 1 and 3 mod 4, and the sums y^{h/2} + y^{-h/2}
-    at h = 2 and 0 mod 4 (h >= 4): the lists c, d - c and c + d of the
-    entries c + i d, the ladder's side of the three-multiplication
-    complex product.
+    `steps` holds y^{1/2} and y^{-1/2} (`_half_steps`); every further
+    power is one product with them shifted right by wp, from `last`, the
+    pair (re, im, re, im) of y^{+-h/2} at h = size - 1.  `classes` holds,
+    for the ups at h = 1 and 3 mod 4, the downs at h = 1 and 3 mod 4, and
+    the sums y^{h/2} + y^{-h/2} at h = 2 and 0 mod 4 (h >= 4), the lists
+    c, d - c and c + d of the entries c + i d in order of h, the ladder's
+    side of the three-multiplication complex product.  `upto` steps only
+    the new powers and appends each to its classes.
     """
 
     def __init__(self, z: tuple, wp: int):
         self.wp = wp
-        with mp.workprec(wp + 10):
-            half = mpmath.expjpi(mp.make_mpc(z))
-            self._steps = _to_fixed(half, wp) + _to_fixed(1 / half, wp)
-        self.up_re, self.up_im = [1 << wp], [0]
-        self.down_re, self.down_im = [1 << wp], [0]
-        self.classes = ()
+        self.steps = _half_steps(z, wp)
+        self.last = (1 << wp, 0, 1 << wp, 0)
+        self.size = 1
+        self.classes = tuple(([], [], []) for _ in range(6))
 
     def upto(self, h_max: int) -> None:
-        up_re, up_im = self.up_re, self.up_im
-        if len(up_re) > h_max:
+        if self.size > h_max:
             return
-        down_re, down_im, wp = self.down_re, self.down_im, self.wp
-        hr, hi, kr, ki = self._steps
-        ur, ui, dr, di = up_re[-1], up_im[-1], down_re[-1], down_im[-1]
-        while len(up_re) <= h_max:
+        hr, hi, kr, ki = self.steps
+        ur, ui, dr, di = self.last
+        wp, classes = self.wp, self.classes
+        for h in range(self.size, h_max + 1):
             ur, ui = (ur * hr - ui * hi) >> wp, (ur * hi + ui * hr) >> wp
             dr, di = (dr * kr - di * ki) >> wp, (dr * ki + di * kr) >> wp
-            up_re.append(ur)
-            up_im.append(ui)
-            down_re.append(dr)
-            down_im.append(di)
-        ups, downs = (up_re, up_im), (down_re, down_im)
-        evens = (list(map(add, up_re, down_re)),
-                 list(map(add, up_im, down_im)))
-        classes = []
-        for (re, im), start in ((ups, 1), (ups, 3), (downs, 1), (downs, 3),
-                                (evens, 2), (evens, 4)):
-            c, d = re[start::4], im[start::4]
-            classes.append((c, list(map(sub, d, c)), list(map(add, c, d))))
-        self.classes = tuple(classes)
+            upper = (h >> 1) & 1    # 1 at h = 2 and 3 mod 4
+            if h & 1:
+                new = (upper, ur, ui), (2 + upper, dr, di)
+            else:
+                new = (5 - upper, ur + dr, ui + di),
+            for k, c, d in new:
+                cs, dcs, cds = classes[k]
+                cs.append(c)
+                dcs.append(d - c)
+                cds.append(c + d)
+        self.last = ur, ui, dr, di
+        self.size = h_max + 1
 
 
 def theta(kind: int, z, tau, ctx: EvalContext) -> mpmath.mpc:
@@ -645,7 +651,8 @@ def orbit_character(j: int, z: Sequence[complex],
     coordinates.  Each product is summed over the distinct arrangements
     of the representative's |v_k| by `_arrangement_sum`.
 
-    The powers x_k^{+-a} (a `_Ladder` of z_k, not kept) and the sums are
+    The powers x_k^{+-a}, a = 0..reach, are stepped from x_k^{+-1}
+    (`_half_steps` of z_k) and not kept; they and the sums are
     fixed-point pairs (re, im) of Python ints scaled by 2^wp, and the sum
     is rounded to an mpc once.  A factor has
     modulus at most 2 e^{pi reach |Im z_k|}, with reach the largest
@@ -666,15 +673,14 @@ def orbit_character(j: int, z: Sequence[complex],
               + (2 * len(reps) * math.factorial(8)).bit_length() + 8)
         plus, minus = [], []     # per coordinate: a -> x^a +- x^-a
         for zk in z:
-            powers = _Ladder(_raw(zk), wp)    # x^a and x^-a, a = 0..reach
-            powers.upto(reach)
-            row_plus, row_minus = {}, {}
-            for a, (ur, ui, dr, di) in enumerate(zip(
-                    powers.up_re, powers.up_im, powers.down_re,
-                    powers.down_im)):
+            hr, hi, kr, ki = _half_steps(_raw(zk), wp)
+            ur, ui, dr, di = 1 << wp, 0, 1 << wp, 0
+            row_plus, row_minus = {0: (1 << wp, 0)}, {0: (0, 0)}
+            for a in range(1, reach + 1):       # x^a and x^-a
+                ur, ui = (ur * hr - ui * hi) >> wp, (ur * hi + ui * hr) >> wp
+                dr, di = (dr * kr - di * ki) >> wp, (dr * ki + di * kr) >> wp
                 row_plus[a] = (ur + dr, ui + di)
                 row_minus[a] = (ur - dr, ui - di)
-            row_plus[0] = (1 << wp, 0)
             plus.append(row_plus)
             minus.append(row_minus)
         total_r = total_i = 0     # at scale 2^(wp + 1)

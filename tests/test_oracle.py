@@ -16,8 +16,8 @@ from e8jacobi.oracle import (ComplexSample, EvalContext, NearSingularError,
                              eval_poly, modular_forms, orbit_character,
                              probe_is_regular, q_laurent_probe, theta,
                              theta_E8, _LADDER_CACHE_SIZE, _gauss_powers,
-                             _raw, _scaled, _theta_bound, _theta_fixed,
-                             _theta_guard_bits)
+                             _ladder, _raw, _scaled, _theta_bound,
+                             _theta_fixed, _theta_guard_bits)
 
 from helpers import (orbit_character_loop, q_laurent_probe_loop,
                      theta_fixed_loop, weyl_orbit)
@@ -342,6 +342,16 @@ def _kernel_table(z, tau, ctx):
     return n_max, wp + -wp % 32
 
 
+def _assert_kernel_matches_loop(z, tau, wp, n, ctx):
+    """The kernel at (z, tau, wp, N = n) equals the term-by-term loop on
+    the step pairs of the coordinate's ladder, bit for bit."""
+    got_wp, (pairs,) = _theta_fixed((_raw(z),), tau, wp, n, ctx)
+    ladder = ctx._half_cache[_raw(z)]
+    assert got_wp == ladder.wp == wp
+    half = (ladder.steps[:2], ladder.steps[2:])
+    assert pairs == theta_fixed_loop(half, tau, wp, n)
+
+
 class TestThetaKernel:
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-1.5, 1.5), st.floats(-2.7, 2.7), st.floats(-0.5, 0.5),
@@ -355,12 +365,30 @@ class TestThetaKernel:
         z, tau = mpc(re_z, im_z), mpc(re_tau, im_tau)
         n_max, wp = _kernel_table(z, tau, ctx)
         for n in (max(1, n_max // 2), n_max):
-            got_wp, (pairs,) = _theta_fixed((_raw(z),), tau, wp, n, ctx)
-            ladder = ctx._half_cache[_raw(z)]
-            assert got_wp == ladder.wp == wp
-            half = ((ladder.up_re[1], ladder.up_im[1]),
-                    (ladder.down_re[1], ladder.down_im[1]))
-            assert pairs == theta_fixed_loop(half, tau, wp, n)
+            _assert_kernel_matches_loop(z, tau, wp, n, ctx)
+        assert ctx.ladder_builds == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-1.5, 1.5), st.floats(-2.7, 2.7), st.floats(-0.5, 0.5),
+           st.floats(0.15, 3.0), st.sampled_from([30, 50, 80]),
+           st.permutations([0, 1, 2, 3]),
+           st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    def test_extended_ladder_matches_loop(self, re_z, im_z, re_tau, im_tau,
+                                          precision, residues, gaps):
+        # one ladder extended in four steps whose ends h fall on each
+        # residue mod 4: after each step the kernel at the largest 2N + 1
+        # <= h reads the class lists the steps appended to
+        ctx = EvalContext(precision)
+        z, tau = mpc(re_z, im_z), mpc(re_tau, im_tau)
+        _, wp = _kernel_table(z, tau, ctx)
+        end = 2
+        for r, gap in zip(residues, gaps):
+            end += 1 + (r - end - 1) % 4 + 4 * gap
+            assert end % 4 == r
+            assert _ladder(_raw(z), wp, end, ctx).size == end + 1
+            _assert_kernel_matches_loop(z, tau, wp, (end - 1) // 2, ctx)
+        # and the kernel steps past the last end itself
+        _assert_kernel_matches_loop(z, tau, wp, end // 2 + 1, ctx)
         assert ctx.ladder_builds == 1
 
     @settings(max_examples=40, deadline=None)
