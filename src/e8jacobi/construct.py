@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 from .ansatz import build_ansatz, enumerate_monomials
 from .generators import (_image, _lifted_columns, _rest_powers, e4_split,
                          p16_5)
-from .grading import AB, BiDegree, ParamPoly, Poly, S_ALPHABET, ab
+from .grading import BiDegree, ParamPoly, Poly, S_ALPHABET, ab
 from .kernels import echelon, extend
 from .linsolve import LinearSystem, nullspace
 
@@ -87,24 +87,21 @@ class Certificate:
             for l, mons, vals in rows if any(vals)))
 
     def r_rows(self) -> Tuple[list, list, int]:
-        """(R's monomials, descending, their numerators, L): the terms of
-        the form's full image T/(L E4^a Delta^n) (`generators._image`
-        with no cut) at E4 exponent >= a, shifted down by a, over the
-        image's own L.  The terms below a are the E4^(a-l) Q_l that the
-        S_l account for.  ConsistencyError when Delta cannot be
-        cancelled from the image down to Delta^n."""
+        """(R's monomials, descending, their numerators, L): R over AB as
+        `generators.e4_split` gives it from the form's full image
+        T/(L E4^a Delta^n) (`generators._image` with no cut), the terms
+        of T at E4 exponent >= a shifted down by a, over the image's own
+        L.  The terms below a are the E4^(a-l) Q_l that the S_l account
+        for.  ConsistencyError when Delta cannot be cancelled from the
+        image down to Delta^n."""
         image = _image(self.form, self.n, full=True)
         if image is None:
             raise ConsistencyError("certificate Delta power %d is below "
                                    "the image's" % self.n)
         terms, L, a, _ = image
-        mons, nums = [], []
-        for mon in sorted(terms, reverse=True):
-            if mon[0] < a:
-                break
-            mons.append((mon[0] - a,) + mon[1:])
-            nums.append(terms[mon])
-        return mons, nums, L
+        _, r = e4_split(terms, a)
+        mons = sorted(r, reverse=True)
+        return mons, [r[mon] for mon in mons], L
 
 
 @dataclass(frozen=True)
@@ -185,8 +182,8 @@ def system(target: BiDegree) -> Tuple[ParamPoly, int, int, list, LinearSystem]:
     # column's loop stops at its first term at p (its terms ascend in
     # E4 exponent, see `generators._lifted_terms`).  Then each
     # monomial s of each nonempty S_l ansatz (`s_ansatz`), l <= p, is
-    # the column -P^l s, all of it at E4 exponent p - l, so in Q_l's
-    # rows.
+    # the column -P^l s over S (`_p_power`), all of it at E4 exponent
+    # p - l, so in Q_l's rows.
     n, s_mons = s_ansatz(target)
     columns, p, _ = _lifted_columns(ansatz.terms)    # over E4^p Delta^n
     L = lcm(*{den for _, _, den, _ in columns})
@@ -203,10 +200,9 @@ def system(target: BiDegree) -> Tuple[ParamPoly, int, int, list, LinearSystem]:
     for l, mons in s_mons.items():
         if l > p:
             break
-        p_l = [(mon[1:], c) for mon, c in _p_power(l).terms.items()]
         q = qs[l - 1]
         for j, s in enumerate(mons, n_cols):
-            for mon, c in p_l:
+            for mon, c in _p_power(l).terms.items():
                 q.setdefault(tuple(map(add, s, mon)), {})[j] = -c
         s_cols.append((l, mons, (n_cols, n_cols + len(mons))))
         n_cols += len(mons)
@@ -272,33 +268,33 @@ def certify(form: Poly) -> Union[Certificate, Rejection]:
     below E4^a, with every Delta factor cancelled (`generators._image`,
     kept for `certificate_identity`: a nonzero value at a point of
     Delta = 0 proves in O(monomials) that there is none, and otherwise
-    the image is summed whole and Delta cancelled from it), are split by
-    E4 exponent into the Q_l; R, the terms from E4^a on, is not summed
-    when there is no Delta to cancel.  Each nonzero Q_l divided by
-    P^l, the one step in Fractions, gives the row of S_l: its quotient's
-    monomials with the E4 exponent (0) dropped, and its coefficients
-    over L.  The certificate is the witness over `form` at the Delta
-    power left, in the normal form of `Certificate.of`; its R is derived
-    when read.
+    the image is summed whole and Delta cancelled from it), are split
+    into the nonzero Q_l over S by `generators.e4_split`; R, the terms
+    from E4^a on, is not summed when there is no Delta to cancel.  Each
+    Q_l divided by P^l over S, the one step in Fractions, gives the row
+    of S_l: its quotient's monomials and its coefficients over L.  The
+    certificate is the witness over `form` at the Delta power left, in
+    the normal form of `Certificate.of`; its R is derived when read.
     """
     form.bidegree()  # raises on inhomogeneous input
-    terms, L, e4, n = _image(form)
-    qs, _ = e4_split(terms, e4)
+    terms, L, a, n = _image(form)
+    qs, _ = e4_split(terms, a)
     s_rows = []
-    for l, q_l in enumerate(qs, 1):
-        if q_l:
-            s_l = q_l.divexact(_p_power(l))
-            if s_l is None:
-                return Rejection(l)
-            s_rows.append((l, [m[1:] for m in s_l.terms],
-                           [Fraction(c, L) for c in s_l.terms.values()]))
+    for l in sorted(qs):
+        s_l = Poly(S_ALPHABET, qs[l]).divexact(_p_power(l))
+        if s_l is None:
+            return Rejection(l)
+        s_rows.append((l, list(s_l.terms),
+                       [Fraction(c, L) for c in s_l.terms.values()]))
     return Certificate.of(form, n, s_rows)
 
 
 @cache
 def _p_power(l: int) -> Poly:
-    """P^l over AB, P the weight-16 index-5 form, with int coefficients."""
-    return p16_5() ** l
+    """P^l over S, P the weight-16 index-5 form, with int coefficients.
+    P is free of E4, so `generators.e4_split` of P/E4 gives P over S as
+    its one part, Q_1; `p16_5()` itself stays over AB."""
+    return Poly(S_ALPHABET, e4_split(p16_5().terms, 1)[0][1]) ** l
 
 
 def certificate_identity(form: Poly, cert: Certificate) -> bool:
@@ -308,9 +304,10 @@ def certificate_identity(form: Poly, cert: Certificate) -> bool:
     The image of `form` is T/(L E4^a Delta^n), the `int` terms of
     `generators._image` below E4^a: for the n of a `certify`
     certificate, the image that `certify` built for the same form
-    object.  With Q_l the E4^(a-l) slice of T and S_l the numerators of
-    the S row at l over den, the witness holds when
-    den Q_l == L P^l S_l for every l <= a and no S_l has l above a.  R,
+    object.  With Q_l over S the E4^(a-l) slice of T
+    (`generators.e4_split`) and S_l over S the numerators of the S row
+    at l over den, the witness holds when den Q_l == L P^l S_l for
+    every nonzero Q_l or S_l, so an S_l above a meets a zero Q_l.  R,
     the slices of E4 exponent >= a over L, is a polynomial whatever the
     witness, so it is neither summed nor checked.  An n at or above the
     Delta power of the form's monomial images needs no cancelling, so
@@ -322,15 +319,12 @@ def certificate_identity(form: Poly, cert: Certificate) -> bool:
     if image is None:
         return False
     terms, L, a, _ = image
-    den = cert.den
-    qs: Dict[int, dict] = {}
-    for m, c in terms.items():
-        if m[0] < a:
-            qs.setdefault(a - m[0], {})[(0,) + m[1:]] = c * den
+    qs, _ = e4_split(terms, a)
     for l, mons, nums in cert.s_rows:
-        q_l = qs.pop(l, None)   # None for l above a: P^l is not built
-        s_l = Poly(AB, {(0,) + m: x * L for m, x in zip(mons, nums)})
-        if q_l is None or q_l != (s_l * _p_power(l)).terms:
+        q_l = qs.pop(l, None)   # None for a zero Q_l: P^l is not built
+        s_l = Poly(S_ALPHABET, {m: x * L for m, x in zip(mons, nums)})
+        if q_l is None or {m: c * cert.den for m, c in q_l.items()} \
+                != (s_l * _p_power(l)).terms:
             return False
     return not qs
 

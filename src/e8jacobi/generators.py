@@ -34,7 +34,10 @@ dict of `int` terms over one integer L, all of them or those below a
 cut.  The sum may be divisible by E4 and by Delta.
 
 Membership reads only the terms below E4^a, a the E4 power of the
-denominator: the E4^(a-l) Q_l that must be P^l S_l.  R, the rest and
+denominator: the E4^(a-l) Q_l that must be P^l S_l.  `e4_split` is the
+one split of an image into the Q_l and R, for `construct.certify`,
+`construct.certificate_identity` and the derived R alike; the Q_l, like
+P^l and S_l, are free of E4, so it gives them over S.  R, the rest and
 nearly all of the image (8,130 of the 8,196 terms of the basis forms of
 index <= 6), is read only when a certificate's remainder is.  So
 `_image` sums the columns up to E4^a unless it is asked for the full
@@ -63,7 +66,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, gcd, inf, lcm
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .grading import (AB, AlphabetMismatchError, Frac, Poly, ab, cancel_delta,
                       delta_poly)
@@ -513,23 +516,21 @@ def sub_ab_to_AB(p: Poly) -> Frac:
                 e4 - k4, dl)
 
 
-def e4_split(terms: Dict[tuple, int], p: int) -> Tuple[List[Poly], dict]:
-    """Decompose num/E4^p over AB, num given by its nonzero terms, as
-    sum_l Q_l/E4^l + R, in one pass.
+def e4_split(terms: Dict[tuple, int], a: int) -> Tuple[Dict[int, dict], dict]:
+    """(qs, r): num/E4^a over AB, num given by its nonzero terms, as
+    sum_l Q_l/E4^l + R, in one pass; the one E4 split of an image.
 
-    Writing num = sum_j E4^j N_j with every N_j free of E4, the parts are
-    Q_l = N_{p-l} for l = 1..l1 (l1 the largest l with N_{p-l} nonzero),
-    as polynomials, and R = sum_{j>=p} E4^{j-p} N_j, as a dict of terms.
-    E4 leads AB, so j is the first exponent of each term.
+    Writing num = sum_j E4^j N_j with every N_j free of E4, Q_l is
+    N_{a-l} and R = sum_{j>=a} E4^{j-a} N_j.  `qs` maps each l with a
+    nonzero Q_l to its terms over S (the E4 exponent dropped), and `r`
+    holds R's terms over AB.  E4 leads AB, so j is the first exponent
+    of each term.
     """
-    qs: List[dict] = [{} for _ in range(p)]
+    qs: Dict[int, dict] = {}
     r: dict = {}
     for m, c in terms.items():
-        j = m[0]
-        if j < p:
-            qs[p - j - 1][(0,) + m[1:]] = c
+        if m[0] < a:
+            qs.setdefault(a - m[0], {})[m[1:]] = c
         else:
-            r[(j - p,) + m[1:]] = c
-    while qs and not qs[-1]:
-        qs.pop()
-    return [Poly(AB, q) for q in qs], r
+            r[(m[0] - a,) + m[1:]] = c
+    return qs, r

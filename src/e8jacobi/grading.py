@@ -402,9 +402,9 @@ class ParamPoly:
     the basis forms, sparse nullspace vectors, go through `substitute`;
     `construct.system` builds the construction's rows straight from the
     memoised monomial images (`generators._lifted_columns`) and the
-    terms of P^l.  `mul_poly` and `linsolve.coefficient_equations`
-    are the reference those rows are tested against; int coefficients
-    multiply as ints.
+    terms of P^l over S (`construct._p_power`).  `mul_poly` and
+    `linsolve.coefficient_equations` are the reference those rows are
+    tested against; int coefficients multiply as ints.
     """
 
     def __init__(self, alphabet: Alphabet, terms: Mapping[tuple, LinForm]):

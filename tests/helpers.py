@@ -234,21 +234,26 @@ def drop_e4(p):
     return Poly(S_ALPHABET, {m[1:]: c for m, c in p.terms.items()})
 
 
+def p_power_reference(l):
+    """P^l over S, P the weight-16 index-5 form: raised over AB and then
+    brought to S, independently of `construct._p_power`."""
+    return drop_e4(p16_5() ** l)
+
+
 def certify_reference(form):
     """Reference `certify` in Fraction polynomials: the image in lowest
-    terms by `sub_ab_to_AB`, split by `e4_split`, and each nonzero Q_l
-    divided by P^l with `Poly.divexact`.  A Rejection, or (n, den, the
-    parts (l, S_l over S), R over AB), den the lcm of the denominators
-    of the S_l."""
+    terms by `sub_ab_to_AB`, split by `e4_split` into the nonzero Q_l
+    over S, and each Q_l divided by P^l over S with `Poly.divexact`.  A
+    Rejection, or (n, den, the parts (l, S_l over S), R over AB), den
+    the lcm of the denominators of the S_l."""
     frac = sub_ab_to_AB(form)
     qs, r = e4_split(frac.num.terms, frac.e4_pow)
     parts = []
-    for l, q_l in enumerate(qs, 1):
-        if q_l:
-            s_l = q_l.divexact(p16_5() ** l)
-            if s_l is None:
-                return Rejection(l)
-            parts.append((l, drop_e4(s_l)))
+    for l in sorted(qs):
+        s_l = Poly(S_ALPHABET, qs[l]).divexact(p_power_reference(l))
+        if s_l is None:
+            return Rejection(l)
+        parts.append((l, s_l))
     den = lcm(*(Fraction(c).denominator for _, s in parts
                 for c in s.terms.values()))
     return frac.delta_pow, den, tuple(parts), Poly(AB, r)
@@ -258,9 +263,9 @@ def certificate_identity_reference(form, cert):
     """Reference `certificate_identity` in Fraction polynomials, from the
     witness alone: the image N/(E4^a Delta^d) in lowest terms by
     `sub_ab_to_AB`, False when n < d, and otherwise Delta^(n-d) N, split
-    by `e4_split` at a into the Q_l and R, holds exactly when every
-    l >= 1 has Q_l == P^l S_l (a part missing is zero); R is not
-    read."""
+    by `e4_split` at a into the Q_l over S and R, holds exactly when
+    every l >= 1 has Q_l == P^l S_l over S (a part missing is zero, so
+    an S_l above a meets a zero Q_l); R is not read."""
     image = sub_ab_to_AB(form)
     gap = cert.n - image.delta_pow
     if gap < 0:
@@ -268,12 +273,9 @@ def certificate_identity_reference(form, cert):
     parts = dict(s_parts(cert))
     num = image.num * delta_poly(AB) ** gap if gap else image.num
     qs, _ = e4_split(num.terms, image.e4_pow)
-    if max(parts, default=0) > len(qs):
-        return False
-    for l, q_l in enumerate(qs, 1):
+    for l in sorted({*qs, *parts}):
         s_l = parts.get(l, Poly.zero(S_ALPHABET))
-        if q_l != p16_5() ** l * Poly(AB, {(0,) + m: c for m, c
-                                           in s_l.terms.items()}):
+        if Poly(S_ALPHABET, qs.get(l, {})) != p_power_reference(l) * s_l:
             return False
     return True
 
@@ -308,13 +310,11 @@ def certify_full_reference(form):
     terms, L, a, n = full_image(form)
     qs, _ = e4_split(terms, a)
     parts = []
-    for l, q_l in enumerate(qs, 1):
-        if q_l:
-            s_l = q_l.divexact(p16_5() ** l)
-            if s_l is None:
-                return Rejection(l)
-            parts.append((l, {m[1:]: Fraction(c, L)
-                              for m, c in s_l.terms.items()}))
+    for l in sorted(qs):
+        s_l = Poly(S_ALPHABET, qs[l]).divexact(p_power_reference(l))
+        if s_l is None:
+            return Rejection(l)
+        parts.append((l, {m: Fraction(c, L) for m, c in s_l.terms.items()}))
     den = lcm(*(c.denominator for _, s in parts for c in s.values()))
     return n, den, tuple((l, {m: int(c * den) for m, c in s.items()})
                          for l, s in parts)
@@ -331,18 +331,19 @@ def certificate_rows(cert):
 def identity_full_reference(form, cert):
     """Reference `certificate_identity` on the whole image at cert.n
     (`full_image`): False when Delta cannot be cancelled down to it, and
-    otherwise whether den Q_l == L P^l S_l for every l, where an S_l
-    above the image's E4 power meets a zero Q_l."""
+    otherwise whether den Q_l == L P^l S_l over S for every l, where an
+    S_l above the image's E4 power meets a zero Q_l."""
     image = full_image(form, cert.n)
     if image is None:
         return False
     terms, L, a, _ = image
     qs, _ = e4_split(terms, a)
-    parts = {l: Poly(AB, {(0,) + m: x * L for m, x in zip(mons, nums)})
+    parts = {l: Poly(S_ALPHABET, {m: x * L for m, x in zip(mons, nums)})
              for l, mons, nums in cert.s_rows}
-    return max(parts, default=0) <= len(qs) and all(
-        q_l.scale(cert.den) == parts.get(l, Poly.zero(AB)) * p16_5() ** l
-        for l, q_l in enumerate(qs, 1))
+    return all(
+        Poly(S_ALPHABET, qs.get(l, {})).scale(cert.den)
+        == parts.get(l, Poly.zero(S_ALPHABET)) * p_power_reference(l)
+        for l in {*qs, *parts})
 
 
 def remainders_reference(basis):

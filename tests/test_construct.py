@@ -31,7 +31,8 @@ from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
                      certify_full_reference, certify_reference, dense,
                      drop_e4, identity_full_reference, int_image,
                      index_multisets_reference, m16_5_pair,
-                     m26_7_generator, one_shape, profile_targets,
+                     m26_7_generator, one_shape, p_power_reference,
+                     profile_targets,
                      remainder, remainders_reference, s_parts,
                      second_power_form, span_basis, spans_equal,
                      system_rows_reference)
@@ -240,15 +241,15 @@ class TestCertificateColumns:
     def test_match_substitute_reference(self, target):
         basis = construct._compute_basis(*target)
         _, p, n = _lifted_columns(enumerate_monomials(ab, BiDegree(*target)))
-        E4, P = Poly.gen(AB, "E4"), p16_5()
+        E4 = Poly.gen(AB, "E4")
         expected = []
         for form in basis.forms:
             frac = sub_ab_to_AB(form)
             num = frac.num * delta_poly(AB) ** (n - frac.delta_pow) \
                 * E4 ** (p - frac.e4_pow)
             qs, r = e4_split(num.terms, p)
-            parts = tuple((l, drop_e4(q.divexact(P ** l)))
-                          for l, q in enumerate(qs, 1) if q)
+            parts = tuple((l, Poly(S_ALPHABET, qs[l]).divexact(
+                p_power_reference(l))) for l in sorted(qs))
             expected.append((n, parts, Poly(AB, r)))
         assert [(c.n, s_parts(c), remainder(c))
                 for c in basis.certificates] == expected
@@ -260,6 +261,18 @@ class TestCertificateColumns:
         assert expected or target == (-20, 4)
         assert any(parts for _, parts, _ in expected) == \
             (target == (-26, 8))
+
+
+class TestPPower:
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_over_s(self, l):
+        """P^l, the divisor of `certify` and the factor of the identity,
+        is over S with int coefficients, and is P^l raised over AB with
+        the E4 exponent dropped."""
+        p_l = construct._p_power(l)
+        assert p_l.alphabet is S_ALPHABET
+        assert p_l and all(type(c) is int for c in p_l.terms.values())
+        assert p_l == drop_e4(p16_5() ** l)
 
 
 # every target of index 1..8 in its profile weight range (1,776 forms)

@@ -15,8 +15,8 @@ from e8jacobi.generators import (_PRIME, _S, _TAIL, _image, _lifted_columns,
                                  _weighted_columns, e4_split,
                                  holomorphic_images, meromorphic_images,
                                  p12_5_over_ab, p16_5, sub_ab_to_AB)
-from e8jacobi.grading import (AB, BiDegree, Frac, Poly, ab, cancel_delta,
-                              delta_poly)
+from e8jacobi.grading import (AB, BiDegree, Frac, Poly, S_ALPHABET, ab,
+                              cancel_delta, delta_poly)
 
 from helpers import (build, expand_column, frac_bidegree, frac_product,
                      frac_sum, full_image, int_image, m26_7_generator,
@@ -445,15 +445,22 @@ class TestP165:
 
 class TestE4Split:
     def test_reassembly(self):
-        # splitting num/E4^p into R + sum Q_l / E4^l is exact
+        """Splitting num/E4^a into R + sum Q_l / E4^l is exact: each
+        nonzero Q_l over S, lifted to AB at E4 exponent a - l, and R over
+        AB, shifted up by a, add up to num over AB, and no Q_l is
+        empty."""
         f = sub_ab_to_AB(build(ab, [
             (1, {"a2": 1, "b3": 1}), (2, {"a3": 1, "b2": 1}),
         ]))
         assert isinstance(f, Frac)
-        qs, remainder = e4_split(f.num.terms, f.e4_pow)
+        a = f.e4_pow
+        qs, remainder = e4_split(f.num.terms, a)
+        assert sorted(qs) == [1, 2, 3, 4] == list(range(1, a + 1))
+        assert remainder
         E4 = Poly.gen(AB, "E4")
-        total = Poly(AB, remainder) * E4 ** f.e4_pow
-        for l, q in enumerate(qs, start=1):
-            assert q.gen_exponent_range("E4") == (0, 0)
-            total = total + q * E4 ** (f.e4_pow - l)
+        total = Poly(AB, remainder) * E4 ** a
+        for l, q in qs.items():
+            assert q and Poly(S_ALPHABET, q).terms == q
+            assert all(len(m) == len(S_ALPHABET) for m in q)
+            total = total + Poly(AB, {(a - l,) + m: c for m, c in q.items()})
         assert total == f.num
