@@ -5,8 +5,6 @@ import hashlib
 import io
 import json
 import math
-import os
-import tempfile
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -17,7 +15,7 @@ from mpmath import mp
 
 from e8jacobi import cli
 from e8jacobi.ansatz import build_ansatz, enumerate_monomials
-from e8jacobi.construct import Rejection, jacobi_basis, profile_weights
+from e8jacobi.construct import Rejection, profile_weights
 from e8jacobi.e8 import SIMPLE_ROOTS, _closure
 from e8jacobi.generators import (_lifted_columns, _sum_columns,
                                  _weighted_columns, e4_split,
@@ -29,7 +27,6 @@ from e8jacobi.linsolve import (LinearSystem, coefficient_equations,
                                echelonize, primitive_vector)
 from e8jacobi.oracle import (ComplexSample, _from_fixed, _gauss_powers,
                              _to_fixed, eval_poly)
-from e8jacobi.serialize import poly_to_json
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -563,67 +560,24 @@ def digest(doc) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run(argv, failures) -> str:
-    """The stdout of the CLI on `argv`, run in this process; a nonzero
-    exit is appended to `failures`."""
+def run(argv) -> str:
+    """The stdout of the CLI on `argv`, run in this process;
+    RuntimeError on a nonzero exit."""
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
         code = cli.main(argv)
     if code != 0:
-        failures.append("%s exited %d" % (" ".join(argv), code))
+        raise RuntimeError("%s exited %d" % (" ".join(argv), code))
     return text.getvalue()
 
 
-def stdout_digest(argv, failures) -> str:
+def stdout_digest(argv) -> str:
     """The sha256 of the stdout of `e8jacobi ARGV`, without its
     `elapsed_seconds` line: the digests of the golden files of
     `tools/`."""
-    text = run(argv, failures)
-    text = "".join(line for line in text.splitlines(True)
+    text = "".join(line for line in run(argv).splitlines(True)
                    if not line.startswith('  "elapsed_seconds": '))
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def certify_inputs() -> dict:
-    """The inputs of `tools/golden_certify.json`, by name."""
-    return {"s_part": jacobi_basis(-26, 8).certificates[7].form,
-            "delta": delta_poly(ab) * jacobi_basis(-26, 7).forms[0],
-            "b1": Poly.gen(ab, "b1")}
-
-
-def check_cli_outputs(failures) -> int:
-    """Run, in this process, every CLI command whose stdout
-    `tools/golden_spans.json`, `golden_certify.json` and
-    `golden_basis.json` pin, and append one line to `failures` per
-    mismatch or nonzero exit; the number of outputs compared.  Each
-    certify input is written to `form.json` in a temporary working
-    directory, as the JSON `target` echoes the file name."""
-    golden = {name: json.loads((TOOLS / ("golden_%s.json" % name))
-                               .read_text())
-              for name in ("spans", "certify", "basis")}
-    outputs = [([command, arg], want)
-               for command, runs in sorted(golden["spans"].items())
-               for arg, want in runs.items()]
-    outputs += [(["--format", "json", "basis", *args.split()], want)
-                for args, want in golden["basis"].items()]
-    for argv, want in outputs:
-        if stdout_digest(argv, failures) != want:
-            failures.append("stdout of " + " ".join(argv))
-    inputs, cwd = certify_inputs(), os.getcwd()
-    with tempfile.TemporaryDirectory() as root:
-        os.chdir(root)
-        try:
-            for name, runs in golden["certify"].items():
-                with open("form.json", "w") as fh:
-                    json.dump(poly_to_json(inputs[name]), fh)
-                for fmt, want in runs.items():
-                    argv = ["--format", fmt, "certify", "form.json"]
-                    if stdout_digest(argv, failures) != want:
-                        failures.append("stdout of %s on %s"
-                                        % (" ".join(argv), name))
-        finally:
-            os.chdir(cwd)
-    return len(outputs) + sum(map(len, golden["certify"].values()))
 
 
 def second_power_form():

@@ -108,15 +108,6 @@ class TestCertificates:
                 checked += 1
         assert checked == 143 + 1
 
-    def test_index_6_certificates_hold(self):
-        checked = 0
-        for k, m in profile_targets(6):
-            basis = jacobi_basis(k, m)
-            for form, cert in zip(basis.forms, basis.certificates):
-                assert certificate_identity(form, cert), (k, m)
-                checked += 1
-        assert checked == 248
-
     def test_tampered_certificates_fail(self):
         """A changed witness fails; R is not part of it (a changed R is
         a document test, `test_serialize.TestChangedRemainder`)."""

@@ -5,11 +5,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
-from e8jacobi.construct import jacobi_basis
-from e8jacobi.generators import p12_5_over_ab, p16_5
-from e8jacobi.grading import AB, Poly, ab
+from e8jacobi.ansatz import enumerate_monomials
+from e8jacobi.construct import (Rejection, certify, jacobi_basis,
+                                profile_weights)
+from e8jacobi.generators import meromorphic_images, p12_5_over_ab, p16_5
+from e8jacobi.grading import AB, BiDegree, Poly, ab
 from e8jacobi.oracle import (ComplexSample, EvalContext, NearSingularError,
                              PrecisionUnreachableError, check_axioms,
                              delta_value, e_j, eisenstein, eval_AB, eval_ab,
@@ -720,3 +722,42 @@ class TestAxioms:
         rep = check_axioms(form, -40, 10, 1, EvalContext(), seed=0)
         assert rep.max_residual < 1e-25
         assert rep.regular
+
+
+class TestPoleAtRho:
+    """The paper's criterion, numerically and both ways: a polynomial
+    over ab has a pole along E4 = 0, at tau = rho = e^{2 pi i/3},
+    exactly when `certify` rejects it.  |f(rho + i delta, z)| at one
+    seeded z, for delta = 1e-3, 1e-6 and 1e-9 (`eval_frac` refuses
+    |E4| < 1e-12, so no smaller), grows by at least 100 at each step
+    at a pole and by at most 1.1 where f is regular.  The terms of a
+    polynomial whose monomial images carry E4^p grow like delta^-p and
+    cancel, so the context keeps more than 9p digits besides its
+    guard."""
+
+    def test_index_6_agrees_with_certify(self):
+        e4_pow = {name: f.e4_pow for name, f in meromorphic_images().items()}
+        forms = []
+        for m in range(1, 7):
+            for k in profile_weights(m):
+                forms += [Poly(ab, {mon: 1}) for mon
+                          in enumerate_monomials(ab, BiDegree(k, m))]
+                forms += jacobi_basis(k, m).forms
+        p = max(sum(e * e4_pow[s] for s, e in zip(ab.symbols, mon))
+                for f in forms for mon in f.terms)
+        ctx = EvalContext(precision=9 * p + 1)
+        with mp.workdps(ctx.work_digits):
+            samples = [ComplexSample(mpc(-0.5, mpmath.sqrt(3) / 2
+                                         + mpf(10) ** -e), _z_generic())
+                       for e in (3, 6, 9)]
+        poles = 0
+        for f in forms:
+            with mp.workdps(ctx.work_digits):
+                a, b, c = (abs(eval_poly(f, s, ctx)) for s in samples)
+                steps = b / a, c / b
+            pole = min(steps) >= 100
+            assert pole or max(steps) <= 1.1, f
+            assert pole == isinstance(certify(f), Rejection), f
+            poles += pole
+        # 642 monomials, 561 of them rejected, and 391 basis forms
+        assert (len(forms), poles) == (642 + 391, 561)
