@@ -190,7 +190,7 @@ def system(target: BiDegree) -> Tuple[ParamPoly, int, int, list, LinearSystem]:
     qs: List[Dict[tuple, Dict[int, int]]] = [{} for _ in range(p)]
     for j, (s4, s6, den, terms) in enumerate(columns):
         scale = L // den
-        for e4, e6, tail, c in terms:
+        for e4, e6, tail, c in zip(*terms):
             e = e4 + s4
             if e >= p:
                 break

@@ -18,11 +18,11 @@ Delta is prime, so neither divides a product of such numerators either,
 and the product is normalized as it stands: the numerators multiply and
 the denominator exponents add, with no check.  So the E4 and Delta
 powers of an index-part image come by exponent arithmetic
-(`_rest_powers`), and only the lifted images are memoised: each
-index part's numerator times a power of Delta, as `int` terms over one
-integer denominator, in ascending E4 exponent (`_lifted_terms`), so a
-reader that needs only the terms below some E4 power stops at the
-first one at it.
+(`_rest_powers`), and only the lifted images are memoised: each index
+part's numerator times a power of Delta, `int` terms over one integer
+denominator in four columns, E4 exponent ascending, that hold each
+exponent tail as one shared tuple (`_lifted_terms`); a reader that
+needs only the terms below some E4 power stops at the first at it.
 `_lifted_columns` gives the images of a list of monomials over one
 common denominator, one column per monomial: a column is the memoised
 terms of its index part with the E4 and E6 shifts of its monomial, and
@@ -297,6 +297,7 @@ def _delta_power(k: int) -> Poly:
 # Both alphabets lead with E4, E6; the index part ("rest") of a monomial
 # over ab is its a2..b6 exponents, the tail after those two.
 _INDEX_SYMBOLS = ab.symbols[2:]
+_shared_tail = cache(lambda tail: tail)     # one tuple per tail value
 
 
 @cache
@@ -310,12 +311,11 @@ def _rest_powers(rest: tuple) -> Tuple[int, int]:
 
 
 @cache
-def _lifted_terms(rest: tuple, gap: int) -> Tuple[int, list]:
-    """The normalized numerator of a2^.. b6^.. times Delta^gap as
-    (den, terms): the product of the generators' numerator powers, over
-    den, the lcm of the coefficient denominators; each term is
-    (E4 exponent, E6 exponent, tail, int numerator over den), the terms
-    in ascending E4 exponent."""
+def _lifted_terms(rest: tuple, gap: int) -> Tuple[int, tuple]:
+    """The normalized numerator of a2^.. b6^.. times Delta^gap, the
+    generators' numerator powers multiplied, as (den, terms): over den,
+    the lcm of the coefficient denominators, terms is four columns, E4
+    exponents ascending, E6 exponents, `_shared_tail` tails and ints."""
     den, num = 1, Poly(AB, {(0,) * len(AB): 1})
     for symbol, e in zip(_INDEX_SYMBOLS, rest):
         if e:
@@ -326,15 +326,15 @@ def _lifted_terms(rest: tuple, gap: int) -> Tuple[int, list]:
         num = num * _delta_power(gap)
         den *= 1728 ** gap
     g = gcd(den, *num.terms.values())
-    terms = [(m[0], m[1], m[2:], c // g) for m, c in num.terms.items()]
-    terms.sort(key=itemgetter(0))
-    return den // g, terms
+    terms = sorted(((m[0], m[1], _shared_tail(m[2:]), c // g)
+                    for m, c in num.terms.items()), key=itemgetter(0))
+    return den // g, tuple(zip(*terms))
 
 
 def _lifted_columns(mons, lift: int = 0) -> Tuple[list, int, int]:
     """(columns, e4_pow, delta_pow): over E4^e4_pow Delta^delta_pow, the
     image of monomial j is column j = (E4 shift, E6 shift, den, terms),
-    the `_lifted_terms` of its index part shifted, over den.
+    terms the `_lifted_terms` columns of its index part, over den.
 
     A monomial is E4^a E6^b times its index part (its a2..b6 exponents),
     whose normalized image is N/(E4^p Delta^q), with p and q from
@@ -381,7 +381,7 @@ def _sum_columns(columns: list, cut: float = inf) -> dict:
     out: dict = {}
     for s4, b, w, terms in columns:
         stop = cut - s4
-        for e4_exp, e6_exp, tail, c in terms:
+        for e4_exp, e6_exp, tail, c in zip(*terms):
             if e4_exp >= stop:
                 break
             key = (e4_exp + s4, e6_exp + b) + tail

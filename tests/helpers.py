@@ -167,14 +167,14 @@ def s_parts(cert):
                  for l, mons, nums in cert.s_rows)
 
 
-def one_shape(cert):
+def one_shape(cert, r_rows=None):
     """Whether `cert` has the shape of every certificate the library
     builds: R and each S_l list each monomial once with a nonzero
     numerator, the S_l come at strictly ascending l, each with a term,
     and den is the S_l's lowest common denominator, 1 when there is
-    none.  R is read once."""
+    none.  R is read once, unless its `r_rows()` are given."""
     ls = [l for l, _, _ in cert.s_rows]
-    r_mons, r_nums, _ = cert.r_rows()
+    r_mons, r_nums, _ = r_rows or cert.r_rows()
     rows = [(r_mons, r_nums), *((m, x) for _, m, x in cert.s_rows)]
     return ls == sorted(set(ls)) and all(x for _, _, x in cert.s_rows) \
         and all(len(mons) == len(set(mons)) == len(nums) and 0 not in nums
@@ -357,7 +357,7 @@ def remainders_reference(basis):
     r_pos, r_cols = {}, {}
     for mon, (s4, s6, den, terms) in zip(ansatz.terms, columns):
         positions, nums = [], []
-        for e4, e6, tail, c in terms:
+        for e4, e6, tail, c in zip(*terms):
             if e4 + s4 >= p:
                 positions.append(r_pos.setdefault(
                     (e4 + s4 - p, e6 + s6) + tail, len(r_pos)))
@@ -380,7 +380,8 @@ def expand_column(column):
     """A `_lifted_columns` column as its (AB exponent vector, int) terms:
     the index part's terms with the monomial's E4 and E6 shifts added."""
     s4, s6, _, terms = column
-    return [((e4 + s4, e6 + s6) + tail, c) for e4, e6, tail, c in terms]
+    return [((e4 + s4, e6 + s6) + tail, c)
+            for e4, e6, tail, c in zip(*terms)]
 
 
 def system_rows_reference(k, m):

@@ -147,7 +147,7 @@ class TestSubstitutionReference:
         assert delta_pow == max(f.delta_pow for f in images)
         for column, image in zip(columns, images):
             den, terms = column[2], dict(expand_column(column))
-            assert len(terms) == len(column[3])
+            assert len(terms) == len(column[3][3])
             assert all(terms.values())
             assert type(den) is int and den > 0
             assert all(type(c) is int for c in terms.values())
@@ -303,9 +303,9 @@ def part_image(part):
 def lifted_poly(part, gap):
     """`_lifted_terms(part, gap)` as a Fraction polynomial over AB."""
     den, terms = _lifted_terms(part, gap)
-    assert all(type(c) is int for *_, c in terms)
+    assert all(type(c) is int for c in terms[3])
     return Poly(AB, {(e4, e6) + tail: Fraction(c, den)
-                     for e4, e6, tail, c in terms})
+                     for e4, e6, tail, c in zip(*terms)})
 
 
 class TestIndexPartImages:
@@ -329,12 +329,28 @@ class TestIndexPartImages:
             assert lifted_poly(part, gap) == part_image(part).num * lift, \
                 part
 
+    def test_memo_holds_columns_and_one_tuple_per_tail(self):
+        """Every memo entry that the columns of the profile weights of
+        index <= 6 read is four columns of one length, its E4 exponents
+        ascending, and across the entries each tail value is one object."""
+        entries = {id(column[3]): column[3]
+                   for i in range(1, 7) for k, m in profile_targets(i)
+                   for column in _lifted_columns(
+                       enumerate_monomials(ab, BiDegree(k, m)))[0]}
+        tails = []
+        for e4s, *rest in entries.values():
+            assert all(len(column) == len(e4s) for column in rest)
+            assert all(x <= y for x, y in zip(e4s, e4s[1:]))
+            tails.extend(rest[1])
+        assert len(entries) > 1
+        assert len({id(tail) for tail in tails}) == len(set(tails)) > 1
+
 
 def value_at_point(terms):
     """The `_lifted_terms` terms' polynomial at the point of the Delta
     test, term by term, mod the prime."""
     total = 0
-    for e4, e6, tail, c in terms:
+    for e4, e6, tail, c in zip(*terms):
         x = c * pow(_S, 2 * e4 + 3 * e6, _PRIME)
         for t, e in zip(_TAIL, tail):
             x = x * pow(t, e, _PRIME)

@@ -19,6 +19,7 @@ afford: `golden_lowest.json`, the lowest weights up to m = 17, and
 """
 
 import json
+from types import SimpleNamespace
 
 from e8jacobi.cache import DiskStore
 from e8jacobi.construct import certificate_identity, jacobi_basis
@@ -38,13 +39,17 @@ def golden(name):
 def checked_digest(basis) -> str:
     """The digest of `basis_to_json(basis)`, asserting on the way the
     shape and the identity of each certificate right after its document
-    is written, so that all three read one image of its form; the
-    documents share one exponent map per monomial, as in
-    `basis_to_json`."""
+    is written, so that all three read one image of its form, and the
+    document and the shape one derivation of its R; the documents share
+    one exponent map per monomial, as in `basis_to_json`."""
     docs, memo = [], {}
     for i, cert in enumerate(basis.certificates):
-        docs.append(certificate_to_json(cert, memo))
-        assert one_shape(cert), (basis.target, i)
+        r_rows = cert.r_rows()
+        # the certificate with its R rows held, for the document writer
+        held = SimpleNamespace(n=cert.n, den=cert.den, s_rows=cert.s_rows,
+                               r_rows=lambda: r_rows)
+        docs.append(certificate_to_json(held, memo))
+        assert one_shape(cert, r_rows), (basis.target, i)
         assert certificate_identity(cert.form, cert), (basis.target, i)
     target = basis.target
     return digest({"weight": target.weight, "index": target.index,
