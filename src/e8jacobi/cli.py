@@ -164,8 +164,9 @@ def _cmd_module_gens(args, as_json):
     gens = [(k, form) for k, forms in module_generators(args.index)
             for form in forms]
     if as_json:
+        memo = {}
         return {"index": args.index,
-                "generators": [{"weight": k, "form": poly_to_json(form)}
+                "generators": [{"weight": k, "form": poly_to_json(form, memo)}
                                for k, form in gens]}
     return ["weight %d: %s" % gen for gen in gens]
 

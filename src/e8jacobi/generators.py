@@ -252,30 +252,6 @@ def p16_5() -> Poly:
 
 
 @cache
-def p12_5_over_ab() -> Poly:
-    """The weight-12 index-5 quotient form as a polynomial over ab."""
-    g = _ab_gens()
-    E4, E6 = g["E4"], g["E6"]
-    a2, a3 = g["a2"], g["a3"]
-    b1, b2, b3, b4, b5 = g["b1"], g["b2"], g["b3"], g["b4"], g["b5"]
-    D = delta_poly(ab)
-    return (24 * D * E4 ** 2 * E6 * a2 * b1 * b2
-            - 18 * D * E4 ** 2 * E6 * a3 * b1 ** 2
-            + 20736 * D * E4 ** 2 * a2 * b1 ** 3
-            + 5 * D * E4 * E6 ** 2 * a2 ** 2 * b1
-            - 28440 * E6 ** 2 * b1 ** 5
-            - 336 * D ** 2 * E4 * E6 * a2 * a3
-            + 4824 * D * E6 ** 2 * b1 ** 2 * b3
-            - 1008 * D * E6 ** 2 * b1 * b2 ** 2
-            - 991872 * D * E6 * b1 ** 3 * b2
-            - 13436928 * D * b1 ** 5
-            - 384 * D ** 2 * E6 ** 2 * b5
-            + 27648 * D ** 2 * E6 * b1 * b4
-            + 76032 * D ** 2 * E6 * b2 * b3
-            - 12690432 * D ** 2 * b1 * b2 ** 2) / 9216
-
-
-@cache
 def _image_power(symbol: str, e: int) -> Tuple[int, Poly]:
     """A generator image's numerator to the e-th power as (den, num), the
     power being num / den over E4 and Delta (see `_rest_powers`): the

@@ -7,8 +7,9 @@ over its image's L, the S_l over den) and read back into them, so no
 byte depends on either denominator.  Documents meant for humans use
 named exponent maps ({"E4": 2, "b5": 1}), terms in descending monomial
 order.  A document shares one exponent map per monomial (alphabet and
-exponent vector) among all its terms, so copy it before you mutate it,
-as with json.loads(json.dumps(doc)).  The compact positional form
+exponent vector) and one coefficient string per value among all its
+terms, so copy it before you mutate it, as with
+json.loads(json.dumps(doc)).  The compact positional form
 ([exponents, "num/den"] pairs) now only feeds the cache key's digest of
 the generator tables; the cache entries themselves store integer rows
 (see e8jacobi.cache).
@@ -55,15 +56,19 @@ def _lookup_alphabet(name: str) -> Alphabet:
 
 def _poly_doc(alphabet: Alphabet, terms, memo=None) -> dict:
     """The document of (exponent vector, "num/den") pairs, descending;
-    `memo` holds its document's exponent maps, by alphabet name."""
+    `memo` holds its document's exponent maps, by alphabet name, and its
+    coefficient strings, under None."""
     symbols = alphabet.symbols
-    maps = ({} if memo is None else memo).setdefault(alphabet.name, {})
+    memo = {} if memo is None else memo
+    maps = memo.setdefault(alphabet.name, {})
+    strings = memo.setdefault(None, {})
     docs = []
     for exps, coeff in terms:
         named = maps.get(exps)
         if named is None:
             named = maps[exps] = {s: e for s, e in zip(symbols, exps) if e}
-        docs.append({"exponents": named, "coefficient": coeff})
+        docs.append({"exponents": named,
+                     "coefficient": strings.setdefault(coeff, coeff)})
     return {"alphabet": alphabet.name, "terms": docs}
 
 
@@ -123,7 +128,7 @@ def poly_from_json(doc: dict) -> Poly:
 def certificate_to_json(cert: Certificate, memo=None) -> dict:
     """R and each S_l, from the integer rows; R is derived from the
     certificate's form here, once, over its image's own L.  `memo` is
-    the exponent maps of the document that holds this one, if any."""
+    the maps and strings of the document that holds this one, if any."""
     memo = {} if memo is None else memo
     return {"n": cert.n,
             "s_parts": [{"l": l, "poly": _row_doc(S_ALPHABET, mons, nums,

@@ -19,8 +19,7 @@ from e8jacobi.construct import Rejection, profile_weights
 from e8jacobi.e8 import SIMPLE_ROOTS, _closure
 from e8jacobi.generators import (_lifted_columns, _sum_columns,
                                  _weighted_columns, e4_split,
-                                 holomorphic_images, p12_5_over_ab, p16_5,
-                                 sub_ab_to_AB)
+                                 holomorphic_images, p16_5, sub_ab_to_AB)
 from e8jacobi.grading import (AB, BiDegree, Frac, ParamPoly, Poly,
                               S_ALPHABET, ab, cancel_delta, delta_poly)
 from e8jacobi.linsolve import (LinearSystem, coefficient_equations,
@@ -579,6 +578,31 @@ def stdout_digest(argv) -> str:
     text = "".join(line for line in run(argv).splitlines(True)
                    if not line.startswith('  "elapsed_seconds": '))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+@cache
+def p12_5_over_ab() -> Poly:
+    """The weight-12 index-5 quotient form as a polynomial over ab,
+    P_{16,5}/E4 (criterion 7)."""
+    g = {s: Poly.gen(ab, s) for s in ab.symbols}
+    E4, E6 = g["E4"], g["E6"]
+    a2, a3 = g["a2"], g["a3"]
+    b1, b2, b3, b4, b5 = g["b1"], g["b2"], g["b3"], g["b4"], g["b5"]
+    D = delta_poly(ab)
+    return (24 * D * E4 ** 2 * E6 * a2 * b1 * b2
+            - 18 * D * E4 ** 2 * E6 * a3 * b1 ** 2
+            + 20736 * D * E4 ** 2 * a2 * b1 ** 3
+            + 5 * D * E4 * E6 ** 2 * a2 ** 2 * b1
+            - 28440 * E6 ** 2 * b1 ** 5
+            - 336 * D ** 2 * E4 * E6 * a2 * a3
+            + 4824 * D * E6 ** 2 * b1 ** 2 * b3
+            - 1008 * D * E6 ** 2 * b1 * b2 ** 2
+            - 991872 * D * E6 * b1 ** 3 * b2
+            - 13436928 * D * b1 ** 5
+            - 384 * D ** 2 * E6 ** 2 * b5
+            + 27648 * D ** 2 * E6 * b1 * b4
+            + 76032 * D ** 2 * E6 * b2 * b3
+            - 12690432 * D ** 2 * b1 * b2 ** 2) / 9216
 
 
 def second_power_form():

@@ -12,15 +12,14 @@ from mpmath import mp, mpc
 from e8jacobi.construct import (certify, Certificate, index_profile,
                                 jacobi_basis, jacobi_dim, lb_analysis,
                                 rank_series)
-from e8jacobi.generators import (holomorphic_images, p12_5_over_ab, p16_5,
-                                 sub_ab_to_AB)
+from e8jacobi.generators import holomorphic_images, p16_5, sub_ab_to_AB
 from e8jacobi.grading import AB, Frac, Poly, ab
 from e8jacobi.oracle import (EvalContext, check_axioms, orbit_character,
                              q_laurent_probe)
 
 from helpers import (LB_GENERATOR_COUNTS, LOWEST_WEIGHT_DIMS, PROFILES,
                      build, frac_product, m16_5_pair, m26_7_generator,
-                     spans_equal)
+                     p12_5_over_ab, spans_equal)
 
 
 def criterion(number, title):

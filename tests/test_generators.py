@@ -14,13 +14,14 @@ from e8jacobi.generators import (_PRIME, _S, _TAIL, _image, _lifted_columns,
                                  _rest_powers, _sum_columns,
                                  _weighted_columns, e4_split,
                                  holomorphic_images, meromorphic_images,
-                                 p12_5_over_ab, p16_5, sub_ab_to_AB)
+                                 p16_5, sub_ab_to_AB)
 from e8jacobi.grading import (AB, BiDegree, Frac, Poly, S_ALPHABET, ab,
                               cancel_delta, delta_poly)
 
 from helpers import (build, expand_column, frac_bidegree, frac_product,
                      frac_sum, full_image, int_image, m26_7_generator,
-                     normalized_by_trial_division, profile_targets)
+                     normalized_by_trial_division, p12_5_over_ab,
+                     profile_targets)
 
 # every target of index 1..4 in its profile weight range with monomials
 SMALL_TARGETS = [(k, m) for i in range(1, 5)

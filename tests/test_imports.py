@@ -123,7 +123,6 @@ READ_OUTSIDE_SRC = {
     "Poly.gen_exponent_range": "README library API",
     "basis_from_json": "README library API: reads a basis document back",
     "holomorphic_images": "test reference: the table the roundtrips invert",
-    "p12_5_over_ab": "test reference: criterion 7's weight-12 form",
     "echelonize": "pinned by perfbench/spans.py; span_basis reference",
     "primitive_vector": "pinned by perfbench/spans.py; span_basis reference",
     "poly_from_compact": "pinned by perfbench/spans.py",

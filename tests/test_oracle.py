@@ -10,7 +10,7 @@ from mpmath import mp, mpc, mpf
 from e8jacobi.ansatz import enumerate_monomials
 from e8jacobi.construct import (Rejection, certify, jacobi_basis,
                                 profile_weights)
-from e8jacobi.generators import meromorphic_images, p12_5_over_ab, p16_5
+from e8jacobi.generators import meromorphic_images, p16_5
 from e8jacobi.grading import AB, BiDegree, Poly, ab
 from e8jacobi.oracle import (ComplexSample, EvalContext, NearSingularError,
                              PrecisionUnreachableError, check_axioms,
@@ -21,8 +21,8 @@ from e8jacobi.oracle import (ComplexSample, EvalContext, NearSingularError,
                              _ladder, _raw, _scaled, _theta_bound,
                              _theta_fixed, _theta_guard_bits)
 
-from helpers import (orbit_character_loop, q_laurent_probe_loop,
-                     theta_fixed_loop, weyl_orbit)
+from helpers import (orbit_character_loop, p12_5_over_ab,
+                     q_laurent_probe_loop, theta_fixed_loop, weyl_orbit)
 
 CTX = EvalContext()
 TAU = mpc("0.13", "1.07")
@@ -735,6 +735,27 @@ class TestPoleAtRho:
     cancel, so the context keeps more than 9p digits besides its
     guard."""
 
+    @staticmethod
+    def poles(forms, precision):
+        """Whether each form has a pole at rho, at `precision` digits;
+        asserts that it grows as a pole or as a regular form does and
+        that `certify` rejects exactly the forms with a pole."""
+        ctx = EvalContext(precision=precision)
+        with mp.workdps(ctx.work_digits):
+            samples = [ComplexSample(mpc(-0.5, mpmath.sqrt(3) / 2
+                                         + mpf(10) ** -e), _z_generic())
+                       for e in (3, 6, 9)]
+        poles = []
+        for f in forms:
+            with mp.workdps(ctx.work_digits):
+                a, b, c = (abs(eval_poly(f, s, ctx)) for s in samples)
+                steps = b / a, c / b
+            pole = min(steps) >= 100
+            assert pole or max(steps) <= 1.1, f
+            assert pole == isinstance(certify(f), Rejection), f
+            poles.append(pole)
+        return poles
+
     def test_index_6_agrees_with_certify(self):
         e4_pow = {name: f.e4_pow for name, f in meromorphic_images().items()}
         forms = []
@@ -745,19 +766,17 @@ class TestPoleAtRho:
                 forms += jacobi_basis(k, m).forms
         p = max(sum(e * e4_pow[s] for s, e in zip(ab.symbols, mon))
                 for f in forms for mon in f.terms)
-        ctx = EvalContext(precision=9 * p + 1)
-        with mp.workdps(ctx.work_digits):
-            samples = [ComplexSample(mpc(-0.5, mpmath.sqrt(3) / 2
-                                         + mpf(10) ** -e), _z_generic())
-                       for e in (3, 6, 9)]
-        poles = 0
-        for f in forms:
-            with mp.workdps(ctx.work_digits):
-                a, b, c = (abs(eval_poly(f, s, ctx)) for s in samples)
-                steps = b / a, c / b
-            pole = min(steps) >= 100
-            assert pole or max(steps) <= 1.1, f
-            assert pole == isinstance(certify(f), Rejection), f
-            poles += pole
         # 642 monomials, 561 of them rejected, and 391 basis forms
-        assert (len(forms), poles) == (642 + 391, 561)
+        assert (len(forms), sum(self.poles(forms, 9 * p + 1))) == \
+            (642 + 391, 561)
+
+    @pytest.mark.parametrize("k, m, dim", [(-40, 10, 4), (-48, 12, 8)])
+    def test_lowest_weight_forms_and_a_raised_coefficient(self, k, m, dim):
+        """Each form of the lowest weight of index 10 and 12 is regular,
+        and has a pole with its first coefficient raised by 1.  At the
+        default 50 digits the forms of J_{-48,12} grow up to 1e51 a
+        step; at 120 the regular read at most 1.0 and the raised at
+        least 9.8e14."""
+        forms = jacobi_basis(k, m).forms
+        raised = [f + Poly(ab, {max(f.terms): 1}) for f in forms]
+        assert self.poles(forms + raised, 120) == [False] * dim + [True] * dim

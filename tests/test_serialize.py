@@ -170,7 +170,8 @@ def polys(doc):
 
 class TestSharedExponentMaps:
     """A document holds one exponent map per monomial, shared by all its
-    terms; JSON writes a shared map as it writes a copy."""
+    terms, and one string per coefficient value; JSON writes a shared
+    map as it writes a copy."""
 
     def test_same_text_as_the_per_term_writer(self):
         """The canonical text of the golden digests, at every target of
@@ -198,6 +199,19 @@ class TestSharedExponentMaps:
         assert terms > 10 * len(maps)
         assert not {id(m) for m in maps.values()} & {
             id(t["exponents"]) for p in polys(second) for t in p["terms"]}
+
+    def test_one_string_per_coefficient_value_per_call(self):
+        """J_{0,8}'s 11,250 terms hold 4,827 coefficient values; each
+        value is one string across the forms, S parts and remainders.
+        A second call holds strings of its own."""
+        basis = jacobi_basis(0, 8)
+        first, second = basis_to_json(basis), basis_to_json(basis)
+        coeffs = [t["coefficient"] for p in polys(first) for t in p["terms"]]
+        ids = {id(c) for c in coeffs}
+        assert (len(coeffs), len(ids), len(set(coeffs))) == \
+            (11250, 4827, 4827)
+        assert not ids & {id(t["coefficient"])
+                          for p in polys(second) for t in p["terms"]}
 
     def test_maps_kept_apart_by_alphabet(self):
         """One exponent vector over ab and over AB, written with one
